@@ -6,11 +6,12 @@ Integration is classical RK4 with a fixed step plus a Richardson global-error
 estimate (the same scheme at half the step); verification tolerances derive
 from that estimate, so adaptive stepping is deliberately avoided.  Dense
 output is local cubic Hermite interpolation using stored derivatives.
+Finiteness of the state is checked once per run, after the last step, and
+the first non-finite sample is named in the error.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -133,6 +134,8 @@ class ParameterCurve:
 # trajectories
 # ---------------------------------------------------------------------------
 
+_CSV_BLOCK = 4096  # rows formatted per string operation in Trajectory.to_csv
+
 
 @dataclass
 class IntegratorMeta:
@@ -237,18 +240,20 @@ class Trajectory:
         return float(np.linalg.norm(self.dxs, axis=1).max())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
+        """One header line, then one ``%.12g`` row per sample.  Rows are
+        formatted a block at a time, so no whole-array Python list is built."""
         d = self.xs.shape[1]
         cols = ["t"] + [f"x{i}" for i in range(d)]
+        parts = [self.ts[:, None], self.xs]
         if self.vs is not None:
             cols += [f"v{i}" for i in range(d)]
-        buf.write(",".join(cols) + "\n")
-        for i, t in enumerate(self.ts):
-            row = [f"{t:.12g}"] + [f"{v:.12g}" for v in self.xs[i]]
-            if self.vs is not None:
-                row += [f"{v:.12g}" for v in self.vs[i]]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+            parts.append(self.vs)
+        row = ",".join(["%.12g"] * len(cols)) + "\n"
+        chunks = [",".join(cols) + "\n"]
+        for a in range(0, len(self.ts), _CSV_BLOCK):
+            block = np.hstack([p[a:a + _CSV_BLOCK] for p in parts])
+            chunks.append((row * len(block)) % tuple(block.ravel().tolist()))
+        return "".join(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +266,28 @@ def _rk4_run(field: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
     n_steps = int(round(horizon / h))
     if abs(n_steps * h - horizon) > 1e-9 * max(1.0, horizon):
         n_steps = math.ceil(horizon / h)
-    ts = np.empty(n_steps + 1)
+    ts = np.arange(n_steps + 1) * h
     ys = np.empty((n_steps + 1, y0.size))
     dys = np.empty_like(ys)
-    t, y = 0.0, y0.astype(float).copy()
+    h2, h6 = h / 2, h / 6
+    y = y0.astype(float).copy()
     for i in range(n_steps):
-        ts[i] = t
+        t = i * h
         ys[i] = y
         k1 = field(t, y)
         dys[i] = k1
-        k2 = field(t + h / 2, y + h / 2 * k1)
-        k3 = field(t + h / 2, y + h / 2 * k2)
+        k2 = field(t + h2, y + h2 * k1)
+        k3 = field(t + h2, y + h2 * k2)
         k4 = field(t + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"non-finite state at t={t + h}")
-        t = (i + 1) * h
-    ts[-1] = t
+        y = y + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
     ys[-1] = y
-    dys[-1] = field(t, y)
+    # checked once per run: a non-finite state stays non-finite, so the
+    # first bad sample is the step where the state left the reals
+    bad = ~np.isfinite(ys[1:]).all(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        raise IntegrationError(f"non-finite state at t={i * h + h}")
+    dys[-1] = field(n_steps * h, y)
     return ts, ys, dys
 
 
@@ -297,12 +305,10 @@ def _integrate(field, y0: np.ndarray, horizon: float, step: float,
     # Hermite reconstruction of fine midpoints from the coarse subsamples
     # bounds the dense-output slack on the fine grid from above.
     mid = ys_f[1::2]
-    interp = np.empty_like(mid)
-    h = step
-    for i in range(len(mid)):
-        y0_, y1_ = shared[i], shared[min(i + 1, len(shared) - 1)]
-        d0, d1 = dys_f[2 * i], dys_f[min(2 * i + 2, len(dys_f) - 1)]
-        interp[i] = 0.5 * y0_ + 0.5 * y1_ + h / 8 * (d0 - d1)
+    i = np.arange(len(mid))
+    y1 = shared[np.minimum(i + 1, len(shared) - 1)]
+    d1 = dys_f[np.minimum(2 * i + 2, len(dys_f) - 1)]
+    interp = 0.5 * shared[:len(mid)] + 0.5 * y1 + step / 8 * (dys_f[2 * i] - d1)
     interp_slack = float(np.linalg.norm(interp - mid, axis=1).max())
     est = richardson + interp_slack
     meta = IntegratorMeta(method=method, step=step, grid_step=step / 2,
@@ -323,8 +329,10 @@ def integrate_first_order(T: NonexpansiveMap, lam: ParameterCurve, x0,
     if lam.upper is not None and lam.upper > 1.0 + 1e-12:
         raise IntegrationError("lambda must map into [0, 1]")
 
+    fn = T.fn  # raw closure; the validating wrapper is per-call overhead here
+
     def field(t, y):
-        return lam(t) * (T(y) - y)
+        return lam(t) * (fn(y) - y)
 
     ts, ys, dys, meta = _integrate(field, x0, horizon, step, "rk4/first_order")
     lam.validate_bounds(ts[:: max(1, len(ts) // 256)])
@@ -348,9 +356,11 @@ def integrate_second_order(B: CocoerciveMap, lam: ParameterCurve,
                     f"parameter assumption gamma^2/lambda >= (1+theta)/beta fails at t={t}"
                 )
 
+    fn = B.fn
+
     def field(t, y):
         x, v = y[:d], y[d:]
-        return np.concatenate([v, -gam(t) * v - lam(t) * B(x)])
+        return np.concatenate([v, -gam(t) * v - lam(t) * fn(x)])
 
     y0 = np.concatenate([u0, v0])
     ts, ys, dys, meta = _integrate(field, y0, horizon, step, "rk4/second_order")
@@ -370,6 +380,7 @@ def integrate_forward_backward(order: str, A: MonotoneOperator, B: CocoerciveMap
     if order not in ("first", "second"):
         raise ValueError("order is first|second")
     T = forward_backward_map(A, B, gamma)
+    fn = T.fn
     if order == "first":
         delta = min(1.0, B.beta / gamma) + 0.5
         if lam.upper is not None and lam.upper > delta + 1e-12:
@@ -379,7 +390,7 @@ def integrate_forward_backward(order: str, A: MonotoneOperator, B: CocoerciveMap
             space = SpaceDescriptor(dimension=x0.size)
 
         def field(t, y):
-            return lam(t) * (T(y) - y)
+            return lam(t) * (fn(y) - y)
 
         ts, ys, dys, meta = _integrate(field, x0, horizon, step, "rk4/fb_first")
         return Trajectory(space=space, ts=ts, xs=ys, dxs=dys, meta=meta)
@@ -393,7 +404,7 @@ def integrate_forward_backward(order: str, A: MonotoneOperator, B: CocoerciveMap
                 raise IntegrationError(
                     "parameter assumption gamma^2/lambda >= 2(1+theta)/delta fails"
                 )
-    residual = CocoerciveMap(fn=lambda x: x - T(x), beta=delta / 2,
+    residual = CocoerciveMap(fn=lambda x: x - fn(x), beta=delta / 2,
                              name="fb_residual")
     return integrate_second_order(residual, lam, gam, x0, v0, horizon, step,
                                   space=space)

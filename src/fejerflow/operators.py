@@ -309,8 +309,10 @@ def forward_backward_map(A: MonotoneOperator, B: CocoerciveMap, gamma: float) ->
         raise OperatorError(f"gamma must lie in (0, {2.0 * B.beta}), got {gamma}")
     delta = min(1.0, B.beta / gamma) + 0.5
 
+    resolvent, b = A.resolvent, B.fn
+
     def fn(x):
-        return A.resolve(gamma, x - gamma * B(x))
+        return resolvent(gamma, x - gamma * b(x))
 
     return NonexpansiveMap(fn=fn, name="forward_backward", averagedness=1.0 / delta)
 

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from fejerflow import flows
 from fejerflow.flows import (
     IntegrationError,
+    IntegratorMeta,
     ParameterCurve,
     Trajectory,
     gradient_flow_semigroup,
@@ -21,6 +23,7 @@ from fejerflow.operators import (
     MonotoneOperator,
     NonexpansiveMap,
 )
+from fejerflow.space import euclidean
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +69,11 @@ class TestFirstOrderIntegration:
         traj = integrate_first_order(T, ParameterCurve.constant(0.0),
                                      [1.0], 2.0, 1e-2)
         assert np.allclose(traj.xs, 1.0)
+
+    def test_divergent_flow_raises(self):
+        T = NonexpansiveMap(fn=lambda x: 1e200 * x * x)
+        with pytest.raises(IntegrationError, match=r"non-finite state at t=0\.1$"):
+            integrate_first_order(T, ParameterCurve.constant(1.0), [1.0], 5.0, 0.1)
 
     def test_lambda_range_enforced(self):
         T = NonexpansiveMap.identity()
@@ -120,6 +128,28 @@ class TestDenseOutput:
         text = decay_trajectory.to_csv()
         assert text.splitlines()[0] == "t,x0"
         assert len(text.splitlines()) == len(decay_trajectory.ts) + 1
+
+    def test_csv_matches_per_row_format(self):
+        # more rows than one formatting block, with velocity columns, signed
+        # zero, a subnormal, infinities and a NaN
+        n = flows._CSV_BLOCK + 5
+        ts = np.linspace(0.0, 3.0, n)
+        xs = np.column_stack([np.exp(-ts), np.sin(7 * ts) * 1e-300])
+        vs = np.column_stack([-xs[:, 0], np.cos(ts) * 1e9])
+        xs[3, 0], xs[4, 1], vs[5, 0] = -0.0, 5e-324, 0.0
+        vs[6] = [math.inf, -math.inf]
+        vs[7, 1] = math.nan
+        meta = IntegratorMeta("test", 0.1, 0.1, 1e-9, 0.0, 0.0)
+        traj = Trajectory(space=euclidean(2), ts=ts, xs=xs, dxs=xs, meta=meta,
+                          vs=vs, dvs=vs)
+        lines = ["t,x0,x1,v0,v1"]
+        for i, t in enumerate(ts):
+            row = [f"{t:.12g}"] + [f"{v:.12g}" for v in xs[i]]
+            row += [f"{v:.12g}" for v in vs[i]]
+            lines.append(",".join(row))
+        text = traj.to_csv()
+        assert text == "\n".join(lines) + "\n"
+        assert "-0," in text and "4.94065645841e-324" in text
 
 
 class TestSecondOrderIntegration:
@@ -239,9 +269,127 @@ class TestSemigroups:
 
 class TestFromSamples:
     def test_round_trip(self):
-        from fejerflow.space import euclidean
         ts = np.linspace(0, 5, 21)
         xs = np.exp(-ts)
         traj = Trajectory.from_samples(euclidean(1), ts, xs, est_err=1e-4)
         assert traj.horizon == 5.0
         assert abs(traj.eval(1.0)[0] - math.exp(-1)) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# bit identity against the per-step reference loops
+# ---------------------------------------------------------------------------
+
+
+def _reference_rk4_run(field, y0, horizon, h):
+    n_steps = int(round(horizon / h))
+    if abs(n_steps * h - horizon) > 1e-9 * max(1.0, horizon):
+        n_steps = math.ceil(horizon / h)
+    ts = np.empty(n_steps + 1)
+    ys = np.empty((n_steps + 1, y0.size))
+    dys = np.empty_like(ys)
+    t, y = 0.0, y0.astype(float).copy()
+    for i in range(n_steps):
+        ts[i] = t
+        ys[i] = y
+        k1 = field(t, y)
+        dys[i] = k1
+        k2 = field(t + h / 2, y + h / 2 * k1)
+        k3 = field(t + h / 2, y + h / 2 * k2)
+        k4 = field(t + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            raise IntegrationError(f"non-finite state at t={t + h}")
+        t = (i + 1) * h
+    ts[-1] = t
+    ys[-1] = y
+    dys[-1] = field(t, y)
+    return ts, ys, dys
+
+
+def _reference_integrate(field, y0, horizon, step, method):
+    ts_c, ys_c, _ = _reference_rk4_run(field, y0, horizon, step)
+    ts_f, ys_f, dys_f = _reference_rk4_run(field, y0, horizon, step / 2)
+    shared = ys_f[::2]
+    n = min(len(ys_c), len(shared))
+    richardson = float(np.linalg.norm(ys_c[:n] - shared[:n], axis=1).max())
+    mid = ys_f[1::2]
+    interp = np.empty_like(mid)
+    h = step
+    for i in range(len(mid)):
+        y0_, y1_ = shared[i], shared[min(i + 1, len(shared) - 1)]
+        d0, d1 = dys_f[2 * i], dys_f[min(2 * i + 2, len(dys_f) - 1)]
+        interp[i] = 0.5 * y0_ + 0.5 * y1_ + h / 8 * (d0 - d1)
+    interp_slack = float(np.linalg.norm(interp - mid, axis=1).max())
+    est = richardson + interp_slack
+    meta = IntegratorMeta(method=method, step=step, grid_step=step / 2,
+                          est_err=max(est, 1e-15), richardson_err=richardson,
+                          interp_slack=interp_slack)
+    return ts_f, ys_f, dys_f, meta
+
+
+def _wrapped(op):
+    """The same operator, evaluated through its validating method (the
+    reference loops called the wrapper, not the raw closure)."""
+    if isinstance(op, MonotoneOperator):
+        return MonotoneOperator(resolvent=op.resolve, name=op.name, zeros=op.zeros)
+    return type(op)(**{**vars(op), "fn": op.__call__})
+
+
+_LAMBDAS = {
+    "constant": ParameterCurve.constant(0.7),
+    "affine": ParameterCurve.affine(0.05, 0.3, lower=0.0, upper=1.0),
+    "piecewise": ParameterCurve.piecewise([0.45, 1.2], [0.2, 0.9, 0.5]),
+    "table": ParameterCurve.table([0.0, 0.8, 2.0], [0.1, 1.0, 0.4]),
+}
+_MAPS = {
+    1: NonexpansiveMap.affine([[0.6]], [0.3]),
+    2: NonexpansiveMap.compose([NonexpansiveMap.rotation(30.0),
+                                NonexpansiveMap.projection_ball([0.5, 0.0], 1.0)]),
+}
+_SPD = CocoerciveMap.linear_spd([[2.0, 0.5], [0.5, 1.0]])
+
+
+def _cases():
+    """(name, call) pairs; ``call(wrap)`` runs a flow whose operators are
+    passed through ``wrap`` first.  Horizon 1.0 at step 0.3 is not a
+    multiple of the step: 8 fine samples, ending at t = 1.05."""
+    for d, T in _MAPS.items():
+        for kind, lam in _LAMBDAS.items():
+            x0 = [1.0, -2.0][:d]
+            yield f"first_d{d}_{kind}", lambda w, T=T, lam=lam, x0=x0: \
+                integrate_first_order(w(T), lam, x0, 2.0, 0.01)
+    yield "first_ragged_horizon", lambda w: integrate_first_order(
+        w(_MAPS[1]), _LAMBDAS["piecewise"], [1.0], 1.0, 0.3)
+    yield "second", lambda w: integrate_second_order(
+        w(_SPD), ParameterCurve.table([0.0, 1.0, 2.0], [1.0, 2.0, 1.5]),
+        ParameterCurve.affine(0.2, 3.0), [1.0, -0.5], [0.0, 0.3], 2.0, 0.01)
+    yield "second_ragged_horizon", lambda w: integrate_second_order(
+        w(CocoerciveMap.identity()), ParameterCurve.constant(2.0),
+        ParameterCurve.constant(3.0), [1.0], [0.0], 1.0, 0.3)
+    yield "fb_first", lambda w: integrate_forward_backward(
+        "first", w(MonotoneOperator.linear([[1.0, 0.4], [-0.4, 0.5]])), w(_SPD),
+        0.6, ParameterCurve.constant(1.1), [1.5, -1.0], 2.0, 0.01)
+    yield "fb_second", lambda w: integrate_forward_backward(
+        "second", w(MonotoneOperator.scaled_identity(0.5)), w(CocoerciveMap.identity()),
+        1.0, ParameterCurve.constant(1.0), [0.5], 2.0, 0.01,
+        gam=ParameterCurve.affine(0.1, 3.0, lower=3.0, upper=4.0), v0=[0.2])
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in _cases()])
+def test_rk4_bit_identical_to_reference(monkeypatch, call):
+    new = call(lambda op: op)
+    with monkeypatch.context() as m:
+        m.setattr(flows, "_integrate", _reference_integrate)
+        ref = call(_wrapped)
+    for attr in ("ts", "xs", "dxs", "vs", "dvs"):
+        a, b = getattr(new, attr), getattr(ref, attr)
+        assert (a is None) == (b is None), attr
+        if a is not None:
+            assert np.array_equal(a, b), attr
+    assert new.meta == ref.meta
+
+
+def test_ragged_horizon_samples():
+    traj = integrate_first_order(_MAPS[1], _LAMBDAS["piecewise"], [1.0], 1.0, 0.3)
+    assert len(traj.ts) == 8 and traj.ts[-1] == 7 * 0.15 == 1.05
