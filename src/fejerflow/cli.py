@@ -8,8 +8,7 @@ Subcommands:
     certify <theorem> --param k=v   direct access to the certificate calculators
     report <dir> [--format ...]     re-emit reports as json, csv or text
 
-Environment: FEJERFLOW_THREADS (scenario work pool), FEJERFLOW_BUDGET_BITS
-(certificate overflow budget), FEJERFLOW_NUMBA (kernel selection).
+Environment: FEJERFLOW_BUDGET_BITS (certificate overflow budget).
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +24,10 @@ import numpy as np
 
 from . import moduli
 from .counterfunctions import Counterfunction
+from .flows import IntegrationError
+from .operators import OperatorError
 from .scenarios import ConfigError, ScenarioOutcome, builtin_scenarios, run_scenario
+from .space import SpaceError
 
 # theorem ids that must be exercised by at least one builtin scenario
 REQUIRED_COVERAGE = {
@@ -115,13 +115,7 @@ def run_suite(out_root: Path, exclude=()) -> list[ScenarioOutcome]:
     registry = builtin_scenarios()
     names = [n for n in sorted(registry)
              if n not in set(exclude) and not n.startswith("negative_")]
-    configs = [registry[n].config for n in names]
-    threads = int(os.environ.get("FEJERFLOW_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda c: _run_one(c, out_root), configs))
-    else:
-        outcomes = [_run_one(c, out_root) for c in configs]
+    outcomes = [_run_one(registry[n].config, out_root) for n in names]
     _write_suite_summary(outcomes, out_root, registry)
     return outcomes
 
@@ -146,7 +140,7 @@ def cmd_run(args) -> int:
             outcomes = [_run_one(base, out_root)]
         else:
             outcomes = [_run_one(config, out_root)]
-    except ConfigError as exc:
+    except (ConfigError, IntegrationError, OperatorError, SpaceError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for outcome in outcomes:
@@ -200,14 +194,18 @@ def cmd_list(args) -> int:
 
 
 def _parse_param(value: str):
+    """int, "inf", float, exact fraction ("1/2"), else JSON."""
     if value.lstrip("-").isdigit():
         return int(value)
-    if "/" in value or value in ("inf",):
+    if value == "inf":
         return value
-    try:
-        return float(value)
-    except ValueError:
-        pass
+    for parse in (float, Fraction):
+        try:
+            return parse(value)
+        except ValueError:
+            pass
+        except ZeroDivisionError:
+            raise ConfigError(f"zero denominator in {value!r}") from None
     return json.loads(value)
 
 

@@ -262,10 +262,7 @@ class Trajectory:
 
 
 def _rk4_run(field: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
-             horizon: float, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n_steps = int(round(horizon / h))
-    if abs(n_steps * h - horizon) > 1e-9 * max(1.0, horizon):
-        n_steps = math.ceil(horizon / h)
+             n_steps: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ts = np.arange(n_steps + 1) * h
     ys = np.empty((n_steps + 1, y0.size))
     dys = np.empty_like(ys)
@@ -297,18 +294,19 @@ def _integrate(field, y0: np.ndarray, horizon: float, step: float,
         raise IntegrationError("step must be positive")
     if horizon <= 0:
         raise IntegrationError("horizon must be positive")
-    ts_c, ys_c, _ = _rk4_run(field, y0, horizon, step)
-    ts_f, ys_f, dys_f = _rk4_run(field, y0, horizon, step / 2)
+    # n coarse steps cover the horizon (the last one may end past it); the
+    # fine run takes exactly 2n half steps, so both end at the same time
+    n = int(round(horizon / step))
+    if abs(n * step - horizon) > 1e-9 * max(1.0, horizon):
+        n = math.ceil(horizon / step)
+    _, ys_c, _ = _rk4_run(field, y0, n, step)
+    ts_f, ys_f, dys_f = _rk4_run(field, y0, 2 * n, step / 2)
     shared = ys_f[::2]
-    n = min(len(ys_c), len(shared))
-    richardson = float(np.linalg.norm(ys_c[:n] - shared[:n], axis=1).max())
+    richardson = float(np.linalg.norm(ys_c - shared, axis=1).max())
     # Hermite reconstruction of fine midpoints from the coarse subsamples
     # bounds the dense-output slack on the fine grid from above.
     mid = ys_f[1::2]
-    i = np.arange(len(mid))
-    y1 = shared[np.minimum(i + 1, len(shared) - 1)]
-    d1 = dys_f[np.minimum(2 * i + 2, len(dys_f) - 1)]
-    interp = 0.5 * shared[:len(mid)] + 0.5 * y1 + step / 8 * (dys_f[2 * i] - d1)
+    interp = 0.5 * shared[:-1] + 0.5 * shared[1:] + step / 8 * (dys_f[:-1:2] - dys_f[2::2])
     interp_slack = float(np.linalg.norm(interp - mid, axis=1).max())
     est = richardson + interp_slack
     meta = IntegratorMeta(method=method, step=step, grid_step=step / 2,
@@ -431,12 +429,12 @@ class SemigroupPoint:
         }
 
 
-def gradient_flow_semigroup(phi: ConvexFunction, x, t: float,
-                            n_start: int = 8, n_max: int = 2 ** 20,
-                            tol: float = 1e-9,
-                            space: Optional[SpaceDescriptor] = None) -> SemigroupPoint:
-    """S_t(x) = lim_n (J_{t/n})^n (x): iterate the prox, doubling n until the
-    Cauchy difference drops below tol.  No rate is assumed for the limit; the
+def _semigroup(run: Callable[[np.ndarray, int], np.ndarray], x, t: float,
+               n_start: int, n_max: int, tol: float,
+               space: Optional[SpaceDescriptor]) -> SemigroupPoint:
+    """Doubling driver of the exponential formulas: ``run(x, n)`` takes n
+    steps of size t/n from x; n doubles until the Cauchy difference of two
+    successive runs drops below tol.  No rate is assumed for the limit; the
     achieved tolerance is reported."""
     x = np.asarray(x, dtype=float)
     if t < 0:
@@ -445,19 +443,11 @@ def gradient_flow_semigroup(phi: ConvexFunction, x, t: float,
         return SemigroupPoint(point=x.copy(), achieved_tol=0.0, n_used=0, converged=True)
     if space is None:
         space = SpaceDescriptor(dimension=x.size)
-
-    def run(n: int) -> np.ndarray:
-        y = x.copy()
-        s = t / n
-        for _ in range(n):
-            y = phi.prox_point(s, y)
-        return y
-
     n = max(1, n_start)
-    prev = run(n)
+    prev = run(x, n)
     while n < n_max:
         n *= 2
-        cur = run(n)
+        cur = run(x, n)
         diff = space.distance(prev, cur)
         if diff < tol:
             return SemigroupPoint(point=cur, achieved_tol=diff, n_used=n, converged=True)
@@ -465,22 +455,32 @@ def gradient_flow_semigroup(phi: ConvexFunction, x, t: float,
     return SemigroupPoint(point=prev, achieved_tol=math.inf, n_used=n, converged=False)
 
 
+def gradient_flow_semigroup(phi: ConvexFunction, x, t: float,
+                            n_start: int = 8, n_max: int = 2 ** 20,
+                            tol: float = 1e-9,
+                            space: Optional[SpaceDescriptor] = None) -> SemigroupPoint:
+    """S_t(x) = lim_n (J_{t/n})^n (x): iterate the prox under the doubling
+    driver."""
+
+    def run(x: np.ndarray, n: int) -> np.ndarray:
+        y = x.copy()
+        s = t / n
+        for _ in range(n):
+            y = phi.prox_point(s, y)
+        return y
+
+    return _semigroup(run, x, t, n_start, n_max, tol, space)
+
+
 def stojkovic_semigroup(F: NonexpansiveMap, x, t: float,
                         n_start: int = 8, n_max: int = 2 ** 20,
                         tol: float = 1e-9,
                         space: Optional[SpaceDescriptor] = None) -> SemigroupPoint:
     """T_t(x) = lim_n (R_{t/n})^n (x) over the implicit resolvent of F; same
-    doubling scheme, with the inner fixed-point tolerance budgeted tol/(2n)."""
-    x = np.asarray(x, dtype=float)
-    if t < 0:
-        raise IntegrationError("semigroup time must be nonnegative")
-    if t == 0:
-        return SemigroupPoint(point=x.copy(), achieved_tol=0.0, n_used=0, converged=True)
-    if space is None:
-        space = SpaceDescriptor(dimension=x.size)
+    doubling driver, with the inner fixed-point tolerance budgeted tol/(2n)."""
     fn = F.fn  # raw closure; the validated resolvent op is too slow for n ~ 2^19
 
-    def run(n: int) -> np.ndarray:
+    def run(x: np.ndarray, n: int) -> np.ndarray:
         y = x.copy()
         s = t / n
         scale = 1.0 + s
@@ -497,13 +497,4 @@ def stojkovic_semigroup(F: NonexpansiveMap, x, t: float,
             y = wn
         return y
 
-    n = max(1, n_start)
-    prev = run(n)
-    while n < n_max:
-        n *= 2
-        cur = run(n)
-        diff = space.distance(prev, cur)
-        if diff < tol:
-            return SemigroupPoint(point=cur, achieved_tol=diff, n_used=n, converged=True)
-        prev = cur
-    return SemigroupPoint(point=prev, achieved_tol=math.inf, n_used=n, converged=False)
+    return _semigroup(run, x, t, n_start, n_max, tol, space)

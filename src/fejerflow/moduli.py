@@ -523,8 +523,10 @@ def ball_total_boundedness(d: int, b: RealLike, eps: RealLike) -> ExtendedNatura
 
         gamma(eps) = ceil(2 (ceil(1/eps) + 1) sqrt(d) b) ^ d.
     """
+    eps = R(eps)
+    _require(eps.is_positive(), "eps must be positive")
     try:
-        return ExtendedNatural(_ball_tb_int(d, b, R(eps)))
+        return ExtendedNatural(_ball_tb_int(d, b, eps))
     except BudgetExceeded:
         return ExtendedNatural.overflow()
 

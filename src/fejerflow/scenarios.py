@@ -45,7 +45,6 @@ from .operators import (
 from .space import SpaceDescriptor
 from .verify import (
     HOLDS,
-    HOLDS_TOL,
     VIOLATED,
     SolutionFunction,
     VerificationReport,
@@ -57,6 +56,7 @@ from .verify import (
     check_second_order_bounds,
     check_semigroup_fixed_point_bound,
     extract_approximate_zero,
+    report_from_margin,
     verify_metastability,
     verify_residual_metastability,
 )
@@ -106,16 +106,33 @@ class ScenarioOutcome:
         return entry
 
 
-def _report_simple(claim: str, margin: float, tol: float,
-                   details: Optional[dict] = None) -> VerificationReport:
-    if margin <= 0:
-        status = HOLDS
-    elif margin <= 3 * tol:
-        status = HOLDS_TOL
-    else:
-        status = VIOLATED
-    return VerificationReport(claim, status, margin=margin, tolerance=tol,
-                              details=details or {})
+def _property_report(claim: str, prop) -> VerificationReport:
+    """Report of a sampled operator-contract check."""
+    return VerificationReport(claim, HOLDS if prop.passed else VIOLATED,
+                              margin=prop.max_ratio - 1.0, tolerance=prop.tol,
+                              details=prop.to_json())
+
+
+def _cocoercive(space: SpaceDescriptor, cfg: dict) -> CocoerciveMap:
+    """Operator B, with its cocoercivity constant replaced by ``beta_claim``
+    when the config declares one."""
+    B = make_cocoercive(space, cfg["operators"]["B"])
+    if "beta_claim" in cfg:
+        B = CocoerciveMap(fn=B.fn, beta=float(cfg["beta_claim"]),
+                          name=B.name + "[claimed]", zeros=B.zeros)
+    return B
+
+
+def _second_order_consts(cfg: dict, lam: ParameterCurve, gam: ParameterCurve,
+                         theta: float, beta: float):
+    """Boundedness constants of a second-order flow from the config bounds
+    and the declared parameter ranges."""
+    bounds = cfg["bounds"]
+    return second_order_constants(
+        bounds["b"], bounds["c"], bounds["d"],
+        Fraction(str(lam.lower)), Fraction(str(lam.upper)),
+        Fraction(str(gam.lower)), Fraction(str(gam.upper)),
+        Fraction(str(theta)), Fraction(str(beta)))
 
 
 def _counterfunctions(cfg: dict) -> list[Counterfunction]:
@@ -145,7 +162,7 @@ def _distance_monotone_report(traj: Trajectory, y: np.ndarray,
     dist = np.linalg.norm(traj.xs - y[None, :], axis=1)
     increase = float(np.diff(dist).max()) if len(dist) > 1 else 0.0
     tol = 3 * traj.est_err
-    return _report_simple(claim, increase, tol, {"max_increase": increase})
+    return report_from_margin(claim, increase, tol, {"max_increase": increase})
 
 
 def _derivative_bound_report(traj: Trajectory, T: NonexpansiveMap,
@@ -157,7 +174,7 @@ def _derivative_bound_report(traj: Trajectory, T: NonexpansiveMap,
         worst = max(worst, float(np.linalg.norm(traj.dxs[i])
                                  - np.linalg.norm(T(x) - x)))
     tol = 3 * traj.est_err
-    return _report_simple(claim, worst, tol)
+    return report_from_margin(claim, worst, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +209,8 @@ def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
     if space.distance(x0, y) > b + 1e-12:
         raise ConfigError("declared b does not bound ||x0 - y||")
 
-    prop = check_nonexpansive(T, space, n_samples=64, radius=2.0)
-    out.add(VerificationReport("operator_nonexpansive",
-                               HOLDS if prop.passed else VIOLATED,
-                               margin=prop.max_ratio - 1.0, tolerance=prop.tol,
-                               details=prop.to_json()))
+    out.add(_property_report("operator_nonexpansive",
+                             check_nonexpansive(T, space, n_samples=64, radius=2.0)))
 
     traj = integrate_first_order(T, lam, x0, cfg["horizon"], cfg["step"], space=space)
     out.trajectories["trajectory"] = traj
@@ -258,8 +272,7 @@ def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
         for t in np.linspace(0.0, min(20.0, traj.horizon), 400):
             bound = c_rate ** math.floor(t) * d0 * (1 + 1e-6)
             worst = max(worst, space.distance(traj.eval(t), y) - bound)
-        out.add(_report_simple("exponential_rate", worst, tol,
-                               {"c": c_rate}))
+        out.add(report_from_margin("exponential_rate", worst, tol, {"c": c_rate}))
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +300,7 @@ def _second_order_error_model(consts, traj: Trajectory):
 
 def _run_second_order(cfg: dict, out: ScenarioOutcome) -> None:
     space = SpaceDescriptor.from_json(cfg["space"])
-    B = make_cocoercive(space, cfg["operators"]["B"])
-    if "beta_claim" in cfg:
-        B = CocoerciveMap(fn=B.fn, beta=float(cfg["beta_claim"]),
-                          name=B.name + "[claimed]", zeros=B.zeros)
+    B = _cocoercive(space, cfg)
     lam = ParameterCurve.from_spec(cfg["curves"]["lambda"])
     gam = ParameterCurve.from_spec(cfg["curves"]["gamma"])
     theta = float(cfg["theta"])
@@ -298,12 +308,9 @@ def _run_second_order(cfg: dict, out: ScenarioOutcome) -> None:
     v0 = space.point(cfg["initial"]["v0"])
     z = space.point(cfg["solution"]["point"])
 
-    prop = check_cocoercive(B, space, n_samples=64, radius=2.0)
-    out.add(VerificationReport("operator_cocoercive",
-                               HOLDS if prop.passed else VIOLATED,
-                               margin=prop.max_ratio - 1.0, tolerance=prop.tol,
-                               details=prop.to_json()))
-    if not prop.passed:
+    prop = out.add(_property_report(
+        "operator_cocoercive", check_cocoercive(B, space, n_samples=64, radius=2.0)))
+    if prop.status == VIOLATED:
         return
 
     traj = integrate_second_order(B, lam, gam, u0, v0, cfg["horizon"],
@@ -316,18 +323,12 @@ def _run_second_order(cfg: dict, out: ScenarioOutcome) -> None:
         for t in oracle.get("times", [0.5, 1.0, 2.0, 5.0]):
             value = sum(coef * math.exp(rate * t) for coef, rate in oracle["terms"])
             worst = max(worst, abs(traj.eval(t)[0] - value))
-        out.add(_report_simple("closed_form_match", worst - 1e-6, 1e-6,
-                               {"max_error": worst}))
+        out.add(report_from_margin("closed_form_match", worst - 1e-6, 1e-6,
+                                   {"max_error": worst}))
 
-    b_n, c_n, d_n = cfg["bounds"]["b"], cfg["bounds"]["c"], cfg["bounds"]["d"]
-    consts = second_order_constants(
-        b_n, c_n, d_n,
-        Fraction(str(lam.lower)), Fraction(str(lam.upper)),
-        Fraction(str(gam.lower)), Fraction(str(gam.upper)),
-        Fraction(str(theta)), Fraction(str(B.beta)))
-    out.certify("second_order_constants",
-                {"b": b_n, "c": c_n, "d": d_n}, None,
-                trace=consts.describe())
+    consts = _second_order_consts(cfg, lam, gam, theta, B.beta)
+    out.certify("second_order_constants", {k: cfg["bounds"][k] for k in "bcd"},
+                None, trace=consts.describe())
     out.add(check_second_order_bounds(traj, consts, z, B))
 
     meta_cfg = cfg.get("metastability", {})
@@ -391,8 +392,8 @@ def _run_forward_backward_first(cfg: dict, out: ScenarioOutcome) -> None:
     plain = integrate_first_order(NonexpansiveMap(fn=T.fn, name="fb"),
                                   lam, x0, cfg["horizon"], cfg["step"], space=space)
     dev = float(np.abs(traj.xs - plain.xs).max())
-    out.add(_report_simple("fb_reduces_to_first_order", dev, 1e-14,
-                           {"max_deviation": dev}))
+    out.add(report_from_margin("fb_reduces_to_first_order", dev, 1e-14,
+                               {"max_deviation": dev}))
 
     out.add(_distance_monotone_report(traj, y))
 
@@ -405,8 +406,8 @@ def _run_forward_backward_first(cfg: dict, out: ScenarioOutcome) -> None:
         excess = float(np.linalg.norm(w)) - bound
         worst = max(worst, excess)
         min_margin = min(min_margin, -excess)
-    out.add(_report_simple("approximate_zero_bound", worst, 1e-12,
-                           {"min_margin": min_margin, "n_points": len(pts)}))
+    out.add(report_from_margin("approximate_zero_bound", worst, 1e-12,
+                               {"min_margin": min_margin, "n_points": len(pts)}))
 
     # key inequality behind the B-convergence rate
     worst = -math.inf
@@ -415,7 +416,7 @@ def _run_forward_backward_first(cfg: dict, out: ScenarioOutcome) -> None:
         rhs = (1 + gamma / B.beta) * float(np.linalg.norm(zpt - y)) \
             * float(np.linalg.norm(T(zpt) - zpt))
         worst = max(worst, lhs - rhs)
-    out.add(_report_simple("fb_b_inequality", worst, 1e-9))
+    out.add(report_from_margin("fb_b_inequality", worst, 1e-9))
 
     phi1, _, tau_lo = _first_order_rates(b, lam, delta=delta)
     psi = lambda e: phi1(gamma * B.beta * e * e / (3 * b))
@@ -458,15 +459,9 @@ def _run_forward_backward_second(cfg: dict, out: ScenarioOutcome) -> None:
                                       v0=v0, theta=theta, space=space)
     out.trajectories["trajectory"] = traj
 
-    b_n, c_n = cfg["bounds"]["b"], cfg["bounds"]["c"]
-    d_res = cfg["bounds"]["d"]
-    consts = second_order_constants(
-        b_n, c_n, d_res,
-        Fraction(str(lam.lower)), Fraction(str(lam.upper)),
-        Fraction(str(gam.lower)), Fraction(str(gam.upper)),
-        Fraction(str(theta)), Fraction(str(B.beta)))
-    out.certify("second_order_constants_fb",
-                {"b": b_n, "c": c_n, "d": d_res}, None, trace=consts.describe())
+    consts = _second_order_consts(cfg, lam, gam, theta, B.beta)
+    out.certify("second_order_constants_fb", {k: cfg["bounds"][k] for k in "bcd"},
+                None, trace=consts.describe())
 
     K = consts.K
     meta_cfg = cfg.get("metastability", {})
@@ -497,12 +492,41 @@ def _run_forward_backward_second(cfg: dict, out: ScenarioOutcome) -> None:
     for x in pts:
         v, w, bound = extract_approximate_zero(x, A, B, eta_step, B.beta)
         worst = max(worst, float(np.linalg.norm(w)) - bound)
-    out.add(_report_simple("approximate_zero_bound", worst, 1e-12))
+    out.add(report_from_margin("approximate_zero_bound", worst, 1e-12))
 
 
 # ---------------------------------------------------------------------------
 # Hadamard semigroup pipelines
 # ---------------------------------------------------------------------------
+
+
+def _semigroup_run(cfg: dict, out: ScenarioOutcome, space: SpaceDescriptor,
+                   semigroup: Callable, op, x0: np.ndarray, grid: float,
+                   point_tol: float, decay: int, method: str) -> Trajectory:
+    """Sample t -> semigroup(op, x0, t) on the grid over [0, horizon] into the
+    scenario trajectory, and check the optional ``match`` entry against the
+    closed form e^{-decay t} x0."""
+    ts = np.arange(0.0, float(cfg["horizon"]) + grid / 2, grid)
+    samples = []
+    achieved = 0.0
+    for t in ts:
+        res = semigroup(op, x0, float(t), tol=point_tol)
+        samples.append(res.point)
+        if res.converged:
+            achieved = max(achieved, res.achieved_tol)
+    traj = Trajectory.from_samples(space, ts, np.array(samples),
+                                   est_err=max(achieved, point_tol), method=method)
+    out.trajectories["trajectory"] = traj
+
+    match = cfg.get("match")
+    if match:
+        t_ref = float(match.get("t", 1.0))
+        res = semigroup(op, x0, t_ref, tol=float(match.get("tol", 1e-6)),
+                        n_max=int(match.get("n_max", 2 ** 20)))
+        err = float(np.linalg.norm(res.point - math.exp(-decay * t_ref) * x0))
+        out.add(report_from_margin("exponential_formula_match", err - 1e-6, 1e-6,
+                                   {"error": err, "n_used": res.n_used}))
+    return traj
 
 
 def _run_gradient_flow(cfg: dict, out: ScenarioOutcome) -> None:
@@ -513,31 +537,10 @@ def _run_gradient_flow(cfg: dict, out: ScenarioOutcome) -> None:
     b = float(cfg["solution"]["b"])
     sample_cfg = cfg.get("sampling", {})
     grid = float(sample_cfg.get("grid", 0.25))
-    horizon = float(cfg["horizon"])
-    point_tol = float(sample_cfg.get("tol", 1e-4))
-
-    ts = np.arange(0.0, horizon + grid / 2, grid)
-    samples = []
-    achieved = 0.0
-    for t in ts:
-        res = gradient_flow_semigroup(phi, x0, float(t), tol=point_tol)
-        samples.append(res.point)
-        if res.converged:
-            achieved = max(achieved, res.achieved_tol)
-    traj = Trajectory.from_samples(space, ts, np.array(samples),
-                                   est_err=max(achieved, point_tol),
-                                   method="gradient_flow_semigroup")
-    out.trajectories["trajectory"] = traj
-
-    match = cfg.get("match")
-    if match:
-        t_ref = float(match.get("t", 1.0))
-        res = gradient_flow_semigroup(phi, x0, t_ref, tol=float(match.get("tol", 1e-6)),
-                                      n_max=int(match.get("n_max", 2 ** 20)))
-        expected = math.exp(-t_ref) * x0
-        err = float(np.linalg.norm(res.point - expected))
-        out.add(_report_simple("exponential_formula_match", err - 1e-6, 1e-6,
-                               {"error": err, "n_used": res.n_used}))
+    traj = _semigroup_run(cfg, out, space, gradient_flow_semigroup, phi, x0, grid,
+                          float(sample_cfg.get("tol", 1e-4)), 1,
+                          "gradient_flow_semigroup")
+    ts = traj.ts
 
     # Mayer inequality on sampled (s, t, z)
     stride = max(1, len(ts) // 12)
@@ -551,7 +554,7 @@ def _run_gradient_flow(cfg: dict, out: ScenarioOutcome) -> None:
     for t in cfg.get("objective_times", [1.0, 2.0, 10.0]):
         gap = float(phi(traj.eval(t)) - phi.mu)
         worst = max(worst, gap - b * b / (2 * t))
-    out.add(_report_simple("objective_rate", worst, 3 * traj.est_err))
+    out.add(report_from_margin("objective_rate", worst, 3 * traj.est_err))
 
     meta_cfg = cfg.get("metastability", {})
     eps = float(meta_cfg.get("eps", 1.0))
@@ -583,31 +586,8 @@ def _run_stojkovic(cfg: dict, out: ScenarioOutcome) -> None:
     b = float(cfg["solution"]["b"])
     sample_cfg = cfg.get("sampling", {})
     grid = float(sample_cfg.get("grid", 0.25))
-    horizon = float(cfg["horizon"])
-    point_tol = float(sample_cfg.get("tol", 1e-3))
-
-    ts = np.arange(0.0, horizon + grid / 2, grid)
-    samples = []
-    achieved = 0.0
-    for t in ts:
-        res = stojkovic_semigroup(F, x0, float(t), tol=point_tol)
-        samples.append(res.point)
-        if res.converged:
-            achieved = max(achieved, res.achieved_tol)
-    traj = Trajectory.from_samples(space, ts, np.array(samples),
-                                   est_err=max(achieved, point_tol),
-                                   method="stojkovic_semigroup")
-    out.trajectories["trajectory"] = traj
-
-    match = cfg.get("match")
-    if match:
-        t_ref = float(match.get("t", 1.0))
-        res = stojkovic_semigroup(F, x0, t_ref, tol=float(match.get("tol", 1e-6)),
-                                  n_max=int(match.get("n_max", 2 ** 20)))
-        expected = math.exp(-2 * t_ref) * x0
-        err = float(np.linalg.norm(res.point - expected))
-        out.add(_report_simple("exponential_formula_match", err - 1e-6, 1e-6,
-                               {"error": err, "n_used": res.n_used}))
+    traj = _semigroup_run(cfg, out, space, stojkovic_semigroup, F, x0, grid,
+                          float(sample_cfg.get("tol", 1e-3)), 2, "stojkovic_semigroup")
 
     # resolvent inequality d(z, R_lam z) <= lam d(z, F z) on samples
     worst = -math.inf
@@ -617,7 +597,7 @@ def _run_stojkovic(cfg: dict, out: ScenarioOutcome) -> None:
             rz = stojkovic_resolvent(F, lam_t, z, tol=1e-12, space=space)
             worst = max(worst,
                         space.distance(z, rz) - lam_t * space.distance(z, F(z)))
-    out.add(_report_simple("resolvent_inequality", worst, 1e-9))
+    out.add(report_from_margin("resolvent_inequality", worst, 1e-9))
 
     # fixed-point lemma d(x, T_t x) <= d(x, Fx) (e^{2t}-1)/2
     fp_samples = [(space.point(p), float(t))
@@ -656,32 +636,27 @@ def _run_property_check(cfg: dict, out: ScenarioOutcome) -> None:
     """Pure operator-contract scenario (used for negative tests)."""
     space = SpaceDescriptor.from_json(cfg["space"])
     if "B" in cfg["operators"]:
-        B = make_cocoercive(space, cfg["operators"]["B"])
-        if "beta_claim" in cfg:
-            B = CocoerciveMap(fn=B.fn, beta=float(cfg["beta_claim"]),
-                              name=B.name + "[claimed]", zeros=B.zeros)
-        prop = check_cocoercive(B, space, n_samples=64, radius=2.0)
-        out.add(VerificationReport("operator_cocoercive",
-                                   HOLDS if prop.passed else VIOLATED,
-                                   margin=prop.max_ratio - 1.0,
-                                   tolerance=prop.tol, details=prop.to_json()))
+        B = _cocoercive(space, cfg)
+        out.add(_property_report("operator_cocoercive",
+                                 check_cocoercive(B, space, n_samples=64, radius=2.0)))
     if "T" in cfg["operators"]:
         T = make_nonexpansive(space, cfg["operators"]["T"])
-        prop = check_nonexpansive(T, space, n_samples=64, radius=2.0)
-        out.add(VerificationReport("operator_nonexpansive",
-                                   HOLDS if prop.passed else VIOLATED,
-                                   margin=prop.max_ratio - 1.0,
-                                   tolerance=prop.tol, details=prop.to_json()))
+        out.add(_property_report("operator_nonexpansive",
+                                 check_nonexpansive(T, space, n_samples=64, radius=2.0)))
 
 
-_PIPELINES: dict[str, Callable[[dict, ScenarioOutcome], None]] = {
-    "first_order": _run_first_order,
-    "second_order": _run_second_order,
-    "forward_backward_first": _run_forward_backward_first,
-    "forward_backward_second": _run_forward_backward_second,
-    "gradient_flow": _run_gradient_flow,
-    "stojkovic": _run_stojkovic,
-    "property_check": _run_property_check,
+# kind -> (pipeline, top-level config keys it reads besides name and space)
+_FLOW_KEYS = ("operators", "initial", "solution", "horizon")
+_RK4_KEYS = _FLOW_KEYS + ("curves", "step")
+_PIPELINES: dict[str, tuple[Callable[[dict, ScenarioOutcome], None], tuple]] = {
+    "first_order": (_run_first_order, _RK4_KEYS),
+    "second_order": (_run_second_order, _RK4_KEYS + ("theta", "bounds")),
+    "forward_backward_first": (_run_forward_backward_first, _RK4_KEYS + ("gamma",)),
+    "forward_backward_second": (_run_forward_backward_second,
+                                _RK4_KEYS + ("eta", "theta", "bounds")),
+    "gradient_flow": (_run_gradient_flow, _FLOW_KEYS),
+    "stojkovic": (_run_stojkovic, _FLOW_KEYS),
+    "property_check": (_run_property_check, ("operators",)),
 }
 
 
@@ -691,11 +666,12 @@ def run_scenario(config: dict) -> ScenarioOutcome:
     kind = config.get("kind")
     if kind not in _PIPELINES:
         raise ConfigError(f"unknown scenario kind {kind!r}")
-    for key in ("name", "space"):
+    pipeline, keys = _PIPELINES[kind]
+    for key in ("name", "space") + keys:
         if key not in config:
             raise ConfigError(f"config missing required key {key!r}")
     out = ScenarioOutcome(name=config["name"])
-    _PIPELINES[kind](config, out)
+    pipeline(config, out)
     return out
 
 

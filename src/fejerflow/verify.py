@@ -16,7 +16,6 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from ._kernels import pairwise_max_distance, prefix_min_violation
 from .counterfunctions import Counterfunction
 from .exact import ExtendedNatural
 from .flows import Trajectory
@@ -27,6 +26,9 @@ __all__ = [
     "SolutionFunction",
     "VerificationReport",
     "NeedsLongerTrajectory",
+    "report_from_margin",
+    "pairwise_max_distance",
+    "prefix_min_violation",
     "oscillation",
     "verify_metastability",
     "verify_residual_metastability",
@@ -128,8 +130,52 @@ def _status_from_margin(margin: float, tol: float) -> str:
     return VIOLATED
 
 
+def report_from_margin(claim: str, margin: float, tol: float,
+                       details: Optional[dict] = None) -> VerificationReport:
+    """Report a scalar margin: holds at <= 0, within tolerance up to 3 tol,
+    violated beyond."""
+    return VerificationReport(claim, _status_from_margin(margin, tol), margin=margin,
+                              tolerance=tol, details=details or {})
+
+
 def _base_tolerance(traj: Trajectory, slack: float = 0.0) -> float:
     return max(3 * traj.est_err, slack)
+
+
+# ---------------------------------------------------------------------------
+# kernels: window diameter and the prefix-min Fejer scan
+# ---------------------------------------------------------------------------
+
+_PAIRWISE_BLOCK = 1024  # rows per side of one distance block; bounds memory
+
+
+def pairwise_max_distance(xs: np.ndarray) -> float:
+    """Max pairwise euclidean distance among the rows of xs."""
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    n = xs.shape[0]
+    if n < 2:
+        return 0.0
+    best = 0.0
+    for i in range(0, n, _PAIRWISE_BLOCK):
+        a = xs[i:i + _PAIRWISE_BLOCK]
+        for j in range(i, n, _PAIRWISE_BLOCK):
+            b = xs[j:j + _PAIRWISE_BLOCK]
+            d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
+            best = max(best, float(d2.max()))
+    return float(np.sqrt(best))
+
+
+def prefix_min_violation(h_vals: np.ndarray, g_vals: np.ndarray,
+                         s_err: np.ndarray, t_err: np.ndarray) -> float:
+    """max over pairs s <= t of  H(d(x(t),z)) - G(d(x(s),z)) - e(s,t)
+
+    for separable errors e(s, t) = s_err[s] + t_err[t]; the quasi-Fejer
+    inequality holds on the window up to eps iff this is <= eps.
+    """
+    h_vals, g_vals, s_err, t_err = (np.asarray(v, dtype=np.float64)
+                                    for v in (h_vals, g_vals, s_err, t_err))
+    lower = np.minimum.accumulate(g_vals + s_err)
+    return float((h_vals - t_err - lower).max())
 
 
 # ---------------------------------------------------------------------------
@@ -168,62 +214,78 @@ def oscillation(traj: Trajectory, n: int, f: Counterfunction,
     return sup, slack
 
 
+def _scan_windows(traj: Trajectory, eps: float, f: Counterfunction,
+                  certificate: ExtendedNatural, grid: float, claim: str,
+                  window: Callable[[int], tuple[bool, float, float]],
+                  tol: float, value_key: str) -> VerificationReport:
+    """Scan n = 0, 1, 2, ... for the least witness whose window [n, n+f(n)]
+    passes ``window(n) -> (ok, value, tol)``; the reported tolerance is the
+    one of the last window scanned (``tol`` if none fits).  The certificate
+    (when finite and within horizon reach) must dominate the witness."""
+    horizon = traj.horizon
+    witness = None
+    value_at_witness = None
+    last_scanned = -1
+    for n in range(0, int(horizon) + 1):
+        if n + f(n) > horizon:
+            break
+        ok, value, tol = window(n)
+        last_scanned = n
+        if ok:
+            witness = n
+            value_at_witness = value
+            break
+    details = {"certificate": certificate.to_json(), "eps": eps, "grid": grid}
+    if witness is None:
+        if not certificate.is_overflow and last_scanned >= certificate.value:
+            # every n <= certificate fits in the horizon and failed
+            return VerificationReport(claim, VIOLATED, margin=math.inf,
+                                      tolerance=tol, details=details)
+        return VerificationReport(claim, INCONCLUSIVE, tolerance=tol,
+                                  details={**details, "reason": "horizon too short"})
+    details[value_key] = value_at_witness
+    if certificate.is_overflow:
+        return VerificationReport(claim, INCONCLUSIVE_OVERFLOW, margin=0.0,
+                                  tolerance=tol, witness=witness, details=details)
+    if witness <= certificate.value:
+        details["certificate_slack"] = certificate.value - witness
+        return VerificationReport(claim, HOLDS, margin=0.0, tolerance=tol,
+                                  witness=witness, details=details)
+    # an empirical witness exists but only beyond the certificate
+    return VerificationReport(claim, VIOLATED, margin=float(witness - certificate.value),
+                              tolerance=tol, witness=witness, details=details)
+
+
+def _window_worst(traj: Trajectory, n: int, f: Counterfunction, grid: float,
+                  value: Callable[[float], float]) -> float:
+    """max of value(t) over the grid times of [n, n+f(n)]."""
+    times = _window_times(traj, float(n), float(f(n)), grid) \
+        if f(n) > 0 else np.array([float(n)])
+    return max(value(float(t)) for t in times)
+
+
 def verify_metastability(traj: Trajectory, eps: float, f: Counterfunction,
                          certificate: ExtendedNatural,
                          grid: float = 0.01,
                          claim: str = "metastability",
                          residual: Optional[SolutionFunction] = None,
                          ) -> VerificationReport:
-    """Scan n = 0, 1, 2, ... for the least witness with oscillation <= eps on
-    [n, n+f(n)]; the certificate (when finite and within horizon reach) must
-    dominate the witness.  ``residual`` optionally also requires
-    F(x(t)) <= eps on the window (the uniform-continuity variants)."""
-    horizon = traj.horizon
-    witness = None
-    osc_at_witness = None
-    last_scanned = -1
-    tol = _base_tolerance(traj)
-    for n in range(0, int(horizon) + 1):
-        if n + f(n) > horizon:
-            break
+    """Least witness n with oscillation <= eps on [n, n+f(n)]; the
+    certificate (when finite and within horizon reach) must dominate the
+    witness.  ``residual`` optionally also requires F(x(t)) <= eps on the
+    window (the uniform-continuity variants)."""
+
+    def window(n):
         sup, slack = oscillation(traj, n, f, grid)
         tol = _base_tolerance(traj, slack)
         ok = sup + slack <= eps + tol
         if ok and residual is not None:
-            times = _window_times(traj, float(n), float(f(n)), grid) \
-                if f(n) > 0 else np.array([float(n)])
-            worst = max(residual(traj.eval(t)) for t in times)
+            worst = _window_worst(traj, n, f, grid, lambda t: residual(traj.eval(t)))
             ok = worst <= eps + tol
-        last_scanned = n
-        if ok:
-            witness = n
-            osc_at_witness = sup
-            break
-    details = {
-        "certificate": certificate.to_json(),
-        "eps": eps,
-        "grid": grid,
-    }
-    if witness is None:
-        cert_scannable = (not certificate.is_overflow
-                          and last_scanned >= certificate.value)
-        if cert_scannable:
-            # every n <= certificate fits in the horizon and failed
-            return VerificationReport(claim, VIOLATED, margin=math.inf,
-                                      tolerance=tol, details=details)
-        return VerificationReport(claim, INCONCLUSIVE, tolerance=tol,
-                                  details={**details, "reason": "horizon too short"})
-    details["oscillation_at_witness"] = osc_at_witness
-    if certificate.is_overflow:
-        return VerificationReport(claim, INCONCLUSIVE_OVERFLOW, margin=0.0,
-                                  tolerance=tol, witness=witness, details=details)
-    if witness <= certificate.value:
-        details["certificate_slack"] = (certificate.value - witness)
-        return VerificationReport(claim, HOLDS, margin=0.0, tolerance=tol,
-                                  witness=witness, details=details)
-    # an empirical witness exists but only beyond the certificate
-    return VerificationReport(claim, VIOLATED, margin=float(witness - certificate.value),
-                              tolerance=tol, witness=witness, details=details)
+        return ok, sup, tol
+
+    return _scan_windows(traj, eps, f, certificate, grid, claim, window,
+                         _base_tolerance(traj), "oscillation_at_witness")
 
 
 def verify_residual_metastability(traj: Trajectory,
@@ -236,40 +298,14 @@ def verify_residual_metastability(traj: Trajectory,
     """Least n with residual(t) <= eps for all t in [n, n+f(n)] (residual is
     a function of time along the trajectory); the certificate must dominate
     it (same semantics as verify_metastability)."""
-    horizon = traj.horizon
-    witness = None
-    worst_at_witness = None
-    last_scanned = -1
-    slack = traj.lipschitz_estimate() * grid
-    tol = _base_tolerance(traj, slack)
-    for n in range(0, int(horizon) + 1):
-        if n + f(n) > horizon:
-            break
-        times = _window_times(traj, float(n), float(f(n)), grid) \
-            if f(n) > 0 else np.array([float(n)])
-        worst = max(residual(float(t)) for t in times)
-        last_scanned = n
-        if worst <= eps + tol:
-            witness = n
-            worst_at_witness = worst
-            break
-    details = {"certificate": certificate.to_json(), "eps": eps, "grid": grid}
-    if witness is None:
-        if not certificate.is_overflow and last_scanned >= certificate.value:
-            return VerificationReport(claim, VIOLATED, margin=math.inf,
-                                      tolerance=tol, details=details)
-        return VerificationReport(claim, INCONCLUSIVE, tolerance=tol,
-                                  details={**details, "reason": "horizon too short"})
-    details["residual_at_witness"] = worst_at_witness
-    if certificate.is_overflow:
-        return VerificationReport(claim, INCONCLUSIVE_OVERFLOW, margin=0.0,
-                                  tolerance=tol, witness=witness, details=details)
-    if witness <= certificate.value:
-        details["certificate_slack"] = certificate.value - witness
-        return VerificationReport(claim, HOLDS, margin=0.0, tolerance=tol,
-                                  witness=witness, details=details)
-    return VerificationReport(claim, VIOLATED, margin=float(witness - certificate.value),
-                              tolerance=tol, witness=witness, details=details)
+    tol = _base_tolerance(traj, traj.lipschitz_estimate() * grid)
+
+    def window(n):
+        worst = _window_worst(traj, n, f, grid, residual)
+        return worst <= eps + tol, worst, tol
+
+    return _scan_windows(traj, eps, f, certificate, grid, claim, window,
+                         tol, "residual_at_witness")
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +371,10 @@ def check_fejer(traj: Trajectory, F: SolutionFunction,
 # ---------------------------------------------------------------------------
 
 
-def _sample_tail(traj: Trajectory, start: float, n_samples: int = 200) -> np.ndarray:
-    return np.linspace(start, traj.horizon, n_samples)
-
-
-def check_asymptotic_regularity(traj: Trajectory, residual: SolutionFunction,
-                                rate: Callable[[float], float],
-                                eps_list: Sequence[float],
-                                claim: str = "asymptotic_regularity",
-                                ) -> VerificationReport:
-    """Assert residual(x(t)) <= eps for all sampled t >= rate(eps)."""
+def _check_tail(traj: Trajectory, value: Callable[[np.ndarray], float],
+                rate: Callable[[float], float], eps_list: Sequence[float],
+                claim: str) -> VerificationReport:
+    """Assert value(x(t)) <= eps for all sampled t >= rate(eps)."""
     tol = _base_tolerance(traj)
     worst = -math.inf
     checked = 0
@@ -354,14 +384,23 @@ def check_asymptotic_regularity(traj: Trajectory, residual: SolutionFunction,
         if t0 > traj.horizon:
             skipped.append(eps)
             continue
-        for t in _sample_tail(traj, t0):
-            worst = max(worst, residual(traj.eval(t)) - eps)
+        for t in np.linspace(t0, traj.horizon, 200):
+            worst = max(worst, value(traj.eval(t)) - eps)
             checked += 1
     details = {"eps_list": list(eps_list), "skipped_beyond_horizon": skipped}
     if checked == 0:
         return VerificationReport(claim, INCONCLUSIVE, tolerance=tol, details=details)
     status = _status_from_margin(worst - tol, tol)
     return VerificationReport(claim, status, margin=worst, tolerance=tol, details=details)
+
+
+def check_asymptotic_regularity(traj: Trajectory, residual: SolutionFunction,
+                                rate: Callable[[float], float],
+                                eps_list: Sequence[float],
+                                claim: str = "asymptotic_regularity",
+                                ) -> VerificationReport:
+    """Assert residual(x(t)) <= eps for all sampled t >= rate(eps)."""
+    return _check_tail(traj, residual, rate, eps_list, claim)
 
 
 def check_convergence_rate(traj: Trajectory,
@@ -375,23 +414,7 @@ def check_convergence_rate(traj: Trajectory,
     else:
         point = np.asarray(target, dtype=float)
         dist = lambda x: float(np.linalg.norm(x - point))
-    tol = _base_tolerance(traj)
-    worst = -math.inf
-    checked = 0
-    skipped = []
-    for eps in eps_list:
-        t0 = float(rho(eps))
-        if t0 > traj.horizon:
-            skipped.append(eps)
-            continue
-        for t in _sample_tail(traj, t0):
-            worst = max(worst, dist(traj.eval(t)) - eps)
-            checked += 1
-    details = {"eps_list": list(eps_list), "skipped_beyond_horizon": skipped}
-    if checked == 0:
-        return VerificationReport(claim, INCONCLUSIVE, tolerance=tol, details=details)
-    status = _status_from_margin(worst - tol, tol)
-    return VerificationReport(claim, status, margin=worst, tolerance=tol, details=details)
+    return _check_tail(traj, dist, rho, eps_list, claim)
 
 
 # ---------------------------------------------------------------------------
@@ -418,23 +441,8 @@ def check_b_convergence(traj: Trajectory, B: CocoerciveMap, y,
     """Assert ||B(x(t)) - B(y)|| <= eps for sampled t >= psi(eps)."""
     y = np.asarray(y, dtype=float)
     by = B(y)
-    tol = _base_tolerance(traj)
-    worst = -math.inf
-    checked = 0
-    skipped = []
-    for eps in eps_list:
-        t0 = float(psi(eps))
-        if t0 > traj.horizon:
-            skipped.append(eps)
-            continue
-        for t in _sample_tail(traj, t0):
-            worst = max(worst, float(np.linalg.norm(B(traj.eval(t)) - by)) - eps)
-            checked += 1
-    details = {"eps_list": list(eps_list), "skipped_beyond_horizon": skipped}
-    if checked == 0:
-        return VerificationReport(claim, INCONCLUSIVE, tolerance=tol, details=details)
-    status = _status_from_margin(worst - tol, tol)
-    return VerificationReport(claim, status, margin=worst, tolerance=tol, details=details)
+    return _check_tail(traj, lambda x: float(np.linalg.norm(B(x) - by)), psi,
+                       eps_list, claim)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from fejerflow.cli import main
+from fejerflow.scenarios import builtin_scenarios
 
 
 def write_config(tmp_path: Path, obj) -> str:
@@ -54,6 +57,19 @@ class TestCertify:
     def test_missing_param(self):
         assert main(["certify", "fast_linear_rate", "--param", "beta=1"]) == 2
 
+    def test_ball_rejects_nonpositive_eps(self, capsys):
+        assert main(["certify", "ball_total_boundedness", "--param", "d=1",
+                     "--param", "b=1", "--param", "eps=0"]) == 2
+        assert "eps must be positive" in capsys.readouterr().err
+
+    def test_fraction_param_equals_decimal(self, capsys):
+        values = []
+        for k in ("k=1/2", "k=0.5"):
+            assert main(["certify", "fast_linear_rate", "--param", "beta=1",
+                         "--param", k]) == 0
+            values.append(json.loads(capsys.readouterr().out)["value"])
+        assert values[0] == values[1]
+
 
 class TestRun:
     def test_malformed_config(self, tmp_path):
@@ -70,6 +86,23 @@ class TestRun:
         cfg = write_config(tmp_path, {"schema_version": 99, "kind": "first_order",
                                       "name": "x", "space": {}})
         assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"horizon": -1},
+        {"operators": {"T": {"op": "scalar", "c": 2}}},
+    ], ids=["negative_horizon", "expansive_operator"])
+    def test_domain_error_exit_two(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, {"builtin": "first_order_contraction_1d",
+                                      "overrides": overrides})
+        assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_missing_key_exit_two(self, tmp_path, capsys):
+        config = dict(builtin_scenarios()["first_order_contraction_1d"].config)
+        del config["horizon"]
+        assert main(["run", write_config(tmp_path, config),
+                     "--out", str(tmp_path / "a")]) == 2
+        assert "'horizon'" in capsys.readouterr().err
 
     def test_negative_scenario_exit_one(self, tmp_path):
         cfg = write_config(tmp_path, {"builtin": "negative_wrong_beta"})

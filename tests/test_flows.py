@@ -266,6 +266,12 @@ class TestSemigroups:
         res = gradient_flow_semigroup(phi, [1.0], 1.0, tol=1e-12, n_max=64)
         assert not res.converged and res.achieved_tol == math.inf
 
+    def test_stojkovic_nonconvergent_refinement_flagged(self):
+        res = stojkovic_semigroup(NonexpansiveMap.negation(), [1.0], 1.0,
+                                  tol=1e-12, n_max=64)
+        assert not res.converged and res.achieved_tol == math.inf
+        assert res.n_used == 64
+
 
 class TestFromSamples:
     def test_round_trip(self):
@@ -281,10 +287,7 @@ class TestFromSamples:
 # ---------------------------------------------------------------------------
 
 
-def _reference_rk4_run(field, y0, horizon, h):
-    n_steps = int(round(horizon / h))
-    if abs(n_steps * h - horizon) > 1e-9 * max(1.0, horizon):
-        n_steps = math.ceil(horizon / h)
+def _reference_rk4_run(field, y0, n_steps, h):
     ts = np.empty(n_steps + 1)
     ys = np.empty((n_steps + 1, y0.size))
     dys = np.empty_like(ys)
@@ -308,17 +311,19 @@ def _reference_rk4_run(field, y0, horizon, h):
 
 
 def _reference_integrate(field, y0, horizon, step, method):
-    ts_c, ys_c, _ = _reference_rk4_run(field, y0, horizon, step)
-    ts_f, ys_f, dys_f = _reference_rk4_run(field, y0, horizon, step / 2)
+    n = int(round(horizon / step))
+    if abs(n * step - horizon) > 1e-9 * max(1.0, horizon):
+        n = math.ceil(horizon / step)
+    ts_c, ys_c, _ = _reference_rk4_run(field, y0, n, step)
+    ts_f, ys_f, dys_f = _reference_rk4_run(field, y0, 2 * n, step / 2)
     shared = ys_f[::2]
-    n = min(len(ys_c), len(shared))
-    richardson = float(np.linalg.norm(ys_c[:n] - shared[:n], axis=1).max())
+    richardson = float(np.linalg.norm(ys_c - shared, axis=1).max())
     mid = ys_f[1::2]
     interp = np.empty_like(mid)
     h = step
-    for i in range(len(mid)):
-        y0_, y1_ = shared[i], shared[min(i + 1, len(shared) - 1)]
-        d0, d1 = dys_f[2 * i], dys_f[min(2 * i + 2, len(dys_f) - 1)]
+    for i in range(n):
+        y0_, y1_ = shared[i], shared[i + 1]
+        d0, d1 = dys_f[2 * i], dys_f[2 * i + 2]
         interp[i] = 0.5 * y0_ + 0.5 * y1_ + h / 8 * (d0 - d1)
     interp_slack = float(np.linalg.norm(interp - mid, axis=1).max())
     est = richardson + interp_slack
@@ -353,7 +358,7 @@ _SPD = CocoerciveMap.linear_spd([[2.0, 0.5], [0.5, 1.0]])
 def _cases():
     """(name, call) pairs; ``call(wrap)`` runs a flow whose operators are
     passed through ``wrap`` first.  Horizon 1.0 at step 0.3 is not a
-    multiple of the step: 8 fine samples, ending at t = 1.05."""
+    multiple of the step: 4 coarse and 8 fine steps, ending at t = 1.2."""
     for d, T in _MAPS.items():
         for kind, lam in _LAMBDAS.items():
             x0 = [1.0, -2.0][:d]
@@ -392,4 +397,14 @@ def test_rk4_bit_identical_to_reference(monkeypatch, call):
 
 def test_ragged_horizon_samples():
     traj = integrate_first_order(_MAPS[1], _LAMBDAS["piecewise"], [1.0], 1.0, 0.3)
-    assert len(traj.ts) == 8 and traj.ts[-1] == 7 * 0.15 == 1.05
+    assert len(traj.ts) == 9 and traj.ts[-1] == 8 * 0.15 == 1.2
+
+
+def test_ragged_horizon_error_estimate():
+    # the ragged run covers [0, 1.2] like the aligned one, with the same
+    # Richardson and Hermite estimates
+    T, lam = _MAPS[1], _LAMBDAS["constant"]
+    ragged = integrate_first_order(T, lam, [1.0], 1.0, 0.3)
+    aligned = integrate_first_order(T, lam, [1.0], 1.2, 0.3)
+    assert ragged.meta == aligned.meta
+    assert ragged.meta.interp_slack < 1e-6

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from fejerflow._kernels import pairwise_max_distance, prefix_min_violation
 from fejerflow.counterfunctions import Counterfunction as CF
 from fejerflow.exact import ExtendedNatural as EN
 from fejerflow.flows import ParameterCurve, integrate_first_order
@@ -21,6 +20,8 @@ from fejerflow.verify import (
     check_fejer,
     extract_approximate_zero,
     oscillation,
+    pairwise_max_distance,
+    prefix_min_violation,
     verify_metastability,
     verify_residual_metastability,
 )
@@ -37,13 +38,11 @@ class TestKernels:
         xs = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
         assert pairwise_max_distance(xs) == pytest.approx(5.0)
         assert pairwise_max_distance(xs[:1]) == 0.0
-
-    def test_kernels_agree_with_numpy_fallback(self):
-        from fejerflow import _kernels
+        # more rows than one distance block
         rng = np.random.default_rng(0)
-        xs = rng.normal(size=(257, 3))
-        assert _kernels._pairwise_max_distance_numpy(xs) == \
-            pytest.approx(pairwise_max_distance(xs))
+        xs = rng.normal(size=(2500, 2))
+        brute = max(float(np.linalg.norm(xs - x, axis=1).max()) for x in xs)
+        assert pairwise_max_distance(xs) == pytest.approx(brute, rel=1e-12)
 
     def test_prefix_min_violation(self):
         h = np.array([1.0, 2.0, 0.5])
@@ -126,6 +125,53 @@ class TestMetastabilityWitness:
     def test_certificate_slack_logged(self, decay):
         rep = verify_metastability(decay, 0.5, CF.constant(0), EN(7))
         assert rep.details["certificate_slack"] == 7
+
+
+# the oscillation of e^{-t} on [n, n+1] is this times e^{-n}; the residual
+# variant scans this times e^{-t}, so both entry points see the same windows
+_OSC_FACTOR = 1 - math.exp(-1)
+_SCANNERS = {
+    "metastability": (
+        lambda traj, eps, f, cert: verify_metastability(traj, eps, f, cert, grid=0.001),
+        "oscillation_at_witness"),
+    "residual": (
+        lambda traj, eps, f, cert: verify_residual_metastability(
+            traj, lambda t: _OSC_FACTOR * math.exp(-t), eps, f, cert, grid=0.001),
+        "residual_at_witness"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_SCANNERS))
+class TestWindowScan:
+    @pytest.mark.parametrize("eps,f,cert,status,witness,margin", [
+        (0.1, CF.constant(1), EN(10), "holds", 2, 0.0),
+        (0.1, CF.constant(1), EN(1), "violated", 2, 1.0),
+        (1e-9, CF.constant(3), EN(2), "violated", None, math.inf),
+        (0.1, CF.constant(100), EN(3), "inconclusive", None, math.nan),
+        (0.1, CF.constant(1), EN.overflow(), "inconclusive_overflow", 2, 0.0),
+    ], ids=["holds", "beyond_certificate", "no_witness", "horizon_too_short",
+            "overflow"])
+    def test_outcomes(self, decay, variant, eps, f, cert, status, witness, margin):
+        scan, value_key = _SCANNERS[variant]
+        rep = scan(decay, eps, f, cert)
+        assert rep.status == status and rep.witness == witness
+        assert rep.margin == margin or (math.isnan(margin) and math.isnan(rep.margin))
+        assert (value_key in rep.details) == (witness is not None)
+        if status == "inconclusive":
+            assert rep.details["reason"] == "horizon too short"
+
+    @pytest.mark.parametrize("f", [CF.constant(0), CF.constant(1), CF.constant(100)],
+                             ids=["f0", "f1", "beyond_horizon"])
+    def test_tolerance_rule(self, decay, variant, f):
+        scan, _ = _SCANNERS[variant]
+        rep = scan(decay, 0.1, f, EN(10))
+        slack_tol = max(3 * decay.est_err, decay.lipschitz_estimate() * 0.001)
+        assert slack_tol > 3 * decay.est_err
+        if variant == "metastability" and f(0) in (0, 100):
+            # no window with f(n) > 0 was scanned: the slack is 0
+            assert rep.tolerance == 3 * decay.est_err
+        else:
+            assert rep.tolerance == slack_tol
 
 
 @pytest.fixture(scope="module")
