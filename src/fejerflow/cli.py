@@ -219,6 +219,33 @@ def _param_dict(pairs) -> dict:
     return params
 
 
+# the --param keys each theorem reads; any other key is rejected, so a typo
+# cannot silently leave a parameter at its default
+_SECOND_ORDER_PARAMS = frozenset({"b", "c", "dB", "lambda_lo", "lambda_hi", "gamma_lo",
+                                  "gamma_hi", "theta", "beta", "l_variant", "eps", "f"})
+_CERTIFY_PARAMS = {
+    "fast_linear_rate": frozenset({"beta", "k", "p"}),
+    "ball_total_boundedness": frozenset({"d", "b", "eps"}),
+    "aas1_metastability": frozenset({"b", "c", "B", "eps", "f"}),
+    "aas2_metastability": frozenset({"c", "A", "B", "p", "r", "eps", "f"}),
+    "delta_first_order": frozenset({"d", "b", "lambda_lo", "eps", "f"}),
+    "delta_gradient_flow": frozenset({"d", "b", "eps", "f"}),
+    "delta_stojkovic": frozenset({"d", "b", "eps", "f"}),
+    "lambda_capital": _SECOND_ORDER_PARAMS,
+    "delta_second_order": _SECOND_ORDER_PARAMS | {"dim"},
+}
+
+
+def _reject_unknown_params(theorem: str, params: dict) -> None:
+    accepted = _CERTIFY_PARAMS.get(theorem)
+    if accepted is None:
+        return  # _certify_dispatch names the unknown theorem
+    unknown = sorted(set(params) - accepted)
+    if unknown:
+        raise ConfigError(f"unknown --param {', '.join(unknown)} for {theorem} "
+                          f"(accepted: {', '.join(sorted(accepted))})")
+
+
 def _counterfn(params, key="f") -> Counterfunction:
     return Counterfunction.from_spec(params.get(key, 0))
 
@@ -275,6 +302,7 @@ def _certify_dispatch(theorem: str, params: dict):
 def cmd_certify(args) -> int:
     try:
         params = _param_dict(args.param)
+        _reject_unknown_params(args.theorem, params)
         value, trace = _certify_dispatch(args.theorem, params)
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"certify error: {exc}", file=sys.stderr)

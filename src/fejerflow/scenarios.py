@@ -45,6 +45,7 @@ from .operators import (
 from .space import SpaceDescriptor
 from .verify import (
     HOLDS,
+    INCONCLUSIVE,
     VIOLATED,
     SolutionFunction,
     VerificationReport,
@@ -69,6 +70,28 @@ __all__ = ["Scenario", "ScenarioOutcome", "builtin_scenarios", "run_scenario",
 
 class ConfigError(ValueError):
     pass
+
+
+class _Config(dict):
+    """A scenario config as its pipeline reads it: a missing key raises
+    ``ConfigError`` naming its full path (``solution.b``), not a bare
+    ``KeyError``.  Nested mappings are wrapped as they are read."""
+
+    def __init__(self, data, path: str = ""):
+        super().__init__(data)
+        self._path = path
+
+    def _wrap(self, key, value):
+        return _Config(value, f"{self._path}{key}.") if isinstance(value, dict) else value
+
+    def __getitem__(self, key):
+        return self._wrap(key, super().__getitem__(key))
+
+    def __missing__(self, key):
+        raise ConfigError(f"config missing required key '{self._path}{key}'")
+
+    def get(self, key, default=None):
+        return self._wrap(key, super().get(key, default))
 
 
 @dataclass
@@ -505,18 +528,28 @@ def _semigroup_run(cfg: dict, out: ScenarioOutcome, space: SpaceDescriptor,
                    point_tol: float, decay: int, method: str) -> Trajectory:
     """Sample t -> semigroup(op, x0, t) on the grid over [0, horizon] into the
     scenario trajectory, and check the optional ``match`` entry against the
-    closed form e^{-decay t} x0."""
+    closed form e^{-decay t} x0.  Samples whose exponential formula did not
+    converge have no error bound; they are named in one ``inconclusive``
+    report."""
     ts = np.arange(0.0, float(cfg["horizon"]) + grid / 2, grid)
     samples = []
     achieved = 0.0
+    unconverged = []
     for t in ts:
         res = semigroup(op, x0, float(t), tol=point_tol)
         samples.append(res.point)
         if res.converged:
             achieved = max(achieved, res.achieved_tol)
+        else:
+            unconverged.append(float(t))
     traj = Trajectory.from_samples(space, ts, np.array(samples),
                                    est_err=max(achieved, point_tol), method=method)
     out.trajectories["trajectory"] = traj
+    if unconverged:
+        out.add(VerificationReport(
+            "semigroup_samples_converged", INCONCLUSIVE, tolerance=point_tol,
+            details={"reason": "exponential formula did not converge within n_max",
+                     "unconverged_times": unconverged}))
 
     match = cfg.get("match")
     if match:
@@ -525,7 +558,8 @@ def _semigroup_run(cfg: dict, out: ScenarioOutcome, space: SpaceDescriptor,
                         n_max=int(match.get("n_max", 2 ** 20)))
         err = float(np.linalg.norm(res.point - math.exp(-decay * t_ref) * x0))
         out.add(report_from_margin("exponential_formula_match", err - 1e-6, 1e-6,
-                                   {"error": err, "n_used": res.n_used}))
+                                   {"error": err, "n_used": res.n_used,
+                                    "extrapolated": res.extrapolated}))
     return traj
 
 
@@ -671,7 +705,7 @@ def run_scenario(config: dict) -> ScenarioOutcome:
         if key not in config:
             raise ConfigError(f"config missing required key {key!r}")
     out = ScenarioOutcome(name=config["name"])
-    pipeline(config, out)
+    pipeline(_Config(config), out)
     return out
 
 

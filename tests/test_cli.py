@@ -62,6 +62,13 @@ class TestCertify:
                      "--param", "b=1", "--param", "eps=0"]) == 2
         assert "eps must be positive" in capsys.readouterr().err
 
+    def test_unknown_param_rejected(self, capsys):
+        # a typo for f would otherwise run with the default counterfunction
+        assert main(["certify", "delta_stojkovic", "--param", "b=1",
+                     "--param", "eps=1", "--param", 'ff={"kind": "constant", "k": 3}']) == 2
+        err = capsys.readouterr().err
+        assert "unknown --param ff for delta_stojkovic" in err and "eps, f" in err
+
     def test_fraction_param_equals_decimal(self, capsys):
         values = []
         for k in ("k=1/2", "k=0.5"):
@@ -103,6 +110,12 @@ class TestRun:
         assert main(["run", write_config(tmp_path, config),
                      "--out", str(tmp_path / "a")]) == 2
         assert "'horizon'" in capsys.readouterr().err
+
+    def test_missing_nested_key_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"builtin": "first_order_contraction_1d",
+                                      "overrides": {"solution": {"point": [0.0]}}})
+        assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
+        assert "'solution.b'" in capsys.readouterr().err
 
     def test_negative_scenario_exit_one(self, tmp_path):
         cfg = write_config(tmp_path, {"builtin": "negative_wrong_beta"})

@@ -273,6 +273,101 @@ class TestSemigroups:
         assert res.n_used == 64
 
 
+# ---------------------------------------------------------------------------
+# the doubling driver: extrapolation, plain fallback, honest tolerance
+# ---------------------------------------------------------------------------
+
+
+def _reference_plain_doubling(run, x, n_start, n_max, tol):
+    """The plain exponential-formula scheme: double n until the geometric
+    tail bound of the last two Cauchy differences is below tol."""
+    n = n_start
+    prev = run(x, n)
+    d_prev = None
+    while n < n_max:
+        n *= 2
+        cur = run(x, n)
+        d = float(np.linalg.norm(prev - cur))
+        if d_prev is not None:
+            r = d / d_prev if d_prev > 0 else math.inf
+            bound = d * max(1.0, r / (1.0 - r)) if r < 1.0 else d
+            if bound < tol:
+                return cur, bound, n
+        prev, d_prev = cur, d
+    return prev, math.inf, n
+
+
+def _prox_run(phi, t):
+    def run(x, n):
+        y = x.copy()
+        for _ in range(n):
+            y = phi.prox_point(t / n, y)
+        return y
+    return run
+
+
+_SEMIGROUP_CASES = [
+    (gradient_flow_semigroup, ConvexFunction.quadratic(scale, dimension=1), scale,
+     t, tol, x0)
+    for scale in (0.2, 1.0, 5.0) for t in (0.1, 1.0, 4.0)
+    for tol in (1e-3, 1e-5, 1e-7) for x0 in (1.0, -1.0)
+] + [
+    (stojkovic_semigroup, NonexpansiveMap.negation(), 2.0, t, tol, x0)
+    for t in (0.1, 1.0, 4.0) for tol in (1e-3, 1e-5, 1e-7) for x0 in (1.0, -1.0)
+]
+
+
+class TestSemigroupDriver:
+    @pytest.mark.parametrize("semigroup, op, rate", [
+        (gradient_flow_semigroup, ConvexFunction.quadratic(1.0, dimension=1), 1.0),
+        (stojkovic_semigroup, NonexpansiveMap.negation(), 2.0),
+    ], ids=["gradient_flow", "stojkovic"])
+    def test_match_is_extrapolated(self, semigroup, op, rate):
+        res = semigroup(op, [1.0], 1.0, tol=1e-6)
+        assert res.converged and res.extrapolated and res.n_used <= 2048
+        assert abs(res.point[0] - math.exp(-rate)) <= res.achieved_tol < 1e-6
+
+    def test_achieved_tol_bounds_the_error(self):
+        # every converged result, plain or extrapolated, against e^{-rate t} x0
+        for semigroup, op, rate, t, tol, x0 in _SEMIGROUP_CASES:
+            res = semigroup(op, [x0], t, tol=tol)
+            assert res.converged
+            err = abs(res.point[0] - x0 * math.exp(-rate * t))
+            assert err <= res.achieved_tol < tol, (op.name, t, tol, x0, res)
+
+    @pytest.mark.parametrize("phi, x0", [
+        (ConvexFunction.l1(0.5, dimension=2), [1.0, -0.3]),
+        (ConvexFunction.l1(1.3, dimension=3), [0.7, -2.1, 0.05]),
+        (ConvexFunction.indicator_ball([0.0, 0.0], 1.0), [1.5, -2.0]),
+        (ConvexFunction.indicator_box([-1.0, 0.0], [1.0, 0.5]), [2.0, -0.7]),
+    ], ids=["l1_2d", "l1_3d", "indicator_ball", "indicator_box"])
+    @pytest.mark.parametrize("t", [0.3, 1.0, 4.0])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-9])
+    def test_nonsmooth_falls_back_to_plain(self, phi, x0, t, tol):
+        res = gradient_flow_semigroup(phi, x0, t, tol=tol)
+        point, achieved, n = _reference_plain_doubling(
+            _prox_run(phi, t), np.asarray(x0, dtype=float), 8, 2 ** 20, tol)
+        assert not res.extrapolated and res.converged
+        assert np.array_equal(res.point, point)
+        assert (res.n_used, res.achieved_tol) == (n, achieved)
+
+    @pytest.mark.parametrize("c, b", [(0.0, 1.0), (1.0, 0.01)])
+    def test_slow_extrapolants_return_plain(self, c, b):
+        # y_n = x + (c + b (-1)^{log2 n}) / n: the extrapolants contract only
+        # 2x per doubling, so the plain run must be returned; with c = 1 their
+        # differences are below half the plain ones, so only the 3x rule
+        # rejects them
+        def run(x, n):
+            return x + (c + b * (-1) ** int(math.log2(n))) / n
+
+        res = flows._semigroup(run, [0.0], 1.0, 8, 2 ** 20, 1e-4, None)
+        point, achieved, n = _reference_plain_doubling(run, np.zeros(1), 8,
+                                                       2 ** 20, 1e-4)
+        assert res.converged and not res.extrapolated
+        assert np.array_equal(res.point, point)
+        assert (res.n_used, res.achieved_tol) == (n, achieved)
+
+
 class TestFromSamples:
     def test_round_trip(self):
         ts = np.linspace(0, 5, 21)

@@ -1,14 +1,22 @@
 """Scenario registry and config validation (the heavy pipelines are
 exercised by the acceptance gate)."""
 
+import math
+
+import numpy as np
 import pytest
 
+from fejerflow.flows import SemigroupPoint
 from fejerflow.scenarios import (
     ConfigError,
     SCHEMA_VERSION,
+    ScenarioOutcome,
+    _semigroup_run,
     builtin_scenarios,
     run_scenario,
 )
+from fejerflow.space import SpaceDescriptor
+from fejerflow.verify import INCONCLUSIVE
 
 
 class TestRegistry:
@@ -58,3 +66,46 @@ class TestValidation:
     def test_negative_scenario_violates(self):
         out = run_scenario(builtin_scenarios()["negative_wrong_beta"].config)
         assert not out.ok
+
+
+class TestSemigroupSampling:
+    def test_unconverged_sample_is_inconclusive(self):
+        # a stub semigroup whose exponential formula fails at t = 0.5 only
+        def semigroup(op, x0, t, tol, n_max=2 ** 20):
+            converged = t != 0.5
+            return SemigroupPoint(point=math.exp(-t) * x0,
+                                  achieved_tol=tol / 2 if converged else math.inf,
+                                  n_used=64, converged=converged)
+
+        space = SpaceDescriptor(dimension=1)
+        out = ScenarioOutcome(name="stub")
+        traj = _semigroup_run({"horizon": 1.0}, out, space, semigroup, None,
+                              np.array([1.0]), 0.25, 1e-3, 1, "stub")
+        assert len(traj.ts) == 5 and traj.est_err == 1e-3
+        [report] = out.reports
+        assert report.status == INCONCLUSIVE
+        assert report.details["unconverged_times"] == [0.5]
+        assert "did not converge" in report.details["reason"]
+
+    def test_converged_samples_add_no_report(self):
+        def semigroup(op, x0, t, tol, n_max=2 ** 20):
+            return SemigroupPoint(point=math.exp(-t) * x0, achieved_tol=tol / 2,
+                                  n_used=64, converged=True)
+
+        out = ScenarioOutcome(name="stub")
+        _semigroup_run({"horizon": 1.0}, out, SpaceDescriptor(dimension=1), semigroup,
+                       None, np.array([1.0]), 0.25, 1e-3, 1, "stub")
+        assert out.reports == []
+
+
+class TestNestedKeys:
+    @pytest.mark.parametrize("name, section, key", [
+        ("first_order_contraction_1d", "solution", "b"),
+        ("gradient_flow_quadratic", "operators", "phi"),
+        ("stojkovic_negation", "initial", "x0"),
+    ])
+    def test_missing_nested_key_names_its_path(self, name, section, key):
+        cfg = dict(builtin_scenarios()[name].config)
+        cfg[section] = {k: v for k, v in cfg[section].items() if k != key}
+        with pytest.raises(ConfigError, match=f"'{section}.{key}'"):
+            run_scenario(cfg)
