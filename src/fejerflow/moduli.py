@@ -8,10 +8,22 @@ first-order, second-order, gradient-flow and nonexpansive-semigroup case
 studies.  All arithmetic is exact (rational, or certified enclosures for
 irrational subterms); results are :class:`ExtendedNatural` values whose
 overflow sentinel surfaces tower-sized bounds instead of saturating floats.
+
+Each calculator computes a plain int behind one boundary, ``_certificate``:
+it turns the int into an :class:`ExtendedNatural` and a
+:class:`BudgetExceeded` into overflow, and writes the budget message into
+``trace["overflow"]`` when the caller passes a trace.  Each Delta recursion
+runs through one level loop, ``_levels``, in which Delta(j) = phi(eps_hat_j)
+reads only the largest level so far: the running minimum of chi^M_f over the
+earlier levels is chi^M_f at that largest level, because the intervals
+[1, L+1] are nested.  Once a level does not raise the largest one, every
+later level repeats it, so the loop stops at that fixed point.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,6 +81,25 @@ _BRUTE_CAP = 100_000
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
+
+
+def _certificate(calc: Callable[..., int]) -> Callable[..., ExtendedNatural]:
+    """The certificate boundary: ``calc``'s int becomes an ExtendedNatural and
+    a BudgetExceeded becomes overflow, its reason written to the caller's
+    ``trace`` when there is one."""
+    signature = inspect.signature(calc)
+
+    @functools.wraps(calc)
+    def certificate(*args, **kwargs) -> ExtendedNatural:
+        try:
+            return ExtendedNatural(guard(calc(*args, **kwargs)))
+        except BudgetExceeded as exc:
+            trace = signature.bind(*args, **kwargs).arguments.get("trace")
+            if trace is not None:
+                trace["overflow"] = str(exc)
+            return ExtendedNatural.overflow()
+
+    return certificate
 
 
 # ---------------------------------------------------------------------------
@@ -131,52 +162,38 @@ class PerturbationPair:
 class LiminfBound:
     """liminf-bound phi(eps, n), or unary approximate-point bound phi(eps).
 
-    The abstract recursions need phi monotone in eps; every catalogued bound
-    already is, and ``monotonized`` wraps a raw user-supplied one that is not.
-    ``monotone_in_n`` lets maxima over huge index ranges collapse to the
-    endpoint; every bound in the shipped theorems has this property.
+    The abstract recursions need phi monotone in eps and nondecreasing in n;
+    every catalogued bound already is, and ``monotonized`` wraps a raw
+    user-supplied one that is not monotone in eps.  So the maximum of phi(eps, n)
+    over n <= N is phi(eps, N).
     """
 
-    def __init__(self, fn: Callable, unary: bool = False, monotone_in_n: bool = True):
+    def __init__(self, fn: Callable, unary: bool = False):
         self.fn = fn
         self.unary = unary
-        self.monotone_in_n = monotone_in_n
 
     @classmethod
-    def monotonized(cls, raw: Callable[[Real, int], int],
-                    monotone_in_n: bool = True) -> "LiminfBound":
-        return cls(monotone_liminf_bound(raw), unary=False,
-                   monotone_in_n=monotone_in_n)
+    def monotonized(cls, raw: Callable[[Real, int], int]) -> "LiminfBound":
+        return cls(monotone_liminf_bound(raw))
 
-    def eval(self, eps: Real, n: Optional[int] = None) -> int:
+    def eval(self, eps: Real, n: int = 0) -> int:
+        """phi(eps, n), which is also its maximum over the indices up to n."""
         if self.unary:
             return guard(int(self.fn(eps)))
-        return guard(int(self.fn(eps, 0 if n is None else n)))
-
-    def max_over_n(self, eps: Real, upto: int) -> int:
-        if self.unary:
-            return self.eval(eps)
-        if self.monotone_in_n:
-            return self.eval(eps, upto)
-        if upto > _BRUTE_CAP:
-            raise BudgetExceeded("liminf-bound maximum over too large a range")
-        return max(self.eval(eps, n) for n in range(upto + 1))
+        return guard(int(self.fn(eps, n)))
 
 
 class ChiModulus:
-    """Uniform quasi-Fejer modulus chi(eps, n, m) in one of the shapes the
+    """Uniform quasi-Fejer modulus chi(eps, n, m) in one of the two shapes the
     case studies need, with an exact evaluator for
 
         chi^M_f(eps, N) = min over m <= N of chi(eps, m, f(m+1) + 1).
     """
 
-    def __init__(self, kind: str, coef: RealLike = 1,
-                 fn: Optional[Callable] = None):
-        _require(kind in ("scaled_inverse", "exp_window", "generic"),
-                 f"unknown chi kind {kind!r}")
+    def __init__(self, kind: str, coef: RealLike = 1):
+        _require(kind in ("scaled_inverse", "exp_window"), f"unknown chi kind {kind!r}")
         self.kind = kind
         self.coef = R(coef)
-        self.fn = fn
 
     @classmethod
     def scaled_inverse(cls, c: RealLike) -> "ChiModulus":
@@ -189,26 +206,13 @@ class ChiModulus:
         """chi(eps, n, m) = c eps / (e^{2m} - 1)."""
         return cls("exp_window", coef=c)
 
-    @classmethod
-    def generic(cls, fn: Callable[[Real, int, int], Real]) -> "ChiModulus":
-        return cls("generic", fn=fn)
-
-    def at(self, eps: Real, n: int, m: int) -> Real:
+    def chi_f_min(self, eps: Real, upto: int, f: Counterfunction) -> Real:
+        """Exact chi^M_f(eps, upto), nonincreasing in upto: both shapes
+        decrease in m' = f(m+1)+1, so only max f on [1, upto+1] matters."""
+        m = max_on(f, 1, upto + 1) + 1
         if self.kind == "scaled_inverse":
             return eps / (self.coef * m)
-        if self.kind == "exp_window":
-            return self.coef * eps / (R(2 * m).exp() - 1)
-        return self.fn(eps, n, m)
-
-    def chi_f_min(self, eps: Real, upto: int, f: Counterfunction) -> Real:
-        """Exact chi^M_f(eps, upto)."""
-        if self.kind in ("scaled_inverse", "exp_window"):
-            # both shapes decrease in m' = f(m+1)+1, so only max f matters
-            worst = max_on(f, 1, upto + 1) + 1
-            return self.at(eps, 0, worst)
-        if upto > _BRUTE_CAP:
-            raise BudgetExceeded("chi minimum over too large a range")
-        return Real.minimum(*(self.at(eps, m, f(m + 1) + 1) for m in range(upto + 1)))
+        return self.coef * eps / (R(2 * m).exp() - 1)
 
 
 class ErrorRate:
@@ -279,7 +283,7 @@ class _FPhiEps:
     def __call__(self, n: int) -> int:
         cached = self._memo.get(n)
         if cached is None:
-            top = self.phi.eval(self.eps, n) if not self.phi.unary else self.phi.eval(self.eps)
+            top = self.phi.eval(self.eps, n)
             cached = max(max_tilde_on(self.f, 1, top + 1) - n, 0)
             self._memo[n] = cached
         return cached
@@ -290,8 +294,9 @@ class _FPhiEps:
 # ---------------------------------------------------------------------------
 
 
+@_certificate
 def aas1_metastability(b: RealLike, c: RealLike, Bnorm: RealLike,
-                       eps: RealLike, f: Counterfunction) -> ExtendedNatural:
+                       eps: RealLike, f: Counterfunction) -> int:
     """Metastability bound for a locally a.c. energy bounded below by b,
     started at most at c, with L1 error mass at most Bnorm:
 
@@ -301,16 +306,14 @@ def aas1_metastability(b: RealLike, c: RealLike, Bnorm: RealLike,
     _require(eps.is_positive(), "eps must be positive")
     _require(not (c - b).lt(0), "need c >= b")
     _require(not Bnorm.lt(0), "need Bnorm >= 0")
-    try:
-        omega = guard((2 * Bnorm / eps).ceil() * ((c + Bnorm - b) / eps).ceil())
-        return ExtendedNatural(iterate_tilde(f, omega))
-    except BudgetExceeded:
-        return ExtendedNatural.overflow()
+    omega = guard((2 * Bnorm / eps).ceil() * ((c + Bnorm - b) / eps).ceil())
+    return iterate_tilde(f, omega)
 
 
+@_certificate
 def aas2_metastability(c: RealLike, Anorm: RealLike, Bnorm: RealLike,
                        p: Union[int, Fraction], r: Union[int, Fraction, float, None],
-                       eps: RealLike, f: Counterfunction) -> ExtendedNatural:
+                       eps: RealLike, f: Counterfunction) -> int:
     """Metastability bound for a nonnegative L^p energy with L^r error:
 
         q = 1 + p (1 - 1/r)
@@ -331,18 +334,15 @@ def aas2_metastability(c: RealLike, Anorm: RealLike, Bnorm: RealLike,
         q = 1 + p * (1 - Fraction(1) / r)
     c, Anorm, Bnorm, eps = R(c), R(Anorm), R(Bnorm), R(eps)
     _require(eps.is_positive(), "eps must be positive")
-    try:
-        two_q = R(2).powq(q)
-        eps_q = eps.powq(q)
-        a_qm1 = Anorm.powq(q - 1) if not (q - 1 == 0) else R(1)
-        denom = eps_q * (two_q - 1)
-        first = (2 * two_q * R(q) * a_qm1 * Bnorm) / denom
-        second = (two_q * (c.powq(q) + R(q) * a_qm1 * Bnorm)) / denom
-        varpi = guard(first.ceil_upper() * second.ceil_upper())
-        floor_value = ((3 * Anorm / eps).powq(p)).ceil_upper()
-        return ExtendedNatural(iterate_tilde(f, varpi, floor_value=floor_value))
-    except BudgetExceeded:
-        return ExtendedNatural.overflow()
+    two_q = R(2).powq(q)
+    eps_q = eps.powq(q)
+    a_qm1 = Anorm.powq(q - 1) if not (q - 1 == 0) else R(1)
+    denom = eps_q * (two_q - 1)
+    first = (2 * two_q * R(q) * a_qm1 * Bnorm) / denom
+    second = (two_q * (c.powq(q) + R(q) * a_qm1 * Bnorm)) / denom
+    varpi = guard(first.ceil_upper() * second.ceil_upper())
+    floor_value = ((3 * Anorm / eps).powq(p)).ceil_upper()
+    return iterate_tilde(f, varpi, floor_value=floor_value)
 
 
 # ---------------------------------------------------------------------------
@@ -370,71 +370,79 @@ def monotone_liminf_bound(phi_raw: Callable[[Real, int], int]) -> Callable[[Real
 # ---------------------------------------------------------------------------
 
 
+def _levels(P: int, step: Callable[[int], int], levels: list,
+            trace: Optional[dict]) -> int:
+    """The Delta-level recursion: appends Delta(j) = step(top) for j = 1..P to
+    ``levels`` and returns the final top, the largest level so far (0 while
+    there is none).  Every recursion reads only top, so once a level does
+    not raise it every later level repeats it: the loop stops there."""
+    top = max(levels, default=0)
+    for _ in range(P):
+        level = guard(step(top))
+        levels.append(level)
+        if level <= top:
+            break
+        top = level
+    if trace is not None:
+        trace["P"] = P
+        trace["levels"] = levels
+    return top
+
+
 def _delta_core(bundle: ModulusBundle, eps: Real, f: Counterfunction,
-                chi_cap: Optional[Real], trace: Optional[dict]) -> int:
+                chi_cap: Optional[RealLike], trace: Optional[dict]) -> int:
     _require(bundle.gamma_tb is not None, "bundle needs a total-boundedness modulus")
     _require(bundle.chi is not None, "bundle needs a uniform Fejer modulus")
     delta_arg = bundle.h(eps / 2) / 3
     P = guard(bundle.gamma_tb(bundle.g(delta_arg)) + 1)
-    levels = [0]
-    run_min: Optional[Real] = None
-    for _ in range(1, P + 1):
-        cand = bundle.chi.chi_f_min(delta_arg, levels[-1], f)
-        run_min = cand if run_min is None else Real.minimum(run_min, cand)
-        eps_hat = run_min if chi_cap is None else Real.minimum(chi_cap, run_min)
-        if bundle.eta.variant == "zero":
-            dj = bundle.phi.eval(eps_hat)
-        elif bundle.eta.variant == "convergence":
-            dj = bundle.phi.max_over_n(eps_hat, guard(bundle.eta.fn(delta_arg)))
-        else:
-            f_phi = _FPhiEps(f, bundle.phi, eps_hat)
-            dj = bundle.phi.max_over_n(eps_hat, guard(bundle.eta.fn(delta_arg, f_phi)))
-        levels.append(guard(dj))
-    if trace is not None:
-        trace["P"] = P
-        trace["levels"] = list(levels)
-    return guard(max(levels) + 1)
+    # the index bound of the maximum over n: fixed by the error rate, or by
+    # its rate of metastability at the level's f_{phi, eps_hat}
+    metastable = bundle.eta.variant == "metastability"
+    upto = guard(bundle.eta.fn(delta_arg)) if bundle.eta.variant == "convergence" else 0
+
+    def step(top: int) -> int:
+        eps_hat = bundle.chi.chi_f_min(delta_arg, top, f)
+        if chi_cap is not None:
+            eps_hat = Real.minimum(chi_cap, eps_hat)
+        if metastable:
+            return bundle.phi.eval(eps_hat, guard(
+                bundle.eta.fn(delta_arg, _FPhiEps(f, bundle.phi, eps_hat))))
+        return bundle.phi.eval(eps_hat, upto)
+
+    return _levels(P, step, [0], trace) + 1
 
 
+@_certificate
 def delta_general(bundle: ModulusBundle, eps: RealLike, f: Counterfunction,
                   chi_cap: Optional[RealLike] = None,
-                  trace: Optional[dict] = None) -> ExtendedNatural:
+                  trace: Optional[dict] = None) -> int:
     """Full compactness-based metastability bound (errors resolved by a rate
     of metastability)."""
     _require(bundle.eta.variant == "metastability",
              "delta_general needs a metastability-variant error rate")
-    try:
-        cap = None if chi_cap is None else R(chi_cap)
-        return ExtendedNatural(_delta_core(bundle, R(eps), f, cap, trace))
-    except BudgetExceeded:
-        return ExtendedNatural.overflow()
+    return _delta_core(bundle, R(eps), f, chi_cap, trace)
 
 
+@_certificate
 def delta_with_error_rate(bundle: ModulusBundle, eps: RealLike, f: Counterfunction,
                           chi_cap: Optional[RealLike] = None,
-                          trace: Optional[dict] = None) -> ExtendedNatural:
+                          trace: Optional[dict] = None) -> int:
     """Simplified bound when errors have a rate of convergence or vanish."""
     _require(bundle.eta.variant in ("zero", "convergence"),
              "delta_with_error_rate needs a convergence-variant or zero error rate")
-    try:
-        cap = None if chi_cap is None else R(chi_cap)
-        return ExtendedNatural(_delta_core(bundle, R(eps), f, cap, trace))
-    except BudgetExceeded:
-        return ExtendedNatural.overflow()
+    return _delta_core(bundle, R(eps), f, chi_cap, trace)
 
 
+@_certificate
 def delta_uniform_continuity(bundle: ModulusBundle, eps: RealLike, f: Counterfunction,
-                             trace: Optional[dict] = None) -> ExtendedNatural:
+                             trace: Optional[dict] = None) -> int:
     """Metastability bound that also certifies approximate solutions along
     the window, for uniformly continuous solution functions: evaluates the
     core recursion at min(eps, omega(eps/2)) with chi capped at eps/2."""
     _require(bundle.omega is not None, "bundle needs a uniform-continuity modulus")
     eps = R(eps)
     eps0 = Real.minimum(eps, bundle.omega(eps / 2))
-    try:
-        return ExtendedNatural(_delta_core(bundle, eps0, f, eps / 2, trace))
-    except BudgetExceeded:
-        return ExtendedNatural.overflow()
+    return _delta_core(bundle, eps0, f, eps / 2, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +450,9 @@ def delta_uniform_continuity(bundle: ModulusBundle, eps: RealLike, f: Counterfun
 # ---------------------------------------------------------------------------
 
 
+@_certificate
 def rho_metastable_regular(bundle: ModulusBundle, eps: RealLike, f: Counterfunction,
-                           trace: Optional[dict] = None) -> ExtendedNatural:
+                           trace: Optional[dict] = None) -> int:
     """Metastability of dist(x(t), zer F) under a modulus of regularity when
     errors only admit a rate of metastability:
 
@@ -454,45 +463,37 @@ def rho_metastable_regular(bundle: ModulusBundle, eps: RealLike, f: Counterfunct
     _require(bundle.eta.variant == "metastability",
              "rho_metastable_regular needs a metastability-variant error rate")
     eps = R(eps)
-    try:
-        threshold = bundle.tau(bundle.g(bundle.h(eps) / 2))
-        f_phi = _FPhiEps(f, bundle.phi, threshold)
-        upto = guard(bundle.eta.fn(bundle.h(eps) / 2, f_phi))
-        value = guard(bundle.phi.max_over_n(threshold, upto) + 1)
-        if trace is not None:
-            trace["eta_bound"] = upto
-        return ExtendedNatural(value)
-    except BudgetExceeded:
-        return ExtendedNatural.overflow()
+    threshold = bundle.tau(bundle.g(bundle.h(eps) / 2))
+    f_phi = _FPhiEps(f, bundle.phi, threshold)
+    upto = guard(bundle.eta.fn(bundle.h(eps) / 2, f_phi))
+    value = bundle.phi.eval(threshold, upto) + 1
+    if trace is not None:
+        trace["eta_bound"] = upto
+    return value
 
 
+@_certificate
 def rho_convergence_regular(bundle: ModulusBundle, eps: RealLike,
-                            trace: Optional[dict] = None) -> ExtendedNatural:
+                            trace: Optional[dict] = None) -> int:
     """Rate of convergence of dist(x(t), zer F) under a modulus of regularity:
 
         with error rate:  rho(eps) = phi(tau(g(h(eps)/2)), eta(h(eps)/2)) + 1
         zero error:       rho(eps) = phi(tau(g(h(eps)))) + 1
     """
     _require(bundle.tau is not None, "bundle needs a modulus of regularity")
+    _require(bundle.eta.variant in ("zero", "convergence"),
+             "rho_convergence_regular needs a convergence-variant or zero error rate")
     eps = R(eps)
-    try:
-        if bundle.eta.variant == "zero":
-            value = guard(bundle.phi.eval(bundle.tau(bundle.g(bundle.h(eps)))) + 1)
-            branch = "zero_error"
-        elif bundle.eta.variant == "convergence":
-            upto = guard(bundle.eta.fn(bundle.h(eps) / 2))
-            value = guard(
-                bundle.phi.max_over_n(bundle.tau(bundle.g(bundle.h(eps) / 2)), upto) + 1
-            )
-            branch = "with_error_rate"
-        else:
-            raise ValueError("rho_convergence_regular needs a convergence-variant "
-                             "or zero error rate")
-        if trace is not None:
-            trace["branch"] = branch
-        return ExtendedNatural(value)
-    except BudgetExceeded:
-        return ExtendedNatural.overflow()
+    if bundle.eta.variant == "zero":
+        value = bundle.phi.eval(bundle.tau(bundle.g(bundle.h(eps)))) + 1
+        branch = "zero_error"
+    else:
+        upto = guard(bundle.eta.fn(bundle.h(eps) / 2))
+        value = bundle.phi.eval(bundle.tau(bundle.g(bundle.h(eps) / 2)), upto) + 1
+        branch = "with_error_rate"
+    if trace is not None:
+        trace["branch"] = branch
+    return value
 
 
 def fast_linear_rate(beta: float, k: float, p: float = 1.0) -> float:
@@ -518,17 +519,15 @@ def _ball_tb_int(d: int, b: RealLike, eps: Real) -> int:
     return guard(base ** d)
 
 
-def ball_total_boundedness(d: int, b: RealLike, eps: RealLike) -> ExtendedNatural:
+@_certificate
+def ball_total_boundedness(d: int, b: RealLike, eps: RealLike) -> int:
     """Modulus of total boundedness of a closed ball of radius b in R^d:
 
         gamma(eps) = ceil(2 (ceil(1/eps) + 1) sqrt(d) b) ^ d.
     """
     eps = R(eps)
     _require(eps.is_positive(), "eps must be positive")
-    try:
-        return ExtendedNatural(_ball_tb_int(d, b, eps))
-    except BudgetExceeded:
-        return ExtendedNatural.overflow()
+    return _ball_tb_int(d, b, eps)
 
 
 def ball_modulus(d: int, b: RealLike) -> Callable[[Real], int]:
@@ -599,8 +598,9 @@ def asymptotic_regularity_rate(b: RealLike, *, divergence_modulus=None,
     return phi
 
 
+@_certificate
 def delta_first_order(d: int, b: RealLike, lambda_info: dict, eps: RealLike,
-                      f: Counterfunction, trace: Optional[dict] = None) -> ExtendedNatural:
+                      f: Counterfunction, trace: Optional[dict] = None) -> int:
     """Metastability bound for the first-order system over a nonexpansive map
     in R^d.  The theorem applies this at eps/4: callers scale before calling.
 
@@ -614,28 +614,16 @@ def delta_first_order(d: int, b: RealLike, lambda_info: dict, eps: RealLike,
     _require(eps.is_positive(), "eps must be positive")
     phi = asymptotic_regularity_rate(b, **lambda_info)
     b = R(b)
-    try:
-        if not b.is_positive():
-            if trace is not None:
-                trace["P"] = 1
-                trace["levels"] = [0, 0]
-            return ExtendedNatural(1)
-        inner = guard((R(12).sqrt() / eps).ceil())
-        P = guard(guard((2 * (inner + 1) * R(d).sqrt() * b).ceil()) ** d + 1)
-        levels = [0]
-        run_min: Optional[Real] = None
-        for _ in range(1, P + 1):
-            worst = max_on(f, 1, levels[-1] + 1) + 1
-            cand = (eps * eps / 12) / (4 * b * worst)
-            run_min = cand if run_min is None else Real.minimum(run_min, cand)
-            eps_hat = Real.minimum(eps / 2, run_min)
-            levels.append(guard(phi(eps_hat)))
-        if trace is not None:
-            trace["P"] = P
-            trace["levels"] = list(levels)
-        return ExtendedNatural(guard(max(levels) + 1))
-    except BudgetExceeded:
-        return ExtendedNatural.overflow()
+    if not b.is_positive():
+        # a ball of radius 0: one level, and it is 0
+        return _levels(1, lambda top: 0, [0], trace) + 1
+    P = guard(_ball_tb_int(d, b, eps / R(12).sqrt()) + 1)
+
+    def step(top: int) -> int:
+        worst = max_on(f, 1, top + 1) + 1
+        return phi(Real.minimum(eps / 2, (eps * eps / 12) / (4 * b * worst)))
+
+    return _levels(P, step, [0], trace) + 1
 
 
 def first_order_bundle(d: int, b: RealLike, lambda_info: dict) -> ModulusBundle:
@@ -740,40 +728,33 @@ def second_order_constants(b, c, d, lam_lo, lam_hi, gam_lo, gam_hi, theta, beta,
     )
 
 
-def _varpi_second_order(consts: SecondOrderConstants, eps: Real) -> int:
+def _varpi_floor(consts: SecondOrderConstants, eps: Real) -> tuple[int, int]:
+    """varpi(eps) and the floor ceil((3A/eps)^2); the floor is 0 when varpi is."""
     first = (16 * consts.A * consts.B / (3 * eps * eps)).ceil()
     if first == 0:
-        return 0
+        return 0, 0
     second = ((4 * (R(consts.C) * R(consts.C) + 2 * consts.A * consts.B))
               / (3 * eps * eps)).ceil()
-    return guard(first * second)
+    varpi = guard(first * second)
+    return varpi, ((3 * consts.A / eps) * (3 * consts.A / eps)).ceil()
 
 
-def lambda_capital(consts: SecondOrderConstants, eps: RealLike, f) -> ExtendedNatural:
+@_certificate
+def lambda_capital(consts: SecondOrderConstants, eps: RealLike, f) -> int:
     """Metastability bound Lambda(eps, f) for ||x'(t)|| and ||B(x(t))||."""
     eps = R(eps)
     _require(eps.is_positive(), "eps must be positive")
-    try:
-        return ExtendedNatural(_lambda_int(consts, eps, f))
-    except BudgetExceeded:
-        return ExtendedNatural.overflow()
+    return _lambda_int(consts, eps, f)
 
 
 def _lambda_int(consts: SecondOrderConstants, eps: Real, f) -> int:
-    varpi = _varpi_second_order(consts, eps)
-    if varpi == 0:
-        return 0
-    floor_value = ((3 * consts.A / eps) * (3 * consts.A / eps)).ceil()
+    varpi, floor_value = _varpi_floor(consts, eps)
     return iterate_tilde(f, varpi, floor_value=floor_value)
 
 
 def second_order_liminf(consts: SecondOrderConstants, eps: RealLike, n: int) -> int:
     """The liminf-bound phi(eps, n) = varpi(eps) * max(n, ceil((3A/eps)^2))."""
-    eps = R(eps)
-    varpi = _varpi_second_order(consts, eps)
-    if varpi == 0:
-        return 0
-    floor_value = ((3 * consts.A / eps) * (3 * consts.A / eps)).ceil()
+    varpi, floor_value = _varpi_floor(consts, R(eps))
     return guard(varpi * max(n, floor_value))
 
 
@@ -786,39 +767,29 @@ def _second_order_eta(consts: SecondOrderConstants, delta: Real, f) -> int:
     return _lambda_int(consts, arg, f)
 
 
+@_certificate
 def delta_second_order(consts: SecondOrderConstants, dim: int, eps: RealLike,
-                       f: Counterfunction, trace: Optional[dict] = None) -> ExtendedNatural:
+                       f: Counterfunction, trace: Optional[dict] = None) -> int:
     """Metastability bound for the second-order system in R^dim.  The theorem
     applies this at min(eps, beta eps / 2): callers scale before calling."""
     _require(dim >= 1, "dimension must be >= 1")
     eps = R(eps)
     _require(eps.is_positive(), "eps must be positive")
-    try:
-        if consts.K.exact is not None and consts.K.exact == 0:
-            if trace is not None:
-                trace["P"] = 1
-                trace["levels"] = [0, 0]
-            return ExtendedNatural(1)
-        scale = (12 * R(consts.gam_hi) / R(consts.gam_lo)).sqrt()
-        inner = guard((scale / eps).ceil())
-        P = guard(guard((2 * (inner + 1) * R(dim).sqrt() * R(consts.b)).ceil()) ** dim + 1)
-        phi = LiminfBound(lambda e, n: second_order_liminf(consts, e, n))
-        levels = [0]
-        run_min: Optional[Real] = None
-        for _ in range(1, P + 1):
-            worst = max_on(f, 1, levels[-1] + 1) + 1
-            cand = (R(consts.gam_lo) * eps * eps / 12) / (worst * R(consts.lam_hi) * 8 * consts.K)
-            run_min = cand if run_min is None else Real.minimum(run_min, cand)
-            eps_hat = Real.minimum(eps / 2, run_min)
-            f_phi = _FPhiEps(f, phi, eps_hat)
-            upto = _second_order_eta(consts, eps * eps / 12, f_phi)
-            levels.append(guard(phi.max_over_n(eps_hat, guard(upto))))
-        if trace is not None:
-            trace["P"] = P
-            trace["levels"] = list(levels)
-        return ExtendedNatural(guard(max(levels) + 1))
-    except BudgetExceeded:
-        return ExtendedNatural.overflow()
+    if consts.K.exact is not None and consts.K.exact == 0:
+        # the trajectory stays at its start: one level, and it is 0
+        return _levels(1, lambda top: 0, [0], trace) + 1
+    scale = (12 * R(consts.gam_hi) / R(consts.gam_lo)).sqrt()
+    P = guard(_ball_tb_int(dim, consts.b, eps / scale) + 1)
+    phi = LiminfBound(lambda e, n: second_order_liminf(consts, e, n))
+
+    def step(top: int) -> int:
+        worst = max_on(f, 1, top + 1) + 1
+        eps_hat = Real.minimum(eps / 2, (R(consts.gam_lo) * eps * eps / 12)
+                               / (worst * R(consts.lam_hi) * 8 * consts.K))
+        upto = _second_order_eta(consts, eps * eps / 12, _FPhiEps(f, phi, eps_hat))
+        return phi.eval(eps_hat, guard(upto))
+
+    return _levels(P, step, [0], trace) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -826,6 +797,7 @@ def delta_second_order(consts: SecondOrderConstants, dim: int, eps: RealLike,
 # ---------------------------------------------------------------------------
 
 
+@_certificate
 def fb_uniform_monotone_rate(order: str, who: str, phi_fn: Callable[[Real], Real],
                              eps: RealLike, *,
                              b: Optional[RealLike] = None,
@@ -835,43 +807,40 @@ def fb_uniform_monotone_rate(order: str, who: str, phi_fn: Callable[[Real], Real
                              consts: Optional[SecondOrderConstants] = None,
                              eta_step: Optional[RealLike] = None,
                              f: Optional[Counterfunction] = None,
-                             ) -> ExtendedNatural:
+                             ) -> int:
     """Convergence rate (first order) or metastability bound (second order)
     for the forward-backward flow when A or B is uniformly monotone with
     function phi_fn."""
     _require(order in ("first", "second"), "order is first|second")
     _require(who in ("A", "B"), "who is A|B")
     eps = R(eps)
-    try:
-        if order == "first":
-            _require(None not in (b, gamma, beta, flow_rate),
-                     "first order needs b, gamma, beta, flow_rate")
-            b, gamma, beta = R(b), R(gamma), R(beta)
-            psi = lambda e: flow_rate(gamma * beta * e * e / (3 * b))
-            if who == "B":
-                return ExtendedNatural(guard(psi(phi_fn(eps) / b)))
-            half = phi_fn(eps / 2)
-            first = flow_rate(Real.minimum(gamma * half / (2 * b), eps / 2))
-            second = psi(half / (2 * b))
-            # both the residual condition and the B-condition must hold past
-            # the returned time, so the two rates combine by max
-            return ExtendedNatural(guard(max(first, second)))
-        _require(consts is not None and eta_step is not None and f is not None,
-                 "second order needs consts, eta_step, f")
-        eta_step = R(eta_step)
-        K, beta = consts.K, R(consts.beta)
+    if order == "first":
+        _require(None not in (b, gamma, beta, flow_rate),
+                 "first order needs b, gamma, beta, flow_rate")
+        b, gamma, beta = R(b), R(gamma), R(beta)
+        psi = lambda e: flow_rate(gamma * beta * e * e / (3 * b))
         if who == "B":
-            arg = (phi_fn(eps) / K) * (phi_fn(eps) / K) * eta_step * beta / (3 * K)
-            return ExtendedNatural(_lambda_int(consts, arg, f))
+            return psi(phi_fn(eps) / b)
         half = phi_fn(eps / 2)
-        arg = Real.minimum(
-            (half / (2 * K)) * (half / (2 * K)) * eta_step * beta / (3 * K),
-            eta_step * half / (2 * K),
-            eps / 2,
-        )
-        return ExtendedNatural(_lambda_int(consts, arg, f))
-    except BudgetExceeded:
-        return ExtendedNatural.overflow()
+        first = flow_rate(Real.minimum(gamma * half / (2 * b), eps / 2))
+        second = psi(half / (2 * b))
+        # both the residual condition and the B-condition must hold past
+        # the returned time, so the two rates combine by max
+        return max(first, second)
+    _require(consts is not None and eta_step is not None and f is not None,
+             "second order needs consts, eta_step, f")
+    eta_step = R(eta_step)
+    K, beta = consts.K, R(consts.beta)
+    if who == "B":
+        arg = (phi_fn(eps) / K) * (phi_fn(eps) / K) * eta_step * beta / (3 * K)
+        return _lambda_int(consts, arg, f)
+    half = phi_fn(eps / 2)
+    arg = Real.minimum(
+        (half / (2 * K)) * (half / (2 * K)) * eta_step * beta / (3 * K),
+        eta_step * half / (2 * K),
+        eps / 2,
+    )
+    return _lambda_int(consts, arg, f)
 
 
 # ---------------------------------------------------------------------------
@@ -879,9 +848,10 @@ def fb_uniform_monotone_rate(order: str, who: str, phi_fn: Callable[[Real], Real
 # ---------------------------------------------------------------------------
 
 
+@_certificate
 def delta_gradient_flow(b: RealLike, gamma_tb: Callable[[Real], int],
                         eps: RealLike, f: Counterfunction,
-                        trace: Optional[dict] = None) -> ExtendedNatural:
+                        trace: Optional[dict] = None) -> int:
     """Metastability bound for the gradient-flow semigroup of a convex lsc
     function (nondecreasing f):
 
@@ -892,20 +862,11 @@ def delta_gradient_flow(b: RealLike, gamma_tb: Callable[[Real], int],
     _require(f.is_nondecreasing, "the gradient-flow bound needs nondecreasing f")
     b, eps = R(b), R(eps)
     _require(eps.is_positive(), "eps must be positive")
-    try:
-        P = guard(gamma_tb(eps / R(12).sqrt()) + 1)
-        level = 0
-        levels = [0]
-        b_sq = b * b
-        for _ in range(P):
-            level = guard((24 * b_sq * (f(level + 1) + 1) / (eps * eps)).ceil())
-            levels.append(level)
-        if trace is not None:
-            trace["P"] = P
-            trace["levels"] = levels
-        return ExtendedNatural(guard(level + 1))
-    except BudgetExceeded:
-        return ExtendedNatural.overflow()
+    P = guard(gamma_tb(eps / R(12).sqrt()) + 1)
+    b_sq = b * b
+    # f nondecreasing makes the levels nondecreasing: the last one is the top
+    step = lambda top: (24 * b_sq * (f(top + 1) + 1) / (eps * eps)).ceil()
+    return _levels(P, step, [0], trace) + 1
 
 
 def gradient_flow_bundle(b: RealLike, gamma_tb: Callable[[Real], int]) -> ModulusBundle:
@@ -933,9 +894,10 @@ def _stojkovic_phi(b: Real, eps: Real) -> int:
     return guard((arg * arg.exp()).ceil())
 
 
+@_certificate
 def delta_stojkovic(b: RealLike, gamma_tb: Callable[[Real], int],
                     eps: RealLike, f: Counterfunction,
-                    trace: Optional[dict] = None) -> ExtendedNatural:
+                    trace: Optional[dict] = None) -> int:
     """Metastability bound for the semigroup generated by a nonexpansive map
     via its implicit resolvent (nondecreasing f):
 
@@ -954,26 +916,15 @@ def delta_stojkovic(b: RealLike, gamma_tb: Callable[[Real], int],
         if trace is not None:
             trace["P"] = None
             trace["levels"] = [0]
-        return ExtendedNatural(0)
-    try:
-        P = guard(gamma_tb(eps / 6) + 1)
+        return 0
+    P = guard(gamma_tb(eps / 6) + 1)
 
-        def chi_f(delta: Real, n: int) -> Real:
-            m = f(n + 1) + 1
-            return 2 * delta / (R(2 * m).exp() - 1)
+    def step(top: int) -> int:
+        # f nondecreasing makes the levels nondecreasing: the last one is the top
+        m = f(top + 1) + 1
+        return _stojkovic_phi(b, 2 * (eps / 6) / (R(2 * m).exp() - 1))
 
-        levels = []
-        eps_hat = chi_f(eps / 6, 0)
-        levels.append(_stojkovic_phi(b, eps_hat))
-        for _ in range(2, P + 1):
-            eps_hat = chi_f(eps / 6, levels[-1])
-            levels.append(_stojkovic_phi(b, eps_hat))
-        if trace is not None:
-            trace["P"] = P
-            trace["levels"] = levels
-        return ExtendedNatural(levels[-1])
-    except BudgetExceeded:
-        return ExtendedNatural.overflow()
+    return _levels(P, step, [], trace)
 
 
 def stojkovic_bundle(b: RealLike, gamma_tb: Callable[[Real], int]) -> ModulusBundle:

@@ -657,10 +657,11 @@ def _run_stojkovic(cfg: dict, out: ScenarioOutcome) -> None:
     ov_cfg = cfg.get("overflow_probe", {"eps": "1/1000",
                                         "counterfunction": {"kind": "identity_plus", "k": 0}})
     fc_ov = Counterfunction.from_spec(ov_cfg["counterfunction"])
+    trace_ov: dict = {}
     cert_ov = moduli.delta_stojkovic(Fraction(str(b)), gamma_tb,
-                                     Fraction(ov_cfg["eps"]), fc_ov)
+                                     Fraction(ov_cfg["eps"]), fc_ov, trace=trace_ov)
     out.certify("delta_stojkovic_overflow_probe",
-                {"b": b, "eps": ov_cfg["eps"], "f": fc_ov.to_spec()}, cert_ov)
+                {"b": b, "eps": ov_cfg["eps"], "f": fc_ov.to_spec()}, cert_ov, trace_ov)
     out.add(verify_metastability(traj, float(Fraction(ov_cfg["eps"])), fc_ov,
                                  cert_ov, grid=grid,
                                  claim="metastability_overflow_probe"))

@@ -1,6 +1,8 @@
 """Certificate calculators: worked examples, oracle agreement, invariants."""
 
+import inspect
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 import oracles
 from fejerflow import moduli
 from fejerflow.counterfunctions import Counterfunction as CF
-from fejerflow.exact import R
+from fejerflow.exact import R, get_budget_bits, set_budget_bits
 from fejerflow.moduli import (
     ChiModulus,
     ErrorRate,
@@ -269,6 +271,42 @@ class TestDeltaFirstOrder:
         # eps_hat = min(1/2, (1/12)/4) = 1/48; phi = ceil(48^2) = 2304
         assert cert.value == 2305
 
+    def test_levels_stop_at_fixed_point(self):
+        # f == 0 gives the same eps_hat at every level: the second level
+        # repeats the first and the loop stops there, P levels short
+        trace = {}
+        cert = delta_first_order(2, 1, {"lower_witness": F(1, 2)}, F(1, 4),
+                                 CF.constant(0), trace)
+        assert cert.value == 9437185
+        assert trace["P"] == 1850
+        assert trace["levels"] == [0, 9437184, 9437184]
+
+    def test_levels_of_growing_f_rise_to_fixed_point(self):
+        # a table f rises over its first arguments and then stays put
+        trace = {}
+        f = CF.table({1: 1, 2: 3}, default=5)
+        cert = delta_first_order(1, F(1, 2), {"lower_witness": 1}, 2, f, trace)
+        levels = trace["levels"]
+        assert levels == sorted(levels) and levels[-1] == levels[-2]
+        assert cert.value == levels[-1] + 1
+        assert cert.value == oracles.delta_first_order(1, F(1, 2), F(1), F(2), f)
+
+    def test_large_P_finishes(self):
+        # P = 624,101 levels, which a full loop took 44 s to walk
+        t0 = time.perf_counter()
+        cert = delta_first_order(2, 1, {"lower_witness": F(1, 2)}, F(1, 80),
+                                 CF.constant(1))
+        assert cert.value == 6039797760001
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_irrational_radius_large_P(self):
+        # a running minimum over 16,217 irrational levels took 11.6 s
+        trace = {}
+        cert = delta_first_order(1, R(3).powq(F(1, 7)), {"lower_witness": F(1, 2)},
+                                 F(1, 2000), CF.constant(1), trace)
+        assert trace["P"] == 16217
+        assert cert.value == 6049834676386033816
+
 
 class TestSecondOrder:
     def test_constants_worked_example(self):
@@ -452,3 +490,78 @@ class TestPerturbationPairs:
         pair = PerturbationPair.squares()
         assert pair.H.apply(3).exact == 9
         assert pair.G.apply(2).exact == 4
+
+
+def _overflowing_calls():
+    """One over-budget call (at 8 bits) of every certificate calculator."""
+    cs = second_order_constants(1, 1, 1, 1, 1, 1, 1, 1, 1)
+    meta_phi = LiminfBound(lambda e, n: n + (1 / e).ceil())
+    meta = dict(phi=meta_phi, eta=ErrorRate.metastability(lambda e, f: 0))
+    small = F(1, 1000)
+    return {
+        "aas1_metastability": lambda: moduli.aas1_metastability(
+            0, 1, 1, small, CF.constant(1)),
+        "aas2_metastability": lambda: moduli.aas2_metastability(
+            1, 1, 1, 1, 1, small, CF.constant(0)),
+        "delta_general": lambda trace: delta_general(
+            simple_bundle(gamma_tb=lambda e: 1, **meta), small, CF.constant(0),
+            trace=trace),
+        "delta_with_error_rate": lambda trace: delta_with_error_rate(
+            simple_bundle(), small, CF.constant(1), trace=trace),
+        "delta_uniform_continuity": lambda trace: delta_uniform_continuity(
+            simple_bundle(omega=lambda e: e), small, CF.constant(1), trace=trace),
+        "rho_metastable_regular": lambda trace: rho_metastable_regular(
+            simple_bundle(tau=lambda e: e, **meta), small, CF.constant(0), trace=trace),
+        "rho_convergence_regular": lambda trace: rho_convergence_regular(
+            simple_bundle(tau=lambda e: e), small, trace=trace),
+        "ball_total_boundedness": lambda: moduli.ball_total_boundedness(1, 1, small),
+        "delta_first_order": lambda trace: delta_first_order(
+            1, 1, {"lower_witness": F(1, 2)}, F(1, 10), CF.constant(0), trace=trace),
+        "lambda_capital": lambda: moduli.lambda_capital(cs, F(1, 10), CF.constant(1)),
+        "delta_second_order": lambda trace: moduli.delta_second_order(
+            cs, 1, 1, CF.constant(0), trace=trace),
+        "fb_uniform_monotone_rate": lambda: moduli.fb_uniform_monotone_rate(
+            "first", "B", lambda e: e * e, small, b=1, gamma=1, beta=1,
+            flow_rate=lambda e: (1 / e).ceil()),
+        "delta_gradient_flow": lambda trace: delta_gradient_flow(
+            1, ball_modulus(1, 1), small, CF.constant(0), trace=trace),
+        "delta_stojkovic": lambda trace: delta_stojkovic(
+            1, ball_modulus(1, 1), 1, CF.constant(0), trace=trace),
+    }
+
+
+class TestCertificateBoundary:
+    def test_every_calculator_is_behind_the_boundary(self):
+        wrapped = {name for name in moduli.__all__
+                   if hasattr(getattr(moduli, name), "__wrapped__")}
+        assert wrapped == set(_overflowing_calls())
+
+    def test_overflow_with_reason(self):
+        bits = get_budget_bits()
+        set_budget_bits(8)
+        try:
+            for name, call in _overflowing_calls().items():
+                takes_trace = "trace" in inspect.signature(getattr(moduli, name)).parameters
+                trace = {}
+                cert = call(trace) if takes_trace else call()
+                assert cert.is_overflow, name
+                assert cert.to_json() == "overflow"
+                if takes_trace:
+                    assert trace["overflow"], name
+        finally:
+            set_budget_bits(bits)
+
+    def test_reason_of_a_positional_trace(self):
+        bits = get_budget_bits()
+        set_budget_bits(8)
+        try:
+            trace = {}
+            cert = delta_gradient_flow(1, ball_modulus(1, 1), F(1, 100), CF.constant(0),
+                                       trace)
+            assert cert.is_overflow and trace["overflow"] == "value exceeds 2^8"
+        finally:
+            set_budget_bits(bits)
+
+    def test_domain_errors_pass_through(self):
+        with pytest.raises(ValueError):
+            delta_first_order(1, 1, {"lower_witness": 1}, 0, CF.constant(0))

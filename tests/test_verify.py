@@ -18,6 +18,8 @@ from fejerflow.verify import (
     check_b_convergence,
     check_convergence_rate,
     check_fejer,
+    check_mayer_inequality,
+    check_semigroup_fixed_point_bound,
     extract_approximate_zero,
     oscillation,
     pairwise_max_distance,
@@ -307,3 +309,36 @@ class TestBConvergence:
         rep = check_b_convergence(decay, B, [0.0],
                                   lambda e: math.log(1 / e) + 0.1, [0.5, 0.2])
         assert rep.status in ("holds", "holds_within_tolerance")
+
+
+class TestMarginRule:
+    """A report's margin already has its tolerance taken off, so ``holds``
+    always comes with a margin <= 0."""
+
+    def test_mayer_violation_inside_tol_holds(self):
+        # phi = 0, z = 0: d^2 grows by about 2e-6 from s = 0 to t = 1
+        points = [(0.0, np.array([1.0])), (1.0, np.array([1.0 + 1e-6]))]
+        rep = check_mayer_inequality(points, lambda x: 0.0, [np.zeros(1)], tol=1e-3)
+        assert rep.status == "holds" and rep.margin <= 0
+        assert rep.margin == pytest.approx(2e-6 - 1e-3)
+
+    def test_mayer_drops_equal_times(self):
+        # with s = t pairs the worst term was never below 0
+        points = [(0.0, np.array([2.0])), (1.0, np.array([1.0]))]
+        rep = check_mayer_inequality(points, lambda x: 0.0, [np.zeros(1)], tol=1e-3)
+        assert rep.margin == pytest.approx(-3.0 - 1e-3)
+
+    def test_fixed_point_bound_violation_inside_tol_holds(self):
+        F = NonexpansiveMap.scalar(0.0)
+        bound = (math.exp(2) - 1) / 2  # d(x, F(x)) = 1 at x = 1, t = 1
+        rep = check_semigroup_fixed_point_bound(
+            F, lambda x, t: x - (bound + 1e-6), [(np.array([1.0]), 1.0)], tol=1e-3)
+        assert rep.status == "holds" and rep.margin <= 0
+
+    def test_violation_beyond_tol(self):
+        F = NonexpansiveMap.scalar(0.0)
+        bound = (math.exp(2) - 1) / 2
+        rep = check_semigroup_fixed_point_bound(
+            F, lambda x, t: x - (bound + 2e-3), [(np.array([1.0]), 1.0)], tol=1e-3)
+        assert rep.status == "holds_within_tolerance"
+        assert 0 < rep.margin <= 3e-3
