@@ -60,7 +60,8 @@ class ParameterCurve:
 
     Kinds: constant(c); affine(a, b) evaluating a*t + b; piecewise
     (breaks, values) right-continuous step function; table (ts, values)
-    linear interpolation.
+    linear interpolation.  A curve takes one time or an array of times and
+    answers elementwise.
     """
 
     kind: str = "constant"
@@ -72,16 +73,16 @@ class ParameterCurve:
     lower: Optional[float] = None
     upper: Optional[float] = None
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
         if self.kind == "constant":
-            return self.c
+            return self.c + 0.0 * t  # broadcasts; a float time costs two float ops
         if self.kind == "affine":
             return self.a * t + self.b
         if self.kind == "piecewise":
-            idx = int(np.searchsorted(self.breaks, t, side="right"))
-            return self.values[min(idx, len(self.values) - 1)]
+            idx = np.searchsorted(self.breaks, t, side="right")
+            return np.asarray(self.values, dtype=float)[np.minimum(idx, len(self.values) - 1)]
         if self.kind == "table":
-            return float(np.interp(t, self.breaks, self.values))
+            return np.interp(t, self.breaks, self.values)
         raise ValueError(f"unknown curve kind {self.kind!r}")
 
     @classmethod
@@ -124,7 +125,7 @@ class ParameterCurve:
         raise ValueError(f"unknown curve kind {kind!r}")
 
     def validate_bounds(self, ts: np.ndarray) -> None:
-        vals = np.array([self(t) for t in ts])
+        vals = self(np.asarray(ts, dtype=float))
         if self.lower is not None and vals.min() < self.lower - 1e-12:
             raise IntegrationError(
                 f"declared lower bound {self.lower} violated: min {vals.min()}"
@@ -338,7 +339,7 @@ def integrate_first_order(T: NonexpansiveMap, lam: ParameterCurve, x0,
         return lam(t) * (fn(y) - y)
 
     ts, ys, dys, meta = _integrate(field, x0, horizon, step, "rk4/first_order")
-    lam.validate_bounds(ts[:: max(1, len(ts) // 256)])
+    lam.validate_bounds(ts)
     return Trajectory(space=space, ts=ts, xs=ys, dxs=dys, meta=meta)
 
 
@@ -353,11 +354,11 @@ def integrate_second_order(B: CocoerciveMap, lam: ParameterCurve,
     if space is None:
         space = SpaceDescriptor(dimension=d)
     if theta is not None:
-        for t in np.linspace(0, horizon, 64):
-            if gam(t) ** 2 / lam(t) < (1 + theta) / B.beta - 1e-9:
-                raise IntegrationError(
-                    f"parameter assumption gamma^2/lambda >= (1+theta)/beta fails at t={t}"
-                )
+        ts = np.linspace(0, horizon, 64)
+        bad = gam(ts) ** 2 / lam(ts) < (1 + theta) / B.beta - 1e-9
+        if bad.any():
+            raise IntegrationError("parameter assumption gamma^2/lambda >= (1+theta)/beta "
+                                   f"fails at t={ts[bad.argmax()]}")
 
     fn = B.fn
 
@@ -367,6 +368,8 @@ def integrate_second_order(B: CocoerciveMap, lam: ParameterCurve,
 
     y0 = np.concatenate([u0, v0])
     ts, ys, dys, meta = _integrate(field, y0, horizon, step, "rk4/second_order")
+    lam.validate_bounds(ts)
+    gam.validate_bounds(ts)
     return Trajectory(space=space, ts=ts, xs=ys[:, :d], dxs=dys[:, :d],
                       vs=ys[:, d:], dvs=dys[:, d:], meta=meta)
 
@@ -396,21 +399,18 @@ def integrate_forward_backward(order: str, A: MonotoneOperator, B: CocoerciveMap
             return lam(t) * (fn(y) - y)
 
         ts, ys, dys, meta = _integrate(field, x0, horizon, step, "rk4/fb_first")
+        lam.validate_bounds(ts)
         return Trajectory(space=space, ts=ts, xs=ys, dxs=dys, meta=meta)
 
     if gam is None or v0 is None:
         raise IntegrationError("second-order forward-backward needs gam and v0")
+    # Id - T is delta/2-cocoercive, so the second-order assumption
+    # gamma^2/lambda >= (1+theta)/beta reads gamma^2/lambda >= 2(1+theta)/delta
     delta = (4 * B.beta - gamma) / (2 * B.beta)
-    if theta is not None:
-        for t in np.linspace(0, horizon, 64):
-            if gam(t) ** 2 / lam(t) < 2 * (1 + theta) / delta - 1e-9:
-                raise IntegrationError(
-                    "parameter assumption gamma^2/lambda >= 2(1+theta)/delta fails"
-                )
     residual = CocoerciveMap(fn=lambda x: x - fn(x), beta=delta / 2,
                              name="fb_residual")
     return integrate_second_order(residual, lam, gam, x0, v0, horizon, step,
-                                  space=space)
+                                  theta=theta, space=space)
 
 
 # ---------------------------------------------------------------------------

@@ -120,15 +120,6 @@ class PerturbationFn:
                  f"unknown perturbation kind {self.kind!r}")
         _require(self.p > 0 and self.coef > 0, "perturbation parameters must be positive")
 
-    def apply(self, a: RealLike) -> Real:
-        a = R(a)
-        if self.kind == "identity":
-            return a
-        value = a.powq(self.p)
-        if self.kind == "scaled_power":
-            value = value * R(self.coef)
-        return value
-
     def h_modulus(self) -> Callable[[Real], Real]:
         """h with H(a) < h(eps) -> a < eps (canonical for this shape)."""
         if self.kind == "identity":
@@ -889,8 +880,16 @@ def gradient_flow_bundle(b: RealLike, gamma_tb: Callable[[Real], int]) -> Modulu
     )
 
 
+_LN2_UPPER = Fraction(6931472, 10 ** 7)  # > ln 2 = 0.69314718...
+
+
 def _stojkovic_phi(b: Real, eps: Real) -> int:
+    """ceil(a e^a) for a = 4b/eps, refused before e^a is evaluated when a
+    exceeds max(1, B ln 2) for a budget of B bits, since then a e^a > 2^B."""
     arg = 4 * b / eps
+    if arg.bounds(64)[0] > max(1, get_budget_bits() * _LN2_UPPER):
+        raise BudgetExceeded(f"phi argument 4b/eps exceeds {get_budget_bits()} ln 2, "
+                             f"so phi exceeds 2^{get_budget_bits()}")
     return guard((arg * arg.exp()).ceil())
 
 

@@ -6,6 +6,12 @@ Descriptors are immutable after construction; evaluation is pure.  Resolvents
 and prox maps are supplied in closed form for the shipped zoo; a generic
 numeric prox fallback reports its achieved residual instead of pretending to
 be exact.
+
+Every config-addressable closure takes one point (d,) or a stack (..., d)
+and answers row by row (a convex value is a float for one point).  Rows of
+elementwise closures and of ``space.row_norm`` have the bits of single-point
+calls; matrix closures, written ``x @ M.T`` to keep the single-point bits of
+``M @ x``, agree row by row only up to rounding.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.stats import qmc
 
-from .space import SpaceDescriptor
+from .space import SpaceDescriptor, row_norm
 
 __all__ = [
     "NonexpansiveMap",
@@ -84,7 +90,7 @@ class NonexpansiveMap:
         norm = float(np.linalg.norm(matrix, 2))
         if norm > 1.0 + 1e-12:
             raise OperatorError(f"matrix spectral norm {norm} > 1 is expansive")
-        return cls(fn=lambda x: matrix @ x + offset, name="affine",
+        return cls(fn=lambda x: x @ matrix.T + offset, name="affine",
                    contraction_factor=min(norm, 1.0))
 
     @classmethod
@@ -96,7 +102,7 @@ class NonexpansiveMap:
         theta = math.radians(angle_deg)
         m = np.array([[math.cos(theta), -math.sin(theta)],
                       [math.sin(theta), math.cos(theta)]])
-        return cls(fn=lambda x: m @ x, name=f"rotation({angle_deg})",
+        return cls(fn=lambda x: x @ m.T, name=f"rotation({angle_deg})",
                    contraction_factor=1.0, fixed_points=((0.0, 0.0),))
 
     @classmethod
@@ -107,10 +113,10 @@ class NonexpansiveMap:
 
         def fn(x):
             diff = x - center
-            norm = np.linalg.norm(diff)
-            if norm <= radius:
-                return x
-            return center + diff * (radius / norm)
+            norm = row_norm(diff)[..., None]
+            outside = norm > radius
+            scale = radius / np.where(outside, norm, 1.0)
+            return np.where(outside, center + diff * scale, x)
 
         return cls(fn=fn, name="projection_ball", contraction_factor=1.0)
 
@@ -169,7 +175,7 @@ class CocoerciveMap:
         lam_max = float(eigs.max())
         if lam_max == 0.0:
             return cls.zero()
-        return cls(fn=lambda x: matrix @ x, beta=1.0 / lam_max, name="linear_spd")
+        return cls(fn=lambda x: x @ matrix.T, beta=1.0 / lam_max, name="linear_spd")
 
 
 @dataclass(frozen=True)
@@ -200,7 +206,8 @@ class MonotoneOperator:
     def indicator_point(cls, point) -> "MonotoneOperator":
         """Subdifferential of the indicator of {point}; resolvent == point."""
         point = np.asarray(point, dtype=float)
-        return cls(resolvent=lambda gamma, x: point.copy(), name="indicator_point",
+        return cls(resolvent=lambda gamma, x: np.broadcast_to(point, np.shape(x)).copy(),
+                   name="indicator_point",
                    zeros=(tuple(point),))
 
     @classmethod
@@ -211,7 +218,7 @@ class MonotoneOperator:
             raise OperatorError("linear operator must be monotone (PSD symmetric part)")
         eye = np.eye(matrix.shape[0])
         return cls(
-            resolvent=lambda gamma, x: np.linalg.solve(eye + gamma * matrix, x),
+            resolvent=lambda gamma, x: np.linalg.solve(eye + gamma * matrix, x.T).T,
             name="linear",
         )
 
@@ -225,8 +232,9 @@ class ConvexFunction:
     name: str = "custom"
     prox_tol: float = 1e-10
 
-    def __call__(self, x: np.ndarray) -> float:
-        return float(self.value(np.asarray(x, dtype=float)))
+    def __call__(self, x: np.ndarray):
+        value = np.asarray(self.value(np.asarray(x, dtype=float)), dtype=float)
+        return float(value) if value.ndim == 0 else value
 
     def prox_point(self, t: float, x: np.ndarray) -> np.ndarray:
         """argmin_y value(y) + d^2(x, y) / (2 t); closed form when available,
@@ -251,7 +259,7 @@ class ConvexFunction:
             raise OperatorError("quadratic scale must be positive")
         c = np.zeros(dimension) if center is None else np.asarray(center, dtype=float)
         return cls(
-            value=lambda x: 0.5 * scale * float(np.dot(x - c, x - c)),
+            value=lambda x: 0.5 * scale * np.vecdot(x - c, x - c),
             prox=lambda t, x: (x + t * scale * c) / (1.0 + t * scale),
             mu=0.0,
             minimizers=(tuple(c),),
@@ -263,7 +271,7 @@ class ConvexFunction:
         if scale <= 0:
             raise OperatorError("l1 scale must be positive")
         return cls(
-            value=lambda x: scale * float(np.abs(x).sum()),
+            value=lambda x: scale * np.abs(x).sum(axis=-1),
             prox=lambda t, x: np.sign(x) * np.maximum(np.abs(x) - t * scale, 0.0),
             mu=0.0,
             minimizers=(tuple(np.zeros(dimension)),),
@@ -275,7 +283,7 @@ class ConvexFunction:
         center = np.asarray(center, dtype=float)
         proj = NonexpansiveMap.projection_ball(center, radius)
         return cls(
-            value=lambda x: 0.0 if np.linalg.norm(x - center) <= radius + 1e-12 else math.inf,
+            value=lambda x: np.where(row_norm(x - center) <= radius + 1e-12, 0.0, math.inf),
             prox=lambda t, x: proj(x),
             mu=0.0,
             minimizers=(tuple(center),),
@@ -287,7 +295,8 @@ class ConvexFunction:
         lower = np.asarray(lower, dtype=float)
         upper = np.asarray(upper, dtype=float)
         return cls(
-            value=lambda x: 0.0 if np.all((x >= lower - 1e-12) & (x <= upper + 1e-12)) else math.inf,
+            value=lambda x: np.where(
+                np.all((x >= lower - 1e-12) & (x <= upper + 1e-12), axis=-1), 0.0, math.inf),
             prox=lambda t, x: np.clip(x, lower, upper),
             mu=0.0,
             name="indicator_box",
@@ -393,16 +402,11 @@ def check_nonexpansive(map_: NonexpansiveMap, space: SpaceDescriptor,
         raise OperatorError("need at least one sample")
     pts = ball_samples(space, 2 * n_samples, radius, seed=seed)
     xs, ys = pts[:n_samples], pts[n_samples:]
-    max_ratio = 0.0
-    violations = 0
-    for x, y in zip(xs, ys):
-        denom = space.distance(x, y)
-        if denom < 1e-14:
-            continue
-        ratio = space.distance(map_(x), map_(y)) / denom
-        max_ratio = max(max_ratio, ratio)
-        if ratio > 1.0 + tol:
-            violations += 1
+    denom = row_norm(xs - ys)
+    kept = denom >= 1e-14
+    ratio = row_norm(map_(xs[kept]) - map_(ys[kept])) / denom[kept]
+    max_ratio = float(ratio.max(initial=0.0))
+    violations = int((~(ratio <= 1.0 + tol)).sum())  # a NaN ratio violates
     return PropertyReport(name=f"nonexpansive[{map_.name}]",
                           n_samples=n_samples, violations=violations,
                           max_ratio=max_ratio, tol=tol)
@@ -416,21 +420,14 @@ def check_cocoercive(B: CocoerciveMap, space: SpaceDescriptor,
         raise OperatorError("need at least one sample")
     pts = ball_samples(space, 2 * n_samples, radius, seed=seed)
     xs, ys = pts[:n_samples], pts[n_samples:]
-    max_ratio = 0.0
-    violations = 0
-    for x, y in zip(xs, ys):
-        db = B(x) - B(y)
-        lhs = B.beta * float(np.dot(db, db))
-        rhs = float(np.dot(x - y, db))
-        if lhs <= tol and rhs <= tol:
-            ratio = 1.0
-        elif rhs <= tol:
-            ratio = math.inf
-        else:
-            ratio = lhs / rhs
-        max_ratio = max(max_ratio, ratio)
-        if ratio > 1.0 + tol:
-            violations += 1
+    db = B(xs) - B(ys)
+    lhs = B.beta * np.vecdot(db, db)
+    rhs = np.vecdot(xs - ys, db)
+    ratio = np.full(n_samples, math.inf)
+    np.divide(lhs, rhs, out=ratio, where=rhs > tol)
+    ratio[(lhs <= tol) & (rhs <= tol)] = 1.0
+    max_ratio = float(ratio.max())
+    violations = int((ratio > 1.0 + tol).sum())
     return PropertyReport(name=f"cocoercive[{B.name}]",
                           n_samples=n_samples, violations=violations,
                           max_ratio=max_ratio, tol=tol)

@@ -42,13 +42,14 @@ from .operators import (
     make_nonexpansive,
     stojkovic_resolvent,
 )
-from .space import SpaceDescriptor
+from .space import SpaceDescriptor, row_norm
 from .verify import (
     HOLDS,
     INCONCLUSIVE,
     VIOLATED,
     SolutionFunction,
     VerificationReport,
+    _window_points,
     check_asymptotic_regularity,
     check_b_convergence,
     check_convergence_rate,
@@ -146,6 +147,15 @@ def _cocoercive(space: SpaceDescriptor, cfg: dict) -> CocoerciveMap:
     return B
 
 
+def _curve(cfg: dict, key: str) -> ParameterCurve:
+    """The curve ``curves.<key>``.  Its certificates are built from its
+    declared range, so both ends of that range must be declared."""
+    curve = ParameterCurve.from_spec(cfg["curves"][key])
+    if curve.lower is None or curve.upper is None:
+        raise ConfigError(f"config key 'curves.{key}' needs 'lower' and 'upper' bounds")
+    return curve
+
+
 def _second_order_consts(cfg: dict, lam: ParameterCurve, gam: ParameterCurve,
                          theta: float, beta: float):
     """Boundedness constants of a second-order flow from the config bounds
@@ -166,18 +176,13 @@ def _counterfunctions(cfg: dict) -> list[Counterfunction]:
     )]
 
 
-def _perturbed_level_points(y: np.ndarray, residual_fn, radii=(1e-3, 1e-2, 0.05)):
+def _perturbed_level_points(y: np.ndarray, residual: SolutionFunction,
+                            radii=(1e-3, 1e-2, 0.05)):
     """Perturb a known solution in coordinate directions; residuals of the
-    perturbed points come from the closed-form operator evaluation."""
-    pts = []
-    d = y.shape[0]
-    for r in radii:
-        for i in range(d):
-            z = y.copy()
-            z[i] += r
-            pts.append((z, float(residual_fn(z))))
-    pts.append((y.copy(), float(residual_fn(y))))
-    return pts
+    perturbed points come from the closed-form operator evaluation, without
+    the ball restriction."""
+    zs = np.vstack([y + r * np.eye(len(y)) for r in radii] + [y])
+    return list(zip(zs, residual.residual(zs)))
 
 
 def _distance_monotone_report(traj: Trajectory, y: np.ndarray,
@@ -191,11 +196,8 @@ def _distance_monotone_report(traj: Trajectory, y: np.ndarray,
 def _derivative_bound_report(traj: Trajectory, T: NonexpansiveMap,
                              claim: str = "derivative_residual_bound") -> VerificationReport:
     stride = max(1, len(traj.ts) // 512)
-    worst = -math.inf
-    for i in range(0, len(traj.ts), stride):
-        x = traj.xs[i]
-        worst = max(worst, float(np.linalg.norm(traj.dxs[i])
-                                 - np.linalg.norm(T(x) - x)))
+    xs = traj.xs[::stride]
+    worst = float((row_norm(traj.dxs[::stride]) - row_norm(T(xs) - xs)).max())
     tol = 3 * traj.est_err
     return report_from_margin(claim, worst, tol)
 
@@ -225,7 +227,7 @@ def _first_order_rates(b: float, lam: ParameterCurve, delta: float = 1.0):
 def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
     space = SpaceDescriptor.from_json(cfg["space"])
     T = make_nonexpansive(space, cfg["operators"]["T"])
-    lam = ParameterCurve.from_spec(cfg["curves"]["lambda"])
+    lam = _curve(cfg, "lambda")
     x0 = space.point(cfg["initial"]["x0"])
     y = space.point(cfg["solution"]["point"])
     b = float(cfg["solution"]["b"])
@@ -243,8 +245,7 @@ def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
 
     residual = SolutionFunction.fixed_point_residual(T, center=y, radius=b)
     chi = lambda e, n, m: e / (4 * b * m)
-    level_points = _perturbed_level_points(
-        y, lambda z: float(np.linalg.norm(z - T(z))))
+    level_points = _perturbed_level_points(y, residual)
     out.add(check_fejer(traj, residual, level_points, PerturbationPair.squares(),
                         chi))
 
@@ -291,10 +292,9 @@ def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
                     {"beta": tau_lo, "k": k, "p": 2}, c_rate)
         d0 = space.distance(x0, y)
         tol = 3 * traj.est_err
-        worst = -math.inf
-        for t in np.linspace(0.0, min(20.0, traj.horizon), 400):
-            bound = c_rate ** math.floor(t) * d0 * (1 + 1e-6)
-            worst = max(worst, space.distance(traj.eval(t), y) - bound)
+        times = np.linspace(0.0, min(20.0, traj.horizon), 400)
+        bound = c_rate ** np.floor(times) * d0 * (1 + 1e-6)
+        worst = float((row_norm(_window_points(traj, times) - y) - bound).max())
         out.add(report_from_margin("exponential_rate", worst, tol, {"c": c_rate}))
 
 
@@ -324,8 +324,8 @@ def _second_order_error_model(consts, traj: Trajectory):
 def _run_second_order(cfg: dict, out: ScenarioOutcome) -> None:
     space = SpaceDescriptor.from_json(cfg["space"])
     B = _cocoercive(space, cfg)
-    lam = ParameterCurve.from_spec(cfg["curves"]["lambda"])
-    gam = ParameterCurve.from_spec(cfg["curves"]["gamma"])
+    lam = _curve(cfg, "lambda")
+    gam = _curve(cfg, "gamma")
     theta = float(cfg["theta"])
     u0 = space.point(cfg["initial"]["x0"])
     v0 = space.point(cfg["initial"]["v0"])
@@ -342,10 +342,9 @@ def _run_second_order(cfg: dict, out: ScenarioOutcome) -> None:
 
     oracle = cfg.get("oracle")
     if oracle:
-        worst = -math.inf
-        for t in oracle.get("times", [0.5, 1.0, 2.0, 5.0]):
-            value = sum(coef * math.exp(rate * t) for coef, rate in oracle["terms"])
-            worst = max(worst, abs(traj.eval(t)[0] - value))
+        times = np.asarray(oracle.get("times", [0.5, 1.0, 2.0, 5.0]), dtype=float)
+        value = sum(coef * np.exp(rate * times) for coef, rate in oracle["terms"])
+        worst = np.abs(_window_points(traj, times)[:, 0] - value).max()
         out.add(report_from_margin("closed_form_match", worst - 1e-6, 1e-6,
                                    {"max_error": worst}))
 
@@ -370,7 +369,7 @@ def _run_second_order(cfg: dict, out: ScenarioOutcome) -> None:
         B, center=z, radius=consts.K.to_float())
     K = consts.K.to_float()
     chi = lambda e, n, m: float(consts.gam_lo) * e / (m * float(consts.lam_hi) * 8 * K)
-    level_points = _perturbed_level_points(z, lambda p: float(np.linalg.norm(B(p))))
+    level_points = _perturbed_level_points(z, residual)
     pair = PerturbationPair.squares(Fraction(consts.gam_hi, consts.gam_lo))
     out.add(check_fejer(traj, residual, level_points, pair, chi,
                         error_model=_second_order_error_model(consts, traj),
@@ -400,7 +399,7 @@ def _run_forward_backward_first(cfg: dict, out: ScenarioOutcome) -> None:
     A = make_monotone(space, cfg["operators"]["A"])
     B = make_cocoercive(space, cfg["operators"]["B"])
     gamma = float(cfg["gamma"])
-    lam = ParameterCurve.from_spec(cfg["curves"]["lambda"])
+    lam = _curve(cfg, "lambda")
     x0 = space.point(cfg["initial"]["x0"])
     y = space.point(cfg["solution"]["point"])
     b = float(cfg["solution"]["b"])
@@ -422,24 +421,17 @@ def _run_forward_backward_first(cfg: dict, out: ScenarioOutcome) -> None:
 
     # approximate zeros of A + B from arbitrary points
     pts = ball_samples(space, 100, radius=2.0, seed=7)
-    worst = -math.inf
-    min_margin = math.inf
-    for x in pts:
-        v, w, bound = extract_approximate_zero(x, A, B, gamma, B.beta)
-        excess = float(np.linalg.norm(w)) - bound
-        worst = max(worst, excess)
-        min_margin = min(min_margin, -excess)
-    out.add(report_from_margin("approximate_zero_bound", worst, 1e-12,
-                               {"min_margin": min_margin, "n_points": len(pts)}))
+    _, w, bound = extract_approximate_zero(pts, A, B, gamma, B.beta)
+    excess = row_norm(w) - bound
+    out.add(report_from_margin("approximate_zero_bound", float(excess.max()), 1e-12,
+                               {"min_margin": float((-excess).min()),
+                                "n_points": len(pts)}))
 
     # key inequality behind the B-convergence rate
-    worst = -math.inf
-    for zpt in pts[:32]:
-        lhs = gamma * B.beta * float(np.linalg.norm(B(zpt) - B(y))) ** 2
-        rhs = (1 + gamma / B.beta) * float(np.linalg.norm(zpt - y)) \
-            * float(np.linalg.norm(T(zpt) - zpt))
-        worst = max(worst, lhs - rhs)
-    out.add(report_from_margin("fb_b_inequality", worst, 1e-9))
+    zpts = pts[:32]
+    lhs = gamma * B.beta * row_norm(B(zpts) - B(y)) ** 2
+    rhs = (1 + gamma / B.beta) * row_norm(zpts - y) * row_norm(T(zpts) - zpts)
+    out.add(report_from_margin("fb_b_inequality", float((lhs - rhs).max()), 1e-9))
 
     phi1, _, tau_lo = _first_order_rates(b, lam, delta=delta)
     psi = lambda e: phi1(gamma * B.beta * e * e / (3 * b))
@@ -469,8 +461,8 @@ def _run_forward_backward_second(cfg: dict, out: ScenarioOutcome) -> None:
     A = make_monotone(space, cfg["operators"]["A"])
     B = make_cocoercive(space, cfg["operators"]["B"])
     eta_step = float(cfg["eta"])
-    lam = ParameterCurve.from_spec(cfg["curves"]["lambda"])
-    gam = ParameterCurve.from_spec(cfg["curves"]["gamma"])
+    lam = _curve(cfg, "lambda")
+    gam = _curve(cfg, "gamma")
     theta = float(cfg["theta"])
     u0 = space.point(cfg["initial"]["x0"])
     v0 = space.point(cfg["initial"]["v0"])
@@ -511,11 +503,9 @@ def _run_forward_backward_second(cfg: dict, out: ScenarioOutcome) -> None:
                                               claim="theta_metastability"))
 
     pts = ball_samples(space, 50, radius=1.0, seed=11)
-    worst = -math.inf
-    for x in pts:
-        v, w, bound = extract_approximate_zero(x, A, B, eta_step, B.beta)
-        worst = max(worst, float(np.linalg.norm(w)) - bound)
-    out.add(report_from_margin("approximate_zero_bound", worst, 1e-12))
+    _, w, bound = extract_approximate_zero(pts, A, B, eta_step, B.beta)
+    out.add(report_from_margin("approximate_zero_bound",
+                               float((row_norm(w) - bound).max()), 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +574,10 @@ def _run_gradient_flow(cfg: dict, out: ScenarioOutcome) -> None:
                                    tol=3 * traj.est_err))
 
     # objective decay phi(S_t x) - mu <= b^2 / (2 t)
-    worst = -math.inf
-    for t in cfg.get("objective_times", [1.0, 2.0, 10.0]):
-        gap = float(phi(traj.eval(t)) - phi.mu)
-        worst = max(worst, gap - b * b / (2 * t))
-    out.add(report_from_margin("objective_rate", worst, 3 * traj.est_err))
+    times = np.asarray(cfg.get("objective_times", [1.0, 2.0, 10.0]), dtype=float)
+    gap = phi(_window_points(traj, times)) - phi.mu
+    out.add(report_from_margin("objective_rate", float((gap - b * b / (2 * times)).max()),
+                               3 * traj.est_err))
 
     meta_cfg = cfg.get("metastability", {})
     eps = float(meta_cfg.get("eps", 1.0))

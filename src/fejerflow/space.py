@@ -16,6 +16,7 @@ __all__ = [
     "UnsupportedOperation",
     "SpaceDescriptor",
     "euclidean",
+    "row_norm",
 ]
 
 
@@ -99,3 +100,9 @@ class SpaceDescriptor:
 
 def euclidean(dimension: int) -> SpaceDescriptor:
     return SpaceDescriptor(kind="euclidean", dimension=dimension)
+
+
+def row_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis.  Each row has the bits of
+    ``np.linalg.norm`` on that row alone (``axis=-1`` there differs)."""
+    return np.sqrt(np.vecdot(x, x))

@@ -6,6 +6,9 @@ where est_err comes from the integrator and the grid slack is certified from
 the trajectory's Lipschitz estimate (slack = Lip * grid).  A claim is reported
 violated only when the margin exceeds 3x the derived tolerance; beyond-horizon
 outcomes are inconclusive, never violations.
+
+Solution functions and tail values take stacks of points; dense output stays
+scalar, and ``_window_points`` is the one place that stacks it over times.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import numpy as np
 from .counterfunctions import Counterfunction
 from .exact import ExtendedNatural
 from .flows import Trajectory
-from .moduli import PerturbationPair, SecondOrderConstants
+from .moduli import PerturbationFn, PerturbationPair, SecondOrderConstants
 from .operators import CocoerciveMap, MonotoneOperator, NonexpansiveMap, forward_backward_map
+from .space import row_norm
 
 __all__ = [
     "SolutionFunction",
@@ -57,41 +61,35 @@ INCONCLUSIVE_OVERFLOW = "inconclusive_overflow"
 @dataclass
 class SolutionFunction:
     """Nonnegative residual whose zero set encodes the solutions, restricted
-    to a ball (infinite outside)."""
+    to a ball (infinite outside).  It takes one point (a float answer) or a
+    stack of points (one answer per row)."""
 
     kind: str
-    residual: Callable[[np.ndarray], float]
+    residual: Callable[[np.ndarray], np.ndarray]
     center: Optional[np.ndarray] = None
     radius: Optional[float] = None
 
-    def __call__(self, z) -> float:
+    def __call__(self, z):
         z = np.asarray(z, dtype=float)
+        value = np.asarray(self.residual(z), dtype=float)
         if self.center is not None and self.radius is not None:
-            if np.linalg.norm(z - self.center) > self.radius + 1e-9:
-                return math.inf
-        value = float(self.residual(z))
-        if value < 0:
+            value = np.where(row_norm(z - self.center) > self.radius + 1e-9,
+                             math.inf, value)
+        if (value < 0).any():
             raise ValueError("solution functions are nonnegative")
-        return value
+        return float(value) if value.ndim == 0 else value
 
     @classmethod
     def fixed_point_residual(cls, T: NonexpansiveMap, center=None, radius=None):
         return cls(kind="fixed_point_residual",
-                   residual=lambda z: float(np.linalg.norm(z - T(z))),
+                   residual=lambda z: row_norm(z - T(z)),
                    center=None if center is None else np.asarray(center, dtype=float),
                    radius=radius)
 
     @classmethod
     def operator_norm_residual(cls, B: CocoerciveMap, center=None, radius=None):
         return cls(kind="operator_norm_residual",
-                   residual=lambda z: float(np.linalg.norm(B(z))),
-                   center=None if center is None else np.asarray(center, dtype=float),
-                   radius=radius)
-
-    @classmethod
-    def objective_gap(cls, phi, mu: float, center=None, radius=None):
-        return cls(kind="objective_gap",
-                   residual=lambda z: float(phi(z) - mu),
+                   residual=lambda z: row_norm(B(z)),
                    center=None if center is None else np.asarray(center, dtype=float),
                    radius=radius)
 
@@ -249,12 +247,10 @@ def _scan_windows(traj: Trajectory, eps: float, f: Counterfunction,
                               tolerance=tol, witness=witness, details=details)
 
 
-def _window_worst(traj: Trajectory, n: int, f: Counterfunction, grid: float,
-                  value: Callable[[float], float]) -> float:
-    """max of value(t) over the grid times of [n, n+f(n)]."""
-    times = _window_times(traj, float(n), float(f(n)), grid) \
+def _scan_times(traj: Trajectory, n: int, f: Counterfunction, grid: float) -> np.ndarray:
+    """The grid times of the window [n, n+f(n)]; just n when f(n) = 0."""
+    return _window_times(traj, float(n), float(f(n)), grid) \
         if f(n) > 0 else np.array([float(n)])
-    return max(value(float(t)) for t in times)
 
 
 def verify_metastability(traj: Trajectory, eps: float, f: Counterfunction,
@@ -273,8 +269,8 @@ def verify_metastability(traj: Trajectory, eps: float, f: Counterfunction,
         tol = _base_tolerance(traj, slack)
         ok = sup + slack <= eps + tol
         if ok and residual is not None:
-            worst = _window_worst(traj, n, f, grid, lambda t: residual(traj.eval(t)))
-            ok = worst <= eps + tol
+            pts = _window_points(traj, _scan_times(traj, n, f, grid))
+            ok = float(residual(pts).max()) <= eps + tol
         return ok, sup, tol
 
     return _scan_windows(traj, eps, f, certificate, grid, claim, window,
@@ -294,7 +290,7 @@ def verify_residual_metastability(traj: Trajectory,
     tol = _base_tolerance(traj, traj.lipschitz_estimate() * grid)
 
     def window(n):
-        worst = _window_worst(traj, n, f, grid, residual)
+        worst = max(residual(float(t)) for t in _scan_times(traj, n, f, grid))
         return worst <= eps + tol, worst, tol
 
     return _scan_windows(traj, eps, f, certificate, grid, claim, window,
@@ -304,6 +300,15 @@ def verify_residual_metastability(traj: Trajectory,
 # ---------------------------------------------------------------------------
 # quasi-Fejer monotonicity
 # ---------------------------------------------------------------------------
+
+
+def _perturb(fn: PerturbationFn, a: np.ndarray) -> np.ndarray:
+    """One side of a perturbation pair on an array of float distances:
+    a, a^p or coef a^p.  For p = 2 and coef 1 each value has the bits of the
+    exact square rounded to a float."""
+    if fn.kind == "identity":
+        return a
+    return float(fn.coef) * a ** float(fn.p)
 
 
 def check_fejer(traj: Trajectory, F: SolutionFunction,
@@ -322,8 +327,6 @@ def check_fejer(traj: Trajectory, F: SolutionFunction,
     residual exceeds the guard are skipped (vacuous).  ``error_model`` is a
     pair (s_part, t_part) of callables on times for separable errors.
     """
-    g_fn = lambda a: pair.G.apply(a).to_float()
-    h_fn = lambda a: pair.H.apply(a).to_float()
     worst = -math.inf
     checked = 0
     slack = traj.lipschitz_estimate() * grid
@@ -345,9 +348,8 @@ def check_fejer(traj: Trajectory, F: SolutionFunction,
                 if res > guard:
                     continue
                 dists = np.linalg.norm(pts - np.asarray(z)[None, :], axis=1)
-                h_vals = np.array([h_fn(d) for d in dists])
-                g_vals = np.array([g_fn(d) for d in dists])
-                viol = prefix_min_violation(h_vals, g_vals, s_err, t_err) - eps
+                viol = prefix_min_violation(_perturb(pair.H, dists), _perturb(pair.G, dists),
+                                            s_err, t_err) - eps
                 worst = max(worst, viol)
                 checked += 1
     tol = _base_tolerance(traj, slack)
@@ -362,10 +364,11 @@ def check_fejer(traj: Trajectory, F: SolutionFunction,
 # ---------------------------------------------------------------------------
 
 
-def _check_tail(traj: Trajectory, value: Callable[[np.ndarray], float],
+def _check_tail(traj: Trajectory, value: Callable[[np.ndarray], np.ndarray],
                 rate: Callable[[float], float], eps_list: Sequence[float],
                 claim: str) -> VerificationReport:
-    """Assert value(x(t)) <= eps for all sampled t >= rate(eps)."""
+    """Assert value(x(t)) <= eps for all sampled t >= rate(eps); ``value``
+    takes the stack of the 200 sampled points of each eps."""
     tol = _base_tolerance(traj)
     worst = -math.inf
     checked = 0
@@ -375,9 +378,9 @@ def _check_tail(traj: Trajectory, value: Callable[[np.ndarray], float],
         if t0 > traj.horizon:
             skipped.append(eps)
             continue
-        for t in np.linspace(t0, traj.horizon, 200):
-            worst = max(worst, value(traj.eval(t)) - eps)
-            checked += 1
+        times = np.linspace(t0, traj.horizon, 200)
+        worst = max(worst, float((value(_window_points(traj, times)) - eps).max()))
+        checked += len(times)
     details = {"eps_list": list(eps_list), "skipped_beyond_horizon": skipped}
     if checked == 0:
         return VerificationReport(claim, INCONCLUSIVE, tolerance=tol, details=details)
@@ -398,12 +401,13 @@ def check_convergence_rate(traj: Trajectory,
                            rho: Callable[[float], float],
                            eps_list: Sequence[float],
                            claim: str = "convergence_rate") -> VerificationReport:
-    """Assert dist(x(t), target) <= eps for all sampled t >= rho(eps)."""
+    """Assert dist(x(t), target) <= eps for all sampled t >= rho(eps); a
+    callable target maps a stack of points to their distances."""
     if callable(target):
         dist = target
     else:
         point = np.asarray(target, dtype=float)
-        dist = lambda x: float(np.linalg.norm(x - point))
+        dist = lambda x: row_norm(x - point)
     return _check_tail(traj, dist, rho, eps_list, claim)
 
 
@@ -415,12 +419,13 @@ def check_convergence_rate(traj: Trajectory,
 def extract_approximate_zero(x, A: MonotoneOperator, B: CocoerciveMap,
                              gamma: float, beta: float):
     """From any x, produce v = T(x) and w in (A+B)(v) with the certified bound
-    ||w|| <= (1/gamma + 1/beta) ||x - T(x)||."""
+    ||w|| <= (1/gamma + 1/beta) ||x - T(x)||.  On a stack of points, v and w
+    are stacks and the bound has one entry per row."""
     x = np.asarray(x, dtype=float)
     T = forward_backward_map(A, B, gamma)
     v = T(x)
     w = (x - v) / gamma + B(v) - B(x)
-    bound = (1.0 / gamma + 1.0 / beta) * float(np.linalg.norm(x - v))
+    bound = (1.0 / gamma + 1.0 / beta) * row_norm(x - v)
     return v, w, bound
 
 
@@ -431,7 +436,7 @@ def check_b_convergence(traj: Trajectory, B: CocoerciveMap, y,
     """Assert ||B(x(t)) - B(y)|| <= eps for sampled t >= psi(eps)."""
     y = np.asarray(y, dtype=float)
     by = B(y)
-    return _check_tail(traj, lambda x: float(np.linalg.norm(B(x) - by)), psi,
+    return _check_tail(traj, lambda x: row_norm(B(x) - by), psi,
                        eps_list, claim)
 
 
@@ -453,7 +458,7 @@ def check_second_order_bounds(traj: Trajectory, consts: SecondOrderConstants,
     dist = np.linalg.norm(traj.xs - z[None, :], axis=1)
     speed = np.linalg.norm(traj.vs, axis=1)
     accel = np.linalg.norm(traj.dvs, axis=1)
-    bnorm = np.linalg.norm(np.vstack([B(x) for x in traj.xs]), axis=1)
+    bnorm = np.linalg.norm(B(traj.xs), axis=1)
     K = consts.K.to_float()
     checks = {
         "dist_le_K": float(dist.max()) - K,
@@ -486,18 +491,19 @@ def check_mayer_inequality(points: Sequence[tuple[float, np.ndarray]],
                            phi, zs: Sequence[np.ndarray], tol: float,
                            claim: str = "mayer_inequality") -> VerificationReport:
     """d^2(S_t x, z) <= d^2(S_s x, z) - 2 (t - s)(phi(S_t x) - phi(z)) for all
-    sampled s < t and reference points z; ``points`` are (t, S_t x) pairs."""
-    worst = -math.inf
+    sampled s < t and reference points z; ``points`` are (t, S_t x) pairs.
+    ``phi`` takes a stack of points and returns one value per row, or one
+    value for all of them."""
     pts = sorted(points, key=lambda p: p[0])
-    for z in zs:
-        z = np.asarray(z, dtype=float)
-        phiz = float(phi(z))
-        for i, (s, xs_) in enumerate(pts):
-            ds2 = float(np.dot(xs_ - z, xs_ - z))
-            for t, xt in pts[i + 1:]:
-                dt2 = float(np.dot(xt - z, xt - z))
-                lhs = dt2 - (ds2 - 2 * (t - s) * (float(phi(xt)) - phiz))
-                worst = max(worst, lhs)
+    ts = np.array([t for t, _ in pts])
+    xs = np.array([x for _, x in pts])
+    zs = np.asarray(zs, dtype=float)
+    diff = xs[None, :, :] - zs[:, None, :]
+    d2 = np.vecdot(diff, diff)  # (z, sample)
+    gap = np.broadcast_to(phi(xs), ts.shape) - np.broadcast_to(phi(zs), (len(zs),))[:, None]
+    i, j = np.triu_indices(len(ts), k=1)  # the pairs s = ts[i] < t = ts[j]
+    lhs = d2[:, j] - (d2[:, i] - 2 * (ts[j] - ts[i]) * gap[:, j])
+    worst = float(lhs.max(initial=-math.inf))
     return report_from_margin(claim, worst - tol, tol)
 
 

@@ -1,14 +1,24 @@
-"""The traced benchmark's hooks still name existing fejerflow functions.
+"""The benchmark's hooks still name existing fejerflow functions, and the
+scalar contracts its certificate workload relies on still hold.
 
 ``suitebench/layers.py`` rebinds functions by name; a renamed or dropped name
 makes ``install`` raise, so the traced benchmark run breaks.  This test runs
-the same install and restore.
+the same install and restore.  ``suitebench/catalogue.py`` builds residuals
+such as ``lambda t: np.linalg.norm(traj.eval(t))``: were dense output or the
+residual calls batched, those norms would silently reduce over a whole window.
 """
 
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 from fejerflow import moduli
+from fejerflow.counterfunctions import Counterfunction
+from fejerflow.exact import ExtendedNatural
+from fejerflow.flows import ParameterCurve, integrate_first_order, integrate_second_order
+from fejerflow.operators import CocoerciveMap, NonexpansiveMap
+from fejerflow.verify import verify_residual_metastability
 
 SUITEBENCH = Path(__file__).resolve().parent.parent / "suitebench"
 
@@ -33,3 +43,28 @@ def test_layers_install_wraps_every_moduli_function(monkeypatch):
         tracer.restore()
     assert all(vars(moduli)[name] is fn for name, fn in functions.items())
     assert not tracer.patched_names()
+
+
+def test_dense_output_and_residual_calls_stay_scalar():
+    first = integrate_first_order(NonexpansiveMap.scalar(0.5), ParameterCurve.constant(0.5),
+                                  [0.6, 0.8], 6.0, 0.01)
+    second = integrate_second_order(CocoerciveMap.identity(), ParameterCurve.constant(2.0),
+                                    ParameterCurve.constant(3.0), [1.0, 0.5], [0.0, 0.0],
+                                    6.0, 0.01)
+    for t in (0.0, 0.37, 2.0):
+        assert first.eval(t).shape == (2,)
+        assert second.eval(t).shape == (2,)
+        assert second.eval_velocity(t).shape == (2,)
+
+    calls = []
+
+    def residual(t):
+        calls.append(t)
+        return 1.0 if t < 3.0 else 0.0
+
+    report = verify_residual_metastability(first, residual, 0.5, Counterfunction.constant(1),
+                                           ExtendedNatural(5), grid=0.25)
+    assert report.witness == 3
+    # windows [n, n + 1] for n = 0..3, five grid times each, one call per time
+    assert calls == [float(t) for n in range(4) for t in np.linspace(n, n + 1, 5)]
+    assert all(type(t) is float for t in calls)

@@ -117,6 +117,23 @@ class TestRun:
         assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
         assert "'solution.b'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("builtin, curves, key", [
+        ("first_order_contraction_1d", {"lambda": {"kind": "affine", "a": 0, "b": 0.5}},
+         "lambda"),
+        ("forward_backward_first_order", {"lambda": {"kind": "affine", "a": 0, "b": 0.5}},
+         "lambda"),
+        ("second_order_linear", {"lambda": {"kind": "affine", "a": 0, "b": 2.0},
+                                 "gamma": {"kind": "constant", "c": 3.0}}, "lambda"),
+        ("forward_backward_second_order", {"lambda": {"kind": "constant", "c": 1.0},
+                                           "gamma": {"kind": "affine", "a": 0, "b": 3.0,
+                                                     "lower": 3.0}}, "gamma"),
+    ])
+    def test_undeclared_curve_range_exit_two(self, tmp_path, capsys, builtin, curves, key):
+        # certificates are built from the declared range of each curve
+        cfg = write_config(tmp_path, {"builtin": builtin, "overrides": {"curves": curves}})
+        assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
+        assert f"'curves.{key}'" in capsys.readouterr().err
+
     def test_negative_scenario_exit_one(self, tmp_path):
         cfg = write_config(tmp_path, {"builtin": "negative_wrong_beta"})
         out = tmp_path / "art"

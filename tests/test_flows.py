@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fejerflow import flows
 from fejerflow.flows import (
@@ -50,6 +52,53 @@ class TestParameterCurves:
     def test_from_spec(self):
         assert ParameterCurve.from_spec(0.5).c == 0.5
         assert ParameterCurve.from_spec({"kind": "constant", "c": 1.0}).upper == 1.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 16),
+                  elements=st.floats(0.0, 10.0, allow_subnormal=False)))
+    def test_array_of_times_matches_single_times(self, ts):
+        curves = [ParameterCurve.constant(0.5), ParameterCurve.affine(-0.2, 3.0),
+                  ParameterCurve.piecewise([1.0, 2.5], [0.1, 0.5, 0.9]),
+                  ParameterCurve.table([0.0, 2.0, 5.0], [0.0, 1.0, 0.25])]
+        for curve in curves:
+            singles = [curve(float(t)) for t in ts]
+            assert all(np.ndim(v) == 0 for v in singles), curve.kind
+            rows = curve(ts)
+            assert rows.shape == ts.shape, curve.kind
+            assert rows.tobytes() == np.array(singles, dtype=float).tobytes(), curve.kind
+
+
+class TestCurveRanges:
+    """Every integrator checks its curves against their declared ranges on
+    the whole fine grid, since certificates are built from those ranges."""
+
+    def test_first_order_checks_every_fine_time(self):
+        # lambda leaves its declared range only on [1, 1.0005), one fine step
+        lam = ParameterCurve.piecewise([1.0, 1.0005], [0.5, 0.9, 0.5], lower=0.0, upper=0.6)
+        with pytest.raises(IntegrationError, match="upper bound 0.6"):
+            integrate_first_order(NonexpansiveMap.scalar(0.5), lam, [1.0], 2.0, 1e-3)
+
+    def test_forward_backward_first_checks_lambda(self):
+        # 0.1 t + 0.2 reaches 1.2 at t = 10, past its declared upper 0.5
+        lam = ParameterCurve.affine(0.1, 0.2, lower=0.2, upper=0.5)
+        with pytest.raises(IntegrationError, match="upper bound 0.5"):
+            integrate_forward_backward("first", MonotoneOperator.zero(),
+                                       CocoerciveMap.identity(), 1.0, lam, [0.1], 10.0, 0.1)
+
+    def test_second_order_checks_gamma(self):
+        # 3 - 0.2 t falls below its declared lower 2.5 after t = 2.5
+        gam = ParameterCurve.affine(-0.2, 3.0, lower=2.5, upper=3.0)
+        with pytest.raises(IntegrationError, match="lower bound 2.5"):
+            integrate_second_order(CocoerciveMap.identity(), ParameterCurve.constant(1.0),
+                                   gam, [1.0], [0.0], 10.0, 0.1)
+
+    def test_forward_backward_second_checks_gamma(self):
+        gam = ParameterCurve.affine(-0.2, 3.0, lower=2.5, upper=3.0)
+        with pytest.raises(IntegrationError, match="lower bound 2.5"):
+            integrate_forward_backward("second", MonotoneOperator.zero(),
+                                       CocoerciveMap.identity(), 1.0,
+                                       ParameterCurve.constant(1.0), [0.5], 10.0, 0.1,
+                                       gam=gam, v0=[0.0])
 
 
 class TestFirstOrderIntegration:

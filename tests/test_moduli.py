@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import oracles
@@ -33,6 +34,7 @@ from fejerflow.moduli import (
     second_order_constants,
     stojkovic_bundle,
 )
+from fejerflow.verify import _perturb
 
 
 class TestAAS1:
@@ -487,9 +489,10 @@ class TestPerturbationPairs:
         assert scaled.g_modulus()(R(1)).exact == F(1, 2)  # (eps/c)^(1/p)
 
     def test_apply(self):
+        # check_fejer applies G and H as floats over its distance array
         pair = PerturbationPair.squares()
-        assert pair.H.apply(3).exact == 9
-        assert pair.G.apply(2).exact == 4
+        assert _perturb(pair.H, np.array([3.0]))[0] == 9
+        assert _perturb(pair.G, np.array([2.0]))[0] == 4
 
 
 def _overflowing_calls():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fejerflow.operators import (
     CocoerciveMap,
@@ -14,7 +16,9 @@ from fejerflow.operators import (
     check_cocoercive,
     check_nonexpansive,
     forward_backward_map,
+    make_cocoercive,
     make_convex_function,
+    make_monotone,
     make_nonexpansive,
     stojkovic_resolvent,
 )
@@ -135,6 +139,12 @@ class TestPropertyCheckers:
         rep = check_cocoercive(CocoerciveMap.zero(beta=5.0), euclidean(2))
         assert rep.passed
 
+    def test_non_finite_map_violates(self):
+        nan = NonexpansiveMap(fn=lambda x: x * np.nan, name="nan")
+        assert check_nonexpansive(nan, euclidean(2)).violations == 64
+        nan_b = CocoerciveMap(fn=lambda x: x * np.nan, beta=1.0, name="nan")
+        assert check_cocoercive(nan_b, euclidean(2)).violations == 64
+
     def test_sampling_deterministic(self):
         s = euclidean(3)
         a = ball_samples(s, 16, 2.0, seed=1)
@@ -178,3 +188,80 @@ class TestConvexFunctions:
         s = euclidean(1)
         phi = make_convex_function(s, {"op": "quad_prox", "scale": 1.0})
         assert phi.prox_point(1.0, np.array([2.0]))[0] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the (..., d) -> (..., d) contract
+# ---------------------------------------------------------------------------
+
+_MATRIX_OPS = {"affine", "linear", "rotation", "linear_spd"}
+
+
+def _zoo(d: int) -> list:
+    """Every config-addressable closure at dimension d, as (name, f, exact):
+    exact closures must give each row of a stack the bits of its
+    single-point call; matrix closures agree up to rounding."""
+    rng = np.random.default_rng(d)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    a = rng.standard_normal((d, d))
+    spd = a @ a.T / np.linalg.norm(a @ a.T, 2)
+    k = rng.standard_normal((d, d))
+    point = [0.5] * d
+    space = euclidean(d)
+    nonexpansive = [{"op": "identity"}, {"op": "scalar", "c": 0.5}, {"op": "negation"},
+                    {"op": "affine", "matrix": (0.9 * q).tolist(), "offset": point},
+                    {"op": "linear", "matrix": (0.9 * q).tolist()},
+                    {"op": "projection_ball", "center": point, "radius": 1.0}]
+    if d == 2:
+        nonexpansive.append({"op": "rotation", "angle_deg": 30.0})
+    cocoercive = [{"op": "identity"}, {"op": "zero"}, {"op": "scaled_identity", "c": 2.0},
+                  {"op": "linear_spd", "matrix": spd.tolist()}]
+    monotone = [{"op": "zero"}, {"op": "scaled_identity", "c": 2.0},
+                {"op": "indicator_point", "point": point},
+                {"op": "linear", "matrix": (k - k.T + np.eye(d)).tolist()}]
+    convex = [{"op": "quadratic", "scale": 2.0, "center": point}, {"op": "l1", "scale": 0.5},
+              {"op": "indicator_ball", "center": point, "radius": 1.0},
+              {"op": "indicator_box", "lower": [-1.0] * d, "upper": [1.0] * d}]
+    zoo = [(f"T.{spec['op']}", make_nonexpansive(space, spec), spec["op"] not in _MATRIX_OPS)
+           for spec in nonexpansive]
+    Bs = [(spec["op"], make_cocoercive(space, spec)) for spec in cocoercive]
+    As = [(spec["op"], make_monotone(space, spec)) for spec in monotone]
+    zoo += [(f"B.{op}", B, op not in _MATRIX_OPS) for op, B in Bs]
+    zoo += [(f"A.{op}", lambda x, A=A: A.resolve(0.7, x), op != "linear") for op, A in As]
+    for spec in convex:
+        phi = make_convex_function(space, spec)
+        zoo += [(f"phi.{spec['op']}", phi, True),
+                (f"prox.{spec['op']}", lambda x, phi=phi: phi.prox_point(0.7, x), True)]
+    zoo += [(f"fb.{a_op}.{b_op}", forward_backward_map(A, B, 0.5 * B.beta),
+             a_op != "linear" and b_op not in _MATRIX_OPS)
+            for a_op, A in As for b_op, B in Bs]
+    return zoo
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_zoo_rows_match_single_point_calls(d, data):
+    n = data.draw(st.integers(1, 16))
+    xs = data.draw(arrays(np.float64, (n, d),
+                          elements=st.floats(-3.0, 3.0, allow_subnormal=False)))
+    for name, f, exact in _zoo(d):
+        rows = f(xs)
+        singles = [f(x) for x in xs]
+        if isinstance(f, ConvexFunction):
+            assert all(type(v) is float for v in singles), name
+            assert rows.shape == (n,), name
+        else:
+            assert all(v.shape == (d,) for v in singles), name
+            assert rows.shape == (n, d), name
+        for x, row, single in zip(xs, rows, singles):
+            if exact:
+                assert _same_bits(row, single), name
+            else:
+                # rounding of a matrix product, in units of the row's scale
+                scale = max(np.abs(x).max(), np.abs(single).max())
+                assert np.abs(row - single).max() <= 4 * np.spacing(scale), name

@@ -2,14 +2,18 @@
 
 import math
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fejerflow.counterfunctions import Counterfunction as CF
-from fejerflow.exact import ExtendedNatural as EN
+from fejerflow.exact import R, ExtendedNatural as EN
 from fejerflow.flows import ParameterCurve, integrate_first_order
-from fejerflow.moduli import PerturbationPair
-from fejerflow.operators import CocoerciveMap, MonotoneOperator, NonexpansiveMap
+from fejerflow.moduli import PerturbationFn, PerturbationPair
+from fejerflow.operators import CocoerciveMap, ConvexFunction, MonotoneOperator, NonexpansiveMap
 from fejerflow.space import euclidean
 from fejerflow.verify import (
     NeedsLongerTrajectory,
@@ -27,6 +31,7 @@ from fejerflow.verify import (
     verify_metastability,
     verify_residual_metastability,
 )
+from fejerflow.verify import _perturb
 
 
 @pytest.fixture(scope="module")
@@ -342,3 +347,72 @@ class TestMarginRule:
             F, lambda x, t: x - (bound + 2e-3), [(np.array([1.0]), 1.0)], tol=1e-3)
         assert rep.status == "holds_within_tolerance"
         assert 0 < rep.margin <= 3e-3
+
+
+class TestStackContract:
+    """Solution functions, zero extraction, the Mayer pairs and the Fejer
+    G/H take stacks and answer row by row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_solution_function_rows(self, d, data):
+        n = data.draw(st.integers(1, 16))
+        zs = data.draw(arrays(np.float64, (n, d),
+                              elements=st.floats(-3.0, 3.0, allow_subnormal=False)))
+        center = np.full(d, 0.5)
+        for F in (SolutionFunction.fixed_point_residual(NonexpansiveMap.scalar(0.5),
+                                                        center=center, radius=2.0),
+                  SolutionFunction.fixed_point_residual(NonexpansiveMap.negation()),
+                  SolutionFunction.operator_norm_residual(CocoerciveMap.scaled_identity(2.0),
+                                                          center=center, radius=1.0)):
+            singles = [F(z) for z in zs]
+            assert all(type(v) is float for v in singles), F.kind
+            assert F(zs).tobytes() == np.array(singles).tobytes(), F.kind
+
+    def test_solution_function_infinite_outside_ball(self):
+        F = SolutionFunction.fixed_point_residual(NonexpansiveMap.scalar(0.5),
+                                                  center=[0.0], radius=1.0)
+        assert list(F(np.array([[0.5], [3.0]]))) == [0.25, math.inf]
+
+    def test_approximate_zero_rows(self):
+        A = MonotoneOperator.scaled_identity(1.0)
+        B = CocoerciveMap.scaled_identity(0.5)
+        from fejerflow.operators import ball_samples
+        xs = ball_samples(euclidean(2), 25, 3.0, seed=2)
+        vs, ws, bounds = extract_approximate_zero(xs, A, B, 1.0, B.beta)
+        for x, v, w, bound in zip(xs, vs, ws, bounds):
+            v1, w1, bound1 = extract_approximate_zero(x, A, B, 1.0, B.beta)
+            assert v.tobytes() == v1.tobytes() and w.tobytes() == w1.tobytes()
+            assert bound == bound1
+
+    def test_mayer_matches_pairwise_loop(self):
+        rng = np.random.default_rng(4)
+        points = [(float(t), rng.uniform(-1, 1, 2)) for t in rng.permutation(6)]
+        zs = [rng.uniform(-1, 1, 2) for _ in range(3)]
+        phi = ConvexFunction.quadratic(1.0, dimension=2)
+        worst = -math.inf
+        pts = sorted(points, key=lambda p: p[0])
+        for z in zs:
+            for i, (s, xs_) in enumerate(pts):
+                for t, xt in pts[i + 1:]:
+                    lhs = float(np.dot(xt - z, xt - z)) - (
+                        float(np.dot(xs_ - z, xs_ - z)) - 2 * (t - s) * (phi(xt) - phi(z)))
+                    worst = max(worst, lhs)
+        rep = check_mayer_inequality(points, phi, zs, tol=1e-3)
+        assert rep.margin == worst - 1e-3
+
+    def test_fejer_perturbation_floats_match_exact(self):
+        a = np.random.default_rng(3).random(10_000) * 10
+
+        def exact(fn):
+            return np.array([(R(float(x)).powq(fn.p) * R(fn.coef)).to_float() for x in a])
+
+        assert _perturb(PerturbationFn(), a) is a
+        square = PerturbationFn("power", Fraction(2))
+        assert _perturb(square, a).tobytes() == exact(square).tobytes()
+        # a non-dyadic coefficient is itself rounded to a float: one more ULP
+        for fn, ulps in ((PerturbationFn("scaled_power", Fraction(2), Fraction(3, 2)), 1),
+                         (PerturbationFn("power", Fraction(3, 2)), 1),
+                         (PerturbationFn("scaled_power", Fraction(2), Fraction(7, 5)), 2)):
+            got, want = _perturb(fn, a), exact(fn)
+            assert (np.abs(got - want) <= ulps * np.spacing(want)).all(), fn
