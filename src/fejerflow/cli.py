@@ -56,10 +56,10 @@ def _sanitize(obj):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
+    if isinstance(obj, np.floating):
+        obj = float(obj)  # and rounded like any float below
     if isinstance(obj, float):
         if math.isnan(obj):
             return None

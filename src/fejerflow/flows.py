@@ -29,6 +29,7 @@ from .operators import (
     MonotoneOperator,
     NonexpansiveMap,
     forward_backward_map,
+    forward_backward_residual,
 )
 from .space import SpaceDescriptor
 
@@ -324,14 +325,14 @@ def _integrate(field, y0: np.ndarray, horizon: float, step: float,
 def integrate_first_order(T: NonexpansiveMap, lam: ParameterCurve, x0,
                           horizon: float, step: float,
                           space: Optional[SpaceDescriptor] = None) -> Trajectory:
-    """Solve x'(t) = lambda(t) (T(x(t)) - x(t)) on [0, horizon]."""
+    """Solve x'(t) = lambda(t) (T(x(t)) - x(t)) on [0, horizon], 0 <= lambda <= T's cap."""
     x0 = np.asarray(x0, dtype=float)
     if space is None:
         space = SpaceDescriptor(dimension=x0.size)
-    if lam.lower is not None and lam.lower < -1e-12:
-        raise IntegrationError("lambda must map into [0, 1]")
-    if lam.upper is not None and lam.upper > 1.0 + 1e-12:
-        raise IntegrationError("lambda must map into [0, 1]")
+    cap = T.averaged_delta
+    if (lam.lower is not None and lam.lower < -1e-12) or \
+            (lam.upper is not None and lam.upper > cap + 1e-12):
+        raise IntegrationError(f"lambda must map into [0, {cap}]")
 
     fn = T.fn  # raw closure; the validating wrapper is per-call overhead here
 
@@ -353,12 +354,6 @@ def integrate_second_order(B: CocoerciveMap, lam: ParameterCurve,
     d = u0.size
     if space is None:
         space = SpaceDescriptor(dimension=d)
-    if theta is not None:
-        ts = np.linspace(0, horizon, 64)
-        bad = gam(ts) ** 2 / lam(ts) < (1 + theta) / B.beta - 1e-9
-        if bad.any():
-            raise IntegrationError("parameter assumption gamma^2/lambda >= (1+theta)/beta "
-                                   f"fails at t={ts[bad.argmax()]}")
 
     fn = B.fn
 
@@ -370,6 +365,11 @@ def integrate_second_order(B: CocoerciveMap, lam: ParameterCurve,
     ts, ys, dys, meta = _integrate(field, y0, horizon, step, "rk4/second_order")
     lam.validate_bounds(ts)
     gam.validate_bounds(ts)
+    if theta is not None:
+        bad = gam(ts) ** 2 / lam(ts) < (1 + theta) / B.beta - 1e-9
+        if bad.any():
+            raise IntegrationError("parameter assumption gamma^2/lambda >= (1+theta)/beta "
+                                   f"fails at t={ts[bad.argmax()]}")
     return Trajectory(space=space, ts=ts, xs=ys[:, :d], dxs=dys[:, :d],
                       vs=ys[:, d:], dvs=dys[:, d:], meta=meta)
 
@@ -380,37 +380,18 @@ def integrate_forward_backward(order: str, A: MonotoneOperator, B: CocoerciveMap
                                gam: Optional[ParameterCurve] = None,
                                v0=None, theta: Optional[float] = None,
                                space: Optional[SpaceDescriptor] = None) -> Trajectory:
-    """Forward-backward flows: the first-order system driven by
-    T = J_{gamma A} o (Id - gamma B), or its second-order variant
+    """Forward-backward flows: the first-order system over the averaged map
+    T = J_{gamma A} o (Id - gamma B), or the second-order system over Id - T,
     x'' + gamma(t) x' + lambda(t) (x - T x) = 0."""
-    if order not in ("first", "second"):
-        raise ValueError("order is first|second")
-    T = forward_backward_map(A, B, gamma)
-    fn = T.fn
     if order == "first":
-        delta = min(1.0, B.beta / gamma) + 0.5
-        if lam.upper is not None and lam.upper > delta + 1e-12:
-            raise IntegrationError(f"lambda must map into [0, {delta}]")
-        x0 = np.asarray(x0, dtype=float)
-        if space is None:
-            space = SpaceDescriptor(dimension=x0.size)
-
-        def field(t, y):
-            return lam(t) * (fn(y) - y)
-
-        ts, ys, dys, meta = _integrate(field, x0, horizon, step, "rk4/fb_first")
-        lam.validate_bounds(ts)
-        return Trajectory(space=space, ts=ts, xs=ys, dxs=dys, meta=meta)
-
+        return integrate_first_order(forward_backward_map(A, B, gamma), lam, x0,
+                                     horizon, step, space=space)
+    if order != "second":
+        raise ValueError("order is first|second")
     if gam is None or v0 is None:
         raise IntegrationError("second-order forward-backward needs gam and v0")
-    # Id - T is delta/2-cocoercive, so the second-order assumption
-    # gamma^2/lambda >= (1+theta)/beta reads gamma^2/lambda >= 2(1+theta)/delta
-    delta = (4 * B.beta - gamma) / (2 * B.beta)
-    residual = CocoerciveMap(fn=lambda x: x - fn(x), beta=delta / 2,
-                             name="fb_residual")
-    return integrate_second_order(residual, lam, gam, x0, v0, horizon, step,
-                                  theta=theta, space=space)
+    return integrate_second_order(forward_backward_residual(A, B, gamma), lam, gam,
+                                  x0, v0, horizon, step, theta=theta, space=space)
 
 
 # ---------------------------------------------------------------------------

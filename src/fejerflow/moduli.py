@@ -18,6 +18,11 @@ reads only the largest level so far: the running minimum of chi^M_f over the
 earlier levels is chi^M_f at that largest level, because the intervals
 [1, L+1] are nested.  Once a level does not raise the largest one, every
 later level repeats it, so the loop stops at that fixed point.
+
+Every ceiling rounds outward (``Real.ceil_upper``), so an integer-valued
+irrational term (b^4 = 4 for b = sqrt 2) gives a value, not an error.  Each
+rounded value is a modulus whose property survives enlargement or enters a
+formula nondecreasing in it, so a larger value is still a valid bound.
 """
 
 from __future__ import annotations
@@ -297,7 +302,7 @@ def aas1_metastability(b: RealLike, c: RealLike, Bnorm: RealLike,
     _require(eps.is_positive(), "eps must be positive")
     _require(not (c - b).lt(0), "need c >= b")
     _require(not Bnorm.lt(0), "need Bnorm >= 0")
-    omega = guard((2 * Bnorm / eps).ceil() * ((c + Bnorm - b) / eps).ceil())
+    omega = guard((2 * Bnorm / eps).ceil_upper() * ((c + Bnorm - b) / eps).ceil_upper())
     return iterate_tilde(f, omega)
 
 
@@ -312,8 +317,6 @@ def aas2_metastability(c: RealLike, Anorm: RealLike, Bnorm: RealLike,
               * ceil(2^q (c^q + q A^{q-1} B) / (eps^q (2^q - 1)))
 
     lifted to f'(n) = max(f(n), ceil((3A/eps)^p)); result f'~^(varpi)(0).
-    Non-integer q makes the ceiling arguments irrational; those round outward
-    (upper bounds stay upper bounds).
     """
     p = Fraction(p)
     _require(p >= 1, "need p >= 1")
@@ -348,7 +351,7 @@ def monotone_liminf_bound(phi_raw: Callable[[Real, int], int]) -> Callable[[Real
     """
 
     def phi_hat(eps: RealLike, n: int) -> int:
-        top = (1 / R(eps)).ceil()
+        top = (1 / R(eps)).ceil_upper()
         if top > _BRUTE_CAP:
             raise BudgetExceeded("monotonization range too large")
         return max(phi_raw(R(Fraction(1, k + 1)), n) for k in range(top + 1))
@@ -503,8 +506,8 @@ def _ball_tb_int(d: int, b: RealLike, eps: Real) -> int:
     _require(d >= 1, "dimension must be >= 1")
     b = R(b)
     _require(not b.lt(0), "radius must be nonnegative")
-    inner = guard((1 / eps).ceil())
-    base = (2 * (inner + 1) * R(d).sqrt() * b).ceil()
+    inner = guard((1 / eps).ceil_upper())
+    base = (2 * (inner + 1) * R(d).sqrt() * b).ceil_upper()
     if base >= 2 and d * (base.bit_length() - 1) > get_budget_bits():
         raise BudgetExceeded("total-boundedness modulus exceeds budget")
     return guard(base ** d)
@@ -584,7 +587,7 @@ def asymptotic_regularity_rate(b: RealLike, *, divergence_modulus=None,
     def phi(eps: Real) -> int:
         if not b.is_positive():
             return 0
-        return guard((4 * b.powq(4) * delta * delta / (lam * lam * R(eps) * R(eps))).ceil())
+        return guard((4 * b.powq(4) * delta * delta / (lam * lam * R(eps) * R(eps))).ceil_upper())
 
     return phi
 
@@ -703,8 +706,8 @@ def second_order_constants(b, c, d, lam_lo, lam_hi, gam_lo, gam_hi, theta, beta,
     M = b * c + Fraction(gam_hi, 2) * b * b + beta * gam_hi / lam_lo * c * c
     K = (R(b * b) + R(2) / R(gam_lo) * R(M)).sqrt()
     ratio = R(beta * gam_lo / lam_hi)
-    L_mult = ((K + R(M)) * ratio).ceil()
-    L_div = ((K + R(M)) / ratio).ceil()
+    L_mult = ((K + R(M)) * ratio).ceil_upper()
+    L_div = ((K + R(M)) / ratio).ceil_upper()
     L = L_mult if l_variant == "multiply" else L_div
     a0 = (K * L / R(theta)).sqrt()
     a1 = (K * L * R(lam_hi) / R(beta)).sqrt()
@@ -721,13 +724,13 @@ def second_order_constants(b, c, d, lam_lo, lam_hi, gam_lo, gam_hi, theta, beta,
 
 def _varpi_floor(consts: SecondOrderConstants, eps: Real) -> tuple[int, int]:
     """varpi(eps) and the floor ceil((3A/eps)^2); the floor is 0 when varpi is."""
-    first = (16 * consts.A * consts.B / (3 * eps * eps)).ceil()
+    first = (16 * consts.A * consts.B / (3 * eps * eps)).ceil_upper()
     if first == 0:
         return 0, 0
     second = ((4 * (R(consts.C) * R(consts.C) + 2 * consts.A * consts.B))
-              / (3 * eps * eps)).ceil()
+              / (3 * eps * eps)).ceil_upper()
     varpi = guard(first * second)
-    return varpi, ((3 * consts.A / eps) * (3 * consts.A / eps)).ceil()
+    return varpi, ((3 * consts.A / eps) * (3 * consts.A / eps)).ceil_upper()
 
 
 @_certificate
@@ -856,7 +859,7 @@ def delta_gradient_flow(b: RealLike, gamma_tb: Callable[[Real], int],
     P = guard(gamma_tb(eps / R(12).sqrt()) + 1)
     b_sq = b * b
     # f nondecreasing makes the levels nondecreasing: the last one is the top
-    step = lambda top: (24 * b_sq * (f(top + 1) + 1) / (eps * eps)).ceil()
+    step = lambda top: (24 * b_sq * (f(top + 1) + 1) / (eps * eps)).ceil_upper()
     return _levels(P, step, [0], trace) + 1
 
 
@@ -868,7 +871,7 @@ def gradient_flow_bundle(b: RealLike, gamma_tb: Callable[[Real], int]) -> Modulu
     def phi(eps: Real) -> int:
         if not b.is_positive():
             return 0
-        return (b * b / eps).ceil()
+        return (b * b / eps).ceil_upper()
 
     return ModulusBundle(
         phi=LiminfBound(phi, unary=True),
@@ -890,7 +893,7 @@ def _stojkovic_phi(b: Real, eps: Real) -> int:
     if arg.bounds(64)[0] > max(1, get_budget_bits() * _LN2_UPPER):
         raise BudgetExceeded(f"phi argument 4b/eps exceeds {get_budget_bits()} ln 2, "
                              f"so phi exceeds 2^{get_budget_bits()}")
-    return guard((arg * arg.exp()).ceil())
+    return guard((arg * arg.exp()).ceil_upper())
 
 
 @_certificate

@@ -32,6 +32,7 @@ __all__ = [
     "ConvexFunction",
     "PropertyReport",
     "forward_backward_map",
+    "forward_backward_residual",
     "stojkovic_resolvent",
     "check_nonexpansive",
     "check_cocoercive",
@@ -62,7 +63,8 @@ class NonexpansiveMap:
     name: str = "custom"
     contraction_factor: Optional[float] = None
     fixed_points: tuple = ()
-    averagedness: Optional[float] = None
+    # cap delta on lambda in x' = lambda (T x - x); above 1 only for averaged maps
+    averaged_delta: float = 1.0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
@@ -311,8 +313,8 @@ class ConvexFunction:
 def forward_backward_map(A: MonotoneOperator, B: CocoerciveMap, gamma: float) -> NonexpansiveMap:
     """The composed map x -> J_{gamma A}(x - gamma B x).
 
-    Valid for 0 < gamma < 2 beta; the returned map records the averagedness
-    constant 1/delta with delta = min(1, beta/gamma) + 1/2.
+    Valid for 0 < gamma < 2 beta; the returned map carries the cap
+    delta = min(1, beta/gamma) + 1/2 on lambda in its first-order flow.
     """
     if not 0.0 < gamma < 2.0 * B.beta:
         raise OperatorError(f"gamma must lie in (0, {2.0 * B.beta}), got {gamma}")
@@ -323,7 +325,17 @@ def forward_backward_map(A: MonotoneOperator, B: CocoerciveMap, gamma: float) ->
     def fn(x):
         return resolvent(gamma, x - gamma * b(x))
 
-    return NonexpansiveMap(fn=fn, name="forward_backward", averagedness=1.0 / delta)
+    return NonexpansiveMap(fn=fn, name="forward_backward", averaged_delta=delta)
+
+
+def forward_backward_residual(A: MonotoneOperator, B: CocoerciveMap,
+                              gamma: float) -> CocoerciveMap:
+    """Id - T for T = :func:`forward_backward_map`: delta/2-cocoercive with
+    delta = (4 beta - gamma) / (2 beta), so the second-order assumption over
+    it reads gamma^2/lambda >= 2(1+theta)/delta."""
+    fn = forward_backward_map(A, B, gamma).fn
+    delta = (4 * B.beta - gamma) / (2 * B.beta)
+    return CocoerciveMap(fn=lambda x: x - fn(x), beta=delta / 2, name="fb_residual")
 
 
 def stojkovic_resolvent(

@@ -195,14 +195,10 @@ def oscillation(traj: Trajectory, n: int, f: Counterfunction,
     The slack combines the Lipschitz bound for off-grid times with the dense
     output error folded into est_err.
     """
-    length = f(n)
-    if length == 0:
+    if f(n) == 0:
         return 0.0, 0.0
-    times = _window_times(traj, float(n), float(length), grid)
-    pts = _window_points(traj, times)
-    sup = pairwise_max_distance(pts)
-    slack = traj.lipschitz_estimate() * grid
-    return sup, slack
+    pts = _window_points(traj, _scan_times(traj, n, f, grid))
+    return pairwise_max_distance(pts), traj.lipschitz_estimate() * grid
 
 
 def _scan_windows(traj: Trajectory, eps: float, f: Counterfunction,
@@ -264,12 +260,16 @@ def verify_metastability(traj: Trajectory, eps: float, f: Counterfunction,
     witness.  ``residual`` optionally also requires F(x(t)) <= eps on the
     window (the uniform-continuity variants)."""
 
+    lip_slack = traj.lipschitz_estimate() * grid
+
     def window(n):
-        sup, slack = oscillation(traj, n, f, grid)
+        # one stack serves oscillation and residual; f(n) = 0 leaves no slack
+        pts = _window_points(traj, _scan_times(traj, n, f, grid))
+        sup = pairwise_max_distance(pts)
+        slack = lip_slack if f(n) > 0 else 0.0
         tol = _base_tolerance(traj, slack)
         ok = sup + slack <= eps + tol
         if ok and residual is not None:
-            pts = _window_points(traj, _scan_times(traj, n, f, grid))
             ok = float(residual(pts).max()) <= eps + tol
         return ok, sup, tol
 

@@ -3,9 +3,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from fejerflow.cli import main
+from fejerflow.cli import _sanitize, main
 from fejerflow.scenarios import builtin_scenarios
 
 
@@ -184,3 +186,9 @@ class TestReport:
 
     def test_missing_dir(self):
         assert main(["report", "/nonexistent/dir"]) == 2
+
+
+@given(st.floats())
+@example(1.7763568394002505e-15)  # second_order_linear's closed_form_match error
+def test_numpy_and_python_floats_serialize_alike(x):
+    assert json.dumps(_sanitize(np.float64(x))) == json.dumps(_sanitize(float(x)))

@@ -233,6 +233,22 @@ class TestSecondOrderIntegration:
                                    ParameterCurve.constant(1.0),
                                    [1.0], [0.0], 1.0, 1e-2, theta=3.5)
 
+    @pytest.mark.parametrize("order", ["second", "fb_second"])
+    def test_assumption_checked_on_every_fine_time(self, order):
+        # gamma^2/lambda is 4.5 except on [1.0, 1.2), where it is 0.5; no
+        # point of a 64-point grid over [0, 20] falls there.  Over the
+        # forward-backward residual (beta = 3/4) theta = 2 asks for 4.
+        gam = ParameterCurve.piecewise([1.0, 1.2], [3.0, 1.0, 3.0])
+        lam = ParameterCurve.constant(2.0)
+        with pytest.raises(IntegrationError, match="fails at t=1.0"):
+            if order == "second":
+                integrate_second_order(CocoerciveMap.identity(), lam, gam, [1.0], [0.0],
+                                       20.0, 0.05, theta=3.5)
+            else:
+                integrate_forward_backward("second", MonotoneOperator.zero(),
+                                           CocoerciveMap.identity(), 1.0, lam, [1.0],
+                                           20.0, 0.05, gam=gam, v0=[0.0], theta=2.0)
+
 
 class TestForwardBackwardIntegration:
     def test_reduces_to_linear_decay(self):

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from fejerflow import moduli
@@ -568,3 +569,40 @@ class TestCertificateBoundary:
     def test_domain_errors_pass_through(self):
         with pytest.raises(ValueError):
             delta_first_order(1, 1, {"lower_witness": 1}, 0, CF.constant(0))
+
+
+# irrational radii whose certificate terms can be integers, such as b^4 = 4
+# for b = sqrt 2, where an enclosure cannot decide a strict ceiling
+_RADII = {"sqrt2": R(2).sqrt(), "sqrt3": R(3).sqrt(), "3^(1/7)": R(3).powq(F(1, 7))}
+_counterfunctions = st.one_of(
+    st.integers(0, 5).map(CF.constant),
+    st.integers(0, 5).map(CF.identity_plus),
+    st.tuples(st.integers(0, 5), st.integers(0, 5)).map(lambda ab: CF.linear(*ab)),
+    st.tuples(st.dictionaries(st.integers(0, 9), st.integers(0, 9), max_size=3),
+              st.integers(0, 9)).map(lambda vd: CF.table(*vd)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+        lambda ab: CF.compose(CF.linear(ab[0], 1), CF.identity_plus(ab[1]))),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(radius=st.sampled_from(sorted(_RADII)), d=st.integers(1, 2),
+       eps=st.integers(1, 2000).map(lambda q: F(1, q)), f=_counterfunctions)
+def test_irrational_radius_certificates_return_within_two_seconds(radius, d, eps, f):
+    """Inside their domains the calculators return an int or overflow: an
+    undecidable ceiling rounds outward instead of raising."""
+    b = _RADII[radius]
+    calls = {
+        "delta_first_order": lambda: delta_first_order(d, b, {"lower_witness": F(1, 2)},
+                                                       eps, f),
+        "ball_total_boundedness": lambda: moduli.ball_total_boundedness(d, b, eps),
+    }
+    if f.is_nondecreasing:  # the gradient-flow bound's domain
+        calls["delta_gradient_flow"] = lambda: delta_gradient_flow(b, ball_modulus(1, b),
+                                                                   eps, f)
+    for name, call in calls.items():
+        start = time.perf_counter()
+        cert = call()
+        assert time.perf_counter() - start < 2.0, name
+        assert cert.is_overflow or isinstance(cert.value, int), name
+

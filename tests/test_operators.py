@@ -74,8 +74,11 @@ class TestForwardBackward:
     def test_averagedness_recorded(self):
         A, B = MonotoneOperator.zero(), CocoerciveMap.identity()
         T = forward_backward_map(A, B, 1.0)
-        # delta = min(1, beta/gamma) + 1/2 = 1.5
-        assert T.averagedness == pytest.approx(1 / 1.5)
+        # delta = min(1, beta/gamma) + 1/2 = 1.5; a plain map carries 1
+        assert T.averaged_delta == 1.5
+        assert forward_backward_map(A, B, 0.4).averaged_delta == 1.5
+        assert forward_backward_map(A, B, 1.6).averaged_delta == 1 / 1.6 + 0.5
+        assert NonexpansiveMap.scalar(0.5).averaged_delta == 1.0
 
     def test_output_nonexpansive(self):
         s = euclidean(2)

@@ -1,11 +1,13 @@
 """Scenario registry and config validation (the heavy pipelines are
 exercised by the acceptance gate)."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from fejerflow import flows, operators, scenarios
 from fejerflow.flows import SemigroupPoint
 from fejerflow.scenarios import (
     ConfigError,
@@ -16,7 +18,7 @@ from fejerflow.scenarios import (
     run_scenario,
 )
 from fejerflow.space import SpaceDescriptor
-from fejerflow.verify import INCONCLUSIVE
+from fejerflow.verify import HOLDS, INCONCLUSIVE, VIOLATED
 
 
 class TestRegistry:
@@ -109,3 +111,52 @@ class TestNestedKeys:
         cfg[section] = {k: v for k, v in cfg[section].items() if k != key}
         with pytest.raises(ConfigError, match=f"'{section}.{key}'"):
             run_scenario(cfg)
+
+
+def _short(name: str) -> dict:
+    """A builtin config cut to horizon 6 (the oracle times reach 5), with a
+    short ``long_check`` where it has one."""
+    cfg = {**builtin_scenarios()[name].config, "horizon": 6.0, "step": 0.01}
+    if "long_check" in cfg:
+        cfg["long_check"] = {"horizon": 10.0, "step": 0.5}
+    return cfg
+
+
+@pytest.mark.parametrize("name, runs", [
+    ("first_order_contraction_1d", 2),  # the main run and long_check
+    ("first_order_contraction_2d", 2),
+    ("second_order_linear", 1),
+    ("forward_backward_first_order", 1),
+    ("forward_backward_second_order", 1),
+])
+def test_each_flow_is_integrated_once(monkeypatch, name, runs):
+    methods = []
+    integrate = flows._integrate
+
+    def counted(*args):
+        methods.append(args[-1])
+        return integrate(*args)
+
+    monkeypatch.setattr(flows, "_integrate", counted)
+    run_scenario(_short(name))
+    assert len(methods) == runs, methods
+
+
+def _sign_flipped(A, B, gamma):
+    """The forward-backward map with its forward step taken uphill,
+    x -> J_{gamma A}(x + gamma B x)."""
+    T = operators.forward_backward_map(A, B, gamma)
+    return dataclasses.replace(T, fn=lambda x: A.resolvent(gamma, x + gamma * B.fn(x)))
+
+
+@pytest.mark.parametrize("mutated", [False, True])
+def test_fb_reduction_checks_the_map_against_a_and_b(monkeypatch, mutated):
+    if mutated:
+        monkeypatch.setattr(flows, "forward_backward_map", _sign_flipped)
+        monkeypatch.setattr(scenarios, "forward_backward_map", _sign_flipped)
+    out = run_scenario(_short("forward_backward_first_order"))
+    report = next(r for r in out.reports if r.claim == "fb_reduces_to_first_order")
+    if mutated:
+        assert report.status == VIOLATED and report.details["max_deviation"] > 0.1
+    else:
+        assert report.status == HOLDS and report.margin == 0.0
