@@ -25,9 +25,7 @@ import numpy as np
 from . import moduli
 from .counterfunctions import Counterfunction
 from .flows import IntegrationError
-from .operators import OperatorError
 from .scenarios import ConfigError, ScenarioOutcome, builtin_scenarios, run_scenario
-from .space import SpaceError
 
 # theorem ids that must be exercised by at least one builtin scenario
 REQUIRED_COVERAGE = {
@@ -128,19 +126,23 @@ def cmd_run(args) -> int:
         return 2
     out_root = Path(args.out)
     registry = builtin_scenarios()
+    keys = config if isinstance(config, dict) else {}  # run_scenario rejects the rest
     try:
-        if "suite" in config:
+        if "suite" in keys:
             outcomes = run_suite(out_root, exclude=config.get("exclude", []))
-        elif "builtin" in config:
+        elif "builtin" in keys:
             name = config["builtin"]
             if name not in registry:
                 raise ConfigError(f"unknown builtin scenario {name!r}")
-            base = dict(registry[name].config)
-            base.update(config.get("overrides", {}))
+            overrides = config.get("overrides", {})
+            if not isinstance(overrides, dict):
+                raise ConfigError("overrides must be a JSON object")
+            base = {**registry[name].config, **overrides}
             outcomes = [_run_one(base, out_root)]
         else:
             outcomes = [_run_one(config, out_root)]
-    except (ConfigError, IntegrationError, OperatorError, SpaceError) as exc:
+    except (ValueError, IntegrationError) as exc:
+        # ValueError covers ConfigError, OperatorError, SpaceError and bad values
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for outcome in outcomes:
@@ -219,98 +221,83 @@ def _param_dict(pairs) -> dict:
     return params
 
 
-# the --param keys each theorem reads; any other key is rejected, so a typo
-# cannot silently leave a parameter at its default
+def _counterfn(params) -> Counterfunction:
+    return Counterfunction.from_spec(params.get("f", 0))
+
+
+def _aas2(params):
+    r = params.get("r", "inf")
+    r = None if r == "inf" else Fraction(str(r))
+    return moduli.aas2_metastability(params["c"], params["A"], params["B"],
+                                     Fraction(str(params["p"])), r,
+                                     params["eps"], _counterfn(params))
+
+
+def _semigroup(calc, params):
+    gamma_tb = moduli.ball_modulus(params.get("d", 1), params["b"])
+    return calc(params["b"], gamma_tb, params["eps"], _counterfn(params))
+
+
+def _second_order(calc, params, *args):
+    """``calc(consts, *args, eps, f)``, with the derived constants in its trace."""
+    consts = moduli.second_order_constants(
+        params["b"], params["c"], params["dB"],
+        Fraction(str(params["lambda_lo"])), Fraction(str(params["lambda_hi"])),
+        Fraction(str(params["gamma_lo"])), Fraction(str(params["gamma_hi"])),
+        Fraction(str(params["theta"])), Fraction(str(params["beta"])),
+        l_variant=params.get("l_variant", "multiply"))
+    value = calc(consts, *args, params["eps"], _counterfn(params))
+    value.trace["constants"] = consts.describe()
+    return value
+
+
+# theorem -> (the --param keys it reads, its evaluation); any other key is
+# rejected, so a typo cannot silently leave a parameter at its default
 _SECOND_ORDER_PARAMS = frozenset({"b", "c", "dB", "lambda_lo", "lambda_hi", "gamma_lo",
                                   "gamma_hi", "theta", "beta", "l_variant", "eps", "f"})
-_CERTIFY_PARAMS = {
-    "fast_linear_rate": frozenset({"beta", "k", "p"}),
-    "ball_total_boundedness": frozenset({"d", "b", "eps"}),
-    "aas1_metastability": frozenset({"b", "c", "B", "eps", "f"}),
-    "aas2_metastability": frozenset({"c", "A", "B", "p", "r", "eps", "f"}),
-    "delta_first_order": frozenset({"d", "b", "lambda_lo", "eps", "f"}),
-    "delta_gradient_flow": frozenset({"d", "b", "eps", "f"}),
-    "delta_stojkovic": frozenset({"d", "b", "eps", "f"}),
-    "lambda_capital": _SECOND_ORDER_PARAMS,
-    "delta_second_order": _SECOND_ORDER_PARAMS | {"dim"},
+_THEOREMS = {
+    "fast_linear_rate": (
+        {"beta", "k", "p"},
+        lambda p: moduli.fast_linear_rate(p["beta"], p["k"], p.get("p", 1.0))),
+    "ball_total_boundedness": (
+        {"d", "b", "eps"},
+        lambda p: moduli.ball_total_boundedness(p["d"], p["b"], p["eps"])),
+    "aas1_metastability": (
+        {"b", "c", "B", "eps", "f"},
+        lambda p: moduli.aas1_metastability(p["b"], p["c"], p["B"], p["eps"],
+                                            _counterfn(p))),
+    "aas2_metastability": ({"c", "A", "B", "p", "r", "eps", "f"}, _aas2),
+    "delta_first_order": (
+        {"d", "b", "lambda_lo", "eps", "f"},
+        lambda p: moduli.delta_first_order(p["d"], p["b"], {"lower_witness": p["lambda_lo"]},
+                                           p["eps"], _counterfn(p))),
+    "delta_gradient_flow": (
+        {"d", "b", "eps", "f"}, lambda p: _semigroup(moduli.delta_gradient_flow, p)),
+    "delta_stojkovic": (
+        {"d", "b", "eps", "f"}, lambda p: _semigroup(moduli.delta_stojkovic, p)),
+    "lambda_capital": (
+        _SECOND_ORDER_PARAMS, lambda p: _second_order(moduli.lambda_capital, p)),
+    "delta_second_order": (
+        _SECOND_ORDER_PARAMS | {"dim"},
+        lambda p: _second_order(moduli.delta_second_order, p, p.get("dim", 1))),
 }
-
-
-def _reject_unknown_params(theorem: str, params: dict) -> None:
-    accepted = _CERTIFY_PARAMS.get(theorem)
-    if accepted is None:
-        return  # _certify_dispatch names the unknown theorem
-    unknown = sorted(set(params) - accepted)
-    if unknown:
-        raise ConfigError(f"unknown --param {', '.join(unknown)} for {theorem} "
-                          f"(accepted: {', '.join(sorted(accepted))})")
-
-
-def _counterfn(params, key="f") -> Counterfunction:
-    return Counterfunction.from_spec(params.get(key, 0))
-
-
-def _certify_dispatch(theorem: str, params: dict):
-    if theorem == "fast_linear_rate":
-        return moduli.fast_linear_rate(params["beta"], params["k"],
-                                       params.get("p", 1.0)), None
-    if theorem == "ball_total_boundedness":
-        return moduli.ball_total_boundedness(params["d"], params["b"],
-                                             params["eps"]), None
-    if theorem == "aas1_metastability":
-        return moduli.aas1_metastability(params["b"], params["c"], params["B"],
-                                         params["eps"], _counterfn(params)), None
-    if theorem == "aas2_metastability":
-        r = params.get("r", "inf")
-        r = None if r == "inf" else Fraction(str(r))
-        return moduli.aas2_metastability(params["c"], params["A"], params["B"],
-                                         Fraction(str(params["p"])), r,
-                                         params["eps"], _counterfn(params)), None
-    if theorem == "delta_first_order":
-        trace: dict = {}
-        value = moduli.delta_first_order(
-            params["d"], params["b"], {"lower_witness": params["lambda_lo"]},
-            params["eps"], _counterfn(params), trace=trace)
-        return value, trace
-    if theorem in ("delta_gradient_flow", "delta_stojkovic"):
-        trace = {}
-        gamma_tb = moduli.ball_modulus(params.get("d", 1), params["b"])
-        fn = moduli.delta_gradient_flow if theorem == "delta_gradient_flow" \
-            else moduli.delta_stojkovic
-        value = fn(params["b"], gamma_tb, params["eps"], _counterfn(params),
-                   trace=trace)
-        return value, trace
-    if theorem in ("lambda_capital", "delta_second_order"):
-        consts = moduli.second_order_constants(
-            params["b"], params["c"], params["dB"],
-            Fraction(str(params["lambda_lo"])), Fraction(str(params["lambda_hi"])),
-            Fraction(str(params["gamma_lo"])), Fraction(str(params["gamma_hi"])),
-            Fraction(str(params["theta"])), Fraction(str(params["beta"])),
-            l_variant=params.get("l_variant", "multiply"))
-        if theorem == "lambda_capital":
-            return moduli.lambda_capital(consts, params["eps"], _counterfn(params)), \
-                consts.describe()
-        trace = {}
-        value = moduli.delta_second_order(consts, params.get("dim", 1),
-                                          params["eps"], _counterfn(params),
-                                          trace=trace)
-        trace["constants"] = consts.describe()
-        return value, trace
-    raise ConfigError(f"unknown theorem {theorem!r}")
 
 
 def cmd_certify(args) -> int:
     try:
         params = _param_dict(args.param)
-        _reject_unknown_params(args.theorem, params)
-        value, trace = _certify_dispatch(args.theorem, params)
-    except (ConfigError, KeyError, ValueError) as exc:
+        if args.theorem not in _THEOREMS:
+            raise ConfigError(f"unknown theorem {args.theorem!r}")
+        accepted, evaluate = _THEOREMS[args.theorem]
+        unknown = sorted(set(params) - accepted)
+        if unknown:
+            raise ConfigError(f"unknown --param {', '.join(unknown)} for {args.theorem} "
+                              f"(accepted: {', '.join(sorted(accepted))})")
+        value = evaluate(params)
+    except (KeyError, ValueError) as exc:
         print(f"certify error: {exc}", file=sys.stderr)
         return 2
-    entry = {"theorem": args.theorem, "inputs": params}
-    entry["value"] = value.to_json() if hasattr(value, "to_json") else value
-    if trace:
-        entry["trace"] = trace
+    entry = ScenarioOutcome(args.theorem).certify(args.theorem, params, value)
     print(json.dumps(_sanitize(entry), sort_keys=True, indent=2))
     return 0
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from typing import Callable, Union
 
-from .exact import BudgetExceeded, guard, iteration_budget
+from .exact import BudgetExceeded, guard
 
 __all__ = ["Counterfunction", "iterate_tilde", "max_on", "max_tilde_on"]
 
 _BRUTE_FORCE_CAP = 100_000
+_ITERATION_CAP = 500_000  # steps of the plain f~ iteration before overflow
 
 
 class Counterfunction:
@@ -232,7 +233,6 @@ def iterate_tilde(
             raise BudgetExceeded("iterate count forces value past budget")
         return guard(b * ((1 + a) ** count - 1) // a)
     value = 0
-    limit = iteration_budget()
     steps = 0
     while steps < count:
         step = max(f(value), floor_value)
@@ -240,6 +240,6 @@ def iterate_tilde(
             return value
         value = guard(value + step)
         steps += 1
-        if steps > limit:
+        if steps > _ITERATION_CAP:
             raise BudgetExceeded("iteration budget exceeded")
     return value

@@ -4,7 +4,8 @@ Two pieces live here:
 
 * :class:`ExtendedNatural` -- the value type of all certificates: an exact
   nonnegative integer, or an explicit ``overflow`` sentinel once a value (or
-  the work needed to produce it) exceeds the configured budget.
+  the work needed to produce it) exceeds the configured budget, with the
+  trace its calculator recorded.
 
 * :class:`Real` -- an exact real number, stored either as a rational
   (``fractions.Fraction``) or as an adaptive rational enclosure ``[lo, hi]``
@@ -32,8 +33,6 @@ __all__ = [
     "budget_limit",
     "set_budget_bits",
     "get_budget_bits",
-    "iteration_budget",
-    "set_iteration_budget",
     "guard",
 ]
 
@@ -51,12 +50,8 @@ class PrecisionExhausted(Exception):
 # ---------------------------------------------------------------------------
 
 _DEFAULT_BUDGET_BITS = 256
-_DEFAULT_ITERATION_BUDGET = 500_000
 
 _budget_bits = int(os.environ.get("FEJERFLOW_BUDGET_BITS", _DEFAULT_BUDGET_BITS))
-_iteration_budget = int(
-    os.environ.get("FEJERFLOW_ITERATION_BUDGET", _DEFAULT_ITERATION_BUDGET)
-)
 
 # exp() arguments beyond this are astronomically large; every certificate
 # formula using them overflows the value budget anyway, so refuse early.
@@ -79,17 +74,6 @@ def budget_limit() -> int:
     return 1 << _budget_bits
 
 
-def set_iteration_budget(n: int) -> None:
-    global _iteration_budget
-    if n < 1:
-        raise ValueError("iteration budget must be positive")
-    _iteration_budget = int(n)
-
-
-def iteration_budget() -> int:
-    return _iteration_budget
-
-
 def guard(n: int) -> int:
     """Pass ``n`` through, raising :class:`BudgetExceeded` above the budget."""
     if n > budget_limit():
@@ -105,13 +89,14 @@ def guard(n: int) -> int:
 class ExtendedNatural:
     """Exact nonnegative integer with an explicit overflow sentinel.
 
-    Arithmetic is exact; any result above ``budget_limit()`` collapses to
-    overflow, and overflow propagates through every operation.
+    A value above ``budget_limit()`` collapses to overflow.  ``trace`` is
+    what the calculator recorded on the way: its levels, or
+    ``{"overflow": reason}``.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "trace")
 
-    def __init__(self, value: Optional[int]):
+    def __init__(self, value: Optional[int], trace: Optional[dict] = None):
         if value is not None:
             value = int(value)
             if value < 0:
@@ -119,45 +104,15 @@ class ExtendedNatural:
             if value > budget_limit():
                 value = None
         self.value = value
+        self.trace = {} if trace is None else trace
 
     @classmethod
-    def of(cls, value: int) -> "ExtendedNatural":
-        return cls(value)
-
-    @classmethod
-    def overflow(cls) -> "ExtendedNatural":
-        return cls(None)
+    def overflow(cls, reason: Optional[str] = None) -> "ExtendedNatural":
+        return cls(None, {"overflow": reason} if reason else None)
 
     @property
     def is_overflow(self) -> bool:
         return self.value is None
-
-    def _coerce(self, other) -> "ExtendedNatural":
-        if isinstance(other, ExtendedNatural):
-            return other
-        return ExtendedNatural(other)
-
-    def __add__(self, other) -> "ExtendedNatural":
-        other = self._coerce(other)
-        if self.is_overflow or other.is_overflow:
-            return ExtendedNatural.overflow()
-        return ExtendedNatural(self.value + other.value)
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "ExtendedNatural":
-        other = self._coerce(other)
-        if self.is_overflow or other.is_overflow:
-            return ExtendedNatural.overflow()
-        return ExtendedNatural(self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def max(self, other) -> "ExtendedNatural":
-        other = self._coerce(other)
-        if self.is_overflow or other.is_overflow:
-            return ExtendedNatural.overflow()
-        return ExtendedNatural(max(self.value, other.value))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

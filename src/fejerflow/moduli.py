@@ -11,8 +11,10 @@ overflow sentinel surfaces tower-sized bounds instead of saturating floats.
 
 Each calculator computes a plain int behind one boundary, ``_certificate``:
 it turns the int into an :class:`ExtendedNatural` and a
-:class:`BudgetExceeded` into overflow, and writes the budget message into
-``trace["overflow"]`` when the caller passes a trace.  Each Delta recursion
+:class:`BudgetExceeded` into overflow whose trace is ``{"overflow": reason}``.
+A calculator that records its levels takes a keyword-only ``trace`` dict,
+which the boundary creates and hands back on the value; callers never pass
+one.  Each Delta recursion
 runs through one level loop, ``_levels``, in which Delta(j) = phi(eps_hat_j)
 reads only the largest level so far: the running minimum of chi^M_f over the
 earlier levels is chi^M_f at that largest level, because the intervals
@@ -88,22 +90,29 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _require_dimension(d) -> None:
+    _require(isinstance(d, int) and d >= 1, f"dimension must be an integer >= 1, got {d!r}")
+
+
 def _certificate(calc: Callable[..., int]) -> Callable[..., ExtendedNatural]:
-    """The certificate boundary: ``calc``'s int becomes an ExtendedNatural and
-    a BudgetExceeded becomes overflow, its reason written to the caller's
-    ``trace`` when there is one."""
+    """The certificate boundary: ``calc``'s int becomes an ExtendedNatural
+    carrying the trace ``calc`` wrote, and a BudgetExceeded becomes overflow
+    carrying its reason."""
     signature = inspect.signature(calc)
+    writes_trace = "trace" in signature.parameters
 
     @functools.wraps(calc)
     def certificate(*args, **kwargs) -> ExtendedNatural:
+        trace = {}
+        extra = {"trace": trace} if writes_trace else {}
         try:
-            return ExtendedNatural(guard(calc(*args, **kwargs)))
+            return ExtendedNatural(guard(calc(*args, **kwargs, **extra)), trace)
         except BudgetExceeded as exc:
-            trace = signature.bind(*args, **kwargs).arguments.get("trace")
-            if trace is not None:
-                trace["overflow"] = str(exc)
-            return ExtendedNatural.overflow()
+            return ExtendedNatural.overflow(str(exc))
 
+    certificate.__signature__ = signature.replace(
+        parameters=[p for name, p in signature.parameters.items() if name != "trace"],
+        return_annotation=ExtendedNatural)
     return certificate
 
 
@@ -364,8 +373,7 @@ def monotone_liminf_bound(phi_raw: Callable[[Real, int], int]) -> Callable[[Real
 # ---------------------------------------------------------------------------
 
 
-def _levels(P: int, step: Callable[[int], int], levels: list,
-            trace: Optional[dict]) -> int:
+def _levels(P: int, step: Callable[[int], int], levels: list, trace: dict) -> int:
     """The Delta-level recursion: appends Delta(j) = step(top) for j = 1..P to
     ``levels`` and returns the final top, the largest level so far (0 while
     there is none).  Every recursion reads only top, so once a level does
@@ -377,14 +385,13 @@ def _levels(P: int, step: Callable[[int], int], levels: list,
         if level <= top:
             break
         top = level
-    if trace is not None:
-        trace["P"] = P
-        trace["levels"] = levels
+    trace["P"] = P
+    trace["levels"] = levels
     return top
 
 
 def _delta_core(bundle: ModulusBundle, eps: Real, f: Counterfunction,
-                chi_cap: Optional[RealLike], trace: Optional[dict]) -> int:
+                chi_cap: Optional[RealLike], trace: dict) -> int:
     _require(bundle.gamma_tb is not None, "bundle needs a total-boundedness modulus")
     _require(bundle.chi is not None, "bundle needs a uniform Fejer modulus")
     delta_arg = bundle.h(eps / 2) / 3
@@ -408,8 +415,7 @@ def _delta_core(bundle: ModulusBundle, eps: Real, f: Counterfunction,
 
 @_certificate
 def delta_general(bundle: ModulusBundle, eps: RealLike, f: Counterfunction,
-                  chi_cap: Optional[RealLike] = None,
-                  trace: Optional[dict] = None) -> int:
+                  chi_cap: Optional[RealLike] = None, *, trace: dict) -> int:
     """Full compactness-based metastability bound (errors resolved by a rate
     of metastability)."""
     _require(bundle.eta.variant == "metastability",
@@ -419,8 +425,7 @@ def delta_general(bundle: ModulusBundle, eps: RealLike, f: Counterfunction,
 
 @_certificate
 def delta_with_error_rate(bundle: ModulusBundle, eps: RealLike, f: Counterfunction,
-                          chi_cap: Optional[RealLike] = None,
-                          trace: Optional[dict] = None) -> int:
+                          chi_cap: Optional[RealLike] = None, *, trace: dict) -> int:
     """Simplified bound when errors have a rate of convergence or vanish."""
     _require(bundle.eta.variant in ("zero", "convergence"),
              "delta_with_error_rate needs a convergence-variant or zero error rate")
@@ -429,7 +434,7 @@ def delta_with_error_rate(bundle: ModulusBundle, eps: RealLike, f: Counterfuncti
 
 @_certificate
 def delta_uniform_continuity(bundle: ModulusBundle, eps: RealLike, f: Counterfunction,
-                             trace: Optional[dict] = None) -> int:
+                             *, trace: dict) -> int:
     """Metastability bound that also certifies approximate solutions along
     the window, for uniformly continuous solution functions: evaluates the
     core recursion at min(eps, omega(eps/2)) with chi capped at eps/2."""
@@ -446,7 +451,7 @@ def delta_uniform_continuity(bundle: ModulusBundle, eps: RealLike, f: Counterfun
 
 @_certificate
 def rho_metastable_regular(bundle: ModulusBundle, eps: RealLike, f: Counterfunction,
-                           trace: Optional[dict] = None) -> int:
+                           *, trace: dict) -> int:
     """Metastability of dist(x(t), zer F) under a modulus of regularity when
     errors only admit a rate of metastability:
 
@@ -460,15 +465,12 @@ def rho_metastable_regular(bundle: ModulusBundle, eps: RealLike, f: Counterfunct
     threshold = bundle.tau(bundle.g(bundle.h(eps) / 2))
     f_phi = _FPhiEps(f, bundle.phi, threshold)
     upto = guard(bundle.eta.fn(bundle.h(eps) / 2, f_phi))
-    value = bundle.phi.eval(threshold, upto) + 1
-    if trace is not None:
-        trace["eta_bound"] = upto
-    return value
+    trace["eta_bound"] = upto
+    return bundle.phi.eval(threshold, upto) + 1
 
 
 @_certificate
-def rho_convergence_regular(bundle: ModulusBundle, eps: RealLike,
-                            trace: Optional[dict] = None) -> int:
+def rho_convergence_regular(bundle: ModulusBundle, eps: RealLike, *, trace: dict) -> int:
     """Rate of convergence of dist(x(t), zer F) under a modulus of regularity:
 
         with error rate:  rho(eps) = phi(tau(g(h(eps)/2)), eta(h(eps)/2)) + 1
@@ -479,15 +481,11 @@ def rho_convergence_regular(bundle: ModulusBundle, eps: RealLike,
              "rho_convergence_regular needs a convergence-variant or zero error rate")
     eps = R(eps)
     if bundle.eta.variant == "zero":
-        value = bundle.phi.eval(bundle.tau(bundle.g(bundle.h(eps)))) + 1
-        branch = "zero_error"
-    else:
-        upto = guard(bundle.eta.fn(bundle.h(eps) / 2))
-        value = bundle.phi.eval(bundle.tau(bundle.g(bundle.h(eps) / 2)), upto) + 1
-        branch = "with_error_rate"
-    if trace is not None:
-        trace["branch"] = branch
-    return value
+        trace["branch"] = "zero_error"
+        return bundle.phi.eval(bundle.tau(bundle.g(bundle.h(eps)))) + 1
+    trace["branch"] = "with_error_rate"
+    upto = guard(bundle.eta.fn(bundle.h(eps) / 2))
+    return bundle.phi.eval(bundle.tau(bundle.g(bundle.h(eps) / 2)), upto) + 1
 
 
 def fast_linear_rate(beta: float, k: float, p: float = 1.0) -> float:
@@ -503,7 +501,7 @@ def fast_linear_rate(beta: float, k: float, p: float = 1.0) -> float:
 
 
 def _ball_tb_int(d: int, b: RealLike, eps: Real) -> int:
-    _require(d >= 1, "dimension must be >= 1")
+    _require_dimension(d)
     b = R(b)
     _require(not b.lt(0), "radius must be nonnegative")
     inner = guard((1 / eps).ceil_upper())
@@ -594,7 +592,7 @@ def asymptotic_regularity_rate(b: RealLike, *, divergence_modulus=None,
 
 @_certificate
 def delta_first_order(d: int, b: RealLike, lambda_info: dict, eps: RealLike,
-                      f: Counterfunction, trace: Optional[dict] = None) -> int:
+                      f: Counterfunction, *, trace: dict) -> int:
     """Metastability bound for the first-order system over a nonexpansive map
     in R^d.  The theorem applies this at eps/4: callers scale before calling.
 
@@ -603,7 +601,7 @@ def delta_first_order(d: int, b: RealLike, lambda_info: dict, eps: RealLike,
         eps_hat_j = min{eps/2, (eps^2/12) / (4 b (f(m+1)+1)) :
                         m <= Delta(i), i < j}
     """
-    _require(d >= 1, "dimension must be >= 1")
+    _require_dimension(d)
     eps = R(eps)
     _require(eps.is_positive(), "eps must be positive")
     phi = asymptotic_regularity_rate(b, **lambda_info)
@@ -763,10 +761,10 @@ def _second_order_eta(consts: SecondOrderConstants, delta: Real, f) -> int:
 
 @_certificate
 def delta_second_order(consts: SecondOrderConstants, dim: int, eps: RealLike,
-                       f: Counterfunction, trace: Optional[dict] = None) -> int:
+                       f: Counterfunction, *, trace: dict) -> int:
     """Metastability bound for the second-order system in R^dim.  The theorem
     applies this at min(eps, beta eps / 2): callers scale before calling."""
-    _require(dim >= 1, "dimension must be >= 1")
+    _require_dimension(dim)
     eps = R(eps)
     _require(eps.is_positive(), "eps must be positive")
     if consts.K.exact is not None and consts.K.exact == 0:
@@ -844,8 +842,7 @@ def fb_uniform_monotone_rate(order: str, who: str, phi_fn: Callable[[Real], Real
 
 @_certificate
 def delta_gradient_flow(b: RealLike, gamma_tb: Callable[[Real], int],
-                        eps: RealLike, f: Counterfunction,
-                        trace: Optional[dict] = None) -> int:
+                        eps: RealLike, f: Counterfunction, *, trace: dict) -> int:
     """Metastability bound for the gradient-flow semigroup of a convex lsc
     function (nondecreasing f):
 
@@ -898,8 +895,7 @@ def _stojkovic_phi(b: Real, eps: Real) -> int:
 
 @_certificate
 def delta_stojkovic(b: RealLike, gamma_tb: Callable[[Real], int],
-                    eps: RealLike, f: Counterfunction,
-                    trace: Optional[dict] = None) -> int:
+                    eps: RealLike, f: Counterfunction, *, trace: dict) -> int:
     """Metastability bound for the semigroup generated by a nonexpansive map
     via its implicit resolvent (nondecreasing f):
 
@@ -915,9 +911,8 @@ def delta_stojkovic(b: RealLike, gamma_tb: Callable[[Real], int],
     b, eps = R(b), R(eps)
     _require(eps.is_positive(), "eps must be positive")
     if not b.is_positive():
-        if trace is not None:
-            trace["P"] = None
-            trace["levels"] = [0]
+        trace["P"] = None
+        trace["levels"] = [0]
         return 0
     P = guard(gamma_tb(eps / 6) + 1)
 

@@ -118,9 +118,12 @@ class ScenarioOutcome:
         return report
 
     def certify(self, theorem: str, inputs: dict, value, trace: Optional[dict] = None):
+        """Record a certificate.  An ExtendedNatural brings its own trace;
+        ``trace`` is for a value that has none (derived constants)."""
         entry = {"theorem": theorem, "inputs": inputs}
         if isinstance(value, ExtendedNatural):
             entry["value"] = value.to_json()
+            trace = value.trace
         else:
             entry["value"] = value
         if trace:
@@ -236,7 +239,8 @@ def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
     out.add(_property_report("operator_nonexpansive",
                              check_nonexpansive(T, space, n_samples=64, radius=2.0)))
 
-    traj = integrate_first_order(T, lam, x0, cfg["horizon"], cfg["step"], space=space)
+    traj = integrate_first_order(T, lam, x0, float(cfg["horizon"]), float(cfg["step"]),
+                                 space=space)
     out.trajectories["trajectory"] = traj
 
     out.add(_distance_monotone_report(traj, y))
@@ -260,8 +264,8 @@ def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
 
     long_cfg = cfg.get("long_check")
     if long_cfg:
-        long_traj = integrate_first_order(T, lam, x0, long_cfg["horizon"],
-                                          long_cfg["step"], space=space)
+        long_traj = integrate_first_order(T, lam, x0, float(long_cfg["horizon"]),
+                                          float(long_cfg["step"]), space=space)
         out.trajectories["trajectory_long"] = long_traj
         out.add(check_asymptotic_regularity(long_traj, residual, phi1, eps_reg,
                                             claim="asymptotic_regularity_divergence_long"))
@@ -272,14 +276,13 @@ def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
     eps = float(meta_cfg.get("eps", 1.0))
     lam_lo = lam.lower
     for fc in _counterfunctions(meta_cfg):
-        trace: dict = {}
         cert = moduli.delta_first_order(space.dimension, Fraction(cfg["solution"]["b"]),
                                         {"lower_witness": Fraction(lam_lo)},
-                                        Fraction(eps) / 4, fc, trace=trace)
+                                        Fraction(eps) / 4, fc)
         out.certify("delta_first_order",
                     {"d": space.dimension, "b": cfg["solution"]["b"],
                      "lambda_lo": lam_lo, "eps": eps / 4,
-                     "f": fc.to_spec()}, cert, trace)
+                     "f": fc.to_spec()}, cert)
         out.add(verify_metastability(traj, eps, fc, cert, residual=residual,
                                      claim=f"metastability[f={fc.to_spec()}]"))
 
@@ -335,8 +338,8 @@ def _run_second_order(cfg: dict, out: ScenarioOutcome) -> None:
     if prop.status == VIOLATED:
         return
 
-    traj = integrate_second_order(B, lam, gam, u0, v0, cfg["horizon"],
-                                  cfg["step"], theta=theta, space=space)
+    traj = integrate_second_order(B, lam, gam, u0, v0, float(cfg["horizon"]),
+                                  float(cfg["step"]), theta=theta, space=space)
     out.trajectories["trajectory"] = traj
 
     oracle = cfg.get("oracle")
@@ -379,11 +382,10 @@ def _run_second_order(cfg: dict, out: ScenarioOutcome) -> None:
     eps_d = Fraction(str(cert_cfg.get("eps", eps)))
     fc = Counterfunction.from_spec(cert_cfg.get("counterfunction", 0))
     scaled = min(eps_d, Fraction(str(B.beta)) * eps_d / 2)
-    trace: dict = {}
-    cert = moduli.delta_second_order(consts, space.dimension, scaled, fc, trace=trace)
+    cert = moduli.delta_second_order(consts, space.dimension, scaled, fc)
     out.certify("delta_second_order",
                 {"eps": float(eps_d), "scaled_eps": float(scaled),
-                 "f": fc.to_spec()}, cert, trace)
+                 "f": fc.to_spec()}, cert)
     out.add(verify_metastability(traj, float(eps_d), fc, cert,
                                  claim="metastability_second_order"))
 
@@ -406,7 +408,8 @@ def _run_forward_backward_first(cfg: dict, out: ScenarioOutcome) -> None:
     T = forward_backward_map(A, B, gamma)
     delta = T.averaged_delta
     traj = integrate_forward_backward("first", A, B, gamma, lam, x0,
-                                      cfg["horizon"], cfg["step"], space=space)
+                                      float(cfg["horizon"]), float(cfg["step"]),
+                                      space=space)
     out.trajectories["trajectory"] = traj
 
     # structural reduction: the stored derivatives are lambda(t) (T x - x) for
@@ -442,15 +445,14 @@ def _run_forward_backward_first(cfg: dict, out: ScenarioOutcome) -> None:
     eps = float(meta_cfg.get("eps", 0.5))
     eta_div = lambda K: (K / R(Fraction(str(tau_lo)))).ceil_upper()
     for fc in _counterfunctions(meta_cfg)[:1]:
-        trace: dict = {}
         cert = moduli.delta_first_order(
             space.dimension, Fraction(str(b)),
             {"divergence_modulus": eta_div,
              "averaged_delta": Fraction(str(delta))},
-            Fraction(str(eps)) / 4, fc, trace=trace)
+            Fraction(str(eps)) / 4, fc)
         out.certify("delta_first_order_fb",
                     {"d": space.dimension, "b": b, "delta": delta,
-                     "eps": eps / 4, "f": fc.to_spec()}, cert, trace)
+                     "eps": eps / 4, "f": fc.to_spec()}, cert)
         out.add(verify_metastability(traj, eps, fc, cert, residual=residual,
                                      claim="metastability_fb"))
 
@@ -468,8 +470,8 @@ def _run_forward_backward_second(cfg: dict, out: ScenarioOutcome) -> None:
     y = space.point(cfg["solution"]["point"])
 
     traj = integrate_forward_backward("second", A, B, eta_step, lam, u0,
-                                      cfg["horizon"], cfg["step"], gam=gam,
-                                      v0=v0, theta=theta, space=space)
+                                      float(cfg["horizon"]), float(cfg["step"]),
+                                      gam=gam, v0=v0, theta=theta, space=space)
     out.trajectories["trajectory"] = traj
 
     consts = _second_order_consts(cfg, lam, gam, theta, B.beta)
@@ -519,6 +521,8 @@ def _semigroup_run(cfg: dict, out: ScenarioOutcome, space: SpaceDescriptor,
     closed form e^{-decay t} x0.  Samples whose exponential formula did not
     converge have no error bound; they are named in one ``inconclusive``
     report."""
+    if not grid > 0:
+        raise ConfigError(f"sampling.grid must be positive, got {grid}")
     ts = np.arange(0.0, float(cfg["horizon"]) + grid / 2, grid)
     samples = []
     achieved = 0.0
@@ -581,11 +585,10 @@ def _run_gradient_flow(cfg: dict, out: ScenarioOutcome) -> None:
     eps = float(meta_cfg.get("eps", 1.0))
     gamma_tb = moduli.ball_modulus(space.dimension, Fraction(str(b)))
     for fc in _counterfunctions(meta_cfg)[:2]:
-        trace: dict = {}
         cert = moduli.delta_gradient_flow(Fraction(str(b)), gamma_tb,
-                                          Fraction(str(eps)), fc, trace=trace)
+                                          Fraction(str(eps)), fc)
         out.certify("delta_gradient_flow", {"b": b, "eps": eps, "f": fc.to_spec()},
-                    cert, trace)
+                    cert)
         out.add(verify_metastability(traj, eps, fc, cert, grid=grid,
                                      claim=f"metastability[f={fc.to_spec()}]"))
 
@@ -632,11 +635,9 @@ def _run_stojkovic(cfg: dict, out: ScenarioOutcome) -> None:
     meta_cfg = cfg.get("metastability", {})
     eps = float(meta_cfg.get("eps", 1.0))
     for fc in _counterfunctions(meta_cfg)[:1]:
-        trace: dict = {}
         cert = moduli.delta_stojkovic(Fraction(str(b)), gamma_tb,
-                                      Fraction(str(eps)), fc, trace=trace)
-        out.certify("delta_stojkovic", {"b": b, "eps": eps, "f": fc.to_spec()},
-                    cert, trace)
+                                      Fraction(str(eps)), fc)
+        out.certify("delta_stojkovic", {"b": b, "eps": eps, "f": fc.to_spec()}, cert)
         out.add(verify_metastability(traj, eps, fc, cert, grid=grid,
                                      claim=f"metastability[f={fc.to_spec()}]"))
 
@@ -644,11 +645,10 @@ def _run_stojkovic(cfg: dict, out: ScenarioOutcome) -> None:
     ov_cfg = cfg.get("overflow_probe", {"eps": "1/1000",
                                         "counterfunction": {"kind": "identity_plus", "k": 0}})
     fc_ov = Counterfunction.from_spec(ov_cfg["counterfunction"])
-    trace_ov: dict = {}
     cert_ov = moduli.delta_stojkovic(Fraction(str(b)), gamma_tb,
-                                     Fraction(ov_cfg["eps"]), fc_ov, trace=trace_ov)
+                                     Fraction(ov_cfg["eps"]), fc_ov)
     out.certify("delta_stojkovic_overflow_probe",
-                {"b": b, "eps": ov_cfg["eps"], "f": fc_ov.to_spec()}, cert_ov, trace_ov)
+                {"b": b, "eps": ov_cfg["eps"], "f": fc_ov.to_spec()}, cert_ov)
     out.add(verify_metastability(traj, float(Fraction(ov_cfg["eps"])), fc_ov,
                                  cert_ov, grid=grid,
                                  claim="metastability_overflow_probe"))
@@ -683,6 +683,8 @@ _PIPELINES: dict[str, tuple[Callable[[dict, ScenarioOutcome], None], tuple]] = {
 
 
 def run_scenario(config: dict) -> ScenarioOutcome:
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
     if config.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
     kind = config.get("kind")

@@ -44,8 +44,8 @@ class SpaceDescriptor:
     def __post_init__(self):
         if self.kind != "euclidean":
             raise UnsupportedOperation(f"unsupported space kind {self.kind!r}")
-        if self.dimension < 1:
-            raise SpaceError("dimension must be >= 1")
+        if not isinstance(self.dimension, int) or self.dimension < 1:
+            raise SpaceError(f"dimension must be an integer >= 1, got {self.dimension!r}")
 
     # -- points -------------------------------------------------------------
 
@@ -95,7 +95,7 @@ class SpaceDescriptor:
 
     @classmethod
     def from_json(cls, data: dict) -> "SpaceDescriptor":
-        return cls(kind=data["kind"], dimension=int(data["dimension"]))
+        return cls(kind=data["kind"], dimension=data["dimension"])
 
 
 def euclidean(dimension: int) -> SpaceDescriptor:

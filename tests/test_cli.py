@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from fejerflow.cli import _sanitize, main
+from fejerflow.exact import get_budget_bits, set_budget_bits
 from fejerflow.scenarios import builtin_scenarios
 
 
@@ -71,6 +72,34 @@ class TestCertify:
         err = capsys.readouterr().err
         assert "unknown --param ff for delta_stojkovic" in err and "eps, f" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["ball_total_boundedness", "--param", "d=1.5", "--param", "b=1",
+         "--param", "eps=1/10"],
+        ["delta_first_order", "--param", "d=2.5", "--param", "b=1",
+         "--param", "lambda_lo=1/2", "--param", "eps=1/4"],
+    ], ids=["ball", "delta_first_order"])
+    def test_fractional_dimension_exit_two(self, capsys, argv):
+        assert main(["certify", *argv]) == 2
+        assert "dimension must be an integer" in capsys.readouterr().err
+
+    def test_overflow_reason_printed(self, capsys):
+        bits = get_budget_bits()
+        set_budget_bits(8)
+        try:
+            assert main(["certify", "ball_total_boundedness", "--param", "d=1",
+                         "--param", "b=1", "--param", "eps=1/1000"]) == 0
+        finally:
+            set_budget_bits(bits)
+        data = json.loads(capsys.readouterr().out)
+        assert data["value"] == "overflow" and data["trace"]["overflow"]
+
+    def test_second_order_constants_in_trace(self, capsys):
+        params = [f"--param={k}=1" for k in ("b", "c", "dB", "lambda_lo", "lambda_hi",
+                                             "gamma_lo", "gamma_hi", "theta", "beta")]
+        assert main(["certify", "lambda_capital", *params, "--param", "eps=1/5"]) == 0
+        trace = json.loads(capsys.readouterr().out)["trace"]
+        assert trace == {"constants": trace["constants"]} and trace["constants"]["L"] == 5
+
     def test_fraction_param_equals_decimal(self, capsys):
         values = []
         for k in ("k=1/2", "k=0.5"):
@@ -103,6 +132,31 @@ class TestRun:
     def test_domain_error_exit_two(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, {"builtin": "first_order_contraction_1d",
                                       "overrides": overrides})
+        assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        {"builtin": "first_order_contraction_1d", "overrides": {"horizon": "40x"}},
+        {"builtin": "first_order_contraction_1d",
+         "overrides": {"curves": {"lambda": {"kind": "spline"}}}},
+        {"builtin": "gradient_flow_quadratic", "overrides": {"sampling": {"grid": 0}}},
+        {"builtin": "gradient_flow_quadratic", "overrides": {"sampling": {"grid": -0.25}}},
+        {"builtin": "stojkovic_negation",
+         "overrides": {"overflow_probe": {"eps": "abc", "counterfunction": 0}}},
+        {"builtin": "gradient_flow_quadratic",
+         "overrides": {"metastability": {"counterfunctions": [{"kind": "composition"}]}}},
+        {"builtin": "gradient_flow_quadratic", "overrides": {"regularity": {"kind": "nope"}}},
+        {"builtin": "second_order_linear", "overrides": {"theta": "x"}},
+        [1, 2],
+        {"builtin": "gradient_flow_quadratic", "overrides": [1]},
+        {"builtin": "gradient_flow_quadratic",
+         "overrides": {"space": {"kind": "euclidean", "dimension": 1.5}}},
+    ], ids=["horizon_string", "curve_kind", "grid_zero", "grid_negative", "probe_eps",
+            "composition", "regularity_kind", "theta_string", "not_an_object",
+            "overrides_not_an_object", "fractional_dimension"])
+    def test_malformed_value_exit_two(self, tmp_path, capsys, config):
+        # a bad value is a config error, not a traceback with exit 1
+        cfg = write_config(tmp_path, config)
         assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
         assert "config error" in capsys.readouterr().err
 

@@ -29,17 +29,13 @@ positive_rationals = st.fractions(min_value=Fraction(1, 1000),
 
 
 class TestExtendedNatural:
-    def test_basic_arithmetic(self):
-        a, b = ExtendedNatural(3), ExtendedNatural(4)
-        assert (a + b).value == 7
-        assert (a * b).value == 12
-        assert a.max(b).value == 4
-
-    def test_overflow_propagates(self):
-        ov = ExtendedNatural.overflow()
-        assert (ov + 1).is_overflow
-        assert (ExtendedNatural(2) * ov).is_overflow
-        assert ov.to_json() == "overflow"
+    def test_overflow_carries_its_reason(self):
+        ov = ExtendedNatural.overflow("value exceeds 2^8")
+        assert ov.is_overflow and ov.to_json() == "overflow"
+        assert ov.trace == {"overflow": "value exceeds 2^8"}
+        assert ExtendedNatural.overflow().trace == {}
+        assert ExtendedNatural(3, {"P": 1}).trace == {"P": 1}
+        assert ExtendedNatural(3).trace == {}
 
     def test_budget_collapse(self):
         huge = ExtendedNatural(1 << (get_budget_bits() + 1))

@@ -199,9 +199,9 @@ class TestRhoRates:
             g=lambda e: e.sqrt(), h=lambda e: e * e,
             tau=lambda e: e,
         )
-        trace = {}
-        assert rho_convergence_regular(bundle, 1, trace=trace).value == 5
-        assert trace["branch"] == "zero_error"
+        cert = rho_convergence_regular(bundle, 1)
+        assert cert.value == 5
+        assert cert.trace == {"branch": "zero_error"}
 
     def test_zero_error_trivial(self):
         bundle = simple_bundle(tau=lambda e: e)
@@ -277,19 +277,16 @@ class TestDeltaFirstOrder:
     def test_levels_stop_at_fixed_point(self):
         # f == 0 gives the same eps_hat at every level: the second level
         # repeats the first and the loop stops there, P levels short
-        trace = {}
         cert = delta_first_order(2, 1, {"lower_witness": F(1, 2)}, F(1, 4),
-                                 CF.constant(0), trace)
+                                 CF.constant(0))
         assert cert.value == 9437185
-        assert trace["P"] == 1850
-        assert trace["levels"] == [0, 9437184, 9437184]
+        assert cert.trace == {"P": 1850, "levels": [0, 9437184, 9437184]}
 
     def test_levels_of_growing_f_rise_to_fixed_point(self):
         # a table f rises over its first arguments and then stays put
-        trace = {}
         f = CF.table({1: 1, 2: 3}, default=5)
-        cert = delta_first_order(1, F(1, 2), {"lower_witness": 1}, 2, f, trace)
-        levels = trace["levels"]
+        cert = delta_first_order(1, F(1, 2), {"lower_witness": 1}, 2, f)
+        levels = cert.trace["levels"]
         assert levels == sorted(levels) and levels[-1] == levels[-2]
         assert cert.value == levels[-1] + 1
         assert cert.value == oracles.delta_first_order(1, F(1, 2), F(1), F(2), f)
@@ -304,10 +301,9 @@ class TestDeltaFirstOrder:
 
     def test_irrational_radius_large_P(self):
         # a running minimum over 16,217 irrational levels took 11.6 s
-        trace = {}
         cert = delta_first_order(1, R(3).powq(F(1, 7)), {"lower_witness": F(1, 2)},
-                                 F(1, 2000), CF.constant(1), trace)
-        assert trace["P"] == 16217
+                                 F(1, 2000), CF.constant(1))
+        assert cert.trace["P"] == 16217
         assert cert.value == 6049834676386033816
 
 
@@ -507,30 +503,29 @@ def _overflowing_calls():
             0, 1, 1, small, CF.constant(1)),
         "aas2_metastability": lambda: moduli.aas2_metastability(
             1, 1, 1, 1, 1, small, CF.constant(0)),
-        "delta_general": lambda trace: delta_general(
-            simple_bundle(gamma_tb=lambda e: 1, **meta), small, CF.constant(0),
-            trace=trace),
-        "delta_with_error_rate": lambda trace: delta_with_error_rate(
-            simple_bundle(), small, CF.constant(1), trace=trace),
-        "delta_uniform_continuity": lambda trace: delta_uniform_continuity(
-            simple_bundle(omega=lambda e: e), small, CF.constant(1), trace=trace),
-        "rho_metastable_regular": lambda trace: rho_metastable_regular(
-            simple_bundle(tau=lambda e: e, **meta), small, CF.constant(0), trace=trace),
-        "rho_convergence_regular": lambda trace: rho_convergence_regular(
-            simple_bundle(tau=lambda e: e), small, trace=trace),
+        "delta_general": lambda: delta_general(
+            simple_bundle(gamma_tb=lambda e: 1, **meta), small, CF.constant(0)),
+        "delta_with_error_rate": lambda: delta_with_error_rate(
+            simple_bundle(), small, CF.constant(1)),
+        "delta_uniform_continuity": lambda: delta_uniform_continuity(
+            simple_bundle(omega=lambda e: e), small, CF.constant(1)),
+        "rho_metastable_regular": lambda: rho_metastable_regular(
+            simple_bundle(tau=lambda e: e, **meta), small, CF.constant(0)),
+        "rho_convergence_regular": lambda: rho_convergence_regular(
+            simple_bundle(tau=lambda e: e), small),
         "ball_total_boundedness": lambda: moduli.ball_total_boundedness(1, 1, small),
-        "delta_first_order": lambda trace: delta_first_order(
-            1, 1, {"lower_witness": F(1, 2)}, F(1, 10), CF.constant(0), trace=trace),
+        "delta_first_order": lambda: delta_first_order(
+            1, 1, {"lower_witness": F(1, 2)}, F(1, 10), CF.constant(0)),
         "lambda_capital": lambda: moduli.lambda_capital(cs, F(1, 10), CF.constant(1)),
-        "delta_second_order": lambda trace: moduli.delta_second_order(
-            cs, 1, 1, CF.constant(0), trace=trace),
+        "delta_second_order": lambda: moduli.delta_second_order(
+            cs, 1, 1, CF.constant(0)),
         "fb_uniform_monotone_rate": lambda: moduli.fb_uniform_monotone_rate(
             "first", "B", lambda e: e * e, small, b=1, gamma=1, beta=1,
             flow_rate=lambda e: (1 / e).ceil()),
-        "delta_gradient_flow": lambda trace: delta_gradient_flow(
-            1, ball_modulus(1, 1), small, CF.constant(0), trace=trace),
-        "delta_stojkovic": lambda trace: delta_stojkovic(
-            1, ball_modulus(1, 1), 1, CF.constant(0), trace=trace),
+        "delta_gradient_flow": lambda: delta_gradient_flow(
+            1, ball_modulus(1, 1), small, CF.constant(0)),
+        "delta_stojkovic": lambda: delta_stojkovic(
+            1, ball_modulus(1, 1), 1, CF.constant(0)),
     }
 
 
@@ -540,35 +535,72 @@ class TestCertificateBoundary:
                    if hasattr(getattr(moduli, name), "__wrapped__")}
         assert wrapped == set(_overflowing_calls())
 
+    def test_no_calculator_takes_a_trace(self):
+        for name in _overflowing_calls():
+            calc = getattr(moduli, name)
+            assert "trace" not in inspect.signature(calc).parameters, name
+        with pytest.raises(TypeError):
+            delta_gradient_flow(1, ball_modulus(1, 1), 1, CF.constant(0), trace={})
+        with pytest.raises(TypeError):
+            moduli.ball_total_boundedness(1, 1, 1, trace={})
+
     def test_overflow_with_reason(self):
         bits = get_budget_bits()
         set_budget_bits(8)
         try:
             for name, call in _overflowing_calls().items():
-                takes_trace = "trace" in inspect.signature(getattr(moduli, name)).parameters
-                trace = {}
-                cert = call(trace) if takes_trace else call()
+                cert = call()
                 assert cert.is_overflow, name
                 assert cert.to_json() == "overflow"
-                if takes_trace:
-                    assert trace["overflow"], name
+                assert cert.trace["overflow"], name
         finally:
             set_budget_bits(bits)
 
     def test_reason_of_a_positional_trace(self):
+        # the reason rides on the value; a trace passed positionally is an
+        # extra argument
         bits = get_budget_bits()
         set_budget_bits(8)
         try:
-            trace = {}
-            cert = delta_gradient_flow(1, ball_modulus(1, 1), F(1, 100), CF.constant(0),
-                                       trace)
-            assert cert.is_overflow and trace["overflow"] == "value exceeds 2^8"
+            cert = delta_gradient_flow(1, ball_modulus(1, 1), F(1, 100), CF.constant(0))
+            assert cert.is_overflow and cert.trace == {"overflow": "value exceeds 2^8"}
+            with pytest.raises(TypeError):
+                delta_gradient_flow(1, ball_modulus(1, 1), F(1, 100), CF.constant(0), {})
         finally:
             set_budget_bits(bits)
 
     def test_domain_errors_pass_through(self):
         with pytest.raises(ValueError):
             delta_first_order(1, 1, {"lower_witness": 1}, 0, CF.constant(0))
+
+    @pytest.mark.parametrize("d", [1.5, 2.5, 0, F(3, 2)])
+    def test_non_integer_dimension_rejected(self, d):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            moduli.ball_total_boundedness(d, 1, F(1, 10))
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            delta_first_order(d, 1, {"lower_witness": F(1, 2)}, F(1, 4), CF.constant(0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(bits=st.integers(8, 256))
+def test_every_calculator_returns_within_budget_or_overflows_with_reason(bits):
+    """At any budget each calculator returns an int no larger than 2^bits, or
+    overflow with a reason, and never raises; an int is the same at every
+    budget it fits."""
+    old = get_budget_bits()
+    try:
+        set_budget_bits(256)
+        reference = {name: call() for name, call in _overflowing_calls().items()}
+        set_budget_bits(bits)
+        for name, call in _overflowing_calls().items():
+            cert = call()
+            if cert.is_overflow:
+                assert cert.trace["overflow"], name
+            else:
+                assert cert.value <= 1 << bits, name
+                assert cert.value == reference[name].value, name
+    finally:
+        set_budget_bits(old)
 
 
 # irrational radii whose certificate terms can be integers, such as b^4 = 4
