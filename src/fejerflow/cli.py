@@ -25,6 +25,7 @@ import numpy as np
 from . import moduli
 from .counterfunctions import Counterfunction
 from .flows import IntegrationError
+from .operators import IterationBudgetError
 from .scenarios import ConfigError, ScenarioOutcome, builtin_scenarios, run_scenario
 
 # theorem ids that must be exercised by at least one builtin scenario
@@ -141,7 +142,7 @@ def cmd_run(args) -> int:
             outcomes = [_run_one(base, out_root)]
         else:
             outcomes = [_run_one(config, out_root)]
-    except (ValueError, IntegrationError) as exc:
+    except (ValueError, IntegrationError, IterationBudgetError) as exc:
         # ValueError covers ConfigError, OperatorError, SpaceError and bad values
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,10 +11,11 @@ Two pieces live here:
   (``fractions.Fraction``) or as an adaptive rational enclosure ``[lo, hi]``
   that can be refined to any precision.  Rational inputs flowing through
   ``+ - * /`` stay exact; only genuinely irrational nodes (square roots of
-  non-squares, ``exp``, fractional powers) introduce intervals.  Ceilings and
-  floors refine the enclosure until the integer is determined, so the
-  integer-valued certificate formulas never suffer an off-by-one from
-  rounding.
+  non-squares, ``exp``, fractional powers) introduce intervals.  Ceilings,
+  floors and signs refine the enclosure until the answer is determined, so
+  the integer-valued certificate formulas never suffer an off-by-one from
+  rounding.  One loop (``_refine``) doubles the precision for all of them,
+  up to 16,384 bits.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 __all__ = [
     "BudgetExceeded",
@@ -172,34 +173,8 @@ def _dyadic_ceil(q: Fraction, bits: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def sqrt_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of sqrt(q) with width about 2^-bits, q >= 0."""
-    if q < 0:
-        raise ValueError("sqrt of negative value")
-    if q == 0:
-        return Fraction(0), Fraction(0)
-    num, den = q.numerator, q.denominator
-    big = num * den << (2 * bits)
-    r = math.isqrt(big)
-    scale = den << bits
-    if r * r == big:
-        exact = Fraction(r, scale)
-        return exact, exact
-    return Fraction(r, scale), Fraction(r + 1, scale)
-
-
-def exact_sqrt(q: Fraction) -> Optional[Fraction]:
-    """sqrt(q) if q is a perfect rational square, else None."""
-    if q < 0:
-        return None
-    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def root_bounds(q: Fraction, k: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of the k-th root of q >= 0."""
+    """Enclosure of the k-th root of q >= 0 with width about 2^-bits."""
     if q < 0:
         raise ValueError("root of negative value")
     if q == 0:
@@ -215,6 +190,7 @@ def root_bounds(q: Fraction, k: int, bits: int) -> tuple[Fraction, Fraction]:
 
 
 def exact_root(q: Fraction, k: int) -> Optional[Fraction]:
+    """The k-th root of q if it is rational, else None."""
     if q < 0:
         return None
     rn, rd = iroot(q.numerator, k), iroot(q.denominator, k)
@@ -262,7 +238,37 @@ def exp_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
 # Real: exact rational or adaptive enclosure
 # ---------------------------------------------------------------------------
 
-_SCHEDULE = (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384)
+_MAX_BITS = 16384
+
+_T = TypeVar("_T")
+
+
+def _refine(decide: Callable[[int], Optional[_T]], what: str, bits: int = 64) -> _T:
+    """The first answer of ``decide`` at precisions bits, 2 bits, ... up to
+    ``_MAX_BITS``; ``decide`` returns None while the enclosure cannot
+    decide."""
+    while True:
+        answer = decide(bits)
+        if answer is not None:
+            return answer
+        bits *= 2
+        if bits > _MAX_BITS:
+            raise PrecisionExhausted(f"{what} undetermined at maximum precision")
+
+
+def _decided(f: Callable[[Fraction], _T], bounds: tuple[Fraction, Fraction]) -> Optional[_T]:
+    """f on the enclosure when both ends agree, else None."""
+    lo, hi = f(bounds[0]), f(bounds[1])
+    return lo if lo == hi else None
+
+
+def _nonzero(bounds: tuple[Fraction, Fraction]) -> Optional[tuple[Fraction, Fraction]]:
+    return None if bounds[0] <= 0 <= bounds[1] else bounds
+
+
+def _positive(bounds: tuple[Fraction, Fraction]) -> Optional[tuple[Fraction, Fraction]]:
+    return bounds if bounds[0] > 0 else None
+
 
 RealLike = Union["Real", int, float, Fraction, str]
 
@@ -359,13 +365,7 @@ class Real:
                 return Real(exact=self.exact / other.exact)
 
         def fn(bits, a=self, b=other):
-            blo, bhi = b.bounds(bits)
-            attempt = bits
-            while blo <= 0 <= bhi:
-                attempt *= 2
-                if attempt > _SCHEDULE[-1]:
-                    raise PrecisionExhausted("divisor sign undetermined")
-                blo, bhi = b.bounds(attempt)
+            blo, bhi = _refine(lambda p: _nonzero(b.bounds(p)), "divisor sign", bits)
             alo, ahi = a.bounds(bits)
             quots = (alo / blo, alo / bhi, ahi / blo, ahi / bhi)
             return min(quots), max(quots)
@@ -377,7 +377,7 @@ class Real:
 
     def sqrt(self) -> "Real":
         if self.exact is not None:
-            root = exact_sqrt(self.exact)
+            root = exact_root(self.exact, 2)
             if root is not None:
                 return Real(exact=root)
 
@@ -386,7 +386,7 @@ class Real:
             if hi < 0:
                 raise ValueError("sqrt of negative enclosure")
             lo = max(lo, Fraction(0))
-            return sqrt_bounds(lo, bits)[0], sqrt_bounds(hi, bits)[1]
+            return root_bounds(lo, 2, bits)[0], root_bounds(hi, 2, bits)[1]
 
         return Real(fn=fn)
 
@@ -414,13 +414,7 @@ class Real:
                 return Real(exact=root)
 
         def fn(bits, s=self, a=a, b=b):
-            lo, hi = s.bounds(bits)
-            attempt = bits
-            while lo <= 0:
-                attempt *= 2
-                if attempt > _SCHEDULE[-1]:
-                    raise PrecisionExhausted("base sign undetermined for power")
-                lo, hi = s.bounds(attempt)
+            lo, hi = _refine(lambda p: _positive(s.bounds(p)), "base sign", bits)
             plo, phi = lo ** a, hi ** a
             if plo > phi:
                 plo, phi = phi, plo
@@ -475,57 +469,32 @@ class Real:
     def ceil(self) -> int:
         if self.exact is not None:
             return math.ceil(self.exact)
-        for bits in _SCHEDULE:
-            lo, hi = self.bounds(bits)
-            clo, chi = math.ceil(lo), math.ceil(hi)
-            if clo == chi:
-                return clo
-        raise PrecisionExhausted("ceiling undetermined at maximum precision")
+        return _refine(lambda bits: _decided(math.ceil, self.bounds(bits)), "ceiling")
 
     def ceil_upper(self) -> int:
         """Ceiling of the current upper bound: a valid outward rounding."""
-        if self.exact is not None:
-            return math.ceil(self.exact)
         try:
             return self.ceil()
         except PrecisionExhausted:
-            _, hi = self.bounds(_SCHEDULE[-1])
-            return math.ceil(hi)
+            return math.ceil(self.bounds(_MAX_BITS)[1])
 
     def floor(self) -> int:
         if self.exact is not None:
             return math.floor(self.exact)
-        for bits in _SCHEDULE:
-            lo, hi = self.bounds(bits)
-            flo, fhi = math.floor(lo), math.floor(hi)
-            if flo == fhi:
-                return flo
-        raise PrecisionExhausted("floor undetermined at maximum precision")
+        return _refine(lambda bits: _decided(math.floor, self.bounds(bits)), "floor")
 
     def is_positive(self) -> bool:
         if self.exact is not None:
             return self.exact > 0
-        for bits in _SCHEDULE:
-            lo, hi = self.bounds(bits)
-            if lo > 0:
-                return True
-            if hi <= 0:
-                return False
-        raise PrecisionExhausted("sign undetermined at maximum precision")
+        return _refine(lambda bits: _decided(lambda q: q > 0, self.bounds(bits)), "sign")
 
     def lt(self, other: RealLike) -> bool:
-        """Strict comparison; refines until the order is determined."""
+        """Strict comparison: the sign of other - self, whose enclosure is
+        [olo - shi, ohi - slo]."""
         other = Real.of(other)
         if self.exact is not None and other.exact is not None:
             return self.exact < other.exact
-        for bits in _SCHEDULE:
-            slo, shi = self.bounds(bits)
-            olo, ohi = other.bounds(bits)
-            if shi < olo:
-                return True
-            if ohi <= slo:
-                return False
-        raise PrecisionExhausted("comparison undetermined at maximum precision")
+        return (other - self).is_positive()
 
     def to_float(self) -> float:
         if self.exact is not None:

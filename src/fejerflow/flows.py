@@ -12,7 +12,9 @@ the first non-finite sample is named in the error.
 The semigroups double the step count n of their exponential formulas under
 one driver (``_semigroup``), which returns the Richardson extrapolant
 2 y_n - y_{n/2} when successive extrapolants show a second-order error, and
-otherwise the plain run with a geometric tail bound on its error.
+otherwise the plain run with a geometric tail bound on its error.  The
+gradient-flow semigroup steps with the closed-form prox of its function, the
+Stojkovic semigroup with ``operators.stojkovic_resolvent``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .operators import (
     NonexpansiveMap,
     forward_backward_map,
     forward_backward_residual,
+    stojkovic_resolvent,
 )
 from .space import SpaceDescriptor
 
@@ -220,26 +223,25 @@ class Trajectory:
         return (h00 * ys[idx] + h10 * h * dys[idx]
                 + h01 * ys[idx + 1] + h11 * h * dys[idx + 1])
 
-    def eval(self, t: float) -> np.ndarray:
-        """Dense output; interpolation error is folded into est_err."""
+    def _dense(self, ys: np.ndarray, dys: np.ndarray, t: float) -> np.ndarray:
+        """ys at time t: the stored sample when t is a sample time, else the
+        Hermite interpolant; times up to 1e-12 past the horizon clamp to it."""
         if not 0.0 <= t <= self.horizon + 1e-12:
             raise IntegrationError(f"time {t} outside [0, {self.horizon}]")
         t = min(t, self.horizon)
         exact = np.searchsorted(self.ts, t)
         if exact < len(self.ts) and self.ts[exact] == t:
-            return self.xs[exact].copy()
-        return self._hermite(self.xs, self.dxs, t)
+            return ys[exact].copy()
+        return self._hermite(ys, dys, t)
+
+    def eval(self, t: float) -> np.ndarray:
+        """Dense output; interpolation error is folded into est_err."""
+        return self._dense(self.xs, self.dxs, t)
 
     def eval_velocity(self, t: float) -> np.ndarray:
         if self.vs is None:
             raise IntegrationError("trajectory carries no velocity")
-        if not 0.0 <= t <= self.horizon + 1e-12:
-            raise IntegrationError(f"time {t} outside [0, {self.horizon}]")
-        t = min(t, self.horizon)
-        exact = np.searchsorted(self.ts, t)
-        if exact < len(self.ts) and self.ts[exact] == t:
-            return self.vs[exact].copy()
-        return self._hermite(self.vs, self.dvs, t)
+        return self._dense(self.vs, self.dvs, t)
 
     def lipschitz_estimate(self) -> float:
         """Max observed speed; grid slack for sup-approximations derives
@@ -428,26 +430,25 @@ def _tail_bound(d: float, d_prev: float) -> float:
 
 
 def _semigroup(run: Callable[[np.ndarray, int], np.ndarray], x, t: float,
-               n_start: int, n_max: int, tol: float,
-               space: Optional[SpaceDescriptor]) -> SemigroupPoint:
+               n_max: int, tol: float) -> SemigroupPoint:
     """Doubling driver of the exponential formulas, with Richardson
     extrapolation and a fallback to the plain scheme.
 
-    ``run(x, n)`` takes n steps of size t/n from x, and n doubles from
-    n_start.  Each doubling compares the newest run y_n with y_{n/2}: the
-    plain Cauchy difference d = |y_n - y_{n/2}|, and the extrapolant
-    E_n = 2 y_n - y_{n/2} with its difference |E_n - E_{n/2}| from the
-    previous extrapolant.  When the error of the scheme expands in 1/n
-    (smooth phi or F), E_n is second order and the extrapolant differences
-    shrink about 4x per doubling.  The driver returns E_n only in that
-    regime: its difference is below tol, below d/2, and at most a third of
-    the previous extrapolant difference.  Otherwise (nonsmooth phi such as
-    l1 or an indicator, where the error need not expand in 1/n) it returns
-    the plain run y_n once the tail bound of the Cauchy differences
-    (``_tail_bound``, which needs two of them) is below tol.  The achieved
-    tolerance is the difference (extrapolated) or tail bound (plain) of the
-    returned point; for an extrapolant it is conservative, since its error
-    is about a third of its difference.
+    ``run(x, n)`` takes n steps of size t/n from x, and n doubles from 8; a
+    run that leaves the reals raises.  Each doubling compares the newest run
+    y_n with y_{n/2}: the plain Cauchy difference d = |y_n - y_{n/2}|, and
+    the extrapolant E_n = 2 y_n - y_{n/2} with its difference
+    |E_n - E_{n/2}| from the previous extrapolant.  When the error of the scheme
+    expands in 1/n (smooth phi or F), E_n is second order and the
+    extrapolant differences shrink about 4x per doubling.  The driver
+    returns E_n only in that regime: its difference is below tol, below d/2,
+    and at most a third of the previous extrapolant difference.  Otherwise
+    (nonsmooth phi such as l1 or an indicator, where the error need not
+    expand in 1/n) it returns the plain run y_n once the tail bound of the
+    Cauchy differences (``_tail_bound``, which needs two of them) is below
+    tol.  The achieved tolerance is the difference (extrapolated) or tail
+    bound (plain) of the returned point; for an extrapolant it is
+    conservative, since its error is about a third of its difference.
 
     The extrapolant is the point at parameter 2 on the line from y_{n/2}
     through y_n.  It is formed in coordinates, which is sound only because
@@ -458,17 +459,22 @@ def _semigroup(run: Callable[[np.ndarray, int], np.ndarray], x, t: float,
         raise IntegrationError("semigroup time must be nonnegative")
     if t == 0:
         return SemigroupPoint(point=x.copy(), achieved_tol=0.0, n_used=0, converged=True)
-    if space is None:
-        space = SpaceDescriptor(dimension=x.size)
-    n = max(1, n_start)
-    prev = run(x, n)
+
+    def finite_run(n: int) -> np.ndarray:
+        y = run(x, n)
+        if not np.isfinite(y).all():
+            raise IntegrationError(f"non-finite semigroup point at t={t}, n={n}")
+        return y
+
+    n = 8
+    prev = finite_run(n)
     d_prev = ext_prev = de_prev = None
     while n < n_max:
         n *= 2
-        cur = run(x, n)
-        d = space.distance(prev, cur)
+        cur = finite_run(n)
+        d = float(np.linalg.norm(prev - cur))
         ext = 2.0 * cur - prev
-        de = None if ext_prev is None else space.distance(ext_prev, ext)
+        de = None if ext_prev is None else float(np.linalg.norm(ext_prev - ext))
         if de_prev is not None and de < tol and 2 * de < d and 3 * de <= de_prev:
             return SemigroupPoint(point=ext, achieved_tol=de, n_used=n,
                                   converged=True, extrapolated=True)
@@ -482,9 +488,7 @@ def _semigroup(run: Callable[[np.ndarray, int], np.ndarray], x, t: float,
 
 
 def gradient_flow_semigroup(phi: ConvexFunction, x, t: float,
-                            n_start: int = 8, n_max: int = 2 ** 20,
-                            tol: float = 1e-9,
-                            space: Optional[SpaceDescriptor] = None) -> SemigroupPoint:
+                            n_max: int = 2 ** 20, tol: float = 1e-9) -> SemigroupPoint:
     """S_t(x) = lim_n (J_{t/n})^n (x): iterate the prox under the doubling
     driver."""
 
@@ -495,32 +499,20 @@ def gradient_flow_semigroup(phi: ConvexFunction, x, t: float,
             y = phi.prox_point(s, y)
         return y
 
-    return _semigroup(run, x, t, n_start, n_max, tol, space)
+    return _semigroup(run, x, t, n_max, tol)
 
 
 def stojkovic_semigroup(F: NonexpansiveMap, x, t: float,
-                        n_start: int = 8, n_max: int = 2 ** 20,
-                        tol: float = 1e-9,
-                        space: Optional[SpaceDescriptor] = None) -> SemigroupPoint:
+                        n_max: int = 2 ** 20, tol: float = 1e-9) -> SemigroupPoint:
     """T_t(x) = lim_n (R_{t/n})^n (x) over the implicit resolvent of F; same
     doubling driver, with the inner fixed-point tolerance budgeted tol/(2n)."""
-    fn = F.fn  # raw closure; the validating wrapper is per-call overhead here
 
     def run(x: np.ndarray, n: int) -> np.ndarray:
-        y = x.copy()
+        y = x
         s = t / n
-        scale = 1.0 + s
         inner = tol / (2 * n)
         for _ in range(n):
-            w = y
-            for _ in range(10_000):
-                wn = (y + s * np.asarray(fn(w), dtype=float)) / scale
-                if float(np.linalg.norm(wn - w)) <= inner:
-                    break
-                w = wn
-            else:
-                raise IntegrationError("resolvent iteration failed to contract")
-            y = wn
+            y = stojkovic_resolvent(F, s, y, tol=inner)
         return y
 
-    return _semigroup(run, x, t, n_start, n_max, tol, space)
+    return _semigroup(run, x, t, n_max, tol)

@@ -3,9 +3,10 @@ maximally monotone operators (via resolvents), convex functions (via prox),
 plus sampled property checkers.
 
 Descriptors are immutable after construction; evaluation is pure.  Resolvents
-and prox maps are supplied in closed form for the shipped zoo; a generic
-numeric prox fallback reports its achieved residual instead of pretending to
-be exact.
+of monotone operators and prox maps of convex functions are supplied in closed
+form; the one implicit resolvent, Stojkovic's resolvent of a nonexpansive map,
+is computed by fixed-point iteration in :func:`stojkovic_resolvent`, which the
+Stojkovic semigroup also steps with.
 
 Every config-addressable closure takes one point (d,) or a stack (..., d)
 and answers row by row (a convex value is a float for one point).  Rows of
@@ -61,8 +62,6 @@ class IterationBudgetError(RuntimeError):
 class NonexpansiveMap:
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
-    contraction_factor: Optional[float] = None
-    fixed_points: tuple = ()
     # cap delta on lambda in x' = lambda (T x - x); above 1 only for averaged maps
     averaged_delta: float = 1.0
 
@@ -71,19 +70,17 @@ class NonexpansiveMap:
 
     @classmethod
     def identity(cls) -> "NonexpansiveMap":
-        return cls(fn=lambda x: x, name="identity", contraction_factor=1.0)
+        return cls(fn=lambda x: x, name="identity")
 
     @classmethod
     def scalar(cls, c: float) -> "NonexpansiveMap":
         if not 0.0 <= c <= 1.0:
             raise OperatorError("scalar contraction factor must be in [0, 1]")
-        return cls(fn=lambda x: c * x, name=f"scalar({c})",
-                   contraction_factor=c, fixed_points=((0.0,),) if c < 1 else ())
+        return cls(fn=lambda x: c * x, name=f"scalar({c})")
 
     @classmethod
     def negation(cls) -> "NonexpansiveMap":
-        return cls(fn=lambda x: -x, name="negation",
-                   contraction_factor=1.0, fixed_points=((0.0,),))
+        return cls(fn=lambda x: -x, name="negation")
 
     @classmethod
     def affine(cls, matrix, offset) -> "NonexpansiveMap":
@@ -92,8 +89,7 @@ class NonexpansiveMap:
         norm = float(np.linalg.norm(matrix, 2))
         if norm > 1.0 + 1e-12:
             raise OperatorError(f"matrix spectral norm {norm} > 1 is expansive")
-        return cls(fn=lambda x: x @ matrix.T + offset, name="affine",
-                   contraction_factor=min(norm, 1.0))
+        return cls(fn=lambda x: x @ matrix.T + offset, name="affine")
 
     @classmethod
     def linear(cls, matrix) -> "NonexpansiveMap":
@@ -104,8 +100,7 @@ class NonexpansiveMap:
         theta = math.radians(angle_deg)
         m = np.array([[math.cos(theta), -math.sin(theta)],
                       [math.sin(theta), math.cos(theta)]])
-        return cls(fn=lambda x: x @ m.T, name=f"rotation({angle_deg})",
-                   contraction_factor=1.0, fixed_points=((0.0, 0.0),))
+        return cls(fn=lambda x: x @ m.T, name=f"rotation({angle_deg})")
 
     @classmethod
     def projection_ball(cls, center, radius: float) -> "NonexpansiveMap":
@@ -120,21 +115,16 @@ class NonexpansiveMap:
             scale = radius / np.where(outside, norm, 1.0)
             return np.where(outside, center + diff * scale, x)
 
-        return cls(fn=fn, name="projection_ball", contraction_factor=1.0)
+        return cls(fn=fn, name="projection_ball")
 
     @classmethod
     def compose(cls, maps: Sequence["NonexpansiveMap"]) -> "NonexpansiveMap":
-        factors = [m.contraction_factor for m in maps]
-        factor = None
-        if all(f is not None for f in factors):
-            factor = float(np.prod(factors))
-
         def fn(x):
             for m in reversed(maps):
                 x = m(x)
             return x
 
-        return cls(fn=fn, name="composition", contraction_factor=factor)
+        return cls(fn=fn, name="composition")
 
 
 @dataclass(frozen=True)
@@ -142,7 +132,6 @@ class CocoerciveMap:
     fn: Callable[[np.ndarray], np.ndarray]
     beta: float
     name: str = "custom"
-    zeros: tuple = ()
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
@@ -153,7 +142,7 @@ class CocoerciveMap:
 
     @classmethod
     def identity(cls) -> "CocoerciveMap":
-        return cls(fn=lambda x: x, beta=1.0, name="identity", zeros=((0.0,),))
+        return cls(fn=lambda x: x, beta=1.0, name="identity")
 
     @classmethod
     def zero(cls, beta: float = 1.0) -> "CocoerciveMap":
@@ -163,8 +152,7 @@ class CocoerciveMap:
     def scaled_identity(cls, c: float) -> "CocoerciveMap":
         if c <= 0:
             raise OperatorError("scaled identity needs c > 0")
-        return cls(fn=lambda x: c * x, beta=1.0 / c, name=f"scaled_identity({c})",
-                   zeros=((0.0,),))
+        return cls(fn=lambda x: c * x, beta=1.0 / c, name=f"scaled_identity({c})")
 
     @classmethod
     def linear_spd(cls, matrix) -> "CocoerciveMap":
@@ -186,7 +174,6 @@ class MonotoneOperator:
 
     resolvent: Callable[[float, np.ndarray], np.ndarray]
     name: str = "custom"
-    zeros: tuple = ()
 
     def resolve(self, gamma: float, x: np.ndarray) -> np.ndarray:
         if gamma <= 0:
@@ -202,15 +189,14 @@ class MonotoneOperator:
         if c < 0:
             raise OperatorError("monotone scaled identity needs c >= 0")
         return cls(resolvent=lambda gamma, x: x / (1.0 + gamma * c),
-                   name=f"scaled_identity({c})", zeros=((0.0,),))
+                   name=f"scaled_identity({c})")
 
     @classmethod
     def indicator_point(cls, point) -> "MonotoneOperator":
         """Subdifferential of the indicator of {point}; resolvent == point."""
         point = np.asarray(point, dtype=float)
         return cls(resolvent=lambda gamma, x: np.broadcast_to(point, np.shape(x)).copy(),
-                   name="indicator_point",
-                   zeros=(tuple(point),))
+                   name="indicator_point")
 
     @classmethod
     def linear(cls, matrix) -> "MonotoneOperator":
@@ -227,32 +213,22 @@ class MonotoneOperator:
 
 @dataclass(frozen=True)
 class ConvexFunction:
+    """A convex function with its closed-form prox."""
+
     value: Callable[[np.ndarray], float]
-    prox: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    prox: Callable[[float, np.ndarray], np.ndarray]
     mu: Optional[float] = None
-    minimizers: tuple = ()
     name: str = "custom"
-    prox_tol: float = 1e-10
 
     def __call__(self, x: np.ndarray):
         value = np.asarray(self.value(np.asarray(x, dtype=float)), dtype=float)
         return float(value) if value.ndim == 0 else value
 
     def prox_point(self, t: float, x: np.ndarray) -> np.ndarray:
-        """argmin_y value(y) + d^2(x, y) / (2 t); closed form when available,
-        otherwise a numeric minimization whose residual is bounded by
-        ``prox_tol`` in first-order terms."""
+        """argmin_y value(y) + d^2(x, y) / (2 t), in closed form."""
         if t <= 0:
             raise OperatorError("prox parameter must be positive")
-        x = np.asarray(x, dtype=float)
-        if self.prox is not None:
-            return np.asarray(self.prox(t, x), dtype=float)
-        from scipy.optimize import minimize
-
-        objective = lambda y: self(y) + float(np.dot(y - x, y - x)) / (2.0 * t)
-        res = minimize(objective, x, method="L-BFGS-B",
-                       options={"gtol": self.prox_tol, "maxiter": 10_000})
-        return np.asarray(res.x, dtype=float)
+        return np.asarray(self.prox(t, np.asarray(x, dtype=float)), dtype=float)
 
     @classmethod
     def quadratic(cls, scale: float = 1.0, center=None, dimension: int = 1) -> "ConvexFunction":
@@ -264,19 +240,17 @@ class ConvexFunction:
             value=lambda x: 0.5 * scale * np.vecdot(x - c, x - c),
             prox=lambda t, x: (x + t * scale * c) / (1.0 + t * scale),
             mu=0.0,
-            minimizers=(tuple(c),),
             name=f"quadratic({scale})",
         )
 
     @classmethod
-    def l1(cls, scale: float = 1.0, dimension: int = 1) -> "ConvexFunction":
+    def l1(cls, scale: float = 1.0) -> "ConvexFunction":
         if scale <= 0:
             raise OperatorError("l1 scale must be positive")
         return cls(
             value=lambda x: scale * np.abs(x).sum(axis=-1),
             prox=lambda t, x: np.sign(x) * np.maximum(np.abs(x) - t * scale, 0.0),
             mu=0.0,
-            minimizers=(tuple(np.zeros(dimension)),),
             name=f"l1({scale})",
         )
 
@@ -288,7 +262,6 @@ class ConvexFunction:
             value=lambda x: np.where(row_norm(x - center) <= radius + 1e-12, 0.0, math.inf),
             prox=lambda t, x: proj(x),
             mu=0.0,
-            minimizers=(tuple(center),),
             name="indicator_ball",
         )
 
@@ -338,34 +311,35 @@ def forward_backward_residual(A: MonotoneOperator, B: CocoerciveMap,
     return CocoerciveMap(fn=lambda x: x - fn(x), beta=delta / 2, name="fb_residual")
 
 
-def stojkovic_resolvent(
-    F: NonexpansiveMap,
-    t: float,
-    x: np.ndarray,
-    tol: float = 1e-12,
-    space: Optional[SpaceDescriptor] = None,
-    max_iter: int = 1_000_000,
-) -> np.ndarray:
+# iterations of the resolvent's fixed-point loop before it gives up
+_RESOLVENT_CAP = 1_000_000
+
+
+def stojkovic_resolvent(F: NonexpansiveMap, t: float, x: np.ndarray,
+                        tol: float = 1e-12) -> np.ndarray:
     """Fixed point of G_{x,t}(y) = 1/(1+t) x (+) t/(1+t) F(y).
 
-    G is a strict contraction with factor t/(1+t); plain iteration stops at
-    residual d(y, G(y)) <= tol.
+    G is a strict contraction with factor t/(1+t); plain iteration of
+    y <- (x + t F(y)) / (1 + t) stops at residual d(y, G(y)) <= tol and
+    returns G(y).  A non-finite iterate raises at once.
     """
     if t <= 0:
         raise OperatorError("resolvent parameter must be positive")
     x = np.asarray(x, dtype=float)
-    if space is None:
-        space = SpaceDescriptor(dimension=x.shape[0])
-    lam = t / (1.0 + t)
-    y = x.copy()
-    for _ in range(max_iter):
-        g = space.geodesic_point(x, F(y), lam)
-        if space.distance(y, g) <= tol:
+    fn = F.fn  # raw closure; the validating wrapper is per-call overhead here
+    scale = 1.0 + t
+    y = x
+    for _ in range(_RESOLVENT_CAP):
+        g = (x + t * np.asarray(fn(y), dtype=float)) / scale
+        d = float(np.linalg.norm(g - y))
+        if d <= tol:
             return g
+        if not math.isfinite(d):
+            raise OperatorError(f"resolvent iterate of {F.name} is not finite")
         y = g
     raise IterationBudgetError(
-        f"resolvent iteration exceeded {max_iter} steps (contraction factor {lam})"
-    )
+        f"resolvent iteration exceeded {_RESOLVENT_CAP} steps "
+        f"(contraction factor {t / scale})")
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +475,7 @@ def make_convex_function(space: SpaceDescriptor, spec: dict) -> ConvexFunction:
         return ConvexFunction.quadratic(float(spec.get("scale", 1.0)),
                                         spec.get("center"), space.dimension)
     if op == "l1":
-        return ConvexFunction.l1(float(spec.get("scale", 1.0)), space.dimension)
+        return ConvexFunction.l1(float(spec.get("scale", 1.0)))
     if op == "indicator_ball":
         return ConvexFunction.indicator_ball(spec["center"], float(spec["radius"]))
     if op == "indicator_box":

@@ -75,15 +75,21 @@ class ConfigError(ValueError):
 
 class _Config(dict):
     """A scenario config as its pipeline reads it: a missing key raises
-    ``ConfigError`` naming its full path (``solution.b``), not a bare
-    ``KeyError``.  Nested mappings are wrapped as they are read."""
+    ``ConfigError`` naming its full path (``solution.b``,
+    ``metastability.counterfunctions[0].k``), not a bare ``KeyError``.
+    Nested mappings, list items included, are wrapped as they are read."""
 
     def __init__(self, data, path: str = ""):
         super().__init__(data)
         self._path = path
 
     def _wrap(self, key, value):
-        return _Config(value, f"{self._path}{key}.") if isinstance(value, dict) else value
+        if isinstance(value, dict):
+            return _Config(value, f"{self._path}{key}.")
+        if isinstance(value, list):
+            return [_Config(v, f"{self._path}{key}[{i}].") if isinstance(v, dict) else v
+                    for i, v in enumerate(value)]
+        return value
 
     def __getitem__(self, key):
         return self._wrap(key, super().__getitem__(key))
@@ -93,6 +99,21 @@ class _Config(dict):
 
     def get(self, key, default=None):
         return self._wrap(key, super().get(key, default))
+
+
+def _number(cfg: dict, key: str, default: Optional[float] = None) -> float:
+    """The finite float at ``cfg[key]``, or ``default`` when the key is absent
+    (required when ``default`` is None); anything else is a ``ConfigError``
+    naming the key's path."""
+    value = cfg[key] if default is None else cfg.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        path = getattr(cfg, "_path", "")
+        raise ConfigError(f"config key '{path}{key}' must be a finite number, got {value!r}")
+    return number
 
 
 @dataclass
@@ -145,8 +166,8 @@ def _cocoercive(space: SpaceDescriptor, cfg: dict) -> CocoerciveMap:
     when the config declares one."""
     B = make_cocoercive(space, cfg["operators"]["B"])
     if "beta_claim" in cfg:
-        B = CocoerciveMap(fn=B.fn, beta=float(cfg["beta_claim"]),
-                          name=B.name + "[claimed]", zeros=B.zeros)
+        B = CocoerciveMap(fn=B.fn, beta=_number(cfg, "beta_claim"),
+                          name=B.name + "[claimed]")
     return B
 
 
@@ -232,15 +253,15 @@ def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
     lam = _curve(cfg, "lambda")
     x0 = space.point(cfg["initial"]["x0"])
     y = space.point(cfg["solution"]["point"])
-    b = float(cfg["solution"]["b"])
+    b = _number(cfg["solution"], "b")
     if space.distance(x0, y) > b + 1e-12:
         raise ConfigError("declared b does not bound ||x0 - y||")
 
     out.add(_property_report("operator_nonexpansive",
                              check_nonexpansive(T, space, n_samples=64, radius=2.0)))
 
-    traj = integrate_first_order(T, lam, x0, float(cfg["horizon"]), float(cfg["step"]),
-                                 space=space)
+    traj = integrate_first_order(T, lam, x0, _number(cfg, "horizon"),
+                                 _number(cfg, "step"), space=space)
     out.trajectories["trajectory"] = traj
 
     out.add(_distance_monotone_report(traj, y))
@@ -264,8 +285,8 @@ def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
 
     long_cfg = cfg.get("long_check")
     if long_cfg:
-        long_traj = integrate_first_order(T, lam, x0, float(long_cfg["horizon"]),
-                                          float(long_cfg["step"]), space=space)
+        long_traj = integrate_first_order(T, lam, x0, _number(long_cfg, "horizon"),
+                                          _number(long_cfg, "step"), space=space)
         out.trajectories["trajectory_long"] = long_traj
         out.add(check_asymptotic_regularity(long_traj, residual, phi1, eps_reg,
                                             claim="asymptotic_regularity_divergence_long"))
@@ -273,7 +294,7 @@ def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
                                             claim="asymptotic_regularity_witness_long"))
 
     meta_cfg = cfg.get("metastability", {})
-    eps = float(meta_cfg.get("eps", 1.0))
+    eps = _number(meta_cfg, "eps", 1.0)
     lam_lo = lam.lower
     for fc in _counterfunctions(meta_cfg):
         cert = moduli.delta_first_order(space.dimension, Fraction(cfg["solution"]["b"]),
@@ -288,7 +309,7 @@ def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
 
     reg = cfg.get("regularity")
     if reg:
-        k = 1.0 - float(reg["c"])
+        k = 1.0 - _number(reg, "c")
         c_rate = moduli.fast_linear_rate(tau_lo, k, 2)
         out.certify("fast_linear_rate",
                     {"beta": tau_lo, "k": k, "p": 2}, c_rate)
@@ -328,7 +349,7 @@ def _run_second_order(cfg: dict, out: ScenarioOutcome) -> None:
     B = _cocoercive(space, cfg)
     lam = _curve(cfg, "lambda")
     gam = _curve(cfg, "gamma")
-    theta = float(cfg["theta"])
+    theta = _number(cfg, "theta")
     u0 = space.point(cfg["initial"]["x0"])
     v0 = space.point(cfg["initial"]["v0"])
     z = space.point(cfg["solution"]["point"])
@@ -338,8 +359,8 @@ def _run_second_order(cfg: dict, out: ScenarioOutcome) -> None:
     if prop.status == VIOLATED:
         return
 
-    traj = integrate_second_order(B, lam, gam, u0, v0, float(cfg["horizon"]),
-                                  float(cfg["step"]), theta=theta, space=space)
+    traj = integrate_second_order(B, lam, gam, u0, v0, _number(cfg, "horizon"),
+                                  _number(cfg, "step"), theta=theta, space=space)
     out.trajectories["trajectory"] = traj
 
     oracle = cfg.get("oracle")
@@ -356,7 +377,7 @@ def _run_second_order(cfg: dict, out: ScenarioOutcome) -> None:
     out.add(check_second_order_bounds(traj, consts, z, B))
 
     meta_cfg = cfg.get("metastability", {})
-    eps = float(meta_cfg.get("eps", 0.2))
+    eps = _number(meta_cfg, "eps", 0.2)
     for fc in _counterfunctions(meta_cfg):
         cert = moduli.lambda_capital(consts, Fraction(str(eps)), fc)
         out.certify("lambda_capital", {"eps": eps, "f": fc.to_spec()}, cert)
@@ -399,16 +420,16 @@ def _run_forward_backward_first(cfg: dict, out: ScenarioOutcome) -> None:
     space = SpaceDescriptor.from_json(cfg["space"])
     A = make_monotone(space, cfg["operators"]["A"])
     B = make_cocoercive(space, cfg["operators"]["B"])
-    gamma = float(cfg["gamma"])
+    gamma = _number(cfg, "gamma")
     lam = _curve(cfg, "lambda")
     x0 = space.point(cfg["initial"]["x0"])
     y = space.point(cfg["solution"]["point"])
-    b = float(cfg["solution"]["b"])
+    b = _number(cfg["solution"], "b")
 
     T = forward_backward_map(A, B, gamma)
     delta = T.averaged_delta
     traj = integrate_forward_backward("first", A, B, gamma, lam, x0,
-                                      float(cfg["horizon"]), float(cfg["step"]),
+                                      _number(cfg, "horizon"), _number(cfg, "step"),
                                       space=space)
     out.trajectories["trajectory"] = traj
 
@@ -442,7 +463,7 @@ def _run_forward_backward_first(cfg: dict, out: ScenarioOutcome) -> None:
 
     residual = SolutionFunction.fixed_point_residual(T, center=y, radius=b)
     meta_cfg = cfg.get("metastability", {})
-    eps = float(meta_cfg.get("eps", 0.5))
+    eps = _number(meta_cfg, "eps", 0.5)
     eta_div = lambda K: (K / R(Fraction(str(tau_lo)))).ceil_upper()
     for fc in _counterfunctions(meta_cfg)[:1]:
         cert = moduli.delta_first_order(
@@ -461,16 +482,16 @@ def _run_forward_backward_second(cfg: dict, out: ScenarioOutcome) -> None:
     space = SpaceDescriptor.from_json(cfg["space"])
     A = make_monotone(space, cfg["operators"]["A"])
     B = make_cocoercive(space, cfg["operators"]["B"])
-    eta_step = float(cfg["eta"])
+    eta_step = _number(cfg, "eta")
     lam = _curve(cfg, "lambda")
     gam = _curve(cfg, "gamma")
-    theta = float(cfg["theta"])
+    theta = _number(cfg, "theta")
     u0 = space.point(cfg["initial"]["x0"])
     v0 = space.point(cfg["initial"]["v0"])
     y = space.point(cfg["solution"]["point"])
 
     traj = integrate_forward_backward("second", A, B, eta_step, lam, u0,
-                                      float(cfg["horizon"]), float(cfg["step"]),
+                                      _number(cfg, "horizon"), _number(cfg, "step"),
                                       gam=gam, v0=v0, theta=theta, space=space)
     out.trajectories["trajectory"] = traj
 
@@ -480,7 +501,7 @@ def _run_forward_backward_second(cfg: dict, out: ScenarioOutcome) -> None:
 
     K = consts.K
     meta_cfg = cfg.get("metastability", {})
-    eps = float(meta_cfg.get("eps", 0.5))
+    eps = _number(meta_cfg, "eps", 0.5)
     fc = _counterfunctions(meta_cfg)[0]
     arg = R(Fraction(str(eps))) * R(Fraction(str(eps))) \
         * R(Fraction(str(eta_step))) * R(Fraction(str(B.beta))) / (3 * K)
@@ -513,6 +534,15 @@ def _run_forward_backward_second(cfg: dict, out: ScenarioOutcome) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _unconverged_report(claim: str, tol: float, **details) -> VerificationReport:
+    """``inconclusive`` for a claim checked on semigroup points whose
+    exponential formula did not converge: they carry no error bound."""
+    return VerificationReport(
+        claim, INCONCLUSIVE, tolerance=tol,
+        details={"reason": "exponential formula did not converge within n_max",
+                 **details})
+
+
 def _semigroup_run(cfg: dict, out: ScenarioOutcome, space: SpaceDescriptor,
                    semigroup: Callable, op, x0: np.ndarray, grid: float,
                    point_tol: float, decay: int, method: str) -> Trajectory:
@@ -520,10 +550,10 @@ def _semigroup_run(cfg: dict, out: ScenarioOutcome, space: SpaceDescriptor,
     scenario trajectory, and check the optional ``match`` entry against the
     closed form e^{-decay t} x0.  Samples whose exponential formula did not
     converge have no error bound; they are named in one ``inconclusive``
-    report."""
+    report, and a match that did not converge is ``inconclusive`` too."""
     if not grid > 0:
         raise ConfigError(f"sampling.grid must be positive, got {grid}")
-    ts = np.arange(0.0, float(cfg["horizon"]) + grid / 2, grid)
+    ts = np.arange(0.0, _number(cfg, "horizon") + grid / 2, grid)
     samples = []
     achieved = 0.0
     unconverged = []
@@ -538,20 +568,22 @@ def _semigroup_run(cfg: dict, out: ScenarioOutcome, space: SpaceDescriptor,
                                    est_err=max(achieved, point_tol), method=method)
     out.trajectories["trajectory"] = traj
     if unconverged:
-        out.add(VerificationReport(
-            "semigroup_samples_converged", INCONCLUSIVE, tolerance=point_tol,
-            details={"reason": "exponential formula did not converge within n_max",
-                     "unconverged_times": unconverged}))
+        out.add(_unconverged_report("semigroup_samples_converged", point_tol,
+                                    unconverged_times=unconverged))
 
     match = cfg.get("match")
     if match:
-        t_ref = float(match.get("t", 1.0))
-        res = semigroup(op, x0, t_ref, tol=float(match.get("tol", 1e-6)),
-                        n_max=int(match.get("n_max", 2 ** 20)))
-        err = float(np.linalg.norm(res.point - math.exp(-decay * t_ref) * x0))
-        out.add(report_from_margin("exponential_formula_match", err - 1e-6, 1e-6,
-                                   {"error": err, "n_used": res.n_used,
-                                    "extrapolated": res.extrapolated}))
+        t_ref = _number(match, "t", 1.0)
+        res = semigroup(op, x0, t_ref, tol=_number(match, "tol", 1e-6),
+                        n_max=int(_number(match, "n_max", 2 ** 20)))
+        if not res.converged:
+            out.add(_unconverged_report("exponential_formula_match", 1e-6,
+                                        n_used=res.n_used))
+        else:
+            err = float(np.linalg.norm(res.point - math.exp(-decay * t_ref) * x0))
+            out.add(report_from_margin("exponential_formula_match", err - 1e-6, 1e-6,
+                                       {"error": err, "n_used": res.n_used,
+                                        "extrapolated": res.extrapolated}))
     return traj
 
 
@@ -560,11 +592,11 @@ def _run_gradient_flow(cfg: dict, out: ScenarioOutcome) -> None:
     phi = make_convex_function(space, cfg["operators"]["phi"])
     x0 = space.point(cfg["initial"]["x0"])
     y = space.point(cfg["solution"]["point"])
-    b = float(cfg["solution"]["b"])
+    b = _number(cfg["solution"], "b")
     sample_cfg = cfg.get("sampling", {})
-    grid = float(sample_cfg.get("grid", 0.25))
+    grid = _number(sample_cfg, "grid", 0.25)
     traj = _semigroup_run(cfg, out, space, gradient_flow_semigroup, phi, x0, grid,
-                          float(sample_cfg.get("tol", 1e-4)), 1,
+                          _number(sample_cfg, "tol", 1e-4), 1,
                           "gradient_flow_semigroup")
     ts = traj.ts
 
@@ -582,7 +614,7 @@ def _run_gradient_flow(cfg: dict, out: ScenarioOutcome) -> None:
                                3 * traj.est_err))
 
     meta_cfg = cfg.get("metastability", {})
-    eps = float(meta_cfg.get("eps", 1.0))
+    eps = _number(meta_cfg, "eps", 1.0)
     gamma_tb = moduli.ball_modulus(space.dimension, Fraction(str(b)))
     for fc in _counterfunctions(meta_cfg)[:2]:
         cert = moduli.delta_gradient_flow(Fraction(str(b)), gamma_tb,
@@ -607,18 +639,18 @@ def _run_stojkovic(cfg: dict, out: ScenarioOutcome) -> None:
     F = make_nonexpansive(space, cfg["operators"]["F"])
     x0 = space.point(cfg["initial"]["x0"])
     y = space.point(cfg["solution"]["point"])
-    b = float(cfg["solution"]["b"])
+    b = _number(cfg["solution"], "b")
     sample_cfg = cfg.get("sampling", {})
-    grid = float(sample_cfg.get("grid", 0.25))
+    grid = _number(sample_cfg, "grid", 0.25)
     traj = _semigroup_run(cfg, out, space, stojkovic_semigroup, F, x0, grid,
-                          float(sample_cfg.get("tol", 1e-3)), 2, "stojkovic_semigroup")
+                          _number(sample_cfg, "tol", 1e-3), 2, "stojkovic_semigroup")
 
     # resolvent inequality d(z, R_lam z) <= lam d(z, F z) on samples
     worst = -math.inf
     for zval in sample_cfg.get("resolvent_points", [[0.5], [-0.3], [1.0]]):
         z = space.point(zval if isinstance(zval, list) else [zval])
         for lam_t in (0.25, 1.0, 3.0):
-            rz = stojkovic_resolvent(F, lam_t, z, tol=1e-12, space=space)
+            rz = stojkovic_resolvent(F, lam_t, z, tol=1e-12)
             worst = max(worst,
                         space.distance(z, rz) - lam_t * space.distance(z, F(z)))
     out.add(report_from_margin("resolvent_inequality", worst, 1e-9))
@@ -627,13 +659,21 @@ def _run_stojkovic(cfg: dict, out: ScenarioOutcome) -> None:
     fp_samples = [(space.point(p), float(t))
                   for p, t in cfg.get("fixed_point_samples",
                                       [([0.5], 0.5), ([-0.25], 1.0), ([1.0], 1.5)])]
-    semigroup = lambda x, t: stojkovic_semigroup(F, x, t, tol=1e-4).point
-    out.add(check_semigroup_fixed_point_bound(F, semigroup, fp_samples,
-                                              tol=3e-4))
+    runs = []
+
+    def semigroup(x, t):
+        runs.append(stojkovic_semigroup(F, x, t, tol=1e-4))
+        return runs[-1].point
+
+    report = check_semigroup_fixed_point_bound(F, semigroup, fp_samples, tol=3e-4)
+    unconverged = [r for r in runs if not r.converged]
+    out.add(_unconverged_report(report.claim, 3e-4,
+                                n_used=[r.n_used for r in unconverged])
+            if unconverged else report)
 
     gamma_tb = moduli.ball_modulus(space.dimension, Fraction(str(b)))
     meta_cfg = cfg.get("metastability", {})
-    eps = float(meta_cfg.get("eps", 1.0))
+    eps = _number(meta_cfg, "eps", 1.0)
     for fc in _counterfunctions(meta_cfg)[:1]:
         cert = moduli.delta_stojkovic(Fraction(str(b)), gamma_tb,
                                       Fraction(str(eps)), fc)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -396,19 +396,13 @@ def check_asymptotic_regularity(traj: Trajectory, residual: SolutionFunction,
     return _check_tail(traj, residual, rate, eps_list, claim)
 
 
-def check_convergence_rate(traj: Trajectory,
-                           target: Union[np.ndarray, Callable[[np.ndarray], float]],
+def check_convergence_rate(traj: Trajectory, target: np.ndarray,
                            rho: Callable[[float], float],
                            eps_list: Sequence[float],
                            claim: str = "convergence_rate") -> VerificationReport:
-    """Assert dist(x(t), target) <= eps for all sampled t >= rho(eps); a
-    callable target maps a stack of points to their distances."""
-    if callable(target):
-        dist = target
-    else:
-        point = np.asarray(target, dtype=float)
-        dist = lambda x: row_norm(x - point)
-    return _check_tail(traj, dist, rho, eps_list, claim)
+    """Assert ||x(t) - target|| <= eps for all sampled t >= rho(eps)."""
+    point = np.asarray(target, dtype=float)
+    return _check_tail(traj, lambda x: row_norm(x - point), rho, eps_list, claim)
 
 
 # ---------------------------------------------------------------------------

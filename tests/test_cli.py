@@ -1,12 +1,14 @@
 """CLI: subcommands, exit codes, artifact layout, determinism of one run."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from fejerflow import operators
 from fejerflow.cli import _sanitize, main
 from fejerflow.exact import get_budget_bits, set_budget_bits
 from fejerflow.scenarios import builtin_scenarios
@@ -109,6 +111,19 @@ class TestCertify:
         assert values[0] == values[1]
 
 
+# malformed values that are not ValueErrors where they are read (None for a
+# float, a list item without its key)
+_NAMED_KEY_CONFIGS = {
+    "horizon_null": {"builtin": "first_order_contraction_1d",
+                     "overrides": {"horizon": None}},
+    "grid_null": {"builtin": "gradient_flow_quadratic",
+                  "overrides": {"sampling": {"grid": None}}},
+    "counterfunction_without_k": {
+        "builtin": "gradient_flow_quadratic",
+        "overrides": {"metastability": {"counterfunctions": [{"kind": "constant"}]}}},
+}
+
+
 class TestRun:
     def test_malformed_config(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -151,14 +166,41 @@ class TestRun:
         {"builtin": "gradient_flow_quadratic", "overrides": [1]},
         {"builtin": "gradient_flow_quadratic",
          "overrides": {"space": {"kind": "euclidean", "dimension": 1.5}}},
+        *_NAMED_KEY_CONFIGS.values(),
     ], ids=["horizon_string", "curve_kind", "grid_zero", "grid_negative", "probe_eps",
             "composition", "regularity_kind", "theta_string", "not_an_object",
-            "overrides_not_an_object", "fractional_dimension"])
+            "overrides_not_an_object", "fractional_dimension", *_NAMED_KEY_CONFIGS])
     def test_malformed_value_exit_two(self, tmp_path, capsys, config):
         # a bad value is a config error, not a traceback with exit 1
         cfg = write_config(tmp_path, config)
         assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, key", [
+        (_NAMED_KEY_CONFIGS["horizon_null"], "'horizon'"),
+        (_NAMED_KEY_CONFIGS["grid_null"], "'sampling.grid'"),
+        (_NAMED_KEY_CONFIGS["counterfunction_without_k"],
+         "'metastability.counterfunctions[0].k'"),
+    ], ids=["horizon_null", "grid_null", "counterfunction_without_k"])
+    def test_malformed_value_names_its_key(self, tmp_path, capsys, config, key):
+        cfg = write_config(tmp_path, config)
+        assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_non_finite_resolvent_exit_two(self, tmp_path, capsys):
+        # F x = 0 x + inf: the first resolvent iterate leaves the reals
+        cfg = write_config(tmp_path, {
+            "builtin": "stojkovic_negation",
+            "overrides": {"operators": {"F": {"op": "affine", "matrix": [[0.0]],
+                                              "offset": [math.inf]}}}})
+        assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
+        assert "not finite" in capsys.readouterr().err
+
+    def test_resolvent_budget_exit_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(operators, "_RESOLVENT_CAP", 1)
+        cfg = write_config(tmp_path, {"builtin": "stojkovic_negation"})
+        assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
+        assert "resolvent iteration exceeded" in capsys.readouterr().err
 
     def test_missing_key_exit_two(self, tmp_path, capsys):
         config = dict(builtin_scenarios()["first_order_contraction_1d"].config)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fejerflow.exact import (
     BudgetExceeded,
@@ -13,13 +13,13 @@ from fejerflow.exact import (
     PrecisionExhausted,
     R,
     Real,
+    exact_root,
     exp_bounds,
     get_budget_bits,
     guard,
     iroot,
     root_bounds,
     set_budget_bits,
-    sqrt_bounds,
 )
 
 rationals = st.fractions(min_value=Fraction(-50), max_value=Fraction(50),
@@ -55,7 +55,7 @@ class TestDirectedKernels:
     @given(positive_rationals)
     @settings(max_examples=200, deadline=None)
     def test_sqrt_bounds_contain(self, q):
-        lo, hi = sqrt_bounds(q, 64)
+        lo, hi = root_bounds(q, 2, 64)
         assert lo * lo <= q <= hi * hi
         assert hi - lo <= Fraction(1, 2 ** 60)
 
@@ -150,3 +150,193 @@ class TestReal:
             assert ExtendedNatural(100000).is_overflow
         finally:
             set_budget_bits(old)
+
+
+# ---------------------------------------------------------------------------
+# one refinement loop: the same decisions as the per-method loops it replaced
+# ---------------------------------------------------------------------------
+
+_SCHEDULE = (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384)
+
+
+def _ref_ceil(x):
+    if x.exact is not None:
+        return math.ceil(x.exact)
+    for bits in _SCHEDULE:
+        lo, hi = x.bounds(bits)
+        clo, chi = math.ceil(lo), math.ceil(hi)
+        if clo == chi:
+            return clo
+    raise PrecisionExhausted("ceiling undetermined at maximum precision")
+
+
+def _ref_floor(x):
+    if x.exact is not None:
+        return math.floor(x.exact)
+    for bits in _SCHEDULE:
+        lo, hi = x.bounds(bits)
+        flo, fhi = math.floor(lo), math.floor(hi)
+        if flo == fhi:
+            return flo
+    raise PrecisionExhausted("floor undetermined at maximum precision")
+
+
+def _ref_is_positive(x):
+    if x.exact is not None:
+        return x.exact > 0
+    for bits in _SCHEDULE:
+        lo, hi = x.bounds(bits)
+        if lo > 0:
+            return True
+        if hi <= 0:
+            return False
+    raise PrecisionExhausted("sign undetermined at maximum precision")
+
+
+def _ref_lt(x, other):
+    if x.exact is not None and other.exact is not None:
+        return x.exact < other.exact
+    for bits in _SCHEDULE:
+        slo, shi = x.bounds(bits)
+        olo, ohi = other.bounds(bits)
+        if shi < olo:
+            return True
+        if ohi <= slo:
+            return False
+    raise PrecisionExhausted("comparison undetermined at maximum precision")
+
+
+def _ref_div(a, b):
+    if b.exact is not None:
+        if b.exact == 0:
+            raise ZeroDivisionError("Real division by zero")
+        if a.exact is not None:
+            return Real(exact=a.exact / b.exact)
+
+    def fn(bits):
+        blo, bhi = b.bounds(bits)
+        attempt = bits
+        while blo <= 0 <= bhi:
+            attempt *= 2
+            if attempt > _SCHEDULE[-1]:
+                raise PrecisionExhausted("divisor sign undetermined")
+            blo, bhi = b.bounds(attempt)
+        alo, ahi = a.bounds(bits)
+        quots = (alo / blo, alo / bhi, ahi / blo, ahi / bhi)
+        return min(quots), max(quots)
+
+    return Real(fn=fn)
+
+
+def _ref_powq(x, q):
+    a, b = q.numerator, q.denominator
+    if x.exact is not None:
+        root = exact_root(x.exact ** a, b)
+        if root is not None:
+            return Real(exact=root)
+
+    def fn(bits):
+        lo, hi = x.bounds(bits)
+        attempt = bits
+        while lo <= 0:
+            attempt *= 2
+            if attempt > _SCHEDULE[-1]:
+                raise PrecisionExhausted("base sign undetermined for power")
+            lo, hi = x.bounds(attempt)
+        plo, phi = lo ** a, hi ** a
+        if plo > phi:
+            plo, phi = phi, plo
+        return root_bounds(plo, b, bits)[0], root_bounds(phi, b, bits)[1]
+
+    return Real(fn=fn)
+
+
+def _outcome(f):
+    try:
+        return f()
+    except PrecisionExhausted:
+        return PrecisionExhausted
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@st.composite
+def _reals(draw):
+    """(kind, q, Real): rationals, irrationals, values an enclosure never
+    decides (sqrt(q)^2 against q, zero), and small positive values whose
+    64-bit enclosure straddles 0."""
+    q = draw(st.fractions(min_value=Fraction(1, 8), max_value=Fraction(8),
+                          max_denominator=16))
+    kind = draw(st.sampled_from(["rational", "sqrt", "exp", "root", "square",
+                                 "zero", "straddle"]))
+    root2 = R(q).sqrt()
+    x = {
+        "rational": R(q),
+        "sqrt": root2,
+        "exp": (R(q) / 4).exp(),
+        "root": R(q).powq(Fraction(2, 3)),
+        "square": root2 * root2,
+        "zero": root2 * root2 - q,
+        "straddle": root2 - root2.bounds(64)[0],
+    }[kind]
+    # exp stays positive: a negative exp base would pay the whole schedule
+    if kind != "exp" and draw(st.booleans()):
+        x = -x
+    return kind, q, x
+
+
+class TestOneRefinementLoop:
+    @given(_reals(), _reals(),
+           st.sampled_from([Fraction(1, 3), Fraction(2, 3), Fraction(3, 2), Fraction(-1, 2)]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_decisions_as_the_removed_loops(self, first, second, q):
+        (kind_a, qa, a), (kind_b, qb, b) = first, second
+        # two equal exps exhaust the schedule, which costs seconds of exp_bounds
+        assume(not (kind_a == kind_b == "exp" and qa == qb))
+        for new, ref in ((Real.ceil, _ref_ceil), (Real.floor, _ref_floor),
+                         (Real.is_positive, _ref_is_positive)):
+            assert _outcome(lambda: new(a)) == _outcome(lambda: ref(a))
+        assert _outcome(lambda: a.lt(b)) == _outcome(lambda: _ref_lt(a, b))
+        assert _outcome(lambda: (a / b).bounds(64)) == \
+            _outcome(lambda: _ref_div(a, b).bounds(64))
+        assert _outcome(lambda: a.powq(q).bounds(64)) == \
+            _outcome(lambda: _ref_powq(a, q).bounds(64))
+
+    def test_divisor_straddling_zero_refines(self):
+        x = R(2).sqrt()
+        d = x - x.bounds(64)[0]
+        lo, hi = d.bounds(64)
+        assert lo <= 0 <= hi
+        qlo, qhi = (R(1) / d).bounds(64)
+        assert 0 < qlo <= qhi
+        assert (qlo, qhi) == _ref_div(R(1), d).bounds(64)
+
+    def test_schedule_doubles_from_the_callers_precision(self):
+        # an enclosure that never shrinks: every decision walks the schedule
+        asked = []
+
+        def fn(bits):
+            asked.append(bits)
+            return Fraction(-1, 2), Fraction(1, 2)
+
+        for decide in (Real.ceil, Real.floor, Real.is_positive):
+            asked.clear()
+            with pytest.raises(PrecisionExhausted):
+                decide(Real(fn=fn))
+            assert asked == list(_SCHEDULE)
+        asked.clear()
+        with pytest.raises(PrecisionExhausted):
+            (R(1) / Real(fn=fn)).bounds(256)
+        assert asked == [256, 512, 1024, 2048, 4096, 8192, 16384]
+        asked.clear()
+        with pytest.raises(PrecisionExhausted):
+            Real(fn=fn).powq(Fraction(1, 3)).bounds(1024)
+        assert asked == [1024, 2048, 4096, 8192, 16384]
+
+    def test_undecidable_sign_exhausts(self):
+        zero = R(2).sqrt() * R(2).sqrt() - 2
+        for decide in (zero.is_positive, zero.ceil, zero.floor,
+                       lambda: zero.lt(0), lambda: (R(1) / zero).bounds(64),
+                       lambda: zero.powq(Fraction(1, 2)).bounds(64)):
+            with pytest.raises(PrecisionExhausted):
+                decide()

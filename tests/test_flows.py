@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fejerflow import flows
+from fejerflow import flows, operators
 from fejerflow.flows import (
     IntegrationError,
     IntegratorMeta,
@@ -22,8 +22,11 @@ from fejerflow.flows import (
 from fejerflow.operators import (
     CocoerciveMap,
     ConvexFunction,
+    IterationBudgetError,
     MonotoneOperator,
     NonexpansiveMap,
+    OperatorError,
+    stojkovic_resolvent,
 )
 from fejerflow.space import euclidean
 
@@ -401,8 +404,8 @@ class TestSemigroupDriver:
             assert err <= res.achieved_tol < tol, (op.name, t, tol, x0, res)
 
     @pytest.mark.parametrize("phi, x0", [
-        (ConvexFunction.l1(0.5, dimension=2), [1.0, -0.3]),
-        (ConvexFunction.l1(1.3, dimension=3), [0.7, -2.1, 0.05]),
+        (ConvexFunction.l1(0.5), [1.0, -0.3]),
+        (ConvexFunction.l1(1.3), [0.7, -2.1, 0.05]),
         (ConvexFunction.indicator_ball([0.0, 0.0], 1.0), [1.5, -2.0]),
         (ConvexFunction.indicator_box([-1.0, 0.0], [1.0, 0.5]), [2.0, -0.7]),
     ], ids=["l1_2d", "l1_3d", "indicator_ball", "indicator_box"])
@@ -425,12 +428,74 @@ class TestSemigroupDriver:
         def run(x, n):
             return x + (c + b * (-1) ** int(math.log2(n))) / n
 
-        res = flows._semigroup(run, [0.0], 1.0, 8, 2 ** 20, 1e-4, None)
+        res = flows._semigroup(run, [0.0], 1.0, 2 ** 20, 1e-4)
         point, achieved, n = _reference_plain_doubling(run, np.zeros(1), 8,
                                                        2 ** 20, 1e-4)
         assert res.converged and not res.extrapolated
         assert np.array_equal(res.point, point)
         assert (res.n_used, res.achieved_tol) == (n, achieved)
+
+
+def _reference_stojkovic_run(F, t, tol):
+    """The Stojkovic semigroup's former inline resolvent loop: n steps of the
+    implicit resolvent at inner tolerance tol/(2n)."""
+    fn = F.fn
+
+    def run(x, n):
+        y = x.copy()
+        s = t / n
+        scale = 1.0 + s
+        inner = tol / (2 * n)
+        for _ in range(n):
+            w = y
+            for _ in range(10_000):
+                wn = (y + s * np.asarray(fn(w), dtype=float)) / scale
+                if float(np.linalg.norm(wn - w)) <= inner:
+                    break
+                w = wn
+            else:
+                raise IntegrationError("resolvent iteration failed to contract")
+            y = wn
+        return y
+    return run
+
+
+class TestStojkovicResolventMerge:
+    @pytest.mark.parametrize("F, x0", [
+        (NonexpansiveMap.negation(), [1.0]),
+        (NonexpansiveMap.rotation(90), [1.0, 0.5]),
+        (NonexpansiveMap.projection_ball([0.5, 0.0], 1.0), [2.0, -1.5]),
+    ], ids=["negation", "rotation", "projection_ball"])
+    @pytest.mark.parametrize("t", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6])
+    def test_semigroup_keeps_its_bits(self, F, x0, t, tol):
+        res = stojkovic_semigroup(F, x0, t, tol=tol)
+        ref = flows._semigroup(_reference_stojkovic_run(F, t, tol), x0, t, 2 ** 20, tol)
+        assert res.converged and ref.converged
+        assert np.array_equal(res.point, ref.point)
+        assert (res.n_used, res.achieved_tol, res.extrapolated) == \
+            (ref.n_used, ref.achieved_tol, ref.extrapolated)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_iterate_raises_at_once(self, value):
+        calls = []
+
+        def blow_up(x):
+            calls.append(x)
+            return np.full_like(x, value)
+
+        F = NonexpansiveMap(fn=blow_up, name="blow_up")
+        with pytest.raises(OperatorError, match="not finite"):
+            stojkovic_resolvent(F, 1.0, np.array([1.0, 2.0]))
+        assert len(calls) == 1
+        with pytest.raises(OperatorError, match="not finite"):
+            stojkovic_semigroup(F, [1.0], 1.0)
+        assert len(calls) == 2
+
+    def test_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(operators, "_RESOLVENT_CAP", 3)
+        with pytest.raises(IterationBudgetError, match="exceeded 3 steps"):
+            stojkovic_resolvent(NonexpansiveMap.negation(), 1.0, np.array([1.0]))
 
 
 class TestFromSamples:
@@ -497,7 +562,7 @@ def _wrapped(op):
     """The same operator, evaluated through its validating method (the
     reference loops called the wrapper, not the raw closure)."""
     if isinstance(op, MonotoneOperator):
-        return MonotoneOperator(resolvent=op.resolve, name=op.name, zeros=op.zeros)
+        return MonotoneOperator(resolvent=op.resolve, name=op.name)
     return type(op)(**{**vars(op), "fn": op.__call__})
 
 

@@ -1,7 +1,5 @@
 """Operator zoo: evaluation, composition, resolvents, property checkers."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,7 +163,7 @@ class TestConvexFunctions:
     def test_prox_optimality_sampled(self):
         # phi(prox) + d^2(x, prox)/(2t) <= phi(y) + d^2(x, y)/(2t)
         s = euclidean(2)
-        phi = ConvexFunction.l1(1.0, dimension=2)
+        phi = ConvexFunction.l1(1.0)
         for x in ball_samples(s, 6, 2.0, seed=5):
             for t in (0.5, 2.0):
                 p = phi.prox_point(t, x)
@@ -173,15 +171,6 @@ class TestConvexFunctions:
                 for y in ball_samples(s, 6, 2.0, seed=9):
                     rhs = phi(y) + np.dot(x - y, x - y) / (2 * t)
                     assert lhs <= rhs + 1e-10
-
-    def test_numeric_prox_fallback(self):
-        # smooth function without a declared prox: residual within tolerance
-        phi = ConvexFunction(value=lambda x: float(np.cosh(x).sum() - 1),
-                             name="cosh")
-        x = np.array([1.0])
-        p = phi.prox_point(1.0, x)
-        # first-order optimality: sinh(p) + (p - x)/t = 0
-        assert abs(math.sinh(p[0]) + (p[0] - 1.0)) < 1e-5
 
     def test_indicator_ball_prox_projects(self):
         phi = ConvexFunction.indicator_ball([0.0], 1.0)

@@ -100,6 +100,29 @@ class TestSemigroupSampling:
         assert out.reports == []
 
 
+class TestUnconvergedSemigroupChecks:
+    # the driver's n budget, not the formula, stops these runs: no violation
+    def test_unconverged_match_is_inconclusive(self):
+        cfg = {**builtin_scenarios()["gradient_flow_quadratic"].config,
+               "match": {"t": 1.0, "tol": 1e-6, "n_max": 16}}
+        out = run_scenario(cfg)
+        [report] = [r for r in out.reports if r.claim == "exponential_formula_match"]
+        assert report.status == INCONCLUSIVE and out.ok
+        assert report.details["n_used"] == 16
+        assert "did not converge" in report.details["reason"]
+
+    def test_unconverged_fixed_point_lemma_is_inconclusive(self, monkeypatch):
+        def capped(F, x, t, n_max=2 ** 20, tol=1e-9):
+            return flows.stojkovic_semigroup(F, x, t, n_max=16, tol=tol)
+
+        monkeypatch.setattr(scenarios, "stojkovic_semigroup", capped)
+        out = run_scenario({**builtin_scenarios()["stojkovic_negation"].config,
+                            "horizon": 1.0})
+        [report] = [r for r in out.reports if r.claim == "fixed_point_bound"]
+        assert report.status == INCONCLUSIVE and out.ok
+        assert report.details["n_used"] == [16, 16, 16]
+
+
 class TestNestedKeys:
     @pytest.mark.parametrize("name, section, key", [
         ("first_order_contraction_1d", "solution", "b"),
