@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,7 +79,7 @@ def write_artifacts(outcome: ScenarioOutcome, directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     for name, traj in outcome.trajectories.items():
         (directory / f"{name}.csv").write_text(traj.to_csv())
-        _dump_json(traj.meta.to_json(), directory / f"{name}_meta.json")
+        _dump_json(asdict(traj.meta), directory / f"{name}_meta.json")
     _dump_json(outcome.certificates, directory / "certificates.json")
     _dump_json([r.to_json() for r in outcome.reports], directory / "reports.json")
     lines = []

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from typing import Callable, Union
 
-from .exact import BudgetExceeded, guard
+from .exact import BudgetExceeded, budget_limit, guard
 
 __all__ = ["Counterfunction", "iterate_tilde", "max_on", "max_tilde_on"]
 
 _BRUTE_FORCE_CAP = 100_000
 _ITERATION_CAP = 500_000  # steps of the plain f~ iteration before overflow
+_AFFINE = ("constant", "identity_plus", "linear")
 
 
 class Counterfunction:
@@ -24,14 +25,15 @@ class Counterfunction:
 
     Kinds: ``constant(k)``, ``identity_plus(k)`` (n + k), ``linear(a, b)``
     (a*n + b with a, b >= 0), ``table`` (finite exceptions over a constant
-    default), ``composition`` (outer o inner).
+    default), ``composition`` (outer o inner).  The first three are one
+    affine family a*n + b, with a = 0, 1 and a; their kind only names them
+    in ``to_spec``.
     """
 
-    __slots__ = ("kind", "k", "a", "b", "values", "default", "outer", "inner")
+    __slots__ = ("kind", "a", "b", "values", "default", "outer", "inner")
 
     def __init__(self, kind: str, **params):
         self.kind = kind
-        self.k = params.get("k")
         self.a = params.get("a")
         self.b = params.get("b")
         self.values = params.get("values")
@@ -40,16 +42,14 @@ class Counterfunction:
         self.inner = params.get("inner")
         self._validate()
 
+    @property
+    def is_affine(self) -> bool:
+        return self.kind in _AFFINE
+
     def _validate(self) -> None:
-        if self.kind == "constant":
-            if self.k is None or self.k < 0:
-                raise ValueError("constant counterfunction needs k >= 0")
-        elif self.kind == "identity_plus":
-            if self.k is None or self.k < 0:
-                raise ValueError("identity_plus counterfunction needs k >= 0")
-        elif self.kind == "linear":
+        if self.is_affine:
             if self.a is None or self.b is None or self.a < 0 or self.b < 0:
-                raise ValueError("linear counterfunction needs a, b >= 0")
+                raise ValueError(f"{self.kind} counterfunction needs coefficients >= 0")
         elif self.kind == "table":
             if self.default is None or self.default < 0:
                 raise ValueError("table counterfunction needs a default >= 0")
@@ -68,11 +68,11 @@ class Counterfunction:
 
     @classmethod
     def constant(cls, k: int) -> "Counterfunction":
-        return cls("constant", k=int(k))
+        return cls("constant", a=0, b=int(k))
 
     @classmethod
     def identity_plus(cls, k: int = 0) -> "Counterfunction":
-        return cls("identity_plus", k=int(k))
+        return cls("identity_plus", a=1, b=int(k))
 
     @classmethod
     def linear(cls, a: int, b: int) -> "Counterfunction":
@@ -105,12 +105,10 @@ class Counterfunction:
         raise ValueError(f"counterfunction kind {kind!r} not allowed in configs")
 
     def to_spec(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "k": self.k}
-        if self.kind == "identity_plus":
-            return {"kind": "identity_plus", "k": self.k}
         if self.kind == "linear":
             return {"kind": "linear", "a": self.a, "b": self.b}
+        if self.is_affine:
+            return {"kind": self.kind, "k": self.b}
         if self.kind == "table":
             return {"kind": "table", "values": dict(self.values), "default": self.default}
         return {
@@ -124,11 +122,7 @@ class Counterfunction:
     def __call__(self, n: int) -> int:
         if n < 0:
             raise ValueError("counterfunctions are defined on the naturals")
-        if self.kind == "constant":
-            return self.k
-        if self.kind == "identity_plus":
-            return n + self.k
-        if self.kind == "linear":
+        if self.is_affine:
             return self.a * n + self.b
         if self.kind == "table":
             return self.values.get(n, self.default)
@@ -136,7 +130,7 @@ class Counterfunction:
 
     @property
     def is_nondecreasing(self) -> bool:
-        if self.kind in ("constant", "identity_plus", "linear"):
+        if self.is_affine:
             return True
         if self.kind == "table":
             probes = set()
@@ -155,49 +149,35 @@ def _brute_max(fn: Callable[[int], int], lo: int, hi: int) -> int:
     return max(fn(n) for n in range(lo, hi + 1))
 
 
-def max_on(f: Counterfunction, lo: int, hi: int) -> int:
-    """Exact max of f over the integer interval [lo, hi]."""
+def _interval_max(f: Counterfunction, lo: int, hi: int, shift: int) -> int:
+    """Exact max of shift * n + f(n) over the integer interval [lo, hi],
+    for shift 0 or 1."""
     if hi < lo:
         raise ValueError("empty interval")
-    if f.kind == "constant":
-        return f.k
-    if f.kind == "identity_plus":
-        return hi + f.k
-    if f.kind == "linear":
-        return f.a * hi + f.b
+    if f.is_affine:
+        return (shift + f.a) * hi + f.b
     if f.kind == "table":
-        in_range = [k for k in f.values if lo <= k <= hi]
-        best = max((f.values[k] for k in in_range), default=0)
-        if len(in_range) < hi - lo + 1:
-            best = max(best, f.default)
-        return best
+        candidates = [shift * n + v for n, v in f.values.items() if lo <= n <= hi]
+        # the largest point of [lo, hi] the table leaves at its default
+        n = hi
+        while n >= lo and n in f.values:
+            n -= 1
+        if n >= lo:
+            candidates.append(shift * n + f.default)
+        return max(candidates)
     if f.is_nondecreasing:
-        return f(hi)
-    return _brute_max(f, lo, hi)
+        return shift * hi + f(hi)
+    return _brute_max(lambda n: shift * n + f(n), lo, hi)
+
+
+def max_on(f: Counterfunction, lo: int, hi: int) -> int:
+    """Exact max of f over the integer interval [lo, hi]."""
+    return _interval_max(f, lo, hi, 0)
 
 
 def max_tilde_on(f: Counterfunction, lo: int, hi: int) -> int:
     """Exact max of n + f(n) over [lo, hi]."""
-    if hi < lo:
-        raise ValueError("empty interval")
-    if f.kind == "constant":
-        return hi + f.k
-    if f.kind == "identity_plus":
-        return 2 * hi + f.k
-    if f.kind == "linear":
-        return (1 + f.a) * hi + f.b
-    if f.kind == "table":
-        candidates = [k + f.values[k] for k in f.values if lo <= k <= hi]
-        keys = set(f.values)
-        n = hi
-        while n >= lo and n in keys:
-            n -= 1
-        if n >= lo:
-            candidates.append(n + f.default)
-        return max(candidates)
-    if f.is_nondecreasing:
-        return hi + f(hi)
-    return _brute_max(lambda n: n + f(n), lo, hi)
+    return _interval_max(f, lo, hi, 1)
 
 
 def iterate_tilde(
@@ -208,30 +188,23 @@ def iterate_tilde(
     """Evaluate f'~^(count)(0) where f'(n) = max(f(n), floor_value).
 
     ``floor_value = 0`` gives the plain f~ iteration.  Uses closed forms for
-    the structured kinds, detects fixed points, and otherwise loops under the
+    the affine kinds, detects fixed points, and otherwise loops under the
     value and iteration budgets.
     """
     if count < 0:
         raise ValueError("iteration count must be nonnegative")
     if count == 0:
         return 0
-    kind = getattr(f, "kind", None)
-    if kind == "constant":
-        step = max(f.k, floor_value)
-        return guard(count * step)
-    if kind in ("identity_plus", "linear") and floor_value == 0:
-        a = 1 if kind == "identity_plus" else f.a
-        b = f.k if kind == "identity_plus" else f.b
-        # f~(n) = (1+a) n + b starting from 0
-        if b == 0:
-            return 0
-        if a == 0:
-            return guard(count * b)
-        from .exact import budget_limit
-
-        if count > budget_limit().bit_length():
-            raise BudgetExceeded("iterate count forces value past budget")
-        return guard(b * ((1 + a) ** count - 1) // a)
+    if isinstance(f, Counterfunction) and f.is_affine:
+        if f.a == 0:
+            return guard(count * max(f.b, floor_value))
+        if floor_value == 0:
+            # f~(n) = (1+a) n + b starting from 0
+            if f.b == 0:
+                return 0
+            if count > budget_limit().bit_length():
+                raise BudgetExceeded("iterate count forces value past budget")
+            return guard(f.b * ((1 + f.a) ** count - 1) // f.a)
     value = 0
     steps = 0
     while steps < count:

@@ -15,7 +15,8 @@ Two pieces live here:
   floors and signs refine the enclosure until the answer is determined, so
   the integer-valued certificate formulas never suffer an off-by-one from
   rounding.  One loop (``_refine``) doubles the precision for all of them,
-  up to 16,384 bits.
+  up to 16,384 bits; the outward ceiling ``ceil_upper`` stops at 256 bits
+  on an enclosure that straddles one integer and rounds up.
 """
 
 from __future__ import annotations
@@ -239,6 +240,9 @@ def exp_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 
 _MAX_BITS = 16384
+# an integer-valued term never decides its ceiling; from here an outward
+# ceiling of an enclosure that straddles one integer rounds up past it
+_STRADDLE_BITS = 256
 
 _T = TypeVar("_T")
 
@@ -441,28 +445,25 @@ class Real:
     # -- lattice -----------------------------------------------------------
 
     @staticmethod
-    def minimum(*xs: RealLike) -> "Real":
+    def _lattice(pick: Callable, xs: tuple) -> "Real":
+        """``pick`` (min or max) of xs, taken on each end of the enclosures."""
         reals = [Real.of(x) for x in xs]
         if all(r.exact is not None for r in reals):
-            return Real(exact=min(r.exact for r in reals))
+            return Real(exact=pick(r.exact for r in reals))
 
         def fn(bits, rs=reals):
             bs = [r.bounds(bits) for r in rs]
-            return min(b[0] for b in bs), min(b[1] for b in bs)
+            return pick(b[0] for b in bs), pick(b[1] for b in bs)
 
         return Real(fn=fn)
 
     @staticmethod
+    def minimum(*xs: RealLike) -> "Real":
+        return Real._lattice(min, xs)
+
+    @staticmethod
     def maximum(*xs: RealLike) -> "Real":
-        reals = [Real.of(x) for x in xs]
-        if all(r.exact is not None for r in reals):
-            return Real(exact=max(r.exact for r in reals))
-
-        def fn(bits, rs=reals):
-            bs = [r.bounds(bits) for r in rs]
-            return max(b[0] for b in bs), max(b[1] for b in bs)
-
-        return Real(fn=fn)
+        return Real._lattice(max, xs)
 
     # -- integer extraction -------------------------------------------------
 
@@ -472,11 +473,19 @@ class Real:
         return _refine(lambda bits: _decided(math.ceil, self.bounds(bits)), "ceiling")
 
     def ceil_upper(self) -> int:
-        """Ceiling of the current upper bound: a valid outward rounding."""
-        try:
-            return self.ceil()
-        except PrecisionExhausted:
-            return math.ceil(self.bounds(_MAX_BITS)[1])
+        """An integer at least self: the ceiling of the upper bound once it
+        equals the lower bound's, once the enclosure straddles exactly one
+        integer (from ``_STRADDLE_BITS`` on), or at the last precision."""
+        if self.exact is not None:
+            return math.ceil(self.exact)
+
+        def decide(bits):
+            lo, hi = (math.ceil(q) for q in self.bounds(bits))
+            if hi == lo or (bits >= _STRADDLE_BITS and hi == lo + 1) or bits == _MAX_BITS:
+                return hi
+            return None
+
+        return _refine(decide, "outward ceiling")
 
     def floor(self) -> int:
         if self.exact is not None:

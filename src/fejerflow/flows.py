@@ -156,16 +156,6 @@ class IntegratorMeta:
     richardson_err: float
     interp_slack: float
 
-    def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "step": self.step,
-            "grid_step": self.grid_step,
-            "est_err": self.est_err,
-            "richardson_err": self.richardson_err,
-            "interp_slack": self.interp_slack,
-        }
-
 
 @dataclass
 class Trajectory:
@@ -408,15 +398,6 @@ class SemigroupPoint:
     n_used: int
     converged: bool
     extrapolated: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "point": [float(v) for v in self.point],
-            "achieved_tol": self.achieved_tol,
-            "n_used": self.n_used,
-            "converged": self.converged,
-            "extrapolated": self.extrapolated,
-        }
 
 
 def _tail_bound(d: float, d_prev: float) -> float:

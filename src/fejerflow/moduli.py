@@ -535,24 +535,29 @@ def ball_modulus(d: int, b: RealLike) -> Callable[[Real], int]:
 def regularity_modulus(kind: str, **params) -> TauModulus:
     """The catalogued moduli of regularity for fixed points / operator zeros /
     minimizers."""
+
+    def param(name: str):
+        _require(name in params, f"regularity kind {kind!r} needs parameter {name!r}")
+        return params[name]
+
     if kind in ("quasi_contraction", "orbital_contraction"):
-        c = Fraction(params["c"])
+        c = Fraction(param("c"))
         _require(0 <= c < 1, "contraction factor must lie in [0, 1)")
         return TauModulus(kind, lambda eps: (1 - c) * eps)
     if kind == "retraction":
         return TauModulus(kind, lambda eps: eps)
     if kind == "strongly_accretive":
-        beta = Fraction(params["beta"])
+        beta = Fraction(param("beta"))
         _require(beta > 0, "accretivity constant must be positive")
         return TauModulus(kind, lambda eps: beta * eps)
     if kind == "metric_subregular":
-        k = Fraction(params["k"])
+        k = Fraction(param("k"))
         _require(k > 0, "subregularity constant must be positive")
         return TauModulus(kind, lambda eps: eps / k)
     if kind == "weak_sharp":
-        return TauModulus(kind, params["tau_fn"])
+        return TauModulus(kind, param("tau_fn"))
     if kind == "strongly_quasiconvex":
-        rho = Fraction(params["rho"])
+        rho = Fraction(param("rho"))
         _require(rho > 0, "quasiconvexity constant must be positive")
         return TauModulus(kind, lambda eps: Fraction(rho, 2) * eps * eps)
     raise ValueError(f"unknown regularity kind {kind!r}")

@@ -359,16 +359,6 @@ class PropertyReport:
     def __post_init__(self):
         self.passed = self.violations == 0
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "n_samples": self.n_samples,
-            "violations": self.violations,
-            "max_ratio": self.max_ratio,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
 
 def ball_samples(space: SpaceDescriptor, n: int, radius: float, center=None,
                  seed: int = 0) -> np.ndarray:

@@ -10,7 +10,7 @@ trajectory with tolerances derived from the integrator error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import moduli
 from .counterfunctions import Counterfunction
-from .exact import ExtendedNatural, R
+from .exact import BudgetExceeded, ExtendedNatural, R, Real
 from .flows import (
     ParameterCurve,
     Trajectory,
@@ -49,6 +49,7 @@ from .verify import (
     VIOLATED,
     SolutionFunction,
     VerificationReport,
+    _base_tolerance,
     _window_points,
     check_asymptotic_regularity,
     check_b_convergence,
@@ -77,7 +78,12 @@ class _Config(dict):
     """A scenario config as its pipeline reads it: a missing key raises
     ``ConfigError`` naming its full path (``solution.b``,
     ``metastability.counterfunctions[0].k``), not a bare ``KeyError``.
-    Nested mappings, list items included, are wrapped as they are read."""
+    Nested mappings, list items included, are wrapped as they are read.
+
+    A present null is never a value: ``cfg[key]`` and ``cfg.get(key,
+    default)`` refuse it, and only ``cfg.get(key)`` reads it as absent (so
+    a null section is switched off).  A value read with a mapping or list
+    default must be a mapping or a list."""
 
     def __init__(self, data, path: str = ""):
         super().__init__(data)
@@ -91,14 +97,35 @@ class _Config(dict):
                     for i, v in enumerate(value)]
         return value
 
+    def _refuse(self, key, value, want: str):
+        raise ConfigError(f"config key '{self._path}{key}' must be {want}, got {value!r}")
+
     def __getitem__(self, key):
-        return self._wrap(key, super().__getitem__(key))
+        value = super().__getitem__(key)
+        if value is None:
+            self._refuse(key, value, "a value, not null")
+        return self._wrap(key, value)
 
     def __missing__(self, key):
         raise ConfigError(f"config missing required key '{self._path}{key}'")
 
     def get(self, key, default=None):
-        return self._wrap(key, super().get(key, default))
+        if default is None or key not in self:
+            return self._wrap(key, super().get(key, default))
+        value = self[key]
+        if isinstance(default, (dict, list)) and not isinstance(value, type(default)):
+            self._refuse(key, value, "a mapping" if isinstance(default, dict) else "a list")
+        return value
+
+    def section(self, *keys) -> "_Config":
+        """The mapping at the required key path ``keys``."""
+        cfg = self
+        for key in keys:
+            value = cfg[key]
+            if not isinstance(value, dict):
+                cfg._refuse(key, value, "a mapping")
+            cfg = value
+        return cfg
 
 
 def _number(cfg: dict, key: str, default: Optional[float] = None) -> float:
@@ -154,17 +181,39 @@ class ScenarioOutcome:
         return entry
 
 
-def _property_report(claim: str, prop) -> VerificationReport:
-    """Report of a sampled operator-contract check."""
+def _contract_report(space: SpaceDescriptor, op) -> VerificationReport:
+    """Report of the sampled contract check of a cocoercive or a
+    nonexpansive operator."""
+    if isinstance(op, CocoerciveMap):
+        claim, prop = "operator_cocoercive", check_cocoercive(op, space)
+    else:
+        claim, prop = "operator_nonexpansive", check_nonexpansive(op, space)
     return VerificationReport(claim, HOLDS if prop.passed else VIOLATED,
                               margin=prop.max_ratio - 1.0, tolerance=prop.tol,
-                              details=prop.to_json())
+                              details=asdict(prop))
+
+
+def _tail_rate(rate: Callable[[Real], object]) -> Callable[[float], float]:
+    """A certified rate as the tail checks read it: evaluated exactly at the
+    decimal value of eps, and infinite, beyond every horizon, once it is
+    past the budget (``BudgetExceeded`` or an overflow ExtendedNatural)."""
+
+    def at(eps: float) -> float:
+        try:
+            value = rate(R(Fraction(str(eps))))
+        except BudgetExceeded:
+            return math.inf
+        if isinstance(value, ExtendedNatural):
+            return math.inf if value.is_overflow else value.value
+        return value
+
+    return at
 
 
 def _cocoercive(space: SpaceDescriptor, cfg: dict) -> CocoerciveMap:
     """Operator B, with its cocoercivity constant replaced by ``beta_claim``
     when the config declares one."""
-    B = make_cocoercive(space, cfg["operators"]["B"])
+    B = make_cocoercive(space, cfg.section("operators", "B"))
     if "beta_claim" in cfg:
         B = CocoerciveMap(fn=B.fn, beta=_number(cfg, "beta_claim"),
                           name=B.name + "[claimed]")
@@ -174,7 +223,7 @@ def _cocoercive(space: SpaceDescriptor, cfg: dict) -> CocoerciveMap:
 def _curve(cfg: dict, key: str) -> ParameterCurve:
     """The curve ``curves.<key>``.  Its certificates are built from its
     declared range, so both ends of that range must be declared."""
-    curve = ParameterCurve.from_spec(cfg["curves"][key])
+    curve = ParameterCurve.from_spec(cfg.section("curves")[key])
     if curve.lower is None or curve.upper is None:
         raise ConfigError(f"config key 'curves.{key}' needs 'lower' and 'upper' bounds")
     return curve
@@ -184,7 +233,7 @@ def _second_order_consts(cfg: dict, lam: ParameterCurve, gam: ParameterCurve,
                          theta: float, beta: float):
     """Boundedness constants of a second-order flow from the config bounds
     and the declared parameter ranges."""
-    bounds = cfg["bounds"]
+    bounds = cfg.section("bounds")
     return second_order_constants(
         bounds["b"], bounds["c"], bounds["d"],
         Fraction(str(lam.lower)), Fraction(str(lam.upper)),
@@ -213,8 +262,8 @@ def _distance_monotone_report(traj: Trajectory, y: np.ndarray,
                               claim: str = "fejer_distance_monotone") -> VerificationReport:
     dist = np.linalg.norm(traj.xs - y[None, :], axis=1)
     increase = float(np.diff(dist).max()) if len(dist) > 1 else 0.0
-    tol = 3 * traj.est_err
-    return report_from_margin(claim, increase, tol, {"max_increase": increase})
+    return report_from_margin(claim, increase, _base_tolerance(traj),
+                              {"max_increase": increase})
 
 
 def _derivative_bound_report(traj: Trajectory, T: NonexpansiveMap,
@@ -222,8 +271,7 @@ def _derivative_bound_report(traj: Trajectory, T: NonexpansiveMap,
     stride = max(1, len(traj.ts) // 512)
     xs = traj.xs[::stride]
     worst = float((row_norm(traj.dxs[::stride]) - row_norm(T(xs) - xs)).max())
-    tol = 3 * traj.est_err
-    return report_from_margin(claim, worst, tol)
+    return report_from_margin(claim, worst, _base_tolerance(traj))
 
 
 # ---------------------------------------------------------------------------
@@ -231,34 +279,31 @@ def _derivative_bound_report(traj: Trajectory, T: NonexpansiveMap,
 # ---------------------------------------------------------------------------
 
 
-def _first_order_rates(b: float, lam: ParameterCurve, delta: float = 1.0):
-    """(variant-1 rate via divergence modulus, variant-2 rate, tau_lo)."""
-    lam_lo = lam.lower
-    lam_hi = lam.upper
-    # inf over the declared range of lambda (delta - lambda); attained at an
-    # endpoint since the map is concave
-    tau_lo = min(lam_lo * (delta - lam_lo), lam_hi * (delta - lam_hi))
+def _divergence_modulus(lam: ParameterCurve, delta: float = 1.0):
+    """(tau_lo, eta): tau_lo is the inf of lambda (delta - lambda) over the
+    declared range of lambda, attained at an endpoint since the map is
+    concave, and eta(K) = ceil(K / tau_lo) is the exact divergence modulus
+    of its integral."""
+    tau_lo = min(lam.lower * (delta - lam.lower), lam.upper * (delta - lam.upper))
     if tau_lo <= 0:
         raise ConfigError("divergence modulus needs lambda (delta - lambda) "
                           "bounded away from zero")
-    eta = lambda K: math.ceil(K / tau_lo)
-    phi1 = lambda eps: eta(delta * b * b / (eps * eps))
-    phi2 = lambda eps: 4 * b ** 4 * delta ** 2 / (lam_lo ** 2 * eps * eps)
-    return phi1, phi2, tau_lo
+    tau = R(Fraction(str(tau_lo)))
+    return tau_lo, lambda K: (K / tau).ceil_upper()
 
 
 def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
-    space = SpaceDescriptor.from_json(cfg["space"])
-    T = make_nonexpansive(space, cfg["operators"]["T"])
+    space = SpaceDescriptor.from_json(cfg.section("space"))
+    T = make_nonexpansive(space, cfg.section("operators", "T"))
     lam = _curve(cfg, "lambda")
-    x0 = space.point(cfg["initial"]["x0"])
-    y = space.point(cfg["solution"]["point"])
-    b = _number(cfg["solution"], "b")
+    solution = cfg.section("solution")
+    x0 = space.point(cfg.section("initial")["x0"])
+    y = space.point(solution["point"])
+    b = _number(solution, "b")
     if space.distance(x0, y) > b + 1e-12:
         raise ConfigError("declared b does not bound ||x0 - y||")
 
-    out.add(_property_report("operator_nonexpansive",
-                             check_nonexpansive(T, space, n_samples=64, radius=2.0)))
+    out.add(_contract_report(space, T))
 
     traj = integrate_first_order(T, lam, x0, _number(cfg, "horizon"),
                                  _number(cfg, "step"), space=space)
@@ -273,7 +318,12 @@ def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
     out.add(check_fejer(traj, residual, level_points, PerturbationPair.squares(),
                         chi))
 
-    phi1, phi2, tau_lo = _first_order_rates(b, lam)
+    # the witness-form check and the metastability certificates share one rate
+    tau_lo, eta = _divergence_modulus(lam)
+    witness = {"lower_witness": Fraction(lam.lower)}
+    b_exact = Fraction(str(b))
+    phi1 = _tail_rate(moduli.asymptotic_regularity_rate(b_exact, divergence_modulus=eta))
+    phi2 = _tail_rate(moduli.asymptotic_regularity_rate(b_exact, **witness))
     eps_reg = cfg.get("eps_regularity", [0.5, 0.1, 0.02])
     out.add(check_asymptotic_regularity(traj, residual, phi1, eps_reg,
                                         claim="asymptotic_regularity_divergence"))
@@ -295,14 +345,12 @@ def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
 
     meta_cfg = cfg.get("metastability", {})
     eps = _number(meta_cfg, "eps", 1.0)
-    lam_lo = lam.lower
     for fc in _counterfunctions(meta_cfg):
-        cert = moduli.delta_first_order(space.dimension, Fraction(cfg["solution"]["b"]),
-                                        {"lower_witness": Fraction(lam_lo)},
+        cert = moduli.delta_first_order(space.dimension, Fraction(solution["b"]), witness,
                                         Fraction(eps) / 4, fc)
         out.certify("delta_first_order",
-                    {"d": space.dimension, "b": cfg["solution"]["b"],
-                     "lambda_lo": lam_lo, "eps": eps / 4,
+                    {"d": space.dimension, "b": solution["b"],
+                     "lambda_lo": lam.lower, "eps": eps / 4,
                      "f": fc.to_spec()}, cert)
         out.add(verify_metastability(traj, eps, fc, cert, residual=residual,
                                      claim=f"metastability[f={fc.to_spec()}]"))
@@ -314,11 +362,11 @@ def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
         out.certify("fast_linear_rate",
                     {"beta": tau_lo, "k": k, "p": 2}, c_rate)
         d0 = space.distance(x0, y)
-        tol = 3 * traj.est_err
         times = np.linspace(0.0, min(20.0, traj.horizon), 400)
         bound = c_rate ** np.floor(times) * d0 * (1 + 1e-6)
         worst = float((row_norm(_window_points(traj, times) - y) - bound).max())
-        out.add(report_from_margin("exponential_rate", worst, tol, {"c": c_rate}))
+        out.add(report_from_margin("exponential_rate", worst, _base_tolerance(traj),
+                                   {"c": c_rate}))
 
 
 # ---------------------------------------------------------------------------
@@ -345,17 +393,17 @@ def _second_order_error_model(consts, traj: Trajectory):
 
 
 def _run_second_order(cfg: dict, out: ScenarioOutcome) -> None:
-    space = SpaceDescriptor.from_json(cfg["space"])
+    space = SpaceDescriptor.from_json(cfg.section("space"))
     B = _cocoercive(space, cfg)
     lam = _curve(cfg, "lambda")
     gam = _curve(cfg, "gamma")
     theta = _number(cfg, "theta")
-    u0 = space.point(cfg["initial"]["x0"])
-    v0 = space.point(cfg["initial"]["v0"])
-    z = space.point(cfg["solution"]["point"])
+    initial = cfg.section("initial")
+    u0 = space.point(initial["x0"])
+    v0 = space.point(initial["v0"])
+    z = space.point(cfg.section("solution")["point"])
 
-    prop = out.add(_property_report(
-        "operator_cocoercive", check_cocoercive(B, space, n_samples=64, radius=2.0)))
+    prop = out.add(_contract_report(space, B))
     if prop.status == VIOLATED:
         return
 
@@ -372,7 +420,7 @@ def _run_second_order(cfg: dict, out: ScenarioOutcome) -> None:
                                    {"max_error": worst}))
 
     consts = _second_order_consts(cfg, lam, gam, theta, B.beta)
-    out.certify("second_order_constants", {k: cfg["bounds"][k] for k in "bcd"},
+    out.certify("second_order_constants", {k: cfg.section("bounds")[k] for k in "bcd"},
                 None, trace=consts.describe())
     out.add(check_second_order_bounds(traj, consts, z, B))
 
@@ -417,14 +465,15 @@ def _run_second_order(cfg: dict, out: ScenarioOutcome) -> None:
 
 
 def _run_forward_backward_first(cfg: dict, out: ScenarioOutcome) -> None:
-    space = SpaceDescriptor.from_json(cfg["space"])
-    A = make_monotone(space, cfg["operators"]["A"])
-    B = make_cocoercive(space, cfg["operators"]["B"])
+    space = SpaceDescriptor.from_json(cfg.section("space"))
+    A = make_monotone(space, cfg.section("operators", "A"))
+    B = make_cocoercive(space, cfg.section("operators", "B"))
     gamma = _number(cfg, "gamma")
     lam = _curve(cfg, "lambda")
-    x0 = space.point(cfg["initial"]["x0"])
-    y = space.point(cfg["solution"]["point"])
-    b = _number(cfg["solution"], "b")
+    solution = cfg.section("solution")
+    x0 = space.point(cfg.section("initial")["x0"])
+    y = space.point(solution["point"])
+    b = _number(solution, "b")
 
     T = forward_backward_map(A, B, gamma)
     delta = T.averaged_delta
@@ -456,21 +505,22 @@ def _run_forward_backward_first(cfg: dict, out: ScenarioOutcome) -> None:
     rhs = (1 + gamma / B.beta) * row_norm(zpts - y) * row_norm(T(zpts) - zpts)
     out.add(report_from_margin("fb_b_inequality", float((lhs - rhs).max()), 1e-9))
 
-    phi1, _, tau_lo = _first_order_rates(b, lam, delta=delta)
-    psi = lambda e: phi1(gamma * B.beta * e * e / (3 * b))
+    # the psi check and the metastability certificate share one rate
+    b_exact = Fraction(str(b))
+    rate_info = {"divergence_modulus": _divergence_modulus(lam, delta)[1],
+                 "averaged_delta": Fraction(str(delta))}
+    phi1 = moduli.asymptotic_regularity_rate(b_exact, **rate_info)
+    scale = R(Fraction(str(gamma))) * R(Fraction(str(B.beta))) / (3 * b_exact)
+    psi = _tail_rate(lambda e: phi1(scale * e * e))
     out.add(check_b_convergence(traj, B, y, psi, cfg.get("eps_b", [0.5, 0.1]),
                                 claim="b_convergence_psi_rate"))
 
     residual = SolutionFunction.fixed_point_residual(T, center=y, radius=b)
     meta_cfg = cfg.get("metastability", {})
     eps = _number(meta_cfg, "eps", 0.5)
-    eta_div = lambda K: (K / R(Fraction(str(tau_lo)))).ceil_upper()
     for fc in _counterfunctions(meta_cfg)[:1]:
-        cert = moduli.delta_first_order(
-            space.dimension, Fraction(str(b)),
-            {"divergence_modulus": eta_div,
-             "averaged_delta": Fraction(str(delta))},
-            Fraction(str(eps)) / 4, fc)
+        cert = moduli.delta_first_order(space.dimension, b_exact, rate_info,
+                                        Fraction(str(eps)) / 4, fc)
         out.certify("delta_first_order_fb",
                     {"d": space.dimension, "b": b, "delta": delta,
                      "eps": eps / 4, "f": fc.to_spec()}, cert)
@@ -479,16 +529,17 @@ def _run_forward_backward_first(cfg: dict, out: ScenarioOutcome) -> None:
 
 
 def _run_forward_backward_second(cfg: dict, out: ScenarioOutcome) -> None:
-    space = SpaceDescriptor.from_json(cfg["space"])
-    A = make_monotone(space, cfg["operators"]["A"])
-    B = make_cocoercive(space, cfg["operators"]["B"])
+    space = SpaceDescriptor.from_json(cfg.section("space"))
+    A = make_monotone(space, cfg.section("operators", "A"))
+    B = make_cocoercive(space, cfg.section("operators", "B"))
     eta_step = _number(cfg, "eta")
     lam = _curve(cfg, "lambda")
     gam = _curve(cfg, "gamma")
     theta = _number(cfg, "theta")
-    u0 = space.point(cfg["initial"]["x0"])
-    v0 = space.point(cfg["initial"]["v0"])
-    y = space.point(cfg["solution"]["point"])
+    initial = cfg.section("initial")
+    u0 = space.point(initial["x0"])
+    v0 = space.point(initial["v0"])
+    y = space.point(cfg.section("solution")["point"])
 
     traj = integrate_forward_backward("second", A, B, eta_step, lam, u0,
                                       _number(cfg, "horizon"), _number(cfg, "step"),
@@ -496,7 +547,7 @@ def _run_forward_backward_second(cfg: dict, out: ScenarioOutcome) -> None:
     out.trajectories["trajectory"] = traj
 
     consts = _second_order_consts(cfg, lam, gam, theta, B.beta)
-    out.certify("second_order_constants_fb", {k: cfg["bounds"][k] for k in "bcd"},
+    out.certify("second_order_constants_fb", {k: cfg.section("bounds")[k] for k in "bcd"},
                 None, trace=consts.describe())
 
     K = consts.K
@@ -588,11 +639,12 @@ def _semigroup_run(cfg: dict, out: ScenarioOutcome, space: SpaceDescriptor,
 
 
 def _run_gradient_flow(cfg: dict, out: ScenarioOutcome) -> None:
-    space = SpaceDescriptor.from_json(cfg["space"])
-    phi = make_convex_function(space, cfg["operators"]["phi"])
-    x0 = space.point(cfg["initial"]["x0"])
-    y = space.point(cfg["solution"]["point"])
-    b = _number(cfg["solution"], "b")
+    space = SpaceDescriptor.from_json(cfg.section("space"))
+    phi = make_convex_function(space, cfg.section("operators", "phi"))
+    solution = cfg.section("solution")
+    x0 = space.point(cfg.section("initial")["x0"])
+    y = space.point(solution["point"])
+    b = _number(solution, "b")
     sample_cfg = cfg.get("sampling", {})
     grid = _number(sample_cfg, "grid", 0.25)
     traj = _semigroup_run(cfg, out, space, gradient_flow_semigroup, phi, x0, grid,
@@ -604,14 +656,13 @@ def _run_gradient_flow(cfg: dict, out: ScenarioOutcome) -> None:
     stride = max(1, len(ts) // 12)
     mayer_pts = [(float(ts[i]), traj.xs[i]) for i in range(0, len(ts), stride)]
     zs = [y, y + 0.5, x0, 0.5 * (x0 + y)] if space.dimension == 1 else [y, x0]
-    out.add(check_mayer_inequality(mayer_pts, phi, zs,
-                                   tol=3 * traj.est_err))
+    out.add(check_mayer_inequality(mayer_pts, phi, zs, tol=_base_tolerance(traj)))
 
     # objective decay phi(S_t x) - mu <= b^2 / (2 t)
     times = np.asarray(cfg.get("objective_times", [1.0, 2.0, 10.0]), dtype=float)
     gap = phi(_window_points(traj, times)) - phi.mu
     out.add(report_from_margin("objective_rate", float((gap - b * b / (2 * times)).max()),
-                               3 * traj.est_err))
+                               _base_tolerance(traj)))
 
     meta_cfg = cfg.get("metastability", {})
     eps = _number(meta_cfg, "eps", 1.0)
@@ -629,17 +680,19 @@ def _run_gradient_flow(cfg: dict, out: ScenarioOutcome) -> None:
     if reg:
         tau = moduli.regularity_modulus(reg["kind"], **{k: v for k, v in reg.items()
                                                         if k != "kind"})
-        rho = lambda e: math.ceil(b * b / tau(e).to_float()) + 1
+        bundle = replace(moduli.gradient_flow_bundle(Fraction(str(b)), gamma_tb), tau=tau)
+        rho = _tail_rate(lambda e: moduli.rho_convergence_regular(bundle, e))
         out.add(check_convergence_rate(traj, y, rho, cfg.get("eps_rho", [0.5, 0.25]),
                                        claim="regularity_convergence_rate"))
 
 
 def _run_stojkovic(cfg: dict, out: ScenarioOutcome) -> None:
-    space = SpaceDescriptor.from_json(cfg["space"])
-    F = make_nonexpansive(space, cfg["operators"]["F"])
-    x0 = space.point(cfg["initial"]["x0"])
-    y = space.point(cfg["solution"]["point"])
-    b = _number(cfg["solution"], "b")
+    space = SpaceDescriptor.from_json(cfg.section("space"))
+    F = make_nonexpansive(space, cfg.section("operators", "F"))
+    solution = cfg.section("solution")
+    x0 = space.point(cfg.section("initial")["x0"])
+    y = space.point(solution["point"])
+    b = _number(solution, "b")
     sample_cfg = cfg.get("sampling", {})
     grid = _number(sample_cfg, "grid", 0.25)
     traj = _semigroup_run(cfg, out, space, stojkovic_semigroup, F, x0, grid,
@@ -696,15 +749,12 @@ def _run_stojkovic(cfg: dict, out: ScenarioOutcome) -> None:
 
 def _run_property_check(cfg: dict, out: ScenarioOutcome) -> None:
     """Pure operator-contract scenario (used for negative tests)."""
-    space = SpaceDescriptor.from_json(cfg["space"])
-    if "B" in cfg["operators"]:
-        B = _cocoercive(space, cfg)
-        out.add(_property_report("operator_cocoercive",
-                                 check_cocoercive(B, space, n_samples=64, radius=2.0)))
-    if "T" in cfg["operators"]:
-        T = make_nonexpansive(space, cfg["operators"]["T"])
-        out.add(_property_report("operator_nonexpansive",
-                                 check_nonexpansive(T, space, n_samples=64, radius=2.0)))
+    space = SpaceDescriptor.from_json(cfg.section("space"))
+    operators = cfg.section("operators")
+    if "B" in operators:
+        out.add(_contract_report(space, _cocoercive(space, cfg)))
+    if "T" in operators:
+        out.add(_contract_report(space, make_nonexpansive(space, operators.section("T"))))
 
 
 # kind -> (pipeline, top-level config keys it reads besides name and space)

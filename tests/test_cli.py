@@ -121,6 +121,39 @@ _NAMED_KEY_CONFIGS = {
     "counterfunction_without_k": {
         "builtin": "gradient_flow_quadratic",
         "overrides": {"metastability": {"counterfunctions": [{"kind": "constant"}]}}},
+    "sampling_null": {"builtin": "gradient_flow_quadratic",
+                      "overrides": {"sampling": None}},
+    "metastability_null": {"builtin": "gradient_flow_quadratic",
+                           "overrides": {"metastability": None}},
+    "counterfunctions_not_a_list": {
+        "builtin": "first_order_contraction_1d",
+        "overrides": {"metastability": {"counterfunctions": 5}}},
+    "space_not_a_mapping": {"builtin": "first_order_contraction_1d",
+                            "overrides": {"space": []}},
+    "operator_null": {"builtin": "stojkovic_negation",
+                      "overrides": {"operators": {"F": None}}},
+    "bound_null": {"builtin": "second_order_linear",
+                   "overrides": {"bounds": {"b": None, "c": 0, "d": 1}}},
+    "operator_parameter_null": {
+        "builtin": "gradient_flow_quadratic",
+        "overrides": {"operators": {"phi": {"op": "l1", "scale": None}}}},
+    "regularity_without_parameter": {
+        "builtin": "gradient_flow_quadratic",
+        "overrides": {"regularity": {"kind": "strongly_quasiconvex"}}},
+}
+# the key each of them names in its error message
+_NAMED_KEYS = {
+    "horizon_null": "'horizon'",
+    "grid_null": "'sampling.grid'",
+    "counterfunction_without_k": "'metastability.counterfunctions[0].k'",
+    "sampling_null": "'sampling'",
+    "metastability_null": "'metastability'",
+    "counterfunctions_not_a_list": "'metastability.counterfunctions'",
+    "space_not_a_mapping": "'space'",
+    "operator_null": "'operators.F'",
+    "bound_null": "'bounds.b'",
+    "operator_parameter_null": "'operators.phi.scale'",
+    "regularity_without_parameter": "'rho'",
 }
 
 
@@ -176,16 +209,32 @@ class TestRun:
         assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config, key", [
-        (_NAMED_KEY_CONFIGS["horizon_null"], "'horizon'"),
-        (_NAMED_KEY_CONFIGS["grid_null"], "'sampling.grid'"),
-        (_NAMED_KEY_CONFIGS["counterfunction_without_k"],
-         "'metastability.counterfunctions[0].k'"),
-    ], ids=["horizon_null", "grid_null", "counterfunction_without_k"])
+    @pytest.mark.parametrize("config, key",
+                             [(_NAMED_KEY_CONFIGS[name], key) for name, key in _NAMED_KEYS.items()],
+                             ids=list(_NAMED_KEYS))
     def test_malformed_value_names_its_key(self, tmp_path, capsys, config, key):
         cfg = write_config(tmp_path, config)
         assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
         assert key in capsys.readouterr().err
+
+    def test_null_section_is_switched_off(self, tmp_path):
+        cfg = write_config(tmp_path, {"builtin": "gradient_flow_quadratic",
+                                      "overrides": {"regularity": None}})
+        assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 0
+
+    def test_rate_past_the_budget_is_beyond_the_horizon(self, tmp_path):
+        # the certified rates at eps = 1e-40 exceed 2^256: infinite, so skipped
+        cfg = write_config(tmp_path, {
+            "builtin": "first_order_contraction_1d",
+            "overrides": {"eps_regularity": [1e-40, 0.5], "long_check": None}})
+        out = tmp_path / "a"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        reports = json.loads((out / "first_order_contraction_1d" / "reports.json").read_text())
+        skipped = {r["claim"]: r["details"]["skipped_beyond_horizon"] for r in reports
+                   if r["claim"].startswith("asymptotic_regularity")}
+        # eps = 0.5 has rate 16 within horizon 40 on the divergence form only
+        assert skipped["asymptotic_regularity_divergence"] == [1e-40]
+        assert skipped["asymptotic_regularity_witness"] == [1e-40, 0.5]
 
     def test_non_finite_resolvent_exit_two(self, tmp_path, capsys):
         # F x = 0 x + inf: the first resolvent iterate leaves the reals

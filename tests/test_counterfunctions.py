@@ -18,12 +18,14 @@ def small_counterfunctions():
         st.dictionaries(st.integers(0, 20), st.integers(0, 15), max_size=5),
         st.integers(0, 10),
     )
-    return st.one_of(
+    kinds = st.one_of(
         st.builds(Counterfunction.constant, st.integers(0, 10)),
         st.builds(Counterfunction.identity_plus, st.integers(0, 5)),
         st.builds(Counterfunction.linear, st.integers(0, 3), st.integers(0, 5)),
         tables,
     )
+    # compositions reach the nondecreasing and brute-force range maxima
+    return st.one_of(kinds, st.builds(Counterfunction.compose, kinds, kinds))
 
 
 class TestEvaluation:
@@ -47,6 +49,17 @@ class TestEvaluation:
         spec = {"kind": "table", "values": {2: 5}, "default": 0}
         f = Counterfunction.from_spec(spec)
         assert Counterfunction.from_spec(f.to_spec())(2) == 5
+
+    def test_affine_specs_keep_their_names(self):
+        # claim names and certificates.json embed these dicts
+        assert Counterfunction.constant(0).to_spec() == {"kind": "constant", "k": 0}
+        assert Counterfunction.identity_plus(2).to_spec() == {"kind": "identity_plus", "k": 2}
+        assert Counterfunction.linear(3, 1).to_spec() == {"kind": "linear", "a": 3, "b": 1}
+        assert f"metastability[f={Counterfunction.constant(0).to_spec()}]" == \
+            "metastability[f={'kind': 'constant', 'k': 0}]"
+        for spec in ({"kind": "constant", "k": 4}, {"kind": "identity_plus", "k": 0},
+                     {"kind": "linear", "a": 2, "b": 5}):
+            assert Counterfunction.from_spec(spec).to_spec() == spec
 
     def test_config_rejects_composition(self):
         with pytest.raises(ValueError):

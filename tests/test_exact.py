@@ -340,3 +340,40 @@ class TestOneRefinementLoop:
                        lambda: zero.powq(Fraction(1, 2)).bounds(64)):
             with pytest.raises(PrecisionExhausted):
                 decide()
+
+
+# ---------------------------------------------------------------------------
+# one outward ceiling: one pass of the refinement loop
+# ---------------------------------------------------------------------------
+
+
+def _ceil_decided_by(x, bits):
+    return any(math.ceil(x.bounds(p)[0]) == math.ceil(x.bounds(p)[1])
+               for p in _SCHEDULE if p <= bits)
+
+
+class TestOneOutwardCeiling:
+    @given(_reals())
+    @settings(max_examples=100, deadline=None)
+    def test_upper_bound_that_agrees_with_a_decided_ceiling(self, drawn):
+        _, _, x = drawn
+        up = x.ceil_upper()
+        assert up >= math.ceil(x.bounds(_SCHEDULE[-1])[0])
+        if x.exact is not None or _ceil_decided_by(x, 256):
+            assert up == x.ceil()
+
+    def test_integer_valued_term_stops_at_256_bits(self):
+        # 1600 sqrt(2)^4 is exactly 6400, which no enclosure decides
+        asked = []
+        term = 1600 * R(2).sqrt().powq(4)
+
+        def fn(bits):
+            asked.append(bits)
+            return term.bounds(bits)
+
+        assert Real(fn=fn).ceil_upper() == 6401
+        assert max(asked) <= 256
+
+    def test_wide_enclosure_rounds_its_last_upper_bound(self):
+        # never narrower than width 1: the last precision decides, no raise
+        assert Real(fn=lambda bits: (Fraction(0), Fraction(5, 2))).ceil_upper() == 3

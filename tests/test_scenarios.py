@@ -3,11 +3,13 @@ exercised by the acceptance gate)."""
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fejerflow import flows, operators, scenarios
+from fejerflow import flows, moduli, operators, scenarios
+from fejerflow.exact import R
 from fejerflow.flows import SemigroupPoint
 from fejerflow.scenarios import (
     ConfigError,
@@ -183,3 +185,71 @@ def test_fb_reduction_checks_the_map_against_a_and_b(monkeypatch, mutated):
         assert report.status == VIOLATED and report.details["max_deviation"] > 0.1
     else:
         assert report.status == HOLDS and report.margin == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the tail checks evaluate the certified rates of moduli
+# ---------------------------------------------------------------------------
+
+
+def _captured_rates(monkeypatch, config: dict) -> dict:
+    """claim -> (rate, eps list) that the pipeline hands to the three tail
+    checks."""
+    captured = {}
+    for check in ("check_asymptotic_regularity", "check_b_convergence",
+                  "check_convergence_rate"):
+        original = getattr(scenarios, check)
+
+        def recording(*args, claim, original=original):
+            captured[claim] = (args[-2], args[-1])
+            return original(*args, claim=claim)
+
+        monkeypatch.setattr(scenarios, check, recording)
+    run_scenario(config)
+    return captured
+
+
+def _eta(tau):
+    return lambda K: (K / R(tau)).ceil_upper()
+
+
+def _at(eps):
+    return R(Fraction(str(eps)))
+
+
+def test_first_order_checks_use_the_certified_rates(monkeypatch):
+    captured = _captured_rates(monkeypatch, _short("first_order_contraction_1d"))
+    divergence = moduli.asymptotic_regularity_rate(1, divergence_modulus=_eta(Fraction(1, 4)))
+    witness = moduli.asymptotic_regularity_rate(1, lower_witness=Fraction(1, 2))
+    for claim, expected in (("asymptotic_regularity_divergence", divergence),
+                            ("asymptotic_regularity_witness", witness),
+                            ("asymptotic_regularity_divergence_long", divergence),
+                            ("asymptotic_regularity_witness_long", witness)):
+        rate, eps_list = captured[claim]
+        assert eps_list == [0.5, 0.1, 0.02]
+        assert [rate(e) for e in eps_list] == [expected(_at(e)) for e in eps_list]
+
+
+def test_forward_backward_psi_uses_the_certified_rate(monkeypatch):
+    psi, eps_list = _captured_rates(
+        monkeypatch, _short("forward_backward_first_order"))["b_convergence_psi_rate"]
+    # A = 0, B = Id, gamma = 1: delta = 3/2, lambda = 1/2, tau_lo = 1/2, b = 1/10
+    b = Fraction(1, 10)
+    phi1 = moduli.asymptotic_regularity_rate(b, divergence_modulus=_eta(Fraction(1, 2)),
+                                             averaged_delta=Fraction(3, 2))
+    assert [psi(e) for e in eps_list] == [phi1(_at(e) * _at(e) / (3 * b)) for e in eps_list]
+    assert psi(0.1) == 27
+
+
+def test_gradient_flow_rho_is_the_zero_error_regular_rate(monkeypatch):
+    rho, eps_list = _captured_rates(
+        monkeypatch, builtin_scenarios()["gradient_flow_quadratic"].config
+    )["regularity_convergence_rate"]
+    bundle = dataclasses.replace(
+        moduli.gradient_flow_bundle(1, moduli.ball_modulus(1, 1)),
+        tau=moduli.regularity_modulus("strongly_quasiconvex", rho=1))
+    assert [rho(e) for e in eps_list] == \
+        [moduli.rho_convergence_regular(bundle, _at(e)).value for e in eps_list]
+    assert [rho(e) for e in eps_list] == [9, 33]
+    # 2 / 1e-80 is past the 256-bit budget: infinite, beyond every horizon
+    assert rho(1e-40) == math.inf
