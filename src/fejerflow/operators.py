@@ -9,10 +9,10 @@ is computed by fixed-point iteration in :func:`stojkovic_resolvent`, which the
 Stojkovic semigroup also steps with.
 
 Every config-addressable closure takes one point (d,) or a stack (..., d)
-and answers row by row (a convex value is a float for one point).  Rows of
-elementwise closures and of ``space.row_norm`` have the bits of single-point
-calls; matrix closures, written ``x @ M.T`` to keep the single-point bits of
-``M @ x``, agree row by row only up to rounding.
+and answers row by row (a convex value is a float for one point), each row
+with the bits of its single-point call, as the lockstep RK4 core in ``flows``
+needs: matrix closures take a dot product (``np.vecdot``) or a solve per row,
+since the rows of a stacked matrix product differ from it by rounding.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ class NonexpansiveMap:
     def scalar(cls, c: float) -> "NonexpansiveMap":
         if not 0.0 <= c <= 1.0:
             raise OperatorError("scalar contraction factor must be in [0, 1]")
-        return cls(fn=lambda x: c * x, name=f"scalar({c})")
+        factor = np.array(c)  # numpy multiplies by a 0-d array faster than by a float
+        return cls(fn=lambda x: factor * x, name=f"scalar({c})")
 
     @classmethod
     def negation(cls) -> "NonexpansiveMap":
@@ -89,7 +90,7 @@ class NonexpansiveMap:
         norm = float(np.linalg.norm(matrix, 2))
         if norm > 1.0 + 1e-12:
             raise OperatorError(f"matrix spectral norm {norm} > 1 is expansive")
-        return cls(fn=lambda x: x @ matrix.T + offset, name="affine")
+        return cls(fn=lambda x: np.vecdot(x[..., None, :], matrix) + offset, name="affine")
 
     @classmethod
     def linear(cls, matrix) -> "NonexpansiveMap":
@@ -100,7 +101,7 @@ class NonexpansiveMap:
         theta = math.radians(angle_deg)
         m = np.array([[math.cos(theta), -math.sin(theta)],
                       [math.sin(theta), math.cos(theta)]])
-        return cls(fn=lambda x: x @ m.T, name=f"rotation({angle_deg})")
+        return cls(fn=lambda x: np.vecdot(x[..., None, :], m), name=f"rotation({angle_deg})")
 
     @classmethod
     def projection_ball(cls, center, radius: float) -> "NonexpansiveMap":
@@ -165,7 +166,8 @@ class CocoerciveMap:
         lam_max = float(eigs.max())
         if lam_max == 0.0:
             return cls.zero()
-        return cls(fn=lambda x: x @ matrix.T, beta=1.0 / lam_max, name="linear_spd")
+        return cls(fn=lambda x: np.vecdot(x[..., None, :], matrix), beta=1.0 / lam_max,
+                   name="linear_spd")
 
 
 @dataclass(frozen=True)
@@ -206,7 +208,7 @@ class MonotoneOperator:
             raise OperatorError("linear operator must be monotone (PSD symmetric part)")
         eye = np.eye(matrix.shape[0])
         return cls(
-            resolvent=lambda gamma, x: np.linalg.solve(eye + gamma * matrix, x.T).T,
+            resolvent=lambda gamma, x: np.linalg.solve(eye + gamma * matrix, x[..., None])[..., 0],
             name="linear",
         )
 
@@ -293,10 +295,10 @@ def forward_backward_map(A: MonotoneOperator, B: CocoerciveMap, gamma: float) ->
         raise OperatorError(f"gamma must lie in (0, {2.0 * B.beta}), got {gamma}")
     delta = min(1.0, B.beta / gamma) + 0.5
 
-    resolvent, b = A.resolvent, B.fn
+    resolvent, b, step = A.resolvent, B.fn, np.array(gamma)
 
     def fn(x):
-        return resolvent(gamma, x - gamma * b(x))
+        return resolvent(gamma, x - step * b(x))
 
     return NonexpansiveMap(fn=fn, name="forward_backward", averaged_delta=delta)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import moduli
 from .counterfunctions import Counterfunction
-from .exact import BudgetExceeded, ExtendedNatural, R, Real
+from .exact import BudgetExceeded, ExtendedNatural, R, Real, guard
 from .flows import (
     ParameterCurve,
     Trajectory,
@@ -329,7 +329,7 @@ def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
                                         claim="asymptotic_regularity_divergence"))
     out.add(check_asymptotic_regularity(traj, residual, phi2, eps_reg,
                                         claim="asymptotic_regularity_witness"))
-    inf_rate = lambda eps: b * b / (tau_lo * eps * eps)
+    inf_rate = _tail_rate(lambda e: guard(eta(b_exact * b_exact / (e * e))))
     out.add(check_asymptotic_regularity(traj, residual, inf_rate, eps_reg,
                                         claim="asymptotic_regularity_inf_form"))
 
@@ -482,10 +482,10 @@ def _run_forward_backward_first(cfg: dict, out: ScenarioOutcome) -> None:
                                       space=space)
     out.trajectories["trajectory"] = traj
 
-    # structural reduction: the stored derivatives are lambda(t) (T x - x) for
-    # T rebuilt from A and B, one sample at a time to keep the RK4 field's bits
-    dev = max(float(np.abs(lam(t) * (A.resolve(gamma, x - gamma * B(x)) - x) - dx).max())
-              for t, x, dx in zip(traj.ts, traj.xs, traj.dxs))
+    # structural reduction: the stored derivatives are lambda(t) (T x - x), T rebuilt from A, B
+    xs = traj.xs
+    dev = float(np.abs(lam(traj.ts)[:, None] * (A.resolve(gamma, xs - gamma * B(xs)) - xs)
+                       - traj.dxs).max())
     out.add(report_from_margin("fb_reduces_to_first_order", dev, 1e-14,
                                {"max_deviation": dev}))
 

@@ -236,6 +236,18 @@ class TestRun:
         assert skipped["asymptotic_regularity_divergence"] == [1e-40]
         assert skipped["asymptotic_regularity_witness"] == [1e-40, 0.5]
 
+    def test_inf_form_rate_past_the_budget_is_beyond_the_horizon(self, tmp_path):
+        # eps^2 = 1e-400 underflows a float; the exact b^2 / (tau eps^2) is past the budget
+        cfg = write_config(tmp_path, {
+            "builtin": "first_order_contraction_1d",
+            "overrides": {"horizon": 1.0, "step": 0.01, "long_check": None,
+                          "eps_regularity": [1e-200]}})
+        out = tmp_path / "a"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        reports = json.loads((out / "first_order_contraction_1d" / "reports.json").read_text())
+        inf_form = next(r for r in reports if r["claim"] == "asymptotic_regularity_inf_form")
+        assert inf_form["details"]["skipped_beyond_horizon"] == [1e-200]
+
     def test_non_finite_resolvent_exit_two(self, tmp_path, capsys):
         # F x = 0 x + inf: the first resolvent iterate leaves the reals
         cfg = write_config(tmp_path, {

@@ -127,6 +127,21 @@ class TestFirstOrderIntegration:
         with pytest.raises(IntegrationError, match=r"non-finite state at t=0\.1$"):
             integrate_first_order(T, ParameterCurve.constant(1.0), [1.0], 5.0, 0.1)
 
+    def test_divergent_flow_stops_within_a_block(self):
+        # non-finite after the first step of 50,000: the run stops at the
+        # first block's check, 1,024 coarse steps of 8 calls each
+        calls = []
+
+        def blow_up(x):
+            calls.append(1)
+            return 1e200 * x * x
+
+        T = NonexpansiveMap(fn=blow_up)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(IntegrationError, match=r"non-finite state at t=0\.001$"):
+            integrate_first_order(T, ParameterCurve.constant(1.0), [1.0], 50.0, 1e-3)
+        assert len(calls) == 8 * flows._BLOCK
+
     def test_lambda_range_enforced(self):
         T = NonexpansiveMap.identity()
         with pytest.raises(IntegrationError):
@@ -535,7 +550,10 @@ def _reference_rk4_run(field, y0, n_steps, h):
     return ts, ys, dys
 
 
-def _reference_integrate(field, y0, horizon, step, method):
+def _reference_integrate(rhs, curves, width, y0, horizon, step, method):
+    def field(t, y):
+        return rhs(y, *(c(t) for c in curves))
+
     n = int(round(horizon / step))
     if abs(n * step - horizon) > 1e-9 * max(1.0, horizon):
         n = math.ceil(horizon / step)
@@ -618,6 +636,27 @@ def test_rk4_bit_identical_to_reference(monkeypatch, call):
         if a is not None:
             assert np.array_equal(a, b), attr
     assert new.meta == ref.meta
+
+
+@pytest.mark.parametrize("n", [1, 10, 2500])
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_rhs_calls_per_coarse_step(order, n):
+    # 4 calls for the paired coarse and fine step, 4 for the lone fine step,
+    # and one for the last fine derivative
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return 0.5 * x
+
+    if order == "first":
+        integrate_first_order(NonexpansiveMap(fn=counted), ParameterCurve.constant(0.5),
+                              [1.0, 2.0], n * 1e-3, 1e-3)
+    else:
+        integrate_second_order(CocoerciveMap(fn=counted, beta=2.0),
+                               ParameterCurve.constant(1.0), ParameterCurve.constant(3.0),
+                               [1.0, 2.0], [0.0, 0.0], n * 1e-3, 1e-3)
+    assert len(calls) == 8 * n + 1
 
 
 def test_ragged_horizon_samples():
