@@ -24,10 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import moduli
+from .config import Config, ConfigError
 from .counterfunctions import Counterfunction
 from .flows import IntegrationError
 from .operators import IterationBudgetError
-from .scenarios import ConfigError, ScenarioOutcome, builtin_scenarios, run_scenario
+from .scenarios import ScenarioOutcome, builtin_scenarios, run_scenario
 
 # theorem ids that must be exercised by at least one builtin scenario
 REQUIRED_COVERAGE = {
@@ -127,19 +128,14 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_root = Path(args.out)
-    registry = builtin_scenarios()
-    keys = config if isinstance(config, dict) else {}  # run_scenario rejects the rest
     try:
-        if "suite" in keys:
-            outcomes = run_suite(out_root, exclude=config.get("exclude", []))
-        elif "builtin" in keys:
-            name = config["builtin"]
-            if name not in registry:
-                raise ConfigError(f"unknown builtin scenario {name!r}")
-            overrides = config.get("overrides", {})
-            if not isinstance(overrides, dict):
-                raise ConfigError("overrides must be a JSON object")
-            base = {**registry[name].config, **overrides}
+        cfg = Config.of(config)
+        if "suite" in cfg:
+            exclude = cfg.entries("exclude", [])
+            outcomes = run_suite(out_root, exclude=[exclude.text(i) for i in exclude])
+        elif "builtin" in cfg:
+            base = {**cfg.choice("builtin", builtin_scenarios()).config,
+                    **cfg.spec("overrides", {})}
             outcomes = [_run_one(base, out_root)]
         else:
             outcomes = [_run_one(config, out_root)]
@@ -213,8 +209,8 @@ def _parse_param(value: str):
     return json.loads(value)
 
 
-def _param_dict(pairs) -> dict:
-    params = {}
+def _param_dict(pairs) -> Config:
+    params = Config({})
     for pair in pairs or []:
         if "=" not in pair:
             raise ConfigError(f"--param needs key=value, got {pair!r}")
@@ -223,15 +219,14 @@ def _param_dict(pairs) -> dict:
     return params
 
 
-def _counterfn(params) -> Counterfunction:
-    return Counterfunction.from_spec(params.get("f", 0))
+def _counterfn(params: Config) -> Counterfunction:
+    return Counterfunction.from_spec(params.spec("f", 0, Config.INTEGER))
 
 
-def _aas2(params):
-    r = params.get("r", "inf")
-    r = None if r == "inf" else Fraction(str(r))
+def _aas2(params: Config):
+    r = None if params.get("r", "inf") == "inf" else params.rational("r")
     return moduli.aas2_metastability(params["c"], params["A"], params["B"],
-                                     Fraction(str(params["p"])), r,
+                                     params.rational("p"), r,
                                      params["eps"], _counterfn(params))
 
 
@@ -240,13 +235,12 @@ def _semigroup(calc, params):
     return calc(params["b"], gamma_tb, params["eps"], _counterfn(params))
 
 
-def _second_order(calc, params, *args):
+def _second_order(calc, params: Config, *args):
     """``calc(consts, *args, eps, f)``, with the derived constants in its trace."""
     consts = moduli.second_order_constants(
         params["b"], params["c"], params["dB"],
-        Fraction(str(params["lambda_lo"])), Fraction(str(params["lambda_hi"])),
-        Fraction(str(params["gamma_lo"])), Fraction(str(params["gamma_hi"])),
-        Fraction(str(params["theta"])), Fraction(str(params["beta"])),
+        *(params.rational(k) for k in ("lambda_lo", "lambda_hi", "gamma_lo", "gamma_hi",
+                                       "theta", "beta")),
         l_variant=params.get("l_variant", "multiply"))
     value = calc(consts, *args, params["eps"], _counterfn(params))
     value.trace["constants"] = consts.describe()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Union
 
+from .config import Config
 from .exact import BudgetExceeded, budget_limit, guard
 
 __all__ = ["Counterfunction", "iterate_tilde", "max_on", "max_tilde_on"]
@@ -88,21 +89,14 @@ class Counterfunction:
 
     @classmethod
     def from_spec(cls, spec: Union[dict, int, "Counterfunction"]) -> "Counterfunction":
-        """Build from the declarative config form (safe combinators only)."""
+        """Build from the declarative config form (safe combinators only): a
+        mapping, read through ``config.Config``, or an integer k for
+        ``constant(k)``."""
         if isinstance(spec, Counterfunction):
             return spec
         if isinstance(spec, int):
             return cls.constant(spec)
-        kind = spec.get("kind")
-        if kind == "constant":
-            return cls.constant(spec["k"])
-        if kind == "identity_plus":
-            return cls.identity_plus(spec.get("k", 0))
-        if kind == "linear":
-            return cls.linear(spec["a"], spec.get("b", 0))
-        if kind == "table":
-            return cls.table(spec.get("values", {}), spec["default"])
-        raise ValueError(f"counterfunction kind {kind!r} not allowed in configs")
+        return Config.of(spec).build("kind", _SPEC_KINDS)
 
     def to_spec(self) -> dict:
         if self.kind == "linear":
@@ -141,6 +135,20 @@ class Counterfunction:
 
     def __repr__(self) -> str:
         return f"Counterfunction({self.to_spec()})"
+
+
+# config kind -> (constructor, read of its typed parameters)
+_SPEC_KINDS = {
+    "constant": (Counterfunction.constant, lambda s: (s.integer("k"),)),
+    "identity_plus": (Counterfunction.identity_plus, lambda s: (s.integer("k", 0),)),
+    "linear": (Counterfunction.linear, lambda s: (s.integer("a"), s.integer("b", 0))),
+    "table": (Counterfunction.table,
+              lambda s: (_table(s.spec("values", {})), s.integer("default"))),
+}
+
+
+def _table(values: Config) -> dict:
+    return {n: values.integer(n) for n in values}
 
 
 def _brute_max(fn: Callable[[int], int], lo: int, hi: int) -> int:

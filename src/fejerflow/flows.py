@@ -28,6 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .config import Config
 from .operators import (
     CocoerciveMap,
     ConvexFunction,
@@ -116,20 +117,11 @@ class ParameterCurve:
 
     @classmethod
     def from_spec(cls, spec) -> "ParameterCurve":
+        """Build from the declarative config form: a mapping, read through
+        ``config.Config``, or a number c for ``constant(c)``."""
         if isinstance(spec, (int, float)):
             return cls.constant(spec)
-        kind = spec["kind"]
-        if kind == "constant":
-            return cls.constant(spec["c"])
-        if kind == "affine":
-            return cls.affine(spec["a"], spec["b"], spec.get("lower"), spec.get("upper"))
-        if kind == "piecewise":
-            return cls.piecewise(spec["breaks"], spec["values"],
-                                 spec.get("lower"), spec.get("upper"))
-        if kind == "table":
-            return cls.table(spec["ts"], spec["values"],
-                             spec.get("lower"), spec.get("upper"))
-        raise ValueError(f"unknown curve kind {kind!r}")
+        return Config.of(spec).build("kind", _SPEC_KINDS)
 
     def validate_bounds(self, ts: np.ndarray) -> None:
         vals = self(np.asarray(ts, dtype=float))
@@ -141,6 +133,20 @@ class ParameterCurve:
             raise IntegrationError(
                 f"declared upper bound {self.upper} violated: max {vals.max()}"
             )
+
+
+def _range(s: Config) -> tuple:
+    return s.number("lower", None), s.number("upper", None)
+
+
+# config kind -> (constructor, read of its typed parameters)
+_SPEC_KINDS = {
+    "constant": (ParameterCurve.constant, lambda s: (s.number("c"),)),
+    "affine": (ParameterCurve.affine, lambda s: (s.number("a"), s.number("b"), *_range(s))),
+    "piecewise": (ParameterCurve.piecewise,
+                  lambda s: (s.numbers("breaks"), s.numbers("values"), *_range(s))),
+    "table": (ParameterCurve.table, lambda s: (s.numbers("ts"), s.numbers("values"), *_range(s))),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +272,8 @@ class Trajectory:
 _BLOCK = 1024  # coarse steps per curve table and per finiteness check
 
 
+# a divergent run overflows quietly until its block's finiteness check raises
+@np.errstate(over="ignore", invalid="ignore")
 def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int, y0: np.ndarray,
          n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Coarse (n steps of h) and fine (2n steps of h/2) RK4 runs of

@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.stats import qmc
 
+from .config import Config
 from .space import SpaceDescriptor, row_norm
 
 __all__ = [
@@ -416,60 +417,54 @@ def check_cocoercive(B: CocoerciveMap, space: SpaceDescriptor,
 # ---------------------------------------------------------------------------
 
 
+# op -> (constructor, read of its typed parameters from the spec at dimension d)
+_NONEXPANSIVE = {
+    "identity": (NonexpansiveMap.identity, lambda s, d: ()),
+    "scalar": (NonexpansiveMap.scalar, lambda s, d: (s.number("c"),)),
+    "negation": (NonexpansiveMap.negation, lambda s, d: ()),
+    "affine": (NonexpansiveMap.affine,
+               lambda s, d: (s.matrix("matrix", d), s.vector("offset", d))),
+    "linear": (NonexpansiveMap.linear, lambda s, d: (s.matrix("matrix", d),)),
+    "rotation": (NonexpansiveMap.rotation, lambda s, d: (s.number("angle_deg"),)),
+    "projection_ball": (NonexpansiveMap.projection_ball,
+                        lambda s, d: (s.vector("center", d), s.number("radius"))),
+}
+_COCOERCIVE = {
+    "identity": (CocoerciveMap.identity, lambda s, d: ()),
+    "zero": (CocoerciveMap.zero, lambda s, d: (s.number("beta", 1.0),)),
+    "scaled_identity": (CocoerciveMap.scaled_identity, lambda s, d: (s.number("c"),)),
+    "linear_spd": (CocoerciveMap.linear_spd, lambda s, d: (s.matrix("matrix", d),)),
+}
+_MONOTONE = {
+    "zero": (MonotoneOperator.zero, lambda s, d: ()),
+    "scaled_identity": (MonotoneOperator.scaled_identity, lambda s, d: (s.number("c"),)),
+    "indicator_point": (MonotoneOperator.indicator_point, lambda s, d: (s.vector("point", d),)),
+    "linear": (MonotoneOperator.linear, lambda s, d: (s.matrix("matrix", d),)),
+}
+_QUADRATIC = (ConvexFunction.quadratic,
+              lambda s, d: (s.number("scale", 1.0), s.vector("center", d, None), d))
+_CONVEX = {
+    "quadratic": _QUADRATIC,
+    "quad_prox": _QUADRATIC,
+    "l1": (ConvexFunction.l1, lambda s, d: (s.number("scale", 1.0),)),
+    "indicator_ball": (ConvexFunction.indicator_ball,
+                       lambda s, d: (s.vector("center", d), s.number("radius"))),
+    "indicator_box": (ConvexFunction.indicator_box,
+                      lambda s, d: (s.vector("lower", d), s.vector("upper", d))),
+}
+
+
 def make_nonexpansive(space: SpaceDescriptor, spec: dict) -> NonexpansiveMap:
-    op = spec["op"]
-    if op == "identity":
-        return NonexpansiveMap.identity()
-    if op == "scalar":
-        return NonexpansiveMap.scalar(float(spec["c"]))
-    if op == "negation":
-        return NonexpansiveMap.negation()
-    if op == "affine":
-        return NonexpansiveMap.affine(spec["matrix"], spec["offset"])
-    if op == "linear":
-        return NonexpansiveMap.linear(spec["matrix"])
-    if op == "rotation":
-        return NonexpansiveMap.rotation(float(spec["angle_deg"]))
-    if op == "projection_ball":
-        return NonexpansiveMap.projection_ball(spec["center"], float(spec["radius"]))
-    raise OperatorError(f"unknown nonexpansive op {op!r}")
+    return Config.of(spec).build("op", _NONEXPANSIVE, space.dimension)
 
 
 def make_cocoercive(space: SpaceDescriptor, spec: dict) -> CocoerciveMap:
-    op = spec["op"]
-    if op == "identity":
-        return CocoerciveMap.identity()
-    if op == "zero":
-        return CocoerciveMap.zero(float(spec.get("beta", 1.0)))
-    if op == "scaled_identity":
-        return CocoerciveMap.scaled_identity(float(spec["c"]))
-    if op == "linear_spd":
-        return CocoerciveMap.linear_spd(spec["matrix"])
-    raise OperatorError(f"unknown cocoercive op {op!r}")
+    return Config.of(spec).build("op", _COCOERCIVE, space.dimension)
 
 
 def make_monotone(space: SpaceDescriptor, spec: dict) -> MonotoneOperator:
-    op = spec["op"]
-    if op == "zero":
-        return MonotoneOperator.zero()
-    if op == "scaled_identity":
-        return MonotoneOperator.scaled_identity(float(spec["c"]))
-    if op == "indicator_point":
-        return MonotoneOperator.indicator_point(spec["point"])
-    if op == "linear":
-        return MonotoneOperator.linear(spec["matrix"])
-    raise OperatorError(f"unknown monotone op {op!r}")
+    return Config.of(spec).build("op", _MONOTONE, space.dimension)
 
 
 def make_convex_function(space: SpaceDescriptor, spec: dict) -> ConvexFunction:
-    op = spec["op"]
-    if op == "quadratic" or op == "quad_prox":
-        return ConvexFunction.quadratic(float(spec.get("scale", 1.0)),
-                                        spec.get("center"), space.dimension)
-    if op == "l1":
-        return ConvexFunction.l1(float(spec.get("scale", 1.0)))
-    if op == "indicator_ball":
-        return ConvexFunction.indicator_ball(spec["center"], float(spec["radius"]))
-    if op == "indicator_box":
-        return ConvexFunction.indicator_box(spec["lower"], spec["upper"])
-    raise OperatorError(f"unknown convex function op {op!r}")
+    return Config.of(spec).build("op", _CONVEX, space.dimension)

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import moduli
+from .config import Config, ConfigError
 from .counterfunctions import Counterfunction
 from .exact import BudgetExceeded, ExtendedNatural, R, Real, guard
 from .flows import (
@@ -68,79 +69,6 @@ SCHEMA_VERSION = 1
 
 __all__ = ["Scenario", "ScenarioOutcome", "builtin_scenarios", "run_scenario",
            "ConfigError", "SCHEMA_VERSION"]
-
-
-class ConfigError(ValueError):
-    pass
-
-
-class _Config(dict):
-    """A scenario config as its pipeline reads it: a missing key raises
-    ``ConfigError`` naming its full path (``solution.b``,
-    ``metastability.counterfunctions[0].k``), not a bare ``KeyError``.
-    Nested mappings, list items included, are wrapped as they are read.
-
-    A present null is never a value: ``cfg[key]`` and ``cfg.get(key,
-    default)`` refuse it, and only ``cfg.get(key)`` reads it as absent (so
-    a null section is switched off).  A value read with a mapping or list
-    default must be a mapping or a list."""
-
-    def __init__(self, data, path: str = ""):
-        super().__init__(data)
-        self._path = path
-
-    def _wrap(self, key, value):
-        if isinstance(value, dict):
-            return _Config(value, f"{self._path}{key}.")
-        if isinstance(value, list):
-            return [_Config(v, f"{self._path}{key}[{i}].") if isinstance(v, dict) else v
-                    for i, v in enumerate(value)]
-        return value
-
-    def _refuse(self, key, value, want: str):
-        raise ConfigError(f"config key '{self._path}{key}' must be {want}, got {value!r}")
-
-    def __getitem__(self, key):
-        value = super().__getitem__(key)
-        if value is None:
-            self._refuse(key, value, "a value, not null")
-        return self._wrap(key, value)
-
-    def __missing__(self, key):
-        raise ConfigError(f"config missing required key '{self._path}{key}'")
-
-    def get(self, key, default=None):
-        if default is None or key not in self:
-            return self._wrap(key, super().get(key, default))
-        value = self[key]
-        if isinstance(default, (dict, list)) and not isinstance(value, type(default)):
-            self._refuse(key, value, "a mapping" if isinstance(default, dict) else "a list")
-        return value
-
-    def section(self, *keys) -> "_Config":
-        """The mapping at the required key path ``keys``."""
-        cfg = self
-        for key in keys:
-            value = cfg[key]
-            if not isinstance(value, dict):
-                cfg._refuse(key, value, "a mapping")
-            cfg = value
-        return cfg
-
-
-def _number(cfg: dict, key: str, default: Optional[float] = None) -> float:
-    """The finite float at ``cfg[key]``, or ``default`` when the key is absent
-    (required when ``default`` is None); anything else is a ``ConfigError``
-    naming the key's path."""
-    value = cfg[key] if default is None else cfg.get(key, default)
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not math.isfinite(number):
-        path = getattr(cfg, "_path", "")
-        raise ConfigError(f"config key '{path}{key}' must be a finite number, got {value!r}")
-    return number
 
 
 @dataclass
@@ -214,39 +142,53 @@ def _cocoercive(space: SpaceDescriptor, cfg: dict) -> CocoerciveMap:
     """Operator B, with its cocoercivity constant replaced by ``beta_claim``
     when the config declares one."""
     B = make_cocoercive(space, cfg.section("operators", "B"))
-    if "beta_claim" in cfg:
-        B = CocoerciveMap(fn=B.fn, beta=_number(cfg, "beta_claim"),
-                          name=B.name + "[claimed]")
+    beta = cfg.number("beta_claim", None)
+    if beta is not None:
+        B = CocoerciveMap(fn=B.fn, beta=beta, name=B.name + "[claimed]")
     return B
 
 
 def _curve(cfg: dict, key: str) -> ParameterCurve:
     """The curve ``curves.<key>``.  Its certificates are built from its
     declared range, so both ends of that range must be declared."""
-    curve = ParameterCurve.from_spec(cfg.section("curves")[key])
+    curve = ParameterCurve.from_spec(cfg.section("curves").spec(key, scalar=Config.NUMBER))
     if curve.lower is None or curve.upper is None:
         raise ConfigError(f"config key 'curves.{key}' needs 'lower' and 'upper' bounds")
     return curve
 
 
-def _second_order_consts(cfg: dict, lam: ParameterCurve, gam: ParameterCurve,
-                         theta: float, beta: float):
+def _second_order_consts(cfg: Config, out: ScenarioOutcome, theorem: str,
+                         lam: ParameterCurve, gam: ParameterCurve, beta: float):
     """Boundedness constants of a second-order flow from the config bounds
-    and the declared parameter ranges."""
+    and the declared parameter ranges, certified as ``theorem``."""
     bounds = cfg.section("bounds")
-    return second_order_constants(
-        bounds["b"], bounds["c"], bounds["d"],
+    consts = second_order_constants(
+        bounds.rational("b"), bounds.rational("c"), bounds.rational("d"),
         Fraction(str(lam.lower)), Fraction(str(lam.upper)),
         Fraction(str(gam.lower)), Fraction(str(gam.upper)),
-        Fraction(str(theta)), Fraction(str(beta)))
+        cfg.rational("theta"), Fraction(str(beta)))
+    out.certify(theorem, {k: bounds[k] for k in "bcd"}, None, trace=consts.describe())
+    return consts
 
 
-def _counterfunctions(cfg: dict) -> list[Counterfunction]:
-    return [Counterfunction.from_spec(s) for s in cfg.get(
-        "counterfunctions",
-        [{"kind": "constant", "k": 0}, {"kind": "constant", "k": 1},
-         {"kind": "identity_plus", "k": 0}],
-    )]
+def _flow(cfg: Config, *initial: str) -> tuple:
+    """The space of a flow config, then its initial values ``initial.<key>``
+    and its solution point, as points of that space."""
+    space = SpaceDescriptor.from_json(cfg.section("space"))
+    start, d = cfg.section("initial"), space.dimension
+    return (space, *(start.vector(key, d) for key in initial),
+            cfg.section("solution").vector("point", d))
+
+
+def _metastability(cfg: Config, eps: Fraction) -> tuple[Fraction, list[Counterfunction]]:
+    """The exact eps (``eps`` when absent) and the counterfunctions of the
+    ``metastability`` section."""
+    meta = cfg.spec("metastability", {})
+    specs = meta.specs("counterfunctions", [{"kind": "constant", "k": 0},
+                                            {"kind": "constant", "k": 1},
+                                            {"kind": "identity_plus", "k": 0}],
+                       scalar=Config.INTEGER)
+    return meta.rational("eps", eps), [Counterfunction.from_spec(s) for s in specs]
 
 
 def _perturbed_level_points(y: np.ndarray, residual: SolutionFunction,
@@ -292,21 +234,19 @@ def _divergence_modulus(lam: ParameterCurve, delta: float = 1.0):
     return tau_lo, lambda K: (K / tau).ceil_upper()
 
 
-def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
-    space = SpaceDescriptor.from_json(cfg.section("space"))
+def _run_first_order(cfg: Config, out: ScenarioOutcome) -> None:
+    space, x0, y = _flow(cfg, "x0")
     T = make_nonexpansive(space, cfg.section("operators", "T"))
     lam = _curve(cfg, "lambda")
-    solution = cfg.section("solution")
-    x0 = space.point(cfg.section("initial")["x0"])
-    y = space.point(solution["point"])
-    b = _number(solution, "b")
+    b_exact = cfg.section("solution").rational("b")
+    b = float(b_exact)
     if space.distance(x0, y) > b + 1e-12:
         raise ConfigError("declared b does not bound ||x0 - y||")
 
     out.add(_contract_report(space, T))
 
-    traj = integrate_first_order(T, lam, x0, _number(cfg, "horizon"),
-                                 _number(cfg, "step"), space=space)
+    traj = integrate_first_order(T, lam, x0, cfg.positive("horizon"),
+                                 cfg.positive("step"), space=space)
     out.trajectories["trajectory"] = traj
 
     out.add(_distance_monotone_report(traj, y))
@@ -321,10 +261,9 @@ def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
     # the witness-form check and the metastability certificates share one rate
     tau_lo, eta = _divergence_modulus(lam)
     witness = {"lower_witness": Fraction(lam.lower)}
-    b_exact = Fraction(str(b))
     phi1 = _tail_rate(moduli.asymptotic_regularity_rate(b_exact, divergence_modulus=eta))
     phi2 = _tail_rate(moduli.asymptotic_regularity_rate(b_exact, **witness))
-    eps_reg = cfg.get("eps_regularity", [0.5, 0.1, 0.02])
+    eps_reg = cfg.numbers("eps_regularity", [0.5, 0.1, 0.02])
     out.add(check_asymptotic_regularity(traj, residual, phi1, eps_reg,
                                         claim="asymptotic_regularity_divergence"))
     out.add(check_asymptotic_regularity(traj, residual, phi2, eps_reg,
@@ -333,31 +272,30 @@ def _run_first_order(cfg: dict, out: ScenarioOutcome) -> None:
     out.add(check_asymptotic_regularity(traj, residual, inf_rate, eps_reg,
                                         claim="asymptotic_regularity_inf_form"))
 
-    long_cfg = cfg.get("long_check")
+    long_cfg = cfg.spec("long_check", None)
     if long_cfg:
-        long_traj = integrate_first_order(T, lam, x0, _number(long_cfg, "horizon"),
-                                          _number(long_cfg, "step"), space=space)
+        long_traj = integrate_first_order(T, lam, x0, long_cfg.positive("horizon"),
+                                          long_cfg.positive("step"), space=space)
         out.trajectories["trajectory_long"] = long_traj
         out.add(check_asymptotic_regularity(long_traj, residual, phi1, eps_reg,
                                             claim="asymptotic_regularity_divergence_long"))
         out.add(check_asymptotic_regularity(long_traj, residual, phi2, eps_reg,
                                             claim="asymptotic_regularity_witness_long"))
 
-    meta_cfg = cfg.get("metastability", {})
-    eps = _number(meta_cfg, "eps", 1.0)
-    for fc in _counterfunctions(meta_cfg):
-        cert = moduli.delta_first_order(space.dimension, Fraction(solution["b"]), witness,
-                                        Fraction(eps) / 4, fc)
+    eps_q, fcs = _metastability(cfg, 1)
+    eps = float(eps_q)
+    for fc in fcs:
+        cert = moduli.delta_first_order(space.dimension, b_exact, witness, eps_q / 4, fc)
         out.certify("delta_first_order",
-                    {"d": space.dimension, "b": solution["b"],
+                    {"d": space.dimension, "b": cfg.section("solution")["b"],
                      "lambda_lo": lam.lower, "eps": eps / 4,
                      "f": fc.to_spec()}, cert)
         out.add(verify_metastability(traj, eps, fc, cert, residual=residual,
                                      claim=f"metastability[f={fc.to_spec()}]"))
 
-    reg = cfg.get("regularity")
+    reg = cfg.spec("regularity", None)
     if reg:
-        k = 1.0 - _number(reg, "c")
+        k = 1.0 - reg.number("c")
         c_rate = moduli.fast_linear_rate(tau_lo, k, 2)
         out.certify("fast_linear_rate",
                     {"beta": tau_lo, "k": k, "p": 2}, c_rate)
@@ -392,42 +330,37 @@ def _second_order_error_model(consts, traj: Trajectory):
     return s_part, t_part
 
 
-def _run_second_order(cfg: dict, out: ScenarioOutcome) -> None:
-    space = SpaceDescriptor.from_json(cfg.section("space"))
+def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:
+    space, u0, v0, z = _flow(cfg, "x0", "v0")
     B = _cocoercive(space, cfg)
     lam = _curve(cfg, "lambda")
     gam = _curve(cfg, "gamma")
-    theta = _number(cfg, "theta")
-    initial = cfg.section("initial")
-    u0 = space.point(initial["x0"])
-    v0 = space.point(initial["v0"])
-    z = space.point(cfg.section("solution")["point"])
+    theta = cfg.number("theta")
 
     prop = out.add(_contract_report(space, B))
     if prop.status == VIOLATED:
         return
 
-    traj = integrate_second_order(B, lam, gam, u0, v0, _number(cfg, "horizon"),
-                                  _number(cfg, "step"), theta=theta, space=space)
+    traj = integrate_second_order(B, lam, gam, u0, v0, cfg.positive("horizon"),
+                                  cfg.positive("step"), theta=theta, space=space)
     out.trajectories["trajectory"] = traj
 
-    oracle = cfg.get("oracle")
+    oracle = cfg.spec("oracle", None)
     if oracle:
-        times = np.asarray(oracle.get("times", [0.5, 1.0, 2.0, 5.0]), dtype=float)
-        value = sum(coef * np.exp(rate * times) for coef, rate in oracle["terms"])
+        times = np.asarray(oracle.numbers("times", [0.5, 1.0, 2.0, 5.0]))
+        value = sum(term.number(0) * np.exp(term.number(1) * times)
+                    for term in oracle.pairs("terms"))
         worst = np.abs(_window_points(traj, times)[:, 0] - value).max()
         out.add(report_from_margin("closed_form_match", worst - 1e-6, 1e-6,
                                    {"max_error": worst}))
 
-    consts = _second_order_consts(cfg, lam, gam, theta, B.beta)
-    out.certify("second_order_constants", {k: cfg.section("bounds")[k] for k in "bcd"},
-                None, trace=consts.describe())
+    consts = _second_order_consts(cfg, out, "second_order_constants", lam, gam, B.beta)
     out.add(check_second_order_bounds(traj, consts, z, B))
 
-    meta_cfg = cfg.get("metastability", {})
-    eps = _number(meta_cfg, "eps", 0.2)
-    for fc in _counterfunctions(meta_cfg):
-        cert = moduli.lambda_capital(consts, Fraction(str(eps)), fc)
+    eps_q, fcs = _metastability(cfg, Fraction(1, 5))
+    eps = float(eps_q)
+    for fc in fcs:
+        cert = moduli.lambda_capital(consts, eps_q, fc)
         out.certify("lambda_capital", {"eps": eps, "f": fc.to_spec()}, cert)
         residual_t = lambda t: max(
             float(np.linalg.norm(traj.eval_velocity(t))),
@@ -447,9 +380,9 @@ def _run_second_order(cfg: dict, out: ScenarioOutcome) -> None:
                         claim="uniform_quasi_fejer"))
 
     # the full Delta recursion; small eps overflows by design, so surface it
-    cert_cfg = cfg.get("delta", {})
-    eps_d = Fraction(str(cert_cfg.get("eps", eps)))
-    fc = Counterfunction.from_spec(cert_cfg.get("counterfunction", 0))
+    cert_cfg = cfg.spec("delta", {})
+    eps_d = cert_cfg.rational("eps", eps_q)
+    fc = Counterfunction.from_spec(cert_cfg.spec("counterfunction", 0, Config.INTEGER))
     scaled = min(eps_d, Fraction(str(B.beta)) * eps_d / 2)
     cert = moduli.delta_second_order(consts, space.dimension, scaled, fc)
     out.certify("delta_second_order",
@@ -464,21 +397,20 @@ def _run_second_order(cfg: dict, out: ScenarioOutcome) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_forward_backward_first(cfg: dict, out: ScenarioOutcome) -> None:
-    space = SpaceDescriptor.from_json(cfg.section("space"))
+def _run_forward_backward_first(cfg: Config, out: ScenarioOutcome) -> None:
+    space, x0, y = _flow(cfg, "x0")
     A = make_monotone(space, cfg.section("operators", "A"))
     B = make_cocoercive(space, cfg.section("operators", "B"))
-    gamma = _number(cfg, "gamma")
+    gamma_q = cfg.rational("gamma")
+    gamma = float(gamma_q)
     lam = _curve(cfg, "lambda")
-    solution = cfg.section("solution")
-    x0 = space.point(cfg.section("initial")["x0"])
-    y = space.point(solution["point"])
-    b = _number(solution, "b")
+    b_exact = cfg.section("solution").rational("b")
+    b = float(b_exact)
 
     T = forward_backward_map(A, B, gamma)
     delta = T.averaged_delta
     traj = integrate_forward_backward("first", A, B, gamma, lam, x0,
-                                      _number(cfg, "horizon"), _number(cfg, "step"),
+                                      cfg.positive("horizon"), cfg.positive("step"),
                                       space=space)
     out.trajectories["trajectory"] = traj
 
@@ -506,21 +438,19 @@ def _run_forward_backward_first(cfg: dict, out: ScenarioOutcome) -> None:
     out.add(report_from_margin("fb_b_inequality", float((lhs - rhs).max()), 1e-9))
 
     # the psi check and the metastability certificate share one rate
-    b_exact = Fraction(str(b))
     rate_info = {"divergence_modulus": _divergence_modulus(lam, delta)[1],
                  "averaged_delta": Fraction(str(delta))}
     phi1 = moduli.asymptotic_regularity_rate(b_exact, **rate_info)
-    scale = R(Fraction(str(gamma))) * R(Fraction(str(B.beta))) / (3 * b_exact)
+    scale = R(gamma_q) * R(Fraction(str(B.beta))) / (3 * b_exact)
     psi = _tail_rate(lambda e: phi1(scale * e * e))
-    out.add(check_b_convergence(traj, B, y, psi, cfg.get("eps_b", [0.5, 0.1]),
+    out.add(check_b_convergence(traj, B, y, psi, cfg.numbers("eps_b", [0.5, 0.1]),
                                 claim="b_convergence_psi_rate"))
 
     residual = SolutionFunction.fixed_point_residual(T, center=y, radius=b)
-    meta_cfg = cfg.get("metastability", {})
-    eps = _number(meta_cfg, "eps", 0.5)
-    for fc in _counterfunctions(meta_cfg)[:1]:
-        cert = moduli.delta_first_order(space.dimension, b_exact, rate_info,
-                                        Fraction(str(eps)) / 4, fc)
+    eps_q, fcs = _metastability(cfg, Fraction(1, 2))
+    eps = float(eps_q)
+    for fc in fcs[:1]:
+        cert = moduli.delta_first_order(space.dimension, b_exact, rate_info, eps_q / 4, fc)
         out.certify("delta_first_order_fb",
                     {"d": space.dimension, "b": b, "delta": delta,
                      "eps": eps / 4, "f": fc.to_spec()}, cert)
@@ -528,34 +458,27 @@ def _run_forward_backward_first(cfg: dict, out: ScenarioOutcome) -> None:
                                      claim="metastability_fb"))
 
 
-def _run_forward_backward_second(cfg: dict, out: ScenarioOutcome) -> None:
-    space = SpaceDescriptor.from_json(cfg.section("space"))
+def _run_forward_backward_second(cfg: Config, out: ScenarioOutcome) -> None:
+    space, u0, v0, y = _flow(cfg, "x0", "v0")
     A = make_monotone(space, cfg.section("operators", "A"))
     B = make_cocoercive(space, cfg.section("operators", "B"))
-    eta_step = _number(cfg, "eta")
+    eta_q = cfg.rational("eta")
+    eta_step = float(eta_q)
     lam = _curve(cfg, "lambda")
     gam = _curve(cfg, "gamma")
-    theta = _number(cfg, "theta")
-    initial = cfg.section("initial")
-    u0 = space.point(initial["x0"])
-    v0 = space.point(initial["v0"])
-    y = space.point(cfg.section("solution")["point"])
+    theta = cfg.number("theta")
 
     traj = integrate_forward_backward("second", A, B, eta_step, lam, u0,
-                                      _number(cfg, "horizon"), _number(cfg, "step"),
+                                      cfg.positive("horizon"), cfg.positive("step"),
                                       gam=gam, v0=v0, theta=theta, space=space)
     out.trajectories["trajectory"] = traj
 
-    consts = _second_order_consts(cfg, lam, gam, theta, B.beta)
-    out.certify("second_order_constants_fb", {k: cfg.section("bounds")[k] for k in "bcd"},
-                None, trace=consts.describe())
+    consts = _second_order_consts(cfg, out, "second_order_constants_fb", lam, gam, B.beta)
 
     K = consts.K
-    meta_cfg = cfg.get("metastability", {})
-    eps = _number(meta_cfg, "eps", 0.5)
-    fc = _counterfunctions(meta_cfg)[0]
-    arg = R(Fraction(str(eps))) * R(Fraction(str(eps))) \
-        * R(Fraction(str(eta_step))) * R(Fraction(str(B.beta))) / (3 * K)
+    eps_q, (fc, *_) = _metastability(cfg, Fraction(1, 2))
+    eps = float(eps_q)
+    arg = R(eps_q) * R(eps_q) * R(eta_q) * R(Fraction(str(B.beta))) / (3 * K)
     cert = moduli.lambda_capital(consts, arg, fc)
     out.certify("sfb_b_rate", {"eps": eps, "f": fc.to_spec()}, cert)
     by = B(y)
@@ -564,11 +487,10 @@ def _run_forward_backward_second(cfg: dict, out: ScenarioOutcome) -> None:
                                           claim="b_convergence_metastability"))
 
     # strong monotonicity of B = Id gives the Theta bound
-    if cfg.get("uniform_monotone_who") == "B":
+    if cfg.text("uniform_monotone_who", None) == "B":
         phi_fn = lambda e: e * e
         cert2 = moduli.fb_uniform_monotone_rate(
-            "second", "B", phi_fn, Fraction(str(eps)),
-            consts=consts, eta_step=Fraction(str(eta_step)), f=fc)
+            "second", "B", phi_fn, eps_q, consts=consts, eta_step=eta_q, f=fc)
         out.certify("theta_uniform_monotone", {"eps": eps, "who": "B"}, cert2)
         dist_t = lambda t: float(np.linalg.norm(traj.eval(t) - y))
         out.add(verify_residual_metastability(traj, dist_t, eps, fc, cert2,
@@ -594,7 +516,7 @@ def _unconverged_report(claim: str, tol: float, **details) -> VerificationReport
                  **details})
 
 
-def _semigroup_run(cfg: dict, out: ScenarioOutcome, space: SpaceDescriptor,
+def _semigroup_run(cfg: Config, out: ScenarioOutcome, space: SpaceDescriptor,
                    semigroup: Callable, op, x0: np.ndarray, grid: float,
                    point_tol: float, decay: int, method: str) -> Trajectory:
     """Sample t -> semigroup(op, x0, t) on the grid over [0, horizon] into the
@@ -602,9 +524,11 @@ def _semigroup_run(cfg: dict, out: ScenarioOutcome, space: SpaceDescriptor,
     closed form e^{-decay t} x0.  Samples whose exponential formula did not
     converge have no error bound; they are named in one ``inconclusive``
     report, and a match that did not converge is ``inconclusive`` too."""
-    if not grid > 0:
-        raise ConfigError(f"sampling.grid must be positive, got {grid}")
-    ts = np.arange(0.0, _number(cfg, "horizon") + grid / 2, grid)
+    cfg = Config.of(cfg)
+    ts = np.arange(0.0, cfg.positive("horizon") + grid / 2, grid)
+    if len(ts) < 2:
+        raise ConfigError(f"config keys 'horizon' and 'sampling.grid' leave one sample, "
+                          f"at t = 0, for grid {grid}")
     samples = []
     achieved = 0.0
     unconverged = []
@@ -622,11 +546,11 @@ def _semigroup_run(cfg: dict, out: ScenarioOutcome, space: SpaceDescriptor,
         out.add(_unconverged_report("semigroup_samples_converged", point_tol,
                                     unconverged_times=unconverged))
 
-    match = cfg.get("match")
+    match = cfg.spec("match", None)
     if match:
-        t_ref = _number(match, "t", 1.0)
-        res = semigroup(op, x0, t_ref, tol=_number(match, "tol", 1e-6),
-                        n_max=int(_number(match, "n_max", 2 ** 20)))
+        t_ref = match.number("t", 1.0)
+        res = semigroup(op, x0, t_ref, tol=match.number("tol", 1e-6),
+                        n_max=match.integer("n_max", 2 ** 20))
         if not res.converged:
             out.add(_unconverged_report("exponential_formula_match", 1e-6,
                                         n_used=res.n_used))
@@ -638,18 +562,15 @@ def _semigroup_run(cfg: dict, out: ScenarioOutcome, space: SpaceDescriptor,
     return traj
 
 
-def _run_gradient_flow(cfg: dict, out: ScenarioOutcome) -> None:
-    space = SpaceDescriptor.from_json(cfg.section("space"))
+def _run_gradient_flow(cfg: Config, out: ScenarioOutcome) -> None:
+    space, x0, y = _flow(cfg, "x0")
     phi = make_convex_function(space, cfg.section("operators", "phi"))
-    solution = cfg.section("solution")
-    x0 = space.point(cfg.section("initial")["x0"])
-    y = space.point(solution["point"])
-    b = _number(solution, "b")
-    sample_cfg = cfg.get("sampling", {})
-    grid = _number(sample_cfg, "grid", 0.25)
+    b_exact = cfg.section("solution").rational("b")
+    b = float(b_exact)
+    sample_cfg = cfg.spec("sampling", {})
+    grid = sample_cfg.positive("grid", 0.25)
     traj = _semigroup_run(cfg, out, space, gradient_flow_semigroup, phi, x0, grid,
-                          _number(sample_cfg, "tol", 1e-4), 1,
-                          "gradient_flow_semigroup")
+                          sample_cfg.number("tol", 1e-4), 1, "gradient_flow_semigroup")
     ts = traj.ts
 
     # Mayer inequality on sampled (s, t, z)
@@ -659,49 +580,47 @@ def _run_gradient_flow(cfg: dict, out: ScenarioOutcome) -> None:
     out.add(check_mayer_inequality(mayer_pts, phi, zs, tol=_base_tolerance(traj)))
 
     # objective decay phi(S_t x) - mu <= b^2 / (2 t)
-    times = np.asarray(cfg.get("objective_times", [1.0, 2.0, 10.0]), dtype=float)
+    times = np.asarray(cfg.numbers("objective_times", [1.0, 2.0, 10.0]))
     gap = phi(_window_points(traj, times)) - phi.mu
     out.add(report_from_margin("objective_rate", float((gap - b * b / (2 * times)).max()),
                                _base_tolerance(traj)))
 
-    meta_cfg = cfg.get("metastability", {})
-    eps = _number(meta_cfg, "eps", 1.0)
-    gamma_tb = moduli.ball_modulus(space.dimension, Fraction(str(b)))
-    for fc in _counterfunctions(meta_cfg)[:2]:
-        cert = moduli.delta_gradient_flow(Fraction(str(b)), gamma_tb,
-                                          Fraction(str(eps)), fc)
+    eps_q, fcs = _metastability(cfg, 1)
+    eps = float(eps_q)
+    gamma_tb = moduli.ball_modulus(space.dimension, b_exact)
+    for fc in fcs[:2]:
+        cert = moduli.delta_gradient_flow(b_exact, gamma_tb, eps_q, fc)
         out.certify("delta_gradient_flow", {"b": b, "eps": eps, "f": fc.to_spec()},
                     cert)
         out.add(verify_metastability(traj, eps, fc, cert, grid=grid,
                                      claim=f"metastability[f={fc.to_spec()}]"))
 
     # regularity-based convergence: strongly convex objective
-    reg = cfg.get("regularity")
+    reg = cfg.spec("regularity", None)
     if reg:
-        tau = moduli.regularity_modulus(reg["kind"], **{k: v for k, v in reg.items()
-                                                        if k != "kind"})
-        bundle = replace(moduli.gradient_flow_bundle(Fraction(str(b)), gamma_tb), tau=tau)
+        tau = moduli.regularity_modulus(reg.text("kind"), **{k: reg.rational(k) for k in reg
+                                                             if k != "kind"})
+        bundle = replace(moduli.gradient_flow_bundle(b_exact, gamma_tb), tau=tau)
         rho = _tail_rate(lambda e: moduli.rho_convergence_regular(bundle, e))
-        out.add(check_convergence_rate(traj, y, rho, cfg.get("eps_rho", [0.5, 0.25]),
+        out.add(check_convergence_rate(traj, y, rho, cfg.numbers("eps_rho", [0.5, 0.25]),
                                        claim="regularity_convergence_rate"))
 
 
-def _run_stojkovic(cfg: dict, out: ScenarioOutcome) -> None:
-    space = SpaceDescriptor.from_json(cfg.section("space"))
+def _run_stojkovic(cfg: Config, out: ScenarioOutcome) -> None:
+    space, x0, y = _flow(cfg, "x0")
+    d = space.dimension
     F = make_nonexpansive(space, cfg.section("operators", "F"))
-    solution = cfg.section("solution")
-    x0 = space.point(cfg.section("initial")["x0"])
-    y = space.point(solution["point"])
-    b = _number(solution, "b")
-    sample_cfg = cfg.get("sampling", {})
-    grid = _number(sample_cfg, "grid", 0.25)
+    b_exact = cfg.section("solution").rational("b")
+    b = float(b_exact)
+    sample_cfg = cfg.spec("sampling", {})
+    grid = sample_cfg.positive("grid", 0.25)
     traj = _semigroup_run(cfg, out, space, stojkovic_semigroup, F, x0, grid,
-                          _number(sample_cfg, "tol", 1e-3), 2, "stojkovic_semigroup")
+                          sample_cfg.number("tol", 1e-3), 2, "stojkovic_semigroup")
 
     # resolvent inequality d(z, R_lam z) <= lam d(z, F z) on samples
     worst = -math.inf
-    for zval in sample_cfg.get("resolvent_points", [[0.5], [-0.3], [1.0]]):
-        z = space.point(zval if isinstance(zval, list) else [zval])
+    points = sample_cfg.entries("resolvent_points", [[0.5], [-0.3], [1.0]])
+    for z in (points.vector(i, d) for i in points):
         for lam_t in (0.25, 1.0, 3.0):
             rz = stojkovic_resolvent(F, lam_t, z, tol=1e-12)
             worst = max(worst,
@@ -709,9 +628,8 @@ def _run_stojkovic(cfg: dict, out: ScenarioOutcome) -> None:
     out.add(report_from_margin("resolvent_inequality", worst, 1e-9))
 
     # fixed-point lemma d(x, T_t x) <= d(x, Fx) (e^{2t}-1)/2
-    fp_samples = [(space.point(p), float(t))
-                  for p, t in cfg.get("fixed_point_samples",
-                                      [([0.5], 0.5), ([-0.25], 1.0), ([1.0], 1.5)])]
+    fp_samples = [(pair.vector(0, d), pair.number(1)) for pair in cfg.pairs(
+        "fixed_point_samples", [([0.5], 0.5), ([-0.25], 1.0), ([1.0], 1.5)])]
     runs = []
 
     def semigroup(x, t):
@@ -724,30 +642,28 @@ def _run_stojkovic(cfg: dict, out: ScenarioOutcome) -> None:
                                 n_used=[r.n_used for r in unconverged])
             if unconverged else report)
 
-    gamma_tb = moduli.ball_modulus(space.dimension, Fraction(str(b)))
-    meta_cfg = cfg.get("metastability", {})
-    eps = _number(meta_cfg, "eps", 1.0)
-    for fc in _counterfunctions(meta_cfg)[:1]:
-        cert = moduli.delta_stojkovic(Fraction(str(b)), gamma_tb,
-                                      Fraction(str(eps)), fc)
+    gamma_tb = moduli.ball_modulus(space.dimension, b_exact)
+    eps_q, fcs = _metastability(cfg, 1)
+    eps = float(eps_q)
+    for fc in fcs[:1]:
+        cert = moduli.delta_stojkovic(b_exact, gamma_tb, eps_q, fc)
         out.certify("delta_stojkovic", {"b": b, "eps": eps, "f": fc.to_spec()}, cert)
         out.add(verify_metastability(traj, eps, fc, cert, grid=grid,
                                      claim=f"metastability[f={fc.to_spec()}]"))
 
     # the tower overflows quickly: surface the sentinel, not a failure
-    ov_cfg = cfg.get("overflow_probe", {"eps": "1/1000",
-                                        "counterfunction": {"kind": "identity_plus", "k": 0}})
-    fc_ov = Counterfunction.from_spec(ov_cfg["counterfunction"])
-    cert_ov = moduli.delta_stojkovic(Fraction(str(b)), gamma_tb,
-                                     Fraction(ov_cfg["eps"]), fc_ov)
+    ov_cfg = cfg.spec("overflow_probe", {"eps": "1/1000",
+                                         "counterfunction": {"kind": "identity_plus", "k": 0}})
+    fc_ov = Counterfunction.from_spec(ov_cfg.spec("counterfunction", scalar=Config.INTEGER))
+    eps_ov = ov_cfg.rational("eps")
+    cert_ov = moduli.delta_stojkovic(b_exact, gamma_tb, eps_ov, fc_ov)
     out.certify("delta_stojkovic_overflow_probe",
                 {"b": b, "eps": ov_cfg["eps"], "f": fc_ov.to_spec()}, cert_ov)
-    out.add(verify_metastability(traj, float(Fraction(ov_cfg["eps"])), fc_ov,
-                                 cert_ov, grid=grid,
+    out.add(verify_metastability(traj, float(eps_ov), fc_ov, cert_ov, grid=grid,
                                  claim="metastability_overflow_probe"))
 
 
-def _run_property_check(cfg: dict, out: ScenarioOutcome) -> None:
+def _run_property_check(cfg: Config, out: ScenarioOutcome) -> None:
     """Pure operator-contract scenario (used for negative tests)."""
     space = SpaceDescriptor.from_json(cfg.section("space"))
     operators = cfg.section("operators")
@@ -757,35 +673,24 @@ def _run_property_check(cfg: dict, out: ScenarioOutcome) -> None:
         out.add(_contract_report(space, make_nonexpansive(space, operators.section("T"))))
 
 
-# kind -> (pipeline, top-level config keys it reads besides name and space)
-_FLOW_KEYS = ("operators", "initial", "solution", "horizon")
-_RK4_KEYS = _FLOW_KEYS + ("curves", "step")
-_PIPELINES: dict[str, tuple[Callable[[dict, ScenarioOutcome], None], tuple]] = {
-    "first_order": (_run_first_order, _RK4_KEYS),
-    "second_order": (_run_second_order, _RK4_KEYS + ("theta", "bounds")),
-    "forward_backward_first": (_run_forward_backward_first, _RK4_KEYS + ("gamma",)),
-    "forward_backward_second": (_run_forward_backward_second,
-                                _RK4_KEYS + ("eta", "theta", "bounds")),
-    "gradient_flow": (_run_gradient_flow, _FLOW_KEYS),
-    "stojkovic": (_run_stojkovic, _FLOW_KEYS),
-    "property_check": (_run_property_check, ("operators",)),
+_PIPELINES: dict[str, Callable[[Config, ScenarioOutcome], None]] = {
+    "first_order": _run_first_order,
+    "second_order": _run_second_order,
+    "forward_backward_first": _run_forward_backward_first,
+    "forward_backward_second": _run_forward_backward_second,
+    "gradient_flow": _run_gradient_flow,
+    "stojkovic": _run_stojkovic,
+    "property_check": _run_property_check,
 }
 
 
 def run_scenario(config: dict) -> ScenarioOutcome:
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    if config.get("schema_version") != SCHEMA_VERSION:
+    cfg = Config.of(config)
+    if cfg.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
-    kind = config.get("kind")
-    if kind not in _PIPELINES:
-        raise ConfigError(f"unknown scenario kind {kind!r}")
-    pipeline, keys = _PIPELINES[kind]
-    for key in ("name", "space") + keys:
-        if key not in config:
-            raise ConfigError(f"config missing required key {key!r}")
-    out = ScenarioOutcome(name=config["name"])
-    pipeline(_Config(config), out)
+    pipeline = cfg.choice("kind", _PIPELINES)
+    out = ScenarioOutcome(name=cfg.text("name"))
+    pipeline(cfg, out)
     return out
 
 

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config
+
 __all__ = [
     "SpaceError",
     "DimensionMismatch",
@@ -95,7 +97,8 @@ class SpaceDescriptor:
 
     @classmethod
     def from_json(cls, data: dict) -> "SpaceDescriptor":
-        return cls(kind=data["kind"], dimension=data["dimension"])
+        spec = Config.of(data)
+        return cls(kind=spec.text("kind"), dimension=spec.integer("dimension"))
 
 
 def euclidean(dimension: int) -> SpaceDescriptor:

@@ -102,6 +102,13 @@ class TestCertify:
         trace = json.loads(capsys.readouterr().out)["trace"]
         assert trace == {"constants": trace["constants"]} and trace["constants"]["L"] == 5
 
+    @pytest.mark.parametrize("f, key", [('{"kind": "constant", "k": []}', "'f.k'"),
+                                        ("[1]", "'f'")], ids=["list_k", "list_spec"])
+    def test_malformed_counterfunction_names_its_key(self, capsys, f, key):
+        assert main(["certify", "delta_stojkovic", "--param", "b=1", "--param", "eps=1",
+                     "--param", f"f={f}"]) == 2
+        assert key in capsys.readouterr().err
+
     def test_fraction_param_equals_decimal(self, capsys):
         values = []
         for k in ("k=1/2", "k=0.5"):
@@ -111,8 +118,13 @@ class TestCertify:
         assert values[0] == values[1]
 
 
+# cut flows for configs whose bad value is read after integration
+_SHORT = {"horizon": 1.0, "step": 0.01, "long_check": None}
+_SHORT_SECOND = {"horizon": 6.0, "step": 0.01}  # the oracle times reach 5
+
 # malformed values that are not ValueErrors where they are read (None for a
-# float, a list item without its key)
+# float, a list item without its key), and one config per kind of traceback
+# the config fuzz recorded in CHANGES.md
 _NAMED_KEY_CONFIGS = {
     "horizon_null": {"builtin": "first_order_contraction_1d",
                      "overrides": {"horizon": None}},
@@ -140,6 +152,70 @@ _NAMED_KEY_CONFIGS = {
     "regularity_without_parameter": {
         "builtin": "gradient_flow_quadratic",
         "overrides": {"regularity": {"kind": "strongly_quasiconvex"}}},
+    "counterfunction_null": {
+        "builtin": "first_order_contraction_1d",
+        "overrides": {**_SHORT, "metastability": {"counterfunctions": [None]}}},
+    "curve_parameter_not_a_number": {
+        "builtin": "first_order_contraction_1d",
+        "overrides": {"curves": {"lambda": {"kind": "constant", "c": []}}}},
+    "point_not_a_list": {"builtin": "first_order_contraction_1d",
+                         "overrides": {"initial": {"x0": {}}}},
+    "kind_not_a_string": {"builtin": "first_order_contraction_1d",
+                          "overrides": {"kind": []}},
+    "fixed_point_sample_null": {"builtin": "stojkovic_negation",
+                                "overrides": {"fixed_point_samples": [None]}},
+    "curve_not_a_spec": {"builtin": "first_order_contraction_1d",
+                         "overrides": {"curves": {"lambda": "x"}}},
+    "oracle_term_null": {"builtin": "second_order_linear",
+                         "overrides": {**_SHORT_SECOND, "oracle": {"terms": [None]}}},
+    "long_check_not_a_mapping": {"builtin": "first_order_contraction_1d",
+                                 "overrides": {**_SHORT, "long_check": "x"}},
+    "counterfunction_parameter_not_a_number": {
+        "builtin": "first_order_contraction_1d",
+        "overrides": {**_SHORT, "metastability": {
+            "counterfunctions": [{"kind": "identity_plus", "k": []}]}}},
+    "bound_not_a_number": {"builtin": "forward_backward_second_order",
+                           "overrides": {**_SHORT, "bounds": {"b": [], "c": 0, "d": 1}}},
+    "match_not_a_mapping": {"builtin": "gradient_flow_quadratic",
+                            "overrides": {"match": "x"}},
+    "objective_time_not_a_number": {"builtin": "gradient_flow_quadratic",
+                                    "overrides": {"objective_times": [{}, 2.0, 10.0]}},
+    "operator_parameter_not_a_number": {
+        "builtin": "first_order_contraction_1d",
+        "overrides": {"operators": {"T": {"op": "scalar", "c": []}}}},
+    "oracle_terms_not_a_list": {"builtin": "second_order_linear",
+                                "overrides": {**_SHORT_SECOND, "oracle": {"terms": 5}}},
+    "regularity_parameter_null": {
+        "builtin": "gradient_flow_quadratic",
+        "overrides": {"regularity": {"kind": "strongly_quasiconvex", "rho": None}}},
+    "oracle_not_a_mapping": {"builtin": "second_order_linear",
+                             "overrides": {**_SHORT_SECOND, "oracle": "x"}},
+    "oracle_term_item_not_a_number": {
+        "builtin": "second_order_linear",
+        "overrides": {**_SHORT_SECOND, "oracle": {"terms": [["x", -1.0], [-1.0, -2.0]]}}},
+    "convex_parameter_not_a_number": {
+        "builtin": "gradient_flow_quadratic",
+        "overrides": {"operators": {"phi": {"op": "quadratic", "scale": []}}}},
+    "probe_eps_not_a_number": {
+        "builtin": "stojkovic_negation",
+        "overrides": {"overflow_probe": {"eps": [], "counterfunction": 0}}},
+    "semigroup_horizon_negative": {"builtin": "gradient_flow_quadratic",
+                                   "overrides": {"horizon": -1}},
+    "horizon_within_half_a_grid": {"builtin": "gradient_flow_quadratic",
+                                   "overrides": {"horizon": 0.1}},
+    "counterfunctions_empty": {
+        "builtin": "forward_backward_second_order",
+        "overrides": {**_SHORT, "metastability": {"counterfunctions": []}}},
+    # points of R^d and d x d matrices, not broadcast or left to numpy
+    "center_wrong_length": {
+        "builtin": "first_order_contraction_2d",
+        "overrides": {"operators": {"T": {"op": "projection_ball", "center": [0.0],
+                                          "radius": 1}}}},
+    "matrix_wrong_size": {
+        "builtin": "first_order_contraction_2d",
+        "overrides": {"operators": {"T": {"op": "affine",
+                                          "matrix": (0.5 * np.eye(3)).tolist(),
+                                          "offset": [0.0, 0.0]}}}},
 }
 # the key each of them names in its error message
 _NAMED_KEYS = {
@@ -154,6 +230,30 @@ _NAMED_KEYS = {
     "bound_null": "'bounds.b'",
     "operator_parameter_null": "'operators.phi.scale'",
     "regularity_without_parameter": "'rho'",
+    "counterfunction_null": "'metastability.counterfunctions[0]'",
+    "curve_parameter_not_a_number": "'curves.lambda.c'",
+    "point_not_a_list": "'initial.x0'",
+    "kind_not_a_string": "'kind'",
+    "fixed_point_sample_null": "'fixed_point_samples[0]'",
+    "curve_not_a_spec": "'curves.lambda'",
+    "oracle_term_null": "'oracle.terms[0]'",
+    "long_check_not_a_mapping": "'long_check'",
+    "counterfunction_parameter_not_a_number": "'metastability.counterfunctions[0].k'",
+    "bound_not_a_number": "'bounds.b'",
+    "match_not_a_mapping": "'match'",
+    "objective_time_not_a_number": "'objective_times[0]'",
+    "operator_parameter_not_a_number": "'operators.T.c'",
+    "oracle_terms_not_a_list": "'oracle.terms'",
+    "regularity_parameter_null": "'regularity.rho'",
+    "oracle_not_a_mapping": "'oracle'",
+    "oracle_term_item_not_a_number": "'oracle.terms[0][0]'",
+    "convex_parameter_not_a_number": "'operators.phi.scale'",
+    "probe_eps_not_a_number": "'overflow_probe.eps'",
+    "semigroup_horizon_negative": "'horizon'",
+    "horizon_within_half_a_grid": "'sampling.grid'",
+    "counterfunctions_empty": "'metastability.counterfunctions'",
+    "center_wrong_length": "'operators.T.center'",
+    "matrix_wrong_size": "'operators.T.matrix'",
 }
 
 
