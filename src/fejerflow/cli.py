@@ -117,14 +117,14 @@ def run_suite(out_root: Path, exclude=()) -> list[ScenarioOutcome]:
     names = [n for n in sorted(registry)
              if n not in set(exclude) and not n.startswith("negative_")]
     outcomes = [_run_one(registry[n].config, out_root) for n in names]
-    _write_suite_summary(outcomes, out_root, registry)
+    _write_suite_summary(outcomes, out_root)
     return outcomes
 
 
 def cmd_run(args) -> int:
     try:
         config = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # JSON past its limits too
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_root = Path(args.out)
@@ -150,7 +150,7 @@ def cmd_run(args) -> int:
     return _outcome_exit(outcomes)
 
 
-def _write_suite_summary(outcomes, out_root: Path, registry) -> None:
+def _write_suite_summary(outcomes, out_root: Path) -> None:
     rows = []
     exercised = set()
     for o in sorted(outcomes, key=lambda o: o.name):
@@ -194,19 +194,13 @@ def cmd_list(args) -> int:
 
 
 def _parse_param(value: str):
-    """int, "inf", float, exact fraction ("1/2"), else JSON."""
-    if value.lstrip("-").isdigit():
-        return int(value)
-    if value == "inf":
+    """JSON, else the raw text: the theorem's typed reads take it from there,
+    as they take a config value ("1/2" is a rational, 0.1 reads as 1/10).
+    JSON past the parser's limits (digits, nesting) is raw text too."""
+    try:
+        return json.loads(value)
+    except (ValueError, RecursionError):
         return value
-    for parse in (float, Fraction):
-        try:
-            return parse(value)
-        except ValueError:
-            pass
-        except ZeroDivisionError:
-            raise ConfigError(f"zero denominator in {value!r}") from None
-    return json.loads(value)
 
 
 def _param_dict(pairs) -> Config:
@@ -223,26 +217,34 @@ def _counterfn(params: Config) -> Counterfunction:
     return Counterfunction.from_spec(params.spec("f", 0, Config.INTEGER))
 
 
+def _float(params: Config, key: str, *default) -> float:
+    """The rational at ``key`` as the float fast_linear_rate evaluates in."""
+    try:
+        return float(params.rational(key, *default))
+    except OverflowError:
+        params.refuse(key, params[key], "within the float range")
+
+
 def _aas2(params: Config):
     r = None if params.get("r", "inf") == "inf" else params.rational("r")
-    return moduli.aas2_metastability(params["c"], params["A"], params["B"],
-                                     params.rational("p"), r,
-                                     params["eps"], _counterfn(params))
+    return moduli.aas2_metastability(
+        *(params.rational(k) for k in ("c", "A", "B", "p")), r,
+        params.rational("eps"), _counterfn(params))
 
 
-def _semigroup(calc, params):
-    gamma_tb = moduli.ball_modulus(params.get("d", 1), params["b"])
-    return calc(params["b"], gamma_tb, params["eps"], _counterfn(params))
+def _semigroup(calc, params: Config):
+    b = params.rational("b")
+    gamma_tb = moduli.ball_modulus(params.get("d", 1), b)
+    return calc(b, gamma_tb, params.rational("eps"), _counterfn(params))
 
 
 def _second_order(calc, params: Config, *args):
     """``calc(consts, *args, eps, f)``, with the derived constants in its trace."""
     consts = moduli.second_order_constants(
-        params["b"], params["c"], params["dB"],
-        *(params.rational(k) for k in ("lambda_lo", "lambda_hi", "gamma_lo", "gamma_hi",
-                                       "theta", "beta")),
-        l_variant=params.get("l_variant", "multiply"))
-    value = calc(consts, *args, params["eps"], _counterfn(params))
+        *(params.rational(k) for k in ("b", "c", "dB", "lambda_lo", "lambda_hi",
+                                       "gamma_lo", "gamma_hi", "theta", "beta")),
+        l_variant=params.text("l_variant", "multiply"))
+    value = calc(consts, *args, params.rational("eps"), _counterfn(params))
     value.trace["constants"] = consts.describe()
     return value
 
@@ -254,19 +256,21 @@ _SECOND_ORDER_PARAMS = frozenset({"b", "c", "dB", "lambda_lo", "lambda_hi", "gam
 _THEOREMS = {
     "fast_linear_rate": (
         {"beta", "k", "p"},
-        lambda p: moduli.fast_linear_rate(p["beta"], p["k"], p.get("p", 1.0))),
+        lambda p: moduli.fast_linear_rate(_float(p, "beta"), _float(p, "k"),
+                                          _float(p, "p", 1))),
     "ball_total_boundedness": (
         {"d", "b", "eps"},
-        lambda p: moduli.ball_total_boundedness(p["d"], p["b"], p["eps"])),
+        lambda p: moduli.ball_total_boundedness(p["d"], p.rational("b"), p.rational("eps"))),
     "aas1_metastability": (
         {"b", "c", "B", "eps", "f"},
-        lambda p: moduli.aas1_metastability(p["b"], p["c"], p["B"], p["eps"],
+        lambda p: moduli.aas1_metastability(*(p.rational(k) for k in ("b", "c", "B", "eps")),
                                             _counterfn(p))),
     "aas2_metastability": ({"c", "A", "B", "p", "r", "eps", "f"}, _aas2),
     "delta_first_order": (
         {"d", "b", "lambda_lo", "eps", "f"},
-        lambda p: moduli.delta_first_order(p["d"], p["b"], {"lower_witness": p["lambda_lo"]},
-                                           p["eps"], _counterfn(p))),
+        lambda p: moduli.delta_first_order(p["d"], p.rational("b"),
+                                           {"lower_witness": p.rational("lambda_lo")},
+                                           p.rational("eps"), _counterfn(p))),
     "delta_gradient_flow": (
         {"d", "b", "eps", "f"}, lambda p: _semigroup(moduli.delta_gradient_flow, p)),
     "delta_stojkovic": (

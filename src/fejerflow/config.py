@@ -83,7 +83,8 @@ class Config(dict):
             return f"{self._path}[{key}]"
         return f"{self._path}.{key}" if self._path else key
 
-    def _refuse(self, key, value, want: str):
+    def refuse(self, key, value, want: str):
+        """Raise the ConfigError naming ``key``'s path: ``value`` is not ``want``."""
         if isinstance(value, float) and not math.isfinite(value):
             want = f"finite ({value!r} is not finite)"
         raise ConfigError(f"config key '{self._key(key)}' must be {want}, got {value!r}")
@@ -96,14 +97,14 @@ class Config(dict):
             raise ConfigError(f"config missing required key '{self._key(key)}'")
         if value is None:
             if default is not None:
-                self._refuse(key, value, "a value, not null")
+                self.refuse(key, value, "a value, not null")
             return None
         try:
             return convert(value)
         except ConfigError:
             raise
         except (TypeError, ValueError, ArithmeticError):
-            self._refuse(key, value, want)
+            self.refuse(key, value, want)
 
     def __getitem__(self, key):
         return self._read(key, _REQUIRED, lambda value: value, "")
@@ -126,7 +127,7 @@ class Config(dict):
     def choice(self, key, table: dict):
         """``table[name]`` for the string ``name`` at ``key``."""
         if (name := self.text(key)) not in table:
-            self._refuse(key, name, f"one of {', '.join(table)}")
+            self.refuse(key, name, f"one of {', '.join(table)}")
         return table[name]
 
     def build(self, key: str, table: dict, *args):
@@ -161,7 +162,7 @@ class Config(dict):
 
     def _nonempty(self, key, default) -> "Config":
         if not (items := self.entries(key, default)):
-            self._refuse(key, [], "a non-empty list")
+            self.refuse(key, [], "a non-empty list")
         return items
 
     def numbers(self, key, default=_REQUIRED) -> list[float]:

@@ -58,6 +58,9 @@ _budget_bits = int(os.environ.get("FEJERFLOW_BUDGET_BITS", _DEFAULT_BUDGET_BITS)
 # exp() arguments beyond this are astronomically large; every certificate
 # formula using them overflows the value budget anyway, so refuse early.
 _EXP_ARG_CAP = 100_000
+# the same work cap for exact powers and roots: one whose integers would pass
+# about this many bits (exp(_EXP_ARG_CAP) has 144,270) is refused likewise
+_POW_BITS_CAP = 1 << 18
 
 
 def set_budget_bits(bits: int) -> None:
@@ -144,6 +147,8 @@ def iroot(n: int, k: int) -> int:
         raise ValueError("iroot of negative number")
     if k == 1 or n < 2:
         return n
+    if k >= n.bit_length():
+        return 1  # 2^k > n
     if k == 2:
         return math.isqrt(n)
     x = 1 << -(-n.bit_length() // k)
@@ -157,6 +162,18 @@ def iroot(n: int, k: int) -> int:
     while (x + 1) ** k <= n:
         x += 1
     return x
+
+
+def _work_cap(bits: int, what: str) -> None:
+    if bits > _POW_BITS_CAP:
+        raise BudgetExceeded(f"{what} too large to evaluate")
+
+
+def _pow(q: Fraction, k: int) -> Fraction:
+    """q ** k, refused past the work cap."""
+    _work_cap(abs(k) * (max(q.numerator.bit_length(), q.denominator.bit_length()) - 1),
+              "exact power")
+    return q ** k
 
 
 def _dyadic_floor(q: Fraction, bits: int) -> Fraction:
@@ -181,6 +198,7 @@ def root_bounds(q: Fraction, k: int, bits: int) -> tuple[Fraction, Fraction]:
     if q == 0:
         return Fraction(0), Fraction(0)
     num, den = q.numerator, q.denominator
+    _work_cap(k * (bits + den.bit_length()), "root")
     big = num * den ** (k - 1) << (k * bits)
     r = iroot(big, k)
     scale = den << bits
@@ -412,14 +430,14 @@ class Real:
             return self._int_pow(int(q))
         a, b = q.numerator, q.denominator
         if self.exact is not None:
-            base = self.exact ** a
+            base = _pow(self.exact, a)
             root = exact_root(base, b)
             if root is not None:
                 return Real(exact=root)
 
         def fn(bits, s=self, a=a, b=b):
             lo, hi = _refine(lambda p: _positive(s.bounds(p)), "base sign", bits)
-            plo, phi = lo ** a, hi ** a
+            plo, phi = _pow(lo, a), _pow(hi, a)
             if plo > phi:
                 plo, phi = phi, plo
             return root_bounds(plo, b, bits)[0], root_bounds(phi, b, bits)[1]
@@ -428,13 +446,13 @@ class Real:
 
     def _int_pow(self, k: int) -> "Real":
         if self.exact is not None:
-            return Real(exact=self.exact ** k)
+            return Real(exact=_pow(self.exact, k))
 
         def fn(bits, a=self, k=k):
             lo, hi = a.bounds(bits)
             if k >= 0 and lo >= 0:
-                return lo ** k, hi ** k
-            cands = (lo ** k, hi ** k)
+                return _pow(lo, k), _pow(hi, k)
+            cands = (_pow(lo, k), _pow(hi, k))
             lo2, hi2 = min(cands), max(cands)
             if k >= 0 and k % 2 == 0 and lo < 0 < hi:
                 lo2 = Fraction(0)
@@ -506,10 +524,14 @@ class Real:
         return (other - self).is_positive()
 
     def to_float(self) -> float:
-        if self.exact is not None:
-            return float(self.exact)
+        """self, or the midpoint of its enclosure, as a float; +-inf past
+        the floats."""
         lo, hi = self.bounds(128)
-        return float((lo + hi) / 2)
+        mid = (lo + hi) / 2
+        try:
+            return float(mid)
+        except OverflowError:
+            return math.inf if mid > 0 else -math.inf
 
     def to_fraction_upper(self, bits: int = 128) -> Fraction:
         return self.bounds(bits)[1]

@@ -489,10 +489,15 @@ def rho_convergence_regular(bundle: ModulusBundle, eps: RealLike, *, trace: dict
 
 
 def fast_linear_rate(beta: float, k: float, p: float = 1.0) -> float:
-    """Exponential contraction factor c = (1 + beta k^p)^(-1/p) in (0, 1)."""
+    """Exponential contraction factor c = (1 + beta k^p)^(-1/p) in (0, 1).
+    Where k^p or beta k^p passes e^700 it is evaluated through logarithms,
+    as (beta^(-1/p) / k) (1 + 1 / (beta k^p))^(-1/p), so it cannot overflow."""
     _require(beta > 0 and k > 0, "beta and k must be positive")
     _require(p >= 1, "p must be at least 1")
-    return (1.0 + beta * k ** p) ** (-1.0 / p)
+    log_beta, log_kp = math.log(beta), p * math.log(k)
+    if log_kp + max(0.0, log_beta) < 700:
+        return (1.0 + beta * k ** p) ** (-1.0 / p)
+    return math.exp(-log_beta / p - math.log(k) - math.log1p(math.exp(-log_beta - log_kp)) / p)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +683,7 @@ class SecondOrderConstants:
 
     def describe(self) -> dict:
         return {
-            "M": float(self.M),
+            "M": R(self.M).to_float(),
             "K": self.K.to_float(),
             "L_mult": self.L_mult,
             "L_div": self.L_div,
@@ -689,7 +694,7 @@ class SecondOrderConstants:
             "a2": self.a2.to_float(),
             "A": self.A.to_float(),
             "B": self.B.to_float(),
-            "C": float(self.C),
+            "C": R(self.C).to_float(),
         }
 
 

@@ -417,6 +417,14 @@ def check_cocoercive(B: CocoerciveMap, space: SpaceDescriptor,
 # ---------------------------------------------------------------------------
 
 
+def _rotation(spec: Config, d: int) -> tuple[float]:
+    """The angle of a rotation of the plane; on any other space ``op`` is
+    refused."""
+    if d != 2:
+        spec.refuse("op", "rotation", f"an operator of R^{d} (a rotation acts on R^2)")
+    return (spec.number("angle_deg"),)
+
+
 # op -> (constructor, read of its typed parameters from the spec at dimension d)
 _NONEXPANSIVE = {
     "identity": (NonexpansiveMap.identity, lambda s, d: ()),
@@ -425,7 +433,7 @@ _NONEXPANSIVE = {
     "affine": (NonexpansiveMap.affine,
                lambda s, d: (s.matrix("matrix", d), s.vector("offset", d))),
     "linear": (NonexpansiveMap.linear, lambda s, d: (s.matrix("matrix", d),)),
-    "rotation": (NonexpansiveMap.rotation, lambda s, d: (s.number("angle_deg"),)),
+    "rotation": (NonexpansiveMap.rotation, _rotation),
     "projection_ball": (NonexpansiveMap.projection_ball,
                         lambda s, d: (s.vector("center", d), s.number("radius"))),
 }

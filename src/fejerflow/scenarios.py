@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import moduli
-from .config import Config, ConfigError
+from .config import Config, ConfigError, _rational
 from .counterfunctions import Counterfunction
 from .exact import BudgetExceeded, ExtendedNatural, R, Real, guard
 from .flows import (
@@ -128,7 +128,7 @@ def _tail_rate(rate: Callable[[Real], object]) -> Callable[[float], float]:
 
     def at(eps: float) -> float:
         try:
-            value = rate(R(Fraction(str(eps))))
+            value = rate(R(_rational(eps)))
         except BudgetExceeded:
             return math.inf
         if isinstance(value, ExtendedNatural):
@@ -164,9 +164,8 @@ def _second_order_consts(cfg: Config, out: ScenarioOutcome, theorem: str,
     bounds = cfg.section("bounds")
     consts = second_order_constants(
         bounds.rational("b"), bounds.rational("c"), bounds.rational("d"),
-        Fraction(str(lam.lower)), Fraction(str(lam.upper)),
-        Fraction(str(gam.lower)), Fraction(str(gam.upper)),
-        cfg.rational("theta"), Fraction(str(beta)))
+        *map(_rational, (lam.lower, lam.upper, gam.lower, gam.upper)),
+        cfg.rational("theta"), _rational(beta))
     out.certify(theorem, {k: bounds[k] for k in "bcd"}, None, trace=consts.describe())
     return consts
 
@@ -180,15 +179,29 @@ def _flow(cfg: Config, *initial: str) -> tuple:
             cfg.section("solution").vector("point", d))
 
 
-def _metastability(cfg: Config, eps: Fraction) -> tuple[Fraction, list[Counterfunction]]:
-    """The exact eps (``eps`` when absent) and the counterfunctions of the
-    ``metastability`` section."""
+def _ball(cfg: Config) -> tuple:
+    """``_flow(cfg, "x0")`` and the exact radius ``solution.b``; the
+    certificates hold on the ball of radius b around y, which must hold x0."""
+    space, x0, y = _flow(cfg, "x0")
+    solution = cfg.section("solution")
+    b = solution.rational("b")
+    if (dist := space.distance(x0, y)) > b + 1e-12:
+        solution.refuse("b", solution["b"], f"at least ||x0 - y|| = {dist:.12g}")
+    return space, x0, y, b
+
+
+def _metastability(cfg: Config, eps: Fraction,
+                   default: tuple = (0, 1, {"kind": "identity_plus", "k": 0}),
+                   single: bool = False) -> tuple[Fraction, float, list[Counterfunction]]:
+    """The exact eps (``eps`` when absent), its float, and the
+    counterfunctions to certify: each one listed, else ``default``.  A
+    ``single`` pipeline's claim names carry no f, so it refuses a second."""
     meta = cfg.spec("metastability", {})
-    specs = meta.specs("counterfunctions", [{"kind": "constant", "k": 0},
-                                            {"kind": "constant", "k": 1},
-                                            {"kind": "identity_plus", "k": 0}],
-                       scalar=Config.INTEGER)
-    return meta.rational("eps", eps), [Counterfunction.from_spec(s) for s in specs]
+    specs = meta.specs("counterfunctions", default, scalar=Config.INTEGER)
+    if single and len(specs) > 1:
+        meta.refuse("counterfunctions", meta["counterfunctions"], "a list of one counterfunction")
+    eps = meta.rational("eps", eps)
+    return eps, float(eps), [Counterfunction.from_spec(s) for s in specs]
 
 
 def _perturbed_level_points(y: np.ndarray, residual: SolutionFunction,
@@ -221,27 +234,24 @@ def _derivative_bound_report(traj: Trajectory, T: NonexpansiveMap,
 # ---------------------------------------------------------------------------
 
 
-def _divergence_modulus(lam: ParameterCurve, delta: float = 1.0):
+def _divergence_modulus(lam: ParameterCurve, delta: Fraction = Fraction(1)):
     """(tau_lo, eta): tau_lo is the inf of lambda (delta - lambda) over the
     declared range of lambda, attained at an endpoint since the map is
     concave, and eta(K) = ceil(K / tau_lo) is the exact divergence modulus
-    of its integral."""
-    tau_lo = min(lam.lower * (delta - lam.lower), lam.upper * (delta - lam.upper))
+    of its integral.  tau_lo is exact from the decimal ends of the range;
+    it is returned as the float a certificate input records."""
+    tau_lo = min(v * (delta - v) for v in map(_rational, (lam.lower, lam.upper)))
     if tau_lo <= 0:
         raise ConfigError("divergence modulus needs lambda (delta - lambda) "
                           "bounded away from zero")
-    tau = R(Fraction(str(tau_lo)))
-    return tau_lo, lambda K: (K / tau).ceil_upper()
+    tau = R(tau_lo)
+    return float(tau_lo), lambda K: (K / tau).ceil_upper()
 
 
 def _run_first_order(cfg: Config, out: ScenarioOutcome) -> None:
-    space, x0, y = _flow(cfg, "x0")
+    space, x0, y, b = _ball(cfg)
     T = make_nonexpansive(space, cfg.section("operators", "T"))
     lam = _curve(cfg, "lambda")
-    b_exact = cfg.section("solution").rational("b")
-    b = float(b_exact)
-    if space.distance(x0, y) > b + 1e-12:
-        raise ConfigError("declared b does not bound ||x0 - y||")
 
     out.add(_contract_report(space, T))
 
@@ -252,23 +262,22 @@ def _run_first_order(cfg: Config, out: ScenarioOutcome) -> None:
     out.add(_distance_monotone_report(traj, y))
     out.add(_derivative_bound_report(traj, T))
 
-    residual = SolutionFunction.fixed_point_residual(T, center=y, radius=b)
-    chi = lambda e, n, m: e / (4 * b * m)
+    residual = SolutionFunction.fixed_point_residual(T, center=y, radius=float(b))
+    chi = lambda e, n, m: e / (4 * float(b) * m)
     level_points = _perturbed_level_points(y, residual)
-    out.add(check_fejer(traj, residual, level_points, PerturbationPair.squares(),
-                        chi))
+    out.add(check_fejer(traj, level_points, PerturbationPair.squares(), chi))
 
     # the witness-form check and the metastability certificates share one rate
     tau_lo, eta = _divergence_modulus(lam)
-    witness = {"lower_witness": Fraction(lam.lower)}
-    phi1 = _tail_rate(moduli.asymptotic_regularity_rate(b_exact, divergence_modulus=eta))
-    phi2 = _tail_rate(moduli.asymptotic_regularity_rate(b_exact, **witness))
+    witness = {"lower_witness": _rational(lam.lower)}
+    phi1 = _tail_rate(moduli.asymptotic_regularity_rate(b, divergence_modulus=eta))
+    phi2 = _tail_rate(moduli.asymptotic_regularity_rate(b, **witness))
     eps_reg = cfg.numbers("eps_regularity", [0.5, 0.1, 0.02])
     out.add(check_asymptotic_regularity(traj, residual, phi1, eps_reg,
                                         claim="asymptotic_regularity_divergence"))
     out.add(check_asymptotic_regularity(traj, residual, phi2, eps_reg,
                                         claim="asymptotic_regularity_witness"))
-    inf_rate = _tail_rate(lambda e: guard(eta(b_exact * b_exact / (e * e))))
+    inf_rate = _tail_rate(lambda e: guard(eta(b * b / (e * e))))
     out.add(check_asymptotic_regularity(traj, residual, inf_rate, eps_reg,
                                         claim="asymptotic_regularity_inf_form"))
 
@@ -282,10 +291,9 @@ def _run_first_order(cfg: Config, out: ScenarioOutcome) -> None:
         out.add(check_asymptotic_regularity(long_traj, residual, phi2, eps_reg,
                                             claim="asymptotic_regularity_witness_long"))
 
-    eps_q, fcs = _metastability(cfg, 1)
-    eps = float(eps_q)
+    eps_q, eps, fcs = _metastability(cfg, 1)
     for fc in fcs:
-        cert = moduli.delta_first_order(space.dimension, b_exact, witness, eps_q / 4, fc)
+        cert = moduli.delta_first_order(space.dimension, b, witness, eps_q / 4, fc)
         out.certify("delta_first_order",
                     {"d": space.dimension, "b": cfg.section("solution")["b"],
                      "lambda_lo": lam.lower, "eps": eps / 4,
@@ -357,8 +365,7 @@ def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:
     consts = _second_order_consts(cfg, out, "second_order_constants", lam, gam, B.beta)
     out.add(check_second_order_bounds(traj, consts, z, B))
 
-    eps_q, fcs = _metastability(cfg, Fraction(1, 5))
-    eps = float(eps_q)
+    eps_q, eps, fcs = _metastability(cfg, Fraction(1, 5))
     for fc in fcs:
         cert = moduli.lambda_capital(consts, eps_q, fc)
         out.certify("lambda_capital", {"eps": eps, "f": fc.to_spec()}, cert)
@@ -375,7 +382,7 @@ def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:
     chi = lambda e, n, m: float(consts.gam_lo) * e / (m * float(consts.lam_hi) * 8 * K)
     level_points = _perturbed_level_points(z, residual)
     pair = PerturbationPair.squares(Fraction(consts.gam_hi, consts.gam_lo))
-    out.add(check_fejer(traj, residual, level_points, pair, chi,
+    out.add(check_fejer(traj, level_points, pair, chi,
                         error_model=_second_order_error_model(consts, traj),
                         claim="uniform_quasi_fejer"))
 
@@ -383,7 +390,7 @@ def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:
     cert_cfg = cfg.spec("delta", {})
     eps_d = cert_cfg.rational("eps", eps_q)
     fc = Counterfunction.from_spec(cert_cfg.spec("counterfunction", 0, Config.INTEGER))
-    scaled = min(eps_d, Fraction(str(B.beta)) * eps_d / 2)
+    scaled = min(eps_d, _rational(B.beta) * eps_d / 2)
     cert = moduli.delta_second_order(consts, space.dimension, scaled, fc)
     out.certify("delta_second_order",
                 {"eps": float(eps_d), "scaled_eps": float(scaled),
@@ -398,17 +405,15 @@ def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:
 
 
 def _run_forward_backward_first(cfg: Config, out: ScenarioOutcome) -> None:
-    space, x0, y = _flow(cfg, "x0")
+    space, x0, y, b = _ball(cfg)
     A = make_monotone(space, cfg.section("operators", "A"))
     B = make_cocoercive(space, cfg.section("operators", "B"))
     gamma_q = cfg.rational("gamma")
     gamma = float(gamma_q)
     lam = _curve(cfg, "lambda")
-    b_exact = cfg.section("solution").rational("b")
-    b = float(b_exact)
 
     T = forward_backward_map(A, B, gamma)
-    delta = T.averaged_delta
+    delta = min(1, _rational(B.beta) / gamma_q) + Fraction(1, 2)  # T's averagedness cap
     traj = integrate_forward_backward("first", A, B, gamma, lam, x0,
                                       cfg.positive("horizon"), cfg.positive("step"),
                                       space=space)
@@ -439,23 +444,21 @@ def _run_forward_backward_first(cfg: Config, out: ScenarioOutcome) -> None:
 
     # the psi check and the metastability certificate share one rate
     rate_info = {"divergence_modulus": _divergence_modulus(lam, delta)[1],
-                 "averaged_delta": Fraction(str(delta))}
-    phi1 = moduli.asymptotic_regularity_rate(b_exact, **rate_info)
-    scale = R(gamma_q) * R(Fraction(str(B.beta))) / (3 * b_exact)
+                 "averaged_delta": delta}
+    phi1 = moduli.asymptotic_regularity_rate(b, **rate_info)
+    scale = R(gamma_q) * R(_rational(B.beta)) / (3 * b)
     psi = _tail_rate(lambda e: phi1(scale * e * e))
     out.add(check_b_convergence(traj, B, y, psi, cfg.numbers("eps_b", [0.5, 0.1]),
                                 claim="b_convergence_psi_rate"))
 
-    residual = SolutionFunction.fixed_point_residual(T, center=y, radius=b)
-    eps_q, fcs = _metastability(cfg, Fraction(1, 2))
-    eps = float(eps_q)
-    for fc in fcs[:1]:
-        cert = moduli.delta_first_order(space.dimension, b_exact, rate_info, eps_q / 4, fc)
-        out.certify("delta_first_order_fb",
-                    {"d": space.dimension, "b": b, "delta": delta,
-                     "eps": eps / 4, "f": fc.to_spec()}, cert)
-        out.add(verify_metastability(traj, eps, fc, cert, residual=residual,
-                                     claim="metastability_fb"))
+    residual = SolutionFunction.fixed_point_residual(T, center=y, radius=float(b))
+    eps_q, eps, (fc,) = _metastability(cfg, Fraction(1, 2), (0,), single=True)
+    cert = moduli.delta_first_order(space.dimension, b, rate_info, eps_q / 4, fc)
+    out.certify("delta_first_order_fb",
+                {"d": space.dimension, "b": float(b), "delta": float(delta),
+                 "eps": eps / 4, "f": fc.to_spec()}, cert)
+    out.add(verify_metastability(traj, eps, fc, cert, residual=residual,
+                                 claim="metastability_fb"))
 
 
 def _run_forward_backward_second(cfg: Config, out: ScenarioOutcome) -> None:
@@ -476,9 +479,8 @@ def _run_forward_backward_second(cfg: Config, out: ScenarioOutcome) -> None:
     consts = _second_order_consts(cfg, out, "second_order_constants_fb", lam, gam, B.beta)
 
     K = consts.K
-    eps_q, (fc, *_) = _metastability(cfg, Fraction(1, 2))
-    eps = float(eps_q)
-    arg = R(eps_q) * R(eps_q) * R(eta_q) * R(Fraction(str(B.beta))) / (3 * K)
+    eps_q, eps, (fc,) = _metastability(cfg, Fraction(1, 2), (0,), single=True)
+    arg = R(eps_q) * R(eps_q) * R(eta_q) * R(_rational(B.beta)) / (3 * K)
     cert = moduli.lambda_capital(consts, arg, fc)
     out.certify("sfb_b_rate", {"eps": eps, "f": fc.to_spec()}, cert)
     by = B(y)
@@ -563,10 +565,8 @@ def _semigroup_run(cfg: Config, out: ScenarioOutcome, space: SpaceDescriptor,
 
 
 def _run_gradient_flow(cfg: Config, out: ScenarioOutcome) -> None:
-    space, x0, y = _flow(cfg, "x0")
+    space, x0, y, b = _ball(cfg)
     phi = make_convex_function(space, cfg.section("operators", "phi"))
-    b_exact = cfg.section("solution").rational("b")
-    b = float(b_exact)
     sample_cfg = cfg.spec("sampling", {})
     grid = sample_cfg.positive("grid", 0.25)
     traj = _semigroup_run(cfg, out, space, gradient_flow_semigroup, phi, x0, grid,
@@ -581,16 +581,14 @@ def _run_gradient_flow(cfg: Config, out: ScenarioOutcome) -> None:
 
     # objective decay phi(S_t x) - mu <= b^2 / (2 t)
     times = np.asarray(cfg.numbers("objective_times", [1.0, 2.0, 10.0]))
-    gap = phi(_window_points(traj, times)) - phi.mu
-    out.add(report_from_margin("objective_rate", float((gap - b * b / (2 * times)).max()),
-                               _base_tolerance(traj)))
+    excess = phi(_window_points(traj, times)) - phi.mu - float(b * b) / (2 * times)
+    out.add(report_from_margin("objective_rate", float(excess.max()), _base_tolerance(traj)))
 
-    eps_q, fcs = _metastability(cfg, 1)
-    eps = float(eps_q)
-    gamma_tb = moduli.ball_modulus(space.dimension, b_exact)
-    for fc in fcs[:2]:
-        cert = moduli.delta_gradient_flow(b_exact, gamma_tb, eps_q, fc)
-        out.certify("delta_gradient_flow", {"b": b, "eps": eps, "f": fc.to_spec()},
+    eps_q, eps, fcs = _metastability(cfg, 1, (0, 1))
+    gamma_tb = moduli.ball_modulus(space.dimension, b)
+    for fc in fcs:
+        cert = moduli.delta_gradient_flow(b, gamma_tb, eps_q, fc)
+        out.certify("delta_gradient_flow", {"b": float(b), "eps": eps, "f": fc.to_spec()},
                     cert)
         out.add(verify_metastability(traj, eps, fc, cert, grid=grid,
                                      claim=f"metastability[f={fc.to_spec()}]"))
@@ -600,18 +598,16 @@ def _run_gradient_flow(cfg: Config, out: ScenarioOutcome) -> None:
     if reg:
         tau = moduli.regularity_modulus(reg.text("kind"), **{k: reg.rational(k) for k in reg
                                                              if k != "kind"})
-        bundle = replace(moduli.gradient_flow_bundle(b_exact, gamma_tb), tau=tau)
+        bundle = replace(moduli.gradient_flow_bundle(b, gamma_tb), tau=tau)
         rho = _tail_rate(lambda e: moduli.rho_convergence_regular(bundle, e))
         out.add(check_convergence_rate(traj, y, rho, cfg.numbers("eps_rho", [0.5, 0.25]),
                                        claim="regularity_convergence_rate"))
 
 
 def _run_stojkovic(cfg: Config, out: ScenarioOutcome) -> None:
-    space, x0, y = _flow(cfg, "x0")
+    space, x0, y, b = _ball(cfg)
     d = space.dimension
     F = make_nonexpansive(space, cfg.section("operators", "F"))
-    b_exact = cfg.section("solution").rational("b")
-    b = float(b_exact)
     sample_cfg = cfg.spec("sampling", {})
     grid = sample_cfg.positive("grid", 0.25)
     traj = _semigroup_run(cfg, out, space, stojkovic_semigroup, F, x0, grid,
@@ -642,12 +638,12 @@ def _run_stojkovic(cfg: Config, out: ScenarioOutcome) -> None:
                                 n_used=[r.n_used for r in unconverged])
             if unconverged else report)
 
-    gamma_tb = moduli.ball_modulus(space.dimension, b_exact)
-    eps_q, fcs = _metastability(cfg, 1)
-    eps = float(eps_q)
-    for fc in fcs[:1]:
-        cert = moduli.delta_stojkovic(b_exact, gamma_tb, eps_q, fc)
-        out.certify("delta_stojkovic", {"b": b, "eps": eps, "f": fc.to_spec()}, cert)
+    gamma_tb = moduli.ball_modulus(space.dimension, b)
+    eps_q, eps, fcs = _metastability(cfg, 1, (0,))
+    for fc in fcs:
+        cert = moduli.delta_stojkovic(b, gamma_tb, eps_q, fc)
+        out.certify("delta_stojkovic", {"b": float(b), "eps": eps, "f": fc.to_spec()},
+                    cert)
         out.add(verify_metastability(traj, eps, fc, cert, grid=grid,
                                      claim=f"metastability[f={fc.to_spec()}]"))
 
@@ -656,9 +652,9 @@ def _run_stojkovic(cfg: Config, out: ScenarioOutcome) -> None:
                                          "counterfunction": {"kind": "identity_plus", "k": 0}})
     fc_ov = Counterfunction.from_spec(ov_cfg.spec("counterfunction", scalar=Config.INTEGER))
     eps_ov = ov_cfg.rational("eps")
-    cert_ov = moduli.delta_stojkovic(b_exact, gamma_tb, eps_ov, fc_ov)
+    cert_ov = moduli.delta_stojkovic(b, gamma_tb, eps_ov, fc_ov)
     out.certify("delta_stojkovic_overflow_probe",
-                {"b": b, "eps": ov_cfg["eps"], "f": fc_ov.to_spec()}, cert_ov)
+                {"b": float(b), "eps": ov_cfg["eps"], "f": fc_ov.to_spec()}, cert_ov)
     out.add(verify_metastability(traj, float(eps_ov), fc_ov, cert_ov, grid=grid,
                                  claim="metastability_overflow_probe"))
 

@@ -103,10 +103,6 @@ class VerificationReport:
     witness: Optional[int] = None
     details: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return self.status in (HOLDS, HOLDS_TOL, INCONCLUSIVE, INCONCLUSIVE_OVERFLOW)
-
     def to_json(self) -> dict:
         data = {
             "claim": self.claim,
@@ -311,7 +307,7 @@ def _perturb(fn: PerturbationFn, a: np.ndarray) -> np.ndarray:
     return float(fn.coef) * a ** float(fn.p)
 
 
-def check_fejer(traj: Trajectory, F: SolutionFunction,
+def check_fejer(traj: Trajectory,
                 level_points: Sequence[tuple[np.ndarray, float]],
                 pair: PerturbationPair,
                 chi: Callable[[float, int, int], float],

@@ -34,7 +34,7 @@ def suite_runs(tmp_path_factory):
         timings[name] = time.perf_counter() - t0
         write_artifacts(outcome, dir_one / name)
         outcomes[name] = outcome
-    _write_suite_summary(list(outcomes.values()), dir_one, registry)
+    _write_suite_summary(list(outcomes.values()), dir_one)
     first_run_seconds = time.perf_counter() - start
 
     run_suite(dir_two)

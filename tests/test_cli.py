@@ -6,12 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fejerflow import operators
-from fejerflow.cli import _sanitize, main
+from fejerflow.cli import _THEOREMS, _sanitize, main
 from fejerflow.exact import get_budget_bits, set_budget_bits
 from fejerflow.scenarios import builtin_scenarios
+from test_config import _JSON
 
 
 def write_config(tmp_path: Path, obj) -> str:
@@ -36,6 +37,11 @@ class TestList:
     def test_unknown_filter_empty(self, capsys):
         assert main(["list", "zzz_nothing"]) == 0
         assert capsys.readouterr().out == ""
+
+
+# the second-order --param values but dB and eps
+_SECOND_ORDER_ONES = [f"{k}=1" for k in ("b", "c", "lambda_lo", "lambda_hi", "gamma_lo",
+                                          "gamma_hi", "theta", "beta")]
 
 
 class TestCertify:
@@ -109,6 +115,51 @@ class TestCertify:
                      "--param", f"f={f}"]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, key", [
+        (["delta_stojkovic", "b=[1]", "eps=1"], "'b'"),
+        (["ball_total_boundedness", "d=1", "b={}", "eps=1"], "'b'"),
+        (["delta_stojkovic", "b=1", "eps=x"], "'eps'"),
+        (["delta_first_order", "d=1", "b=1", "lambda_lo=[]", "eps=1/4"], "'lambda_lo'"),
+        (["lambda_capital", *_SECOND_ORDER_ONES, "dB={}", "eps=1/5"], "'dB'"),
+        (["fast_linear_rate", "beta=[]", "k=1"], "'beta'"),
+        (["aas1_metastability", "b=0", "c=1/0", "B=1", "eps=1"], "'c'"),
+    ], ids=["b_list", "b_mapping", "eps_text", "lambda_lo_list", "dB_mapping", "beta_list",
+            "c_zero_denominator"])
+    def test_malformed_param_names_its_key(self, capsys, argv, key):
+        theorem, *params = argv
+        assert main(["certify", theorem, *(f"--param={p}" for p in params)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_decimal_param_is_its_decimal_value(self, capsys):
+        # ceil(2 B / eps) ceil((c + B - b) / eps) = 2 * 2 at eps = 3/10; the
+        # double 0.3 lies below 3/10 and gives 3 * 3
+        values = []
+        for eps in ("0.3", "3/10"):
+            assert main(["certify", "aas1_metastability", "--param", "b=0", "--param", "c=3/10",
+                         "--param", "B=3/10", "--param", f"eps={eps}", "--param", "f=1"]) == 0
+            values.append(json.loads(capsys.readouterr().out)["value"])
+        assert values == [4, 4]
+
+    def test_text_dimension_reads_as_the_dimension_check(self, capsys):
+        assert main(["certify", "ball_total_boundedness", "--param", "d=x",
+                     "--param", "b=1", "--param", "eps=1"]) == 2
+        assert "dimension must be an integer >= 1, got 'x'" in capsys.readouterr().err
+
+    def test_linear_rate_past_the_floats(self, capsys):
+        # 10^1000 is no float: c = (1 + 10^1000)^(-1/1000) through logarithms
+        assert main(["certify", "fast_linear_rate", "--param", "beta=1", "--param", "k=10",
+                     "--param", "p=1000"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("p", ["1000000000", "1" + "0" * 30])
+    def test_huge_exponent_overflows(self, capsys, p):
+        # q = 1 + p: 3^q would take gigabytes, so the exact power is refused
+        assert main(["certify", "aas2_metastability", "--param", "c=1", "--param", "A=3",
+                     "--param", "B=1", "--param", "eps=1/3", "--param", f"p={p}"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["value"] == "overflow"
+        assert data["trace"]["overflow"] == "exact power too large to evaluate"
+
     def test_fraction_param_equals_decimal(self, capsys):
         values = []
         for k in ("k=1/2", "k=0.5"):
@@ -116,6 +167,44 @@ class TestCertify:
                          "--param", k]) == 0
             values.append(json.loads(capsys.readouterr().out)["value"])
         assert values[0] == values[1]
+
+
+# every theorem's --param values that certify
+_CERTIFY_PARAMS = {
+    "fast_linear_rate": {"beta": "1", "k": "1", "p": "2"},
+    "ball_total_boundedness": {"d": "1", "b": "1", "eps": "1/10"},
+    "aas1_metastability": {"b": "0", "c": "1", "B": "1", "eps": "1", "f": "0"},
+    "aas2_metastability": {"c": "1", "A": "3", "B": "1", "p": "1", "r": "inf", "eps": "1/3",
+                           "f": "0"},
+    "delta_first_order": {"d": "1", "b": "1", "lambda_lo": "1/2", "eps": "1/4", "f": "0"},
+    "delta_gradient_flow": {"d": "1", "b": "1", "eps": "1", "f": "0"},
+    "delta_stojkovic": {"d": "1", "b": "1", "eps": "1", "f": "0"},
+    "lambda_capital": {**dict(p.split("=") for p in _SECOND_ORDER_ONES), "dB": "1",
+                       "l_variant": "multiply", "eps": "1/5", "f": "0"},
+}
+_CERTIFY_PARAMS["delta_second_order"] = {**_CERTIFY_PARAMS["lambda_capital"], "eps": "1",
+                                         "dim": "1"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(theorem_key=st.sampled_from([(t, k) for t in sorted(_CERTIFY_PARAMS)
+                                    for k in sorted(_CERTIFY_PARAMS[t])]),
+       value=_JSON.map(json.dumps) | st.text(max_size=8))
+@example(("delta_stojkovic", "b"), "[1]")
+@example(("aas2_metastability", "p"), "1000000000")
+@example(("fast_linear_rate", "p"), "1000")
+@example(("fast_linear_rate", "beta"), "1" + "0" * 400)
+@example(("lambda_capital", "b"), "1" + "0" * 400)
+@example(("aas1_metastability", "eps"), "1" + "0" * 5000)  # past int() of a string
+@example(("delta_stojkovic", "f"), "[" * 100_000)  # past the JSON parser's nesting
+def test_any_param_value_exits_zero_or_two(theorem_key, value):
+    # each accepted key in turn at an arbitrary value: a certificate or a
+    # config error, never a traceback
+    assert {t: set(params) for t, params in _CERTIFY_PARAMS.items()} == \
+        {t: set(accepted) for t, (accepted, _) in _THEOREMS.items()}
+    theorem, key = theorem_key
+    params = {**_CERTIFY_PARAMS[theorem], key: value}
+    assert main(["certify", theorem, *(f"--param={k}={v}" for k, v in params.items())]) in (0, 2)
 
 
 # cut flows for configs whose bad value is read after integration
@@ -216,6 +305,27 @@ _NAMED_KEY_CONFIGS = {
         "overrides": {"operators": {"T": {"op": "affine",
                                           "matrix": (0.5 * np.eye(3)).tolist(),
                                           "offset": [0.0, 0.0]}}}},
+    "rotation_off_the_plane": {
+        "builtin": "first_order_contraction_1d",
+        "overrides": {"operators": {"T": {"op": "rotation", "angle_deg": 30}}}},
+    # a radius below ||x0 - y||: certificates for a ball without x0
+    "radius_first_order": {
+        "builtin": "first_order_contraction_1d",
+        "overrides": {**_SHORT, "solution": {"point": [0.0], "b": 0.5}}},
+    "radius_forward_backward": {
+        "builtin": "forward_backward_first_order",
+        "overrides": {**_SHORT, "solution": {"point": [0.0], "b": 0.05}}},
+    "radius_gradient_flow": {"builtin": "gradient_flow_quadratic",
+                             "overrides": {"solution": {"point": [0.0], "b": 0.25}}},
+    "radius_stojkovic": {"builtin": "stojkovic_negation",
+                         "overrides": {"solution": {"point": [0.0], "b": 0.25}}},
+    # the forward-backward claim names carry no f: a second one is refused
+    "forward_backward_first_two_counterfunctions": {
+        "builtin": "forward_backward_first_order",
+        "overrides": {**_SHORT, "metastability": {"eps": 0.5, "counterfunctions": [1, 2]}}},
+    "forward_backward_second_two_counterfunctions": {
+        "builtin": "forward_backward_second_order",
+        "overrides": {**_SHORT, "metastability": {"counterfunctions": [0, 1]}}},
 }
 # the key each of them names in its error message
 _NAMED_KEYS = {
@@ -254,6 +364,13 @@ _NAMED_KEYS = {
     "counterfunctions_empty": "'metastability.counterfunctions'",
     "center_wrong_length": "'operators.T.center'",
     "matrix_wrong_size": "'operators.T.matrix'",
+    "rotation_off_the_plane": "'operators.T.op'",
+    "radius_first_order": "'solution.b'",
+    "radius_forward_backward": "'solution.b'",
+    "radius_gradient_flow": "'solution.b'",
+    "radius_stojkovic": "'solution.b'",
+    "forward_backward_first_two_counterfunctions": "'metastability.counterfunctions'",
+    "forward_backward_second_two_counterfunctions": "'metastability.counterfunctions'",
 }
 
 
@@ -261,6 +378,13 @@ class TestRun:
     def test_malformed_config(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
+        assert main(["run", str(bad), "--out", str(tmp_path / "a")]) == 2
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"horizon": 1' + "0" * 5000 + "}"],
+                             ids=["nesting", "digits"])
+    def test_json_past_the_parser_limits_exit_two(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
         assert main(["run", str(bad), "--out", str(tmp_path / "a")]) == 2
 
     def test_unknown_kind(self, tmp_path):

@@ -84,6 +84,24 @@ class TestDirectedKernels:
         lo, hi = root_bounds(Fraction(2), 3, 64)
         assert lo ** 3 <= 2 <= hi ** 3
 
+    def test_iroot_of_a_degree_past_the_bits(self):
+        assert iroot(10 ** 20, 10 ** 12) == 1
+
+    @pytest.mark.parametrize("power", [
+        lambda: R(Fraction(1, 3)).powq(10 ** 9),
+        lambda: R(2).powq(10 ** 30),
+        lambda: R(3).sqrt().powq(10 ** 9).to_float(),
+        lambda: R(2).powq(Fraction(1, 10 ** 9)).to_float(),
+    ], ids=["exact", "exact_huge", "enclosure", "root"])
+    def test_power_past_the_work_cap(self, power):
+        # gigabytes of exact integers: refused like an exp argument past its cap
+        with pytest.raises(BudgetExceeded, match="too large to evaluate"):
+            power()
+
+    def test_to_float_past_the_floats(self):
+        assert R(10 ** 400).to_float() == math.inf
+        assert (-R(10 ** 400) * R(2).sqrt()).to_float() == -math.inf
+
 
 class TestReal:
     def test_exact_rational_chain(self):

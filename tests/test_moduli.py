@@ -227,6 +227,14 @@ class TestFastLinearRate:
         c = moduli.fast_linear_rate(2, 0.5, 3)
         assert 0 < c < 1
 
+    @pytest.mark.parametrize("beta, k, p, c", [
+        (1, 10, 1000, 0.1),  # 10^1000 is no float
+        (1e-300, 10, 400, 10 ** -0.25),  # 10^400 is none, beta 10^400 = 10^100 is
+        (2, 1e300, 1e300, 1e-300),  # p log k is none
+    ])
+    def test_past_the_floats(self, beta, k, p, c):
+        assert moduli.fast_linear_rate(beta, k, p) == pytest.approx(c, rel=1e-12)
+
     def test_input_errors(self):
         with pytest.raises(ValueError):
             moduli.fast_linear_rate(0, 1, 1)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from fejerflow import flows, moduli, operators, scenarios
+from fejerflow.counterfunctions import Counterfunction
 from fejerflow.exact import R
-from fejerflow.flows import SemigroupPoint
+from fejerflow.flows import ParameterCurve, SemigroupPoint
 from fejerflow.scenarios import (
     ConfigError,
     SCHEMA_VERSION,
@@ -165,6 +166,34 @@ def test_each_flow_is_integrated_once(monkeypatch, name, runs):
     monkeypatch.setattr(flows, "_integrate", counted)
     run_scenario(_short(name))
     assert len(methods) == runs, methods
+
+
+@pytest.mark.parametrize("name, listed, theorem", [
+    ("gradient_flow_quadratic", [0, 1, 2], "delta_gradient_flow"),
+    ("stojkovic_negation", [0, {"kind": "identity_plus", "k": 0}], "delta_stojkovic"),
+])
+def test_every_listed_counterfunction_is_certified(name, listed, theorem):
+    config = builtin_scenarios()[name].config
+    out = run_scenario({**config, "metastability": {"eps": 1.0, "counterfunctions": listed}})
+    certified = [c["inputs"]["f"] for c in out.certificates if c["theorem"] == theorem]
+    assert certified == [Counterfunction.from_spec(f).to_spec() for f in listed]
+    claims = {r.claim for r in out.reports}
+    assert {f"metastability[f={f}]" for f in certified} <= claims
+
+
+def test_divergence_modulus_is_exact_at_a_decimal_lambda():
+    # lambda = 0.1: tau_lo = 9/100, where the float 0.1 * 0.9 lies above it
+    tau_lo, eta = scenarios._divergence_modulus(ParameterCurve.constant(0.1))
+    assert tau_lo == 0.09
+    K = Fraction(9, 100) * (10 ** 6 + Fraction(1, 10 ** 11))
+    assert eta(R(K)) == 1_000_001
+
+
+def test_forward_backward_delta_is_exact():
+    # beta / gamma = 2/3: delta = 7/6, where the floats give 1.1666666666666665
+    out = run_scenario({**_short("forward_backward_first_order"), "gamma": 1.5})
+    (cert,) = out.certificates
+    assert cert["inputs"]["delta"] == float(Fraction(7, 6))
 
 
 def _sign_flipped(A, B, gamma):

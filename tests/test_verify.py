@@ -191,14 +191,14 @@ def contraction_traj():
 class TestFejerCheck:
     def test_exact_fixed_point_passes(self, contraction_traj):
         chi = lambda e, n, m: e / (4 * m)
-        rep = check_fejer(contraction_traj, None, [(np.array([0.0]), 0.0)],
+        rep = check_fejer(contraction_traj, [(np.array([0.0]), 0.0)],
                           PerturbationPair.squares(), chi)
         assert rep.status == "holds"
 
     def test_guard_vacuous_pass(self, contraction_traj):
         # residual above every chi guard: no assertion is made
         chi = lambda e, n, m: e / (4 * m)
-        rep = check_fejer(contraction_traj, None, [(np.array([5.0]), 99.0)],
+        rep = check_fejer(contraction_traj, [(np.array([5.0]), 99.0)],
                           PerturbationPair.squares(), chi)
         assert rep.status == "inconclusive"
 
@@ -207,7 +207,7 @@ class TestFejerCheck:
         # (falsely) declared residual of 0 the Fejer inequality genuinely
         # fails and the checker must flag it
         chi = lambda e, n, m: e / (4 * m)
-        rep = check_fejer(contraction_traj, None, [(np.array([0.5]), 0.0)],
+        rep = check_fejer(contraction_traj, [(np.array([0.5]), 0.0)],
                           PerturbationPair.squares(), chi,
                           windows=((0, 16),))
         assert rep.status == "violated"
