@@ -217,14 +217,6 @@ def _counterfn(params: Config) -> Counterfunction:
     return Counterfunction.from_spec(params.spec("f", 0, Config.INTEGER))
 
 
-def _float(params: Config, key: str, *default) -> float:
-    """The rational at ``key`` as the float fast_linear_rate evaluates in."""
-    try:
-        return float(params.rational(key, *default))
-    except OverflowError:
-        params.refuse(key, params[key], "within the float range")
-
-
 def _aas2(params: Config):
     r = None if params.get("r", "inf") == "inf" else params.rational("r")
     return moduli.aas2_metastability(
@@ -256,8 +248,8 @@ _SECOND_ORDER_PARAMS = frozenset({"b", "c", "dB", "lambda_lo", "lambda_hi", "gam
 _THEOREMS = {
     "fast_linear_rate": (
         {"beta", "k", "p"},
-        lambda p: moduli.fast_linear_rate(_float(p, "beta"), _float(p, "k"),
-                                          _float(p, "p", 1))),
+        lambda p: moduli.fast_linear_rate(float(p.real("beta")), float(p.real("k")),
+                                          float(p.real("p", 1)))),
     "ball_total_boundedness": (
         {"d", "b", "eps"},
         lambda p: moduli.ball_total_boundedness(p["d"], p.rational("b"), p.rational("eps"))),

@@ -12,6 +12,7 @@ except where the default is None: there it reads as absent.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -117,6 +118,13 @@ class Config(dict):
 
     def rational(self, key, default=_REQUIRED) -> Fraction:
         return self._read(key, default, _rational, "an integer, a decimal or 'p/q'")
+
+    def real(self, key, default=_REQUIRED) -> Fraction:
+        """A rational that is also evaluated in floats, so refused past their range."""
+        value = self.rational(key, default)
+        if value is not None and abs(value) > sys.float_info.max:
+            self.refuse(key, self[key], "within the float range")
+        return value
 
     def integer(self, key, default=_REQUIRED) -> int:
         return self._read(key, default, *self.INTEGER)

@@ -8,9 +8,12 @@ from that estimate, so adaptive stepping is deliberately avoided.  One core
 (``_rk4``) advances coarse step i and fine step 2i as one batch, then fine
 step 2i+1 alone; with curves tabled per block of 1,024 coarse steps and
 closures that answer rows with single-point bits, each run keeps the bits of
-a separate run.  Each block checks the state's finiteness, and the error
-names the first non-finite sample.  Dense output is local cubic Hermite
-interpolation using stored derivatives.
+a separate run.  The core also has a run axis: several runs of one field,
+each with its own start, step and step count, advance in one loop, and each
+leaves the batch at its own end (``integrate_first_order_runs``; every other
+integrator passes one run).  Each block checks the state's
+finiteness, and the error names the first non-finite sample.  Dense output
+is local cubic Hermite interpolation using stored derivatives.
 
 The semigroups double the step count n of their exponential formulas under
 one driver (``_semigroup``), which returns the Richardson extrapolant
@@ -46,6 +49,7 @@ __all__ = [
     "Trajectory",
     "SemigroupPoint",
     "integrate_first_order",
+    "integrate_first_order_runs",
     "integrate_second_order",
     "integrate_forward_backward",
     "gradient_flow_semigroup",
@@ -269,92 +273,136 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-_BLOCK = 1024  # coarse steps per curve table and per finiteness check
+_BLOCK = 1024  # coarse steps per curve table, staging buffer and finiteness check
 
 
 # a divergent run overflows quietly until its block's finiteness check raises
 @np.errstate(over="ignore", invalid="ignore")
-def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int, y0: np.ndarray,
-         n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int,
+         runs: list) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Coarse (n steps of h) and fine (2n steps of h/2) RK4 runs of
-    y' = rhs(y, *curve values) from y0, each value shaped like the state with
-    the last axis ``width`` wide.  Returns the coarse samples and the fine
-    times, samples and derivatives."""
-    q = h / 2
-    Y = np.stack([y0, y0])
-    # each factor has the shape it multiplies: faster than a broadcast or a float
-    steps = np.array([h, q]).reshape((2,) + (1,) * y0.ndim) + np.zeros_like(Y)
-    halves, sixths, twos = steps / 2, steps / 6, np.full_like(Y, 2.0)
-    q1, q2, q6, two = steps[1], halves[1], sixths[1], twos[1]
-    # stage times as separate runs form them, by (stage, row): i h + (0, h/2, h) coarse,
-    # 2i q + (0, q/2, q) paired fine (2i q is i h exactly), (2i+1) q + (0, q/2, q) lone
-    offsets = np.array([[0.0, 0.0, 0.0], [h / 2, q / 2, q / 2], [h, q, q]])
-    ys_c = np.empty((n + 1,) + y0.shape)
-    # the fine run's samples and derivatives, as (coarse step, half step)
-    fine, dfine = np.empty((2, n + 1, 2) + y0.shape)
-    ys_c[0] = fine[0, 0] = y0
-    ys_f, dys_f = (a.reshape((2 * n + 2,) + y0.shape)[:-1] for a in (fine, dfine))
-    for lo in range(0, n, _BLOCK):
-        block = np.arange(lo, min(lo + _BLOCK, n))
-        times = np.stack([block * h, block * h, (2 * block + 1) * q], axis=-1)[:, None] + offsets
+    y' = rhs(y, *curve values) for each run (y0, n, h), all y0 of one shape,
+    each value shaped like the state with the last axis ``width`` wide.
+    Returns each run's coarse samples and fine samples and derivatives.
+
+    The runs advance in lockstep, the state stacked as (coarse/fine row,
+    run, *state); a run leaves the batch after its own n steps, with its
+    last fine derivative taken there.  Should runs leave the reals, the
+    error names the first of them in the order given, the error a
+    run-by-run integration raises; later runs stop there."""
+    shape = runs[0][0].shape
+    ys_c = [np.empty((n + 1,) + shape) for _, n, _ in runs]
+    # each run's fine samples and derivatives, as (coarse step, half step)
+    fine = [np.empty((2, n + 1, 2) + shape) for _, n, _ in runs]
+    active, stop, lo = list(range(len(runs))), len(runs), 0
+    Y = np.stack([np.stack([y0 for y0, _, _ in runs])] * 2)
+    while active:
+        hi = min((lo // _BLOCK + 1) * _BLOCK, *(runs[r][1] for r in active))
+        hs = np.array([runs[r][2] for r in active])
+        qs = hs / 2
+        # each factor has the shape it multiplies: faster than a broadcast or a float
+        steps = np.stack([hs, qs]).reshape(Y.shape[:2] + (1,) * len(shape)) + np.zeros_like(Y)
+        halves, sixths, twos = steps / 2, steps / 6, np.full_like(Y, 2.0)
+        q1, q2, q6, two = steps[1], halves[1], sixths[1], twos[1]
+        # stage times as separate runs form them, by (stage, row, run):
+        # i h + (0, h/2, h) coarse, 2i q + (0, q/2, q) paired fine (2i q is i h
+        # exactly), (2i+1) q + (0, q/2, q) lone
+        block = np.arange(lo, hi)[:, None]
+        offsets = np.stack([np.zeros((3, len(hs))), np.stack([hs / 2, qs / 2, qs / 2]),
+                            np.stack([hs, qs, qs])])
+        times = np.stack([block * hs, block * hs, (2 * block + 1) * qs], axis=1)[:, None] + offsets
         values = np.multiply.outer(np.stack([c(times) for c in curves], axis=2),
-                                   np.ones(y0.shape[:-1] + (width,)))
-        for i, (a, b, c), (a1, b1, c1) in zip(block.tolist(), values[:, :, :, :2],
-                                              values[:, :, :, 2]):
+                                   np.ones(shape[:-1] + (width,)))
+        # per step: the state at its start and after the paired step, the fine derivatives
+        staged = np.empty((hi - lo, 2) + Y.shape)
+        dstaged = np.empty((hi - lo, 2) + Y.shape[1:])
+        for sy, sd, (a, b, c), (a1, b1, c1) in zip(staged, dstaged, values[:, :, :, :2],
+                                                    values[:, :, :, 2]):
+            sy[0] = Y
             K1 = rhs(Y, *a)
-            dfine[i, 0] = K1[1]
+            sd[0] = K1[1]
             K2 = rhs(Y + halves * K1, *b)
             K3 = rhs(Y + halves * K2, *b)
             K4 = rhs(Y + steps * K3, *c)
-            Y = Y + sixths * (K1 + twos * K2 + twos * K3 + K4)
-            y = fine[i, 1] = Y[1]
-            k1 = dfine[i, 1] = rhs(y, *a1)
+            Y = sy[1] = Y + sixths * (K1 + twos * K2 + twos * K3 + K4)
+            y = Y[1]
+            k1 = sd[1] = rhs(y, *a1)
             k2 = rhs(y + q2 * k1, *b1)
             k3 = rhs(y + q2 * k2, *b1)
             k4 = rhs(y + q1 * k3, *c1)
             Y[1] = y + q6 * (k1 + two * k2 + two * k3 + k4)
-            ys_c[i + 1], fine[i + 1, 0] = Y
-        # a non-finite state stays non-finite, so the first bad sample is the
-        # step where a run left the reals; the coarse run is named first
+        for p, r in enumerate(active):
+            ys_c[r][lo:hi], ys_c[r][hi] = staged[:, 0, 0, p], Y[0, p]
+            fine[r][0, lo:hi], fine[r][0, hi, 0] = staged[:, :, 1, p], Y[1, p]
+            fine[r][1, lo:hi] = dstaged[:, :, p]
+        # a non-finite state stays non-finite, so a run's first bad sample is the
+        # step where it left the reals; its coarse run is named first
         if not np.isfinite(Y).all():
-            for ys, step in ((ys_c[1:i + 2], h), (ys_f[1:2 * i + 3], q)):
+            p = int(np.isfinite(Y.reshape(Y.shape[:2] + (-1,))).all(axis=(0, 2)).argmin())
+            stop, (_, _, h) = active[p], runs[active[p]]
+            ys_f = fine[stop][0].reshape((-1,) + shape)
+            for ys, step in ((ys_c[stop][1:hi + 1], h), (ys_f[1:2 * hi + 1], h / 2)):
                 bad = np.flatnonzero(~np.isfinite(ys.reshape(len(ys), -1)).all(axis=1))
                 if bad.size:
-                    raise IntegrationError(f"non-finite state at t={int(bad[0]) * step + step}")
-    dfine[n, 0] = rhs(Y[1], *(c(2 * n * q) for c in curves))
-    return ys_c, np.arange(2 * n + 1) * q, ys_f, dys_f
+                    failure = f"non-finite state at t={int(bad[0]) * step + step}"
+                    break
+        keep = []
+        for p, r in enumerate(active):
+            _, n, h = runs[r]
+            if r < stop and n == hi:
+                fine[r][1, n, 0] = rhs(Y[1, p], *(c(2 * n * (h / 2)) for c in curves))
+            elif r < stop:
+                keep.append(p)
+        if len(keep) < len(active):
+            Y, active = Y[:, keep], [active[p] for p in keep]
+        lo = hi
+    if stop < len(runs):
+        raise IntegrationError(failure)
+    return [(c, *(a.reshape((2 * n + 2,) + shape)[:-1] for a in f))
+            for c, f, (_, n, _) in zip(ys_c, fine, runs)]
 
 
-def _integrate(rhs, curves: tuple, width: int, y0: np.ndarray, horizon: float, step: float,
-               method: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, IntegratorMeta]:
-    if step <= 0:
-        raise IntegrationError("step must be positive")
-    if horizon <= 0:
-        raise IntegrationError("horizon must be positive")
-    # n coarse steps cover the horizon (the last one may end past it); the
-    # fine run takes exactly 2n half steps, so both end at the same time
-    n = int(round(horizon / step))
-    if abs(n * step - horizon) > 1e-9 * max(1.0, horizon):
-        n = math.ceil(horizon / step)
-    ys_c, ts_f, ys_f, dys_f = _rk4(rhs, curves, width, y0, n, step)
-    shared = ys_f[::2]
-    richardson = float(np.linalg.norm(ys_c - shared, axis=1).max())
-    # Hermite reconstruction of fine midpoints from the coarse subsamples
-    # bounds the dense-output slack on the fine grid from above.
-    mid = ys_f[1::2]
-    interp = 0.5 * shared[:-1] + 0.5 * shared[1:] + step / 8 * (dys_f[:-1:2] - dys_f[2::2])
-    interp_slack = float(np.linalg.norm(interp - mid, axis=1).max())
-    est = richardson + interp_slack
-    meta = IntegratorMeta(method=method, step=step, grid_step=step / 2,
-                          est_err=max(est, 1e-15), richardson_err=richardson,
-                          interp_slack=interp_slack)
-    return ts_f, ys_f, dys_f, meta
+def _integrate(rhs, curves: tuple, width: int, runs: list,
+               method: str) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, IntegratorMeta]]:
+    """Fine times, samples, derivatives and error estimate of each run
+    (y0, horizon, step), all integrated in one ``_rk4`` batch."""
+    coarse = []
+    for y0, horizon, step in runs:
+        if step <= 0:
+            raise IntegrationError("step must be positive")
+        if horizon <= 0:
+            raise IntegrationError("horizon must be positive")
+        # n coarse steps cover the horizon (the last one may end past it); the
+        # fine run takes exactly 2n half steps, so both end at the same time
+        n = int(round(horizon / step))
+        if abs(n * step - horizon) > 1e-9 * max(1.0, horizon):
+            n = math.ceil(horizon / step)
+        coarse.append((y0, n, step))
+    out = []
+    for (_, n, step), (ys_c, ys_f, dys_f) in zip(coarse, _rk4(rhs, curves, width, coarse)):
+        # the times before the estimate's temporaries: allocated after them, they
+        # can pin the freed heap and raise the peak resident memory
+        ts_f = np.arange(2 * n + 1) * (step / 2)
+        shared = ys_f[::2]
+        richardson = float(np.linalg.norm(ys_c - shared, axis=1).max())
+        # Hermite reconstruction of fine midpoints from the coarse subsamples
+        # bounds the dense-output slack on the fine grid from above.
+        mid = ys_f[1::2]
+        interp = 0.5 * shared[:-1] + 0.5 * shared[1:] + step / 8 * (dys_f[:-1:2] - dys_f[2::2])
+        interp_slack = float(np.linalg.norm(interp - mid, axis=1).max())
+        est = richardson + interp_slack
+        meta = IntegratorMeta(method=method, step=step, grid_step=step / 2,
+                              est_err=max(est, 1e-15), richardson_err=richardson,
+                              interp_slack=interp_slack)
+        out.append((ts_f, ys_f, dys_f, meta))
+    return out
 
 
-def integrate_first_order(T: NonexpansiveMap, lam: ParameterCurve, x0,
-                          horizon: float, step: float,
-                          space: Optional[SpaceDescriptor] = None) -> Trajectory:
-    """Solve x'(t) = lambda(t) (T(x(t)) - x(t)) on [0, horizon], 0 <= lambda <= T's cap."""
+def integrate_first_order_runs(T: NonexpansiveMap, lam: ParameterCurve, x0, runs,
+                               space: Optional[SpaceDescriptor] = None) -> list[Trajectory]:
+    """Solve x'(t) = lambda(t) (T(x(t)) - x(t)) on [0, horizon] at each
+    (horizon, step) of ``runs``, 0 <= lambda <= T's cap, all in one lockstep
+    batch; each trajectory has the bits of a lone run."""
     x0 = np.asarray(x0, dtype=float)
     if space is None:
         space = SpaceDescriptor(dimension=x0.size)
@@ -368,9 +416,20 @@ def integrate_first_order(T: NonexpansiveMap, lam: ParameterCurve, x0,
     def rhs(y, lam_t):
         return lam_t * (fn(y) - y)
 
-    ts, ys, dys, meta = _integrate(rhs, (lam,), x0.size, x0, horizon, step, "rk4/first_order")
-    lam.validate_bounds(ts)
-    return Trajectory(space=space, ts=ts, xs=ys, dxs=dys, meta=meta)
+    trajectories = []
+    for ts, ys, dys, meta in _integrate(rhs, (lam,), x0.size,
+                                        [(x0, horizon, step) for horizon, step in runs],
+                                        "rk4/first_order"):
+        lam.validate_bounds(ts)
+        trajectories.append(Trajectory(space=space, ts=ts, xs=ys, dxs=dys, meta=meta))
+    return trajectories
+
+
+def integrate_first_order(T: NonexpansiveMap, lam: ParameterCurve, x0,
+                          horizon: float, step: float,
+                          space: Optional[SpaceDescriptor] = None) -> Trajectory:
+    """The one run (horizon, step) of :func:`integrate_first_order_runs`."""
+    return integrate_first_order_runs(T, lam, x0, [(horizon, step)], space=space)[0]
 
 
 def integrate_second_order(B: CocoerciveMap, lam: ParameterCurve,
@@ -391,7 +450,8 @@ def integrate_second_order(B: CocoerciveMap, lam: ParameterCurve,
         return np.concatenate([v, -gam_t * v - lam_t * fn(x)], axis=-1)
 
     y0 = np.concatenate([u0, v0])
-    ts, ys, dys, meta = _integrate(rhs, (lam, gam), d, y0, horizon, step, "rk4/second_order")
+    (ts, ys, dys, meta), = _integrate(rhs, (lam, gam), d, [(y0, horizon, step)],
+                                      "rk4/second_order")
     lam.validate_bounds(ts)
     gam.validate_bounds(ts)
     if theta is not None:

@@ -10,6 +10,7 @@ trajectory with tolerances derived from the integrator error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -24,7 +25,8 @@ from .flows import (
     ParameterCurve,
     Trajectory,
     gradient_flow_semigroup,
-    integrate_first_order,
+    integrate_first_order,  # unused here; the benchmark's tracer rebinds it by name
+    integrate_first_order_runs,
     integrate_forward_backward,
     integrate_second_order,
     stojkovic_semigroup,
@@ -184,7 +186,7 @@ def _ball(cfg: Config) -> tuple:
     certificates hold on the ball of radius b around y, which must hold x0."""
     space, x0, y = _flow(cfg, "x0")
     solution = cfg.section("solution")
-    b = solution.rational("b")
+    b = solution.real("b")
     if (dist := space.distance(x0, y)) > b + 1e-12:
         solution.refuse("b", solution["b"], f"at least ||x0 - y|| = {dist:.12g}")
     return space, x0, y, b
@@ -200,7 +202,7 @@ def _metastability(cfg: Config, eps: Fraction,
     specs = meta.specs("counterfunctions", default, scalar=Config.INTEGER)
     if single and len(specs) > 1:
         meta.refuse("counterfunctions", meta["counterfunctions"], "a list of one counterfunction")
-    eps = meta.rational("eps", eps)
+    eps = meta.real("eps", eps)
     return eps, float(eps), [Counterfunction.from_spec(s) for s in specs]
 
 
@@ -255,8 +257,12 @@ def _run_first_order(cfg: Config, out: ScenarioOutcome) -> None:
 
     out.add(_contract_report(space, T))
 
-    traj = integrate_first_order(T, lam, x0, cfg.positive("horizon"),
-                                 cfg.positive("step"), space=space)
+    # the main run and the long_check run advance as one batch
+    long_cfg = cfg.spec("long_check", None)
+    runs = [(cfg.positive("horizon"), cfg.positive("step"))]
+    if long_cfg:
+        runs.append((long_cfg.positive("horizon"), long_cfg.positive("step")))
+    traj, *long_run = integrate_first_order_runs(T, lam, x0, runs, space=space)
     out.trajectories["trajectory"] = traj
 
     out.add(_distance_monotone_report(traj, y))
@@ -281,10 +287,7 @@ def _run_first_order(cfg: Config, out: ScenarioOutcome) -> None:
     out.add(check_asymptotic_regularity(traj, residual, inf_rate, eps_reg,
                                         claim="asymptotic_regularity_inf_form"))
 
-    long_cfg = cfg.spec("long_check", None)
-    if long_cfg:
-        long_traj = integrate_first_order(T, lam, x0, long_cfg.positive("horizon"),
-                                          long_cfg.positive("step"), space=space)
+    for long_traj in long_run:
         out.trajectories["trajectory_long"] = long_traj
         out.add(check_asymptotic_regularity(long_traj, residual, phi1, eps_reg,
                                             claim="asymptotic_regularity_divergence_long"))
@@ -363,6 +366,11 @@ def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:
                                    {"max_error": worst}))
 
     consts = _second_order_consts(cfg, out, "second_order_constants", lam, gam, B.beta)
+    # the bounds check compares the trajectory with K and L in floats; K is at
+    # most the larger L
+    if max(consts.L_mult, consts.L_div) > sys.float_info.max:
+        raise ConfigError("config keys 'bounds.b' and 'bounds.c' must keep the constants K "
+                          "and L within the float range")
     out.add(check_second_order_bounds(traj, consts, z, B))
 
     eps_q, eps, fcs = _metastability(cfg, Fraction(1, 5))
@@ -388,7 +396,7 @@ def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:
 
     # the full Delta recursion; small eps overflows by design, so surface it
     cert_cfg = cfg.spec("delta", {})
-    eps_d = cert_cfg.rational("eps", eps_q)
+    eps_d = cert_cfg.real("eps", eps_q)
     fc = Counterfunction.from_spec(cert_cfg.spec("counterfunction", 0, Config.INTEGER))
     scaled = min(eps_d, _rational(B.beta) * eps_d / 2)
     cert = moduli.delta_second_order(consts, space.dimension, scaled, fc)
@@ -408,7 +416,7 @@ def _run_forward_backward_first(cfg: Config, out: ScenarioOutcome) -> None:
     space, x0, y, b = _ball(cfg)
     A = make_monotone(space, cfg.section("operators", "A"))
     B = make_cocoercive(space, cfg.section("operators", "B"))
-    gamma_q = cfg.rational("gamma")
+    gamma_q = cfg.real("gamma")
     gamma = float(gamma_q)
     lam = _curve(cfg, "lambda")
 
@@ -465,7 +473,7 @@ def _run_forward_backward_second(cfg: Config, out: ScenarioOutcome) -> None:
     space, u0, v0, y = _flow(cfg, "x0", "v0")
     A = make_monotone(space, cfg.section("operators", "A"))
     B = make_cocoercive(space, cfg.section("operators", "B"))
-    eta_q = cfg.rational("eta")
+    eta_q = cfg.real("eta")
     eta_step = float(eta_q)
     lam = _curve(cfg, "lambda")
     gam = _curve(cfg, "gamma")
@@ -651,7 +659,7 @@ def _run_stojkovic(cfg: Config, out: ScenarioOutcome) -> None:
     ov_cfg = cfg.spec("overflow_probe", {"eps": "1/1000",
                                          "counterfunction": {"kind": "identity_plus", "k": 0}})
     fc_ov = Counterfunction.from_spec(ov_cfg.spec("counterfunction", scalar=Config.INTEGER))
-    eps_ov = ov_cfg.rational("eps")
+    eps_ov = ov_cfg.real("eps")
     cert_ov = moduli.delta_stojkovic(b, gamma_tb, eps_ov, fc_ov)
     out.certify("delta_stojkovic_overflow_probe",
                 {"b": float(b), "eps": ov_cfg["eps"], "f": fc_ov.to_spec()}, cert_ov)

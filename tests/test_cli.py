@@ -326,6 +326,19 @@ _NAMED_KEY_CONFIGS = {
     "forward_backward_second_two_counterfunctions": {
         "builtin": "forward_backward_second_order",
         "overrides": {**_SHORT, "metastability": {"counterfunctions": [0, 1]}}},
+    # exact values that are also evaluated in floats, written out as ints
+    "eps_past_the_floats": {"builtin": "gradient_flow_quadratic",
+                            "overrides": {"metastability": {"eps": 10 ** 400}}},
+    "radius_past_the_floats": {
+        "builtin": "first_order_contraction_1d",
+        "overrides": {**_SHORT, "solution": {"point": [0.0], "b": 10 ** 400}}},
+    "bound_past_the_floats": {
+        "builtin": "second_order_linear",
+        "overrides": {**_SHORT_SECOND, "bounds": {"b": 10 ** 400, "c": 0, "d": 1}}},
+    # b itself is a float, but L grows with b squared
+    "constants_past_the_floats": {
+        "builtin": "second_order_linear",
+        "overrides": {**_SHORT_SECOND, "bounds": {"b": 10 ** 200, "c": 0, "d": 1}}},
 }
 # the key each of them names in its error message
 _NAMED_KEYS = {
@@ -370,6 +383,10 @@ _NAMED_KEYS = {
     "radius_gradient_flow": "'solution.b'",
     "radius_stojkovic": "'solution.b'",
     "forward_backward_first_two_counterfunctions": "'metastability.counterfunctions'",
+    "eps_past_the_floats": "'metastability.eps'",
+    "radius_past_the_floats": "'solution.b'",
+    "bound_past_the_floats": "'bounds.b'",
+    "constants_past_the_floats": "'bounds.b'",
     "forward_backward_second_two_counterfunctions": "'metastability.counterfunctions'",
 }
 

@@ -15,6 +15,7 @@ from fejerflow.flows import (
     Trajectory,
     gradient_flow_semigroup,
     integrate_first_order,
+    integrate_first_order_runs,
     integrate_forward_backward,
     integrate_second_order,
     stojkovic_semigroup,
@@ -26,6 +27,7 @@ from fejerflow.operators import (
     MonotoneOperator,
     NonexpansiveMap,
     OperatorError,
+    forward_backward_map,
     stojkovic_resolvent,
 )
 from fejerflow.space import euclidean
@@ -550,7 +552,7 @@ def _reference_rk4_run(field, y0, n_steps, h):
     return ts, ys, dys
 
 
-def _reference_integrate(rhs, curves, width, y0, horizon, step, method):
+def _reference_run(rhs, curves, width, y0, horizon, step, method):
     def field(t, y):
         return rhs(y, *(c(t) for c in curves))
 
@@ -574,6 +576,11 @@ def _reference_integrate(rhs, curves, width, y0, horizon, step, method):
                           est_err=max(est, 1e-15), richardson_err=richardson,
                           interp_slack=interp_slack)
     return ts_f, ys_f, dys_f, meta
+
+
+def _reference_integrate(rhs, curves, width, runs, method):
+    """Each run (y0, horizon, step) integrated alone."""
+    return [_reference_run(rhs, curves, width, *run, method) for run in runs]
 
 
 def _wrapped(op):
@@ -624,12 +631,7 @@ def _cases():
         gam=ParameterCurve.affine(0.1, 3.0, lower=3.0, upper=4.0), v0=[0.2])
 
 
-@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in _cases()])
-def test_rk4_bit_identical_to_reference(monkeypatch, call):
-    new = call(lambda op: op)
-    with monkeypatch.context() as m:
-        m.setattr(flows, "_integrate", _reference_integrate)
-        ref = call(_wrapped)
+def _assert_same_bits(new: Trajectory, ref: Trajectory):
     for attr in ("ts", "xs", "dxs", "vs", "dvs"):
         a, b = getattr(new, attr), getattr(ref, attr)
         assert (a is None) == (b is None), attr
@@ -638,11 +640,109 @@ def test_rk4_bit_identical_to_reference(monkeypatch, call):
     assert new.meta == ref.meta
 
 
+@pytest.mark.parametrize("call", [pytest.param(call, id=name) for name, call in _cases()])
+def test_rk4_bit_identical_to_reference(monkeypatch, call):
+    new = call(lambda op: op)
+    with monkeypatch.context() as m:
+        m.setattr(flows, "_integrate", _reference_integrate)
+        ref = call(_wrapped)
+    _assert_same_bits(new, ref)
+
+
+def _first_order_flows():
+    """(name, flow) for each first-order flow of ``_cases``: ``flow(wrap)``
+    is (T, lambda, x0, horizon, step), T built from operators passed through
+    ``wrap`` first."""
+    for d, T in _MAPS.items():
+        for kind, lam in _LAMBDAS.items():
+            yield f"first_d{d}_{kind}", lambda w, T=T, lam=lam, x0=[1.0, -2.0][:d]: \
+                (w(T), lam, x0, 2.0, 0.01)
+    yield "first_ragged_horizon", lambda w: (w(_MAPS[1]), _LAMBDAS["piecewise"], [1.0], 1.0, 0.3)
+    yield "fb_first", lambda w: (
+        forward_backward_map(w(MonotoneOperator.linear([[1.0, 0.4], [-0.4, 0.5]])), w(_SPD), 0.6),
+        ParameterCurve.constant(1.1), [1.5, -1.0], 2.0, 0.01)
+
+
+# a second run next to a flow's own (horizon, step)
+_PARTNERS = {
+    "ragged": lambda horizon, step: (1.1, 0.25),  # 5 coarse steps, ending at t = 1.25
+    "n_equal": lambda horizon, step: (2 * horizon, 2 * step),
+    "n_larger": lambda horizon, step: (horizon, step / 3),
+}
+
+
+def _lone_references(flow, runs):
+    """Each run of ``flow`` integrated alone by the reference loops."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(flows, "_integrate", _reference_integrate)
+        T, lam, x0, _, _ = flow(_wrapped)
+        return [integrate_first_order(T, lam, x0, *run) for run in runs]
+
+
+@pytest.mark.parametrize("partner", list(_PARTNERS))
+@pytest.mark.parametrize("flow", [pytest.param(f, id=name) for name, f in _first_order_flows()])
+def test_batched_runs_bit_identical_to_lone_runs(flow, partner):
+    T, lam, x0, horizon, step = flow(lambda op: op)
+    runs = [(horizon, step), _PARTNERS[partner](horizon, step)]
+    batch = integrate_first_order_runs(T, lam, x0, runs)
+    for new, ref in zip(batch, _lone_references(flow, runs), strict=True):
+        _assert_same_bits(new, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from(sorted(_MAPS)), kind=st.sampled_from(sorted(_LAMBDAS)),
+       x0=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+       runs=st.lists(st.tuples(st.integers(1, 40), st.floats(0.01, 0.3), st.floats(0.0, 0.9)),
+                     min_size=1, max_size=3))
+def test_any_batch_bit_identical_to_lone_runs(d, kind, x0, runs):
+    # horizon (n - frac) step: n coarse steps, or n - 1 with a ragged last one
+    runs = [((n - frac) * step, step) for n, step, frac in runs]
+    flow = lambda w: (w(_MAPS[d]), _LAMBDAS[kind], x0[:d], None, None)
+    batch = integrate_first_order_runs(_MAPS[d], _LAMBDAS[kind], x0[:d], runs)
+    for new, ref in zip(batch, _lone_references(flow, runs), strict=True):
+        assert 1 <= (len(new.ts) - 1) // 2 <= 40
+        _assert_same_bits(new, ref)
+
+
+# lambda is 0 until t = 1, so x' = lambda (1e200 x^2 - x) leaves the reals only after it
+_LATE = ParameterCurve.piecewise([1.0], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("runs, diverging", [
+    ([(0.5, 1e-3), (5.0, 0.1)], 1),  # only the shorter run (50 of 500 steps) diverges
+    ([(5.0, 0.1), (0.5, 1e-3)], 0),
+    ([(5.0, 0.01), (0.5, 0.1)], 0),  # only the longer run (500 of 5 steps) diverges
+    ([(0.5, 0.1), (5.0, 0.01)], 1),
+    ([(5.0, 0.1), (5.0, 0.01)], 0),  # both diverge: the first is named, as run by run
+    ([(5.0, 0.01), (5.0, 0.1)], 0),
+])
+def test_batch_raises_the_error_of_its_first_divergent_run(runs, diverging):
+    calls = []
+
+    def blow_up(x):
+        calls.append(1)
+        return 1e200 * x * x
+
+    T = NonexpansiveMap(fn=blow_up)
+    for horizon, step in runs[:diverging]:  # ends before lambda turns on
+        integrate_first_order(T, _LATE, [1.0], horizon, step)
+    with pytest.raises(IntegrationError) as alone:
+        integrate_first_order(T, _LATE, [1.0], *runs[diverging])
+    run_by_run = len(calls)
+    with pytest.raises(IntegrationError) as batch:
+        integrate_first_order_runs(T, _LATE, [1.0], runs)
+    assert str(batch.value) == str(alone.value)
+    # no run is integrated past the batch's error; a later run that ends
+    # before it takes one more call, for its last derivative
+    assert len(calls) - run_by_run <= run_by_run + len(runs)
+
+
 @pytest.mark.parametrize("n", [1, 10, 2500])
-@pytest.mark.parametrize("order", ["first", "second"])
+@pytest.mark.parametrize("order", ["first", "second", "first_batch", "first_batch_reversed"])
 def test_rhs_calls_per_coarse_step(order, n):
-    # 4 calls for the paired coarse and fine step, 4 for the lone fine step,
-    # and one for the last fine derivative
+    # per coarse step of the longest run, 4 calls for the paired coarse and
+    # fine steps and 4 for the lone fine steps; one for each run's last fine
+    # derivative
     calls = []
 
     def counted(x):
@@ -652,10 +752,16 @@ def test_rhs_calls_per_coarse_step(order, n):
     if order == "first":
         integrate_first_order(NonexpansiveMap(fn=counted), ParameterCurve.constant(0.5),
                               [1.0, 2.0], n * 1e-3, 1e-3)
-    else:
+    elif order == "second":
         integrate_second_order(CocoerciveMap(fn=counted, beta=2.0),
                                ParameterCurve.constant(1.0), ParameterCurve.constant(3.0),
                                [1.0, 2.0], [0.0, 0.0], n * 1e-3, 1e-3)
+    else:
+        runs = [(n * 1e-3, 1e-3), (-(-n // 3) * 0.5, 0.5)]  # n and ceil(n/3) coarse steps
+        integrate_first_order_runs(NonexpansiveMap(fn=counted), ParameterCurve.constant(0.5),
+                                   [1.0, 2.0], runs[::-1] if order.endswith("reversed") else runs)
+        assert len(calls) == 8 * n + 2
+        return
     assert len(calls) == 8 * n + 1
 
 
