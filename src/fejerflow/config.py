@@ -173,9 +173,9 @@ class Config(dict):
             self.refuse(key, [], "a non-empty list")
         return items
 
-    def numbers(self, key, default=_REQUIRED) -> list[float]:
+    def numbers(self, key, default=_REQUIRED, read=number) -> list[float]:
         items = self.entries(key, default)
-        return [items.number(i) for i in items]
+        return [read(items, i) for i in items]
 
     def pairs(self, key, default=_REQUIRED) -> list["Config"]:
         """A non-empty list of two-item lists, each a node."""

@@ -262,10 +262,12 @@ class ModulusBundle:
 
 @dataclass(frozen=True)
 class TauModulus:
-    """Modulus of regularity: F(x) < tau(eps) implies dist(x, zer F) < eps."""
+    """Modulus of regularity: F(x) < tau(eps) implies dist(x, zer F) < eps.
+    A linear one, tau(eps) = slope eps, carries its slope."""
 
     kind: str
     fn: Callable[[Real], Real]
+    slope: Optional[Fraction] = None
 
     def __call__(self, eps: RealLike) -> Real:
         return self.fn(R(eps))
@@ -537,35 +539,33 @@ def ball_modulus(d: int, b: RealLike) -> Callable[[Real], int]:
 # ---------------------------------------------------------------------------
 
 
+# catalogued kind -> the name of its one rational parameter (None: it has none);
+# ``weak_sharp`` is not listed: its parameter is the function ``tau_fn``
+REGULARITY_PARAMETER = {"quasi_contraction": "c", "orbital_contraction": "c",
+                        "retraction": None, "strongly_accretive": "beta",
+                        "metric_subregular": "k", "strongly_quasiconvex": "rho"}
+
+
 def regularity_modulus(kind: str, **params) -> TauModulus:
     """The catalogued moduli of regularity for fixed points / operator zeros /
-    minimizers."""
+    minimizers.  All but ``strongly_quasiconvex`` and ``weak_sharp`` are linear."""
 
     def param(name: str):
         _require(name in params, f"regularity kind {kind!r} needs parameter {name!r}")
         return params[name]
 
-    if kind in ("quasi_contraction", "orbital_contraction"):
-        c = Fraction(param("c"))
-        _require(0 <= c < 1, "contraction factor must lie in [0, 1)")
-        return TauModulus(kind, lambda eps: (1 - c) * eps)
-    if kind == "retraction":
-        return TauModulus(kind, lambda eps: eps)
-    if kind == "strongly_accretive":
-        beta = Fraction(param("beta"))
-        _require(beta > 0, "accretivity constant must be positive")
-        return TauModulus(kind, lambda eps: beta * eps)
-    if kind == "metric_subregular":
-        k = Fraction(param("k"))
-        _require(k > 0, "subregularity constant must be positive")
-        return TauModulus(kind, lambda eps: eps / k)
     if kind == "weak_sharp":
         return TauModulus(kind, param("tau_fn"))
-    if kind == "strongly_quasiconvex":
-        rho = Fraction(param("rho"))
-        _require(rho > 0, "quasiconvexity constant must be positive")
-        return TauModulus(kind, lambda eps: Fraction(rho, 2) * eps * eps)
-    raise ValueError(f"unknown regularity kind {kind!r}")
+    _require(kind in REGULARITY_PARAMETER, f"unknown regularity kind {kind!r}")
+    name = REGULARITY_PARAMETER[kind]
+    p = Fraction(param(name)) if name else Fraction(1)
+    if name == "c":
+        _require(0 <= p < 1, "contraction factor must lie in [0, 1)")
+    _require(name == "c" or p > 0, f"regularity parameter {name!r} must be positive")
+    if name == "rho":
+        return TauModulus(kind, lambda eps: Fraction(p, 2) * eps * eps)
+    slope = 1 - p if name == "c" else 1 / p if name == "k" else p
+    return TauModulus(kind, lambda eps: slope * eps, slope)
 
 
 # ---------------------------------------------------------------------------

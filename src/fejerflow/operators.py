@@ -65,24 +65,27 @@ class NonexpansiveMap:
     name: str = "custom"
     # cap delta on lambda in x' = lambda (T x - x); above 1 only for averaged maps
     averaged_delta: float = 1.0
+    # closed form (t, x) -> S_t x of the semigroup of x' = T x - x, where known
+    flow: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
 
     @classmethod
     def identity(cls) -> "NonexpansiveMap":
-        return cls(fn=lambda x: x, name="identity")
+        return cls(fn=lambda x: x, name="identity", flow=lambda t, x: x)
 
     @classmethod
     def scalar(cls, c: float) -> "NonexpansiveMap":
         if not 0.0 <= c <= 1.0:
             raise OperatorError("scalar contraction factor must be in [0, 1]")
         factor = np.array(c)  # numpy multiplies by a 0-d array faster than by a float
-        return cls(fn=lambda x: factor * x, name=f"scalar({c})")
+        return cls(fn=lambda x: factor * x, name=f"scalar({c})",
+                   flow=lambda t, x: math.exp(-(1 - c) * t) * x)
 
     @classmethod
     def negation(cls) -> "NonexpansiveMap":
-        return cls(fn=lambda x: -x, name="negation")
+        return cls(fn=lambda x: -x, name="negation", flow=lambda t, x: math.exp(-2 * t) * x)
 
     @classmethod
     def affine(cls, matrix, offset) -> "NonexpansiveMap":
@@ -220,8 +223,9 @@ class ConvexFunction:
 
     value: Callable[[np.ndarray], float]
     prox: Callable[[float, np.ndarray], np.ndarray]
-    mu: Optional[float] = None
     name: str = "custom"
+    # closed form (t, x) -> S_t x of the gradient-flow semigroup, where known
+    flow: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
     def __call__(self, x: np.ndarray):
         value = np.asarray(self.value(np.asarray(x, dtype=float)), dtype=float)
@@ -242,7 +246,7 @@ class ConvexFunction:
         return cls(
             value=lambda x: 0.5 * scale * np.vecdot(x - c, x - c),
             prox=lambda t, x: (x + t * scale * c) / (1.0 + t * scale),
-            mu=0.0,
+            flow=lambda t, x: c + math.exp(-scale * t) * (x - c),
             name=f"quadratic({scale})",
         )
 
@@ -253,7 +257,6 @@ class ConvexFunction:
         return cls(
             value=lambda x: scale * np.abs(x).sum(axis=-1),
             prox=lambda t, x: np.sign(x) * np.maximum(np.abs(x) - t * scale, 0.0),
-            mu=0.0,
             name=f"l1({scale})",
         )
 
@@ -264,7 +267,6 @@ class ConvexFunction:
         return cls(
             value=lambda x: np.where(row_norm(x - center) <= radius + 1e-12, 0.0, math.inf),
             prox=lambda t, x: proj(x),
-            mu=0.0,
             name="indicator_ball",
         )
 
@@ -276,7 +278,6 @@ class ConvexFunction:
             value=lambda x: np.where(
                 np.all((x >= lower - 1e-12) & (x <= upper + 1e-12), axis=-1), 0.0, math.inf),
             prox=lambda t, x: np.clip(x, lower, upper),
-            mu=0.0,
             name="indicator_box",
         )
 

@@ -48,11 +48,11 @@ from .operators import (
 from .space import SpaceDescriptor, row_norm
 from .verify import (
     HOLDS,
-    INCONCLUSIVE,
     VIOLATED,
     SolutionFunction,
     VerificationReport,
     _base_tolerance,
+    _unconverged_report,
     _window_points,
     check_asymptotic_regularity,
     check_b_convergence,
@@ -206,6 +206,15 @@ def _metastability(cfg: Config, eps: Fraction,
     return eps, float(eps), [Counterfunction.from_spec(s) for s in specs]
 
 
+def _regularity(cfg: Config) -> Optional[moduli.TauModulus]:
+    """The catalogued modulus of regularity of the optional ``regularity``
+    section, its one parameter read exactly."""
+    if not (reg := cfg.spec("regularity", None)):
+        return None
+    name = reg.choice("kind", moduli.REGULARITY_PARAMETER)
+    return moduli.regularity_modulus(reg["kind"], **({name: reg.real(name)} if name else {}))
+
+
 def _perturbed_level_points(y: np.ndarray, residual: SolutionFunction,
                             radii=(1e-3, 1e-2, 0.05)):
     """Perturb a known solution in coordinate directions; residuals of the
@@ -254,6 +263,9 @@ def _run_first_order(cfg: Config, out: ScenarioOutcome) -> None:
     space, x0, y, b = _ball(cfg)
     T = make_nonexpansive(space, cfg.section("operators", "T"))
     lam = _curve(cfg, "lambda")
+    # the exponential rate takes its k from the slope of a linear tau
+    if (tau := _regularity(cfg)) and tau.slope is None:
+        cfg.section("regularity").refuse("kind", tau.kind, "a kind with a linear modulus")
 
     out.add(_contract_report(space, T))
 
@@ -278,7 +290,7 @@ def _run_first_order(cfg: Config, out: ScenarioOutcome) -> None:
     witness = {"lower_witness": _rational(lam.lower)}
     phi1 = _tail_rate(moduli.asymptotic_regularity_rate(b, divergence_modulus=eta))
     phi2 = _tail_rate(moduli.asymptotic_regularity_rate(b, **witness))
-    eps_reg = cfg.numbers("eps_regularity", [0.5, 0.1, 0.02])
+    eps_reg = cfg.numbers("eps_regularity", [0.5, 0.1, 0.02], Config.positive)
     out.add(check_asymptotic_regularity(traj, residual, phi1, eps_reg,
                                         claim="asymptotic_regularity_divergence"))
     out.add(check_asymptotic_regularity(traj, residual, phi2, eps_reg,
@@ -304,9 +316,8 @@ def _run_first_order(cfg: Config, out: ScenarioOutcome) -> None:
         out.add(verify_metastability(traj, eps, fc, cert, residual=residual,
                                      claim=f"metastability[f={fc.to_spec()}]"))
 
-    reg = cfg.spec("regularity", None)
-    if reg:
-        k = 1.0 - reg.number("c")
+    if tau:
+        k = float(tau.slope)
         c_rate = moduli.fast_linear_rate(tau_lo, k, 2)
         out.certify("fast_linear_rate",
                     {"beta": tau_lo, "k": k, "p": 2}, c_rate)
@@ -362,8 +373,8 @@ def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:
         value = sum(term.number(0) * np.exp(term.number(1) * times)
                     for term in oracle.pairs("terms"))
         worst = np.abs(_window_points(traj, times)[:, 0] - value).max()
-        out.add(report_from_margin("closed_form_match", worst - 1e-6, 1e-6,
-                                   {"max_error": worst}))
+        tol = max(1e-6, _base_tolerance(traj))
+        out.add(report_from_margin("closed_form_match", worst - tol, tol, {"max_error": worst}))
 
     consts = _second_order_consts(cfg, out, "second_order_constants", lam, gam, B.beta)
     # the bounds check compares the trajectory with K and L in floats; K is at
@@ -456,8 +467,8 @@ def _run_forward_backward_first(cfg: Config, out: ScenarioOutcome) -> None:
     phi1 = moduli.asymptotic_regularity_rate(b, **rate_info)
     scale = R(gamma_q) * R(_rational(B.beta)) / (3 * b)
     psi = _tail_rate(lambda e: phi1(scale * e * e))
-    out.add(check_b_convergence(traj, B, y, psi, cfg.numbers("eps_b", [0.5, 0.1]),
-                                claim="b_convergence_psi_rate"))
+    eps_b = cfg.numbers("eps_b", [0.5, 0.1], Config.positive)
+    out.add(check_b_convergence(traj, B, y, psi, eps_b, claim="b_convergence_psi_rate"))
 
     residual = SolutionFunction.fixed_point_residual(T, center=y, radius=float(b))
     eps_q, eps, (fc,) = _metastability(cfg, Fraction(1, 2), (0,), single=True)
@@ -497,7 +508,9 @@ def _run_forward_backward_second(cfg: Config, out: ScenarioOutcome) -> None:
                                           claim="b_convergence_metastability"))
 
     # strong monotonicity of B = Id gives the Theta bound
-    if cfg.text("uniform_monotone_who", None) == "B":
+    if (who := cfg.text("uniform_monotone_who", None)) not in (None, "B"):
+        cfg.refuse("uniform_monotone_who", who, "'B' (strong monotonicity of B)")
+    if who:
         phi_fn = lambda e: e * e
         cert2 = moduli.fb_uniform_monotone_rate(
             "second", "B", phi_fn, eps_q, consts=consts, eta_step=eta_q, f=fc)
@@ -517,56 +530,37 @@ def _run_forward_backward_second(cfg: Config, out: ScenarioOutcome) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _unconverged_report(claim: str, tol: float, **details) -> VerificationReport:
-    """``inconclusive`` for a claim checked on semigroup points whose
-    exponential formula did not converge: they carry no error bound."""
-    return VerificationReport(
-        claim, INCONCLUSIVE, tolerance=tol,
-        details={"reason": "exponential formula did not converge within n_max",
-                 **details})
-
-
 def _semigroup_run(cfg: Config, out: ScenarioOutcome, space: SpaceDescriptor,
                    semigroup: Callable, op, x0: np.ndarray, grid: float,
-                   point_tol: float, decay: int, method: str) -> Trajectory:
+                   point_tol: float) -> Trajectory:
     """Sample t -> semigroup(op, x0, t) on the grid over [0, horizon] into the
     scenario trajectory, and check the optional ``match`` entry against the
-    closed form e^{-decay t} x0.  Samples whose exponential formula did not
-    converge have no error bound; they are named in one ``inconclusive``
-    report, and a match that did not converge is ``inconclusive`` too."""
-    cfg = Config.of(cfg)
+    closed-form flow of ``op`` at ``match.tol``.  Samples whose exponential
+    formula did not converge have no error bound; they are named in one
+    ``inconclusive`` report, and a match that did not converge is too."""
+    if (match := cfg.spec("match", None)) and op.flow is None:
+        cfg.refuse("match", match, f"null: {op.name} has no closed-form flow to match")
     ts = np.arange(0.0, cfg.positive("horizon") + grid / 2, grid)
     if len(ts) < 2:
         raise ConfigError(f"config keys 'horizon' and 'sampling.grid' leave one sample, "
                           f"at t = 0, for grid {grid}")
-    samples = []
-    achieved = 0.0
-    unconverged = []
-    for t in ts:
-        res = semigroup(op, x0, float(t), tol=point_tol)
-        samples.append(res.point)
-        if res.converged:
-            achieved = max(achieved, res.achieved_tol)
-        else:
-            unconverged.append(float(t))
-    traj = Trajectory.from_samples(space, ts, np.array(samples),
-                                   est_err=max(achieved, point_tol), method=method)
+    runs = [semigroup(op, x0, float(t), tol=point_tol) for t in ts]
+    achieved = max((run.achieved_tol for run in runs if run.converged), default=0.0)
+    traj = Trajectory.from_samples(space, ts, np.array([run.point for run in runs]),
+                                   est_err=max(achieved, point_tol), method=semigroup.__name__)
     out.trajectories["trajectory"] = traj
-    if unconverged:
+    if unconverged := [float(t) for t, run in zip(ts, runs) if not run.converged]:
         out.add(_unconverged_report("semigroup_samples_converged", point_tol,
                                     unconverged_times=unconverged))
 
-    match = cfg.spec("match", None)
     if match:
-        t_ref = match.number("t", 1.0)
-        res = semigroup(op, x0, t_ref, tol=match.number("tol", 1e-6),
-                        n_max=match.integer("n_max", 2 ** 20))
+        t_ref, tol = match.number("t", 1.0), match.positive("tol", 1e-6)
+        res = semigroup(op, x0, t_ref, tol=tol, n_max=match.integer("n_max", 2 ** 20))
         if not res.converged:
-            out.add(_unconverged_report("exponential_formula_match", 1e-6,
-                                        n_used=res.n_used))
+            out.add(_unconverged_report("exponential_formula_match", tol, n_used=res.n_used))
         else:
-            err = float(np.linalg.norm(res.point - math.exp(-decay * t_ref) * x0))
-            out.add(report_from_margin("exponential_formula_match", err - 1e-6, 1e-6,
+            err = float(np.linalg.norm(res.point - op.flow(t_ref, x0)))
+            out.add(report_from_margin("exponential_formula_match", err - tol, tol,
                                        {"error": err, "n_used": res.n_used,
                                         "extrapolated": res.extrapolated}))
     return traj
@@ -575,10 +569,11 @@ def _semigroup_run(cfg: Config, out: ScenarioOutcome, space: SpaceDescriptor,
 def _run_gradient_flow(cfg: Config, out: ScenarioOutcome) -> None:
     space, x0, y, b = _ball(cfg)
     phi = make_convex_function(space, cfg.section("operators", "phi"))
+    tau = _regularity(cfg)
     sample_cfg = cfg.spec("sampling", {})
     grid = sample_cfg.positive("grid", 0.25)
     traj = _semigroup_run(cfg, out, space, gradient_flow_semigroup, phi, x0, grid,
-                          sample_cfg.number("tol", 1e-4), 1, "gradient_flow_semigroup")
+                          sample_cfg.positive("tol", 1e-4))
     ts = traj.ts
 
     # Mayer inequality on sampled (s, t, z)
@@ -587,9 +582,9 @@ def _run_gradient_flow(cfg: Config, out: ScenarioOutcome) -> None:
     zs = [y, y + 0.5, x0, 0.5 * (x0 + y)] if space.dimension == 1 else [y, x0]
     out.add(check_mayer_inequality(mayer_pts, phi, zs, tol=_base_tolerance(traj)))
 
-    # objective decay phi(S_t x) - mu <= b^2 / (2 t)
-    times = np.asarray(cfg.numbers("objective_times", [1.0, 2.0, 10.0]))
-    excess = phi(_window_points(traj, times)) - phi.mu - float(b * b) / (2 * times)
+    # Mayer's estimate at z = y: phi(S_t x) - phi(y) <= d(x, y)^2 / (2 t) <= b^2 / (2 t)
+    times = np.asarray(cfg.numbers("objective_times", [1.0, 2.0, 10.0], Config.positive))
+    excess = phi(_window_points(traj, times)) - phi(y) - float(b * b) / (2 * times)
     out.add(report_from_margin("objective_rate", float(excess.max()), _base_tolerance(traj)))
 
     eps_q, eps, fcs = _metastability(cfg, 1, (0, 1))
@@ -602,14 +597,11 @@ def _run_gradient_flow(cfg: Config, out: ScenarioOutcome) -> None:
                                      claim=f"metastability[f={fc.to_spec()}]"))
 
     # regularity-based convergence: strongly convex objective
-    reg = cfg.spec("regularity", None)
-    if reg:
-        tau = moduli.regularity_modulus(reg.text("kind"), **{k: reg.rational(k) for k in reg
-                                                             if k != "kind"})
+    if tau:
         bundle = replace(moduli.gradient_flow_bundle(b, gamma_tb), tau=tau)
         rho = _tail_rate(lambda e: moduli.rho_convergence_regular(bundle, e))
-        out.add(check_convergence_rate(traj, y, rho, cfg.numbers("eps_rho", [0.5, 0.25]),
-                                       claim="regularity_convergence_rate"))
+        eps_rho = cfg.numbers("eps_rho", [0.5, 0.25], Config.positive)
+        out.add(check_convergence_rate(traj, y, rho, eps_rho, claim="regularity_convergence_rate"))
 
 
 def _run_stojkovic(cfg: Config, out: ScenarioOutcome) -> None:
@@ -619,7 +611,7 @@ def _run_stojkovic(cfg: Config, out: ScenarioOutcome) -> None:
     sample_cfg = cfg.spec("sampling", {})
     grid = sample_cfg.positive("grid", 0.25)
     traj = _semigroup_run(cfg, out, space, stojkovic_semigroup, F, x0, grid,
-                          sample_cfg.number("tol", 1e-3), 2, "stojkovic_semigroup")
+                          sample_cfg.positive("tol", 1e-3))
 
     # resolvent inequality d(z, R_lam z) <= lam d(z, F z) on samples
     worst = -math.inf
@@ -634,17 +626,8 @@ def _run_stojkovic(cfg: Config, out: ScenarioOutcome) -> None:
     # fixed-point lemma d(x, T_t x) <= d(x, Fx) (e^{2t}-1)/2
     fp_samples = [(pair.vector(0, d), pair.number(1)) for pair in cfg.pairs(
         "fixed_point_samples", [([0.5], 0.5), ([-0.25], 1.0), ([1.0], 1.5)])]
-    runs = []
-
-    def semigroup(x, t):
-        runs.append(stojkovic_semigroup(F, x, t, tol=1e-4))
-        return runs[-1].point
-
-    report = check_semigroup_fixed_point_bound(F, semigroup, fp_samples, tol=3e-4)
-    unconverged = [r for r in runs if not r.converged]
-    out.add(_unconverged_report(report.claim, 3e-4,
-                                n_used=[r.n_used for r in unconverged])
-            if unconverged else report)
+    out.add(check_semigroup_fixed_point_bound(
+        F, lambda x, t: stojkovic_semigroup(F, x, t, tol=1e-4), fp_samples, tol=3e-4))
 
     gamma_tb = moduli.ball_modulus(space.dimension, b)
     eps_q, eps, fcs = _metastability(cfg, 1, (0,))

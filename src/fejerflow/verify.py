@@ -21,7 +21,7 @@ import numpy as np
 
 from .counterfunctions import Counterfunction
 from .exact import ExtendedNatural
-from .flows import Trajectory
+from .flows import SemigroupPoint, Trajectory
 from .moduli import PerturbationFn, PerturbationPair, SecondOrderConstants
 from .operators import CocoerciveMap, MonotoneOperator, NonexpansiveMap, forward_backward_map
 from .space import row_norm
@@ -497,18 +497,32 @@ def check_mayer_inequality(points: Sequence[tuple[float, np.ndarray]],
     return report_from_margin(claim, worst - tol, tol)
 
 
+def _unconverged_report(claim: str, tol: float, **details) -> VerificationReport:
+    """``inconclusive`` for a claim checked on semigroup points whose
+    exponential formula did not converge: they carry no error bound."""
+    return VerificationReport(
+        claim, INCONCLUSIVE, tolerance=tol,
+        details={"reason": "exponential formula did not converge within n_max",
+                 **details})
+
+
 def check_semigroup_fixed_point_bound(F: NonexpansiveMap,
-                                      semigroup: Callable[[np.ndarray, float], np.ndarray],
+                                      semigroup: Callable[[np.ndarray, float], SemigroupPoint],
                                       samples: Sequence[tuple[np.ndarray, float]],
                                       tol: float,
                                       claim: str = "fixed_point_bound",
                                       ) -> VerificationReport:
-    """d(x, T_t(x)) <= d(x, F(x)) (e^{2t} - 1)/2 on the given (x, t) samples."""
+    """d(x, T_t(x)) <= d(x, F(x)) (e^{2t} - 1)/2 on the given (x, t) samples;
+    ``inconclusive``, naming their ``n_used``, if some runs did not converge."""
     worst = -math.inf
+    runs = []
     for x, t in samples:
         x = np.asarray(x, dtype=float)
         delta = float(np.linalg.norm(x - F(x)))
-        lhs = float(np.linalg.norm(x - semigroup(x, t)))
+        runs.append(semigroup(x, t))
+        lhs = float(np.linalg.norm(x - runs[-1].point))
         bound = delta * (math.exp(2 * t) - 1) / 2
         worst = max(worst, lhs - bound)
+    if unconverged := [run.n_used for run in runs if not run.converged]:
+        return _unconverged_report(claim, tol, n_used=unconverged)
     return report_from_margin(claim, worst - tol, tol)

@@ -339,6 +339,40 @@ _NAMED_KEY_CONFIGS = {
     "constants_past_the_floats": {
         "builtin": "second_order_linear",
         "overrides": {**_SHORT_SECOND, "bounds": {"b": 10 ** 200, "c": 0, "d": 1}}},
+    # tolerances, eps lists and times must be positive
+    "eps_rho_zero": {"builtin": "gradient_flow_quadratic", "overrides": {"eps_rho": [0]}},
+    "eps_b_zero": {"builtin": "forward_backward_first_order",
+                   "overrides": {**_SHORT, "eps_b": [0]}},
+    "eps_regularity_negative": {"builtin": "first_order_contraction_1d",
+                                "overrides": {**_SHORT, "eps_regularity": [-0.5]}},
+    "sampling_tol_zero": {"builtin": "gradient_flow_quadratic",
+                          "overrides": {"sampling": {"grid": 0.25, "tol": 0}}},
+    "match_tol_negative": {"builtin": "gradient_flow_quadratic",
+                           "overrides": {"match": {"t": 1.0, "tol": -1}}},
+    "objective_time_zero": {"builtin": "gradient_flow_quadratic",
+                            "overrides": {"objective_times": [0]}},
+    # only B's strong monotonicity gives the Theta bound
+    "uniform_monotone_who_a": {"builtin": "forward_backward_second_order",
+                               "overrides": {**_SHORT, "uniform_monotone_who": "A"}},
+    "uniform_monotone_who_unknown": {"builtin": "forward_backward_second_order",
+                                     "overrides": {**_SHORT, "uniform_monotone_who": "bogus"}},
+    # a match needs the closed-form flow of its operator
+    "match_without_closed_form": {"builtin": "gradient_flow_quadratic",
+                                  "overrides": {"operators": {"phi": {"op": "l1"}}}},
+    # the one regularity reader
+    "regularity_kind_unknown": {"builtin": "first_order_contraction_1d",
+                                "overrides": {**_SHORT, "regularity": {"kind": "bogus"}}},
+    "regularity_weak_sharp": {"builtin": "gradient_flow_quadratic",
+                              "overrides": {"regularity": {"kind": "weak_sharp"}}},
+    "regularity_not_linear": {
+        "builtin": "first_order_contraction_1d",
+        "overrides": {**_SHORT, "regularity": {"kind": "strongly_quasiconvex", "rho": 1}}},
+    "regularity_parameter_not_a_number": {
+        "builtin": "first_order_contraction_1d",
+        "overrides": {**_SHORT, "regularity": {"kind": "quasi_contraction", "c": "x"}}},
+    "regularity_parameter_missing": {
+        "builtin": "first_order_contraction_1d",
+        "overrides": {**_SHORT, "regularity": {"kind": "metric_subregular"}}},
 }
 # the key each of them names in its error message
 _NAMED_KEYS = {
@@ -352,7 +386,7 @@ _NAMED_KEYS = {
     "operator_null": "'operators.F'",
     "bound_null": "'bounds.b'",
     "operator_parameter_null": "'operators.phi.scale'",
-    "regularity_without_parameter": "'rho'",
+    "regularity_without_parameter": "'regularity.rho'",
     "counterfunction_null": "'metastability.counterfunctions[0]'",
     "curve_parameter_not_a_number": "'curves.lambda.c'",
     "point_not_a_list": "'initial.x0'",
@@ -388,6 +422,20 @@ _NAMED_KEYS = {
     "bound_past_the_floats": "'bounds.b'",
     "constants_past_the_floats": "'bounds.b'",
     "forward_backward_second_two_counterfunctions": "'metastability.counterfunctions'",
+    "eps_rho_zero": "'eps_rho[0]'",
+    "eps_b_zero": "'eps_b[0]'",
+    "eps_regularity_negative": "'eps_regularity[0]'",
+    "sampling_tol_zero": "'sampling.tol'",
+    "match_tol_negative": "'match.tol'",
+    "objective_time_zero": "'objective_times[0]'",
+    "uniform_monotone_who_a": "'uniform_monotone_who'",
+    "uniform_monotone_who_unknown": "'uniform_monotone_who'",
+    "match_without_closed_form": "'match'",
+    "regularity_kind_unknown": "'regularity.kind'",
+    "regularity_weak_sharp": "'regularity.kind'",
+    "regularity_not_linear": "'regularity.kind'",
+    "regularity_parameter_not_a_number": "'regularity.c'",
+    "regularity_parameter_missing": "'regularity.k'",
 }
 
 
@@ -457,6 +505,12 @@ class TestRun:
         cfg = write_config(tmp_path, config)
         assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
         assert key in capsys.readouterr().err
+
+    def test_match_switched_off_without_a_closed_form(self, tmp_path):
+        cfg = write_config(tmp_path, {"builtin": "gradient_flow_quadratic",
+                                      "overrides": {"operators": {"phi": {"op": "l1"}},
+                                                    "match": None}})
+        assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 0
 
     def test_null_section_is_switched_off(self, tmp_path):
         cfg = write_config(tmp_path, {"builtin": "gradient_flow_quadratic",

@@ -357,6 +357,26 @@ class TestSemigroups:
         assert not res.converged and res.achieved_tol == math.inf
         assert res.n_used == 64
 
+    @pytest.mark.parametrize("semigroup, op, x0", [
+        (gradient_flow_semigroup, ConvexFunction.quadratic(1.0, dimension=1), [1.0]),
+        (gradient_flow_semigroup, ConvexFunction.quadratic(2.0, dimension=1), [1.0]),
+        (gradient_flow_semigroup, ConvexFunction.quadratic(0.5, [0.3, -1.0], 2), [1.0, 0.5]),
+        (stojkovic_semigroup, NonexpansiveMap.identity(), [2.0]),
+        (stojkovic_semigroup, NonexpansiveMap.scalar(0.5), [1.0]),
+        (stojkovic_semigroup, NonexpansiveMap.scalar(0.0), [-0.4, 0.8]),
+        (stojkovic_semigroup, NonexpansiveMap.negation(), [1.0]),
+    ], ids=["quadratic", "quadratic_scale_2", "quadratic_centered_2d", "identity",
+            "scalar_half", "scalar_zero_2d", "negation"])
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_closed_form_flow_is_the_semigroup(self, semigroup, op, x0, t):
+        res = semigroup(op, x0, t, tol=1e-7)
+        assert res.converged
+        assert np.linalg.norm(res.point - op.flow(t, np.array(x0))) <= 1e-6
+
+    def test_other_operators_have_no_closed_form(self):
+        assert ConvexFunction.l1().flow is None
+        assert NonexpansiveMap.rotation(90).flow is None
+
 
 # ---------------------------------------------------------------------------
 # the doubling driver: extrapolation, plain fallback, honest tolerance

@@ -260,9 +260,20 @@ class TestRegularityModuli:
         assert moduli.regularity_modulus("metric_subregular", k=4)(1).exact == F(1, 4)
         assert moduli.regularity_modulus("strongly_accretive", beta=3)(2).exact == 6
 
+    def test_linear_kinds_carry_their_slope(self):
+        slope = lambda kind, **params: moduli.regularity_modulus(kind, **params).slope
+        assert slope("quasi_contraction", c=F(1, 2)) == F(1, 2)
+        assert slope("orbital_contraction", c=0) == 1
+        assert slope("retraction") == 1
+        assert slope("metric_subregular", k=4) == F(1, 4)
+        assert slope("strongly_accretive", beta=3) == 3
+        assert slope("strongly_quasiconvex", rho=2) is None
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             moduli.regularity_modulus("quasi_contraction", c=1)
+        with pytest.raises(ValueError, match="'k' must be positive"):
+            moduli.regularity_modulus("metric_subregular", k=0)
         with pytest.raises(ValueError):
             moduli.regularity_modulus("not_a_kind")
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fejerflow import flows, moduli, operators, scenarios
+from fejerflow.config import Config
 from fejerflow.counterfunctions import Counterfunction
 from fejerflow.exact import R
 from fejerflow.flows import ParameterCurve, SemigroupPoint
@@ -84,8 +85,8 @@ class TestSemigroupSampling:
 
         space = SpaceDescriptor(dimension=1)
         out = ScenarioOutcome(name="stub")
-        traj = _semigroup_run({"horizon": 1.0}, out, space, semigroup, None,
-                              np.array([1.0]), 0.25, 1e-3, 1, "stub")
+        traj = _semigroup_run(Config({"horizon": 1.0}), out, space, semigroup, None,
+                              np.array([1.0]), 0.25, 1e-3)
         assert len(traj.ts) == 5 and traj.est_err == 1e-3
         [report] = out.reports
         assert report.status == INCONCLUSIVE
@@ -98,8 +99,8 @@ class TestSemigroupSampling:
                                   n_used=64, converged=True)
 
         out = ScenarioOutcome(name="stub")
-        _semigroup_run({"horizon": 1.0}, out, SpaceDescriptor(dimension=1), semigroup,
-                       None, np.array([1.0]), 0.25, 1e-3, 1, "stub")
+        _semigroup_run(Config({"horizon": 1.0}), out, SpaceDescriptor(dimension=1), semigroup,
+                       None, np.array([1.0]), 0.25, 1e-3)
         assert out.reports == []
 
 
@@ -124,6 +125,56 @@ class TestUnconvergedSemigroupChecks:
         [report] = [r for r in out.reports if r.claim == "fixed_point_bound"]
         assert report.status == INCONCLUSIVE and out.ok
         assert report.details["n_used"] == [16, 16, 16]
+
+
+class TestClosedForms:
+    """The exponential-formula match compares with the closed-form flow of
+    the configured operator, at ``match.tol``."""
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("gradient_flow_quadratic", {"operators": {"phi": {"op": "quadratic", "scale": 2.0}}}),
+        ("gradient_flow_quadratic", {"operators": {"phi": {"op": "quadratic", "center": [0.3]}},
+                                     "solution": {"point": [0.3], "b": 1}}),
+        ("stojkovic_negation", {"operators": {"F": {"op": "scalar", "c": 0.5}}}),
+        ("gradient_flow_quadratic", {"match": {"t": 1.0, "tol": 1e-2}}),
+        ("stojkovic_negation", {"match": {"t": 1.0, "tol": 1e-2}}),
+    ], ids=["quadratic_scale_2", "quadratic_center", "scalar_half", "gradient_tol_1e-2",
+            "stojkovic_tol_1e-2"])
+    def test_match_holds(self, name, overrides):
+        cfg = {**builtin_scenarios()[name].config, **overrides}
+        out = run_scenario(cfg)
+        assert out.ok
+        [report] = [r for r in out.reports if r.claim == "exponential_formula_match"]
+        assert report.status == HOLDS and report.tolerance == cfg["match"]["tol"]
+        assert report.details["error"] <= report.tolerance
+
+
+@pytest.mark.parametrize("kinds, slope", [
+    # the builtin's c = 1/2, and metric subregularity with k = 2: tau(eps) = eps / 2
+    ([{"kind": "quasi_contraction", "c": 0.5}, {"kind": "metric_subregular", "k": 2}], 0.5),
+    ([{"kind": "quasi_contraction", "c": 0.75}, {"kind": "metric_subregular", "k": 4},
+      {"kind": "strongly_accretive", "beta": 0.25}], 0.25),
+], ids=["slope_half", "slope_quarter"])
+def test_linear_regularity_kinds_give_one_exponential_rate(kinds, slope):
+    # the fast linear rate takes its k from the slope of tau, whatever the kind
+    base = _short("first_order_contraction_1d")
+    assert base["regularity"] == {"kind": "quasi_contraction", "c": 0.5}
+    outs = [run_scenario({**base, "regularity": reg}) for reg in kinds]
+    reports = [next(dataclasses.asdict(r) for r in o.reports if r.claim == "exponential_rate")
+               for o in outs]
+    certs = [next(c for c in o.certificates if c["theorem"] == "fast_linear_rate")
+             for o in outs]
+    assert all(r == reports[0] for r in reports) and all(c == certs[0] for c in certs)
+    assert certs[0]["inputs"]["k"] == slope
+
+
+def test_closed_form_match_states_the_trajectory_error():
+    # at step 0.25 the error exceeds 1e-6; the tolerance is the trajectory's own
+    out = run_scenario({**_short("second_order_linear"), "step": 0.25})
+    [report] = [r for r in out.reports if r.claim == "closed_form_match"]
+    traj = out.trajectories["trajectory"]
+    assert report.tolerance == 3 * traj.est_err > report.details["max_error"] > 1e-6
+    assert report.status == HOLDS
 
 
 class TestNestedKeys:

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from fejerflow.counterfunctions import Counterfunction as CF
 from fejerflow.exact import R, ExtendedNatural as EN
-from fejerflow.flows import ParameterCurve, integrate_first_order
+from fejerflow.flows import ParameterCurve, SemigroupPoint, integrate_first_order
 from fejerflow.moduli import PerturbationFn, PerturbationPair
 from fejerflow.operators import CocoerciveMap, ConvexFunction, MonotoneOperator, NonexpansiveMap
 from fejerflow.space import euclidean
@@ -316,6 +316,10 @@ class TestBConvergence:
         assert rep.status in ("holds", "holds_within_tolerance")
 
 
+def _converged(point) -> SemigroupPoint:
+    return SemigroupPoint(point=point, achieved_tol=0.0, n_used=8, converged=True)
+
+
 class TestMarginRule:
     """A report's margin already has its tolerance taken off, so ``holds``
     always comes with a margin <= 0."""
@@ -337,16 +341,28 @@ class TestMarginRule:
         F = NonexpansiveMap.scalar(0.0)
         bound = (math.exp(2) - 1) / 2  # d(x, F(x)) = 1 at x = 1, t = 1
         rep = check_semigroup_fixed_point_bound(
-            F, lambda x, t: x - (bound + 1e-6), [(np.array([1.0]), 1.0)], tol=1e-3)
+            F, lambda x, t: _converged(x - (bound + 1e-6)), [(np.array([1.0]), 1.0)], tol=1e-3)
         assert rep.status == "holds" and rep.margin <= 0
 
     def test_violation_beyond_tol(self):
         F = NonexpansiveMap.scalar(0.0)
         bound = (math.exp(2) - 1) / 2
         rep = check_semigroup_fixed_point_bound(
-            F, lambda x, t: x - (bound + 2e-3), [(np.array([1.0]), 1.0)], tol=1e-3)
+            F, lambda x, t: _converged(x - (bound + 2e-3)), [(np.array([1.0]), 1.0)], tol=1e-3)
         assert rep.status == "holds_within_tolerance"
         assert 0 < rep.margin <= 3e-3
+
+    def test_unconverged_fixed_point_runs_are_inconclusive(self):
+        # a run without an error bound proves nothing, even far past the bound
+        F = NonexpansiveMap.scalar(0.0)
+        runs = {0.5: _converged(np.array([0.9])),
+                1.0: SemigroupPoint(np.array([-99.0]), math.inf, 16, False),
+                1.5: SemigroupPoint(np.array([0.0]), math.inf, 32, False)}
+        rep = check_semigroup_fixed_point_bound(
+            F, lambda x, t: runs[t], [(np.array([1.0]), t) for t in runs], tol=1e-3)
+        assert rep.status == "inconclusive" and rep.tolerance == 1e-3
+        assert rep.details["n_used"] == [16, 32]
+        assert "did not converge" in rep.details["reason"]
 
 
 class TestStackContract:
