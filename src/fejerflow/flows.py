@@ -143,13 +143,21 @@ def _range(s: Config) -> tuple:
     return s.number("lower", None), s.number("upper", None)
 
 
+def _knots(s: Config, key: str, extra: int) -> tuple[list, list]:
+    """Strictly increasing times or breaks at ``key``, and len + ``extra`` values."""
+    knots = s.numbers(key)
+    if len(knots) + extra < 1 or any(b <= a for a, b in zip(knots, knots[1:])):
+        s.refuse(key, s[key], f"a {'' if extra else 'non-empty '}strictly increasing list")
+    values = s.entries("values", length=len(knots) + extra)
+    return knots, [values.number(i) for i in values]
+
+
 # config kind -> (constructor, read of its typed parameters)
 _SPEC_KINDS = {
     "constant": (ParameterCurve.constant, lambda s: (s.number("c"),)),
     "affine": (ParameterCurve.affine, lambda s: (s.number("a"), s.number("b"), *_range(s))),
-    "piecewise": (ParameterCurve.piecewise,
-                  lambda s: (s.numbers("breaks"), s.numbers("values"), *_range(s))),
-    "table": (ParameterCurve.table, lambda s: (s.numbers("ts"), s.numbers("values"), *_range(s))),
+    "piecewise": (ParameterCurve.piecewise, lambda s: (*_knots(s, "breaks", 1), *_range(s))),
+    "table": (ParameterCurve.table, lambda s: (*_knots(s, "ts", 0), *_range(s))),
 }
 
 

@@ -14,9 +14,10 @@ it turns the int into an :class:`ExtendedNatural` and a
 :class:`BudgetExceeded` into overflow whose trace is ``{"overflow": reason}``.
 A calculator that records its levels takes a keyword-only ``trace`` dict,
 which the boundary creates and hands back on the value; callers never pass
-one.  Each Delta recursion
-runs through one level loop, ``_levels``, in which Delta(j) = phi(eps_hat_j)
-reads only the largest level so far: the running minimum of chi^M_f over the
+one.  Every Delta calculator is its theorem's :class:`ModulusBundle`
+evaluated by the one recursion ``_delta_core``, through one level loop,
+``_levels``, in which Delta(j) = phi(eps_hat_j) reads only the largest level
+so far: the running minimum of chi^M_f over the
 earlier levels is chi^M_f at that largest level, because the intervals
 [1, L+1] are nested.  Once a level does not raise the largest one, every
 later level repeats it, so the loop stops at that fixed point.
@@ -80,6 +81,7 @@ __all__ = [
     "first_order_bundle",
     "gradient_flow_bundle",
     "stojkovic_bundle",
+    "second_order_bundle",
 ]
 
 _BRUTE_CAP = 100_000
@@ -614,24 +616,17 @@ def delta_first_order(d: int, b: RealLike, lambda_info: dict, eps: RealLike,
     _require_dimension(d)
     eps = R(eps)
     _require(eps.is_positive(), "eps must be positive")
-    phi = asymptotic_regularity_rate(b, **lambda_info)
-    b = R(b)
-    if not b.is_positive():
+    if not R(b).is_positive():
+        asymptotic_regularity_rate(b, **lambda_info)  # refuses a malformed lambda_info
         # a ball of radius 0: one level, and it is 0
         return _levels(1, lambda top: 0, [0], trace) + 1
-    P = guard(_ball_tb_int(d, b, eps / R(12).sqrt()) + 1)
-
-    def step(top: int) -> int:
-        worst = max_on(f, 1, top + 1) + 1
-        return phi(Real.minimum(eps / 2, (eps * eps / 12) / (4 * b * worst)))
-
-    return _levels(P, step, [0], trace) + 1
+    return _delta_core(first_order_bundle(d, b, lambda_info), eps, f, eps / 2, trace)
 
 
 def first_order_bundle(d: int, b: RealLike, lambda_info: dict) -> ModulusBundle:
-    """The abstract-theorem instantiation matching :func:`delta_first_order`
-    (G = H = squares, chi = eps/(4 b m), zero errors, unary phi).  Evaluate
-    via delta_with_error_rate with chi_cap = eps/2."""
+    """The abstract-theorem instantiation that :func:`delta_first_order`
+    evaluates with chi_cap = eps/2 (G = H = squares, chi = eps/(4 b m), zero
+    errors, unary phi); needs b > 0."""
     phi = asymptotic_regularity_rate(b, **lambda_info)
     return ModulusBundle(
         phi=LiminfBound(phi, unary=True),
@@ -780,18 +775,21 @@ def delta_second_order(consts: SecondOrderConstants, dim: int, eps: RealLike,
     if consts.K.exact is not None and consts.K.exact == 0:
         # the trajectory stays at its start: one level, and it is 0
         return _levels(1, lambda top: 0, [0], trace) + 1
-    scale = (12 * R(consts.gam_hi) / R(consts.gam_lo)).sqrt()
-    P = guard(_ball_tb_int(dim, consts.b, eps / scale) + 1)
-    phi = LiminfBound(lambda e, n: second_order_liminf(consts, e, n))
+    return _delta_core(second_order_bundle(consts, dim), eps, f, eps / 2, trace)
 
-    def step(top: int) -> int:
-        worst = max_on(f, 1, top + 1) + 1
-        eps_hat = Real.minimum(eps / 2, (R(consts.gam_lo) * eps * eps / 12)
-                               / (worst * R(consts.lam_hi) * 8 * consts.K))
-        upto = _second_order_eta(consts, eps * eps / 12, _FPhiEps(f, phi, eps_hat))
-        return phi.eval(eps_hat, guard(upto))
 
-    return _levels(P, step, [0], trace) + 1
+def second_order_bundle(consts: SecondOrderConstants, dim: int) -> ModulusBundle:
+    """The abstract-theorem instantiation that :func:`delta_second_order`
+    evaluates with chi_cap = eps/2: G = (gamma_hi/gamma_lo) (.)^2, H = (.)^2,
+    chi = eps gamma_lo / (8 K lambda_hi m), phi = ``second_order_liminf`` and
+    errors resolved by the rate of metastability Lambda; needs K > 0."""
+    return ModulusBundle.from_perturbations(
+        PerturbationPair.squares(consts.gam_hi / consts.gam_lo),
+        phi=LiminfBound(functools.partial(second_order_liminf, consts)),
+        chi=ChiModulus.scaled_inverse(8 * consts.K * R(consts.lam_hi) / R(consts.gam_lo)),
+        eta=ErrorRate.metastability(functools.partial(_second_order_eta, consts)),
+        gamma_tb=ball_modulus(dim, consts.b),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -861,27 +859,18 @@ def delta_gradient_flow(b: RealLike, gamma_tb: Callable[[Real], int],
         result Delta(P) + 1.
     """
     _require(f.is_nondecreasing, "the gradient-flow bound needs nondecreasing f")
-    b, eps = R(b), R(eps)
+    eps = R(eps)
     _require(eps.is_positive(), "eps must be positive")
-    P = guard(gamma_tb(eps / R(12).sqrt()) + 1)
-    b_sq = b * b
-    # f nondecreasing makes the levels nondecreasing: the last one is the top
-    step = lambda top: (24 * b_sq * (f(top + 1) + 1) / (eps * eps)).ceil_upper()
-    return _levels(P, step, [0], trace) + 1
+    return _delta_core(gradient_flow_bundle(b, gamma_tb), eps, f, None, trace)
 
 
 def gradient_flow_bundle(b: RealLike, gamma_tb: Callable[[Real], int]) -> ModulusBundle:
-    """Abstract instantiation matching :func:`delta_gradient_flow`
-    (G = H = squares, chi = eps/2m, phi = ceil(b^2/eps), zero errors)."""
+    """The abstract-theorem instantiation that :func:`delta_gradient_flow`
+    evaluates (G = H = squares, chi = eps/2m, phi = ceil(b^2/eps), zero
+    errors)."""
     b = R(b)
-
-    def phi(eps: Real) -> int:
-        if not b.is_positive():
-            return 0
-        return (b * b / eps).ceil_upper()
-
     return ModulusBundle(
-        phi=LiminfBound(phi, unary=True),
+        phi=LiminfBound(lambda eps: (b * b / eps).ceil_upper(), unary=True),
         chi=ChiModulus.scaled_inverse(2),
         eta=ErrorRate.zero(),
         g=lambda eps: eps.sqrt(),
@@ -918,37 +907,25 @@ def delta_stojkovic(b: RealLike, gamma_tb: Callable[[Real], int],
     outcome for small eps or growing f.
     """
     _require(f.is_nondecreasing, "the semigroup bound needs nondecreasing f")
-    b, eps = R(b), R(eps)
+    eps = R(eps)
     _require(eps.is_positive(), "eps must be positive")
-    if not b.is_positive():
+    if not R(b).is_positive():
         trace["P"] = None
         trace["levels"] = [0]
         return 0
-    P = guard(gamma_tb(eps / 6) + 1)
-
-    def step(top: int) -> int:
-        # f nondecreasing makes the levels nondecreasing: the last one is the top
-        m = f(top + 1) + 1
-        return _stojkovic_phi(b, 2 * (eps / 6) / (R(2 * m).exp() - 1))
-
-    return _levels(P, step, [], trace)
+    # the generic recursion's final "+1" is not part of this theorem's bound
+    return _delta_core(stojkovic_bundle(b, gamma_tb), eps, f, None, trace) - 1
 
 
 def stojkovic_bundle(b: RealLike, gamma_tb: Callable[[Real], int]) -> ModulusBundle:
-    """Abstract instantiation matching :func:`delta_stojkovic` (G = H = Id).
+    """The abstract-theorem instantiation that :func:`delta_stojkovic`
+    evaluates (G = H = Id, chi = the exponential window, zero errors).
 
-    The specialized bound drops the abstract recursion's final "+1"; the
-    generic evaluation therefore exceeds it by exactly one.
+    That bound drops the abstract recursion's final "+1": the generic
+    evaluation of this bundle exceeds it by exactly one.
     """
-    b = R(b)
-
-    def phi(eps: Real) -> int:
-        if not b.is_positive():
-            return 0
-        return _stojkovic_phi(b, eps)
-
     return ModulusBundle(
-        phi=LiminfBound(phi, unary=True),
+        phi=LiminfBound(functools.partial(_stojkovic_phi, R(b)), unary=True),
         chi=ChiModulus.exp_window(2),
         eta=ErrorRate.zero(),
         gamma_tb=gamma_tb,

@@ -212,7 +212,11 @@ def _regularity(cfg: Config) -> Optional[moduli.TauModulus]:
     if not (reg := cfg.spec("regularity", None)):
         return None
     name = reg.choice("kind", moduli.REGULARITY_PARAMETER)
-    return moduli.regularity_modulus(reg["kind"], **({name: reg.real(name)} if name else {}))
+    params = {name: reg.real(name)} if name else {}
+    try:
+        return moduli.regularity_modulus(reg["kind"], **params)
+    except ValueError as exc:  # the parameter lies outside the kind's domain
+        reg.refuse(name, reg[name], f"in the domain of {reg['kind']} ({exc})")
 
 
 def _perturbed_level_points(y: np.ndarray, residual: SolutionFunction,
@@ -555,6 +559,8 @@ def _semigroup_run(cfg: Config, out: ScenarioOutcome, space: SpaceDescriptor,
 
     if match:
         t_ref, tol = match.number("t", 1.0), match.positive("tol", 1e-6)
+        if t_ref < 0:
+            match.refuse("t", match["t"], "a nonnegative finite number")
         res = semigroup(op, x0, t_ref, tol=tol, n_max=match.integer("n_max", 2 ** 20))
         if not res.converged:
             out.add(_unconverged_report("exponential_formula_match", tol, n_used=res.n_used))
@@ -569,6 +575,8 @@ def _semigroup_run(cfg: Config, out: ScenarioOutcome, space: SpaceDescriptor,
 def _run_gradient_flow(cfg: Config, out: ScenarioOutcome) -> None:
     space, x0, y, b = _ball(cfg)
     phi = make_convex_function(space, cfg.section("operators", "phi"))
+    if not math.isfinite(phi(y)):
+        cfg.section("solution").refuse("point", y.tolist(), "a point of dom phi (phi(y) < inf)")
     tau = _regularity(cfg)
     sample_cfg = cfg.spec("sampling", {})
     grid = sample_cfg.positive("grid", 0.25)

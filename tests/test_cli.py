@@ -373,6 +373,40 @@ _NAMED_KEY_CONFIGS = {
     "regularity_parameter_missing": {
         "builtin": "first_order_contraction_1d",
         "overrides": {**_SHORT, "regularity": {"kind": "metric_subregular"}}},
+    # parameters outside their kind's domain
+    "regularity_contraction_one": {
+        "builtin": "first_order_contraction_1d",
+        "overrides": {**_SHORT, "regularity": {"kind": "quasi_contraction", "c": 1}}},
+    "regularity_subregular_zero": {
+        "builtin": "first_order_contraction_1d",
+        "overrides": {**_SHORT, "regularity": {"kind": "metric_subregular", "k": 0}}},
+    "regularity_quasiconvex_zero": {
+        "builtin": "gradient_flow_quadratic",
+        "overrides": {"regularity": {"kind": "strongly_quasiconvex", "rho": 0}}},
+    "match_time_negative": {"builtin": "stojkovic_negation",
+                            "overrides": {"match": {"t": -1.0}}},
+    # a minimizer must lie in dom phi
+    "solution_outside_the_domain": {
+        "builtin": "gradient_flow_quadratic",
+        "overrides": {"operators": {"phi": {"op": "indicator_ball", "center": [0.0],
+                                            "radius": 0.5}}, "match": None,
+                      "initial": {"x0": [0.3]}, "solution": {"point": [0.8], "b": 1}}},
+    # curve tables: strictly increasing times, one value per piece
+    "table_values_wrong_length": {
+        "builtin": "forward_backward_first_order",
+        "overrides": {**_SHORT, "curves": {"lambda": {
+            "kind": "table", "ts": [0, 1], "values": [0.5, 0.5, 0.5],
+            "lower": 0.5, "upper": 0.5}}}},
+    "table_times_not_increasing": {
+        "builtin": "forward_backward_first_order",
+        "overrides": {**_SHORT, "curves": {"lambda": {
+            "kind": "table", "ts": [0, 30, 10, 40], "values": [0.5, 0.5, 0.5, 0.5],
+            "lower": 0.5, "upper": 0.5}}}},
+    "piecewise_breaks_not_increasing": {
+        "builtin": "forward_backward_first_order",
+        "overrides": {**_SHORT, "curves": {"lambda": {
+            "kind": "piecewise", "breaks": [2, 1], "values": [0.5, 0.5, 0.5],
+            "lower": 0.5, "upper": 0.5}}}},
 }
 # the key each of them names in its error message
 _NAMED_KEYS = {
@@ -436,6 +470,14 @@ _NAMED_KEYS = {
     "regularity_not_linear": "'regularity.kind'",
     "regularity_parameter_not_a_number": "'regularity.c'",
     "regularity_parameter_missing": "'regularity.k'",
+    "regularity_contraction_one": "'regularity.c'",
+    "regularity_subregular_zero": "'regularity.k'",
+    "regularity_quasiconvex_zero": "'regularity.rho'",
+    "match_time_negative": "'match.t'",
+    "solution_outside_the_domain": "'solution.point'",
+    "table_values_wrong_length": "'curves.lambda.values'",
+    "table_times_not_increasing": "'curves.lambda.ts'",
+    "piecewise_breaks_not_increasing": "'curves.lambda.breaks'",
 }
 
 

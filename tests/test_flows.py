@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fejerflow import flows, operators
+from fejerflow.config import ConfigError
 from fejerflow.flows import (
     IntegrationError,
     IntegratorMeta,
@@ -57,6 +58,25 @@ class TestParameterCurves:
     def test_from_spec(self):
         assert ParameterCurve.from_spec(0.5).c == 0.5
         assert ParameterCurve.from_spec({"kind": "constant", "c": 1.0}).upper == 1.0
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "table", "ts": [0, 1], "values": [1, 2, 3]}, "values"),
+        ({"kind": "table", "ts": [0, 30, 10, 40], "values": [1, 2, 3, 4]}, "ts"),
+        ({"kind": "table", "ts": [0, 0], "values": [1, 2]}, "ts"),
+        ({"kind": "table", "ts": [], "values": []}, "ts"),
+        ({"kind": "piecewise", "breaks": [2, 1], "values": [1, 2, 3]}, "breaks"),
+        ({"kind": "piecewise", "breaks": [1, 2], "values": [1, 2]}, "values"),
+    ], ids=["table_values", "table_unsorted", "table_repeated", "table_empty",
+            "piecewise_unsorted", "piecewise_values"])
+    def test_from_spec_refuses_a_misshapen_table(self, spec, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            ParameterCurve.from_spec(spec)
+
+    def test_from_spec_reads_a_table_and_a_constant_piecewise(self):
+        tab = ParameterCurve.from_spec({"kind": "table", "ts": [0, 1, 3], "values": [1, 2, 0]})
+        assert (tab.breaks, tab.values, tab(2.0)) == ((0, 1, 3), (1, 2, 0), 1.0)
+        flat = ParameterCurve.from_spec({"kind": "piecewise", "breaks": [], "values": [0.5]})
+        assert flat(7.0) == 0.5
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, st.integers(1, 16),
