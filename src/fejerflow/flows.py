@@ -168,6 +168,19 @@ _SPEC_KINDS = {
 _CSV_BLOCK = 4096  # rows formatted per string operation in Trajectory.to_csv
 
 
+def _hermite_at(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray, idx, t):
+    """The cubic Hermite interpolant on [ts[idx], ts[idx + 1]] at t: for a
+    float t and int idx, or a column of times with ``ts`` a column too and
+    idx an index array.  The square is u * u: a numpy scalar's ``** 2`` goes
+    through libm ``pow``, which rounds differently from an array's x * x."""
+    t0 = ts[idx]
+    h = ts[idx + 1] - t0
+    s = (t - t0) / h
+    u = 1 - s
+    return ((1 + 2 * s) * (u * u) * ys[idx] + s * (u * u) * h * dys[idx]
+            + s * s * (3 - 2 * s) * ys[idx + 1] + s * s * (s - 1) * h * dys[idx + 1])
+
+
 @dataclass
 class IntegratorMeta:
     method: str
@@ -221,35 +234,40 @@ class Trajectory:
     def est_err(self) -> float:
         return self.meta.est_err
 
-    def _hermite(self, ys: np.ndarray, dys: np.ndarray, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.ts, t, side="right")) - 1
-        idx = min(max(idx, 0), len(self.ts) - 2)
-        t0, t1 = self.ts[idx], self.ts[idx + 1]
-        h = t1 - t0
-        s = (t - t0) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return (h00 * ys[idx] + h10 * h * dys[idx]
-                + h01 * ys[idx + 1] + h11 * h * dys[idx + 1])
+    def _dense(self, ys: np.ndarray, dys: np.ndarray, t) -> np.ndarray:
+        """ys at time t, or at each of a 1-D array of times (one row each):
+        the stored sample at a sample time, else the Hermite interpolant on
+        the interval of t.  Times up to 1e-12 past the horizon clamp to it.
 
-    def _dense(self, ys: np.ndarray, dys: np.ndarray, t: float) -> np.ndarray:
-        """ys at time t: the stored sample when t is a sample time, else the
-        Hermite interpolant; times up to 1e-12 past the horizon clamp to it."""
-        if not 0.0 <= t <= self.horizon + 1e-12:
-            raise IntegrationError(f"time {t} outside [0, {self.horizon}]")
-        t = min(t, self.horizon)
-        exact = np.searchsorted(self.ts, t)
-        if exact < len(self.ts) and self.ts[exact] == t:
-            return ys[exact].copy()
-        return self._hermite(ys, dys, t)
+        A float time keeps its own lookup: routed through the array path it
+        costs about ten times as much, and the pointwise residuals of the
+        metastability scans make one call per time.  Both paths make the same
+        operations in the same order, so each row has the bits of its float
+        time."""
+        ts, last = self.ts, len(self.ts) - 2
+        if not (isinstance(t, np.ndarray) and t.ndim):
+            if not 0.0 <= t <= self.horizon + 1e-12:
+                raise IntegrationError(f"time {t} outside [0, {self.horizon}]")
+            t = min(t, self.horizon)
+            idx = int(np.searchsorted(ts, t, side="right")) - 1
+            if ts[idx] == t:
+                return ys[idx].copy()
+            return _hermite_at(ts, ys, dys, min(max(idx, 0), last), t)
+        t = np.asarray(t, dtype=float)
+        bad = ~((t >= 0.0) & (t <= self.horizon + 1e-12))
+        if bad.any():
+            raise IntegrationError(f"time {float(t[bad.argmax()])} outside [0, {self.horizon}]")
+        t = np.minimum(t, self.horizon)
+        idx = np.searchsorted(ts, t, side="right") - 1
+        out = _hermite_at(ts[:, None], ys, dys, np.clip(idx, 0, last), t[:, None])
+        return np.where((ts[idx] == t)[:, None], ys[idx], out)
 
-    def eval(self, t: float) -> np.ndarray:
-        """Dense output; interpolation error is folded into est_err."""
+    def eval(self, t) -> np.ndarray:
+        """Dense output at a float time, shape (d,), or at a 1-D array of k
+        times, shape (k, d); interpolation error is folded into est_err."""
         return self._dense(self.xs, self.dxs, t)
 
-    def eval_velocity(self, t: float) -> np.ndarray:
+    def eval_velocity(self, t) -> np.ndarray:
         if self.vs is None:
             raise IntegrationError("trajectory carries no velocity")
         return self._dense(self.vs, self.dvs, t)

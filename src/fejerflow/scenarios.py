@@ -53,7 +53,6 @@ from .verify import (
     VerificationReport,
     _base_tolerance,
     _unconverged_report,
-    _window_points,
     check_asymptotic_regularity,
     check_b_convergence,
     check_convergence_rate,
@@ -328,7 +327,7 @@ def _run_first_order(cfg: Config, out: ScenarioOutcome) -> None:
         d0 = space.distance(x0, y)
         times = np.linspace(0.0, min(20.0, traj.horizon), 400)
         bound = c_rate ** np.floor(times) * d0 * (1 + 1e-6)
-        worst = float((row_norm(_window_points(traj, times) - y) - bound).max())
+        worst = float((row_norm(traj.eval(times) - y) - bound).max())
         out.add(report_from_margin("exponential_rate", worst, _base_tolerance(traj),
                                    {"c": c_rate}))
 
@@ -345,12 +344,12 @@ def _second_order_error_model(consts, traj: Trajectory):
     beta = float(consts.beta)
     K = consts.K.to_float()
 
-    def s_part(t):
-        v = float(np.linalg.norm(traj.eval_velocity(t)))
+    def s_part(times):
+        v = row_norm(traj.eval_velocity(times))
         return 2 * beta / gam_lo * (gam_hi / lam_lo) * v * v + 2 / gam_lo * K * v
 
-    def t_part(t):
-        v = float(np.linalg.norm(traj.eval_velocity(t)))
+    def t_part(times):
+        v = row_norm(traj.eval_velocity(times))
         return 2 / gam_lo * K * v
 
     return s_part, t_part
@@ -376,7 +375,7 @@ def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:
         times = np.asarray(oracle.numbers("times", [0.5, 1.0, 2.0, 5.0]))
         value = sum(term.number(0) * np.exp(term.number(1) * times)
                     for term in oracle.pairs("terms"))
-        worst = np.abs(_window_points(traj, times)[:, 0] - value).max()
+        worst = np.abs(traj.eval(times)[:, 0] - value).max()
         tol = max(1e-6, _base_tolerance(traj))
         out.add(report_from_margin("closed_form_match", worst - tol, tol, {"max_error": worst}))
 
@@ -592,7 +591,7 @@ def _run_gradient_flow(cfg: Config, out: ScenarioOutcome) -> None:
 
     # Mayer's estimate at z = y: phi(S_t x) - phi(y) <= d(x, y)^2 / (2 t) <= b^2 / (2 t)
     times = np.asarray(cfg.numbers("objective_times", [1.0, 2.0, 10.0], Config.positive))
-    excess = phi(_window_points(traj, times)) - phi(y) - float(b * b) / (2 * times)
+    excess = phi(traj.eval(times)) - phi(y) - float(b * b) / (2 * times)
     out.add(report_from_margin("objective_rate", float(excess.max()), _base_tolerance(traj)))
 
     eps_q, eps, fcs = _metastability(cfg, 1, (0, 1))

@@ -7,8 +7,10 @@ the trajectory's Lipschitz estimate (slack = Lip * grid).  A claim is reported
 violated only when the margin exceeds 3x the derived tolerance; beyond-horizon
 outcomes are inconclusive, never violations.
 
-Solution functions and tail values take stacks of points; dense output stays
-scalar, and ``_window_points`` is the one place that stacks it over times.
+Solution functions, tail values and the separable error model of
+``check_fejer`` take stacks: every window is one ``Trajectory.eval`` on its
+array of grid times.  The pointwise residuals of
+``verify_residual_metastability`` stay scalar, one call per float time.
 """
 
 from __future__ import annotations
@@ -142,6 +144,12 @@ def pairwise_max_distance(xs: np.ndarray) -> float:
     n = xs.shape[0]
     if n < 2:
         return 0.0
+    if xs.shape[1] == 1:
+        # rounding is monotone and sqrt(fl(x * x)) == |x| unless x * x under-
+        # or overflows, so this has the bits of the block scan for diameters
+        # in about [1.5e-154, 1.3e154]; outside it, it is the exact fl(max - min)
+        # where the scan loses bits or returns inf
+        return float(xs.max() - xs.min())
     best = 0.0
     for i in range(0, n, _PAIRWISE_BLOCK):
         a = xs[i:i + _PAIRWISE_BLOCK]
@@ -180,10 +188,6 @@ def _window_times(traj: Trajectory, start: float, length: float, grid: float) ->
     return np.linspace(start, min(stop, traj.horizon), count + 1)
 
 
-def _window_points(traj: Trajectory, times: np.ndarray) -> np.ndarray:
-    return np.vstack([traj.eval(t) for t in times])
-
-
 def oscillation(traj: Trajectory, n: int, f: Counterfunction,
                 grid: float = 0.01) -> tuple[float, float]:
     """(sup over grid pairs of d(x(s), x(t)) on [n, n+f(n)], certified slack).
@@ -193,7 +197,7 @@ def oscillation(traj: Trajectory, n: int, f: Counterfunction,
     """
     if f(n) == 0:
         return 0.0, 0.0
-    pts = _window_points(traj, _scan_times(traj, n, f, grid))
+    pts = traj.eval(_scan_times(traj, n, f, grid))
     return pairwise_max_distance(pts), traj.lipschitz_estimate() * grid
 
 
@@ -260,7 +264,7 @@ def verify_metastability(traj: Trajectory, eps: float, f: Counterfunction,
 
     def window(n):
         # one stack serves oscillation and residual; f(n) = 0 leaves no slack
-        pts = _window_points(traj, _scan_times(traj, n, f, grid))
+        pts = traj.eval(_scan_times(traj, n, f, grid))
         sup = pairwise_max_distance(pts)
         slack = lip_slack if f(n) > 0 else 0.0
         tol = _base_tolerance(traj, slack)
@@ -321,7 +325,8 @@ def check_fejer(traj: Trajectory,
 
     ``level_points`` are (point, certified residual) pairs; points whose
     residual exceeds the guard are skipped (vacuous).  ``error_model`` is a
-    pair (s_part, t_part) of callables on times for separable errors.
+    pair (s_part, t_part) for separable errors e(s, t) = s_part(s) + t_part(t);
+    each takes a window's array of times and answers one value per time.
     """
     worst = -math.inf
     checked = 0
@@ -330,14 +335,13 @@ def check_fejer(traj: Trajectory,
         if n + m > traj.horizon:
             continue
         times = _window_times(traj, float(n), float(m), grid)
-        pts = _window_points(traj, times)
+        pts = traj.eval(times)
         if error_model is None:
             s_err = np.zeros(len(times))
             t_err = np.zeros(len(times))
         else:
             s_part, t_part = error_model
-            s_err = np.array([s_part(t) for t in times])
-            t_err = np.array([t_part(t) for t in times])
+            s_err, t_err = s_part(times), t_part(times)
         for eps in eps_list:
             guard = chi(eps, n, m)
             for z, res in level_points:
@@ -375,7 +379,7 @@ def _check_tail(traj: Trajectory, value: Callable[[np.ndarray], np.ndarray],
             skipped.append(eps)
             continue
         times = np.linspace(t0, traj.horizon, 200)
-        worst = max(worst, float((value(_window_points(traj, times)) - eps).max()))
+        worst = max(worst, float((value(traj.eval(times)) - eps).max()))
         checked += len(times)
     details = {"eps_list": list(eps_list), "skipped_beyond_horizon": skipped}
     if checked == 0:

@@ -4,8 +4,10 @@ scalar contracts its certificate workload relies on still hold.
 ``suitebench/layers.py`` rebinds functions by name; a renamed or dropped name
 makes ``install`` raise, so the traced benchmark run breaks.  This test runs
 the same install and restore.  ``suitebench/catalogue.py`` builds residuals
-such as ``lambda t: np.linalg.norm(traj.eval(t))``: were dense output or the
-residual calls batched, those norms would silently reduce over a whole window.
+such as ``lambda t: np.linalg.norm(traj.eval(t))``: dense output at a float
+time stays one point, and ``verify_residual_metastability`` calls its residual
+once per float time, or those norms would silently reduce over a whole
+window.  An array of times is the batched path, one row per time.
 """
 
 import inspect
@@ -55,6 +57,10 @@ def test_dense_output_and_residual_calls_stay_scalar():
         assert first.eval(t).shape == (2,)
         assert second.eval(t).shape == (2,)
         assert second.eval_velocity(t).shape == (2,)
+    times = np.array([0.0, 0.37, 2.0])
+    assert first.eval(times).shape == (3, 2)
+    assert second.eval(times).shape == (3, 2)
+    assert second.eval_velocity(times).shape == (3, 2)
 
     calls = []
 

@@ -1,6 +1,7 @@
 """Integrators and semigroups against closed forms; trajectory invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,46 @@ def decay_trajectory():
     # T == 0, lambda == 1: x' = -x, x(t) = e^{-t}
     T = NonexpansiveMap.scalar(0.0)
     return integrate_first_order(T, ParameterCurve.constant(1.0), [1.0], 6.0, 1e-3)
+
+
+# the trajectories of the batched dense-output properties, built on first use
+_DENSE_FLOWS = {
+    "first_order_1d": lambda: integrate_first_order(
+        NonexpansiveMap.scalar(0.5), ParameterCurve.affine(-0.05, 0.5, 0.25, 0.5), [0.7],
+        3.0, 0.01),
+    "first_order_2d": lambda: integrate_first_order(
+        NonexpansiveMap.rotation(60.0), ParameterCurve.constant(0.5), [0.6, -0.8], 3.0, 0.01),
+    "second_order": lambda: integrate_second_order(
+        CocoerciveMap.identity(), ParameterCurve.constant(2.0), ParameterCurve.constant(3.0),
+        [1.0, 0.5], [0.3, -0.2], 3.0, 0.01),
+    "from_samples": lambda: Trajectory.from_samples(
+        euclidean(1), np.linspace(0.0, 3.0, 41), np.exp(-np.linspace(0.0, 3.0, 41)), 1e-4),
+}
+_DENSE_BUILT = {}
+
+
+def _dense_trajectory(name):
+    if name not in _DENSE_BUILT:
+        _DENSE_BUILT[name] = _DENSE_FLOWS[name]()
+    return _DENSE_BUILT[name]
+
+
+# a time is a fraction of the horizon (off the grid), a sample index, or one of
+# the ends: 0, the horizon and just past it, inside the 1e-12 clamp
+_DENSE_PICKS = st.lists(st.one_of(st.floats(0.0, 1.0), st.integers(0, 10 ** 6),
+                                  st.sampled_from(["zero", "horizon", "past"])),
+                        min_size=1, max_size=40)
+
+
+def _dense_methods(traj):
+    return (traj.eval, traj.eval_velocity) if traj.vs is not None else (traj.eval,)
+
+
+def _dense_times(traj, picks):
+    ends = {"zero": 0.0, "horizon": traj.horizon, "past": traj.horizon + 1e-13}
+    return np.array([ends[p] if isinstance(p, str)
+                     else traj.ts[p % len(traj.ts)] if isinstance(p, int)
+                     else p * traj.horizon for p in picks])
 
 
 class TestParameterCurves:
@@ -212,6 +253,39 @@ class TestDenseOutput:
     def test_out_of_range(self, decay_trajectory):
         with pytest.raises(IntegrationError):
             decay_trajectory.eval(1000.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(_DENSE_FLOWS)), picks=_DENSE_PICKS)
+    def test_array_of_times_matches_float_times(self, name, picks):
+        traj = _dense_trajectory(name)
+        times = _dense_times(traj, picks)
+        for method in _dense_methods(traj):
+            rows = method(times)
+            assert rows.shape == (len(times), traj.xs.shape[1])
+            assert rows.tobytes() == np.vstack([method(float(t)) for t in times]).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_DENSE_FLOWS))
+    def test_many_random_times_match_float_times(self, name):
+        # 20,000 times off the grid reach the rare arguments where a float's
+        # and an array's square would round apart (about 1 in 1,200)
+        traj = _dense_trajectory(name)
+        times = np.random.default_rng(7).uniform(0.0, traj.horizon, 20000)
+        for method in _dense_methods(traj):
+            assert method(times).tobytes() == np.vstack(
+                [method(float(t)) for t in times]).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(_DENSE_FLOWS)), picks=_DENSE_PICKS,
+           where=st.integers(0, 40),
+           past=st.one_of(st.floats(1e-11, 1e6), st.floats(-1e6, -1e-300), st.just(math.nan)))
+    def test_array_with_an_out_of_range_time_names_it(self, name, picks, where, past):
+        traj = _dense_trajectory(name)
+        times = list(_dense_times(traj, picks))
+        bad = past if past < 0 or math.isnan(past) else traj.horizon + past
+        times.insert(where % (len(times) + 1), bad)
+        for method in _dense_methods(traj):
+            with pytest.raises(IntegrationError, match=re.escape(f"time {bad} outside")):
+                method(np.array(times))
 
     def test_csv_export(self, decay_trajectory):
         text = decay_trajectory.to_csv()

@@ -51,6 +51,15 @@ class TestKernels:
         brute = max(float(np.linalg.norm(xs - x, axis=1).max()) for x in xs)
         assert pairwise_max_distance(xs) == pytest.approx(brute, rel=1e-12)
 
+    @settings(max_examples=30, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.one_of(st.integers(2, 40), st.integers(1000, 2500)),
+                                        st.just(1)),
+                  elements=st.one_of(st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100))))
+    def test_pairwise_max_distance_1d_is_the_brute_force_scan(self, xs):
+        # every pair of rows, including pairs across the 1,024-row blocks
+        brute = max(float(((xs[:, 0] - x) ** 2).max()) for x in xs[:, 0])
+        assert pairwise_max_distance(xs) == math.sqrt(brute)
+
     def test_prefix_min_violation(self):
         h = np.array([1.0, 2.0, 0.5])
         g = np.array([1.5, 0.2, 0.9])
