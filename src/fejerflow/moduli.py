@@ -75,6 +75,8 @@ __all__ = [
     "second_order_liminf",
     "delta_second_order",
     "fb_uniform_monotone_rate",
+    "fb_psi_rate",
+    "sfb_b_rate",
     "asymptotic_regularity_rate",
     "delta_gradient_flow",
     "delta_stojkovic",
@@ -125,28 +127,21 @@ def _certificate(calc: Callable[..., int]) -> Callable[..., ExtendedNatural]:
 
 @dataclass(frozen=True)
 class PerturbationFn:
-    """One side of a (G, H) perturbation pair: identity, (.)^p, or c (.)^p."""
+    """One side of a (G, H) perturbation pair: a -> coef a^p (identity: p = coef = 1)."""
 
-    kind: str = "identity"
     p: Fraction = Fraction(1)
     coef: Fraction = Fraction(1)
 
     def __post_init__(self):
-        _require(self.kind in ("identity", "power", "scaled_power"),
-                 f"unknown perturbation kind {self.kind!r}")
         _require(self.p > 0 and self.coef > 0, "perturbation parameters must be positive")
 
-    def h_modulus(self) -> Callable[[Real], Real]:
-        """h with H(a) < h(eps) -> a < eps (canonical for this shape)."""
-        if self.kind == "identity":
-            return lambda eps: eps
-        return lambda eps: R(self.coef) * R(eps).powq(self.p)
+    def h(self, eps: RealLike) -> Real:
+        """h(eps) = coef eps^p, with H(a) < h(eps) -> a < eps."""
+        return R(self.coef) * R(eps).powq(self.p)
 
-    def g_modulus(self) -> Callable[[Real], Real]:
-        """g with a < g(eps) -> G(a) < eps."""
-        if self.kind == "identity":
-            return lambda eps: eps
-        return lambda eps: (R(eps) / R(self.coef)).powq(1 / self.p)
+    def g(self, eps: RealLike) -> Real:
+        """g(eps) = (eps / coef)^(1/p), with a < g(eps) -> G(a) < eps."""
+        return (R(eps) / R(self.coef)).powq(1 / self.p)
 
 
 @dataclass(frozen=True)
@@ -155,15 +150,8 @@ class PerturbationPair:
     H: PerturbationFn = PerturbationFn()
 
     @classmethod
-    def identity(cls) -> "PerturbationPair":
-        return cls()
-
-    @classmethod
     def squares(cls, g_coef: RealLike = 1) -> "PerturbationPair":
-        coef = Fraction(g_coef) if not isinstance(g_coef, Fraction) else g_coef
-        g = PerturbationFn("power", Fraction(2)) if coef == 1 else \
-            PerturbationFn("scaled_power", Fraction(2), coef)
-        return cls(G=g, H=PerturbationFn("power", Fraction(2)))
+        return cls(G=PerturbationFn(Fraction(2), Fraction(g_coef)), H=PerturbationFn(Fraction(2)))
 
 
 class LiminfBound:
@@ -204,8 +192,8 @@ class ChiModulus:
 
     @classmethod
     def scaled_inverse(cls, c: RealLike) -> "ChiModulus":
-        """chi(eps, n, m) = eps / (c m)."""
-        _require(R(c).is_positive(), "scaled_inverse needs c > 0")
+        """chi(eps, n, m) = eps / (c m); at c = 0 (radius 0) it restricts nothing."""
+        _require(not R(c).lt(0), "scaled_inverse needs c >= 0")
         return cls("scaled_inverse", coef=c)
 
     @classmethod
@@ -213,11 +201,20 @@ class ChiModulus:
         """chi(eps, n, m) = c eps / (e^{2m} - 1)."""
         return cls("exp_window", coef=c)
 
+    def at_float(self, eps: float, m: int) -> float:
+        """chi(eps, ., m) in floats, +inf where its denominator vanishes; the
+        window as c eps e^{-2m} / (1 - e^{-2m}), which cannot overflow."""
+        c = self.coef.to_float()
+        if self.kind == "scaled_inverse":
+            return eps / (c * m) if c * m else math.inf
+        return c * eps * math.exp(-2 * m) / -math.expm1(-2 * m) if m else math.inf
+
     def chi_f_min(self, eps: Real, upto: int, f: Counterfunction) -> Real:
         """Exact chi^M_f(eps, upto), nonincreasing in upto: both shapes
         decrease in m' = f(m+1)+1, so only max f on [1, upto+1] matters."""
         m = max_on(f, 1, upto + 1) + 1
         if self.kind == "scaled_inverse":
+            _require(self.coef.exact != 0, "chi^M_f of scaled_inverse needs c > 0")
             return eps / (self.coef * m)
         return self.coef * eps / (R(2 * m).exp() - 1)
 
@@ -251,15 +248,10 @@ class ModulusBundle:
     phi: LiminfBound
     chi: Optional[ChiModulus] = None
     eta: ErrorRate = field(default_factory=ErrorRate.zero)
-    g: Callable[[Real], Real] = lambda eps: eps
-    h: Callable[[Real], Real] = lambda eps: eps
+    pair: PerturbationPair = PerturbationPair()
     gamma_tb: Optional[Callable[[Real], int]] = None
     tau: Optional[Callable[[Real], Real]] = None
     omega: Optional[Callable[[Real], Real]] = None
-
-    @classmethod
-    def from_perturbations(cls, pair: PerturbationPair, **kwargs) -> "ModulusBundle":
-        return cls(g=pair.G.g_modulus(), h=pair.H.h_modulus(), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -339,8 +331,15 @@ def aas2_metastability(c: RealLike, Anorm: RealLike, Bnorm: RealLike,
         r = Fraction(r)
         _require(r >= 1, "need r >= 1")
         q = 1 + p * (1 - Fraction(1) / r)
-    c, Anorm, Bnorm, eps = R(c), R(Anorm), R(Bnorm), R(eps)
+    eps = R(eps)
     _require(eps.is_positive(), "eps must be positive")
+    return iterate_tilde(f, *_aas2_terms(c, Anorm, Bnorm, p, q, eps))
+
+
+def _aas2_terms(c: RealLike, Anorm: RealLike, Bnorm: RealLike,
+                p: Union[int, Fraction], q: Union[int, Fraction], eps: Real) -> tuple[int, int]:
+    """varpi and the floor ceil((3A/eps)^p) of :func:`aas2_metastability`."""
+    c, Anorm, Bnorm = R(c), R(Anorm), R(Bnorm)
     two_q = R(2).powq(q)
     eps_q = eps.powq(q)
     a_qm1 = Anorm.powq(q - 1) if not (q - 1 == 0) else R(1)
@@ -348,8 +347,7 @@ def aas2_metastability(c: RealLike, Anorm: RealLike, Bnorm: RealLike,
     first = (2 * two_q * R(q) * a_qm1 * Bnorm) / denom
     second = (two_q * (c.powq(q) + R(q) * a_qm1 * Bnorm)) / denom
     varpi = guard(first.ceil_upper() * second.ceil_upper())
-    floor_value = ((3 * Anorm / eps).powq(p)).ceil_upper()
-    return iterate_tilde(f, varpi, floor_value=floor_value)
+    return varpi, ((3 * Anorm / eps).powq(p)).ceil_upper()
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +396,8 @@ def _delta_core(bundle: ModulusBundle, eps: Real, f: Counterfunction,
                 chi_cap: Optional[RealLike], trace: dict) -> int:
     _require(bundle.gamma_tb is not None, "bundle needs a total-boundedness modulus")
     _require(bundle.chi is not None, "bundle needs a uniform Fejer modulus")
-    delta_arg = bundle.h(eps / 2) / 3
-    P = guard(bundle.gamma_tb(bundle.g(delta_arg)) + 1)
+    delta_arg = bundle.pair.H.h(eps / 2) / 3
+    P = guard(bundle.gamma_tb(bundle.pair.G.g(delta_arg)) + 1)
     # the index bound of the maximum over n: fixed by the error rate, or by
     # its rate of metastability at the level's f_{phi, eps_hat}
     metastable = bundle.eta.variant == "metastability"
@@ -465,10 +463,10 @@ def rho_metastable_regular(bundle: ModulusBundle, eps: RealLike, f: Counterfunct
     _require(bundle.tau is not None, "bundle needs a modulus of regularity")
     _require(bundle.eta.variant == "metastability",
              "rho_metastable_regular needs a metastability-variant error rate")
-    eps = R(eps)
-    threshold = bundle.tau(bundle.g(bundle.h(eps) / 2))
+    half = bundle.pair.H.h(eps) / 2
+    threshold = bundle.tau(bundle.pair.G.g(half))
     f_phi = _FPhiEps(f, bundle.phi, threshold)
-    upto = guard(bundle.eta.fn(bundle.h(eps) / 2, f_phi))
+    upto = guard(bundle.eta.fn(half, f_phi))
     trace["eta_bound"] = upto
     return bundle.phi.eval(threshold, upto) + 1
 
@@ -483,13 +481,13 @@ def rho_convergence_regular(bundle: ModulusBundle, eps: RealLike, *, trace: dict
     _require(bundle.tau is not None, "bundle needs a modulus of regularity")
     _require(bundle.eta.variant in ("zero", "convergence"),
              "rho_convergence_regular needs a convergence-variant or zero error rate")
-    eps = R(eps)
+    g, h = bundle.pair.G.g, bundle.pair.H.h
     if bundle.eta.variant == "zero":
         trace["branch"] = "zero_error"
-        return bundle.phi.eval(bundle.tau(bundle.g(bundle.h(eps)))) + 1
+        return bundle.phi.eval(bundle.tau(g(h(eps)))) + 1
     trace["branch"] = "with_error_rate"
-    upto = guard(bundle.eta.fn(bundle.h(eps) / 2))
-    return bundle.phi.eval(bundle.tau(bundle.g(bundle.h(eps) / 2)), upto) + 1
+    upto = guard(bundle.eta.fn(h(eps) / 2))
+    return bundle.phi.eval(bundle.tau(g(h(eps) / 2)), upto) + 1
 
 
 def fast_linear_rate(beta: float, k: float, p: float = 1.0) -> float:
@@ -626,14 +624,13 @@ def delta_first_order(d: int, b: RealLike, lambda_info: dict, eps: RealLike,
 def first_order_bundle(d: int, b: RealLike, lambda_info: dict) -> ModulusBundle:
     """The abstract-theorem instantiation that :func:`delta_first_order`
     evaluates with chi_cap = eps/2 (G = H = squares, chi = eps/(4 b m), zero
-    errors, unary phi); needs b > 0."""
+    errors, unary phi); its chi^M_f needs b > 0."""
     phi = asymptotic_regularity_rate(b, **lambda_info)
     return ModulusBundle(
         phi=LiminfBound(phi, unary=True),
         chi=ChiModulus.scaled_inverse(4 * R(b)),
         eta=ErrorRate.zero(),
-        g=lambda eps: eps.sqrt(),
-        h=lambda eps: eps * eps,
+        pair=PerturbationPair.squares(),
         gamma_tb=ball_modulus(d, b),
         omega=lambda eps: eps / 2,
     )
@@ -725,33 +722,22 @@ def second_order_constants(b, c, d, lam_lo, lam_hi, gam_lo, gam_hi, theta, beta,
     )
 
 
-def _varpi_floor(consts: SecondOrderConstants, eps: Real) -> tuple[int, int]:
-    """varpi(eps) and the floor ceil((3A/eps)^2); the floor is 0 when varpi is."""
-    first = (16 * consts.A * consts.B / (3 * eps * eps)).ceil_upper()
-    if first == 0:
-        return 0, 0
-    second = ((4 * (R(consts.C) * R(consts.C) + 2 * consts.A * consts.B))
-              / (3 * eps * eps)).ceil_upper()
-    varpi = guard(first * second)
-    return varpi, ((3 * consts.A / eps) * (3 * consts.A / eps)).ceil_upper()
-
-
 @_certificate
 def lambda_capital(consts: SecondOrderConstants, eps: RealLike, f) -> int:
-    """Metastability bound Lambda(eps, f) for ||x'(t)|| and ||B(x(t))||."""
+    """Metastability bound Lambda(eps, f) for ||x'(t)|| and ||B(x(t))||: the
+    L^2 lemma :func:`aas2_metastability` at (C, A, B, p = r = 2)."""
     eps = R(eps)
     _require(eps.is_positive(), "eps must be positive")
     return _lambda_int(consts, eps, f)
 
 
 def _lambda_int(consts: SecondOrderConstants, eps: Real, f) -> int:
-    varpi, floor_value = _varpi_floor(consts, eps)
-    return iterate_tilde(f, varpi, floor_value=floor_value)
+    return iterate_tilde(f, *_aas2_terms(consts.C, consts.A, consts.B, 2, 2, eps))
 
 
 def second_order_liminf(consts: SecondOrderConstants, eps: RealLike, n: int) -> int:
     """The liminf-bound phi(eps, n) = varpi(eps) * max(n, ceil((3A/eps)^2))."""
-    varpi, floor_value = _varpi_floor(consts, R(eps))
+    varpi, floor_value = _aas2_terms(consts.C, consts.A, consts.B, 2, 2, R(eps))
     return guard(varpi * max(n, floor_value))
 
 
@@ -772,7 +758,7 @@ def delta_second_order(consts: SecondOrderConstants, dim: int, eps: RealLike,
     _require_dimension(dim)
     eps = R(eps)
     _require(eps.is_positive(), "eps must be positive")
-    if consts.K.exact is not None and consts.K.exact == 0:
+    if consts.K.exact == 0:
         # the trajectory stays at its start: one level, and it is 0
         return _levels(1, lambda top: 0, [0], trace) + 1
     return _delta_core(second_order_bundle(consts, dim), eps, f, eps / 2, trace)
@@ -782,12 +768,12 @@ def second_order_bundle(consts: SecondOrderConstants, dim: int) -> ModulusBundle
     """The abstract-theorem instantiation that :func:`delta_second_order`
     evaluates with chi_cap = eps/2: G = (gamma_hi/gamma_lo) (.)^2, H = (.)^2,
     chi = eps gamma_lo / (8 K lambda_hi m), phi = ``second_order_liminf`` and
-    errors resolved by the rate of metastability Lambda; needs K > 0."""
-    return ModulusBundle.from_perturbations(
-        PerturbationPair.squares(consts.gam_hi / consts.gam_lo),
+    errors resolved by the rate of metastability Lambda; chi^M_f needs K > 0."""
+    return ModulusBundle(
         phi=LiminfBound(functools.partial(second_order_liminf, consts)),
         chi=ChiModulus.scaled_inverse(8 * consts.K * R(consts.lam_hi) / R(consts.gam_lo)),
         eta=ErrorRate.metastability(functools.partial(_second_order_eta, consts)),
+        pair=PerturbationPair.squares(consts.gam_hi / consts.gam_lo),
         gamma_tb=ball_modulus(dim, consts.b),
     )
 
@@ -817,18 +803,21 @@ def fb_uniform_monotone_rate(order: str, who: str, phi_fn: Callable[[Real], Real
     if order == "first":
         _require(None not in (b, gamma, beta, flow_rate),
                  "first order needs b, gamma, beta, flow_rate")
-        b, gamma, beta = R(b), R(gamma), R(beta)
-        psi = lambda e: flow_rate(gamma * beta * e * e / (3 * b))
+        b = R(b)
+        if not b.is_positive():
+            return 0  # x(t) = y throughout
         if who == "B":
-            return psi(phi_fn(eps) / b)
+            return fb_psi_rate(flow_rate, b, gamma, beta, phi_fn(eps) / b)
         half = phi_fn(eps / 2)
-        first = flow_rate(Real.minimum(gamma * half / (2 * b), eps / 2))
-        second = psi(half / (2 * b))
+        first = flow_rate(Real.minimum(R(gamma) * half / (2 * b), eps / 2))
+        second = fb_psi_rate(flow_rate, b, gamma, beta, half / (2 * b))
         # both the residual condition and the B-condition must hold past
         # the returned time, so the two rates combine by max
         return max(first, second)
     _require(consts is not None and eta_step is not None and f is not None,
              "second order needs consts, eta_step, f")
+    if consts.K.exact == 0:
+        return 0  # A = B = 0: Lambda vanishes
     eta_step = R(eta_step)
     K, beta = consts.K, R(consts.beta)
     if who == "B":
@@ -841,6 +830,26 @@ def fb_uniform_monotone_rate(order: str, who: str, phi_fn: Callable[[Real], Real
         eps / 2,
     )
     return _lambda_int(consts, arg, f)
+
+
+def fb_psi_rate(flow_rate: Callable[[Real], int], b: RealLike, gamma: RealLike,
+                beta: RealLike, eps: RealLike) -> int:
+    """psi(eps) = flow_rate(gamma beta eps^2 / (3b)), past which the first-order
+    forward-backward flow keeps ||B(x(t)) - B(y)|| <= eps; 0 at b = 0 (x = y)."""
+    b = R(b)
+    return flow_rate(R(gamma) * R(beta) * R(eps) * R(eps) / (3 * b)) if b.is_positive() else 0
+
+
+@_certificate
+def sfb_b_rate(consts: SecondOrderConstants, eta_step: RealLike, eps: RealLike,
+               f: Counterfunction) -> int:
+    """Lambda(eps^2 eta beta / (3K), f) bounds ||B(x(t)) - B(y)|| along the
+    second-order forward-backward flow; 0 at K = 0, where A = B = 0."""
+    eps = R(eps)
+    _require(eps.is_positive(), "eps must be positive")
+    if consts.K.exact == 0:
+        return 0
+    return _lambda_int(consts, eps * eps * R(eta_step) * R(consts.beta) / (3 * consts.K), f)
 
 
 # ---------------------------------------------------------------------------
@@ -873,8 +882,7 @@ def gradient_flow_bundle(b: RealLike, gamma_tb: Callable[[Real], int]) -> Modulu
         phi=LiminfBound(lambda eps: (b * b / eps).ceil_upper(), unary=True),
         chi=ChiModulus.scaled_inverse(2),
         eta=ErrorRate.zero(),
-        g=lambda eps: eps.sqrt(),
-        h=lambda eps: eps * eps,
+        pair=PerturbationPair.squares(),
         gamma_tb=gamma_tb,
     )
 

@@ -31,7 +31,7 @@ from .flows import (
     integrate_second_order,
     stojkovic_semigroup,
 )
-from .moduli import PerturbationPair, second_order_constants
+from .moduli import second_order_constants
 from .operators import (
     CocoerciveMap,
     NonexpansiveMap,
@@ -171,13 +171,20 @@ def _second_order_consts(cfg: Config, out: ScenarioOutcome, theorem: str,
     return consts
 
 
+# the largest coordinate of a start or solution point: squared distances stay floats
+_COORDINATE_MAX = 1e150
+
+
 def _flow(cfg: Config, *initial: str) -> tuple:
     """The space of a flow config, then its initial values ``initial.<key>``
     and its solution point, as points of that space."""
     space = SpaceDescriptor.from_json(cfg.section("space"))
-    start, d = cfg.section("initial"), space.dimension
-    return (space, *(start.vector(key, d) for key in initial),
-            cfg.section("solution").vector("point", d))
+    keys = [(cfg.section("initial"), key) for key in initial] + [(cfg.section("solution"), "point")]
+    points = [section.vector(key, space.dimension) for section, key in keys]
+    for (section, key), point in zip(keys, points):
+        if np.abs(point).max() > _COORDINATE_MAX:
+            section.refuse(key, section[key], f"a point with coordinates up to {_COORDINATE_MAX:g}")
+    return (space, *points)
 
 
 def _ball(cfg: Config) -> tuple:
@@ -283,14 +290,14 @@ def _run_first_order(cfg: Config, out: ScenarioOutcome) -> None:
     out.add(_distance_monotone_report(traj, y))
     out.add(_derivative_bound_report(traj, T))
 
-    residual = SolutionFunction.fixed_point_residual(T, center=y, radius=float(b))
-    chi = lambda e, n, m: e / (4 * float(b) * m)
-    level_points = _perturbed_level_points(y, residual)
-    out.add(check_fejer(traj, level_points, PerturbationPair.squares(), chi))
-
-    # the witness-form check and the metastability certificates share one rate
+    # the Fejer check, the witness-form check and the certificates share one rate
     tau_lo, eta = _divergence_modulus(lam)
     witness = {"lower_witness": _rational(lam.lower)}
+    residual = SolutionFunction.fixed_point_residual(T, center=y, radius=float(b))
+    level_points = _perturbed_level_points(y, residual)
+    out.add(check_fejer(traj, level_points,
+                        moduli.first_order_bundle(space.dimension, b, witness)))
+
     phi1 = _tail_rate(moduli.asymptotic_regularity_rate(b, divergence_modulus=eta))
     phi2 = _tail_rate(moduli.asymptotic_regularity_rate(b, **witness))
     eps_reg = cfg.numbers("eps_regularity", [0.5, 0.1, 0.02], Config.positive)
@@ -400,11 +407,8 @@ def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:
 
     residual = SolutionFunction.operator_norm_residual(
         B, center=z, radius=consts.K.to_float())
-    K = consts.K.to_float()
-    chi = lambda e, n, m: float(consts.gam_lo) * e / (m * float(consts.lam_hi) * 8 * K)
     level_points = _perturbed_level_points(z, residual)
-    pair = PerturbationPair.squares(Fraction(consts.gam_hi, consts.gam_lo))
-    out.add(check_fejer(traj, level_points, pair, chi,
+    out.add(check_fejer(traj, level_points, moduli.second_order_bundle(consts, space.dimension),
                         error_model=_second_order_error_model(consts, traj),
                         claim="uniform_quasi_fejer"))
 
@@ -468,8 +472,7 @@ def _run_forward_backward_first(cfg: Config, out: ScenarioOutcome) -> None:
     rate_info = {"divergence_modulus": _divergence_modulus(lam, delta)[1],
                  "averaged_delta": delta}
     phi1 = moduli.asymptotic_regularity_rate(b, **rate_info)
-    scale = R(gamma_q) * R(_rational(B.beta)) / (3 * b)
-    psi = _tail_rate(lambda e: phi1(scale * e * e))
+    psi = _tail_rate(lambda e: moduli.fb_psi_rate(phi1, b, gamma_q, _rational(B.beta), e))
     eps_b = cfg.numbers("eps_b", [0.5, 0.1], Config.positive)
     out.add(check_b_convergence(traj, B, y, psi, eps_b, claim="b_convergence_psi_rate"))
 
@@ -500,10 +503,8 @@ def _run_forward_backward_second(cfg: Config, out: ScenarioOutcome) -> None:
 
     consts = _second_order_consts(cfg, out, "second_order_constants_fb", lam, gam, B.beta)
 
-    K = consts.K
     eps_q, eps, (fc,) = _metastability(cfg, Fraction(1, 2), (0,), single=True)
-    arg = R(eps_q) * R(eps_q) * R(eta_q) * R(_rational(B.beta)) / (3 * K)
-    cert = moduli.lambda_capital(consts, arg, fc)
+    cert = moduli.sfb_b_rate(consts, eta_q, eps_q, fc)
     out.certify("sfb_b_rate", {"eps": eps, "f": fc.to_spec()}, cert)
     by = B(y)
     residual_t = lambda t: float(np.linalg.norm(B(traj.eval(t)) - by))
@@ -591,7 +592,7 @@ def _run_gradient_flow(cfg: Config, out: ScenarioOutcome) -> None:
 
     # Mayer's estimate at z = y: phi(S_t x) - phi(y) <= d(x, y)^2 / (2 t) <= b^2 / (2 t)
     times = np.asarray(cfg.numbers("objective_times", [1.0, 2.0, 10.0], Config.positive))
-    excess = phi(traj.eval(times)) - phi(y) - float(b * b) / (2 * times)
+    excess = phi(traj.eval(times)) - phi(y) - R(b * b).to_float() / (2 * times)
     out.add(report_from_margin("objective_rate", float(excess.max()), _base_tolerance(traj)))
 
     eps_q, eps, fcs = _metastability(cfg, 1, (0, 1))

@@ -77,16 +77,6 @@ class SpaceDescriptor:
         p, q = self._check(p, q)
         return (1.0 - lam) * p + lam * q
 
-    def inner_product(self, p, q) -> float:
-        if self.kind != "euclidean":
-            raise UnsupportedOperation("inner product needs a Hilbert space")
-        p, q = self._check(p, q)
-        return float(np.dot(p, q))
-
-    def norm(self, p) -> float:
-        (p,) = self._check(p)
-        return float(np.linalg.norm(p))
-
     def zero(self) -> np.ndarray:
         return np.zeros(self.dimension)
 

@@ -24,7 +24,7 @@ import numpy as np
 from .counterfunctions import Counterfunction
 from .exact import ExtendedNatural
 from .flows import SemigroupPoint, Trajectory
-from .moduli import PerturbationFn, PerturbationPair, SecondOrderConstants
+from .moduli import ModulusBundle, PerturbationFn, SecondOrderConstants
 from .operators import CocoerciveMap, MonotoneOperator, NonexpansiveMap, forward_backward_map
 from .space import row_norm
 
@@ -156,7 +156,7 @@ def pairwise_max_distance(xs: np.ndarray) -> float:
         for j in range(i, n, _PAIRWISE_BLOCK):
             b = xs[j:j + _PAIRWISE_BLOCK]
             d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
-            best = max(best, float(d2.max()))
+            best = np.maximum(best, d2.max())  # a NaN row makes it NaN
     return float(np.sqrt(best))
 
 
@@ -303,25 +303,23 @@ def verify_residual_metastability(traj: Trajectory,
 
 
 def _perturb(fn: PerturbationFn, a: np.ndarray) -> np.ndarray:
-    """One side of a perturbation pair on an array of float distances:
-    a, a^p or coef a^p.  For p = 2 and coef 1 each value has the bits of the
-    exact square rounded to a float."""
-    if fn.kind == "identity":
-        return a
+    """One side of a perturbation pair, coef a^p, on an array of float
+    distances.  For p = 2 and coef 1 each value has the bits of the exact
+    square rounded to a float; the identity gives a back bit for bit."""
     return float(fn.coef) * a ** float(fn.p)
 
 
 def check_fejer(traj: Trajectory,
                 level_points: Sequence[tuple[np.ndarray, float]],
-                pair: PerturbationPair,
-                chi: Callable[[float, int, int], float],
+                bundle: ModulusBundle,
                 eps_list: Sequence[float] = (0.5, 0.1),
                 windows: Sequence[tuple[int, int]] = ((0, 4), (2, 8), (10, 16)),
                 error_model: Optional[tuple[Callable, Callable]] = None,
                 grid: float = 0.01,
                 claim: str = "uniform_fejer") -> VerificationReport:
     """Check H(d(x(t), z)) <= G(d(x(s), z)) + e(s, t) + eps for z in the
-    chi(eps, n, m) sublevel set, over sampled windows [n, n+m].
+    chi(eps, n, m) sublevel set, over sampled windows [n, n+m], with G, H
+    and chi the moduli of the certificate's ``bundle``.
 
     ``level_points`` are (point, certified residual) pairs; points whose
     residual exceeds the guard are skipped (vacuous).  ``error_model`` is a
@@ -343,13 +341,13 @@ def check_fejer(traj: Trajectory,
             s_part, t_part = error_model
             s_err, t_err = s_part(times), t_part(times)
         for eps in eps_list:
-            guard = chi(eps, n, m)
+            guard = bundle.chi.at_float(eps, m)
             for z, res in level_points:
                 if res > guard:
                     continue
                 dists = np.linalg.norm(pts - np.asarray(z)[None, :], axis=1)
-                viol = prefix_min_violation(_perturb(pair.H, dists), _perturb(pair.G, dists),
-                                            s_err, t_err) - eps
+                viol = prefix_min_violation(_perturb(bundle.pair.H, dists),
+                                            _perturb(bundle.pair.G, dists), s_err, t_err) - eps
                 worst = max(worst, viol)
                 checked += 1
     tol = _base_tolerance(traj, slack)

@@ -19,6 +19,8 @@ from fejerflow.moduli import (
     ErrorRate,
     LiminfBound,
     ModulusBundle,
+    PerturbationFn,
+    PerturbationPair,
     ball_modulus,
     delta_first_order,
     delta_gradient_flow,
@@ -141,8 +143,7 @@ def test_criterion_1_formula_fidelity():
                  LiminfBound(lambda e, a=a: (R(a) / e).ceil(), unary=True)),
             eta=(ErrorRate.convergence(lambda e, eta_c=eta_c: eta_c)
                  if eta_c is not None else ErrorRate.zero()),
-            g=lambda e, power=power: e.powq(F(1, power)),
-            h=lambda e, power=power: e.powq(F(power)),
+            pair=PerturbationPair(PerturbationFn(F(power)), PerturbationFn(F(power))),
             tau=tau,
         )
         ours = rho_convergence_regular(bundle, eps).value

@@ -2,11 +2,13 @@
 
 import json
 import math
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from fejerflow import operators
 from fejerflow.cli import _THEOREMS, _sanitize, main
@@ -339,6 +341,14 @@ _NAMED_KEY_CONFIGS = {
     "constants_past_the_floats": {
         "builtin": "second_order_linear",
         "overrides": {**_SHORT_SECOND, "bounds": {"b": 10 ** 200, "c": 0, "d": 1}}},
+    # squared distances of a start or a solution point must stay in the floats
+    "start_past_the_squares": {
+        "builtin": "first_order_contraction_1d",
+        "overrides": {**_SHORT, "initial": {"x0": [1e200]},
+                      "solution": {"point": [1e200], "b": 1}}},
+    "solution_point_past_the_squares": {
+        "builtin": "second_order_linear",
+        "overrides": {**_SHORT_SECOND, "solution": {"point": [-1e200]}}},
     # tolerances, eps lists and times must be positive
     "eps_rho_zero": {"builtin": "gradient_flow_quadratic", "overrides": {"eps_rho": [0]}},
     "eps_b_zero": {"builtin": "forward_backward_first_order",
@@ -456,6 +466,8 @@ _NAMED_KEYS = {
     "bound_past_the_floats": "'bounds.b'",
     "constants_past_the_floats": "'bounds.b'",
     "forward_backward_second_two_counterfunctions": "'metastability.counterfunctions'",
+    "start_past_the_squares": "'initial.x0'",
+    "solution_point_past_the_squares": "'solution.point'",
     "eps_rho_zero": "'eps_rho[0]'",
     "eps_b_zero": "'eps_b[0]'",
     "eps_regularity_negative": "'eps_regularity[0]'",
@@ -585,6 +597,12 @@ class TestRun:
         inf_form = next(r for r in reports if r["claim"] == "asymptotic_regularity_inf_form")
         assert inf_form["details"]["skipped_beyond_horizon"] == [1e-200]
 
+    def test_radius_past_the_squares_holds(self, tmp_path):
+        # b^2 / (2t) is +inf in floats: Mayer's estimate holds at every time
+        cfg = write_config(tmp_path, {"builtin": "gradient_flow_quadratic",
+                                      "overrides": {"solution": {"point": [0.0], "b": 10 ** 200}}})
+        assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 0
+
     def test_non_finite_resolvent_exit_two(self, tmp_path, capsys):
         # F x = 0 x + inf: the first resolvent iterate leaves the reals
         cfg = write_config(tmp_path, {
@@ -662,6 +680,94 @@ class TestRun:
         f1 = out1 / "negative_wrong_beta" / "reports.json"
         f2 = out2 / "negative_wrong_beta" / "reports.json"
         assert f1.read_bytes() == f2.read_bytes()
+
+
+# a ball of radius 0: x0 = y, solution.b = 0, or second-order bounds b = c = 0
+_RADIUS_ZERO_CONFIGS = {
+    "first_order": {
+        "builtin": "first_order_contraction_1d",
+        "overrides": {"initial": {"x0": [0.0]}, "solution": {"point": [0.0], "b": 0},
+                      "horizon": 5.0, "step": 0.01, "long_check": None}},
+    "second_order": {
+        "builtin": "second_order_linear",
+        "overrides": {"initial": {"x0": [0.0], "v0": [0.0]},
+                      "bounds": {"b": 0, "c": 0, "d": 1}, "oracle": None,
+                      "horizon": 20.0, "step": 0.01}},
+    "forward_backward_first": {
+        "builtin": "forward_backward_first_order",
+        "overrides": {"initial": {"x0": [0.0]}, "solution": {"point": [0.0], "b": 0},
+                      "horizon": 5.0, "step": 0.01}},
+    "forward_backward_second": {
+        "builtin": "forward_backward_second_order",
+        "overrides": {"initial": {"x0": [0.0], "v0": [0.0]},
+                      "bounds": {"b": 0, "c": 0, "d": 1}, "horizon": 10.0, "step": 0.01}},
+}
+
+
+@pytest.mark.parametrize("config", _RADIUS_ZERO_CONFIGS.values(), ids=list(_RADIUS_ZERO_CONFIGS))
+def test_radius_zero_holds(tmp_path, config):
+    # the flow stays at y, and every claim holds
+    assert main(["run", write_config(tmp_path, config), "--out", str(tmp_path / "a")]) == 0
+
+
+# the radius and start keys the fuzz below draws, per section
+_RADIUS_KEYS = {"solution": ("b",), "bounds": ("b", "c", "d")}
+_POINT_KEYS = {"solution": ("point",), "initial": ("x0", "v0")}
+# the semigroup samplers' run time grows with the size of the start point, so
+# their coordinates stay at most 10^2 (about 0.3 s a run there)
+_SEMIGROUP_BUILTINS = {"gradient_flow_quadratic", "stojkovic_negation"}
+
+
+def _fuzz_horizon(name: str) -> dict:
+    """The cut flows of the config tests; the objective times of the
+    gradient flow reach 10."""
+    if name == "second_order_linear":
+        return _SHORT_SECOND
+    return {**_SHORT, "horizon": 10.0} if name == "gradient_flow_quadratic" else _SHORT
+
+
+def _radius():
+    """0, a small rational, or 10^k as far as the exact reader goes."""
+    return st.one_of(st.just(0), st.fractions(-9, 9, max_denominator=9).map(str),
+                     st.integers(-400, 400).map(lambda k: str(Fraction(10) ** k)))
+
+
+def _coordinate(max_exponent: int):
+    """0, a small rational, or +-10^k from the subnormals up to 10^max_exponent."""
+    power = st.builds(lambda k, sign: sign * 10.0 ** k,
+                      st.integers(-320, max_exponent), st.sampled_from([1, -1]))
+    return st.one_of(st.just(0.0), st.fractions(-9, 9, max_denominator=9).map(float), power)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       name=st.sampled_from(sorted(n for n in builtin_scenarios() if not n.startswith("negative_"))))
+def test_radius_and_start_exit_zero_one_or_two(data, name):
+    # degenerate and extreme radii and starts: a result or a config error,
+    # never a traceback, and exit 1 only with a violated claim
+    base = builtin_scenarios()[name].config
+    d = base["space"]["dimension"]
+    coordinate = _coordinate(2 if name in _SEMIGROUP_BUILTINS else 308)
+    overrides = dict(_fuzz_horizon(name))
+    for section in ("solution", "bounds", "initial"):
+        if section not in base:
+            continue
+        values = dict(base[section])
+        for key in _RADIUS_KEYS.get(section, ()) + _POINT_KEYS.get(section, ()):
+            if key in values and data.draw(st.booleans()):
+                values[key] = data.draw(st.lists(coordinate, min_size=d, max_size=d)
+                                        if key in _POINT_KEYS.get(section, ()) else _radius())
+        overrides[section] = values
+    if data.draw(st.booleans()):  # start at the solution
+        overrides["initial"]["x0"] = overrides["solution"]["point"]
+    with tempfile.TemporaryDirectory() as tmp:
+        code = main(["run", write_config(Path(tmp), {"builtin": name, "overrides": overrides}),
+                     "--out", f"{tmp}/a"])
+        assert code in (0, 1, 2)
+        event(f"{name} exit {code}")
+        if code == 1:
+            reports = json.loads((Path(tmp) / "a" / name / "reports.json").read_text())
+            assert any(r["status"] == "violated" for r in reports)
 
 
 class TestReport:

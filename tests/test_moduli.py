@@ -1,13 +1,14 @@
 """Certificate calculators: worked examples, oracle agreement, invariants."""
 
 import inspect
+import math
 import random
 import time
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import oracles
 from fejerflow import moduli
@@ -196,7 +197,7 @@ class TestRhoRates:
         bundle = ModulusBundle(
             phi=LiminfBound(lambda e: (R(4) / e).ceil(), unary=True),
             eta=ErrorRate.zero(),
-            g=lambda e: e.sqrt(), h=lambda e: e * e,
+            pair=PerturbationPair.squares(),
             tau=lambda e: e,
         )
         cert = rho_convergence_regular(bundle, 1)
@@ -352,6 +353,22 @@ class TestSecondOrder:
         cs = second_order_constants(0, 0, 3, 1, 1, 1, 1, 1, 1)
         assert moduli.lambda_capital(cs, 1, CF.constant(0)).value == 0
 
+    @settings(max_examples=80, deadline=None)
+    @given(b=st.sampled_from([0, F(1, 10), F(1, 2), 1, 3]), c=st.sampled_from([0, F(1, 3), 1]),
+           d=st.sampled_from([0, F(1, 4), 1, 2]), lam=st.sampled_from([F(1, 2), 1, 2]),
+           lam_ratio=st.integers(1, 3), gam=st.sampled_from([F(1, 2), 1, 3]),
+           gam_ratio=st.integers(1, 2), theta=st.sampled_from([F(1, 2), 1, F(7, 2)]),
+           beta=st.sampled_from([F(1, 2), 1, 2]),
+           eps=st.fractions(F(1, 100), 50, max_denominator=100),
+           f=st.sampled_from([CF.constant(0), CF.constant(3), CF.identity_plus(1),
+                              CF.linear(1, 1), CF.table({0: 2, 3: 1}, default=1)]))
+    def test_lambda_is_aas2_at_p_r_2(self, b, c, d, lam, lam_ratio, gam, gam_ratio, theta,
+                                     beta, eps, f):
+        cs = second_order_constants(b, c, d, lam, lam * lam_ratio, gam, gam * gam_ratio,
+                                    theta, beta)
+        ours = moduli.lambda_capital(cs, eps, f)
+        assert ours.to_json() == moduli.aas2_metastability(cs.C, cs.A, cs.B, 2, 2, eps, f).to_json()
+
     def test_lambda_against_oracle(self):
         cs = second_order_constants(1, 1, 1, 1, 1, 1, 1, 1, 1)
         oc = oracles.second_order_constants_iv(1, 1, 1, 1, 1, 1, 1, 1, 1)
@@ -419,6 +436,25 @@ class TestFbUniformMonotone:
         cert = moduli.fb_uniform_monotone_rate(
             "first", "B", phi_fn, F(1, 2), b=1, gamma=1, beta=1, flow_rate=flow_rate)
         assert cert.value == 48
+
+    def test_radius_zero_is_zero(self):
+        # x(t) = y throughout: a ball of radius 0 (first order) or K = 0
+        # (second order, where A = B = 0) certifies 0
+        flow_rate = lambda e: (1 / e).ceil()
+        assert moduli.fb_psi_rate(flow_rate, 0, 1, 1, F(1, 2)) == 0
+        for who in ("A", "B"):
+            assert moduli.fb_uniform_monotone_rate(
+                "first", who, lambda e: e, 1, b=0, gamma=1, beta=1, flow_rate=flow_rate).value == 0
+        still = second_order_constants(0, 0, 1, 1, 1, 3, 3, 1, 1)
+        assert still.K.exact == 0
+        assert moduli.sfb_b_rate(still, 1, F(1, 2), CF.identity_plus(1)).value == 0
+        assert moduli.fb_uniform_monotone_rate(
+            "second", "B", lambda e: e * e, F(1, 2), consts=still, eta_step=1,
+            f=CF.identity_plus(1)).value == 0
+
+    def test_psi_is_the_flow_rate_at_its_argument(self):
+        # b = gamma = beta = 1, eps = 1/2: flow_rate(1/12) = 12
+        assert moduli.fb_psi_rate(lambda e: (1 / e).ceil(), 1, 1, 1, F(1, 2)) == 12
 
     def test_second_order_theta(self):
         cs = second_order_constants(1, 1, 1, 1, 1, 1, 1, 1, 1)
@@ -541,9 +577,12 @@ class TestDeltaCalculatorsAgainstOracles:
         _assert_oracle_agrees(cert, lambda: oracles.delta_second_order_f0(*args, dim, F(eps)))
 
     def test_degenerate_guards(self):
-        # inputs the bundles cannot take: scaled_inverse refuses c = 0
+        # inputs the Delta recursion cannot take: a bundle at b = 0 builds,
+        # and its float chi restricts nothing, but its chi^M_f refuses c = 0
+        flat = first_order_bundle(1, 0, {"lower_witness": F(1, 2)})
         with pytest.raises(ValueError):
-            first_order_bundle(1, 0, {"lower_witness": F(1, 2)})
+            flat.chi.chi_f_min(R(F(1, 4)), 0, CF.constant(0))
+        assert flat.chi.at_float(0.5, 4) == math.inf
         fo = delta_first_order(1, 0, {"lower_witness": F(1, 2)}, F(1, 4), CF.identity_plus(1))
         assert (fo.value, fo.trace) == (1, {"P": 1, "levels": [0, 0]})
         still = second_order_constants(0, 0, 0, 1, 1, 1, 1, 1, 1)
@@ -566,16 +605,55 @@ class TestDeltaCalculatorsAgainstOracles:
 
 class TestPerturbationPairs:
     def test_canonical_moduli(self):
-        power = PerturbationFn("power", F(2))
-        assert power.h_modulus()(R(3)).exact == 9
-        scaled = PerturbationFn("scaled_power", F(2), F(4))
-        assert scaled.g_modulus()(R(1)).exact == F(1, 2)  # (eps/c)^(1/p)
+        power = PerturbationFn(F(2))
+        assert power.h(R(3)).exact == 9
+        scaled = PerturbationFn(F(2), F(4))
+        assert scaled.g(R(1)).exact == F(1, 2)  # (eps/c)^(1/p)
 
     def test_apply(self):
         # check_fejer applies G and H as floats over its distance array
         pair = PerturbationPair.squares()
         assert _perturb(pair.H, np.array([3.0]))[0] == 9
         assert _perturb(pair.G, np.array([2.0]))[0] == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(eps=st.fractions(F(1, 10 ** 6), 10 ** 6, max_denominator=10 ** 6))
+    @example(eps=F(9, 4))  # an exact root
+    def test_g_h_enclose_like_the_lambdas_they_replace(self, eps):
+        # the squares and the identity give the enclosures of the sqrt,
+        # square and identity lambdas the bundles once carried, at every
+        # precision, on the exact eps those bundles receive
+        e = R(eps)
+        square, identity = PerturbationFn(F(2)), PerturbationFn()
+        for ours, theirs in ((square.g(e), e.sqrt()), (square.h(e), e * e),
+                             (identity.g(e), e), (identity.h(e), e)):
+            assert ours.exact == theirs.exact
+            for bits in (64, 256, 1024):
+                assert ours.bounds(bits) == theirs.bounds(bits)
+
+
+class TestFloatChi:
+    @settings(max_examples=100, deadline=None)
+    @given(b=st.one_of(st.fractions(F(1, 10 ** 6), 10 ** 9, max_denominator=10 ** 6),
+                       st.floats(1e-300, 1e300).map(lambda x: F(str(x)))),
+           e=st.floats(1e-6, 10.0), m=st.integers(1, 10 ** 6), d=st.integers(1, 3))
+    def test_first_order_is_the_lambda_it_replaces(self, b, e, m, d):
+        # bit for bit in the normal float range, where 4 float(b) = float(4b)
+        chi = first_order_bundle(d, b, {"lower_witness": F(1, 2)}).chi
+        assert chi.at_float(e, m) == e / (4 * float(b) * m)
+
+    def test_radius_zero_restricts_nothing(self):
+        assert first_order_bundle(1, 0, {"lower_witness": F(1, 2)}).chi.at_float(0.1, 3) == \
+            math.inf
+        still = second_order_constants(0, 0, 0, 1, 1, 1, 1, 1, 1)
+        assert moduli.second_order_bundle(still, 1).chi.at_float(0.1, 3) == math.inf
+
+    @pytest.mark.parametrize("m", [1, 4, 16, 400, 10 ** 6])
+    def test_exp_window_does_not_overflow(self, m):
+        # c eps / (e^{2m} - 1), to a few ulps where e^{2m} is a float; 0 past it
+        got = ChiModulus.exp_window(2).at_float(0.5, m)
+        want = 1.0 / math.expm1(2 * m) if 2 * m < 709 else 0.0
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def _overflowing_calls():
@@ -605,6 +683,7 @@ def _overflowing_calls():
         "lambda_capital": lambda: moduli.lambda_capital(cs, F(1, 10), CF.constant(1)),
         "delta_second_order": lambda: moduli.delta_second_order(
             cs, 1, 1, CF.constant(0)),
+        "sfb_b_rate": lambda: moduli.sfb_b_rate(cs, 1, F(1, 10), CF.constant(1)),
         "fb_uniform_monotone_rate": lambda: moduli.fb_uniform_monotone_rate(
             "first", "B", lambda e: e * e, small, b=1, gamma=1, beta=1,
             flow_rate=lambda e: (1 / e).ceil()),

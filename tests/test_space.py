@@ -25,12 +25,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             s1.geodesic_point([0], [2], 1.5)
 
-    def test_inner_product_examples(self):
-        s2 = euclidean(2)
-        assert s2.inner_product([1, 0], [0, 1]) == 0.0
-        assert s2.inner_product([1, 2], [3, 4]) == pytest.approx(11.0)
-        assert s2.inner_product([1, 2], [1, 2]) >= 0.0
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             euclidean(2).distance([1], [1, 2])

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from fejerflow.counterfunctions import Counterfunction as CF
 from fejerflow.exact import R, ExtendedNatural as EN
 from fejerflow.flows import ParameterCurve, SemigroupPoint, integrate_first_order
-from fejerflow.moduli import PerturbationFn, PerturbationPair
+from fejerflow.moduli import ChiModulus, LiminfBound, ModulusBundle, PerturbationFn, PerturbationPair
 from fejerflow.operators import CocoerciveMap, ConvexFunction, MonotoneOperator, NonexpansiveMap
 from fejerflow.space import euclidean
 from fejerflow.verify import (
@@ -59,6 +59,16 @@ class TestKernels:
         # every pair of rows, including pairs across the 1,024-row blocks
         brute = max(float(((xs[:, 0] - x) ** 2).max()) for x in xs[:, 0])
         assert pairwise_max_distance(xs) == math.sqrt(brute)
+
+    @pytest.mark.parametrize("xs", [
+        [[0.0, 0.0], [3.0, 4.0], [math.nan, 0.0]],
+        [[0.0], [5.0], [math.nan]],
+        [[0.0, 0.0]] * 1500 + [[3.0, 4.0], [0.0, math.nan]],
+    ], ids=["2d", "1d", "2d_second_block"])
+    def test_pairwise_max_distance_propagates_nan(self, xs):
+        # a block holding the distance-5 pair must not hide a NaN row in
+        # another, or a window with a NaN point could read "holds"
+        assert math.isnan(pairwise_max_distance(np.array(xs)))
 
     def test_prefix_min_violation(self):
         h = np.array([1.0, 2.0, 0.5])
@@ -197,27 +207,28 @@ def contraction_traj():
                                  [1.0], 20.0, 1e-3)
 
 
+def _fejer_bundle():
+    """G = H = squares and chi(eps, n, m) = eps / (4m); check_fejer reads
+    nothing else of a bundle."""
+    return ModulusBundle(phi=LiminfBound(lambda e: 0, unary=True),
+                         chi=ChiModulus.scaled_inverse(4), pair=PerturbationPair.squares())
+
+
 class TestFejerCheck:
     def test_exact_fixed_point_passes(self, contraction_traj):
-        chi = lambda e, n, m: e / (4 * m)
-        rep = check_fejer(contraction_traj, [(np.array([0.0]), 0.0)],
-                          PerturbationPair.squares(), chi)
+        rep = check_fejer(contraction_traj, [(np.array([0.0]), 0.0)], _fejer_bundle())
         assert rep.status == "holds"
 
     def test_guard_vacuous_pass(self, contraction_traj):
         # residual above every chi guard: no assertion is made
-        chi = lambda e, n, m: e / (4 * m)
-        rep = check_fejer(contraction_traj, [(np.array([5.0]), 99.0)],
-                          PerturbationPair.squares(), chi)
+        rep = check_fejer(contraction_traj, [(np.array([5.0]), 99.0)], _fejer_bundle())
         assert rep.status == "inconclusive"
 
     def test_fake_residual_violates(self, contraction_traj):
         # the flow passes through z = 0.5 and then recedes from it, so with a
         # (falsely) declared residual of 0 the Fejer inequality genuinely
         # fails and the checker must flag it
-        chi = lambda e, n, m: e / (4 * m)
-        rep = check_fejer(contraction_traj, [(np.array([0.5]), 0.0)],
-                          PerturbationPair.squares(), chi,
+        rep = check_fejer(contraction_traj, [(np.array([0.5]), 0.0)], _fejer_bundle(),
                           windows=((0, 16),))
         assert rep.status == "violated"
 
@@ -432,12 +443,12 @@ class TestStackContract:
         def exact(fn):
             return np.array([(R(float(x)).powq(fn.p) * R(fn.coef)).to_float() for x in a])
 
-        assert _perturb(PerturbationFn(), a) is a
-        square = PerturbationFn("power", Fraction(2))
+        assert _perturb(PerturbationFn(), a).tobytes() == a.tobytes()
+        square = PerturbationFn(Fraction(2))
         assert _perturb(square, a).tobytes() == exact(square).tobytes()
         # a non-dyadic coefficient is itself rounded to a float: one more ULP
-        for fn, ulps in ((PerturbationFn("scaled_power", Fraction(2), Fraction(3, 2)), 1),
-                         (PerturbationFn("power", Fraction(3, 2)), 1),
-                         (PerturbationFn("scaled_power", Fraction(2), Fraction(7, 5)), 2)):
+        for fn, ulps in ((PerturbationFn(Fraction(2), Fraction(3, 2)), 1),
+                         (PerturbationFn(Fraction(3, 2)), 1),
+                         (PerturbationFn(Fraction(2), Fraction(7, 5)), 2)):
             got, want = _perturb(fn, a), exact(fn)
             assert (np.abs(got - want) <= ulps * np.spacing(want)).all(), fn
