@@ -101,10 +101,6 @@ def write_artifacts(outcome: ScenarioOutcome, directory: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _outcome_exit(outcomes) -> int:
-    return 0 if all(o.ok for o in outcomes) else 1
-
-
 def _run_one(config: dict, out_root: Path) -> ScenarioOutcome:
     outcome = run_scenario(config)
     write_artifacts(outcome, out_root / outcome.name)
@@ -147,7 +143,7 @@ def cmd_run(args) -> int:
         status = "OK" if outcome.ok else "VIOLATED"
         print(f"{outcome.name}: {status} "
               f"({len(outcome.reports)} checks, {len(outcome.certificates)} certificates)")
-    return _outcome_exit(outcomes)
+    return 0 if all(o.ok for o in outcomes) else 1
 
 
 def _write_suite_summary(outcomes, out_root: Path) -> None:
@@ -182,9 +178,8 @@ def cmd_list(args) -> int:
     registry = builtin_scenarios()
     needle = (args.filter or "").lower()
     for name in sorted(registry):
-        if needle and needle not in name.lower():
-            continue
-        print(f"{name:36s} {registry[name].description}")
+        if needle in name.lower():
+            print(f"{name:36s} {registry[name].description}")
     return 0
 
 
@@ -306,9 +301,15 @@ def cmd_report(args) -> int:
         return 2
     collected = []
     for reports_file in sorted(root.glob("**/reports.json")):
-        scenario = reports_file.parent.name
-        for entry in json.loads(reports_file.read_text()):
-            collected.append({"scenario": scenario, **entry})
+        try:
+            entries = json.loads(reports_file.read_text())
+            if not (isinstance(entries, list) and all(
+                    isinstance(e, dict) and {"claim", "status"} <= e.keys() for e in entries)):
+                raise ValueError("not a list of reports, each with a claim and a status")
+        except (OSError, ValueError) as exc:
+            print(f"report error: {reports_file}: {exc}", file=sys.stderr)
+            return 2
+        collected += [{"scenario": reports_file.parent.name, **e} for e in entries]
     if args.format == "json":
         print(json.dumps(_sanitize(collected), sort_keys=True, indent=2))
     elif args.format == "csv":

@@ -26,7 +26,7 @@ Stojkovic semigroup with ``operators.stojkovic_resolvent``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -114,10 +114,7 @@ class ParameterCurve:
 
     @classmethod
     def table(cls, ts, values, lower=None, upper=None) -> "ParameterCurve":
-        lo = min(values) if lower is None else lower
-        hi = max(values) if upper is None else upper
-        return cls(kind="table", breaks=tuple(ts), values=tuple(values),
-                   lower=lo, upper=hi)
+        return replace(cls.piecewise(ts, values, lower, upper), kind="table")
 
     @classmethod
     def from_spec(cls, spec) -> "ParameterCurve":

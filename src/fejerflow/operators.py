@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .config import Config
 from .space import SpaceDescriptor, row_norm
@@ -366,10 +365,11 @@ class PropertyReport:
 
 def ball_samples(space: SpaceDescriptor, n: int, radius: float, center=None,
                  seed: int = 0) -> np.ndarray:
-    """Deterministic quasi-random points in a closed ball (Halton sequence)."""
+    """Seeded uniform points of the cube [-1, 1]^d, mapped radially into the closed ball."""
+    if n < 1:
+        raise OperatorError("need at least one sample")
     center = space.zero() if center is None else space.point(center)
-    halton = qmc.Halton(d=space.dimension, seed=seed)
-    cube = 2.0 * halton.random(n) - 1.0
+    cube = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, space.dimension))
     norms = np.maximum(np.linalg.norm(cube, axis=1), 1.0)
     return center + radius * cube / norms[:, None]
 
@@ -378,10 +378,7 @@ def check_nonexpansive(map_: NonexpansiveMap, space: SpaceDescriptor,
                        n_samples: int = 64, radius: float = 2.0,
                        seed: int = 0, tol: float = 1e-9) -> PropertyReport:
     """Max over sampled pairs of ||Tx - Ty|| / ||x - y||; pass iff <= 1 + tol."""
-    if n_samples < 1:
-        raise OperatorError("need at least one sample")
-    pts = ball_samples(space, 2 * n_samples, radius, seed=seed)
-    xs, ys = pts[:n_samples], pts[n_samples:]
+    xs, ys = np.split(ball_samples(space, 2 * n_samples, radius, seed=seed), 2)
     denom = row_norm(xs - ys)
     kept = denom >= 1e-14
     ratio = row_norm(map_(xs[kept]) - map_(ys[kept])) / denom[kept]
@@ -396,10 +393,7 @@ def check_cocoercive(B: CocoerciveMap, space: SpaceDescriptor,
                      n_samples: int = 64, radius: float = 2.0,
                      seed: int = 0, tol: float = 1e-9) -> PropertyReport:
     """Sampled check of beta ||Bx - By||^2 <= <x - y, Bx - By>."""
-    if n_samples < 1:
-        raise OperatorError("need at least one sample")
-    pts = ball_samples(space, 2 * n_samples, radius, seed=seed)
-    xs, ys = pts[:n_samples], pts[n_samples:]
+    xs, ys = np.split(ball_samples(space, 2 * n_samples, radius, seed=seed), 2)
     db = B(xs) - B(ys)
     lhs = B.beta * np.vecdot(db, db)
     rhs = np.vecdot(xs - ys, db)

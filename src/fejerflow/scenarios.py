@@ -212,6 +212,16 @@ def _metastability(cfg: Config, eps: Fraction,
     return eps, float(eps), [Counterfunction.from_spec(s) for s in specs]
 
 
+def _times(cfg: Config, key: str, default: list, traj: Trajectory,
+           read=Config.number) -> np.ndarray:
+    """The times at ``key``, each refused naming ``key[i]`` unless ``traj.eval`` reaches it."""
+    items = cfg.entries(key, default)
+    for i in items:
+        if not 0.0 <= read(items, i) <= traj.horizon + 1e-12:
+            items.refuse(i, items[i], f"a time in [0, {traj.horizon}]")
+    return np.array([read(items, i) for i in items])
+
+
 def _regularity(cfg: Config) -> Optional[moduli.TauModulus]:
     """The catalogued modulus of regularity of the optional ``regularity``
     section, its one parameter read exactly."""
@@ -379,7 +389,7 @@ def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:
 
     oracle = cfg.spec("oracle", None)
     if oracle:
-        times = np.asarray(oracle.numbers("times", [0.5, 1.0, 2.0, 5.0]))
+        times = _times(oracle, "times", [0.5, 1.0, 2.0, 5.0], traj)
         value = sum(term.number(0) * np.exp(term.number(1) * times)
                     for term in oracle.pairs("terms"))
         worst = np.abs(traj.eval(times)[:, 0] - value).max()
@@ -591,7 +601,7 @@ def _run_gradient_flow(cfg: Config, out: ScenarioOutcome) -> None:
     out.add(check_mayer_inequality(mayer_pts, phi, zs, tol=_base_tolerance(traj)))
 
     # Mayer's estimate at z = y: phi(S_t x) - phi(y) <= d(x, y)^2 / (2 t) <= b^2 / (2 t)
-    times = np.asarray(cfg.numbers("objective_times", [1.0, 2.0, 10.0], Config.positive))
+    times = _times(cfg, "objective_times", [1.0, 2.0, 10.0], traj, Config.positive)
     excess = phi(traj.eval(times)) - phi(y) - R(b * b).to_float() / (2 * times)
     out.add(report_from_margin("objective_rate", float(excess.max()), _base_tolerance(traj)))
 

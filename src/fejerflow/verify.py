@@ -210,8 +210,7 @@ def _scan_windows(traj: Trajectory, eps: float, f: Counterfunction,
     one of the last window scanned (``tol`` if none fits).  The certificate
     (when finite and within horizon reach) must dominate the witness."""
     horizon = traj.horizon
-    witness = None
-    value_at_witness = None
+    witness = value_at_witness = None
     last_scanned = -1
     for n in range(0, int(horizon) + 1):
         if n + f(n) > horizon:
@@ -219,8 +218,7 @@ def _scan_windows(traj: Trajectory, eps: float, f: Counterfunction,
         ok, value, tol = window(n)
         last_scanned = n
         if ok:
-            witness = n
-            value_at_witness = value
+            witness, value_at_witness = n, value
             break
     details = {"certificate": certificate.to_json(), "eps": eps, "grid": grid}
     if witness is None:

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -417,6 +420,11 @@ _NAMED_KEY_CONFIGS = {
         "overrides": {**_SHORT, "curves": {"lambda": {
             "kind": "piecewise", "breaks": [2, 1], "values": [0.5, 0.5, 0.5],
             "lower": 0.5, "upper": 0.5}}}},
+    # listed times past the horizon the trajectory reaches
+    "objective_time_past_the_horizon": {"builtin": "gradient_flow_quadratic",
+                                        "overrides": {"horizon": 1.0}},
+    "oracle_time_past_the_horizon": {"builtin": "second_order_linear",
+                                     "overrides": {"horizon": 1.0}},
 }
 # the key each of them names in its error message
 _NAMED_KEYS = {
@@ -468,6 +476,8 @@ _NAMED_KEYS = {
     "forward_backward_second_two_counterfunctions": "'metastability.counterfunctions'",
     "start_past_the_squares": "'initial.x0'",
     "solution_point_past_the_squares": "'solution.point'",
+    "objective_time_past_the_horizon": "'objective_times[1]'",
+    "oracle_time_past_the_horizon": "'oracle.times[2]'",
     "eps_rho_zero": "'eps_rho[0]'",
     "eps_b_zero": "'eps_b[0]'",
     "eps_regularity_negative": "'eps_regularity[0]'",
@@ -787,8 +797,29 @@ class TestReport:
     def test_missing_dir(self):
         assert main(["report", "/nonexistent/dir"]) == 2
 
+    @pytest.mark.parametrize("text", ["not json", '{"claim": "c", "status": "holds"}',
+                                      '[{"claim": "c"}]'],
+                             ids=["not_json", "not_a_list", "entry_without_status"])
+    def test_malformed_reports_exit_two(self, tmp_path, capsys, text):
+        reports = tmp_path / "art" / "scenario" / "reports.json"
+        reports.parent.mkdir(parents=True)
+        reports.write_text(text)
+        assert main(["report", str(tmp_path / "art")]) == 2
+        assert f"report error: {reports}" in capsys.readouterr().err
+
 
 @given(st.floats())
 @example(1.7763568394002505e-15)  # second_order_linear's closed_form_match error
 def test_numpy_and_python_floats_serialize_alike(x):
     assert json.dumps(_sanitize(np.float64(x))) == json.dumps(_sanitize(float(x)))
+
+
+def test_imports_leave_scipy_unloaded():
+    # numpy is the one runtime dependency: importing the package, its CLI
+    # and its pipelines loads no scipy module
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, fejerflow, fejerflow.cli, fejerflow.scenarios; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.strip() == "[]"

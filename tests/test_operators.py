@@ -10,6 +10,7 @@ from fejerflow.operators import (
     ConvexFunction,
     MonotoneOperator,
     NonexpansiveMap,
+    OperatorError,
     ball_samples,
     check_cocoercive,
     check_nonexpansive,
@@ -146,12 +147,19 @@ class TestPropertyCheckers:
         nan_b = CocoerciveMap(fn=lambda x: x * np.nan, beta=1.0, name="nan")
         assert check_cocoercive(nan_b, euclidean(2)).violations == 64
 
-    def test_sampling_deterministic(self):
-        s = euclidean(3)
-        a = ball_samples(s, 16, 2.0, seed=1)
-        b = ball_samples(s, 16, 2.0, seed=1)
-        assert np.array_equal(a, b)
-        assert np.linalg.norm(a, axis=1).max() <= 2.0 + 1e-12
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    @pytest.mark.parametrize("shifted", [False, True], ids=["origin", "shifted"])
+    def test_sampling_deterministic(self, d, shifted):
+        s = euclidean(d)
+        center = np.linspace(-1.0, 3.0, d) if shifted else None
+        a = ball_samples(s, 16, 2.0, center=center, seed=1)
+        assert a.shape == (16, d)
+        assert np.array_equal(a, ball_samples(s, 16, 2.0, center=center, seed=1))
+        offset = a - (0.0 if center is None else center)
+        assert np.linalg.norm(offset, axis=1).max() <= 2.0 + 1e-12
+        assert not np.array_equal(a, ball_samples(s, 16, 2.0, center=center, seed=2))
+        with pytest.raises(OperatorError, match="at least one sample"):
+            check_nonexpansive(NonexpansiveMap.identity(), s, n_samples=0)
 
 
 class TestConvexFunctions:
