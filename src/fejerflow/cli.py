@@ -6,9 +6,11 @@ Subcommands:
                                     no check violated, 2 on config errors
     list [filter]                   builtin scenario registry
     certify <theorem> --param k=v   direct access to the certificate calculators
-    report <dir> [--format ...]     re-emit reports as json, csv or text
+    report <dir> [--format ...]     re-emit reports as json, csv or text; exit 2
+                                    when <dir> holds no reports.json
 
-Environment: FEJERFLOW_BUDGET_BITS (certificate overflow budget).
+Environment: FEJERFLOW_BUDGET_BITS (certificate overflow budget in bits, an
+integer >= 8), read once by ``main``; any other value exits 2.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -26,6 +29,7 @@ import numpy as np
 from . import moduli
 from .config import Config, ConfigError
 from .counterfunctions import Counterfunction
+from .exact import set_budget_bits
 from .flows import IntegrationError
 from .operators import IterationBudgetError
 from .scenarios import ScenarioOutcome, builtin_scenarios, run_scenario
@@ -299,8 +303,12 @@ def cmd_report(args) -> int:
     if not root.exists():
         print(f"report error: no such directory {root}", file=sys.stderr)
         return 2
+    reports_files = sorted(root.glob("**/reports.json"))
+    if not reports_files:
+        print(f"report error: no reports.json under {root}", file=sys.stderr)
+        return 2
     collected = []
-    for reports_file in sorted(root.glob("**/reports.json")):
+    for reports_file in reports_files:
         try:
             entries = json.loads(reports_file.read_text())
             if not (isinstance(entries, list) and all(
@@ -350,6 +358,13 @@ def main(argv=None) -> int:
     p_rep.set_defaults(fn=cmd_report)
 
     args = parser.parse_args(argv)
+    bits = os.environ.get("FEJERFLOW_BUDGET_BITS")
+    if bits is not None:
+        try:
+            set_budget_bits(int(bits))
+        except ValueError as exc:
+            print(f"config error: FEJERFLOW_BUDGET_BITS={bits!r}: {exc}", file=sys.stderr)
+            return 2
     return args.fn(args)
 
 

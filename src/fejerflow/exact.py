@@ -22,7 +22,6 @@ Two pieces live here:
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import Callable, Optional, TypeVar, Union
 
@@ -53,7 +52,7 @@ class PrecisionExhausted(Exception):
 
 _DEFAULT_BUDGET_BITS = 256
 
-_budget_bits = int(os.environ.get("FEJERFLOW_BUDGET_BITS", _DEFAULT_BUDGET_BITS))
+_budget_bits = _DEFAULT_BUDGET_BITS
 
 # exp() arguments beyond this are astronomically large; every certificate
 # formula using them overflows the value budget anyway, so refuse early.

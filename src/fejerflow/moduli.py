@@ -10,17 +10,22 @@ irrational subterms); results are :class:`ExtendedNatural` values whose
 overflow sentinel surfaces tower-sized bounds instead of saturating floats.
 
 Each calculator computes a plain int behind one boundary, ``_certificate``:
-it turns the int into an :class:`ExtendedNatural` and a
+it hands the calculator its ``eps`` as a :class:`Real`, refusing eps <= 0,
+and turns the int into an :class:`ExtendedNatural` and a
 :class:`BudgetExceeded` into overflow whose trace is ``{"overflow": reason}``.
 A calculator that records its levels takes a keyword-only ``trace`` dict,
 which the boundary creates and hands back on the value; callers never pass
-one.  Every Delta calculator is its theorem's :class:`ModulusBundle`
-evaluated by the one recursion ``_delta_core``, through one level loop,
-``_levels``, in which Delta(j) = phi(eps_hat_j) reads only the largest level
-so far: the running minimum of chi^M_f over the
-earlier levels is chi^M_f at that largest level, because the intervals
-[1, L+1] are nested.  Once a level does not raise the largest one, every
-later level repeats it, so the loop stops at that fixed point.
+one.  Every radius is read through ``_radius``, which refuses b < 0.
+
+Every Delta calculator is its theorem's :class:`ModulusBundle` evaluated by
+the one recursion ``_delta_core``, a radius or a K of 0 included: phi is
+then 0 and a scaled-inverse chi restricts nothing, so the levels stop at
+[0, 0].  The recursion runs through one level loop, ``_levels``, in which
+Delta(j) = phi(eps_hat_j) reads only the largest level so far: the running
+minimum of chi^M_f over the earlier levels is chi^M_f at that largest level,
+because the intervals [1, L+1] are nested.  Once a level does not raise the
+largest one, every later level repeats it, so the loop stops at that fixed
+point.
 
 Every ceiling rounds outward (``Real.ceil_upper``), so an integer-valued
 irrational term (b^4 = 4 for b = sqrt 2) gives a value, not an error.  Each
@@ -98,25 +103,37 @@ def _require_dimension(d) -> None:
     _require(isinstance(d, int) and d >= 1, f"dimension must be an integer >= 1, got {d!r}")
 
 
+def _radius(b: RealLike) -> Real:
+    """A ball's radius b as a Real, refused below 0.  The sign is read from
+    b's own enclosure, which b caches across the bundle's several reads."""
+    b = R(b)
+    _require(b.exact == 0 or b.is_positive(), "radius must be nonnegative")
+    return b
+
+
 def _certificate(calc: Callable[..., int]) -> Callable[..., ExtendedNatural]:
-    """The certificate boundary: ``calc``'s int becomes an ExtendedNatural
-    carrying the trace ``calc`` wrote, and a BudgetExceeded becomes overflow
-    carrying its reason."""
+    """The certificate boundary: ``calc`` gets its ``eps`` as a Real, refused
+    unless positive; its int becomes an ExtendedNatural carrying the trace
+    ``calc`` wrote, and a BudgetExceeded becomes overflow carrying its reason."""
     signature = inspect.signature(calc)
     writes_trace = "trace" in signature.parameters
+    public = signature.replace(
+        parameters=[p for name, p in signature.parameters.items() if name != "trace"],
+        return_annotation=ExtendedNatural)
 
     @functools.wraps(calc)
     def certificate(*args, **kwargs) -> ExtendedNatural:
+        call = public.bind(*args, **kwargs)
+        eps = call.arguments["eps"] = R(call.arguments["eps"])
+        _require(eps.is_positive(), "eps must be positive")
         trace = {}
         extra = {"trace": trace} if writes_trace else {}
         try:
-            return ExtendedNatural(guard(calc(*args, **kwargs, **extra)), trace)
+            return ExtendedNatural(guard(calc(*call.args, **call.kwargs, **extra)), trace)
         except BudgetExceeded as exc:
             return ExtendedNatural.overflow(str(exc))
 
-    certificate.__signature__ = signature.replace(
-        parameters=[p for name, p in signature.parameters.items() if name != "trace"],
-        return_annotation=ExtendedNatural)
+    certificate.__signature__ = public
     return certificate
 
 
@@ -209,12 +226,14 @@ class ChiModulus:
             return eps / (c * m) if c * m else math.inf
         return c * eps * math.exp(-2 * m) / -math.expm1(-2 * m) if m else math.inf
 
-    def chi_f_min(self, eps: Real, upto: int, f: Counterfunction) -> Real:
+    def chi_f_min(self, eps: Real, upto: int, f: Counterfunction) -> Optional[Real]:
         """Exact chi^M_f(eps, upto), nonincreasing in upto: both shapes
-        decrease in m' = f(m+1)+1, so only max f on [1, upto+1] matters."""
+        decrease in m' = f(m+1)+1, so only max f on [1, upto+1] matters.
+        None where chi restricts nothing (scaled_inverse at c = 0)."""
+        if self.kind == "scaled_inverse" and self.coef.exact == 0:
+            return None
         m = max_on(f, 1, upto + 1) + 1
         if self.kind == "scaled_inverse":
-            _require(self.coef.exact != 0, "chi^M_f of scaled_inverse needs c > 0")
             return eps / (self.coef * m)
         return self.coef * eps / (R(2 * m).exp() - 1)
 
@@ -279,15 +298,10 @@ class _FPhiEps:
         self.f = f
         self.phi = phi
         self.eps = eps
-        self._memo: dict[int, int] = {}
 
     def __call__(self, n: int) -> int:
-        cached = self._memo.get(n)
-        if cached is None:
-            top = self.phi.eval(self.eps, n)
-            cached = max(max_tilde_on(self.f, 1, top + 1) - n, 0)
-            self._memo[n] = cached
-        return cached
+        top = self.phi.eval(self.eps, n)
+        return max(max_tilde_on(self.f, 1, top + 1) - n, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +317,7 @@ def aas1_metastability(b: RealLike, c: RealLike, Bnorm: RealLike,
 
         omega = ceil(2 B / eps) * ceil((c + B - b) / eps),   result f~^(omega)(0).
     """
-    b, c, Bnorm, eps = R(b), R(c), R(Bnorm), R(eps)
-    _require(eps.is_positive(), "eps must be positive")
+    b, c, Bnorm = R(b), R(c), R(Bnorm)
     _require(not (c - b).lt(0), "need c >= b")
     _require(not Bnorm.lt(0), "need Bnorm >= 0")
     omega = guard((2 * Bnorm / eps).ceil_upper() * ((c + Bnorm - b) / eps).ceil_upper())
@@ -331,8 +344,6 @@ def aas2_metastability(c: RealLike, Anorm: RealLike, Bnorm: RealLike,
         r = Fraction(r)
         _require(r >= 1, "need r >= 1")
         q = 1 + p * (1 - Fraction(1) / r)
-    eps = R(eps)
-    _require(eps.is_positive(), "eps must be positive")
     return iterate_tilde(f, *_aas2_terms(c, Anorm, Bnorm, p, q, eps))
 
 
@@ -375,12 +386,12 @@ def monotone_liminf_bound(phi_raw: Callable[[Real, int], int]) -> Callable[[Real
 # ---------------------------------------------------------------------------
 
 
-def _levels(P: int, step: Callable[[int], int], levels: list, trace: dict) -> int:
-    """The Delta-level recursion: appends Delta(j) = step(top) for j = 1..P to
-    ``levels`` and returns the final top, the largest level so far (0 while
-    there is none).  Every recursion reads only top, so once a level does
-    not raise it every later level repeats it: the loop stops there."""
-    top = max(levels, default=0)
+def _levels(P: int, step: Callable[[int], int], trace: dict) -> int:
+    """The Delta-level recursion: Delta(0) = 0 and Delta(j) = step(top) for
+    j = 1..P, where top is the largest level so far; returns the final top.
+    Every recursion reads only top, so once a level does not raise it every
+    later level repeats it: the loop stops there."""
+    levels, top = [0], 0
     for _ in range(P):
         level = guard(step(top))
         levels.append(level)
@@ -404,15 +415,16 @@ def _delta_core(bundle: ModulusBundle, eps: Real, f: Counterfunction,
     upto = guard(bundle.eta.fn(delta_arg)) if bundle.eta.variant == "convergence" else 0
 
     def step(top: int) -> int:
-        eps_hat = bundle.chi.chi_f_min(delta_arg, top, f)
-        if chi_cap is not None:
-            eps_hat = Real.minimum(chi_cap, eps_hat)
+        # a chi that restricts nothing (None) leaves the cap alone
+        bounds = [c for c in (chi_cap, bundle.chi.chi_f_min(delta_arg, top, f)) if c is not None]
+        _require(bounds, "a chi that restricts nothing needs a chi cap")
+        eps_hat = Real.minimum(*bounds)
         if metastable:
             return bundle.phi.eval(eps_hat, guard(
                 bundle.eta.fn(delta_arg, _FPhiEps(f, bundle.phi, eps_hat))))
         return bundle.phi.eval(eps_hat, upto)
 
-    return _levels(P, step, [0], trace) + 1
+    return _levels(P, step, trace) + 1
 
 
 @_certificate
@@ -422,7 +434,7 @@ def delta_general(bundle: ModulusBundle, eps: RealLike, f: Counterfunction,
     of metastability)."""
     _require(bundle.eta.variant == "metastability",
              "delta_general needs a metastability-variant error rate")
-    return _delta_core(bundle, R(eps), f, chi_cap, trace)
+    return _delta_core(bundle, eps, f, chi_cap, trace)
 
 
 @_certificate
@@ -431,7 +443,7 @@ def delta_with_error_rate(bundle: ModulusBundle, eps: RealLike, f: Counterfuncti
     """Simplified bound when errors have a rate of convergence or vanish."""
     _require(bundle.eta.variant in ("zero", "convergence"),
              "delta_with_error_rate needs a convergence-variant or zero error rate")
-    return _delta_core(bundle, R(eps), f, chi_cap, trace)
+    return _delta_core(bundle, eps, f, chi_cap, trace)
 
 
 @_certificate
@@ -441,7 +453,6 @@ def delta_uniform_continuity(bundle: ModulusBundle, eps: RealLike, f: Counterfun
     the window, for uniformly continuous solution functions: evaluates the
     core recursion at min(eps, omega(eps/2)) with chi capped at eps/2."""
     _require(bundle.omega is not None, "bundle needs a uniform-continuity modulus")
-    eps = R(eps)
     eps0 = Real.minimum(eps, bundle.omega(eps / 2))
     return _delta_core(bundle, eps0, f, eps / 2, trace)
 
@@ -509,8 +520,7 @@ def fast_linear_rate(beta: float, k: float, p: float = 1.0) -> float:
 
 def _ball_tb_int(d: int, b: RealLike, eps: Real) -> int:
     _require_dimension(d)
-    b = R(b)
-    _require(not b.lt(0), "radius must be nonnegative")
+    b = _radius(b)
     inner = guard((1 / eps).ceil_upper())
     base = (2 * (inner + 1) * R(d).sqrt() * b).ceil_upper()
     if base >= 2 and d * (base.bit_length() - 1) > get_budget_bits():
@@ -524,8 +534,6 @@ def ball_total_boundedness(d: int, b: RealLike, eps: RealLike) -> int:
 
         gamma(eps) = ceil(2 (ceil(1/eps) + 1) sqrt(d) b) ^ d.
     """
-    eps = R(eps)
-    _require(eps.is_positive(), "eps must be positive")
     return _ball_tb_int(d, b, eps)
 
 
@@ -585,19 +593,14 @@ def asymptotic_regularity_rate(b: RealLike, *, divergence_modulus=None,
     """
     _require((divergence_modulus is None) != (lower_witness is None),
              "exactly one of divergence_modulus / lower_witness required")
-    b = R(b)
+    b = _radius(b)
     delta = R(averaged_delta)
     if divergence_modulus is not None:
         return lambda eps: guard(int(divergence_modulus(delta * b * b / (R(eps) * R(eps)))))
     lam = R(lower_witness)
     _require(lam.is_positive(), "lower witness must be positive")
-
-    def phi(eps: Real) -> int:
-        if not b.is_positive():
-            return 0
-        return guard((4 * b.powq(4) * delta * delta / (lam * lam * R(eps) * R(eps))).ceil_upper())
-
-    return phi
+    return lambda eps: guard(
+        (4 * b.powq(4) * delta * delta / (lam * lam * R(eps) * R(eps))).ceil_upper())
 
 
 @_certificate
@@ -611,24 +614,18 @@ def delta_first_order(d: int, b: RealLike, lambda_info: dict, eps: RealLike,
         eps_hat_j = min{eps/2, (eps^2/12) / (4 b (f(m+1)+1)) :
                         m <= Delta(i), i < j}
     """
-    _require_dimension(d)
-    eps = R(eps)
-    _require(eps.is_positive(), "eps must be positive")
-    if not R(b).is_positive():
-        asymptotic_regularity_rate(b, **lambda_info)  # refuses a malformed lambda_info
-        # a ball of radius 0: one level, and it is 0
-        return _levels(1, lambda top: 0, [0], trace) + 1
     return _delta_core(first_order_bundle(d, b, lambda_info), eps, f, eps / 2, trace)
 
 
 def first_order_bundle(d: int, b: RealLike, lambda_info: dict) -> ModulusBundle:
     """The abstract-theorem instantiation that :func:`delta_first_order`
     evaluates with chi_cap = eps/2 (G = H = squares, chi = eps/(4 b m), zero
-    errors, unary phi); its chi^M_f needs b > 0."""
+    errors, unary phi)."""
+    b = _radius(b)
     phi = asymptotic_regularity_rate(b, **lambda_info)
     return ModulusBundle(
         phi=LiminfBound(phi, unary=True),
-        chi=ChiModulus.scaled_inverse(4 * R(b)),
+        chi=ChiModulus.scaled_inverse(4 * b),
         eta=ErrorRate.zero(),
         pair=PerturbationPair.squares(),
         gamma_tb=ball_modulus(d, b),
@@ -726,8 +723,6 @@ def second_order_constants(b, c, d, lam_lo, lam_hi, gam_lo, gam_hi, theta, beta,
 def lambda_capital(consts: SecondOrderConstants, eps: RealLike, f) -> int:
     """Metastability bound Lambda(eps, f) for ||x'(t)|| and ||B(x(t))||: the
     L^2 lemma :func:`aas2_metastability` at (C, A, B, p = r = 2)."""
-    eps = R(eps)
-    _require(eps.is_positive(), "eps must be positive")
     return _lambda_int(consts, eps, f)
 
 
@@ -742,6 +737,8 @@ def second_order_liminf(consts: SecondOrderConstants, eps: RealLike, n: int) -> 
 
 
 def _second_order_eta(consts: SecondOrderConstants, delta: Real, f) -> int:
+    if consts.K.exact == 0:
+        return 0  # A = B = 0: Lambda vanishes
     arg = Real.minimum(
         delta * R(consts.gam_lo) / (6 * consts.K),
         (delta * R(consts.gam_lo) * R(consts.lam_lo)
@@ -755,12 +752,6 @@ def delta_second_order(consts: SecondOrderConstants, dim: int, eps: RealLike,
                        f: Counterfunction, *, trace: dict) -> int:
     """Metastability bound for the second-order system in R^dim.  The theorem
     applies this at min(eps, beta eps / 2): callers scale before calling."""
-    _require_dimension(dim)
-    eps = R(eps)
-    _require(eps.is_positive(), "eps must be positive")
-    if consts.K.exact == 0:
-        # the trajectory stays at its start: one level, and it is 0
-        return _levels(1, lambda top: 0, [0], trace) + 1
     return _delta_core(second_order_bundle(consts, dim), eps, f, eps / 2, trace)
 
 
@@ -768,7 +759,7 @@ def second_order_bundle(consts: SecondOrderConstants, dim: int) -> ModulusBundle
     """The abstract-theorem instantiation that :func:`delta_second_order`
     evaluates with chi_cap = eps/2: G = (gamma_hi/gamma_lo) (.)^2, H = (.)^2,
     chi = eps gamma_lo / (8 K lambda_hi m), phi = ``second_order_liminf`` and
-    errors resolved by the rate of metastability Lambda; chi^M_f needs K > 0."""
+    errors resolved by the rate of metastability Lambda."""
     return ModulusBundle(
         phi=LiminfBound(functools.partial(second_order_liminf, consts)),
         chi=ChiModulus.scaled_inverse(8 * consts.K * R(consts.lam_hi) / R(consts.gam_lo)),
@@ -799,11 +790,10 @@ def fb_uniform_monotone_rate(order: str, who: str, phi_fn: Callable[[Real], Real
     function phi_fn."""
     _require(order in ("first", "second"), "order is first|second")
     _require(who in ("A", "B"), "who is A|B")
-    eps = R(eps)
     if order == "first":
         _require(None not in (b, gamma, beta, flow_rate),
                  "first order needs b, gamma, beta, flow_rate")
-        b = R(b)
+        b = _radius(b)
         if not b.is_positive():
             return 0  # x(t) = y throughout
         if who == "B":
@@ -836,7 +826,7 @@ def fb_psi_rate(flow_rate: Callable[[Real], int], b: RealLike, gamma: RealLike,
                 beta: RealLike, eps: RealLike) -> int:
     """psi(eps) = flow_rate(gamma beta eps^2 / (3b)), past which the first-order
     forward-backward flow keeps ||B(x(t)) - B(y)|| <= eps; 0 at b = 0 (x = y)."""
-    b = R(b)
+    b = _radius(b)
     return flow_rate(R(gamma) * R(beta) * R(eps) * R(eps) / (3 * b)) if b.is_positive() else 0
 
 
@@ -845,8 +835,6 @@ def sfb_b_rate(consts: SecondOrderConstants, eta_step: RealLike, eps: RealLike,
                f: Counterfunction) -> int:
     """Lambda(eps^2 eta beta / (3K), f) bounds ||B(x(t)) - B(y)|| along the
     second-order forward-backward flow; 0 at K = 0, where A = B = 0."""
-    eps = R(eps)
-    _require(eps.is_positive(), "eps must be positive")
     if consts.K.exact == 0:
         return 0
     return _lambda_int(consts, eps * eps * R(eta_step) * R(consts.beta) / (3 * consts.K), f)
@@ -868,8 +856,6 @@ def delta_gradient_flow(b: RealLike, gamma_tb: Callable[[Real], int],
         result Delta(P) + 1.
     """
     _require(f.is_nondecreasing, "the gradient-flow bound needs nondecreasing f")
-    eps = R(eps)
-    _require(eps.is_positive(), "eps must be positive")
     return _delta_core(gradient_flow_bundle(b, gamma_tb), eps, f, None, trace)
 
 
@@ -877,7 +863,7 @@ def gradient_flow_bundle(b: RealLike, gamma_tb: Callable[[Real], int]) -> Modulu
     """The abstract-theorem instantiation that :func:`delta_gradient_flow`
     evaluates (G = H = squares, chi = eps/2m, phi = ceil(b^2/eps), zero
     errors)."""
-    b = R(b)
+    b = _radius(b)
     return ModulusBundle(
         phi=LiminfBound(lambda eps: (b * b / eps).ceil_upper(), unary=True),
         chi=ChiModulus.scaled_inverse(2),
@@ -915,12 +901,6 @@ def delta_stojkovic(b: RealLike, gamma_tb: Callable[[Real], int],
     outcome for small eps or growing f.
     """
     _require(f.is_nondecreasing, "the semigroup bound needs nondecreasing f")
-    eps = R(eps)
-    _require(eps.is_positive(), "eps must be positive")
-    if not R(b).is_positive():
-        trace["P"] = None
-        trace["levels"] = [0]
-        return 0
     # the generic recursion's final "+1" is not part of this theorem's bound
     return _delta_core(stojkovic_bundle(b, gamma_tb), eps, f, None, trace) - 1
 
@@ -933,7 +913,7 @@ def stojkovic_bundle(b: RealLike, gamma_tb: Callable[[Real], int]) -> ModulusBun
     evaluation of this bundle exceeds it by exactly one.
     """
     return ModulusBundle(
-        phi=LiminfBound(functools.partial(_stojkovic_phi, R(b)), unary=True),
+        phi=LiminfBound(functools.partial(_stojkovic_phi, _radius(b)), unary=True),
         chi=ChiModulus.exp_window(2),
         eta=ErrorRate.zero(),
         gamma_tb=gamma_tb,

@@ -20,7 +20,7 @@ import numpy as np
 from . import moduli
 from .config import Config, ConfigError, _rational
 from .counterfunctions import Counterfunction
-from .exact import BudgetExceeded, ExtendedNatural, R, Real, guard
+from .exact import BudgetExceeded, ExtendedNatural, R, Real
 from .flows import (
     ParameterCurve,
     Trajectory,
@@ -315,8 +315,8 @@ def _run_first_order(cfg: Config, out: ScenarioOutcome) -> None:
                                         claim="asymptotic_regularity_divergence"))
     out.add(check_asymptotic_regularity(traj, residual, phi2, eps_reg,
                                         claim="asymptotic_regularity_witness"))
-    inf_rate = _tail_rate(lambda e: guard(eta(b * b / (e * e))))
-    out.add(check_asymptotic_regularity(traj, residual, inf_rate, eps_reg,
+    # the inf form eta(b^2 / eps^2) is the divergence-modulus rate at delta = 1
+    out.add(check_asymptotic_regularity(traj, residual, phi1, eps_reg,
                                         claim="asymptotic_regularity_inf_form"))
 
     for long_traj in long_run:

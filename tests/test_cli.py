@@ -86,6 +86,32 @@ class TestCertify:
         assert "unknown --param ff for delta_stojkovic" in err and "eps, f" in err
 
     @pytest.mark.parametrize("argv", [
+        ["delta_first_order", "--param", "d=1", "--param", "b=-1",
+         "--param", "lambda_lo=1/2", "--param", "eps=1/4"],
+        ["delta_stojkovic", "--param", "b=-1", "--param", "eps=1/4"],
+    ], ids=["delta_first_order", "delta_stojkovic"])
+    def test_negative_radius_exit_two(self, capsys, argv):
+        assert main(["certify", *argv]) == 2
+        assert "radius must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bits", ["abc", "2"])
+    def test_bad_budget_variable_exit_two(self, capsys, monkeypatch, bits):
+        monkeypatch.setenv("FEJERFLOW_BUDGET_BITS", bits)
+        assert main(["certify", "ball_total_boundedness", "--param", "d=1",
+                     "--param", "b=1", "--param", "eps=1"]) == 2
+        assert "FEJERFLOW_BUDGET_BITS" in capsys.readouterr().err
+
+    def test_budget_variable_read_by_main(self, capsys, monkeypatch):
+        monkeypatch.setenv("FEJERFLOW_BUDGET_BITS", "8")
+        bits = get_budget_bits()
+        try:
+            assert main(["certify", "ball_total_boundedness", "--param", "d=1",
+                         "--param", "b=1", "--param", "eps=1/1000"]) == 0
+        finally:
+            set_budget_bits(bits)
+        assert json.loads(capsys.readouterr().out)["value"] == "overflow"
+
+    @pytest.mark.parametrize("argv", [
         ["ball_total_boundedness", "--param", "d=1.5", "--param", "b=1",
          "--param", "eps=1/10"],
         ["delta_first_order", "--param", "d=2.5", "--param", "b=1",
@@ -806,6 +832,12 @@ class TestReport:
         reports.write_text(text)
         assert main(["report", str(tmp_path / "art")]) == 2
         assert f"report error: {reports}" in capsys.readouterr().err
+
+    def test_no_reports_exit_two(self, tmp_path, capsys):
+        # an existing directory without reports is not a run whose checks held
+        (tmp_path / "art" / "scenario").mkdir(parents=True)
+        assert main(["report", str(tmp_path / "art")]) == 2
+        assert "report error: no reports.json" in capsys.readouterr().err
 
 
 @given(st.floats())

@@ -577,20 +577,25 @@ class TestDeltaCalculatorsAgainstOracles:
         _assert_oracle_agrees(cert, lambda: oracles.delta_second_order_f0(*args, dim, F(eps)))
 
     def test_degenerate_guards(self):
-        # inputs the Delta recursion cannot take: a bundle at b = 0 builds,
-        # and its float chi restricts nothing, but its chi^M_f refuses c = 0
+        # a radius or a K of 0 runs through the one recursion: a bundle at
+        # b = 0 builds, its chi^M_f restricts nothing (the cap alone bounds
+        # eps_hat), phi is 0, and every trace is the generic [0, 0]
         flat = first_order_bundle(1, 0, {"lower_witness": F(1, 2)})
-        with pytest.raises(ValueError):
-            flat.chi.chi_f_min(R(F(1, 4)), 0, CF.constant(0))
+        assert flat.chi.chi_f_min(R(F(1, 4)), 0, CF.constant(0)) is None
         assert flat.chi.at_float(0.5, 4) == math.inf
         fo = delta_first_order(1, 0, {"lower_witness": F(1, 2)}, F(1, 4), CF.identity_plus(1))
         assert (fo.value, fo.trace) == (1, {"P": 1, "levels": [0, 0]})
         still = second_order_constants(0, 0, 0, 1, 1, 1, 1, 1, 1)
         so = moduli.delta_second_order(still, 1, F(1, 4), CF.identity_plus(1))
         assert (so.value, so.trace) == (1, {"P": 1, "levels": [0, 0]})
-        # through its bundle b = 0 would give P = 1; the theorem's bound is 0
         st0 = delta_stojkovic(0, ball_modulus(1, 0), 1, CF.constant(0))
-        assert (st0.value, st0.trace) == (0, {"P": None, "levels": [0]})
+        assert (st0.value, st0.trace) == (0, {"P": 1, "levels": [0, 0]})
+
+    def test_chi_restricting_nothing_needs_a_cap(self):
+        flat = simple_bundle(chi=ChiModulus.scaled_inverse(0))
+        with pytest.raises(ValueError, match="needs a chi cap"):
+            delta_with_error_rate(flat, 1, CF.constant(0))
+        assert delta_with_error_rate(flat, 1, CF.constant(0), F(1, 2)).value == 3
 
     def test_stojkovic_is_its_bundle_less_one(self):
         # the theorem's bound drops the abstract recursion's final +1; its
@@ -656,12 +661,13 @@ class TestFloatChi:
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
-def _overflowing_calls():
-    """One over-budget call (at 8 bits) of every certificate calculator."""
+def _overflowing_calls(eps=None):
+    """One over-budget call (at 8 bits) of every certificate calculator, each
+    at its own eps, or at ``eps`` when one is given."""
     cs = second_order_constants(1, 1, 1, 1, 1, 1, 1, 1, 1)
     meta_phi = LiminfBound(lambda e, n: n + (1 / e).ceil())
     meta = dict(phi=meta_phi, eta=ErrorRate.metastability(lambda e, f: 0))
-    small = F(1, 1000)
+    small, tenth, one = (x if eps is None else eps for x in (F(1, 1000), F(1, 10), 1))
     return {
         "aas1_metastability": lambda: moduli.aas1_metastability(
             0, 1, 1, small, CF.constant(1)),
@@ -679,18 +685,18 @@ def _overflowing_calls():
             simple_bundle(tau=lambda e: e), small),
         "ball_total_boundedness": lambda: moduli.ball_total_boundedness(1, 1, small),
         "delta_first_order": lambda: delta_first_order(
-            1, 1, {"lower_witness": F(1, 2)}, F(1, 10), CF.constant(0)),
-        "lambda_capital": lambda: moduli.lambda_capital(cs, F(1, 10), CF.constant(1)),
+            1, 1, {"lower_witness": F(1, 2)}, tenth, CF.constant(0)),
+        "lambda_capital": lambda: moduli.lambda_capital(cs, tenth, CF.constant(1)),
         "delta_second_order": lambda: moduli.delta_second_order(
-            cs, 1, 1, CF.constant(0)),
-        "sfb_b_rate": lambda: moduli.sfb_b_rate(cs, 1, F(1, 10), CF.constant(1)),
+            cs, 1, one, CF.constant(0)),
+        "sfb_b_rate": lambda: moduli.sfb_b_rate(cs, 1, tenth, CF.constant(1)),
         "fb_uniform_monotone_rate": lambda: moduli.fb_uniform_monotone_rate(
             "first", "B", lambda e: e * e, small, b=1, gamma=1, beta=1,
             flow_rate=lambda e: (1 / e).ceil()),
         "delta_gradient_flow": lambda: delta_gradient_flow(
             1, ball_modulus(1, 1), small, CF.constant(0)),
         "delta_stojkovic": lambda: delta_stojkovic(
-            1, ball_modulus(1, 1), 1, CF.constant(0)),
+            1, ball_modulus(1, 1), one, CF.constant(0)),
     }
 
 
@@ -737,6 +743,27 @@ class TestCertificateBoundary:
     def test_domain_errors_pass_through(self):
         with pytest.raises(ValueError):
             delta_first_order(1, 1, {"lower_witness": 1}, 0, CF.constant(0))
+
+    @pytest.mark.parametrize("eps", [0, F(-1, 2)], ids=["zero", "negative"])
+    @pytest.mark.parametrize("name", sorted(_overflowing_calls()))
+    def test_every_calculator_refuses_nonpositive_eps(self, name, eps):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            _overflowing_calls(eps)[name]()
+
+    def test_eps_by_keyword(self):
+        # the boundary reads eps by name, wherever the call puts it
+        assert delta_with_error_rate(simple_bundle(), eps=1, f=CF.constant(1)).value == 13
+        with pytest.raises(ValueError, match="eps must be positive"):
+            delta_with_error_rate(bundle=simple_bundle(), eps=0, f=CF.constant(1))
+
+    @pytest.mark.parametrize("calc", [
+        lambda b: delta_first_order(1, b, {"lower_witness": F(1, 2)}, F(1, 4), CF.constant(0)),
+        lambda b: delta_gradient_flow(b, ball_modulus(1, 1), F(1, 4), CF.constant(0)),
+        lambda b: delta_stojkovic(b, ball_modulus(1, 1), F(1, 4), CF.constant(0)),
+    ], ids=["first_order", "gradient_flow", "stojkovic"])
+    def test_negative_radius_refused(self, calc):
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            calc(-1)
 
     @pytest.mark.parametrize("d", [1.5, 2.5, 0, F(3, 2)])
     def test_non_integer_dimension_rejected(self, d):
