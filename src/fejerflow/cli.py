@@ -193,11 +193,13 @@ def cmd_list(args) -> int:
 
 
 def _parse_param(value: str):
-    """JSON, else the raw text: the theorem's typed reads take it from there,
-    as they take a config value ("1/2" is a rational, 0.1 reads as 1/10).
-    JSON past the parser's limits (digits, nesting) is raw text too."""
+    """JSON with each decimal kept as its text, else the raw text: the
+    theorem's typed reads take it from there, as they take a config value
+    ("1/2" and 0.1 are the rationals 1/2 and 1/10, and 1e-400, which no
+    float holds, is 10^-400).  JSON past the parser's limits (digits,
+    nesting) is raw text too."""
     try:
-        return json.loads(value)
+        return json.loads(value, parse_float=str)
     except (ValueError, RecursionError):
         return value
 

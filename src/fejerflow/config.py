@@ -12,6 +12,7 @@ except where the default is None: there it reads as absent.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -38,12 +39,21 @@ def _positive(value) -> float:
     return number
 
 
+# a decimal exponent is refused past the digits int() reads from a string by
+# default: Fraction would build a power of ten of that many digits
+_EXPONENT_DIGITS = 4300
+
+
 def _rational(value) -> Fraction:
     """An int as it is, a float by its decimal ``str``, a string as written
-    (``"0.5"``, ``"1/1000"``)."""
+    (``"0.5"``, ``"1/1000"``, ``"1e-400"``)."""
     if isinstance(value, bool):
         raise TypeError
-    return Fraction(str(value) if isinstance(value, float) else value)
+    text = str(value) if isinstance(value, float) else value
+    if isinstance(text, str) and (exp := re.search(r"e([-+]?[\d_]+)\s*$", text, re.I)) \
+            and abs(int(exp[1])) > _EXPONENT_DIGITS:
+        raise ValueError
+    return Fraction(text)
 
 
 def _integer(value) -> int:
@@ -117,7 +127,8 @@ class Config(dict):
         return self._read(key, default, _positive, "a positive finite number")
 
     def rational(self, key, default=_REQUIRED) -> Fraction:
-        return self._read(key, default, _rational, "an integer, a decimal or 'p/q'")
+        return self._read(key, default, _rational,
+                          f"an integer, a decimal (exponent up to {_EXPONENT_DIGITS}) or 'p/q'")
 
     def real(self, key, default=_REQUIRED) -> Fraction:
         """A rational that is also evaluated in floats, so refused past their range."""

@@ -15,6 +15,19 @@ integrator passes one run).  Each block checks the state's
 finiteness, and the error names the first non-finite sample.  Dense output
 is local cubic Hermite interpolation using stored derivatives.
 
+A converging run reaches a floating-point fixed point, where every RK4
+increment rounds away: the first-order builtins' ``long_check`` runs spend
+over 90% of their steps there.  A run is settled once a whole block leaves
+each of its staged states, coarse and fine, bitwise equal to the block's
+end state.  A settled run leaves the step-by-step loop: each later block
+runs all its steps at once from the settled state, each step on its own row
+of one stack (8 field calls a block), and is kept only if every step
+returns that state bitwise; otherwise the run steps the same block one by
+one.  A step is a function of its start state and its tabled curve values,
+computed row by row with the bits of a lone call, so a kept block has the
+bits of the one-by-one steps.  Of the builtins' runs, only the first-order
+``long_check`` runs settle; every other run steps one by one throughout.
+
 The semigroups double the step count n of their exponential formulas under
 one driver (``_semigroup``), which returns the Richardson extrapolant
 2 y_n - y_{n/2} when successive extrapolants show a second-order error, and
@@ -46,6 +59,7 @@ from .space import SpaceDescriptor
 __all__ = [
     "ParameterCurve",
     "IntegratorMeta",
+    "coarse_steps",
     "Trajectory",
     "SemigroupPoint",
     "integrate_first_order",
@@ -299,6 +313,58 @@ class Trajectory:
 _BLOCK = 1024  # coarse steps per curve table, staging buffer and finiteness check
 
 
+def _stage(rhs, y, a, b, c, half, sixth, full, two):
+    """One RK4 step of y' = rhs(y, *curve values) from y, with the curve
+    values a, b, c at its start, middle and end and the factors h/2, h/6, h
+    and 2: the derivative at y and the new state."""
+    k1 = rhs(y, *a)
+    k2 = rhs(y + half * k1, *b)
+    k3 = rhs(y + half * k2, *b)
+    k4 = rhs(y + full * k3, *c)
+    return k1, y + sixth * (k1 + two * k2 + two * k3 + k4)
+
+
+def _unchanged(staged: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Per run of Y (coarse/fine row, run, *state): whether every staged
+    state (..., row, run, *state) has the bits of Y, sign of zero included."""
+    same = staged.view(np.int64) == Y.view(np.int64)
+    return np.moveaxis(same, staged.ndim - Y.ndim + 1, 0).reshape(Y.shape[1], -1).all(axis=1)
+
+
+def _step_block(rhs, Y, values, factors):
+    """The block's steps one by one: coarse step i and fine step 2i as one
+    batch, then fine step 2i+1 alone.  Returns the end state, and per step
+    the states at its start and after the paired step, and the fine
+    derivatives."""
+    staged = np.empty((len(values), 2) + Y.shape)
+    dstaged = np.empty((len(values), 2) + Y.shape[1:])
+    fine_factors = [f[1] for f in factors]
+    for sy, sd, paired, lone in zip(staged, dstaged, values[:, :, :, :2], values[:, :, :, 2]):
+        sy[0] = Y
+        K1, Y = _stage(rhs, Y, *paired, *factors)
+        sd[0], sy[1] = K1[1], Y
+        sd[1], Y[1] = _stage(rhs, Y[1], *lone, *fine_factors)
+    return Y, staged, dstaged
+
+
+def _settled_block(rhs, Y, values, factors):
+    """The block's steps all at once, each from the start state Y on its own
+    row of a (step, coarse/fine row, run, *state) stack.  Returns per run
+    whether every one of its steps returned Y, and the staged states and
+    derivatives as ``_step_block`` lays them out.  A step is a function of
+    its start state and its curve values alone, computed row by row, so a
+    run whose steps all return Y gets the bits ``_step_block`` would give."""
+    staged = np.empty((len(values), 2) + Y.shape)
+    dstaged = np.empty((len(values), 2) + Y.shape[1:])
+    staged[:, 0] = Y
+    K1, staged[:, 1] = _stage(rhs, staged[:, 0], *np.moveaxis(values[:, :, :, :2], 0, 2),
+                              *factors)
+    dstaged[:, 0] = K1[:, 1]
+    dstaged[:, 1], end = _stage(rhs, staged[:, 1, 1], *np.moveaxis(values[:, :, :, 2], 0, 2),
+                                *(f[1] for f in factors))
+    return _unchanged(np.stack([staged[:, 1, 0], end], axis=1), Y), staged, dstaged
+
+
 # a divergent run overflows quietly until its block's finiteness check raises
 @np.errstate(over="ignore", invalid="ignore")
 def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int,
@@ -312,21 +378,32 @@ def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int,
     run, *state); a run leaves the batch after its own n steps, with its
     last fine derivative taken there.  Should runs leave the reals, the
     error names the first of them in the order given, the error a
-    run-by-run integration raises; later runs stop there."""
+    run-by-run integration raises; later runs stop there.
+
+    A run is settled once a whole block of ``_BLOCK`` coarse steps leaves
+    it unchanged: every staged state of the block, coarse row and fine row,
+    has the bits of the block's end state.  A converging flow settles at
+    its floating-point fixed point, where each RK4 increment rounds away.
+    A settled run leaves the step-by-step batch: its next block runs at
+    once from its start state (``_settled_block``), 8 field calls over the
+    stacked steps, and is kept if every step returns the start state; else
+    the run steps that same block one by one with the others.  Its samples
+    and derivatives have the bits of the one-by-one steps either way.
+    While no run is settled, the batch steps as a whole, with no copies."""
     shape = runs[0][0].shape
     ys_c = [np.empty((n + 1,) + shape) for _, n, _ in runs]
     # each run's fine samples and derivatives, as (coarse step, half step)
     fine = [np.empty((2, n + 1, 2) + shape) for _, n, _ in runs]
     active, stop, lo = list(range(len(runs))), len(runs), 0
     Y = np.stack([np.stack([y0 for y0, _, _ in runs])] * 2)
+    settled = np.zeros(len(runs), dtype=bool)
     while active:
         hi = min((lo // _BLOCK + 1) * _BLOCK, *(runs[r][1] for r in active))
         hs = np.array([runs[r][2] for r in active])
         qs = hs / 2
         # each factor has the shape it multiplies: faster than a broadcast or a float
         steps = np.stack([hs, qs]).reshape(Y.shape[:2] + (1,) * len(shape)) + np.zeros_like(Y)
-        halves, sixths, twos = steps / 2, steps / 6, np.full_like(Y, 2.0)
-        q1, q2, q6, two = steps[1], halves[1], sixths[1], twos[1]
+        factors = (steps / 2, steps / 6, steps, np.full_like(Y, 2.0))
         # stage times as separate runs form them, by (stage, row, run):
         # i h + (0, h/2, h) coarse, 2i q + (0, q/2, q) paired fine (2i q is i h
         # exactly), (2i+1) q + (0, q/2, q) lone
@@ -336,24 +413,22 @@ def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int,
         times = np.stack([block * hs, block * hs, (2 * block + 1) * qs], axis=1)[:, None] + offsets
         values = np.multiply.outer(np.stack([c(times) for c in curves], axis=2),
                                    np.ones(shape[:-1] + (width,)))
-        # per step: the state at its start and after the paired step, the fine derivatives
-        staged = np.empty((hi - lo, 2) + Y.shape)
-        dstaged = np.empty((hi - lo, 2) + Y.shape[1:])
-        for sy, sd, (a, b, c), (a1, b1, c1) in zip(staged, dstaged, values[:, :, :, :2],
-                                                    values[:, :, :, 2]):
-            sy[0] = Y
-            K1 = rhs(Y, *a)
-            sd[0] = K1[1]
-            K2 = rhs(Y + halves * K1, *b)
-            K3 = rhs(Y + halves * K2, *b)
-            K4 = rhs(Y + steps * K3, *c)
-            Y = sy[1] = Y + sixths * (K1 + twos * K2 + twos * K3 + K4)
-            y = Y[1]
-            k1 = sd[1] = rhs(y, *a1)
-            k2 = rhs(y + q2 * k1, *b1)
-            k3 = rhs(y + q2 * k2, *b1)
-            k4 = rhs(y + q1 * k3, *c1)
-            Y[1] = y + q6 * (k1 + two * k2 + two * k3 + k4)
+        kept = np.zeros_like(settled)
+        if not settled.any():
+            Y, staged, dstaged = _step_block(rhs, Y, values, factors)
+        else:
+            # per step: the state at its start and after the paired step, the fine derivatives
+            staged = np.empty((hi - lo, 2) + Y.shape)
+            dstaged = np.empty((hi - lo, 2) + Y.shape[1:])
+            p = np.flatnonzero(settled)
+            kept[p], staged[:, :, :, p], dstaged[:, :, p] = _settled_block(
+                rhs, Y[:, p], values[:, :, :, :, p], [f[:, p] for f in factors])
+            if not kept.all():
+                p = np.flatnonzero(~kept)
+                Y[:, p], staged[:, :, :, p], dstaged[:, :, p] = _step_block(
+                    rhs, Y[:, p], values[:, :, :, :, p], [f[:, p] for f in factors])
+        if hi - lo == _BLOCK:
+            settled = kept | _unchanged(staged, Y)
         for p, r in enumerate(active):
             ys_c[r][lo:hi], ys_c[r][hi] = staged[:, 0, 0, p], Y[0, p]
             fine[r][0, lo:hi], fine[r][0, hi, 0] = staged[:, :, 1, p], Y[1, p]
@@ -377,12 +452,24 @@ def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int,
             elif r < stop:
                 keep.append(p)
         if len(keep) < len(active):
-            Y, active = Y[:, keep], [active[p] for p in keep]
+            Y, settled, active = Y[:, keep], settled[keep], [active[p] for p in keep]
         lo = hi
     if stop < len(runs):
         raise IntegrationError(failure)
     return [(c, *(a.reshape((2 * n + 2,) + shape)[:-1] for a in f))
             for c, f, (_, n, _) in zip(ys_c, fine, runs)]
+
+
+def coarse_steps(horizon: float, step: float) -> int:
+    """The n coarse steps of an RK4 run (horizon, step): the nearest whole
+    count when n steps land within 1e-9 (relative) of the horizon, else
+    enough to cover it, the last one ending past it.  The fine run takes
+    exactly 2n half steps, so both end at n * step, the trajectory's
+    horizon."""
+    n = int(round(horizon / step))
+    if abs(n * step - horizon) > 1e-9 * max(1.0, horizon):
+        n = math.ceil(horizon / step)
+    return n
 
 
 def _integrate(rhs, curves: tuple, width: int, runs: list,
@@ -395,12 +482,7 @@ def _integrate(rhs, curves: tuple, width: int, runs: list,
             raise IntegrationError("step must be positive")
         if horizon <= 0:
             raise IntegrationError("horizon must be positive")
-        # n coarse steps cover the horizon (the last one may end past it); the
-        # fine run takes exactly 2n half steps, so both end at the same time
-        n = int(round(horizon / step))
-        if abs(n * step - horizon) > 1e-9 * max(1.0, horizon):
-            n = math.ceil(horizon / step)
-        coarse.append((y0, n, step))
+        coarse.append((y0, coarse_steps(horizon, step), step))
     out = []
     for (_, n, step), (ys_c, ys_f, dys_f) in zip(coarse, _rk4(rhs, curves, width, coarse)):
         # the times before the estimate's temporaries: allocated after them, they

@@ -24,6 +24,7 @@ from .exact import BudgetExceeded, ExtendedNatural, R, Real
 from .flows import (
     ParameterCurve,
     Trajectory,
+    coarse_steps,
     gradient_flow_semigroup,
     integrate_first_order,  # unused here; the benchmark's tracer rebinds it by name
     integrate_first_order_runs,
@@ -212,13 +213,15 @@ def _metastability(cfg: Config, eps: Fraction,
     return eps, float(eps), [Counterfunction.from_spec(s) for s in specs]
 
 
-def _times(cfg: Config, key: str, default: list, traj: Trajectory,
+def _times(cfg: Config, key: str, default: list, horizon: float,
            read=Config.number) -> np.ndarray:
-    """The times at ``key``, each refused naming ``key[i]`` unless ``traj.eval`` reaches it."""
+    """The times at ``key``, each refused naming ``key[i]`` unless the
+    trajectory's ``eval`` reaches it: read before the flow is generated,
+    against the ``horizon`` its last sample will have."""
     items = cfg.entries(key, default)
     for i in items:
-        if not 0.0 <= read(items, i) <= traj.horizon + 1e-12:
-            items.refuse(i, items[i], f"a time in [0, {traj.horizon}]")
+        if not 0.0 <= read(items, i) <= horizon + 1e-12:
+            items.refuse(i, items[i], f"a time in [0, {horizon}]")
     return np.array([read(items, i) for i in items])
 
 
@@ -383,15 +386,16 @@ def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:
     if prop.status == VIOLATED:
         return
 
-    traj = integrate_second_order(B, lam, gam, u0, v0, cfg.positive("horizon"),
-                                  cfg.positive("step"), theta=theta, space=space)
+    horizon, step = cfg.positive("horizon"), cfg.positive("step")
+    if oracle := cfg.spec("oracle", None):
+        times = _times(oracle, "times", [0.5, 1.0, 2.0, 5.0], coarse_steps(horizon, step) * step)
+        terms = [(term.number(0), term.number(1)) for term in oracle.pairs("terms")]
+
+    traj = integrate_second_order(B, lam, gam, u0, v0, horizon, step, theta=theta, space=space)
     out.trajectories["trajectory"] = traj
 
-    oracle = cfg.spec("oracle", None)
     if oracle:
-        times = _times(oracle, "times", [0.5, 1.0, 2.0, 5.0], traj)
-        value = sum(term.number(0) * np.exp(term.number(1) * times)
-                    for term in oracle.pairs("terms"))
+        value = sum(c * np.exp(rate * times) for c, rate in terms)
         worst = np.abs(traj.eval(times)[:, 0] - value).max()
         tol = max(1e-6, _base_tolerance(traj))
         out.add(report_from_margin("closed_form_match", worst - tol, tol, {"max_error": worst}))
@@ -544,6 +548,15 @@ def _run_forward_backward_second(cfg: Config, out: ScenarioOutcome) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _sample_times(cfg: Config, grid: float) -> np.ndarray:
+    """The semigroup sample times: the grid over [0, horizon], at least two."""
+    ts = np.arange(0.0, cfg.positive("horizon") + grid / 2, grid)
+    if len(ts) < 2:
+        raise ConfigError(f"config keys 'horizon' and 'sampling.grid' leave one sample, "
+                          f"at t = 0, for grid {grid}")
+    return ts
+
+
 def _semigroup_run(cfg: Config, out: ScenarioOutcome, space: SpaceDescriptor,
                    semigroup: Callable, op, x0: np.ndarray, grid: float,
                    point_tol: float) -> Trajectory:
@@ -554,10 +567,7 @@ def _semigroup_run(cfg: Config, out: ScenarioOutcome, space: SpaceDescriptor,
     ``inconclusive`` report, and a match that did not converge is too."""
     if (match := cfg.spec("match", None)) and op.flow is None:
         cfg.refuse("match", match, f"null: {op.name} has no closed-form flow to match")
-    ts = np.arange(0.0, cfg.positive("horizon") + grid / 2, grid)
-    if len(ts) < 2:
-        raise ConfigError(f"config keys 'horizon' and 'sampling.grid' leave one sample, "
-                          f"at t = 0, for grid {grid}")
+    ts = _sample_times(cfg, grid)
     runs = [semigroup(op, x0, float(t), tol=point_tol) for t in ts]
     achieved = max((run.achieved_tol for run in runs if run.converged), default=0.0)
     traj = Trajectory.from_samples(space, ts, np.array([run.point for run in runs]),
@@ -590,6 +600,8 @@ def _run_gradient_flow(cfg: Config, out: ScenarioOutcome) -> None:
     tau = _regularity(cfg)
     sample_cfg = cfg.spec("sampling", {})
     grid = sample_cfg.positive("grid", 0.25)
+    times = _times(cfg, "objective_times", [1.0, 2.0, 10.0],
+                   float(_sample_times(cfg, grid)[-1]), Config.positive)
     traj = _semigroup_run(cfg, out, space, gradient_flow_semigroup, phi, x0, grid,
                           sample_cfg.positive("tol", 1e-4))
     ts = traj.ts
@@ -601,7 +613,6 @@ def _run_gradient_flow(cfg: Config, out: ScenarioOutcome) -> None:
     out.add(check_mayer_inequality(mayer_pts, phi, zs, tol=_base_tolerance(traj)))
 
     # Mayer's estimate at z = y: phi(S_t x) - phi(y) <= d(x, y)^2 / (2 t) <= b^2 / (2 t)
-    times = _times(cfg, "objective_times", [1.0, 2.0, 10.0], traj, Config.positive)
     excess = phi(traj.eval(times)) - phi(y) - R(b * b).to_float() / (2 * times)
     out.add(report_from_margin("objective_rate", float(excess.max()), _base_tolerance(traj)))
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from fejerflow import operators
+from fejerflow import flows, operators
 from fejerflow.cli import _THEOREMS, _sanitize, main
 from fejerflow.exact import get_budget_bits, set_budget_bits
 from fejerflow.scenarios import builtin_scenarios
@@ -170,6 +170,20 @@ class TestCertify:
                          "--param", "B=3/10", "--param", f"eps={eps}", "--param", "f=1"]) == 0
             values.append(json.loads(capsys.readouterr().out)["value"])
         assert values == [4, 4]
+
+    def test_decimal_param_is_read_by_its_text(self, capsys):
+        # 1e-400 is 0.0 as a float; read by its text it is 10^-400 > 0
+        assert main(["certify", "ball_total_boundedness", "--param", "d=1", "--param", "b=1",
+                     "--param", "eps=1e-400"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["value"] == "overflow" and data["trace"]["overflow"]
+        assert data["inputs"]["eps"] == "1e-400"
+
+    def test_decimal_exponent_past_the_int_digits_exit_two(self, capsys):
+        assert main(["certify", "ball_total_boundedness", "--param", "d=1", "--param", "b=1",
+                     "--param", "eps=1e-999999999"]) == 2
+        assert "'eps' must be an integer, a decimal (exponent up to 4300)" in \
+            capsys.readouterr().err
 
     def test_text_dimension_reads_as_the_dimension_check(self, capsys):
         assert main(["certify", "ball_total_boundedness", "--param", "d=x",
@@ -451,6 +465,10 @@ _NAMED_KEY_CONFIGS = {
                                         "overrides": {"horizon": 1.0}},
     "oracle_time_past_the_horizon": {"builtin": "second_order_linear",
                                      "overrides": {"horizon": 1.0}},
+    # refused before the first RK4 step of the 30,000 the builtin takes
+    "oracle_time_far_past_the_horizon": {
+        "builtin": "second_order_linear",
+        "overrides": {"oracle": {"terms": [[2.0, -1.0], [-1.0, -2.0]], "times": [100.0]}}},
 }
 # the key each of them names in its error message
 _NAMED_KEYS = {
@@ -504,6 +522,7 @@ _NAMED_KEYS = {
     "solution_point_past_the_squares": "'solution.point'",
     "objective_time_past_the_horizon": "'objective_times[1]'",
     "oracle_time_past_the_horizon": "'oracle.times[2]'",
+    "oracle_time_far_past_the_horizon": "'oracle.times[0]'",
     "eps_rho_zero": "'eps_rho[0]'",
     "eps_b_zero": "'eps_b[0]'",
     "eps_regularity_negative": "'eps_regularity[0]'",
@@ -595,6 +614,25 @@ class TestRun:
         cfg = write_config(tmp_path, config)
         assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, generator", [
+        ("oracle_time_far_past_the_horizon", "_rk4"),
+        ("objective_time_past_the_horizon", "_semigroup"),
+    ])
+    def test_listed_time_refused_before_the_flow(self, tmp_path, monkeypatch, name, generator):
+        calls = []
+        monkeypatch.setattr(flows, generator, lambda *args, **kwargs: calls.append(args))
+        cfg = write_config(tmp_path, _NAMED_KEY_CONFIGS[name])
+        assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
+        assert calls == []
+
+    def test_time_in_a_ragged_last_step_accepted(self, tmp_path):
+        # 4 steps of 0.3 cover the horizon 1.0 and end at 1.2, where eval reaches
+        cfg = write_config(tmp_path, {
+            "builtin": "second_order_linear",
+            "overrides": {"horizon": 1.0, "step": 0.3,
+                          "oracle": {"terms": [[2.0, -1.0], [-1.0, -2.0]], "times": [1.2]}}})
+        assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 0
 
     def test_match_switched_off_without_a_closed_form(self, tmp_path):
         cfg = write_config(tmp_path, {"builtin": "gradient_flow_quadratic",

@@ -77,3 +77,13 @@ def test_defaults_nulls_and_missing_keys():
         node.number("absent")
     with pytest.raises(ConfigError, match=r"'s\.n' must be a finite number"):
         node.number("n")
+
+
+def test_rational_exponent_up_to_the_int_digits():
+    # Fraction would build 10^|exponent|: past the digits int() reads from a
+    # string, the decimal is refused like an integer of that many digits
+    node = Config({"a": "1e-4300", "b": "1e-4301", "c": "1E+1_0000", "d": "1e-999999999"}, "s")
+    assert node.rational("a") == Fraction(1, 10 ** 4300)
+    for key in "bcd":
+        with pytest.raises(ConfigError, match=rf"'s\.{key}' must be .*exponent up to 4300"):
+            node.rational(key)

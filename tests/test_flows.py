@@ -746,11 +746,12 @@ def _cases():
 
 
 def _assert_same_bits(new: Trajectory, ref: Trajectory):
+    # compared as integers, so a zero's sign counts
     for attr in ("ts", "xs", "dxs", "vs", "dvs"):
         a, b = getattr(new, attr), getattr(ref, attr)
         assert (a is None) == (b is None), attr
         if a is not None:
-            assert np.array_equal(a, b), attr
+            assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64)), attr
     assert new.meta == ref.meta
 
 
@@ -879,9 +880,56 @@ def test_rhs_calls_per_coarse_step(order, n):
     assert len(calls) == 8 * n + 1
 
 
+# lambda is 0 until t = 25, past the first two blocks of steps of 0.01, then 1/2
+_WAKING = ParameterCurve.piecewise([25.0], [0.0, 0.5])
+_SPAN = flows._BLOCK * 0.01  # the time one block of steps of 0.01 covers
+
+
+def _counted_half(calls: list) -> NonexpansiveMap:
+    factor = np.array(0.5)
+    return NonexpansiveMap(fn=lambda x: calls.append(1) or factor * x)
+
+
+@pytest.mark.parametrize("lam, runs, n_calls", [
+    # unchanged by its first block, the run settles; its 9 other blocks run at once
+    (ParameterCurve.constant(0.0), [(10 * _SPAN, 0.01)], 8 * flows._BLOCK + 8 * 9 + 1),
+    # settled after block 1 and kept in block 2, the run wakes in block 3: that
+    # block's stacked check fails, and the run steps it and block 4 one by one
+    (_WAKING, [(4 * _SPAN, 0.01)], 3 * 8 * flows._BLOCK + 2 * 8 + 1),
+    # the second run, at 5x the step, wakes within its first block and never settles
+    (_WAKING, [(4 * _SPAN, 0.01), (20 * _SPAN, 0.05)], 4 * 8 * flows._BLOCK + 2 * 8 + 2),
+], ids=["lambda_zero", "wakes", "one_of_two_settles"])
+def test_settled_runs_keep_the_bits_of_lone_runs(lam, runs, n_calls):
+    calls = []
+    T = _counted_half(calls)
+    batch = integrate_first_order_runs(T, lam, [1.0, -2.0], runs)
+    assert len(calls) == n_calls
+    # lambda = 0 gives signed zeros: 0 (T x - x) is -0 at x = 1
+    assert np.signbit(batch[0].dxs[0]).tolist() == [True, False]
+    flow = lambda w: (w(T), lam, [1.0, -2.0], None, None)
+    for new, ref in zip(batch, _lone_references(flow, runs), strict=True):
+        _assert_same_bits(new, ref)
+
+
+def test_second_order_run_settles_at_its_equilibrium(monkeypatch):
+    # x'' + 3 x' + (x - p) = 0 from rest at p: block 1 settles, blocks 2 and 3
+    # run at once; the velocity's derivative is -3 * 0 - 0 = -0
+    calls, p = [], np.array([1.0, -2.0])
+    B = CocoerciveMap(fn=lambda x: calls.append(1) or x - p, beta=1.0)
+    call = lambda w: integrate_second_order(w(B), ParameterCurve.constant(1.0),
+                                            ParameterCurve.constant(3.0), p, [0.0, 0.0],
+                                            3 * _SPAN, 0.01)
+    new = call(lambda op: op)
+    assert len(calls) == 8 * flows._BLOCK + 2 * 8 + 1
+    assert np.signbit(new.dvs).all() and (new.xs == p).all()
+    monkeypatch.setattr(flows, "_integrate", _reference_integrate)
+    _assert_same_bits(new, call(_wrapped))
+
+
 def test_ragged_horizon_samples():
     traj = integrate_first_order(_MAPS[1], _LAMBDAS["piecewise"], [1.0], 1.0, 0.3)
     assert len(traj.ts) == 9 and traj.ts[-1] == 8 * 0.15 == 1.2
+    assert traj.horizon == flows.coarse_steps(1.0, 0.3) * 0.3
 
 
 def test_ragged_horizon_error_estimate():
