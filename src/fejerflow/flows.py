@@ -11,7 +11,10 @@ closures that answer rows with single-point bits, each run keeps the bits of
 a separate run.  The core also has a run axis: several runs of one field,
 each with its own start, step and step count, advance in one loop, and each
 leaves the batch at its own end (``integrate_first_order_runs``; every other
-integrator passes one run).  Each block checks the state's
+integrator passes one run).  The step loop makes only the RK4 arithmetic:
+each block's curve table is sliced once into per-step tuples of curve
+values, and the second-order field takes -gamma tabled, so it negates
+nothing per call.  Each block checks the state's
 finiteness, and the error names the first non-finite sample.  Dense output
 is local cubic Hermite interpolation using stored derivatives.
 
@@ -335,15 +338,22 @@ def _step_block(rhs, Y, values, factors):
     """The block's steps one by one: coarse step i and fine step 2i as one
     batch, then fine step 2i+1 alone.  Returns the end state, and per step
     the states at its start and after the paired step, and the fine
-    derivatives."""
+    derivatives.
+
+    The curve table is sliced once for the block: per stage time a, b, c of
+    the paired and the lone step, an iterator yields each step's tuple of
+    per-curve values, walked in step with the staging rows, so the loop
+    makes only the RK4 arithmetic."""
     staged = np.empty((len(values), 2) + Y.shape)
     dstaged = np.empty((len(values), 2) + Y.shape[1:])
     fine_factors = [f[1] for f in factors]
-    for sy, sd, paired, lone in zip(staged, dstaged, values[:, :, :, :2], values[:, :, :, 2]):
+    paired = [zip(*s) for s in np.moveaxis(values[:, :, :, :2], 0, 2)]
+    lone = [zip(*s) for s in np.moveaxis(values[:, :, :, 2], 0, 2)]
+    for sy, sd, pa, pb, pc, la, lb, lc in zip(staged, dstaged, *paired, *lone):
         sy[0] = Y
-        K1, Y = _stage(rhs, Y, *paired, *factors)
+        K1, Y = _stage(rhs, Y, pa, pb, pc, *factors)
         sd[0], sy[1] = K1[1], Y
-        sd[1], Y[1] = _stage(rhs, Y[1], *lone, *fine_factors)
+        sd[1], Y[1] = _stage(rhs, Y[1], la, lb, lc, *fine_factors)
     return Y, staged, dstaged
 
 
@@ -550,12 +560,13 @@ def integrate_second_order(B: CocoerciveMap, lam: ParameterCurve,
 
     fn = B.fn
 
-    def rhs(y, lam_t, gam_t):
+    # the field takes -gamma tabled: -gam_t * v is (-gam_t) * v, and negation is exact
+    def rhs(y, lam_t, neg_gam_t):
         x, v = y[..., :d], y[..., d:]
-        return np.concatenate([v, -gam_t * v - lam_t * fn(x)], axis=-1)
+        return np.concatenate([v, neg_gam_t * v - lam_t * fn(x)], axis=-1)
 
     y0 = np.concatenate([u0, v0])
-    (ts, ys, dys, meta), = _integrate(rhs, (lam, gam), d, [(y0, horizon, step)],
+    (ts, ys, dys, meta), = _integrate(rhs, (lam, lambda t: -gam(t)), d, [(y0, horizon, step)],
                                       "rk4/second_order")
     lam.validate_bounds(ts)
     gam.validate_bounds(ts)

@@ -162,11 +162,16 @@ def _curve(cfg: dict, key: str) -> ParameterCurve:
 def _second_order_consts(cfg: Config, out: ScenarioOutcome, theorem: str,
                          lam: ParameterCurve, gam: ParameterCurve, beta: float):
     """Boundedness constants of a second-order flow from the config bounds
-    and the declared parameter ranges, certified as ``theorem``."""
+    and the declared parameter ranges, certified as ``theorem``.  They need
+    no trajectory, so the pipelines read them, and refuse bad bounds,
+    before the flow is generated."""
     bounds = cfg.section("bounds")
+    bcd = [bounds.rational(key) for key in "bcd"]
+    for key, value in zip("bcd", bcd):
+        if value < 0:
+            bounds.refuse(key, bounds[key], "a nonnegative number")
     consts = second_order_constants(
-        bounds.rational("b"), bounds.rational("c"), bounds.rational("d"),
-        *map(_rational, (lam.lower, lam.upper, gam.lower, gam.upper)),
+        *bcd, *map(_rational, (lam.lower, lam.upper, gam.lower, gam.upper)),
         cfg.rational("theta"), _rational(beta))
     out.certify(theorem, {k: bounds[k] for k in "bcd"}, None, trace=consts.describe())
     return consts
@@ -391,6 +396,13 @@ def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:
         times = _times(oracle, "times", [0.5, 1.0, 2.0, 5.0], coarse_steps(horizon, step) * step)
         terms = [(term.number(0), term.number(1)) for term in oracle.pairs("terms")]
 
+    consts = _second_order_consts(cfg, out, "second_order_constants", lam, gam, B.beta)
+    # the bounds check compares the trajectory with K and L in floats; K is at
+    # most the larger L
+    if max(consts.L_mult, consts.L_div) > sys.float_info.max:
+        raise ConfigError("config keys 'bounds.b' and 'bounds.c' must keep the constants K "
+                          "and L within the float range")
+
     traj = integrate_second_order(B, lam, gam, u0, v0, horizon, step, theta=theta, space=space)
     out.trajectories["trajectory"] = traj
 
@@ -400,12 +412,6 @@ def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:
         tol = max(1e-6, _base_tolerance(traj))
         out.add(report_from_margin("closed_form_match", worst - tol, tol, {"max_error": worst}))
 
-    consts = _second_order_consts(cfg, out, "second_order_constants", lam, gam, B.beta)
-    # the bounds check compares the trajectory with K and L in floats; K is at
-    # most the larger L
-    if max(consts.L_mult, consts.L_div) > sys.float_info.max:
-        raise ConfigError("config keys 'bounds.b' and 'bounds.c' must keep the constants K "
-                          "and L within the float range")
     out.add(check_second_order_bounds(traj, consts, z, B))
 
     eps_q, eps, fcs = _metastability(cfg, Fraction(1, 5))
@@ -510,12 +516,11 @@ def _run_forward_backward_second(cfg: Config, out: ScenarioOutcome) -> None:
     gam = _curve(cfg, "gamma")
     theta = cfg.number("theta")
 
+    consts = _second_order_consts(cfg, out, "second_order_constants_fb", lam, gam, B.beta)
     traj = integrate_forward_backward("second", A, B, eta_step, lam, u0,
                                       cfg.positive("horizon"), cfg.positive("step"),
                                       gam=gam, v0=v0, theta=theta, space=space)
     out.trajectories["trajectory"] = traj
-
-    consts = _second_order_consts(cfg, out, "second_order_constants_fb", lam, gam, B.beta)
 
     eps_q, eps, (fc,) = _metastability(cfg, Fraction(1, 2), (0,), single=True)
     cert = moduli.sfb_b_rate(consts, eta_q, eps_q, fc)

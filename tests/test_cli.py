@@ -384,6 +384,12 @@ _NAMED_KEY_CONFIGS = {
     "constants_past_the_floats": {
         "builtin": "second_order_linear",
         "overrides": {**_SHORT_SECOND, "bounds": {"b": 10 ** 200, "c": 0, "d": 1}}},
+    # at the builtin's own horizon: refused before the first RK4 step, not after
+    "constants_past_the_floats_full_horizon": {
+        "builtin": "second_order_linear",
+        "overrides": {"bounds": {"b": 1e200, "c": 0, "d": 1}}},
+    "bound_negative": {"builtin": "forward_backward_second_order",
+                       "overrides": {"bounds": {"b": 1, "c": -1, "d": 1}}},
     # squared distances of a start or a solution point must stay in the floats
     "start_past_the_squares": {
         "builtin": "first_order_contraction_1d",
@@ -517,6 +523,8 @@ _NAMED_KEYS = {
     "radius_past_the_floats": "'solution.b'",
     "bound_past_the_floats": "'bounds.b'",
     "constants_past_the_floats": "'bounds.b'",
+    "constants_past_the_floats_full_horizon": "'bounds.b'",
+    "bound_negative": "'bounds.c'",
     "forward_backward_second_two_counterfunctions": "'metastability.counterfunctions'",
     "start_past_the_squares": "'initial.x0'",
     "solution_point_past_the_squares": "'solution.point'",
@@ -622,6 +630,15 @@ class TestRun:
     def test_listed_time_refused_before_the_flow(self, tmp_path, monkeypatch, name, generator):
         calls = []
         monkeypatch.setattr(flows, generator, lambda *args, **kwargs: calls.append(args))
+        cfg = write_config(tmp_path, _NAMED_KEY_CONFIGS[name])
+        assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["constants_past_the_floats_full_horizon",
+                                      "bound_negative"])
+    def test_bounds_refused_before_the_flow(self, tmp_path, monkeypatch, name):
+        calls = []
+        monkeypatch.setattr(flows, "_rk4", lambda *args, **kwargs: calls.append(args))
         cfg = write_config(tmp_path, _NAMED_KEY_CONFIGS[name])
         assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
         assert calls == []

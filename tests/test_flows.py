@@ -670,6 +670,11 @@ def _reference_run(rhs, curves, width, y0, horizon, step, method):
     def field(t, y):
         return rhs(y, *(c(t) for c in curves))
 
+    return _reference_field_run(field, y0, horizon, step, method)
+
+
+def _reference_field_run(field, y0, horizon, step, method):
+    """Fine times, samples, derivatives and meta of the run of y' = field(t, y)."""
     n = int(round(horizon / step))
     if abs(n * step - horizon) > 1e-9 * max(1.0, horizon):
         n = math.ceil(horizon / step)
@@ -719,10 +724,24 @@ _MAPS = {
 _SPD = CocoerciveMap.linear_spd([[2.0, 0.5], [0.5, 1.0]])
 
 
+# curves that vary over 2,500 coarse steps of 0.01, past two blocks: lambda
+# tabled, gamma through 0 at t = 10
+_LONG_LAM = ParameterCurve.table([0.0, 8.0, 17.0, 25.0], [0.2, 1.0, 0.6, 0.9])
+_LONG_GAM = ParameterCurve.affine(0.1, -1.0)
+_LONG = (25.0, 0.01)
+assert 2 * flows._BLOCK < flows.coarse_steps(*_LONG)
+
+
+def _second_long(w):
+    return integrate_second_order(w(_SPD), _LONG_LAM, _LONG_GAM, [1.0, -0.5], [0.0, 0.3], *_LONG)
+
+
 def _cases():
     """(name, call) pairs; ``call(wrap)`` runs a flow whose operators are
     passed through ``wrap`` first.  Horizon 1.0 at step 0.3 is not a
-    multiple of the step: 4 coarse and 8 fine steps, ending at t = 1.2."""
+    multiple of the step: 4 coarse and 8 fine steps, ending at t = 1.2.
+    The ``_multi_block`` flows run past two blocks with curves that vary
+    throughout, so each block's slice of the curve table is checked."""
     for d, T in _MAPS.items():
         for kind, lam in _LAMBDAS.items():
             x0 = [1.0, -2.0][:d]
@@ -743,6 +762,9 @@ def _cases():
         "second", w(MonotoneOperator.scaled_identity(0.5)), w(CocoerciveMap.identity()),
         1.0, ParameterCurve.constant(1.0), [0.5], 2.0, 0.01,
         gam=ParameterCurve.affine(0.1, 3.0, lower=3.0, upper=4.0), v0=[0.2])
+    yield "first_multi_block", lambda w: integrate_first_order(
+        w(_MAPS[2]), _LONG_LAM, [1.0, -2.0], *_LONG)
+    yield "second_multi_block", _second_long
 
 
 def _assert_same_bits(new: Trajectory, ref: Trajectory):
@@ -761,6 +783,22 @@ def test_rk4_bit_identical_to_reference(monkeypatch, call):
     with monkeypatch.context() as m:
         m.setattr(flows, "_integrate", _reference_integrate)
         ref = call(_wrapped)
+    _assert_same_bits(new, ref)
+
+
+def test_second_order_bit_identical_to_its_written_out_field():
+    # the reference field is written here, not the one integrate_second_order
+    # builds, so a change to that field's arithmetic shows
+    def field(t, y):
+        x, v = y[:2], y[2:]
+        return np.concatenate([v, -_LONG_GAM(t) * v - _LONG_LAM(t) * _SPD(x)])
+
+    new = _second_long(lambda op: op)
+    ts, ys, dys, meta = _reference_field_run(field, np.array([1.0, -0.5, 0.0, 0.3]), *_LONG,
+                                             "rk4/second_order")
+    ref = Trajectory(space=new.space, ts=ts, xs=ys[:, :2], dxs=dys[:, :2], vs=ys[:, 2:],
+                     dvs=dys[:, 2:], meta=meta)
+    assert (_LONG_GAM(new.ts) == 0).any()  # where -gamma is -0
     _assert_same_bits(new, ref)
 
 
