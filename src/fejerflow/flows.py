@@ -182,17 +182,17 @@ _SPEC_KINDS = {
 _CSV_BLOCK = 4096  # rows formatted per string operation in Trajectory.to_csv
 
 
-def _hermite_at(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray, idx, t):
-    """The cubic Hermite interpolant on [ts[idx], ts[idx + 1]] at t: for a
-    float t and int idx, or a column of times with ``ts`` a column too and
-    idx an index array.  The square is u * u: a numpy scalar's ``** 2`` goes
-    through libm ``pow``, which rounds differently from an array's x * x."""
-    t0 = ts[idx]
-    h = ts[idx + 1] - t0
+def _hermite_at(t0, t1, y0, dy0, y1, dy1, t):
+    """The cubic Hermite interpolant on [t0, t1] through the rows y0, y1 with
+    slopes dy0, dy1, at t: for float ends and a float t, or for columns of
+    ends and times with one row each.  The square is u * u: a ``** 2`` of a
+    scalar goes through libm ``pow``, which rounds differently from an
+    array's x * x."""
+    h = t1 - t0
     s = (t - t0) / h
     u = 1 - s
-    return ((1 + 2 * s) * (u * u) * ys[idx] + s * (u * u) * h * dys[idx]
-            + s * s * (3 - 2 * s) * ys[idx + 1] + s * s * (s - 1) * h * dys[idx + 1])
+    return ((1 + 2 * s) * (u * u) * y0 + s * (u * u) * h * dy0
+            + s * s * (3 - 2 * s) * y1 + s * s * (s - 1) * h * dy1)
 
 
 @dataclass
@@ -255,25 +255,33 @@ class Trajectory:
 
         A float time keeps its own lookup: routed through the array path it
         costs about ten times as much, and the pointwise residuals of the
-        metastability scans make one call per time.  Both paths make the same
-        operations in the same order, so each row has the bits of its float
-        time."""
-        ts, last = self.ts, len(self.ts) - 2
+        metastability scans make one call per distinct grid time.  It reads
+        the interval ends as Python floats, so the interpolant's coefficients
+        are Python float arithmetic and only the four row products and their
+        sum are numpy.  Python floats round each operation as numpy's float64
+        does and both paths make the same operations in the same order, so
+        each row has the bits of its float time."""
+        ts, last, horizon = self.ts, len(self.ts) - 2, float(self.ts[-1])
         if not (isinstance(t, np.ndarray) and t.ndim):
-            if not 0.0 <= t <= self.horizon + 1e-12:
-                raise IntegrationError(f"time {t} outside [0, {self.horizon}]")
-            t = min(t, self.horizon)
-            idx = int(np.searchsorted(ts, t, side="right")) - 1
-            if ts[idx] == t:
+            if not 0.0 <= t <= horizon + 1e-12:
+                raise IntegrationError(f"time {t} outside [0, {horizon}]")
+            t = min(t, horizon)
+            idx = min(max(int(ts.searchsorted(t, "right")) - 1, 0), last)
+            t0, t1 = ts[idx:idx + 2].tolist()
+            if t == t0:
                 return ys[idx].copy()
-            return _hermite_at(ts, ys, dys, min(max(idx, 0), last), t)
+            if t == t1:  # the horizon, at the end of the last interval
+                return ys[idx + 1].copy()
+            return _hermite_at(t0, t1, ys[idx], dys[idx], ys[idx + 1], dys[idx + 1], t)
         t = np.asarray(t, dtype=float)
-        bad = ~((t >= 0.0) & (t <= self.horizon + 1e-12))
+        bad = ~((t >= 0.0) & (t <= horizon + 1e-12))
         if bad.any():
-            raise IntegrationError(f"time {float(t[bad.argmax()])} outside [0, {self.horizon}]")
-        t = np.minimum(t, self.horizon)
+            raise IntegrationError(f"time {float(t[bad.argmax()])} outside [0, {horizon}]")
+        t = np.minimum(t, horizon)
         idx = np.searchsorted(ts, t, side="right") - 1
-        out = _hermite_at(ts[:, None], ys, dys, np.clip(idx, 0, last), t[:, None])
+        at = np.clip(idx, 0, last)
+        out = _hermite_at(ts[at][:, None], ts[at + 1][:, None], ys[at], dys[at], ys[at + 1],
+                          dys[at + 1], t[:, None])
         return np.where((ts[idx] == t)[:, None], ys[idx], out)
 
     def eval(self, t) -> np.ndarray:

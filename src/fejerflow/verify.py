@@ -9,8 +9,9 @@ outcomes are inconclusive, never violations.
 
 Solution functions, tail values and the separable error model of
 ``check_fejer`` take stacks: every window is one ``Trajectory.eval`` on its
-array of grid times.  The pointwise residuals of
-``verify_residual_metastability`` stay scalar, one call per float time.
+array of grid times.  The pointwise residual of
+``verify_residual_metastability`` stays scalar: a pure function of time,
+called once per distinct grid time of a scan.
 """
 
 from __future__ import annotations
@@ -282,13 +283,23 @@ def verify_residual_metastability(traj: Trajectory,
                                   grid: float = 0.01,
                                   claim: str = "residual_metastability",
                                   ) -> VerificationReport:
-    """Least n with residual(t) <= eps for all t in [n, n+f(n)] (residual is
-    a function of time along the trajectory); the certificate must dominate
-    it (same semantics as verify_metastability)."""
+    """Least n with residual(t) <= eps for all t in [n, n+f(n)]; the
+    certificate must dominate it (same semantics as verify_metastability).
+
+    ``residual`` must be a pure function of time along the trajectory: it is
+    called with a float, once per distinct grid time of the scan, and
+    windows that share a time reuse its value."""
     tol = _base_tolerance(traj, traj.lipschitz_estimate() * grid)
+    seen: dict[float, float] = {}
+
+    def at(t: float) -> float:
+        value = seen.get(t)
+        if value is None:
+            value = seen[t] = residual(t)
+        return value
 
     def window(n):
-        worst = max(residual(float(t)) for t in _scan_times(traj, n, f, grid))
+        worst = max(map(at, _scan_times(traj, n, f, grid).tolist()))
         return worst <= eps + tol, worst, tol
 
     return _scan_windows(traj, eps, f, certificate, grid, claim, window,

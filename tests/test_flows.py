@@ -54,6 +54,11 @@ _DENSE_FLOWS = {
         [1.0, 0.5], [0.3, -0.2], 3.0, 0.01),
     "from_samples": lambda: Trajectory.from_samples(
         euclidean(1), np.linspace(0.0, 3.0, 41), np.exp(-np.linspace(0.0, 3.0, 41)), 1e-4),
+    # a non-uniform grid, denser near 0, in two dimensions
+    "from_samples_nonuniform": lambda: Trajectory.from_samples(
+        euclidean(2), 3.0 * np.linspace(0.0, 1.0, 57) ** 2,
+        np.column_stack([np.exp(-3.0 * np.linspace(0.0, 1.0, 57) ** 2),
+                         np.sin(9.0 * np.linspace(0.0, 1.0, 57) ** 2)]), 1e-4),
 }
 _DENSE_BUILT = {}
 
@@ -286,6 +291,17 @@ class TestDenseOutput:
         for method in _dense_methods(traj):
             with pytest.raises(IntegrationError, match=re.escape(f"time {bad} outside")):
                 method(np.array(times))
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(_DENSE_FLOWS)),
+           past=st.one_of(st.floats(1e-11, 1e6), st.floats(-1e6, -1e-300), st.just(math.nan)))
+    def test_float_out_of_range_time_names_it(self, name, past):
+        traj = _dense_trajectory(name)
+        bad = past if past < 0 or math.isnan(past) else traj.horizon + past
+        for method in _dense_methods(traj):
+            with pytest.raises(IntegrationError,
+                               match=re.escape(f"time {bad} outside [0, {traj.horizon}]")):
+                method(bad)
 
     def test_csv_export(self, decay_trajectory):
         text = decay_trajectory.to_csv()

@@ -200,6 +200,55 @@ class TestWindowScan:
             assert rep.tolerance == slack_tol
 
 
+def _reference_residual_scan(traj, residual, eps, f, cert, grid):
+    """verify_residual_metastability written out: every window's max is
+    recomputed from its own residual calls."""
+    tol = max(3 * traj.est_err, traj.lipschitz_estimate() * grid)
+    witness = value = None
+    last = -1
+    for n in range(int(traj.horizon) + 1):
+        if n + f(n) > traj.horizon:
+            break
+        times = np.linspace(n, n + f(n), max(math.ceil(f(n) / grid), 1) + 1) \
+            if f(n) > 0 else [n]
+        worst = max(residual(float(t)) for t in times)
+        last = n
+        if worst <= eps + tol:
+            witness, value = n, worst
+            break
+    if witness is None:
+        status = "violated" if last >= cert.value else "inconclusive"
+    else:
+        status = "holds" if witness <= cert.value else "violated"
+    return status, witness, value, tol
+
+
+_SCAN_COUNTERFUNCTIONS = st.one_of(
+    st.integers(0, 3).map(CF.constant),
+    st.integers(0, 1).map(CF.identity_plus),
+    st.builds(CF.table, st.dictionaries(st.integers(0, 4), st.integers(0, 3), max_size=3),
+              st.integers(0, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=_SCAN_COUNTERFUNCTIONS, grid=st.sampled_from([0.25, 0.05, 0.01]),
+       eps=st.floats(1e-3, 1.0), cert=st.integers(0, 8))
+def test_residual_scan_reuses_shared_times_without_changing_the_report(decay, f, grid, eps,
+                                                                         cert):
+    calls = []
+
+    def residual(t):
+        calls.append(t)
+        return float(decay.eval(t)[0])
+
+    rep = verify_residual_metastability(decay, residual, eps, f, EN(cert), grid=grid)
+    assert len(calls) == len(set(calls))
+    status, witness, value, tol = _reference_residual_scan(
+        decay, lambda t: float(decay.eval(t)[0]), eps, f, EN(cert), grid)
+    assert (rep.status, rep.witness, rep.tolerance) == (status, witness, tol)
+    assert rep.details.get("residual_at_witness") == value
+
+
 @pytest.fixture(scope="module")
 def contraction_traj():
     T = NonexpansiveMap.scalar(0.5)
