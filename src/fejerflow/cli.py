@@ -215,7 +215,7 @@ def _param_dict(pairs) -> Config:
 
 
 def _counterfn(params: Config) -> Counterfunction:
-    return Counterfunction.from_spec(params.spec("f", 0, Config.INTEGER))
+    return Counterfunction.from_spec(params.spec("f", 0, Config.NATURAL))
 
 
 def _aas2(params: Config):

@@ -62,6 +62,12 @@ def _integer(value) -> int:
     return int(q)
 
 
+def _natural(value) -> int:
+    if (n := _integer(value)) < 0:
+        raise ValueError
+    return n
+
+
 def _text(value) -> str:
     if not isinstance(value, str):
         raise TypeError
@@ -75,6 +81,7 @@ class Config(dict):
     # the scalar shorthands a spec may take: (conversion, what it must be)
     NUMBER = (_finite, "a finite number")
     INTEGER = (_integer, "an integer")
+    NATURAL = (_natural, "an integer >= 0")
 
     def __init__(self, data, path: str = ""):
         super().__init__(data)
@@ -140,6 +147,9 @@ class Config(dict):
     def integer(self, key, default=_REQUIRED) -> int:
         return self._read(key, default, *self.INTEGER)
 
+    def natural(self, key, default=_REQUIRED) -> int:
+        return self._read(key, default, *self.NATURAL)
+
     def text(self, key, default=_REQUIRED) -> str:
         return self._read(key, default, _text, "a string")
 
@@ -195,7 +205,8 @@ class Config(dict):
 
     def spec(self, key, default=_REQUIRED, scalar=None):
         """The mapping at ``key`` as a node, or the scalar shorthand
-        ``scalar`` (``Config.NUMBER`` or ``Config.INTEGER``) allows there."""
+        ``scalar`` (``Config.NUMBER``, ``Config.INTEGER`` or ``Config.NATURAL``)
+        allows there."""
         convert, want = scalar or (None, "")
 
         def node(value):

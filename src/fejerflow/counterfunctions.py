@@ -3,8 +3,13 @@
 The certificate recursions evaluate counterfunctions at single points, take
 exact maxima of ``f`` (and of ``n + f(n)``) over integer intervals whose
 endpoints can be astronomically large, and iterate ``f~(n) = n + f(n)``.
-A small closed family keeps all three operations exact and cheap; anything
-outside the family falls back to bounded brute force.
+Every counterfunction is stored in one normal form: finitely many exceptions
+``n -> f(n)`` over an affine tail ``a*n + b`` (a, b >= 0), which keeps all
+three operations exact: an interval maximum looks at the exceptions inside
+the interval and the tail at its largest other point, and the iteration
+steps point by point only up to the last exception; past it a constant tail
+finishes in closed form, and a tail of slope a >= 1 at least doubles the
+iterate each step, so it passes the budget within the budget's bit length.
 """
 
 from __future__ import annotations
@@ -16,9 +21,7 @@ from .exact import BudgetExceeded, budget_limit, guard
 
 __all__ = ["Counterfunction", "iterate_tilde", "max_on", "max_tilde_on"]
 
-_BRUTE_FORCE_CAP = 100_000
-_ITERATION_CAP = 500_000  # steps of the plain f~ iteration before overflow
-_AFFINE = ("constant", "identity_plus", "linear")
+_ITERATION_CAP = 500_000  # pointwise steps of the f~ iteration before overflow
 
 
 class Counterfunction:
@@ -26,54 +29,34 @@ class Counterfunction:
 
     Kinds: ``constant(k)``, ``identity_plus(k)`` (n + k), ``linear(a, b)``
     (a*n + b with a, b >= 0), ``table`` (finite exceptions over a constant
-    default), ``composition`` (outer o inner).  The first three are one
-    affine family a*n + b, with a = 0, 1 and a; their kind only names them
-    in ``to_spec``.
+    default), ``composition`` (outer o inner).  Each is built into its normal
+    form ``exceptions`` over the tail ``a*n + b``; its kind and parameters
+    only name it in ``to_spec``.
     """
 
-    __slots__ = ("kind", "a", "b", "values", "default", "outer", "inner")
+    __slots__ = ("kind", "params", "exceptions", "a", "b", "last")
 
     def __init__(self, kind: str, **params):
+        if kind not in _NORMAL_FORMS:
+            raise ValueError(f"unknown counterfunction kind {kind!r}")
         self.kind = kind
-        self.a = params.get("a")
-        self.b = params.get("b")
-        self.values = params.get("values")
-        self.default = params.get("default")
-        self.outer = params.get("outer")
-        self.inner = params.get("inner")
-        self._validate()
-
-    @property
-    def is_affine(self) -> bool:
-        return self.kind in _AFFINE
-
-    def _validate(self) -> None:
-        if self.is_affine:
-            if self.a is None or self.b is None or self.a < 0 or self.b < 0:
-                raise ValueError(f"{self.kind} counterfunction needs coefficients >= 0")
-        elif self.kind == "table":
-            if self.default is None or self.default < 0:
-                raise ValueError("table counterfunction needs a default >= 0")
-            self.values = {int(n): int(v) for n, v in (self.values or {}).items()}
-            if any(n < 0 or v < 0 for n, v in self.values.items()):
-                raise ValueError("table entries must be nonnegative")
-        elif self.kind == "composition":
-            if not isinstance(self.outer, Counterfunction) or not isinstance(
-                self.inner, Counterfunction
-            ):
-                raise ValueError("composition needs two counterfunctions")
-        else:
-            raise ValueError(f"unknown counterfunction kind {self.kind!r}")
+        self.params = params
+        exceptions, self.a, self.b = _NORMAL_FORMS[kind](**params)
+        if self.a < 0 or self.b < 0 or any(n < 0 or v < 0 for n, v in exceptions.items()):
+            raise ValueError(f"{kind} counterfunction needs coefficients and entries >= 0")
+        # an exception equal to the tail is no exception
+        self.exceptions = {n: v for n, v in exceptions.items() if v != self.a * n + self.b}
+        self.last = max(self.exceptions, default=-1)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def constant(cls, k: int) -> "Counterfunction":
-        return cls("constant", a=0, b=int(k))
+        return cls("constant", k=int(k))
 
     @classmethod
     def identity_plus(cls, k: int = 0) -> "Counterfunction":
-        return cls("identity_plus", a=1, b=int(k))
+        return cls("identity_plus", k=int(k))
 
     @classmethod
     def linear(cls, a: int, b: int) -> "Counterfunction":
@@ -81,7 +64,8 @@ class Counterfunction:
 
     @classmethod
     def table(cls, values: dict, default: int) -> "Counterfunction":
-        return cls("table", values=dict(values), default=int(default))
+        return cls("table", values={int(n): int(v) for n, v in values.items()},
+                   default=int(default))
 
     @classmethod
     def compose(cls, outer: "Counterfunction", inner: "Counterfunction") -> "Counterfunction":
@@ -99,83 +83,87 @@ class Counterfunction:
         return Config.of(spec).build("kind", _SPEC_KINDS)
 
     def to_spec(self) -> dict:
-        if self.kind == "linear":
-            return {"kind": "linear", "a": self.a, "b": self.b}
-        if self.is_affine:
-            return {"kind": self.kind, "k": self.b}
-        if self.kind == "table":
-            return {"kind": "table", "values": dict(self.values), "default": self.default}
-        return {
-            "kind": "composition",
-            "outer": self.outer.to_spec(),
-            "inner": self.inner.to_spec(),
-        }
+        return {"kind": self.kind, **{key: value.to_spec() if isinstance(value, Counterfunction)
+                                      else dict(value) if isinstance(value, dict) else value
+                                      for key, value in self.params.items()}}
 
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, n: int) -> int:
         if n < 0:
             raise ValueError("counterfunctions are defined on the naturals")
-        if self.is_affine:
-            return self.a * n + self.b
-        if self.kind == "table":
-            return self.values.get(n, self.default)
-        return self.outer(self.inner(n))
+        return self.exceptions.get(n, self.a * n + self.b)
 
     @property
     def is_nondecreasing(self) -> bool:
-        if self.is_affine:
-            return True
-        if self.kind == "table":
-            probes = set()
-            for key in self.values:
-                probes.update((key - 1, key))
-            return all(self(p) <= self(p + 1) for p in probes if p >= 0)
-        return self.outer.is_nondecreasing and self.inner.is_nondecreasing
+        """Exact: the tail is nondecreasing, so a descent f(p) > f(p + 1)
+        has an exception at p or p + 1."""
+        return all(self(p) <= self(p + 1) for key in self.exceptions
+                   for p in (key - 1, key) if p >= 0)
 
     def __repr__(self) -> str:
         return f"Counterfunction({self.to_spec()})"
 
 
+def _compose(outer: Counterfunction, inner: Counterfunction) -> tuple[dict, int, int]:
+    """The normal form of outer o inner: inner's exceptions map through
+    outer; off them, inner is its tail, and outer's exceptions at their
+    preimages under that tail stay exceptions."""
+    exceptions = {n: outer(v) for n, v in inner.exceptions.items()}
+    if inner.a == 0:
+        return exceptions, 0, outer(inner.b)
+    for m, v in outer.exceptions.items():
+        n, r = divmod(m - inner.b, inner.a)
+        if r == 0 and n >= 0:
+            exceptions.setdefault(n, v)
+    return exceptions, outer.a * inner.a, outer.a * inner.b + outer.b
+
+
+# kind -> its parameters' normal form (exceptions, a, b)
+_NORMAL_FORMS = {
+    "constant": lambda k: ({}, 0, k),
+    "identity_plus": lambda k: ({}, 1, k),
+    "linear": lambda a, b: ({}, a, b),
+    "table": lambda values, default: (values, 0, default),
+    "composition": _compose,
+}
+
 # config kind -> (constructor, read of its typed parameters)
 _SPEC_KINDS = {
-    "constant": (Counterfunction.constant, lambda s: (s.integer("k"),)),
-    "identity_plus": (Counterfunction.identity_plus, lambda s: (s.integer("k", 0),)),
-    "linear": (Counterfunction.linear, lambda s: (s.integer("a"), s.integer("b", 0))),
+    "constant": (Counterfunction.constant, lambda s: (s.natural("k"),)),
+    "identity_plus": (Counterfunction.identity_plus, lambda s: (s.natural("k", 0),)),
+    "linear": (Counterfunction.linear, lambda s: (s.natural("a"), s.natural("b", 0))),
     "table": (Counterfunction.table,
-              lambda s: (_table(s.spec("values", {})), s.integer("default"))),
+              lambda s: (_table(s.spec("values", {})), s.natural("default"))),
 }
 
 
 def _table(values: Config) -> dict:
-    return {n: values.integer(n) for n in values}
-
-
-def _brute_max(fn: Callable[[int], int], lo: int, hi: int) -> int:
-    if hi - lo > _BRUTE_FORCE_CAP:
-        raise BudgetExceeded("interval too large for brute-force maximum")
-    return max(fn(n) for n in range(lo, hi + 1))
+    """The entries n: f(n) of a table spec, keys and values naturals."""
+    convert, want = Config.NATURAL
+    table = {}
+    for key in values:
+        try:
+            n = convert(key)
+        except (TypeError, ValueError, ArithmeticError):
+            values.refuse(key, key, f"keyed by {want}")
+        table[n] = values.natural(key)
+    return table
 
 
 def _interval_max(f: Counterfunction, lo: int, hi: int, shift: int) -> int:
     """Exact max of shift * n + f(n) over the integer interval [lo, hi],
-    for shift 0 or 1."""
+    for shift 0 or 1: the exceptions inside it, and the nondecreasing tail
+    at its largest point that is no exception."""
     if hi < lo:
         raise ValueError("empty interval")
-    if f.is_affine:
-        return (shift + f.a) * hi + f.b
-    if f.kind == "table":
-        candidates = [shift * n + v for n, v in f.values.items() if lo <= n <= hi]
-        # the largest point of [lo, hi] the table leaves at its default
-        n = hi
-        while n >= lo and n in f.values:
-            n -= 1
-        if n >= lo:
-            candidates.append(shift * n + f.default)
-        return max(candidates)
-    if f.is_nondecreasing:
-        return shift * hi + f(hi)
-    return _brute_max(lambda n: shift * n + f(n), lo, hi)
+    candidates = [shift * n + v for n, v in f.exceptions.items() if lo <= n <= hi]
+    n = hi
+    while n >= lo and n in f.exceptions:
+        n -= 1
+    if n >= lo:
+        candidates.append((shift + f.a) * n + f.b)
+    return max(candidates)
 
 
 def max_on(f: Counterfunction, lo: int, hi: int) -> int:
@@ -195,30 +183,25 @@ def iterate_tilde(
 ) -> int:
     """Evaluate f'~^(count)(0) where f'(n) = max(f(n), floor_value).
 
-    ``floor_value = 0`` gives the plain f~ iteration.  Uses closed forms for
-    the affine kinds, detects fixed points, and otherwise loops under the
-    value and iteration budgets.
+    ``floor_value = 0`` gives the plain f~ iteration.  The iterate steps
+    point by point under the value and iteration budgets, stopping at a fixed
+    point; past the last exception of a counterfunction it is on the tail,
+    where a constant step finishes in closed form and a slope a >= 1 at least
+    doubles the value each step.
     """
     if count < 0:
         raise ValueError("iteration count must be nonnegative")
-    if count == 0:
-        return 0
-    if isinstance(f, Counterfunction) and f.is_affine:
-        if f.a == 0:
-            return guard(count * max(f.b, floor_value))
-        if floor_value == 0:
-            # f~(n) = (1+a) n + b starting from 0
-            if f.b == 0:
-                return 0
-            if count > budget_limit().bit_length():
-                raise BudgetExceeded("iterate count forces value past budget")
-            return guard(f.b * ((1 + f.a) ** count - 1) // f.a)
     value = 0
     steps = 0
     while steps < count:
         step = max(f(value), floor_value)
         if step == 0:
             return value
+        if isinstance(f, Counterfunction) and value > f.last:
+            if f.a == 0:
+                return guard(value + (count - steps) * step)
+            if count - steps > budget_limit().bit_length():
+                raise BudgetExceeded("iterate count forces value past budget")
         value = guard(value + step)
         steps += 1
         if steps > _ITERATION_CAP:

@@ -211,7 +211,7 @@ def _metastability(cfg: Config, eps: Fraction,
     counterfunctions to certify: each one listed, else ``default``.  A
     ``single`` pipeline's claim names carry no f, so it refuses a second."""
     meta = cfg.spec("metastability", {})
-    specs = meta.specs("counterfunctions", default, scalar=Config.INTEGER)
+    specs = meta.specs("counterfunctions", default, scalar=Config.NATURAL)
     if single and len(specs) > 1:
         meta.refuse("counterfunctions", meta["counterfunctions"], "a list of one counterfunction")
     eps = meta.real("eps", eps)
@@ -435,7 +435,7 @@ def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:
     # the full Delta recursion; small eps overflows by design, so surface it
     cert_cfg = cfg.spec("delta", {})
     eps_d = cert_cfg.real("eps", eps_q)
-    fc = Counterfunction.from_spec(cert_cfg.spec("counterfunction", 0, Config.INTEGER))
+    fc = Counterfunction.from_spec(cert_cfg.spec("counterfunction", 0, Config.NATURAL))
     scaled = min(eps_d, _rational(B.beta) * eps_d / 2)
     cert = moduli.delta_second_order(consts, space.dimension, scaled, fc)
     out.certify("delta_second_order",
@@ -675,7 +675,7 @@ def _run_stojkovic(cfg: Config, out: ScenarioOutcome) -> None:
     # the tower overflows quickly: surface the sentinel, not a failure
     ov_cfg = cfg.spec("overflow_probe", {"eps": "1/1000",
                                          "counterfunction": {"kind": "identity_plus", "k": 0}})
-    fc_ov = Counterfunction.from_spec(ov_cfg.spec("counterfunction", scalar=Config.INTEGER))
+    fc_ov = Counterfunction.from_spec(ov_cfg.spec("counterfunction", scalar=Config.NATURAL))
     eps_ov = ov_cfg.real("eps")
     cert_ov = moduli.delta_stojkovic(b, gamma_tb, eps_ov, fc_ov)
     out.certify("delta_stojkovic_overflow_probe",

@@ -1,5 +1,7 @@
 """CLI: subcommands, exit codes, artifact layout, determinism of one run."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -15,8 +17,10 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from fejerflow import flows, operators
 from fejerflow.cli import _THEOREMS, _sanitize, main
-from fejerflow.exact import get_budget_bits, set_budget_bits
+from fejerflow.counterfunctions import Counterfunction
+from fejerflow.exact import budget_limit, get_budget_bits, set_budget_bits
 from fejerflow.scenarios import builtin_scenarios
+import oracles
 from test_config import _JSON
 
 
@@ -139,8 +143,15 @@ class TestCertify:
         trace = json.loads(capsys.readouterr().out)["trace"]
         assert trace == {"constants": trace["constants"]} and trace["constants"]["L"] == 5
 
-    @pytest.mark.parametrize("f, key", [('{"kind": "constant", "k": []}', "'f.k'"),
-                                        ("[1]", "'f'")], ids=["list_k", "list_spec"])
+    @pytest.mark.parametrize("f, key", [
+        ('{"kind": "constant", "k": []}', "'f.k'"),
+        ("[1]", "'f'"),
+        ('{"kind": "table", "values": {"x": 1}, "default": 0}', "'f.values.x'"),
+        ('{"kind": "table", "values": {"-1": 1}, "default": 0}', "'f.values.-1'"),
+        ('{"kind": "table", "values": {"0": -1}, "default": 0}', "'f.values.0'"),
+        ('{"kind": "linear", "a": -1}', "'f.a'"),
+    ], ids=["list_k", "list_spec", "table_key_text", "table_key_negative",
+            "table_entry_negative", "linear_negative"])
     def test_malformed_counterfunction_names_its_key(self, capsys, f, key):
         assert main(["certify", "delta_stojkovic", "--param", "b=1", "--param", "eps=1",
                      "--param", f"f={f}"]) == 2
@@ -160,6 +171,13 @@ class TestCertify:
         theorem, *params = argv
         assert main(["certify", theorem, *(f"--param={p}" for p in params)]) == 2
         assert key in capsys.readouterr().err
+
+    def test_table_iterates_past_its_keys(self, capsys):
+        # 0 -> 1 -> 3, then the default 3 for the other 3999998 of 4 * 10^6 steps
+        assert main(["certify", "aas1_metastability", "--param", "b=0", "--param", "c=1",
+                     "--param", "B=1", "--param", "eps=1/1000", "--param",
+                     'f={"kind": "table", "values": {"0": 1, "1": 2}, "default": 3}']) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 11_999_997
 
     def test_decimal_param_is_its_decimal_value(self, capsys):
         # ceil(2 B / eps) ceil((c + B - b) / eps) = 2 * 2 at eps = 3/10; the
@@ -252,6 +270,69 @@ def test_any_param_value_exits_zero_or_two(theorem_key, value):
     assert main(["certify", theorem, *(f"--param={k}={v}" for k, v in params.items())]) in (0, 2)
 
 
+_NATURAL = st.one_of(st.integers(0, 9), st.integers(0, 10 ** 30), st.integers(0, 2 ** 300))
+_F_SPECS = st.one_of(
+    st.builds(lambda k: {"kind": "constant", "k": k}, _NATURAL),
+    st.builds(lambda k: {"kind": "identity_plus", "k": k}, _NATURAL),
+    st.builds(lambda a, b: {"kind": "linear", "a": a, "b": b}, _NATURAL, _NATURAL),
+    st.builds(lambda values, default: {"kind": "table", "values": values, "default": default},
+              st.dictionaries(_NATURAL, _NATURAL, max_size=4), _NATURAL))
+# the certificates that are the f~ iteration itself, by their oracle
+_ITERATION_ORACLES = {
+    "aas1_metastability": lambda f: oracles.aas1(Fraction(0), Fraction(1), Fraction(1),
+                                                  Fraction(1), f),
+    "aas2_metastability": lambda f: oracles.aas2(Fraction(1), Fraction(3), Fraction(1),
+                                                  Fraction(1), None, Fraction(1, 3), f),
+}
+
+
+class _PastBudget(Exception):
+    pass
+
+
+def _spec_function(spec: dict):
+    """f(n) read off a well-formed spec; an argument past the budget stops
+    the literal iteration, whose value has then passed it too."""
+
+    def f(n: int) -> int:
+        if n > budget_limit():
+            raise _PastBudget
+        if spec["kind"] == "table":
+            return spec["values"].get(n, spec["default"])
+        a, b = {"constant": (0, spec.get("k")), "identity_plus": (1, spec.get("k")),
+                "linear": (spec.get("a"), spec.get("b"))}[spec["kind"]]
+        return a * n + b
+
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(theorem=st.sampled_from(sorted(t for t, params in _CERTIFY_PARAMS.items() if "f" in params)),
+       spec=_F_SPECS)
+def test_well_formed_counterfunction_certifies(theorem, spec):
+    # an int or overflow; only the monotone bounds refuse a decreasing f
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["certify", theorem,
+                     *(f"--param={k}={v}" for k, v in {**_CERTIFY_PARAMS[theorem],
+                                                       "f": json.dumps(spec)}.items())])
+    out, err = out.getvalue(), err.getvalue()
+    if theorem in ("delta_gradient_flow", "delta_stojkovic") and \
+            not Counterfunction.from_spec(spec).is_nondecreasing:
+        assert code == 2 and "needs nondecreasing f" in err
+        return
+    assert code == 0
+    value = json.loads(out)["value"]
+    assert value == "overflow" or type(value) is int
+    event(f"{theorem} {'overflow' if value == 'overflow' else 'int'}")
+    if theorem in _ITERATION_ORACLES:
+        try:
+            literal = _ITERATION_ORACLES[theorem](_spec_function(spec))
+        except _PastBudget:
+            literal = budget_limit() + 1
+        assert value == (literal if literal <= budget_limit() else "overflow")
+
+
 # cut flows for configs whose bad value is read after integration
 _SHORT = {"horizon": 1.0, "step": 0.01, "long_check": None}
 _SHORT_SECOND = {"horizon": 6.0, "step": 0.01}  # the oracle times reach 5
@@ -337,6 +418,14 @@ _NAMED_KEY_CONFIGS = {
                                    "overrides": {"horizon": -1}},
     "horizon_within_half_a_grid": {"builtin": "gradient_flow_quadratic",
                                    "overrides": {"horizon": 0.1}},
+    "counterfunction_table_key_not_an_integer": {
+        "builtin": "gradient_flow_quadratic",
+        "overrides": {"metastability": {"counterfunctions": [
+            {"kind": "table", "values": {"x": 1}, "default": 0}]}}},
+    "counterfunction_table_entry_negative": {
+        "builtin": "gradient_flow_quadratic",
+        "overrides": {"metastability": {"counterfunctions": [
+            {"kind": "table", "values": {"0": -1}, "default": 0}]}}},
     "counterfunctions_empty": {
         "builtin": "forward_backward_second_order",
         "overrides": {**_SHORT, "metastability": {"counterfunctions": []}}},
@@ -510,6 +599,8 @@ _NAMED_KEYS = {
     "probe_eps_not_a_number": "'overflow_probe.eps'",
     "semigroup_horizon_negative": "'horizon'",
     "horizon_within_half_a_grid": "'sampling.grid'",
+    "counterfunction_table_key_not_an_integer": "'metastability.counterfunctions[0].values.x'",
+    "counterfunction_table_entry_negative": "'metastability.counterfunctions[0].values.0'",
     "counterfunctions_empty": "'metastability.counterfunctions'",
     "center_wrong_length": "'operators.T.center'",
     "matrix_wrong_size": "'operators.T.matrix'",

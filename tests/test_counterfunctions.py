@@ -1,5 +1,7 @@
 """Counterfunction family: evaluation, exact range maxima, tilde iteration."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,8 +26,44 @@ def small_counterfunctions():
         st.builds(Counterfunction.linear, st.integers(0, 3), st.integers(0, 5)),
         tables,
     )
-    # compositions reach the nondecreasing and brute-force range maxima
+    # compositions: exceptions over a tail built from two normal forms
     return st.one_of(kinds, st.builds(Counterfunction.compose, kinds, kinds))
+
+
+def _big():
+    """A small natural, or one up to 10^30."""
+    return st.one_of(st.integers(0, 20), st.integers(0, 10 ** 30))
+
+
+def nested_counterfunctions():
+    """Nested compositions of tables with keys up to 10^30 and affine maps."""
+    base = st.one_of(
+        st.builds(Counterfunction.constant, _big()),
+        st.builds(Counterfunction.identity_plus, _big()),
+        st.builds(Counterfunction.linear, st.integers(0, 3), _big()),
+        st.builds(Counterfunction.table, st.dictionaries(_big(), _big(), max_size=5), _big()),
+    )
+    return st.recursive(base, lambda inner: st.builds(Counterfunction.compose, inner, inner),
+                        max_leaves=6)
+
+
+def literal(f: Counterfunction, n: int) -> int:
+    """f(n) read off the kind and parameters f was built from."""
+    p = f.params
+    if f.kind == "composition":
+        return literal(p["outer"], literal(p["inner"], n))
+    if f.kind == "table":
+        return p["values"].get(n, p["default"])
+    return {"constant": p.get("k"), "identity_plus": n + p.get("k", 0),
+            "linear": p.get("a", 0) * n + p.get("b", 0)}[f.kind]
+
+
+def compositions(f: Counterfunction):
+    """f and every composition nested in it."""
+    if f.kind == "composition":
+        yield f
+        yield from compositions(f.params["outer"])
+        yield from compositions(f.params["inner"])
 
 
 class TestEvaluation:
@@ -65,6 +103,32 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             Counterfunction.from_spec({"kind": "composition"})
 
+    @given(nested_counterfunctions())
+    @settings(max_examples=300, deadline=None)
+    def test_compose_matches_outer_of_inner(self, f):
+        # at every exception, every preimage of an outer exception under the
+        # inner tail, and their neighbours
+        for h in compositions(f):
+            outer, inner = h.params["outer"], h.params["inner"]
+            points = {0, *h.exceptions, *inner.exceptions}
+            if inner.a:
+                points |= {(m - inner.b) // inner.a for m in outer.exceptions}
+            for n in {p + d for p in points for d in (-1, 0, 1)}:
+                if n >= 0:
+                    assert h(n) == literal(h, n) == outer(inner(n))
+
+    @given(small_counterfunctions())
+    @settings(max_examples=300, deadline=None)
+    def test_nondecreasing_is_exact(self, f):
+        scan = all(literal(f, n) <= literal(f, n + 1) for n in range(max(f.last, 0) + 2))
+        assert f.is_nondecreasing == scan
+
+    def test_nondecreasing_composition_of_non_monotone(self):
+        # a table read at one point is constant
+        bump = Counterfunction.table({0: 5}, default=0)
+        assert Counterfunction.compose(bump, Counterfunction.constant(0)).is_nondecreasing
+        assert not Counterfunction.compose(Counterfunction.identity_plus(0), bump).is_nondecreasing
+
     def test_nondecreasing_flag(self):
         assert Counterfunction.identity_plus(0).is_nondecreasing
         assert not Counterfunction.table({0: 5}, default=0).is_nondecreasing
@@ -89,6 +153,23 @@ class TestRangeMaxima:
         f = Counterfunction.table({10 ** 30: 7}, default=2)
         assert max_on(f, 0, 10 ** 40) == 7
         assert max_tilde_on(f, 0, 10 ** 40) == 10 ** 40 + 2
+
+    @pytest.mark.parametrize("inner", [Counterfunction.identity_plus(2),
+                                       Counterfunction.linear(1, 2)])
+    def test_non_monotone_composition_on_a_wide_interval(self, inner):
+        # f(5) = 10^6, else 1, over 200,001 points
+        f = Counterfunction.compose(Counterfunction.table({7: 10 ** 6}, default=1), inner)
+        assert not f.is_nondecreasing
+        assert max_on(f, 0, 200_000) == 10 ** 6
+        assert max_tilde_on(f, 0, 200_000) == 10 ** 6 + 5
+        assert max_tilde_on(f, 6, 2 * 10 ** 6) == 2 * 10 ** 6 + 1
+        assert max_on(f, 6, 2 * 10 ** 6) == 1
+
+    def test_wide_interval_of_a_growing_composition(self):
+        f = Counterfunction.compose(Counterfunction.linear(3, 1),
+                                    Counterfunction.table({10: 0, 11: 10 ** 9}, default=2))
+        assert max_on(f, 0, 10 ** 6) == 3 * 10 ** 9 + 1
+        assert max_tilde_on(f, 12, 10 ** 6) == 10 ** 6 + 7
 
 
 class TestIteration:
@@ -116,6 +197,18 @@ class TestIteration:
     def test_geometric_budget(self):
         with pytest.raises(BudgetExceeded):
             iterate_tilde(Counterfunction.identity_plus(1), 10 ** 6)
+
+    def test_table_finishes_on_its_default(self):
+        # 0 -> 1 -> 3, then 3999998 steps of the default 3
+        f = Counterfunction.table({0: 1, 1: 2}, 3)
+        assert iterate_tilde(f, 4_000_000) == 11_999_997
+        assert iterate_tilde(f, 4_000_000, 5) == 5 * 4_000_000
+
+    def test_affine_tail_with_a_floor(self):
+        # n -> n + max(2n + 1, 10): 0 -> 10 -> 31 -> 94
+        assert iterate_tilde(Counterfunction.linear(2, 1), 3, 10) == 94
+        with pytest.raises(BudgetExceeded, match="iterate count forces value past budget"):
+            iterate_tilde(Counterfunction.linear(2, 1), 10 ** 6, 10)
 
     def test_value_budget_in_loop(self):
         f = Counterfunction.table({}, default=10 ** 70)
