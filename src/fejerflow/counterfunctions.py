@@ -7,13 +7,16 @@ Every counterfunction is stored in one normal form: finitely many exceptions
 ``n -> f(n)`` over an affine tail ``a*n + b`` (a, b >= 0), which keeps all
 three operations exact: an interval maximum looks at the exceptions inside
 the interval and the tail at its largest other point, and the iteration
-steps point by point only up to the last exception; past it a constant tail
-finishes in closed form, and a tail of slope a >= 1 at least doubles the
-iterate each step, so it passes the budget within the budget's bit length.
+steps point by point only at exceptions and on a sloped tail before the last
+exception; a constant tail jumps from one exception key to the next and
+finishes in closed form past the last, and a tail of slope a >= 1 at least
+doubles the iterate each step, so it passes the budget within the budget's
+bit length.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Union
 
 from .config import Config
@@ -21,7 +24,7 @@ from .exact import BudgetExceeded, budget_limit, guard
 
 __all__ = ["Counterfunction", "iterate_tilde", "max_on", "max_tilde_on"]
 
-_ITERATION_CAP = 500_000  # pointwise steps of the f~ iteration before overflow
+_ITERATION_CAP = 500_000  # rounds (a point step or a jump) of the f~ iteration before overflow
 
 
 class Counterfunction:
@@ -34,7 +37,7 @@ class Counterfunction:
     only name it in ``to_spec``.
     """
 
-    __slots__ = ("kind", "params", "exceptions", "a", "b", "last")
+    __slots__ = ("kind", "params", "exceptions", "a", "b", "keys")
 
     def __init__(self, kind: str, **params):
         if kind not in _NORMAL_FORMS:
@@ -46,7 +49,7 @@ class Counterfunction:
             raise ValueError(f"{kind} counterfunction needs coefficients and entries >= 0")
         # an exception equal to the tail is no exception
         self.exceptions = {n: v for n, v in exceptions.items() if v != self.a * n + self.b}
-        self.last = max(self.exceptions, default=-1)
+        self.keys = sorted(self.exceptions)
 
     # -- constructors --------------------------------------------------------
 
@@ -184,26 +187,33 @@ def iterate_tilde(
     """Evaluate f'~^(count)(0) where f'(n) = max(f(n), floor_value).
 
     ``floor_value = 0`` gives the plain f~ iteration.  The iterate steps
-    point by point under the value and iteration budgets, stopping at a fixed
-    point; past the last exception of a counterfunction it is on the tail,
-    where a constant step finishes in closed form and a slope a >= 1 at least
-    doubles the value each step.
+    under the value and iteration budgets, stopping at a fixed point.  Off
+    the exceptions of a counterfunction it is on the tail: a constant step
+    jumps in one go to the next exception key (or finishes the count in
+    closed form past the last one), and past the last exception a slope
+    a >= 1 at least doubles the value each step.
     """
     if count < 0:
         raise ValueError("iteration count must be nonnegative")
     value = 0
     steps = 0
+    rounds = 0
     while steps < count:
         step = max(f(value), floor_value)
         if step == 0:
             return value
-        if isinstance(f, Counterfunction) and value > f.last:
+        jump = 1
+        if isinstance(f, Counterfunction) and value not in f.exceptions:
+            i = bisect_right(f.keys, value)
             if f.a == 0:
-                return guard(value + (count - steps) * step)
-            if count - steps > budget_limit().bit_length():
+                # no point below f.keys[i] is an exception: each steps by `step`
+                jump = count - steps if i == len(f.keys) else \
+                    min(count - steps, -((value - f.keys[i]) // step))
+            elif i == len(f.keys) and count - steps > budget_limit().bit_length():
                 raise BudgetExceeded("iterate count forces value past budget")
-        value = guard(value + step)
-        steps += 1
-        if steps > _ITERATION_CAP:
+        value = guard(value + jump * step)
+        steps += jump
+        rounds += 1
+        if rounds > _ITERATION_CAP:
             raise BudgetExceeded("iteration budget exceeded")
     return value

@@ -57,7 +57,7 @@ from .operators import (
     forward_backward_residual,
     stojkovic_resolvent,
 )
-from .space import SpaceDescriptor
+from .space import SpaceDescriptor, vector_norm
 
 __all__ = [
     "ParameterCurve",
@@ -674,9 +674,9 @@ def _semigroup(run: Callable[[np.ndarray, int], np.ndarray], x, t: float,
     while n < n_max:
         n *= 2
         cur = finite_run(n)
-        d = float(np.linalg.norm(prev - cur))
+        d = vector_norm(prev - cur)
         ext = 2.0 * cur - prev
-        de = None if ext_prev is None else float(np.linalg.norm(ext_prev - ext))
+        de = None if ext_prev is None else vector_norm(ext_prev - ext)
         if de_prev is not None and de < tol and 2 * de < d and 3 * de <= de_prev:
             return SemigroupPoint(point=ext, achieved_tol=de, n_used=n,
                                   converged=True, extrapolated=True)

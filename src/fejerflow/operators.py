@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import Config
-from .space import SpaceDescriptor, row_norm
+from .space import SpaceDescriptor, row_norm, vector_norm
 
 __all__ = [
     "NonexpansiveMap",
@@ -334,7 +334,7 @@ def stojkovic_resolvent(F: NonexpansiveMap, t: float, x: np.ndarray,
     y = x
     for _ in range(_RESOLVENT_CAP):
         g = (x + t * np.asarray(fn(y), dtype=float)) / scale
-        d = float(np.linalg.norm(g - y))
+        d = vector_norm(g - y)
         if d <= tol:
             return g
         if not math.isfinite(d):

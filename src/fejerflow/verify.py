@@ -11,7 +11,7 @@ Solution functions, tail values and the separable error model of
 ``check_fejer`` take stacks: every window is one ``Trajectory.eval`` on its
 array of grid times.  The pointwise residual of
 ``verify_residual_metastability`` stays scalar: a pure function of time,
-called once per distinct grid time of a scan.
+called at most once per distinct grid time of a scan.
 """
 
 from __future__ import annotations
@@ -207,8 +207,9 @@ def _scan_windows(traj: Trajectory, eps: float, f: Counterfunction,
                   window: Callable[[int], tuple[bool, float, float]],
                   tol: float, value_key: str) -> VerificationReport:
     """Scan n = 0, 1, 2, ... for the least witness whose window [n, n+f(n)]
-    passes ``window(n) -> (ok, value, tol)``; the reported tolerance is the
-    one of the last window scanned (``tol`` if none fits).  The certificate
+    passes ``window(n) -> (ok, value, tol)``, whose value is read only when
+    it passes; the reported tolerance is the one of the last window scanned
+    (``tol`` if none fits).  The certificate
     (when finite and within horizon reach) must dominate the witness."""
     horizon = traj.horizon
     witness = value_at_witness = None
@@ -287,9 +288,13 @@ def verify_residual_metastability(traj: Trajectory,
     certificate must dominate it (same semantics as verify_metastability).
 
     ``residual`` must be a pure function of time along the trajectory: it is
-    called with a float, once per distinct grid time of the scan, and
-    windows that share a time reuse its value."""
+    called with a float, at most once per distinct grid time of the scan,
+    and windows that share a time reuse its value.  A window walks its times
+    in order and fails at the first value that is not <= eps + tol (a NaN
+    fails it too), so only the witness window evaluates all of its times and
+    takes their max."""
     tol = _base_tolerance(traj, traj.lipschitz_estimate() * grid)
+    bound = eps + tol
     seen: dict[float, float] = {}
 
     def at(t: float) -> float:
@@ -299,8 +304,12 @@ def verify_residual_metastability(traj: Trajectory,
         return value
 
     def window(n):
-        worst = max(map(at, _scan_times(traj, n, f, grid).tolist()))
-        return worst <= eps + tol, worst, tol
+        values = []
+        for t in _scan_times(traj, n, f, grid).tolist():
+            values.append(at(t))
+            if not values[-1] <= bound:
+                return False, values[-1], tol
+        return True, max(values), tol
 
     return _scan_windows(traj, eps, f, certificate, grid, claim, window,
                          tol, "residual_at_witness")

@@ -71,8 +71,7 @@ def test_dense_output_and_residual_calls_stay_scalar():
     report = verify_residual_metastability(first, residual, 0.5, Counterfunction.constant(1),
                                            ExtendedNatural(5), grid=0.25)
     assert report.witness == 3
-    # windows [n, n + 1] for n = 0..3, five grid times each: neighbouring
-    # windows share an end time, and each distinct time is called once, in
-    # first-seen order
-    assert calls == sorted({float(t) for n in range(4) for t in np.linspace(n, n + 1, 5)})
+    # windows [n, n + 1] for n = 0..2 fail at their first time n; the witness
+    # window [3, 4] calls its five grid times once each, in order
+    assert calls == [0.0, 1.0, 2.0, *np.linspace(3, 4, 5).tolist()]
     assert all(type(t) is float for t in calls)

@@ -333,6 +333,18 @@ def test_well_formed_counterfunction_certifies(theorem, spec):
         assert value == (literal if literal <= budget_limit() else "overflow")
 
 
+def test_table_key_past_the_iterate_certifies_like_its_default(capsys):
+    # the floor step never reaches the key 10^30, so f acts as its default 1:
+    # a constant step jumps to the key instead of stepping point by point
+    values = []
+    for f in ({"kind": "table", "values": {str(10 ** 30): 5}, "default": 1}, 1):
+        params = {**_CERTIFY_PARAMS["lambda_capital"], "f": json.dumps(f)}
+        assert main(["certify", "lambda_capital",
+                     *(f"--param={k}={v}" for k, v in params.items())]) == 0
+        values.append(json.loads(capsys.readouterr().out)["value"])
+    assert values == [8_332_214_800] * 2
+
+
 # cut flows for configs whose bad value is read after integration
 _SHORT = {"horizon": 1.0, "step": 0.01, "long_check": None}
 _SHORT_SECOND = {"horizon": 6.0, "step": 0.01}  # the oracle times reach 5

@@ -120,7 +120,8 @@ class TestEvaluation:
     @given(small_counterfunctions())
     @settings(max_examples=300, deadline=None)
     def test_nondecreasing_is_exact(self, f):
-        scan = all(literal(f, n) <= literal(f, n + 1) for n in range(max(f.last, 0) + 2))
+        scan = all(literal(f, n) <= literal(f, n + 1)
+                   for n in range(max(f.exceptions, default=0) + 2))
         assert f.is_nondecreasing == scan
 
     def test_nondecreasing_composition_of_non_monotone(self):
@@ -203,6 +204,19 @@ class TestIteration:
         f = Counterfunction.table({0: 1, 1: 2}, 3)
         assert iterate_tilde(f, 4_000_000) == 11_999_997
         assert iterate_tilde(f, 4_000_000, 5) == 5 * 4_000_000
+
+    def test_constant_step_jumps_to_a_far_key(self):
+        # 3,023,300 floor steps of 2,756 never reach 10^30: one jump
+        f = Counterfunction.table({10 ** 30: 5}, default=1)
+        assert iterate_tilde(f, 3_023_300, 2_756) == 3_023_300 * 2_756
+
+    def test_constant_step_lands_on_each_key(self):
+        # 10^6 steps of 1 reach the key, which steps 10^7; then 10^6 - 1 more
+        f = Counterfunction.table({10 ** 6: 10 ** 7}, default=1)
+        assert iterate_tilde(f, 2 * 10 ** 6) == 11 * 10 ** 6 + 10 ** 6 - 1
+        # a step of 3 jumps over the key 10 (0, 3, ..., 12) to the key 30
+        f = Counterfunction.table({10: 0, 30: 100}, default=3)
+        assert iterate_tilde(f, 12) == 30 + 100 + 3
 
     def test_affine_tail_with_a_floor(self):
         # n -> n + max(2n + 1, 10): 0 -> 10 -> 31 -> 94

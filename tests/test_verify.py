@@ -230,23 +230,56 @@ _SCAN_COUNTERFUNCTIONS = st.one_of(
               st.integers(0, 3)))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(f=_SCAN_COUNTERFUNCTIONS, grid=st.sampled_from([0.25, 0.05, 0.01]),
-       eps=st.floats(1e-3, 1.0), cert=st.integers(0, 8))
+       eps=st.floats(0.0, 1.5), cert=st.integers(0, 8),
+       values=st.lists(st.just(-0.0) | st.floats(0.0, 2.0), max_size=40))
 def test_residual_scan_reuses_shared_times_without_changing_the_report(decay, f, grid, eps,
-                                                                         cert):
+                                                                         cert, values):
+    # the decreasing decay, or a non-monotone residual: drawn values
+    # repeating along the grid
+    def residual(t):
+        return values[round(t / grid) % len(values)] if values else float(decay.eval(t)[0])
+
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return residual(t)
+
+    rep = verify_residual_metastability(decay, counted, eps, f, EN(cert), grid=grid)
+    assert len(calls) == len(set(calls))
+    status, witness, value, tol = _reference_residual_scan(decay, residual, eps, f,
+                                                           EN(cert), grid)
+    assert (rep.status, rep.witness, rep.tolerance) == (status, witness, tol)
+    assert repr(rep.details.get("residual_at_witness")) == repr(value)
+
+
+def test_residual_scan_calls_a_decreasing_residual_once_per_failing_window(decay):
+    # every window before the witness fails at its first time, so only the
+    # witness window's times are called past it
+    grid, f = 0.01, CF.constant(2)
     calls = []
 
     def residual(t):
         calls.append(t)
         return float(decay.eval(t)[0])
 
-    rep = verify_residual_metastability(decay, residual, eps, f, EN(cert), grid=grid)
-    assert len(calls) == len(set(calls))
-    status, witness, value, tol = _reference_residual_scan(
-        decay, lambda t: float(decay.eval(t)[0]), eps, f, EN(cert), grid)
-    assert (rep.status, rep.witness, rep.tolerance) == (status, witness, tol)
-    assert rep.details.get("residual_at_witness") == value
+    rep = verify_residual_metastability(decay, residual, 0.01, f, EN(8), grid=grid)
+    # eps + tol = 0.02 first bounds e^-t at t = 4
+    assert rep.status == "holds" and rep.witness == 4
+    assert len(calls) <= rep.witness + math.ceil(f(rep.witness) / grid) + 1
+
+
+def test_nan_residual_fails_its_window(decay):
+    # NaN on (0, 1): window 0 fails at its first NaN, and window 1 is the
+    # witness, past the certificate 0
+    def residual(t):
+        return math.nan if 0 < t < 1 else 0.0
+
+    rep = verify_residual_metastability(decay, residual, 0.1, CF.constant(1), EN(0))
+    assert (rep.status, rep.witness) == ("violated", 1)
+    assert rep.details["residual_at_witness"] == 0.0
 
 
 @pytest.fixture(scope="module")
