@@ -35,8 +35,18 @@ The semigroups double the step count n of their exponential formulas under
 one driver (``_semigroup``), which returns the Richardson extrapolant
 2 y_n - y_{n/2} when successive extrapolants show a second-order error, and
 otherwise the plain run with a geometric tail bound on its error.  The
-gradient-flow semigroup steps with the closed-form prox of its function, the
-Stojkovic semigroup with ``operators.stojkovic_resolvent``.
+driver has a sample axis, as ``_rk4`` has a run axis: the times of a grid
+are the rows of one (k, d) stack, which share one pass of n steps per level
+n, each row stepping by its own t/n, and each row keeps its own Cauchy
+differences, extrapolant and stopping rule and leaves the stack when it
+converges.  With closures that answer rows with single-point bits, each
+time keeps the bits of its own run, and an error is the one the earliest
+failing time would raise alone (``gradient_flow_samples``,
+``stojkovic_samples``; ``gradient_flow_semigroup`` and
+``stojkovic_semigroup`` are their one-time case).  The gradient-flow
+semigroup steps with the closed-form prox of its function, the Stojkovic
+semigroup with ``operators.stojkovic_resolvent``, both with a column of
+per-row parameters.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ from .operators import (
     forward_backward_residual,
     stojkovic_resolvent,
 )
-from .space import SpaceDescriptor, vector_norm
+from .space import SpaceDescriptor, row_norm
 
 __all__ = [
     "ParameterCurve",
@@ -69,7 +79,9 @@ __all__ = [
     "integrate_first_order_runs",
     "integrate_second_order",
     "integrate_forward_backward",
+    "gradient_flow_samples",
     "gradient_flow_semigroup",
+    "stojkovic_samples",
     "stojkovic_semigroup",
 ]
 
@@ -631,90 +643,161 @@ def _tail_bound(d: float, d_prev: float) -> float:
     return d * max(1.0, r / (1.0 - r)) if r < 1.0 else d
 
 
-def _semigroup(run: Callable[[np.ndarray, int], np.ndarray], x, t: float,
-               n_max: int, tol: float) -> SemigroupPoint:
+def _semigroup(run: Callable[[np.ndarray, np.ndarray, int], np.ndarray], x, ts,
+               n_max: int, tol: float) -> list[SemigroupPoint]:
     """Doubling driver of the exponential formulas, with Richardson
-    extrapolation and a fallback to the plain scheme.
+    extrapolation and a fallback to the plain scheme, for every time of
+    ``ts`` at once.
 
-    ``run(x, n)`` takes n steps of size t/n from x, and n doubles from 8; a
-    run that leaves the reals raises.  Each doubling compares the newest run
-    y_n with y_{n/2}: the plain Cauchy difference d = |y_n - y_{n/2}|, and
-    the extrapolant E_n = 2 y_n - y_{n/2} with its difference
-    |E_n - E_{n/2}| from the previous extrapolant.  When the error of the scheme
-    expands in 1/n (smooth phi or F), E_n is second order and the
-    extrapolant differences shrink about 4x per doubling.  The driver
-    returns E_n only in that regime: its difference is below tol, below d/2,
-    and at most a third of the previous extrapolant difference.  Otherwise
-    (nonsmooth phi such as l1 or an indicator, where the error need not
-    expand in 1/n) it returns the plain run y_n once the tail bound of the
-    Cauchy differences (``_tail_bound``, which needs two of them) is below
-    tol.  The achieved tolerance is the difference (extrapolated) or tail
-    bound (plain) of the returned point; for an extrapolant it is
-    conservative, since its error is about a third of its difference.
+    The times are the rows of one stack.  ``run(xs, ts, n)`` takes n steps
+    from each row of xs (k, d), each row by its own step t/n for its time
+    in the column ts (k, 1), and n doubles from 8 for all rows together.
+    Each doubling compares a row's newest run y_n with its y_{n/2}: the
+    plain Cauchy difference d = |y_n - y_{n/2}|, and the extrapolant
+    E_n = 2 y_n - y_{n/2} with its difference |E_n - E_{n/2}| from the
+    previous extrapolant.  When the error of the scheme expands in 1/n
+    (smooth phi or F), E_n is second order and the extrapolant differences
+    shrink about 4x per doubling.  The driver returns E_n only in that
+    regime: its difference is below tol, below d/2, and at most a third of
+    the previous extrapolant difference.  Otherwise (nonsmooth phi such as
+    l1 or an indicator, where the error need not expand in 1/n) it returns
+    the plain run y_n once the tail bound of the Cauchy differences
+    (``_tail_bound``, which needs two of them) is below tol.  The achieved
+    tolerance is the difference (extrapolated) or tail bound (plain) of the
+    returned point; for an extrapolant it is conservative, since its error
+    is about a third of its difference.  A row leaves the stack when it
+    converges; time 0 returns x with n = 0.
+
+    ``run`` must answer each row with the bits of a lone one-row call, as
+    the batch-invariant closures and ``space.row_norm`` do, so each time
+    gets the ``SemigroupPoint`` of its own run.  Failures keep the order of
+    a loop over ``ts``: a negative time, a non-finite run (``IntegrationError``)
+    or a ``run`` that raises fails its time, whose later times leave the
+    stack; a stack whose ``run`` raises is replayed row by row to find the
+    failing time.  The earlier times run on, and once none is left the
+    error of the earliest failing time is raised.
 
     The extrapolant is the point at parameter 2 on the line from y_{n/2}
     through y_n.  It is formed in coordinates, which is sound only because
     ``SpaceDescriptor`` is Euclidean-only: a geodesic extrapolation past
     parameter 1 is not defined in a general Hadamard space."""
     x = np.asarray(x, dtype=float)
-    if t < 0:
-        raise IntegrationError("semigroup time must be nonnegative")
-    if t == 0:
-        return SemigroupPoint(point=x.copy(), achieved_tol=0.0, n_used=0, converged=True)
+    ts = [float(t) for t in ts]
+    points: list = [None] * len(ts)
+    rows: list[int] = []  # the stack's times, as indices into ts, ascending
+    error = None  # the exception of the earliest failing time so far
+    for i, t in enumerate(ts):
+        if t < 0:
+            error = IntegrationError("semigroup time must be nonnegative")
+            break
+        if t == 0:
+            points[i] = SemigroupPoint(point=x.copy(), achieved_tol=0.0, n_used=0,
+                                       converged=True)
+        else:
+            rows.append(i)
 
     def finite_run(n: int) -> np.ndarray:
-        y = run(x, n)
-        if not np.isfinite(y).all():
-            raise IntegrationError(f"non-finite semigroup point at t={t}, n={n}")
-        return y
+        """The stack's runs of n steps; a failing row drops itself and every
+        later row from ``rows``."""
+        nonlocal rows, error
+        if not rows:
+            return np.empty((0, x.size))
+        column = np.array([ts[i] for i in rows])[:, None]
+        xs = np.tile(x, (len(rows), 1))
+        try:
+            ys = run(xs, column, n)
+        except Exception as exc:
+            ys = []
+            if len(rows) == 1:  # a one-row stack is its own replay
+                rows, error = [], exc
+            for j in range(len(rows)):  # replay row by row to find the failing time
+                try:
+                    ys.append(run(xs[j:j + 1], column[j:j + 1], n)[0])
+                except Exception as row_exc:
+                    rows, error = rows[:j], row_exc
+                    break
+            ys = np.array(ys).reshape(len(rows), x.size)
+        finite = np.isfinite(ys).all(axis=1)
+        if not finite.all():
+            j = int(finite.argmin())
+            t = ts[rows[j]]
+            rows, error = rows[:j], IntegrationError(
+                f"non-finite semigroup point at t={t}, n={n}")
+        return ys[:len(rows)]
 
     n = 8
     prev = finite_run(n)
     d_prev = ext_prev = de_prev = None
-    while n < n_max:
+    while rows and n < n_max:
         n *= 2
         cur = finite_run(n)
-        d = vector_norm(prev - cur)
+        k = len(rows)
+        prev = prev[:k]
+        d = row_norm(prev - cur).tolist()
         ext = 2.0 * cur - prev
-        de = None if ext_prev is None else vector_norm(ext_prev - ext)
-        if de_prev is not None and de < tol and 2 * de < d and 3 * de <= de_prev:
-            return SemigroupPoint(point=ext, achieved_tol=de, n_used=n,
-                                  converged=True, extrapolated=True)
-        if d_prev is not None:
-            bound = _tail_bound(d, d_prev)
-            if bound < tol:
-                return SemigroupPoint(point=cur, achieved_tol=bound, n_used=n,
-                                      converged=True)
-        prev, d_prev, ext_prev, de_prev = cur, d, ext, de
-    return SemigroupPoint(point=prev, achieved_tol=math.inf, n_used=n, converged=False)
+        de = None if ext_prev is None else row_norm(ext_prev[:k] - ext).tolist()
+        keep = []
+        for j, i in enumerate(rows):
+            if de_prev is not None and de[j] < tol and 2 * de[j] < d[j] \
+                    and 3 * de[j] <= de_prev[j]:
+                points[i] = SemigroupPoint(point=ext[j], achieved_tol=de[j], n_used=n,
+                                           converged=True, extrapolated=True)
+            elif d_prev is not None and (bound := _tail_bound(d[j], d_prev[j])) < tol:
+                points[i] = SemigroupPoint(point=cur[j], achieved_tol=bound, n_used=n,
+                                           converged=True)
+            else:
+                keep.append(j)
+        rows = [rows[j] for j in keep]
+        prev, d_prev, ext_prev = cur[keep], [d[j] for j in keep], ext[keep]
+        de_prev = None if de is None else [de[j] for j in keep]
+    for j, i in enumerate(rows):
+        points[i] = SemigroupPoint(point=prev[j], achieved_tol=math.inf, n_used=n,
+                                   converged=False)
+    if error is not None:
+        raise error
+    return points
+
+
+def gradient_flow_samples(phi: ConvexFunction, x, ts, n_max: int = 2 ** 20,
+                          tol: float = 1e-9) -> list[SemigroupPoint]:
+    """S_t(x) = lim_n (J_{t/n})^n (x) at every time of ``ts``: iterate the
+    prox under the doubling driver, one column of per-row parameters t/n
+    per step."""
+
+    prox = phi.prox  # raw closure after the first step, which checks the parameters
+
+    def run(xs: np.ndarray, ts: np.ndarray, n: int) -> np.ndarray:
+        s = ts / n
+        y = phi.prox_point(s, xs)
+        for _ in range(n - 1):
+            y = prox(s, y)
+        return y
+
+    return _semigroup(run, x, ts, n_max, tol)
 
 
 def gradient_flow_semigroup(phi: ConvexFunction, x, t: float,
                             n_max: int = 2 ** 20, tol: float = 1e-9) -> SemigroupPoint:
-    """S_t(x) = lim_n (J_{t/n})^n (x): iterate the prox under the doubling
-    driver."""
-
-    def run(x: np.ndarray, n: int) -> np.ndarray:
-        y = x.copy()
-        s = t / n
-        for _ in range(n):
-            y = phi.prox_point(s, y)
-        return y
-
-    return _semigroup(run, x, t, n_max, tol)
+    """S_t(x) at one time: the one-row case of :func:`gradient_flow_samples`."""
+    return gradient_flow_samples(phi, x, [t], n_max, tol)[0]
 
 
-def stojkovic_semigroup(F: NonexpansiveMap, x, t: float,
-                        n_max: int = 2 ** 20, tol: float = 1e-9) -> SemigroupPoint:
-    """T_t(x) = lim_n (R_{t/n})^n (x) over the implicit resolvent of F; same
-    doubling driver, with the inner fixed-point tolerance budgeted tol/(2n)."""
+def stojkovic_samples(F: NonexpansiveMap, x, ts, n_max: int = 2 ** 20,
+                      tol: float = 1e-9) -> list[SemigroupPoint]:
+    """T_t(x) = lim_n (R_{t/n})^n (x) over the implicit resolvent of F at
+    every time of ``ts``; same doubling driver, with the inner fixed-point
+    tolerance budgeted tol/(2n) and each row resolved to its own stop."""
 
-    def run(x: np.ndarray, n: int) -> np.ndarray:
-        y = x
-        s = t / n
-        inner = tol / (2 * n)
+    def run(xs: np.ndarray, ts: np.ndarray, n: int) -> np.ndarray:
+        y, s, inner = xs, ts / n, tol / (2 * n)
         for _ in range(n):
             y = stojkovic_resolvent(F, s, y, tol=inner)
         return y
 
-    return _semigroup(run, x, t, n_max, tol)
+    return _semigroup(run, x, ts, n_max, tol)
+
+
+def stojkovic_semigroup(F: NonexpansiveMap, x, t: float,
+                        n_max: int = 2 ** 20, tol: float = 1e-9) -> SemigroupPoint:
+    """T_t(x) at one time: the one-row case of :func:`stojkovic_samples`."""
+    return stojkovic_samples(F, x, [t], n_max, tol)[0]

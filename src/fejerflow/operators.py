@@ -12,7 +12,10 @@ Every config-addressable closure takes one point (d,) or a stack (..., d)
 and answers row by row (a convex value is a float for one point), each row
 with the bits of its single-point call, as the lockstep RK4 core in ``flows``
 needs: matrix closures take a dot product (``np.vecdot``) or a solve per row,
-since the rows of a stacked matrix product differ from it by rounding.
+since the rows of a stacked matrix product differ from it by rounding.  A
+prox parameter, and the Stojkovic resolvent's, may be a column (k, 1) of
+per-row parameters for a stack (k, d), as the lockstep semigroup samplers
+pass it; each row again has the bits of its single-point call.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import Config
-from .space import SpaceDescriptor, row_norm, vector_norm
+from .space import SpaceDescriptor, row_norm
 
 __all__ = [
     "NonexpansiveMap",
@@ -230,9 +233,11 @@ class ConvexFunction:
         value = np.asarray(self.value(np.asarray(x, dtype=float)), dtype=float)
         return float(value) if value.ndim == 0 else value
 
-    def prox_point(self, t: float, x: np.ndarray) -> np.ndarray:
-        """argmin_y value(y) + d^2(x, y) / (2 t), in closed form."""
-        if t <= 0:
+    def prox_point(self, t, x: np.ndarray) -> np.ndarray:
+        """argmin_y value(y) + d^2(x, y) / (2 t), in closed form; t is one
+        parameter, or a column (k, 1) of per-row parameters for a stack
+        x (k, d)."""
+        if np.count_nonzero(np.asarray(t) <= 0):
             raise OperatorError("prox parameter must be positive")
         return np.asarray(self.prox(t, np.asarray(x, dtype=float)), dtype=float)
 
@@ -242,9 +247,14 @@ class ConvexFunction:
         if scale <= 0:
             raise OperatorError("quadratic scale must be positive")
         c = np.zeros(dimension) if center is None else np.asarray(center, dtype=float)
+
+        def prox(t, x):
+            ts = t * scale
+            return (x + ts * c) / (1.0 + ts)
+
         return cls(
             value=lambda x: 0.5 * scale * np.vecdot(x - c, x - c),
-            prox=lambda t, x: (x + t * scale * c) / (1.0 + t * scale),
+            prox=prox,
             flow=lambda t, x: c + math.exp(-scale * t) * (x - c),
             name=f"quadratic({scale})",
         )
@@ -318,31 +328,46 @@ def forward_backward_residual(A: MonotoneOperator, B: CocoerciveMap,
 _RESOLVENT_CAP = 1_000_000
 
 
-def stojkovic_resolvent(F: NonexpansiveMap, t: float, x: np.ndarray,
+def stojkovic_resolvent(F: NonexpansiveMap, t, x: np.ndarray,
                         tol: float = 1e-12) -> np.ndarray:
     """Fixed point of G_{x,t}(y) = 1/(1+t) x (+) t/(1+t) F(y).
 
     G is a strict contraction with factor t/(1+t); plain iteration of
     y <- (x + t F(y)) / (1 + t) stops at residual d(y, G(y)) <= tol and
-    returns G(y).  A non-finite iterate raises at once.
+    returns G(y).  A stack x (k, d) with a column t (k, 1) of per-row
+    parameters iterates each row to its own stop, each with the bits of its
+    single-point call.  A non-finite iterate raises at once.
     """
-    if t <= 0:
+    t = np.asarray(t, dtype=float)
+    if np.count_nonzero(t <= 0):
         raise OperatorError("resolvent parameter must be positive")
     x = np.asarray(x, dtype=float)
     fn = F.fn  # raw closure; the validating wrapper is per-call overhead here
-    scale = 1.0 + t
-    y = x
+    xs = x.reshape(-1, x.shape[-1])
+    ts = t if t.ndim else np.full((len(xs), 1), t)
+    scale = 1.0 + ts
+    out, rows = None, list(range(len(xs)))  # the rows still iterating
+    y = xs
     for _ in range(_RESOLVENT_CAP):
-        g = (x + t * np.asarray(fn(y), dtype=float)) / scale
-        d = vector_norm(g - y)
-        if d <= tol:
-            return g
-        if not math.isfinite(d):
+        g = (xs + ts * np.asarray(fn(y), dtype=float)) / scale
+        d = row_norm(g - y).tolist()
+        if stop := [j for j, dj in enumerate(d) if dj <= tol]:
+            if len(stop) == len(d) and out is None:  # every row stops at once
+                return g.reshape(x.shape)
+            if out is None:
+                out = np.empty_like(xs)
+            out[[rows[j] for j in stop]] = g[stop]
+            if len(stop) == len(d):
+                return out.reshape(x.shape)
+            left = [j for j, dj in enumerate(d) if not dj <= tol]
+            rows = [rows[j] for j in left]
+            xs, ts, scale, g, d = xs[left], ts[left], scale[left], g[left], [d[j] for j in left]
+        if not all(map(math.isfinite, d)):
             raise OperatorError(f"resolvent iterate of {F.name} is not finite")
         y = g
     raise IterationBudgetError(
         f"resolvent iteration exceeded {_RESOLVENT_CAP} steps "
-        f"(contraction factor {t / scale})")
+        f"(contraction factor {float((ts / scale).max())})")
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,13 @@ from .flows import (
     ParameterCurve,
     Trajectory,
     coarse_steps,
+    gradient_flow_samples,
     gradient_flow_semigroup,
     integrate_first_order,  # unused here; the benchmark's tracer rebinds it by name
     integrate_first_order_runs,
     integrate_forward_backward,
     integrate_second_order,
+    stojkovic_samples,
     stojkovic_semigroup,
 )
 from .moduli import second_order_constants
@@ -563,17 +565,19 @@ def _sample_times(cfg: Config, grid: float) -> np.ndarray:
 
 
 def _semigroup_run(cfg: Config, out: ScenarioOutcome, space: SpaceDescriptor,
-                   semigroup: Callable, op, x0: np.ndarray, grid: float,
-                   point_tol: float) -> Trajectory:
+                   samples: Callable, semigroup: Callable, op, x0: np.ndarray,
+                   grid: float, point_tol: float) -> Trajectory:
     """Sample t -> semigroup(op, x0, t) on the grid over [0, horizon] into the
-    scenario trajectory, and check the optional ``match`` entry against the
-    closed-form flow of ``op`` at ``match.tol``.  Samples whose exponential
-    formula did not converge have no error bound; they are named in one
-    ``inconclusive`` report, and a match that did not converge is too."""
+    scenario trajectory, all times in one lockstep call of ``samples``, and
+    check the optional ``match`` entry against the closed-form flow of
+    ``op`` at ``match.tol`` with one call of ``semigroup``.  Samples whose
+    exponential formula did not converge have no error bound; they are
+    named in one ``inconclusive`` report, and a match that did not converge
+    is too."""
     if (match := cfg.spec("match", None)) and op.flow is None:
         cfg.refuse("match", match, f"null: {op.name} has no closed-form flow to match")
     ts = _sample_times(cfg, grid)
-    runs = [semigroup(op, x0, float(t), tol=point_tol) for t in ts]
+    runs = samples(op, x0, ts, tol=point_tol)
     achieved = max((run.achieved_tol for run in runs if run.converged), default=0.0)
     traj = Trajectory.from_samples(space, ts, np.array([run.point for run in runs]),
                                    est_err=max(achieved, point_tol), method=semigroup.__name__)
@@ -607,8 +611,8 @@ def _run_gradient_flow(cfg: Config, out: ScenarioOutcome) -> None:
     grid = sample_cfg.positive("grid", 0.25)
     times = _times(cfg, "objective_times", [1.0, 2.0, 10.0],
                    float(_sample_times(cfg, grid)[-1]), Config.positive)
-    traj = _semigroup_run(cfg, out, space, gradient_flow_semigroup, phi, x0, grid,
-                          sample_cfg.positive("tol", 1e-4))
+    traj = _semigroup_run(cfg, out, space, gradient_flow_samples, gradient_flow_semigroup,
+                          phi, x0, grid, sample_cfg.positive("tol", 1e-4))
     ts = traj.ts
 
     # Mayer inequality on sampled (s, t, z)
@@ -644,12 +648,14 @@ def _run_stojkovic(cfg: Config, out: ScenarioOutcome) -> None:
     F = make_nonexpansive(space, cfg.section("operators", "F"))
     sample_cfg = cfg.spec("sampling", {})
     grid = sample_cfg.positive("grid", 0.25)
-    traj = _semigroup_run(cfg, out, space, stojkovic_semigroup, F, x0, grid,
-                          sample_cfg.positive("tol", 1e-3))
+    traj = _semigroup_run(cfg, out, space, stojkovic_samples, stojkovic_semigroup,
+                          F, x0, grid, sample_cfg.positive("tol", 1e-3))
 
-    # resolvent inequality d(z, R_lam z) <= lam d(z, F z) on samples
+    # resolvent inequality d(z, R_lam z) <= lam d(z, F z) on samples; the
+    # default points and fixed-point samples lie on the first axis of R^d
+    pad = [0.0] * (d - 1)
     worst = -math.inf
-    points = sample_cfg.entries("resolvent_points", [[0.5], [-0.3], [1.0]])
+    points = sample_cfg.entries("resolvent_points", [[0.5, *pad], [-0.3, *pad], [1.0, *pad]])
     for z in (points.vector(i, d) for i in points):
         for lam_t in (0.25, 1.0, 3.0):
             rz = stojkovic_resolvent(F, lam_t, z, tol=1e-12)
@@ -659,7 +665,7 @@ def _run_stojkovic(cfg: Config, out: ScenarioOutcome) -> None:
 
     # fixed-point lemma d(x, T_t x) <= d(x, Fx) (e^{2t}-1)/2
     fp_samples = [(pair.vector(0, d), pair.number(1)) for pair in cfg.pairs(
-        "fixed_point_samples", [([0.5], 0.5), ([-0.25], 1.0), ([1.0], 1.5)])]
+        "fixed_point_samples", [([0.5, *pad], 0.5), ([-0.25, *pad], 1.0), ([1.0, *pad], 1.5)])]
     out.add(check_semigroup_fixed_point_bound(
         F, lambda x, t: stojkovic_semigroup(F, x, t, tol=1e-4), fp_samples, tol=3e-4))
 

@@ -6,7 +6,6 @@ Points are plain numpy arrays of fixed dimension; all operations are pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ __all__ = [
     "SpaceDescriptor",
     "euclidean",
     "row_norm",
-    "vector_norm",
 ]
 
 
@@ -102,10 +100,3 @@ def row_norm(x: np.ndarray) -> np.ndarray:
     ``np.linalg.norm`` on that row alone (``axis=-1`` there differs)."""
     return np.sqrt(np.vecdot(x, x))
 
-
-def vector_norm(v: np.ndarray) -> float:
-    """Euclidean norm of a float array as a float, with the bits of
-    ``float(np.linalg.norm(v))``: the same dot product of the raveled array
-    and square root, without its dispatch."""
-    v = v.ravel(order="K")
-    return math.sqrt(v.dot(v))

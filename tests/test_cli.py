@@ -797,6 +797,25 @@ class TestRun:
                                       "overrides": {"solution": {"point": [0.0], "b": 10 ** 200}}})
         assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 0
 
+    _PLANE = {"space": {"kind": "euclidean", "dimension": 2},
+              "initial": {"x0": [1.0, 0.5]}, "solution": {"point": [0.0, 0.0], "b": 2}}
+
+    def test_stojkovic_in_the_plane_exit_zero(self, tmp_path):
+        # the default resolvent points lie on the first axis of R^2
+        cfg = write_config(tmp_path, {"builtin": "stojkovic_negation", "overrides": {
+            **self._PLANE,
+            "fixed_point_samples": [[[0.5, 0.0], 0.5], [[-0.25, 0.0], 1.0], [[1.0, 0.0], 1.5]]}})
+        assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 0
+
+    def test_stojkovic_in_the_plane_default_samples_exit_zero(self, tmp_path):
+        config = {**builtin_scenarios()["stojkovic_negation"].config, **self._PLANE}
+        del config["fixed_point_samples"]
+        out = tmp_path / "a"
+        assert main(["run", write_config(tmp_path, config), "--out", str(out)]) == 0
+        reports = json.loads((out / "stojkovic_negation" / "reports.json").read_text())
+        status = {r["claim"]: r["status"] for r in reports}
+        assert status["resolvent_inequality"] == status["fixed_point_bound"] == "holds"
+
     def test_non_finite_resolvent_exit_two(self, tmp_path, capsys):
         # F x = 0 x + inf: the first resolvent iterate leaves the reals
         cfg = write_config(tmp_path, {

@@ -512,8 +512,9 @@ def _reference_plain_doubling(run, x, n_start, n_max, tol):
     return prev, math.inf, n
 
 
-def _prox_run(phi, t):
-    def run(x, n):
+def _prox_steps(phi):
+    """The gradient-flow formula at one time: n prox steps of t/n."""
+    def run(x, t, n):
         y = x.copy()
         for _ in range(n):
             y = phi.prox_point(t / n, y)
@@ -561,7 +562,8 @@ class TestSemigroupDriver:
     def test_nonsmooth_falls_back_to_plain(self, phi, x0, t, tol):
         res = gradient_flow_semigroup(phi, x0, t, tol=tol)
         point, achieved, n = _reference_plain_doubling(
-            _prox_run(phi, t), np.asarray(x0, dtype=float), 8, 2 ** 20, tol)
+            lambda x, n: _prox_steps(phi)(x, t, n), np.asarray(x0, dtype=float), 8,
+            2 ** 20, tol)
         assert not res.extrapolated and res.converged
         assert np.array_equal(res.point, point)
         assert (res.n_used, res.achieved_tol) == (n, achieved)
@@ -575,7 +577,8 @@ class TestSemigroupDriver:
         def run(x, n):
             return x + (c + b * (-1) ** int(math.log2(n))) / n
 
-        res = flows._semigroup(run, [0.0], 1.0, 2 ** 20, 1e-4)
+        [res] = flows._semigroup(_rows(lambda x, t, n: run(x, n)), [0.0], [1.0],
+                                 2 ** 20, 1e-4)
         point, achieved, n = _reference_plain_doubling(run, np.zeros(1), 8,
                                                        2 ** 20, 1e-4)
         assert res.converged and not res.extrapolated
@@ -583,26 +586,35 @@ class TestSemigroupDriver:
         assert (res.n_used, res.achieved_tol) == (n, achieved)
 
 
-def _reference_stojkovic_run(F, t, tol):
-    """The Stojkovic semigroup's former inline resolvent loop: n steps of the
-    implicit resolvent at inner tolerance tol/(2n)."""
-    fn = F.fn
+def _rows(run):
+    """A one-time run(x, t, n) as the driver's row protocol run(xs, ts, n):
+    each row alone."""
+    return lambda xs, ts, n: np.array([run(x, t, n) for x, t in zip(xs, ts[:, 0])])
 
-    def run(x, n):
-        y = x.copy()
-        s = t / n
+
+def _resolvent_steps(F, tol):
+    """The Stojkovic formula at one time: n steps of the former scalar
+    resolvent loop, at inner tolerance tol/(2n), with its checks."""
+    def run(x, t, n):
+        y, s, inner = x, t / n, tol / (2 * n)
+        if s <= 0:
+            raise OperatorError("resolvent parameter must be positive")
         scale = 1.0 + s
-        inner = tol / (2 * n)
         for _ in range(n):
             w = y
-            for _ in range(10_000):
-                wn = (y + s * np.asarray(fn(w), dtype=float)) / scale
-                if float(np.linalg.norm(wn - w)) <= inner:
+            for _ in range(operators._RESOLVENT_CAP):
+                g = (y + s * np.asarray(F.fn(w), dtype=float)) / scale
+                dist = float(np.linalg.norm(g - w))
+                if dist <= inner:
                     break
-                w = wn
+                if not math.isfinite(dist):
+                    raise OperatorError(f"resolvent iterate of {F.name} is not finite")
+                w = g
             else:
-                raise IntegrationError("resolvent iteration failed to contract")
-            y = wn
+                raise IterationBudgetError(
+                    f"resolvent iteration exceeded {operators._RESOLVENT_CAP} steps "
+                    f"(contraction factor {s / scale})")
+            y = g
         return y
     return run
 
@@ -617,7 +629,8 @@ class TestStojkovicResolventMerge:
     @pytest.mark.parametrize("tol", [1e-4, 1e-6])
     def test_semigroup_keeps_its_bits(self, F, x0, t, tol):
         res = stojkovic_semigroup(F, x0, t, tol=tol)
-        ref = flows._semigroup(_reference_stojkovic_run(F, t, tol), x0, t, 2 ** 20, tol)
+        [ref] = flows._semigroup(_rows(_resolvent_steps(F, tol)), x0, [t],
+                                 2 ** 20, tol)
         assert res.converged and ref.converged
         assert np.array_equal(res.point, ref.point)
         assert (res.n_used, res.achieved_tol, res.extrapolated) == \
@@ -643,6 +656,211 @@ class TestStojkovicResolventMerge:
         monkeypatch.setattr(operators, "_RESOLVENT_CAP", 3)
         with pytest.raises(IterationBudgetError, match="exceeded 3 steps"):
             stojkovic_resolvent(NonexpansiveMap.negation(), 1.0, np.array([1.0]))
+
+
+# ---------------------------------------------------------------------------
+# lockstep sampling: every time of a grid is the SemigroupPoint of its own run
+# ---------------------------------------------------------------------------
+
+
+def _reference_point(run, x, t, n_max, tol):
+    """The per-time doubling driver the lockstep driver replaced: one time,
+    restarted from x, with run(x, t, n) the exponential formula at that time."""
+    x = np.asarray(x, dtype=float)
+    if t < 0:
+        raise IntegrationError("semigroup time must be nonnegative")
+    if t == 0:
+        return flows.SemigroupPoint(point=x.copy(), achieved_tol=0.0, n_used=0, converged=True)
+
+    def finite_run(n):
+        y = run(x, t, n)
+        if not np.isfinite(y).all():
+            raise IntegrationError(f"non-finite semigroup point at t={t}, n={n}")
+        return y
+
+    n = 8
+    prev = finite_run(n)
+    d_prev = ext_prev = de_prev = None
+    while n < n_max:
+        n *= 2
+        cur = finite_run(n)
+        d = float(np.linalg.norm(prev - cur))
+        ext = 2.0 * cur - prev
+        de = None if ext_prev is None else float(np.linalg.norm(ext_prev - ext))
+        if de_prev is not None and de < tol and 2 * de < d and 3 * de <= de_prev:
+            return flows.SemigroupPoint(point=ext, achieved_tol=de, n_used=n,
+                                        converged=True, extrapolated=True)
+        if d_prev is not None:
+            r = d / d_prev if d_prev > 0 else math.inf
+            bound = d * max(1.0, r / (1.0 - r)) if r < 1.0 else d
+            if bound < tol:
+                return flows.SemigroupPoint(point=cur, achieved_tol=bound, n_used=n,
+                                            converged=True)
+        prev, d_prev, ext_prev, de_prev = cur, d, ext, de
+    return flows.SemigroupPoint(point=prev, achieved_tol=math.inf, n_used=n, converged=False)
+
+
+def _reference_samples(kind, op, x0, ts, n_max, tol):
+    run = _prox_steps(op) if kind == "gradient" else _resolvent_steps(op, tol)
+    return [_reference_point(run, x0, float(t), n_max, tol) for t in ts]
+
+
+_SAMPLERS = {"gradient": flows.gradient_flow_samples, "stojkovic": flows.stojkovic_samples}
+
+
+def _assert_same_points(points, refs):
+    assert len(points) == len(refs)
+    for p, r in zip(points, refs):
+        assert p.point.shape == r.point.shape and p.point.tobytes() == r.point.tobytes()
+        assert (p.n_used, p.achieved_tol, p.extrapolated, p.converged) == \
+            (r.n_used, r.achieved_tol, r.extrapolated, r.converged)
+
+
+def _vector(d):
+    return st.lists(st.floats(-2.0, 2.0, allow_subnormal=False), min_size=d, max_size=d)
+
+
+@st.composite
+def _convex_spec(draw, d):
+    op = draw(st.sampled_from(["quadratic", "quad_prox", "l1", "indicator_ball",
+                               "indicator_box"]))
+    spec = {"op": op}
+    if op in ("quadratic", "quad_prox"):
+        spec["scale"] = draw(st.floats(0.1, 4.0))
+        if draw(st.booleans()):
+            spec["center"] = draw(_vector(d))
+    elif op == "l1":
+        spec["scale"] = draw(st.floats(0.1, 4.0))
+    elif op == "indicator_ball":
+        spec.update(center=draw(_vector(d)), radius=draw(st.floats(0.0, 2.0)))
+    else:
+        lower = draw(_vector(d))
+        spec.update(lower=lower, upper=[a + w for a, w in zip(lower, draw(
+            st.lists(st.floats(0.0, 2.0), min_size=d, max_size=d)))])
+    return spec
+
+
+@st.composite
+def _nonexpansive_spec(draw, d):
+    ops = ["identity", "scalar", "negation", "affine", "linear", "projection_ball"]
+    op = draw(st.sampled_from(ops + (["rotation"] if d == 2 else [])))
+    spec = {"op": op}
+    if op == "scalar":
+        spec["c"] = draw(st.floats(0.0, 1.0))
+    elif op in ("affine", "linear"):
+        m = np.array(draw(st.lists(_vector(d), min_size=d, max_size=d)))
+        spec["matrix"] = (m / max(1.0, float(np.linalg.norm(m, 2)))).tolist()
+        if op == "affine":
+            spec["offset"] = draw(_vector(d))
+    elif op == "rotation":
+        spec["angle_deg"] = draw(st.floats(-180.0, 180.0))
+    elif op == "projection_ball":
+        spec.update(center=draw(_vector(d)), radius=draw(st.floats(0.0, 2.0)))
+    return spec
+
+
+def _grid(draw):
+    """A sample grid from t = 0: k steps of one spacing."""
+    spacing = draw(st.sampled_from([0.125, 0.25, 0.3, 0.5, 1.0]))
+    return spacing * np.arange(draw(st.integers(1, 5)) + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), data=st.data())
+def test_gradient_flow_samples_keep_the_bits_of_per_time_runs(d, data):
+    phi = operators.make_convex_function(euclidean(d), data.draw(_convex_spec(d)))
+    x0 = np.array(data.draw(_vector(d)))
+    ts = _grid(data.draw)
+    n_max = data.draw(st.sampled_from([8, 64, 4096]))
+    tol = data.draw(st.sampled_from([1e-2, 1e-4, 1e-6, 1e-9]))
+    _assert_same_points(flows.gradient_flow_samples(phi, x0, ts, n_max=n_max, tol=tol),
+                        _reference_samples("gradient", phi, x0, ts, n_max, tol))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), data=st.data())
+def test_stojkovic_samples_keep_the_bits_of_per_time_runs(d, data):
+    F = operators.make_nonexpansive(euclidean(d), data.draw(_nonexpansive_spec(d)))
+    x0 = np.array(data.draw(_vector(d)))
+    ts = _grid(data.draw)
+    n_max = data.draw(st.sampled_from([8, 64, 512]))
+    tol = data.draw(st.sampled_from([1e-2, 1e-3, 1e-4]))
+    _assert_same_points(flows.stojkovic_samples(F, x0, ts, n_max=n_max, tol=tol),
+                        _reference_samples("stojkovic", F, x0, ts, n_max, tol))
+
+
+def _outcome(call):
+    """The SemigroupPoint(s) of a call, or its exception."""
+    try:
+        return call()
+    except Exception as exc:
+        return exc
+
+
+# non-finite for steps t/n below 0.01: the earlier the time, the later it fails
+_FRAGILE = ConvexFunction(value=lambda x: 0.5 * np.vecdot(x, x),
+                          prox=lambda t, x: np.where(t < 0.01, np.inf, x / (1.0 + t)),
+                          name="fragile")
+
+
+def _too_small(t, x):
+    if np.count_nonzero(t < 0.01):
+        raise OperatorError(f"prox step {float(np.min(t))} below 0.01")
+    return x / (1.0 + t)
+
+
+# refuses steps t/n below 0.01 with a message naming the step
+_PICKY = ConvexFunction(value=lambda x: 0.5 * np.vecdot(x, x), prox=_too_small, name="picky")
+# x -> 2x: its resolvent iteration diverges for steps t/n >= 1
+_DOUBLING = NonexpansiveMap(fn=lambda x: 2.0 * x, name="doubling")
+
+
+class TestLockstepErrors:
+    """When several times fail, the lockstep samplers raise what the loop
+    over the times would: the error of the earliest failing time."""
+
+    @pytest.mark.parametrize("kind, op, ts, cap", [
+        # t = 1 fails at n = 128, after t = 0.1 (n = 16) and t = -1
+        ("gradient", _FRAGILE, [0.0, 1.0, 0.1, -1.0], None),
+        ("gradient", _FRAGILE, [0.5, -1.0, 0.1], None),
+        ("gradient", _FRAGILE, [0.0, -2.0, 0.1], None),
+        ("gradient", _FRAGILE, [0.05, 0.06], None),  # both at n = 8
+        # t = 5e-324 gives the step 0 at n = 8
+        ("gradient", _FRAGILE, [1.0, 5e-324], None),
+        ("gradient", _FRAGILE, [5e-324, 0.1], None),
+        ("gradient", _PICKY, [1.0, 0.1, 0.05], None),
+        ("gradient", _PICKY, [0.05, 1.0, 5e-324], None),
+        ("stojkovic", _DOUBLING, [0.5, 20.0, -1.0], None),
+        ("stojkovic", _DOUBLING, [5e-324, 20.0], None),
+        ("stojkovic", _DOUBLING, [20.0, 5e-324], None),
+        # at a cap of 30 iterations, the resolvent of t = 8 and t = 16 gives up at n = 8
+        ("stojkovic", NonexpansiveMap.negation(), [4.0, 16.0, 8.0], 30),
+        ("stojkovic", NonexpansiveMap.negation(), [8.0, 16.0, -1.0], 30),
+        ("stojkovic", NonexpansiveMap.negation(), [4.0, -1.0, 16.0], 30),
+    ])
+    def test_earliest_failing_time_raises(self, monkeypatch, kind, op, ts, cap):
+        if cap is not None:
+            monkeypatch.setattr(operators, "_RESOLVENT_CAP", cap)
+        # no time converges before it fails; a diverging iterate is refused
+        # as not finite, without an overflow warning on the way
+        tol, x0 = 1e-300 if kind == "gradient" else 1e-12, np.array([1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_time = [_outcome(lambda t=t: _reference_samples(kind, op, x0, [t], 2 ** 10, tol))
+                        for t in ts]
+            assert sum(isinstance(r, Exception) for r in per_time) >= 2
+            expected = next(r for r in per_time if isinstance(r, Exception))
+            with pytest.raises(type(expected)) as info:
+                _SAMPLERS[kind](op, x0, ts, n_max=2 ** 10, tol=tol)
+        assert str(info.value) == str(expected)
+
+    def test_every_failure_kind_is_covered(self, monkeypatch):
+        monkeypatch.setattr(operators, "_RESOLVENT_CAP", 30)
+        raised = {type(_outcome(lambda: _SAMPLERS[kind](op, [1.0], ts, n_max=2 ** 10,
+                                                        tol=1e-300)))
+                  for kind, op, ts in [("gradient", _FRAGILE, [1.0]),
+                                       ("gradient", _PICKY, [0.05]),
+                                       ("stojkovic", NonexpansiveMap.negation(), [16.0])]}
+        assert raised == {IntegrationError, OperatorError, IterationBudgetError}
 
 
 class TestFromSamples:

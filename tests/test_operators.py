@@ -257,3 +257,37 @@ def test_zoo_rows_match_single_point_calls(d, data):
             assert rows.shape == ((n,) if isinstance(f, ConvexFunction) else (n, d)), name
             for row, single in zip(rows, singles):
                 assert _same_bits(row, single), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_parameter_columns_match_single_point_calls(d, data):
+    # a prox or Stojkovic resolvent with a column of per-row parameters
+    # answers each row with the bits of its single-point call; the lockstep
+    # semigroup samplers rely on it
+    n = data.draw(st.integers(1, 8))
+    xs = data.draw(arrays(np.float64, (n, d),
+                          elements=st.floats(-3.0, 3.0, allow_subnormal=False)))
+    ts = data.draw(arrays(np.float64, (n, 1), elements=st.floats(1e-3, 4.0)))
+    for name, f in _zoo(d):
+        if isinstance(f, ConvexFunction):
+            rows = f.prox_point(ts, xs)
+            singles = [f.prox_point(float(t), x) for t, x in zip(ts[:, 0], xs)]
+        elif name.startswith("T."):
+            rows = stojkovic_resolvent(f, ts, xs, tol=1e-9)
+            singles = [stojkovic_resolvent(f, float(t), x, tol=1e-9)
+                       for t, x in zip(ts[:, 0], xs)]
+        else:
+            continue
+        assert rows.shape == (n, d), name
+        for row, single in zip(rows, singles):
+            assert _same_bits(row, single), name
+
+
+def test_a_nonpositive_row_parameter_is_refused():
+    xs = np.array([[1.0], [2.0]])
+    ts = np.array([[0.5], [0.0]])
+    with pytest.raises(OperatorError, match="prox parameter must be positive"):
+        ConvexFunction.l1().prox_point(ts, xs)
+    with pytest.raises(OperatorError, match="resolvent parameter must be positive"):
+        stojkovic_resolvent(NonexpansiveMap.negation(), ts, xs)

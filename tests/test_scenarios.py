@@ -76,17 +76,16 @@ class TestValidation:
 
 class TestSemigroupSampling:
     def test_unconverged_sample_is_inconclusive(self):
-        # a stub semigroup whose exponential formula fails at t = 0.5 only
-        def semigroup(op, x0, t, tol, n_max=2 ** 20):
-            converged = t != 0.5
-            return SemigroupPoint(point=math.exp(-t) * x0,
-                                  achieved_tol=tol / 2 if converged else math.inf,
-                                  n_used=64, converged=converged)
+        # a stub sampler whose exponential formula fails at t = 0.5 only
+        def samples(op, x0, ts, tol, n_max=2 ** 20):
+            return [SemigroupPoint(point=math.exp(-t) * x0,
+                                   achieved_tol=tol / 2 if t != 0.5 else math.inf,
+                                   n_used=64, converged=t != 0.5) for t in ts]
 
         space = SpaceDescriptor(dimension=1)
         out = ScenarioOutcome(name="stub")
-        traj = _semigroup_run(Config({"horizon": 1.0}), out, space, semigroup, None,
-                              np.array([1.0]), 0.25, 1e-3)
+        traj = _semigroup_run(Config({"horizon": 1.0}), out, space, samples,
+                              flows.gradient_flow_semigroup, None, np.array([1.0]), 0.25, 1e-3)
         assert len(traj.ts) == 5 and traj.est_err == 1e-3
         [report] = out.reports
         assert report.status == INCONCLUSIVE
@@ -94,13 +93,13 @@ class TestSemigroupSampling:
         assert "did not converge" in report.details["reason"]
 
     def test_converged_samples_add_no_report(self):
-        def semigroup(op, x0, t, tol, n_max=2 ** 20):
-            return SemigroupPoint(point=math.exp(-t) * x0, achieved_tol=tol / 2,
-                                  n_used=64, converged=True)
+        def samples(op, x0, ts, tol, n_max=2 ** 20):
+            return [SemigroupPoint(point=math.exp(-t) * x0, achieved_tol=tol / 2,
+                                   n_used=64, converged=True) for t in ts]
 
         out = ScenarioOutcome(name="stub")
-        _semigroup_run(Config({"horizon": 1.0}), out, SpaceDescriptor(dimension=1), semigroup,
-                       None, np.array([1.0]), 0.25, 1e-3)
+        _semigroup_run(Config({"horizon": 1.0}), out, SpaceDescriptor(dimension=1), samples,
+                       flows.gradient_flow_semigroup, None, np.array([1.0]), 0.25, 1e-3)
         assert out.reports == []
 
 
