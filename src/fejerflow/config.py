@@ -39,6 +39,12 @@ def _positive(value) -> float:
     return number
 
 
+def _nonnegative(value) -> float:
+    if not (number := _finite(value)) >= 0:
+        raise ValueError
+    return number
+
+
 # a decimal exponent is refused past the digits int() reads from a string by
 # default: Fraction would build a power of ten of that many digits
 _EXPONENT_DIGITS = 4300
@@ -64,6 +70,12 @@ def _integer(value) -> int:
 
 def _natural(value) -> int:
     if (n := _integer(value)) < 0:
+        raise ValueError
+    return n
+
+
+def _positive_integer(value) -> int:
+    if (n := _integer(value)) < 1:
         raise ValueError
     return n
 
@@ -133,6 +145,9 @@ class Config(dict):
     def positive(self, key, default=_REQUIRED) -> float:
         return self._read(key, default, _positive, "a positive finite number")
 
+    def nonnegative(self, key, default=_REQUIRED) -> float:
+        return self._read(key, default, _nonnegative, "a nonnegative finite number")
+
     def rational(self, key, default=_REQUIRED) -> Fraction:
         return self._read(key, default, _rational,
                           f"an integer, a decimal (exponent up to {_EXPONENT_DIGITS}) or 'p/q'")
@@ -149,6 +164,9 @@ class Config(dict):
 
     def natural(self, key, default=_REQUIRED) -> int:
         return self._read(key, default, *self.NATURAL)
+
+    def positive_integer(self, key, default=_REQUIRED) -> int:
+        return self._read(key, default, _positive_integer, "an integer >= 1")
 
     def text(self, key, default=_REQUIRED) -> str:
         return self._read(key, default, _text, "a string")

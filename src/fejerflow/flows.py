@@ -34,19 +34,21 @@ bits of the one-by-one steps.  Of the builtins' runs, only the first-order
 The semigroups double the step count n of their exponential formulas under
 one driver (``_semigroup``), which returns the Richardson extrapolant
 2 y_n - y_{n/2} when successive extrapolants show a second-order error, and
-otherwise the plain run with a geometric tail bound on its error.  The
-driver has a sample axis, as ``_rk4`` has a run axis: the times of a grid
-are the rows of one (k, d) stack, which share one pass of n steps per level
-n, each row stepping by its own t/n, and each row keeps its own Cauchy
-differences, extrapolant and stopping rule and leaves the stack when it
-converges.  With closures that answer rows with single-point bits, each
-time keeps the bits of its own run, and an error is the one the earliest
-failing time would raise alone (``gradient_flow_samples``,
-``stojkovic_samples``; ``gradient_flow_semigroup`` and
-``stojkovic_semigroup`` are their one-time case).  The gradient-flow
-semigroup steps with the closed-form prox of its function, the Stojkovic
-semigroup with ``operators.stojkovic_resolvent``, both with a column of
-per-row parameters.
+otherwise the plain run with a geometric tail bound on its error.
+``_semigroup`` has a row axis, as ``_rk4`` has a run axis: the rows of one
+(k, d) stack share one pass of n steps per level n, and each row has its
+own start, time, tol and n_max, steps by its own t/n, keeps its own Cauchy
+differences, extrapolant and stopping rule, and leaves the stack when it
+converges or reaches its n_max.  A scenario runs all its semigroup
+evaluations (grid times, match, fixed-point samples) as rows of one stack.
+With closures that answer rows with single-point bits, each row keeps the
+bits of its one-row call, and an error is the one the earliest failing
+row would raise alone (``gradient_flow_samples``, ``stojkovic_samples``;
+``gradient_flow_semigroup`` and ``stojkovic_semigroup`` are their one-row
+case).  The gradient-flow semigroup steps with the closed-form prox of its
+function, the Stojkovic semigroup with ``operators.stojkovic_resolvent``,
+both with a column of per-row parameters; a run checks its parameters on
+its first step only and then steps with the raw prox or resolvent loop.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from .operators import (
     ConvexFunction,
     MonotoneOperator,
     NonexpansiveMap,
+    _resolvent_loop,
     forward_backward_map,
     forward_backward_residual,
     stojkovic_resolvent,
@@ -643,55 +646,61 @@ def _tail_bound(d: float, d_prev: float) -> float:
     return d * max(1.0, r / (1.0 - r)) if r < 1.0 else d
 
 
-def _semigroup(run: Callable[[np.ndarray, np.ndarray, int], np.ndarray], x, ts,
-               n_max: int, tol: float) -> list[SemigroupPoint]:
+def _semigroup(run: Callable[[np.ndarray, np.ndarray, np.ndarray, int], np.ndarray],
+               x, ts, n_max, tol) -> list[SemigroupPoint]:
     """Doubling driver of the exponential formulas, with Richardson
-    extrapolation and a fallback to the plain scheme, for every time of
-    ``ts`` at once.
+    extrapolation and a fallback to the plain scheme, for every row of a
+    stack at once.
 
-    The times are the rows of one stack.  ``run(xs, ts, n)`` takes n steps
-    from each row of xs (k, d), each row by its own step t/n for its time
-    in the column ts (k, 1), and n doubles from 8 for all rows together.
-    Each doubling compares a row's newest run y_n with its y_{n/2}: the
-    plain Cauchy difference d = |y_n - y_{n/2}|, and the extrapolant
-    E_n = 2 y_n - y_{n/2} with its difference |E_n - E_{n/2}| from the
-    previous extrapolant.  When the error of the scheme expands in 1/n
-    (smooth phi or F), E_n is second order and the extrapolant differences
-    shrink about 4x per doubling.  The driver returns E_n only in that
-    regime: its difference is below tol, below d/2, and at most a third of
-    the previous extrapolant difference.  Otherwise (nonsmooth phi such as
-    l1 or an indicator, where the error need not expand in 1/n) it returns
-    the plain run y_n once the tail bound of the Cauchy differences
-    (``_tail_bound``, which needs two of them) is below tol.  The achieved
-    tolerance is the difference (extrapolated) or tail bound (plain) of the
-    returned point; for an extrapolant it is conservative, since its error
-    is about a third of its difference.  A row leaves the stack when it
-    converges; time 0 returns x with n = 0.
+    Row i runs from the start x[i] to the time ts[i] under its own tol[i]
+    and n_max[i]; x, tol and n_max are each given once for all rows or once
+    per row (x (d,) or (k, d)).  ``run(xs, ts, tols, n)`` takes n steps from
+    each row of xs (k, d), each row by its own step t/n for its time in the
+    column ts (k, 1) and with its tolerance in the column tols (k, 1), and n
+    doubles from 8 for all rows together.  Each doubling compares a row's
+    newest run y_n with its y_{n/2}: the plain Cauchy difference
+    d = |y_n - y_{n/2}|, and the extrapolant E_n = 2 y_n - y_{n/2} with its
+    difference |E_n - E_{n/2}| from the previous extrapolant.  When the
+    error of the scheme expands in 1/n (smooth phi or F), E_n is second
+    order and the extrapolant differences shrink about 4x per doubling.
+    E_n is returned only in that regime: its difference is below tol,
+    below d/2, and at most a third of the previous extrapolant difference.
+    Otherwise (nonsmooth phi such as l1 or an indicator, where the error
+    need not expand in 1/n) it returns the plain run y_n once the tail bound
+    of the Cauchy differences (``_tail_bound``, which needs two of them) is
+    below tol.  The achieved tolerance is the difference (extrapolated) or
+    tail bound (plain) of the returned point; for an extrapolant it is
+    conservative, since its error is about a third of its difference.  A
+    row leaves the stack when it converges, or unconverged, with its newest
+    run, at the first n >= its n_max; time 0 returns the start with n = 0.
 
     ``run`` must answer each row with the bits of a lone one-row call, as
-    the batch-invariant closures and ``space.row_norm`` do, so each time
-    gets the ``SemigroupPoint`` of its own run.  Failures keep the order of
-    a loop over ``ts``: a negative time, a non-finite run (``IntegrationError``)
-    or a ``run`` that raises fails its time, whose later times leave the
-    stack; a stack whose ``run`` raises is replayed row by row to find the
-    failing time.  The earlier times run on, and once none is left the
-    error of the earliest failing time is raised.
+    the batch-invariant closures and ``space.row_norm`` do, so each row
+    gets the ``SemigroupPoint`` of its own one-row call.  Failures keep the
+    order of a loop over the rows: a negative time, a non-finite run
+    (``IntegrationError``) or a ``run`` that raises fails its row, whose
+    later rows leave the stack; a stack whose ``run`` raises is replayed row
+    by row to find the failing row.  The earlier rows run on, and once none
+    is left the error of the earliest failing row is raised.
 
     The extrapolant is the point at parameter 2 on the line from y_{n/2}
     through y_n.  It is formed in coordinates, which is sound only because
     ``SpaceDescriptor`` is Euclidean-only: a geodesic extrapolation past
     parameter 1 is not defined in a general Hadamard space."""
-    x = np.asarray(x, dtype=float)
     ts = [float(t) for t in ts]
+    x = np.asarray(x, dtype=float)
+    xs = np.broadcast_to(x, (len(ts), x.shape[-1]))
+    tols = np.broadcast_to(np.asarray(tol, dtype=float), len(ts)).tolist()
+    caps = list(n_max) if np.ndim(n_max) else [n_max] * len(ts)
     points: list = [None] * len(ts)
-    rows: list[int] = []  # the stack's times, as indices into ts, ascending
-    error = None  # the exception of the earliest failing time so far
+    rows: list[int] = []  # the stack's rows, as indices into ts, ascending
+    error = None  # the exception of the earliest failing row so far
     for i, t in enumerate(ts):
         if t < 0:
             error = IntegrationError("semigroup time must be nonnegative")
             break
         if t == 0:
-            points[i] = SemigroupPoint(point=x.copy(), achieved_tol=0.0, n_used=0,
+            points[i] = SemigroupPoint(point=xs[i].copy(), achieved_tol=0.0, n_used=0,
                                        converged=True)
         else:
             rows.append(i)
@@ -701,22 +710,23 @@ def _semigroup(run: Callable[[np.ndarray, np.ndarray, int], np.ndarray], x, ts,
         later row from ``rows``."""
         nonlocal rows, error
         if not rows:
-            return np.empty((0, x.size))
+            return np.empty((0, xs.shape[1]))
+        starts = xs[rows]
         column = np.array([ts[i] for i in rows])[:, None]
-        xs = np.tile(x, (len(rows), 1))
+        tol_column = np.array([tols[i] for i in rows])[:, None]
         try:
-            ys = run(xs, column, n)
+            ys = run(starts, column, tol_column, n)
         except Exception as exc:
             ys = []
             if len(rows) == 1:  # a one-row stack is its own replay
                 rows, error = [], exc
-            for j in range(len(rows)):  # replay row by row to find the failing time
+            for j in range(len(rows)):  # replay row by row to find the failing row
                 try:
-                    ys.append(run(xs[j:j + 1], column[j:j + 1], n)[0])
+                    ys.append(run(starts[j:j + 1], column[j:j + 1], tol_column[j:j + 1], n)[0])
                 except Exception as row_exc:
                     rows, error = rows[:j], row_exc
                     break
-            ys = np.array(ys).reshape(len(rows), x.size)
+            ys = np.array(ys).reshape(len(rows), xs.shape[1])
         finite = np.isfinite(ys).all(axis=1)
         if not finite.all():
             j = int(finite.argmin())
@@ -726,18 +736,12 @@ def _semigroup(run: Callable[[np.ndarray, np.ndarray, int], np.ndarray], x, ts,
         return ys[:len(rows)]
 
     n = 8
-    prev = finite_run(n)
-    d_prev = ext_prev = de_prev = None
-    while rows and n < n_max:
-        n *= 2
-        cur = finite_run(n)
-        k = len(rows)
-        prev = prev[:k]
-        d = row_norm(prev - cur).tolist()
-        ext = 2.0 * cur - prev
-        de = None if ext_prev is None else row_norm(ext_prev[:k] - ext).tolist()
+    cur = finite_run(n)
+    d = d_prev = ext_prev = de_prev = None
+    while True:
         keep = []
         for j, i in enumerate(rows):
+            tol = tols[i]
             if de_prev is not None and de[j] < tol and 2 * de[j] < d[j] \
                     and 3 * de[j] <= de_prev[j]:
                 points[i] = SemigroupPoint(point=ext[j], achieved_tol=de[j], n_used=n,
@@ -745,28 +749,39 @@ def _semigroup(run: Callable[[np.ndarray, np.ndarray, int], np.ndarray], x, ts,
             elif d_prev is not None and (bound := _tail_bound(d[j], d_prev[j])) < tol:
                 points[i] = SemigroupPoint(point=cur[j], achieved_tol=bound, n_used=n,
                                            converged=True)
+            elif n >= caps[i]:  # its n_max reached: unconverged, with its newest run
+                points[i] = SemigroupPoint(point=cur[j], achieved_tol=math.inf, n_used=n,
+                                           converged=False)
             else:
                 keep.append(j)
         rows = [rows[j] for j in keep]
-        prev, d_prev, ext_prev = cur[keep], [d[j] for j in keep], ext[keep]
-        de_prev = None if de is None else [de[j] for j in keep]
-    for j, i in enumerate(rows):
-        points[i] = SemigroupPoint(point=prev[j], achieved_tol=math.inf, n_used=n,
-                                   converged=False)
+        if not rows:
+            break
+        prev = cur[keep]
+        if d is not None:
+            d_prev, ext_prev = [d[j] for j in keep], ext[keep]
+            de_prev = None if de is None else [de[j] for j in keep]
+        n *= 2
+        cur = finite_run(n)
+        k = len(rows)
+        prev = prev[:k]
+        d = row_norm(prev - cur).tolist()
+        ext = 2.0 * cur - prev
+        de = None if ext_prev is None else row_norm(ext_prev[:k] - ext).tolist()
     if error is not None:
         raise error
     return points
 
 
-def gradient_flow_samples(phi: ConvexFunction, x, ts, n_max: int = 2 ** 20,
-                          tol: float = 1e-9) -> list[SemigroupPoint]:
-    """S_t(x) = lim_n (J_{t/n})^n (x) at every time of ``ts``: iterate the
-    prox under the doubling driver, one column of per-row parameters t/n
-    per step."""
+def gradient_flow_samples(phi: ConvexFunction, x, ts, n_max=2 ** 20,
+                          tol=1e-9) -> list[SemigroupPoint]:
+    """S_t(x) = lim_n (J_{t/n})^n (x) at every row of ``ts``, from x, at
+    tol and n_max, each given once or per row: iterate the prox under
+    ``_semigroup``, one column of per-row parameters t/n per step."""
 
     prox = phi.prox  # raw closure after the first step, which checks the parameters
 
-    def run(xs: np.ndarray, ts: np.ndarray, n: int) -> np.ndarray:
+    def run(xs: np.ndarray, ts: np.ndarray, tols: np.ndarray, n: int) -> np.ndarray:
         s = ts / n
         y = phi.prox_point(s, xs)
         for _ in range(n - 1):
@@ -782,16 +797,19 @@ def gradient_flow_semigroup(phi: ConvexFunction, x, t: float,
     return gradient_flow_samples(phi, x, [t], n_max, tol)[0]
 
 
-def stojkovic_samples(F: NonexpansiveMap, x, ts, n_max: int = 2 ** 20,
-                      tol: float = 1e-9) -> list[SemigroupPoint]:
+def stojkovic_samples(F: NonexpansiveMap, x, ts, n_max=2 ** 20,
+                      tol=1e-9) -> list[SemigroupPoint]:
     """T_t(x) = lim_n (R_{t/n})^n (x) over the implicit resolvent of F at
-    every time of ``ts``; same doubling driver, with the inner fixed-point
-    tolerance budgeted tol/(2n) and each row resolved to its own stop."""
+    every row of ``ts``, as :func:`gradient_flow_samples`; each row's inner
+    fixed-point tolerance is budgeted tol/(2n) and each row resolved to its
+    own stop.  The first step of a run checks the parameters, the later
+    steps run the resolvent loop itself."""
 
-    def run(xs: np.ndarray, ts: np.ndarray, n: int) -> np.ndarray:
-        y, s, inner = xs, ts / n, tol / (2 * n)
-        for _ in range(n):
-            y = stojkovic_resolvent(F, s, y, tol=inner)
+    def run(xs: np.ndarray, ts: np.ndarray, tols: np.ndarray, n: int) -> np.ndarray:
+        s, inner = ts / n, tols / (2 * n)
+        y = stojkovic_resolvent(F, s, xs, tol=inner)
+        for _ in range(n - 1):
+            y = _resolvent_loop(F, s, y, inner)
         return y
 
     return _semigroup(run, x, ts, n_max, tol)

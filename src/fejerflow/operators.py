@@ -13,9 +13,10 @@ and answers row by row (a convex value is a float for one point), each row
 with the bits of its single-point call, as the lockstep RK4 core in ``flows``
 needs: matrix closures take a dot product (``np.vecdot``) or a solve per row,
 since the rows of a stacked matrix product differ from it by rounding.  A
-prox parameter, and the Stojkovic resolvent's, may be a column (k, 1) of
-per-row parameters for a stack (k, d), as the lockstep semigroup samplers
-pass it; each row again has the bits of its single-point call.
+prox parameter, and the Stojkovic resolvent's parameter and tolerance, may
+be a column (k, 1) of per-row values for a stack (k, d), as the lockstep
+semigroup samplers pass them; each row again has the bits of its
+single-point call.
 """
 
 from __future__ import annotations
@@ -328,39 +329,53 @@ def forward_backward_residual(A: MonotoneOperator, B: CocoerciveMap,
 _RESOLVENT_CAP = 1_000_000
 
 
-def stojkovic_resolvent(F: NonexpansiveMap, t, x: np.ndarray,
-                        tol: float = 1e-12) -> np.ndarray:
+def stojkovic_resolvent(F: NonexpansiveMap, t, x: np.ndarray, tol=1e-12) -> np.ndarray:
     """Fixed point of G_{x,t}(y) = 1/(1+t) x (+) t/(1+t) F(y).
 
     G is a strict contraction with factor t/(1+t); plain iteration of
     y <- (x + t F(y)) / (1 + t) stops at residual d(y, G(y)) <= tol and
-    returns G(y).  A stack x (k, d) with a column t (k, 1) of per-row
-    parameters iterates each row to its own stop, each with the bits of its
-    single-point call.  A non-finite iterate raises at once.
+    returns G(y).  A stack x (k, d) may take a column t (k, 1) of per-row
+    parameters and a column tol (k, 1) of per-row tolerances; each row
+    iterates to its own stop, with the bits of its single-point call.  The
+    parameters are checked here, once; ``_resolvent_loop`` is the iteration
+    itself, which the Stojkovic semigroup calls directly for the later steps
+    of a run.  A non-finite iterate raises at once.
     """
     t = np.asarray(t, dtype=float)
     if np.count_nonzero(t <= 0):
         raise OperatorError("resolvent parameter must be positive")
     x = np.asarray(x, dtype=float)
-    fn = F.fn  # raw closure; the validating wrapper is per-call overhead here
     xs = x.reshape(-1, x.shape[-1])
-    ts = t if t.ndim else np.full((len(xs), 1), t)
+    column = (len(xs), 1)
+    return _resolvent_loop(F, np.broadcast_to(t, column), xs,
+                           np.broadcast_to(np.asarray(tol, dtype=float), column)).reshape(x.shape)
+
+
+def _resolvent_loop(F: NonexpansiveMap, ts: np.ndarray, xs: np.ndarray,
+                    tols: np.ndarray) -> np.ndarray:
+    """The resolvent iteration of :func:`stojkovic_resolvent` on a stack
+    xs (k, d), with columns ts (k, 1) of positive parameters and tols (k, 1)
+    of tolerances, unchecked."""
+    if not len(xs):
+        return xs.copy()
+    fn = F.fn  # raw closure; the validating wrapper is per-call overhead here
+    tols = tols.ravel().tolist()
     scale = 1.0 + ts
     out, rows = None, list(range(len(xs)))  # the rows still iterating
     y = xs
     for _ in range(_RESOLVENT_CAP):
         g = (xs + ts * np.asarray(fn(y), dtype=float)) / scale
         d = row_norm(g - y).tolist()
-        if stop := [j for j, dj in enumerate(d) if dj <= tol]:
+        if stop := [j for j, dj in enumerate(d) if dj <= tols[j]]:
             if len(stop) == len(d) and out is None:  # every row stops at once
-                return g.reshape(x.shape)
+                return g
             if out is None:
                 out = np.empty_like(xs)
             out[[rows[j] for j in stop]] = g[stop]
             if len(stop) == len(d):
-                return out.reshape(x.shape)
-            left = [j for j, dj in enumerate(d) if not dj <= tol]
-            rows = [rows[j] for j in left]
+                return out
+            left = [j for j, dj in enumerate(d) if not dj <= tols[j]]
+            rows, tols = [rows[j] for j in left], [tols[j] for j in left]
             xs, ts, scale, g, d = xs[left], ts[left], scale[left], g[left], [d[j] for j in left]
         if not all(map(math.isfinite, d)):
             raise OperatorError(f"resolvent iterate of {F.name} is not finite")

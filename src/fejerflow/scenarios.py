@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -566,18 +566,26 @@ def _sample_times(cfg: Config, grid: float) -> np.ndarray:
 
 def _semigroup_run(cfg: Config, out: ScenarioOutcome, space: SpaceDescriptor,
                    samples: Callable, semigroup: Callable, op, x0: np.ndarray,
-                   grid: float, point_tol: float) -> Trajectory:
+                   grid: float, point_tol: float, extra: Sequence[tuple] = ()) -> tuple:
     """Sample t -> semigroup(op, x0, t) on the grid over [0, horizon] into the
-    scenario trajectory, all times in one lockstep call of ``samples``, and
-    check the optional ``match`` entry against the closed-form flow of
-    ``op`` at ``match.tol`` with one call of ``semigroup``.  Samples whose
-    exponential formula did not converge have no error bound; they are
-    named in one ``inconclusive`` report, and a match that did not converge
-    is too."""
+    scenario trajectory, and check the optional ``match`` entry against the
+    closed-form flow of ``op`` at ``match.tol``.  One call of ``samples``
+    runs every row in one stack: the grid times, then the match, then the
+    ``extra`` rows (x, t, tol), whose points it returns with the trajectory.
+    Samples whose exponential formula did not converge have no error bound;
+    they are named in one ``inconclusive`` report, and a match that did not
+    converge is too."""
     if (match := cfg.spec("match", None)) and op.flow is None:
         cfg.refuse("match", match, f"null: {op.name} has no closed-form flow to match")
     ts = _sample_times(cfg, grid)
-    runs = samples(op, x0, ts, tol=point_tol)
+    rows = [(x0, t, point_tol, 2 ** 20) for t in ts]
+    if match:
+        t_ref, match_tol = match.nonnegative("t", 1.0), match.positive("tol", 1e-6)
+        rows.append((x0, t_ref, match_tol, match.positive_integer("n_max", 2 ** 20)))
+    rows += [(x, t, tol, 2 ** 20) for x, t, tol in extra]
+    starts, times, tols, caps = zip(*rows)
+    points = samples(op, np.array(starts), times, n_max=caps, tol=tols)
+    runs = points[:len(ts)]
     achieved = max((run.achieved_tol for run in runs if run.converged), default=0.0)
     traj = Trajectory.from_samples(space, ts, np.array([run.point for run in runs]),
                                    est_err=max(achieved, point_tol), method=semigroup.__name__)
@@ -587,18 +595,16 @@ def _semigroup_run(cfg: Config, out: ScenarioOutcome, space: SpaceDescriptor,
                                     unconverged_times=unconverged))
 
     if match:
-        t_ref, tol = match.number("t", 1.0), match.positive("tol", 1e-6)
-        if t_ref < 0:
-            match.refuse("t", match["t"], "a nonnegative finite number")
-        res = semigroup(op, x0, t_ref, tol=tol, n_max=match.integer("n_max", 2 ** 20))
+        res = points[len(ts)]
         if not res.converged:
-            out.add(_unconverged_report("exponential_formula_match", tol, n_used=res.n_used))
+            out.add(_unconverged_report("exponential_formula_match", match_tol,
+                                        n_used=res.n_used))
         else:
             err = float(np.linalg.norm(res.point - op.flow(t_ref, x0)))
-            out.add(report_from_margin("exponential_formula_match", err - tol, tol,
+            out.add(report_from_margin("exponential_formula_match", err - match_tol, match_tol,
                                        {"error": err, "n_used": res.n_used,
                                         "extrapolated": res.extrapolated}))
-    return traj
+    return traj, points[len(rows) - len(extra):]
 
 
 def _run_gradient_flow(cfg: Config, out: ScenarioOutcome) -> None:
@@ -611,8 +617,8 @@ def _run_gradient_flow(cfg: Config, out: ScenarioOutcome) -> None:
     grid = sample_cfg.positive("grid", 0.25)
     times = _times(cfg, "objective_times", [1.0, 2.0, 10.0],
                    float(_sample_times(cfg, grid)[-1]), Config.positive)
-    traj = _semigroup_run(cfg, out, space, gradient_flow_samples, gradient_flow_semigroup,
-                          phi, x0, grid, sample_cfg.positive("tol", 1e-4))
+    traj, _ = _semigroup_run(cfg, out, space, gradient_flow_samples, gradient_flow_semigroup,
+                             phi, x0, grid, sample_cfg.positive("tol", 1e-4))
     ts = traj.ts
 
     # Mayer inequality on sampled (s, t, z)
@@ -648,26 +654,28 @@ def _run_stojkovic(cfg: Config, out: ScenarioOutcome) -> None:
     F = make_nonexpansive(space, cfg.section("operators", "F"))
     sample_cfg = cfg.spec("sampling", {})
     grid = sample_cfg.positive("grid", 0.25)
-    traj = _semigroup_run(cfg, out, space, stojkovic_samples, stojkovic_semigroup,
-                          F, x0, grid, sample_cfg.positive("tol", 1e-3))
-
-    # resolvent inequality d(z, R_lam z) <= lam d(z, F z) on samples; the
-    # default points and fixed-point samples lie on the first axis of R^d
+    # the resolvent points and fixed-point samples, by default on the first
+    # axis of R^d, are read before the semigroup runs
     pad = [0.0] * (d - 1)
-    worst = -math.inf
     points = sample_cfg.entries("resolvent_points", [[0.5, *pad], [-0.3, *pad], [1.0, *pad]])
-    for z in (points.vector(i, d) for i in points):
-        for lam_t in (0.25, 1.0, 3.0):
-            rz = stojkovic_resolvent(F, lam_t, z, tol=1e-12)
-            worst = max(worst,
-                        space.distance(z, rz) - lam_t * space.distance(z, F(z)))
+    zs = [points.vector(i, d) for i in points]
+    fp_samples = [(pair.vector(0, d), pair.nonnegative(1)) for pair in cfg.pairs(
+        "fixed_point_samples", [([0.5, *pad], 0.5), ([-0.25, *pad], 1.0), ([1.0, *pad], 1.5)])]
+    traj, fp_runs = _semigroup_run(cfg, out, space, stojkovic_samples, stojkovic_semigroup,
+                                   F, x0, grid, sample_cfg.positive("tol", 1e-3),
+                                   [(x, t, 1e-4) for x, t in fp_samples])
+
+    # resolvent inequality d(z, R_lam z) <= lam d(z, F z) on samples, every
+    # (z, lam) a row of one resolvent stack
+    lams = [lam for _ in zs for lam in (0.25, 1.0, 3.0)]
+    stack = np.repeat(np.reshape(zs, (-1, d)), 3, axis=0)
+    rzs = stojkovic_resolvent(F, np.array(lams)[:, None], stack, tol=1e-12)
+    worst = max((space.distance(z, rz) - lam * space.distance(z, F(z))
+                 for z, lam, rz in zip(stack, lams, rzs)), default=-math.inf)
     out.add(report_from_margin("resolvent_inequality", worst, 1e-9))
 
     # fixed-point lemma d(x, T_t x) <= d(x, Fx) (e^{2t}-1)/2
-    fp_samples = [(pair.vector(0, d), pair.number(1)) for pair in cfg.pairs(
-        "fixed_point_samples", [([0.5, *pad], 0.5), ([-0.25, *pad], 1.0), ([1.0, *pad], 1.5)])]
-    out.add(check_semigroup_fixed_point_bound(
-        F, lambda x, t: stojkovic_semigroup(F, x, t, tol=1e-4), fp_samples, tol=3e-4))
+    out.add(check_semigroup_fixed_point_bound(F, fp_samples, fp_runs, tol=3e-4))
 
     gamma_tb = moduli.ball_modulus(space.dimension, b)
     eps_q, eps, fcs = _metastability(cfg, 1, (0,))

@@ -527,20 +527,19 @@ def _unconverged_report(claim: str, tol: float, **details) -> VerificationReport
 
 
 def check_semigroup_fixed_point_bound(F: NonexpansiveMap,
-                                      semigroup: Callable[[np.ndarray, float], SemigroupPoint],
                                       samples: Sequence[tuple[np.ndarray, float]],
+                                      runs: Sequence[SemigroupPoint],
                                       tol: float,
                                       claim: str = "fixed_point_bound",
                                       ) -> VerificationReport:
-    """d(x, T_t(x)) <= d(x, F(x)) (e^{2t} - 1)/2 on the given (x, t) samples;
-    ``inconclusive``, naming their ``n_used``, if some runs did not converge."""
+    """d(x, T_t(x)) <= d(x, F(x)) (e^{2t} - 1)/2 on the given (x, t) samples,
+    with T_t(x) the semigroup run ``runs[i]`` of sample i; ``inconclusive``,
+    naming their ``n_used``, if some runs did not converge."""
     worst = -math.inf
-    runs = []
-    for x, t in samples:
+    for (x, t), run in zip(samples, runs, strict=True):
         x = np.asarray(x, dtype=float)
         delta = float(np.linalg.norm(x - F(x)))
-        runs.append(semigroup(x, t))
-        lhs = float(np.linalg.norm(x - runs[-1].point))
+        lhs = float(np.linalg.norm(x - run.point))
         bound = delta * (math.exp(2 * t) - 1) / 2
         worst = max(worst, lhs - bound)
     if unconverged := [run.n_used for run in runs if not run.converged]:

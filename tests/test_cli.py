@@ -545,6 +545,10 @@ _NAMED_KEY_CONFIGS = {
         "overrides": {"regularity": {"kind": "strongly_quasiconvex", "rho": 0}}},
     "match_time_negative": {"builtin": "stojkovic_negation",
                             "overrides": {"match": {"t": -1.0}}},
+    "match_n_max_negative": {"builtin": "gradient_flow_quadratic",
+                             "overrides": {"match": {"t": 1.0, "n_max": -5}}},
+    "fixed_point_time_negative": {"builtin": "stojkovic_negation",
+                                  "overrides": {"fixed_point_samples": [[[0.5], -1.0]]}},
     # a minimizer must lie in dom phi
     "solution_outside_the_domain": {
         "builtin": "gradient_flow_quadratic",
@@ -652,6 +656,8 @@ _NAMED_KEYS = {
     "regularity_subregular_zero": "'regularity.k'",
     "regularity_quasiconvex_zero": "'regularity.rho'",
     "match_time_negative": "'match.t'",
+    "match_n_max_negative": "'match.n_max'",
+    "fixed_point_time_negative": "'fixed_point_samples[0][1]'",
     "solution_outside_the_domain": "'solution.point'",
     "table_values_wrong_length": "'curves.lambda.values'",
     "table_times_not_increasing": "'curves.lambda.ts'",

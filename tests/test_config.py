@@ -30,8 +30,10 @@ def _point(x, shape) -> bool:
 _READS = {
     "number": (lambda n: n.number("v"), _finite),
     "positive": (lambda n: n.positive("v"), lambda x: _finite(x) and x > 0),
+    "nonnegative": (lambda n: n.nonnegative("v"), lambda x: _finite(x) and x >= 0),
     "rational": (lambda n: n.rational("v"), lambda x: isinstance(x, Fraction)),
     "integer": (lambda n: n.integer("v"), lambda x: type(x) is int),
+    "positive_integer": (lambda n: n.positive_integer("v"), lambda x: type(x) is int and x >= 1),
     "text": (lambda n: n.text("v"), lambda x: isinstance(x, str)),
     "vector_1": (lambda n: n.vector("v", 1), lambda x: _point(x, (1,))),
     "vector_2": (lambda n: n.vector("v", 2), lambda x: _point(x, (2,))),

@@ -587,9 +587,9 @@ class TestSemigroupDriver:
 
 
 def _rows(run):
-    """A one-time run(x, t, n) as the driver's row protocol run(xs, ts, n):
-    each row alone."""
-    return lambda xs, ts, n: np.array([run(x, t, n) for x, t in zip(xs, ts[:, 0])])
+    """A one-time run(x, t, n) as ``_semigroup``'s row protocol
+    run(xs, ts, tols, n): each row alone, at the tolerance run keeps."""
+    return lambda xs, ts, tols, n: np.array([run(x, t, n) for x, t in zip(xs, ts[:, 0])])
 
 
 def _resolvent_steps(F, tol):
@@ -789,6 +789,51 @@ def test_stojkovic_samples_keep_the_bits_of_per_time_runs(d, data):
                         _reference_samples("stojkovic", F, x0, ts, n_max, tol))
 
 
+_ONE_ROW = {"gradient": gradient_flow_semigroup, "stojkovic": stojkovic_semigroup}
+
+
+def _stack(draw, d, tols, caps):
+    """Rows with their own start, time, tol and n_max: the sampler's
+    arguments, each of x, tol and n_max given once for all rows or once per
+    row, and the values of each row."""
+    k = draw(st.integers(1, 5))
+    ts = draw(st.lists(st.sampled_from([0.0, 0.125, 0.3, 0.5, 1.0, 2.5]), min_size=k,
+                       max_size=k))
+    args, rows = {}, {}
+    for name, values in (("x", _vector(d)), ("tol", st.sampled_from(tols)),
+                         ("n_max", st.sampled_from(caps))):
+        if draw(st.booleans()):
+            args[name] = draw(values)
+            rows[name] = [args[name]] * k
+        else:
+            args[name] = rows[name] = draw(st.lists(values, min_size=k, max_size=k))
+    return ts, {**args, "x": np.array(args["x"])}, rows
+
+
+def _assert_stack_keeps_one_row_points(kind, op, stack):
+    ts, args, rows = stack
+    points = _SAMPLERS[kind](op, args["x"], ts, n_max=args["n_max"], tol=args["tol"])
+    _assert_same_points(points, [
+        _ONE_ROW[kind](op, x, t, n_max=n_max, tol=tol)
+        for x, t, n_max, tol in zip(rows["x"], ts, rows["n_max"], rows["tol"])])
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), data=st.data())
+def test_gradient_flow_stack_keeps_the_one_row_points(d, data):
+    phi = operators.make_convex_function(euclidean(d), data.draw(_convex_spec(d)))
+    _assert_stack_keeps_one_row_points("gradient", phi, _stack(
+        data.draw, d, [1e-2, 1e-4, 1e-6, 1e-9], [8, 16, 64, 4096]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), data=st.data())
+def test_stojkovic_stack_keeps_the_one_row_points(d, data):
+    F = operators.make_nonexpansive(euclidean(d), data.draw(_nonexpansive_spec(d)))
+    _assert_stack_keeps_one_row_points("stojkovic", F, _stack(
+        data.draw, d, [1e-2, 1e-3, 1e-4], [8, 16, 64, 512]))
+
+
 def _outcome(call):
     """The SemigroupPoint(s) of a call, or its exception."""
     try:
@@ -851,6 +896,28 @@ class TestLockstepErrors:
             expected = next(r for r in per_time if isinstance(r, Exception))
             with pytest.raises(type(expected)) as info:
                 _SAMPLERS[kind](op, x0, ts, n_max=2 ** 10, tol=tol)
+        assert str(info.value) == str(expected)
+
+    @pytest.mark.parametrize("kind, op, rows", [
+        # rows (x, t, n_max): t = 1 fails at n = 128, after t = 0.05 at n = 8
+        ("gradient", _FRAGILE, [([1.0], 1.0, 2 ** 10), ([2.0], 0.05, 2 ** 10)]),
+        # the first row stops unconverged at its n_max of 16, before it would
+        # fail at n = 128; the rows after it run on and fail at n = 64 and n = 8
+        ("gradient", _FRAGILE, [([1.0], 1.0, 16), ([2.0], 0.5, 2 ** 10), ([3.0], 0.05, 2 ** 10)]),
+        ("gradient", _PICKY, [([-1.0], 1.0, 16), ([1.0], 0.5, 2 ** 10), ([3.0], 0.05, 8)]),
+        ("stojkovic", _DOUBLING, [([1.0], 0.5, 8), ([2.0], 20.0, 2 ** 10), ([3.0], 5e-324, 16)]),
+    ])
+    def test_rows_with_their_own_starts_and_caps(self, kind, op, rows):
+        tol = 1e-300 if kind == "gradient" else 1e-12
+        xs, ts, caps = zip(*rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_row = [_outcome(lambda x=x, t=t, cap=cap: _ONE_ROW[kind](op, x, t, n_max=cap,
+                                                                        tol=tol))
+                       for x, t, cap in rows]
+            assert sum(isinstance(r, Exception) for r in per_row) >= 2
+            expected = next(r for r in per_row if isinstance(r, Exception))
+            with pytest.raises(type(expected)) as info:
+                _SAMPLERS[kind](op, np.array(xs), ts, n_max=caps, tol=tol)
         assert str(info.value) == str(expected)
 
     def test_every_failure_kind_is_covered(self, monkeypatch):

@@ -262,21 +262,22 @@ def test_zoo_rows_match_single_point_calls(d, data):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.data())
 def test_parameter_columns_match_single_point_calls(d, data):
-    # a prox or Stojkovic resolvent with a column of per-row parameters
-    # answers each row with the bits of its single-point call; the lockstep
-    # semigroup samplers rely on it
+    # a prox, or a Stojkovic resolvent with a column of per-row tolerances
+    # too, with a column of per-row parameters answers each row with the bits
+    # of its single-point call; the lockstep semigroup samplers rely on it
     n = data.draw(st.integers(1, 8))
     xs = data.draw(arrays(np.float64, (n, d),
                           elements=st.floats(-3.0, 3.0, allow_subnormal=False)))
     ts = data.draw(arrays(np.float64, (n, 1), elements=st.floats(1e-3, 4.0)))
+    tols = data.draw(arrays(np.float64, (n, 1), elements=st.sampled_from([1e-3, 1e-6, 1e-9])))
     for name, f in _zoo(d):
         if isinstance(f, ConvexFunction):
             rows = f.prox_point(ts, xs)
             singles = [f.prox_point(float(t), x) for t, x in zip(ts[:, 0], xs)]
         elif name.startswith("T."):
-            rows = stojkovic_resolvent(f, ts, xs, tol=1e-9)
-            singles = [stojkovic_resolvent(f, float(t), x, tol=1e-9)
-                       for t, x in zip(ts[:, 0], xs)]
+            rows = stojkovic_resolvent(f, ts, xs, tol=tols)
+            singles = [stojkovic_resolvent(f, float(t), x, tol=float(tol))
+                       for t, x, tol in zip(ts[:, 0], xs, tols[:, 0])]
         else:
             continue
         assert rows.shape == (n, d), name
@@ -291,3 +292,9 @@ def test_a_nonpositive_row_parameter_is_refused():
         ConvexFunction.l1().prox_point(ts, xs)
     with pytest.raises(OperatorError, match="resolvent parameter must be positive"):
         stojkovic_resolvent(NonexpansiveMap.negation(), ts, xs)
+
+
+def test_an_empty_stack_resolves_to_an_empty_stack():
+    # a stojkovic scenario with no resolvent_points resolves no rows
+    out = stojkovic_resolvent(NonexpansiveMap.negation(), np.ones((0, 1)), np.empty((0, 2)))
+    assert out.shape == (0, 2)

@@ -77,15 +77,17 @@ class TestValidation:
 class TestSemigroupSampling:
     def test_unconverged_sample_is_inconclusive(self):
         # a stub sampler whose exponential formula fails at t = 0.5 only
-        def samples(op, x0, ts, tol, n_max=2 ** 20):
+        def samples(op, xs, ts, tol, n_max):
             return [SemigroupPoint(point=math.exp(-t) * x0,
-                                   achieved_tol=tol / 2 if t != 0.5 else math.inf,
-                                   n_used=64, converged=t != 0.5) for t in ts]
+                                   achieved_tol=row_tol / 2 if t != 0.5 else math.inf,
+                                   n_used=64, converged=t != 0.5)
+                    for x0, t, row_tol in zip(xs, ts, tol)]
 
         space = SpaceDescriptor(dimension=1)
         out = ScenarioOutcome(name="stub")
-        traj = _semigroup_run(Config({"horizon": 1.0}), out, space, samples,
-                              flows.gradient_flow_semigroup, None, np.array([1.0]), 0.25, 1e-3)
+        traj, _ = _semigroup_run(Config({"horizon": 1.0}), out, space, samples,
+                                 flows.gradient_flow_semigroup, None, np.array([1.0]), 0.25,
+                                 1e-3)
         assert len(traj.ts) == 5 and traj.est_err == 1e-3
         [report] = out.reports
         assert report.status == INCONCLUSIVE
@@ -93,14 +95,68 @@ class TestSemigroupSampling:
         assert "did not converge" in report.details["reason"]
 
     def test_converged_samples_add_no_report(self):
-        def samples(op, x0, ts, tol, n_max=2 ** 20):
-            return [SemigroupPoint(point=math.exp(-t) * x0, achieved_tol=tol / 2,
-                                   n_used=64, converged=True) for t in ts]
+        def samples(op, xs, ts, tol, n_max):
+            return [SemigroupPoint(point=math.exp(-t) * x0, achieved_tol=row_tol / 2,
+                                   n_used=64, converged=True)
+                    for x0, t, row_tol in zip(xs, ts, tol)]
 
         out = ScenarioOutcome(name="stub")
         _semigroup_run(Config({"horizon": 1.0}), out, SpaceDescriptor(dimension=1), samples,
                        flows.gradient_flow_semigroup, None, np.array([1.0]), 0.25, 1e-3)
         assert out.reports == []
+
+    def test_grid_error_comes_before_an_extra_rows_error(self):
+        # both fail; the extra row at n = 8, the grid row t = 0.25 at n = 32
+        def picky(t, x):
+            if np.count_nonzero(t < 0.01):
+                raise operators.OperatorError(f"prox step {float(np.min(t))} below 0.01")
+            return x / (1.0 + t)
+
+        phi = operators.ConvexFunction(value=lambda x: 0.5 * np.vecdot(x, x), prox=picky)
+        with pytest.raises(operators.OperatorError, match=r"^prox step 0\.0078125 below"):
+            _semigroup_run(Config({"horizon": 1.0}), ScenarioOutcome(name="stub"),
+                           SpaceDescriptor(dimension=1), flows.gradient_flow_samples,
+                           flows.gradient_flow_semigroup, phi, np.array([1.0]), 0.25, 1e-300,
+                           [(np.array([2.0]), 0.05, 1e-300)])
+
+    @pytest.mark.parametrize("name, stacked, separate", [
+        ("stojkovic_negation", 2040, 3032), ("gradient_flow_quadratic", 2040, 2544)])
+    def test_one_stack_needs_only_the_match_rows_steps(self, monkeypatch, name, stacked,
+                                                       separate):
+        # a step is one resolvent or prox step of the semigroup stack; the
+        # match row alone takes its levels n = 8, ..., 1024
+        steps = []
+
+        def counted(f):
+            return lambda *args, **kwargs: steps.append(1) or f(*args, **kwargs)
+
+        for attr in ("stojkovic_resolvent", "_resolvent_loop"):
+            monkeypatch.setattr(flows, attr, counted(getattr(flows, attr)))
+        make = scenarios.make_convex_function
+
+        def counted_phi(space, spec):
+            phi = make(space, spec)
+            return dataclasses.replace(phi, prox=counted(phi.prox))
+
+        monkeypatch.setattr(scenarios, "make_convex_function", counted_phi)
+        cfg = builtin_scenarios()[name].config
+        run_scenario(cfg)
+        assert len(steps) == stacked
+
+        # the same rows as one grid call and one call per further row
+        steps.clear()
+        if name == "stojkovic_negation":
+            op, samples = operators.NonexpansiveMap.negation(), flows.stojkovic_samples
+            further = [(x, t, 1e-4) for x, t in cfg["fixed_point_samples"]]
+        else:
+            op, samples = scenarios.make_convex_function(
+                SpaceDescriptor(dimension=1), cfg["operators"]["phi"]), flows.gradient_flow_samples
+            further = []
+        ts = np.arange(0.0, cfg["horizon"] + 0.125, 0.25)
+        samples(op, cfg["initial"]["x0"], ts, tol=cfg["sampling"]["tol"])
+        for x, t, tol in [(cfg["initial"]["x0"], 1.0, 1e-6), *further]:
+            samples(op, x, [t], tol=tol)
+        assert len(steps) == separate
 
 
 class TestUnconvergedSemigroupChecks:
@@ -115,10 +171,11 @@ class TestUnconvergedSemigroupChecks:
         assert "did not converge" in report.details["reason"]
 
     def test_unconverged_fixed_point_lemma_is_inconclusive(self, monkeypatch):
-        def capped(F, x, t, n_max=2 ** 20, tol=1e-9):
-            return flows.stojkovic_semigroup(F, x, t, n_max=16, tol=tol)
+        # the fixed-point samples are the stack's last three rows
+        def capped(F, xs, ts, n_max, tol):
+            return flows.stojkovic_samples(F, xs, ts, n_max=[*n_max[:-3], 16, 16, 16], tol=tol)
 
-        monkeypatch.setattr(scenarios, "stojkovic_semigroup", capped)
+        monkeypatch.setattr(scenarios, "stojkovic_samples", capped)
         out = run_scenario({**builtin_scenarios()["stojkovic_negation"].config,
                             "horizon": 1.0})
         [report] = [r for r in out.reports if r.claim == "fixed_point_bound"]

@@ -443,14 +443,14 @@ class TestMarginRule:
         F = NonexpansiveMap.scalar(0.0)
         bound = (math.exp(2) - 1) / 2  # d(x, F(x)) = 1 at x = 1, t = 1
         rep = check_semigroup_fixed_point_bound(
-            F, lambda x, t: _converged(x - (bound + 1e-6)), [(np.array([1.0]), 1.0)], tol=1e-3)
+            F, [(np.array([1.0]), 1.0)], [_converged(np.array([1.0]) - (bound + 1e-6))], tol=1e-3)
         assert rep.status == "holds" and rep.margin <= 0
 
     def test_violation_beyond_tol(self):
         F = NonexpansiveMap.scalar(0.0)
         bound = (math.exp(2) - 1) / 2
         rep = check_semigroup_fixed_point_bound(
-            F, lambda x, t: _converged(x - (bound + 2e-3)), [(np.array([1.0]), 1.0)], tol=1e-3)
+            F, [(np.array([1.0]), 1.0)], [_converged(np.array([1.0]) - (bound + 2e-3))], tol=1e-3)
         assert rep.status == "holds_within_tolerance"
         assert 0 < rep.margin <= 3e-3
 
@@ -461,7 +461,7 @@ class TestMarginRule:
                 1.0: SemigroupPoint(np.array([-99.0]), math.inf, 16, False),
                 1.5: SemigroupPoint(np.array([0.0]), math.inf, 32, False)}
         rep = check_semigroup_fixed_point_bound(
-            F, lambda x, t: runs[t], [(np.array([1.0]), t) for t in runs], tol=1e-3)
+            F, [(np.array([1.0]), t) for t in runs], list(runs.values()), tol=1e-3)
         assert rep.status == "inconclusive" and rep.tolerance == 1e-3
         assert rep.details["n_used"] == [16, 32]
         assert "did not converge" in rep.details["reason"]
