@@ -18,6 +18,17 @@ nothing per call.  Each block checks the state's
 finiteness, and the error names the first non-finite sample.  Dense output
 is local cubic Hermite interpolation using stored derivatives.
 
+On a 2- to 8-float state every numpy call costs about the same whatever its
+size, so a field whose operators all have a coordinate form
+(``operators``: ``coordinate``) steps on bare Python floats instead.  Each
+coordinate of each run is an independent chain, one float for a first-order
+flow and the pair (x_i, v_i) for a second-order one; a block of up to
+``_CHAIN_CAP`` chains steps each chain alone through ``_stage``'s operations
+in its order, reading the same curve table, and writes the same staged
+arrays at the end of the block.  Python floats round each operation as
+float64 does, so the samples keep their bits, and finiteness checks, errors,
+settled runs and run exits are shared with the numpy stepper.
+
 A converging run reaches a floating-point fixed point, where every RK4
 increment rounds away: the first-order builtins' ``long_check`` runs spend
 over 90% of their steps there.  A run is settled once a whole block leaves
@@ -91,6 +102,14 @@ __all__ = [
 
 class IntegrationError(RuntimeError):
     pass
+
+
+class SampleMemoryError(IntegrationError):
+    """The samples of the run at index ``run`` of a batch cannot be allocated."""
+
+    def __init__(self, run: int, n: int):
+        super().__init__(f"the samples of {n} coarse steps cannot be allocated")
+        self.run = run
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +356,13 @@ class Trajectory:
 
 
 _BLOCK = 1024  # coarse steps per curve table, staging buffer and finiteness check
+# most chains a block steps on Python floats (``_chain_block``).  Per coarse
+# step on a shared 2-core Xeon, Python 3.11, numpy 2.4: a first-order chain
+# costs about 2.2 us (scalar map) to 3.7 us (forward-backward map), a
+# second-order chain about 3 us, while numpy's ``_step_block`` costs about
+# 24, 38 and 43 us whatever the state's size; the floats win up to about 10
+# chains (forward-backward) to 14 (second order).
+_CHAIN_CAP = 8
 
 
 def _stage(rhs, y, a, b, c, half, sixth, full, two):
@@ -348,6 +374,99 @@ def _stage(rhs, y, a, b, c, half, sixth, full, two):
     k3 = rhs(y + half * k2, *b)
     k4 = rhs(y + full * k3, *c)
     return k1, y + sixth * (k1 + two * k2 + two * k3 + k4)
+
+
+def _float_step(field, y, values, half, sixth, full):
+    """``_stage`` on one float: one RK4 step of y' = field(y, value) from y,
+    with the curve values (a, b, c) at its start, middle and end; the
+    derivative at y and the new state, with ``_stage``'s operand order."""
+    a, b, c = values
+    k1 = field(y, a)
+    k2 = field(y + half * k1, b)
+    k3 = field(y + half * k2, b)
+    k4 = field(y + full * k3, c)
+    return k1, y + sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+
+
+def _pair_step(field, x, v, values, half, sixth, full):
+    """``_stage`` on one pair: one RK4 step of x' = v, v' = field(x, v, *two
+    curve values) from (x, v), with the curve value pairs at its start,
+    middle and end; v' at (x, v) and the new pair, with ``_stage``'s operand
+    order (the x part of each stage derivative is that stage's v)."""
+    a1, a2, b1, b2, c1, c2 = values
+    k1 = field(x, v, a1, a2)
+    x2, v2 = x + half * v, v + half * k1
+    k2 = field(x2, v2, b1, b2)
+    x3, v3 = x + half * v2, v + half * k2
+    k3 = field(x3, v3, b1, b2)
+    x4, v4 = x + full * v3, v + full * k3
+    k4 = field(x4, v4, c1, c2)
+    return (k1, x + sixth * (((v + 2.0 * v2) + 2.0 * v3) + v4),
+            v + sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4))
+
+
+def _float_chain(field, coarse, fine, rows, h, q):
+    """One block of a one-float chain: per row of curve values (coarse,
+    paired fine, lone fine) a coarse step of h and two fine steps of q.
+    Returns, flat, per step the states at its start (coarse, fine) and after
+    the paired step, and the two fine derivatives; and the end states."""
+    (y,), (z,) = coarse, fine
+    h2, h6, q2, q6 = h / 2, h / 6, q / 2, q / 6
+    out = []
+    push = out.extend
+    for c, p, lone in rows:
+        _, y1 = _float_step(field, y, c, h2, h6, h)
+        d0, z1 = _float_step(field, z, p, q2, q6, q)
+        d1, z2 = _float_step(field, z1, lone, q2, q6, q)
+        push((y, z, y1, z1, d0, d1))
+        y, z = y1, z2
+    return out, (y,), (z,)
+
+
+def _pair_chain(field, coarse, fine, rows, h, q):
+    """``_float_chain`` for a pair (x, v): the x values of a step, then its v
+    values, each laid out as one float chain's."""
+    (x, v), (zx, zv) = coarse, fine
+    h2, h6, q2, q6 = h / 2, h / 6, q / 2, q / 6
+    out = []
+    push = out.extend
+    for c, p, lone in rows:
+        _, x1, v1 = _pair_step(field, x, v, c, h2, h6, h)
+        d0, zx1, zv1 = _pair_step(field, zx, zv, p, q2, q6, q)
+        d1, zx2, zv2 = _pair_step(field, zx1, zv1, lone, q2, q6, q)
+        push((x, zx, x1, zx1, zv, zv1, v, zv, v1, zv1, d0, d1))
+        x, v, zx, zv = x1, v1, zx2, zv2
+    return out, (x, v), (zx, zv)
+
+
+def _chain_block(chain, Y, table, steps, width):
+    """``_step_block`` on Python floats: each chain, one coordinate of one
+    run with its coarse and fine rows, steps the whole block alone, and its
+    floats go into the staged arrays at the end of the block.  ``table`` is
+    the block's curve table (step, stage, curve, coarse/paired/lone, run),
+    ``steps`` each run's (h, h/2), and a chain of a state of ``width``
+    coordinates holds one float (first order, ``chain(x, lam)``) or the
+    pair of columns j and width + j (second order, v' = ``chain(x, v, lam,
+    -gamma)``).  Each chain makes ``_stage``'s operations in its order on
+    the bits ``chain`` shares with ``rhs``, so the result has the bits
+    ``_step_block`` would give."""
+    n, k = len(table), Y.shape[-1] // width  # k floats a chain: x, or x and v
+    stepper = _float_chain if k == 1 else _pair_chain
+    staged = np.empty((n, 2) + Y.shape)
+    dstaged = np.empty((n, 2) + Y.shape[1:])
+    Y = Y.copy()
+    for p, (h, q) in enumerate(steps):
+        # per step: the curve values of the coarse, paired fine and lone fine step
+        rows = table[..., p].transpose(0, 3, 1, 2).reshape(n, 3, -1).tolist()
+        for j in range(width):
+            cols = [j + i * width for i in range(k)]
+            out, Y[0, p, cols], Y[1, p, cols] = stepper(chain, *Y[:, p, cols].tolist(), rows,
+                                                        h, q)
+            out = np.array(out).reshape(n, k, 6)
+            for i, col in enumerate(cols):
+                staged[:, :, :, p, col] = out[:, i, :4].reshape(n, 2, 2)
+                dstaged[:, :, p, col] = out[:, i, 4:]
+    return Y, staged, dstaged
 
 
 def _unchanged(staged: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -398,10 +517,21 @@ def _settled_block(rhs, Y, values, factors):
     return _unchanged(np.stack([staged[:, 1, 0], end], axis=1), Y), staged, dstaged
 
 
+def _one_by_one(rhs, chain, Y, table, values, factors, width):
+    """The block's steps one by one: on Python floats (``_chain_block``)
+    where the field has a coordinate form ``chain`` and the runs hold at
+    most ``_CHAIN_CAP`` chains, else on numpy (``_step_block``)."""
+    if chain is not None and Y.shape[1] * width <= _CHAIN_CAP:
+        # each run's (h, h/2): the full-step factors of its coarse and fine rows
+        return _chain_block(chain, Y, table, factors[2][:, :, 0].T.tolist(), width)
+    return _step_block(rhs, Y, values, factors)
+
+
 # a divergent run overflows quietly until its block's finiteness check raises
 @np.errstate(over="ignore", invalid="ignore")
-def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int,
-         runs: list) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int, runs: list,
+         chain: Optional[Callable[..., float]] = None
+         ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Coarse (n steps of h) and fine (2n steps of h/2) RK4 runs of
     y' = rhs(y, *curve values) for each run (y0, n, h), all y0 of one shape,
     each value shaped like the state with the last axis ``width`` wide.
@@ -422,11 +552,22 @@ def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int,
     stacked steps, and is kept if every step returns the start state; else
     the run steps that same block one by one with the others.  Its samples
     and derivatives have the bits of the one-by-one steps either way.
-    While no run is settled, the batch steps as a whole, with no copies."""
+    While no run is settled, the batch steps as a whole, with no copies.
+
+    ``chain``, where given, is the field's coordinate form on Python floats
+    (see ``_chain_block``), with the bits of ``rhs`` on each coordinate; the
+    one-by-one steps of a block whose runs hold at most ``_CHAIN_CAP``
+    chains then run on floats, with the same staged layout, so everything
+    after the steps is shared."""
     shape = runs[0][0].shape
-    ys_c = [np.empty((n + 1,) + shape) for _, n, _ in runs]
-    # each run's fine samples and derivatives, as (coarse step, half step)
-    fine = [np.empty((2, n + 1, 2) + shape) for _, n, _ in runs]
+    ys_c, fine = [], []
+    for r, (_, n, _) in enumerate(runs):
+        try:
+            ys_c.append(np.empty((n + 1,) + shape))
+            # the run's fine samples and derivatives, as (coarse step, half step)
+            fine.append(np.empty((2, n + 1, 2) + shape))
+        except (MemoryError, ValueError):  # ValueError: past numpy's largest array
+            raise SampleMemoryError(r, n) from None
     active, stop, lo = list(range(len(runs))), len(runs), 0
     Y = np.stack([np.stack([y0 for y0, _, _ in runs])] * 2)
     settled = np.zeros(len(runs), dtype=bool)
@@ -444,11 +585,12 @@ def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int,
         offsets = np.stack([np.zeros((3, len(hs))), np.stack([hs / 2, qs / 2, qs / 2]),
                             np.stack([hs, qs, qs])])
         times = np.stack([block * hs, block * hs, (2 * block + 1) * qs], axis=1)[:, None] + offsets
-        values = np.multiply.outer(np.stack([c(times) for c in curves], axis=2),
-                                   np.ones(shape[:-1] + (width,)))
+        # (step, stage, curve, coarse/paired/lone, run), then widened to the state
+        table = np.stack([c(times) for c in curves], axis=2)
+        values = np.multiply.outer(table, np.ones(shape[:-1] + (width,)))
         kept = np.zeros_like(settled)
         if not settled.any():
-            Y, staged, dstaged = _step_block(rhs, Y, values, factors)
+            Y, staged, dstaged = _one_by_one(rhs, chain, Y, table, values, factors, width)
         else:
             # per step: the state at its start and after the paired step, the fine derivatives
             staged = np.empty((hi - lo, 2) + Y.shape)
@@ -458,8 +600,9 @@ def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int,
                 rhs, Y[:, p], values[:, :, :, :, p], [f[:, p] for f in factors])
             if not kept.all():
                 p = np.flatnonzero(~kept)
-                Y[:, p], staged[:, :, :, p], dstaged[:, :, p] = _step_block(
-                    rhs, Y[:, p], values[:, :, :, :, p], [f[:, p] for f in factors])
+                Y[:, p], staged[:, :, :, p], dstaged[:, :, p] = _one_by_one(
+                    rhs, chain, Y[:, p], table[..., p], values[:, :, :, :, p],
+                    [f[:, p] for f in factors], width)
         if hi - lo == _BLOCK:
             settled = kept | _unchanged(staged, Y)
         for p, r in enumerate(active):
@@ -505,8 +648,8 @@ def coarse_steps(horizon: float, step: float) -> int:
     return n
 
 
-def _integrate(rhs, curves: tuple, width: int, runs: list,
-               method: str) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, IntegratorMeta]]:
+def _integrate(rhs, curves: tuple, width: int, runs: list, method: str,
+               chain=None) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, IntegratorMeta]]:
     """Fine times, samples, derivatives and error estimate of each run
     (y0, horizon, step), all integrated in one ``_rk4`` batch."""
     coarse = []
@@ -517,7 +660,7 @@ def _integrate(rhs, curves: tuple, width: int, runs: list,
             raise IntegrationError("horizon must be positive")
         coarse.append((y0, coarse_steps(horizon, step), step))
     out = []
-    for (_, n, step), (ys_c, ys_f, dys_f) in zip(coarse, _rk4(rhs, curves, width, coarse)):
+    for (_, n, step), (ys_c, ys_f, dys_f) in zip(coarse, _rk4(rhs, curves, width, coarse, chain)):
         # the times before the estimate's temporaries: allocated after them, they
         # can pin the freed heap and raise the peak resident memory
         ts_f = np.arange(2 * n + 1) * (step / 2)
@@ -549,15 +692,18 @@ def integrate_first_order_runs(T: NonexpansiveMap, lam: ParameterCurve, x0, runs
             (lam.upper is not None and lam.upper > cap + 1e-12):
         raise IntegrationError(f"lambda must map into [0, {cap}]")
 
-    fn = T.fn  # raw closure; the validating wrapper is per-call overhead here
+    fn, f = T.fn, T.coordinate  # raw closures; the validating wrapper is per-call overhead
 
     def rhs(y, lam_t):
         return lam_t * (fn(y) - y)
 
+    def chain(x, lam_t):
+        return lam_t * (f(x) - x)
+
     trajectories = []
     for ts, ys, dys, meta in _integrate(rhs, (lam,), x0.size,
                                         [(x0, horizon, step) for horizon, step in runs],
-                                        "rk4/first_order"):
+                                        "rk4/first_order", None if f is None else chain):
         lam.validate_bounds(ts)
         trajectories.append(Trajectory(space=space, ts=ts, xs=ys, dxs=dys, meta=meta))
     return trajectories
@@ -581,16 +727,19 @@ def integrate_second_order(B: CocoerciveMap, lam: ParameterCurve,
     if space is None:
         space = SpaceDescriptor(dimension=d)
 
-    fn = B.fn
+    fn, f = B.fn, B.coordinate
 
     # the field takes -gamma tabled: -gam_t * v is (-gam_t) * v, and negation is exact
     def rhs(y, lam_t, neg_gam_t):
         x, v = y[..., :d], y[..., d:]
         return np.concatenate([v, neg_gam_t * v - lam_t * fn(x)], axis=-1)
 
+    def chain(x, v, lam_t, neg_gam_t):
+        return neg_gam_t * v - lam_t * f(x)
+
     y0 = np.concatenate([u0, v0])
     (ts, ys, dys, meta), = _integrate(rhs, (lam, lambda t: -gam(t)), d, [(y0, horizon, step)],
-                                      "rk4/second_order")
+                                      "rk4/second_order", None if f is None else chain)
     lam.validate_bounds(ts)
     gam.validate_bounds(ts)
     if theta is not None:

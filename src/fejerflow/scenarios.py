@@ -23,6 +23,7 @@ from .counterfunctions import Counterfunction
 from .exact import BudgetExceeded, ExtendedNatural, R, Real
 from .flows import (
     ParameterCurve,
+    SampleMemoryError,
     Trajectory,
     coarse_steps,
     gradient_flow_samples,
@@ -289,6 +290,16 @@ def _divergence_modulus(lam: ParameterCurve, delta: Fraction = Fraction(1)):
     return float(tau_lo), lambda K: (K / tau).ceil_upper()
 
 
+def _integrated(nodes: Sequence[Config], integrate: Callable, *args, **kwargs):
+    """``integrate(*args, **kwargs)``, whose run i has its horizon at
+    ``nodes[i]``: a run whose samples cannot be allocated refuses that key."""
+    try:
+        return integrate(*args, **kwargs)
+    except SampleMemoryError as exc:
+        node = nodes[exc.run]
+        node.refuse("horizon", node["horizon"], f"a horizon whose samples fit in memory ({exc})")
+
+
 def _run_first_order(cfg: Config, out: ScenarioOutcome) -> None:
     space, x0, y, b = _ball(cfg)
     T = make_nonexpansive(space, cfg.section("operators", "T"))
@@ -304,7 +315,8 @@ def _run_first_order(cfg: Config, out: ScenarioOutcome) -> None:
     runs = [(cfg.positive("horizon"), cfg.positive("step"))]
     if long_cfg:
         runs.append((long_cfg.positive("horizon"), long_cfg.positive("step")))
-    traj, *long_run = integrate_first_order_runs(T, lam, x0, runs, space=space)
+    traj, *long_run = _integrated([cfg, long_cfg], integrate_first_order_runs, T, lam, x0, runs,
+                                  space=space)
     out.trajectories["trajectory"] = traj
 
     out.add(_distance_monotone_report(traj, y))
@@ -405,7 +417,8 @@ def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:
         raise ConfigError("config keys 'bounds.b' and 'bounds.c' must keep the constants K "
                           "and L within the float range")
 
-    traj = integrate_second_order(B, lam, gam, u0, v0, horizon, step, theta=theta, space=space)
+    traj = _integrated([cfg], integrate_second_order, B, lam, gam, u0, v0, horizon, step,
+                       theta=theta, space=space)
     out.trajectories["trajectory"] = traj
 
     if oracle:
@@ -462,9 +475,8 @@ def _run_forward_backward_first(cfg: Config, out: ScenarioOutcome) -> None:
 
     T = forward_backward_map(A, B, gamma)
     delta = min(1, _rational(B.beta) / gamma_q) + Fraction(1, 2)  # T's averagedness cap
-    traj = integrate_forward_backward("first", A, B, gamma, lam, x0,
-                                      cfg.positive("horizon"), cfg.positive("step"),
-                                      space=space)
+    traj = _integrated([cfg], integrate_forward_backward, "first", A, B, gamma, lam, x0,
+                       cfg.positive("horizon"), cfg.positive("step"), space=space)
     out.trajectories["trajectory"] = traj
 
     # structural reduction: the stored derivatives are lambda(t) (T x - x), T rebuilt from A, B
@@ -519,9 +531,9 @@ def _run_forward_backward_second(cfg: Config, out: ScenarioOutcome) -> None:
     theta = cfg.number("theta")
 
     consts = _second_order_consts(cfg, out, "second_order_constants_fb", lam, gam, B.beta)
-    traj = integrate_forward_backward("second", A, B, eta_step, lam, u0,
-                                      cfg.positive("horizon"), cfg.positive("step"),
-                                      gam=gam, v0=v0, theta=theta, space=space)
+    traj = _integrated([cfg], integrate_forward_backward, "second", A, B, eta_step, lam, u0,
+                       cfg.positive("horizon"), cfg.positive("step"),
+                       gam=gam, v0=v0, theta=theta, space=space)
     out.trajectories["trajectory"] = traj
 
     eps_q, eps, (fc,) = _metastability(cfg, Fraction(1, 2), (0,), single=True)
@@ -557,7 +569,11 @@ def _run_forward_backward_second(cfg: Config, out: ScenarioOutcome) -> None:
 
 def _sample_times(cfg: Config, grid: float) -> np.ndarray:
     """The semigroup sample times: the grid over [0, horizon], at least two."""
-    ts = np.arange(0.0, cfg.positive("horizon") + grid / 2, grid)
+    horizon = cfg.positive("horizon")
+    try:
+        ts = np.arange(0.0, horizon + grid / 2, grid)
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest array
+        cfg.refuse("horizon", horizon, f"a horizon whose grid of {grid} fits in memory")
     if len(ts) < 2:
         raise ConfigError(f"config keys 'horizon' and 'sampling.grid' leave one sample, "
                           f"at t = 0, for grid {grid}")

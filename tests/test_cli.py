@@ -580,6 +580,19 @@ _NAMED_KEY_CONFIGS = {
     "oracle_time_far_past_the_horizon": {
         "builtin": "second_order_linear",
         "overrides": {"oracle": {"terms": [[2.0, -1.0], [-1.0, -2.0]], "times": [100.0]}}},
+    # samples no allocation can hold, refused at once: 10^18 steps of 1e-3 are
+    # 8 EiB of floats, past any memory; 10^18 pairs are past numpy's largest array
+    "horizon_past_memory": {"builtin": "first_order_contraction_1d",
+                            "overrides": {"horizon": 1e15}},
+    "long_check_horizon_past_memory": {
+        "builtin": "first_order_contraction_1d",
+        "overrides": {"long_check": {"horizon": 1e15, "step": 0.5}}},
+    "semigroup_horizon_past_memory": {"builtin": "gradient_flow_quadratic",
+                                      "overrides": {"horizon": 1e15}},
+    "second_order_horizon_past_numpy": {"builtin": "second_order_linear",
+                                        "overrides": {"horizon": 1e15}},
+    "forward_backward_horizon_past_memory": {"builtin": "forward_backward_first_order",
+                                             "overrides": {"horizon": 1e15}},
 }
 # the key each of them names in its error message
 _NAMED_KEYS = {
@@ -662,6 +675,11 @@ _NAMED_KEYS = {
     "table_values_wrong_length": "'curves.lambda.values'",
     "table_times_not_increasing": "'curves.lambda.ts'",
     "piecewise_breaks_not_increasing": "'curves.lambda.breaks'",
+    "horizon_past_memory": "'horizon'",
+    "long_check_horizon_past_memory": "'long_check.horizon'",
+    "semigroup_horizon_past_memory": "'horizon'",
+    "second_order_horizon_past_numpy": "'horizon'",
+    "forward_backward_horizon_past_memory": "'horizon'",
 }
 
 

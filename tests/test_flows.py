@@ -1,5 +1,6 @@
 """Integrators and semigroups against closed forms; trajectory invariants."""
 
+import dataclasses
 import math
 import re
 
@@ -998,8 +999,9 @@ def _reference_field_run(field, y0, horizon, step, method):
     return ts_f, ys_f, dys_f, meta
 
 
-def _reference_integrate(rhs, curves, width, runs, method):
-    """Each run (y0, horizon, step) integrated alone."""
+def _reference_integrate(rhs, curves, width, runs, method, chain=None):
+    """Each run (y0, horizon, step) integrated alone, by the numpy field
+    ``rhs`` even where a coordinate form ``chain`` is given."""
     return [_reference_run(rhs, curves, width, *run, method) for run in runs]
 
 
@@ -1279,3 +1281,150 @@ def test_ragged_horizon_error_estimate():
     aligned = integrate_first_order(T, lam, [1.0], 1.2, 0.3)
     assert ragged.meta == aligned.meta
     assert ragged.meta.interp_slack < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the coordinatewise stepper on Python floats against the numpy stepper
+# ---------------------------------------------------------------------------
+
+
+def _numpy_only(op):
+    """The same operator without its coordinate form: it steps on numpy."""
+    return dataclasses.replace(op, coordinate=None)
+
+
+def _counted_fn(op, calls: list):
+    """The same operator, counting the calls of its numpy closure."""
+    fn = op.fn
+    return dataclasses.replace(op, fn=lambda x: calls.append(1) or fn(x))
+
+
+_MONOTONE_COORDINATEWISE = st.one_of(st.just(MonotoneOperator.zero()),
+                                     st.floats(0.0, 2.0).map(MonotoneOperator.scaled_identity))
+_COCOERCIVE_COORDINATEWISE = st.one_of(
+    st.just(CocoerciveMap.identity()), st.floats(0.5, 2.0).map(CocoerciveMap.zero),
+    st.floats(0.1, 2.0).map(CocoerciveMap.scaled_identity),
+    st.integers(1, 3).map(lambda d: CocoerciveMap.linear_spd(np.zeros((d, d)))))
+_PLAIN_COORDINATEWISE = st.one_of(st.just(NonexpansiveMap.identity()),
+                                  st.just(NonexpansiveMap.negation()),
+                                  st.floats(0.0, 1.0).map(NonexpansiveMap.scalar))
+
+
+@st.composite
+def _forward_backward_parts(draw):
+    A, B = draw(_MONOTONE_COORDINATEWISE), draw(_COCOERCIVE_COORDINATEWISE)
+    return A, B, draw(st.floats(0.05, 1.95)) * B.beta
+
+
+_NONEXPANSIVE_COORDINATEWISE = st.one_of(
+    _PLAIN_COORDINATEWISE,
+    st.lists(_PLAIN_COORDINATEWISE, min_size=1, max_size=3).map(NonexpansiveMap.compose),
+    _forward_backward_parts().map(lambda parts: forward_backward_map(*parts)))
+_SECOND_ORDER_COORDINATEWISE = st.one_of(
+    _COCOERCIVE_COORDINATEWISE,
+    _forward_backward_parts().map(lambda parts: operators.forward_backward_residual(*parts)))
+
+
+def _assert_float_stepper_keeps_the_numpy_bits(flow, op, numpy_calls: int, monkeypatch):
+    """``flow(op)`` on floats, every block's runs within the chain cap, has
+    the bits of ``flow`` over the operator without its coordinate form.  It
+    calls the numpy closure ``numpy_calls`` times: once per run for its last
+    derivative, and 8 times per block a settled run tries at once."""
+    calls = []
+    monkeypatch.setattr(flows, "_CHAIN_CAP", 10 ** 6)
+    new = flow(_counted_fn(op, calls))
+    assert len(calls) == numpy_calls
+    monkeypatch.setattr(flows, "_CHAIN_CAP", 0)
+    ref = flow(_numpy_only(op))
+    for a, b in zip(new, ref, strict=True):
+        _assert_same_bits(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), kind=st.sampled_from(sorted(_LAMBDAS)),
+       runs=st.lists(st.tuples(st.integers(1, 40), st.floats(0.01, 0.3), st.floats(0.0, 0.9)),
+                     min_size=1, max_size=3))
+def test_first_order_floats_keep_the_numpy_bits(data, d, kind, runs):
+    T = data.draw(_NONEXPANSIVE_COORDINATEWISE)
+    assert T.coordinate is not None
+    x0 = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d))
+    # horizon (n - frac) step: n coarse steps, or n - 1 with a ragged last one
+    runs = [((n - frac) * step, step) for n, step, frac in runs]
+    # lambda stays within [0, 1], inside every forward-backward map's cap
+    flow = lambda op: integrate_first_order_runs(op, _LAMBDAS[kind], x0, runs)
+    with pytest.MonkeyPatch.context() as m:
+        _assert_float_stepper_keeps_the_numpy_bits(flow, T, len(runs), m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), lam=st.sampled_from(sorted(_LAMBDAS)),
+       gam=st.sampled_from(sorted(_LAMBDAS)), n=st.integers(1, 40), step=st.floats(0.01, 0.3),
+       frac=st.floats(0.0, 0.9))
+def test_second_order_floats_keep_the_numpy_bits(data, d, lam, gam, n, step, frac):
+    B = data.draw(_SECOND_ORDER_COORDINATEWISE)
+    assert B.coordinate is not None
+    u0, v0 = (data.draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)) for _ in "uv")
+    flow = lambda op: [integrate_second_order(op, _LAMBDAS[lam], _LAMBDAS[gam], u0, v0,
+                                              (n - frac) * step, step)]
+    with pytest.MonkeyPatch.context() as m:
+        _assert_float_stepper_keeps_the_numpy_bits(flow, B, 1, m)
+
+
+@pytest.mark.parametrize("flow, op, numpy_calls", [
+    # past two blocks, with curves that vary throughout; a second run beside
+    (lambda op: integrate_first_order_runs(op, _LONG_LAM, [1.0, -2.0, 0.5],
+                                           [_LONG, (20.0, 0.03)]),
+     NonexpansiveMap.scalar(0.5), 2),
+    (lambda op: [integrate_second_order(op, _LONG_LAM, _LONG_GAM, [1.0, -0.5], [0.0, 0.3],
+                                        *_LONG)],
+     operators.forward_backward_residual(MonotoneOperator.scaled_identity(0.5),
+                                         CocoerciveMap.scaled_identity(2.0), 0.3), 1),
+    # settled after block 1 and kept in block 2, the run wakes in block 3 and
+    # steps it and block 4 one by one; the second run never settles
+    (lambda op: integrate_first_order_runs(op, _WAKING, [1.0, -2.0],
+                                           [(4 * _SPAN, 0.01), (20 * _SPAN, 0.05)]),
+     NonexpansiveMap.compose([NonexpansiveMap.scalar(0.5), NonexpansiveMap.negation()]),
+     2 * 8 + 2),
+], ids=["first_multi_block", "second_multi_block", "first_wakes"])
+def test_long_flows_on_floats_keep_the_numpy_bits(monkeypatch, flow, op, numpy_calls):
+    _assert_float_stepper_keeps_the_numpy_bits(flow, op, numpy_calls, monkeypatch)
+
+
+@pytest.mark.parametrize("d, runs", [
+    (1, 1), (2, 2),  # the builtins' sizes: up to 4 chains
+    (flows._CHAIN_CAP // 2, 2), (flows._CHAIN_CAP + 1, 1), (flows._CHAIN_CAP // 2 + 1, 2),
+])
+def test_blocks_within_the_chain_cap_step_on_floats(d, runs):
+    calls = []
+    T = _counted_fn(NonexpansiveMap.scalar(0.5), calls)
+    integrate_first_order_runs(T, ParameterCurve.constant(0.5), [1.0] * d,
+                               [(10 * 1e-3, 1e-3)] * runs)
+    # one call per run for its last derivative; numpy makes 8 per coarse step
+    assert len(calls) == (runs if d * runs <= flows._CHAIN_CAP else 8 * 10 + runs)
+
+
+# x' = -x at h = 1e7: each RK4 step multiplies by about h^4/24, past the floats in 12 steps
+_BLOW_UP = 1e7
+
+
+@pytest.mark.parametrize("runs, diverging", [
+    ([(3000 * _BLOW_UP, _BLOW_UP)], 0),  # three blocks: the first one raises
+    ([(5 * _BLOW_UP, _BLOW_UP), (3000 * _BLOW_UP, _BLOW_UP)], 1),  # 5 steps stay finite
+    ([(3000 * _BLOW_UP, _BLOW_UP), (40 * _BLOW_UP, _BLOW_UP)], 0),  # both diverge
+    ([(40 * _BLOW_UP, _BLOW_UP), (3000 * _BLOW_UP, _BLOW_UP)], 0),
+])
+def test_diverging_chains_raise_the_numpy_error(runs, diverging):
+    calls = []
+    f = lambda x: calls.append(1) or 0.0 * x
+    T = NonexpansiveMap(fn=lambda x: 0.0 * x, coordinate=f)
+    lam = ParameterCurve.constant(1.0)
+    with pytest.raises(IntegrationError) as on_floats:
+        integrate_first_order_runs(T, lam, [1.0], runs)
+    with pytest.raises(IntegrationError) as on_numpy:
+        integrate_first_order_runs(_numpy_only(T), lam, [1.0], runs)
+    with pytest.raises(IntegrationError) as alone:
+        integrate_first_order(_numpy_only(T), lam, [1.0], *runs[diverging])
+    assert str(on_floats.value) == str(on_numpy.value) == str(alone.value)
+    assert "non-finite state" in str(on_floats.value)
+    # raised at the end of the first block: 12 field calls per coarse step and run
+    assert len(calls) <= 12 * flows._BLOCK * len(runs)

@@ -267,13 +267,25 @@ def test_each_flow_is_integrated_once(monkeypatch, name, runs):
     batches = []
     integrate = flows._integrate
 
-    def counted(rhs, curves, width, batch, method):
+    def counted(rhs, curves, width, batch, method, chain=None):
         batches.append(len(batch))
-        return integrate(rhs, curves, width, batch, method)
+        return integrate(rhs, curves, width, batch, method, chain)
 
     monkeypatch.setattr(flows, "_integrate", counted)
     run_scenario(_short(name))
     assert batches == [runs]
+
+
+@pytest.mark.parametrize("name", ["first_order_contraction_1d", "first_order_contraction_2d",
+                                  "second_order_linear", "forward_backward_first_order",
+                                  "forward_backward_second_order"])
+def test_each_builtin_flow_steps_on_floats(monkeypatch, name):
+    # every RK4 builtin's field is coordinatewise and holds at most 4 chains
+    def numpy_steps(*args):
+        raise AssertionError("a builtin flow stepped on numpy")
+
+    monkeypatch.setattr(flows, "_step_block", numpy_steps)
+    assert run_scenario(_short(name)).ok
 
 
 @pytest.mark.parametrize("name, listed, theorem", [
@@ -306,9 +318,12 @@ def test_forward_backward_delta_is_exact():
 
 def _sign_flipped(A, B, gamma):
     """The forward-backward map with its forward step taken uphill,
-    x -> J_{gamma A}(x + gamma B x)."""
+    x -> J_{gamma A}(x + gamma B x), in its numpy closure and its coordinate
+    form alike."""
     T = operators.forward_backward_map(A, B, gamma)
-    return dataclasses.replace(T, fn=lambda x: A.resolvent(gamma, x + gamma * B.fn(x)))
+    return dataclasses.replace(
+        T, fn=lambda x: A.resolvent(gamma, x + gamma * B.fn(x)),
+        coordinate=lambda x: A.coordinate(gamma, x + gamma * B.coordinate(x)))
 
 
 @pytest.mark.parametrize("mutated", [False, True])
