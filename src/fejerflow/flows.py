@@ -5,29 +5,26 @@ semigroups built from their exponential formulas.
 Integration is classical RK4 with a fixed step plus a Richardson global-error
 estimate from a second run at half the step; verification tolerances derive
 from that estimate, so adaptive stepping is deliberately avoided.  One core
-(``_rk4``) advances coarse step i and fine step 2i as one batch, then fine
-step 2i+1 alone; with curves tabled per block of 1,024 coarse steps and
-closures that answer rows with single-point bits, each run keeps the bits of
-a separate run.  The core also has a run axis: several runs of one field,
-each with its own start, step and step count, advance in one loop, and each
-leaves the batch at its own end (``integrate_first_order_runs``; every other
-integrator passes one run).  The step loop makes only the RK4 arithmetic:
-each block's curve table is sliced once into per-step tuples of curve
-values, and the second-order field takes -gamma tabled, so it negates
-nothing per call.  Each block checks the state's
+(``_rk4``) integrates one run: it advances coarse step i and fine step 2i as
+one batch, then fine step 2i+1 alone; with curves tabled per block of 1,024
+coarse steps and closures that answer rows with single-point bits, the
+coarse and fine samples keep the bits of separate runs.  The step loop makes
+only the RK4 arithmetic: each block's curve table is sliced once into
+per-step tuples of curve values, and the second-order field takes -gamma
+tabled, so it negates nothing per call.  Each block checks the state's
 finiteness, and the error names the first non-finite sample.  Dense output
 is local cubic Hermite interpolation using stored derivatives.
 
 On a 2- to 8-float state every numpy call costs about the same whatever its
 size, so a field whose operators all have a coordinate form
 (``operators``: ``coordinate``) steps on bare Python floats instead.  Each
-coordinate of each run is an independent chain, one float for a first-order
-flow and the pair (x_i, v_i) for a second-order one; a block of up to
-``_CHAIN_CAP`` chains steps each chain alone through ``_stage``'s operations
-in its order, reading the same curve table, and writes the same staged
-arrays at the end of the block.  Python floats round each operation as
-float64 does, so the samples keep their bits, and finiteness checks, errors,
-settled runs and run exits are shared with the numpy stepper.
+coordinate is an independent chain, one float for a first-order flow and the
+pair (x_i, v_i) for a second-order one; a block of up to ``_CHAIN_CAP``
+chains steps each chain alone through ``_stage``'s operations in its order,
+reading the same curve table, and writes the same staged arrays at the end
+of the block.  Python floats round each operation as float64 does, so the
+samples keep their bits, and finiteness checks, errors and settled runs are
+shared with the numpy stepper.
 
 A converging run reaches a floating-point fixed point, where every RK4
 increment rounds away: the first-order builtins' ``long_check`` runs spend
@@ -46,7 +43,7 @@ The semigroups double the step count n of their exponential formulas under
 one driver (``_semigroup``), which returns the Richardson extrapolant
 2 y_n - y_{n/2} when successive extrapolants show a second-order error, and
 otherwise the plain run with a geometric tail bound on its error.
-``_semigroup`` has a row axis, as ``_rk4`` has a run axis: the rows of one
+``_semigroup`` has a row axis: the rows of one
 (k, d) stack share one pass of n steps per level n, and each row has its
 own start, time, tol and n_max, steps by its own t/n, keeps its own Cauchy
 differences, extrapolant and stopping rule, and leaves the stack when it
@@ -90,7 +87,6 @@ __all__ = [
     "Trajectory",
     "SemigroupPoint",
     "integrate_first_order",
-    "integrate_first_order_runs",
     "integrate_second_order",
     "integrate_forward_backward",
     "gradient_flow_samples",
@@ -105,11 +101,10 @@ class IntegrationError(RuntimeError):
 
 
 class SampleMemoryError(IntegrationError):
-    """The samples of the run at index ``run`` of a batch cannot be allocated."""
+    """The samples of a run cannot be allocated."""
 
-    def __init__(self, run: int, n: int):
+    def __init__(self, n: int):
         super().__init__(f"the samples of {n} coarse steps cannot be allocated")
-        self.run = run
 
 
 # ---------------------------------------------------------------------------
@@ -439,41 +434,37 @@ def _pair_chain(field, coarse, fine, rows, h, q):
     return out, (x, v), (zx, zv)
 
 
-def _chain_block(chain, Y, table, steps, width):
-    """``_step_block`` on Python floats: each chain, one coordinate of one
-    run with its coarse and fine rows, steps the whole block alone, and its
-    floats go into the staged arrays at the end of the block.  ``table`` is
-    the block's curve table (step, stage, curve, coarse/paired/lone, run),
-    ``steps`` each run's (h, h/2), and a chain of a state of ``width``
-    coordinates holds one float (first order, ``chain(x, lam)``) or the
-    pair of columns j and width + j (second order, v' = ``chain(x, v, lam,
-    -gamma)``).  Each chain makes ``_stage``'s operations in its order on
-    the bits ``chain`` shares with ``rhs``, so the result has the bits
-    ``_step_block`` would give."""
+def _chain_block(chain, Y, table, h, width):
+    """``_step_block`` on Python floats: each chain, one coordinate with its
+    coarse and fine rows, steps the whole block alone, and its floats go
+    into the staged arrays at the end of the block.  ``table`` is the
+    block's curve table (step, stage, curve, coarse/paired/lone), h the
+    coarse step, and a chain of a state of ``width`` coordinates holds one
+    float (first order, ``chain(x, lam)``) or the pair of columns j and
+    width + j (second order, v' = ``chain(x, v, lam, -gamma)``).  Each chain
+    makes ``_stage``'s operations in its order on the bits ``chain`` shares
+    with ``rhs``, so the result has the bits ``_step_block`` would give."""
     n, k = len(table), Y.shape[-1] // width  # k floats a chain: x, or x and v
     stepper = _float_chain if k == 1 else _pair_chain
     staged = np.empty((n, 2) + Y.shape)
     dstaged = np.empty((n, 2) + Y.shape[1:])
     Y = Y.copy()
-    for p, (h, q) in enumerate(steps):
-        # per step: the curve values of the coarse, paired fine and lone fine step
-        rows = table[..., p].transpose(0, 3, 1, 2).reshape(n, 3, -1).tolist()
-        for j in range(width):
-            cols = [j + i * width for i in range(k)]
-            out, Y[0, p, cols], Y[1, p, cols] = stepper(chain, *Y[:, p, cols].tolist(), rows,
-                                                        h, q)
-            out = np.array(out).reshape(n, k, 6)
-            for i, col in enumerate(cols):
-                staged[:, :, :, p, col] = out[:, i, :4].reshape(n, 2, 2)
-                dstaged[:, :, p, col] = out[:, i, 4:]
+    # per step: the curve values of the coarse, paired fine and lone fine step
+    rows = table.transpose(0, 3, 1, 2).reshape(n, 3, -1).tolist()
+    for j in range(width):
+        cols = [j + i * width for i in range(k)]
+        out, Y[0, cols], Y[1, cols] = stepper(chain, *Y[:, cols].tolist(), rows, h, h / 2)
+        out = np.array(out).reshape(n, k, 6)
+        for i, col in enumerate(cols):
+            staged[..., col] = out[:, i, :4].reshape(n, 2, 2)
+            dstaged[..., col] = out[:, i, 4:]
     return Y, staged, dstaged
 
 
-def _unchanged(staged: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Per run of Y (coarse/fine row, run, *state): whether every staged
-    state (..., row, run, *state) has the bits of Y, sign of zero included."""
-    same = staged.view(np.int64) == Y.view(np.int64)
-    return np.moveaxis(same, staged.ndim - Y.ndim + 1, 0).reshape(Y.shape[1], -1).all(axis=1)
+def _unchanged(staged: np.ndarray, Y: np.ndarray) -> bool:
+    """Whether every staged state (..., *Y's shape) has the bits of Y, sign
+    of zero included."""
+    return bool((staged.view(np.int64) == Y.view(np.int64)).all())
 
 
 def _step_block(rhs, Y, values, factors):
@@ -501,11 +492,11 @@ def _step_block(rhs, Y, values, factors):
 
 def _settled_block(rhs, Y, values, factors):
     """The block's steps all at once, each from the start state Y on its own
-    row of a (step, coarse/fine row, run, *state) stack.  Returns per run
-    whether every one of its steps returned Y, and the staged states and
-    derivatives as ``_step_block`` lays them out.  A step is a function of
-    its start state and its curve values alone, computed row by row, so a
-    run whose steps all return Y gets the bits ``_step_block`` would give."""
+    row of a (step, coarse/fine row, *state) stack.  Returns whether every
+    step returned Y, and the staged states and derivatives as
+    ``_step_block`` lays them out.  A step is a function of its start state
+    and its curve values alone, computed row by row, so a block whose steps
+    all return Y has the bits ``_step_block`` would give."""
     staged = np.empty((len(values), 2) + Y.shape)
     dstaged = np.empty((len(values), 2) + Y.shape[1:])
     staged[:, 0] = Y
@@ -517,123 +508,78 @@ def _settled_block(rhs, Y, values, factors):
     return _unchanged(np.stack([staged[:, 1, 0], end], axis=1), Y), staged, dstaged
 
 
-def _one_by_one(rhs, chain, Y, table, values, factors, width):
-    """The block's steps one by one: on Python floats (``_chain_block``)
-    where the field has a coordinate form ``chain`` and the runs hold at
-    most ``_CHAIN_CAP`` chains, else on numpy (``_step_block``)."""
-    if chain is not None and Y.shape[1] * width <= _CHAIN_CAP:
-        # each run's (h, h/2): the full-step factors of its coarse and fine rows
-        return _chain_block(chain, Y, table, factors[2][:, :, 0].T.tolist(), width)
-    return _step_block(rhs, Y, values, factors)
-
-
 # a divergent run overflows quietly until its block's finiteness check raises
 @np.errstate(over="ignore", invalid="ignore")
-def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int, runs: list,
-         chain: Optional[Callable[..., float]] = None
-         ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int, y0: np.ndarray, n: int,
+         h: float, chain: Optional[Callable[..., float]] = None
+         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coarse (n steps of h) and fine (2n steps of h/2) RK4 runs of
-    y' = rhs(y, *curve values) for each run (y0, n, h), all y0 of one shape,
-    each value shaped like the state with the last axis ``width`` wide.
-    Returns each run's coarse samples and fine samples and derivatives.
+    y' = rhs(y, *curve values) from y0, each value shaped like the state
+    with the last axis ``width`` wide, the state stacked as (coarse/fine
+    row, *state).  Returns the coarse samples and the fine samples and
+    derivatives.
 
-    The runs advance in lockstep, the state stacked as (coarse/fine row,
-    run, *state); a run leaves the batch after its own n steps, with its
-    last fine derivative taken there.  Should runs leave the reals, the
-    error names the first of them in the order given, the error a
-    run-by-run integration raises; later runs stop there.
-
-    A run is settled once a whole block of ``_BLOCK`` coarse steps leaves
+    The run is settled once a whole block of ``_BLOCK`` coarse steps leaves
     it unchanged: every staged state of the block, coarse row and fine row,
     has the bits of the block's end state.  A converging flow settles at
     its floating-point fixed point, where each RK4 increment rounds away.
-    A settled run leaves the step-by-step batch: its next block runs at
-    once from its start state (``_settled_block``), 8 field calls over the
-    stacked steps, and is kept if every step returns the start state; else
-    the run steps that same block one by one with the others.  Its samples
-    and derivatives have the bits of the one-by-one steps either way.
-    While no run is settled, the batch steps as a whole, with no copies.
+    A settled run's next block runs at once from its start state
+    (``_settled_block``), 8 field calls over the stacked steps, and is kept
+    if every step returns the start state; else the run steps that same
+    block one by one.  Its samples and derivatives have the bits of the
+    one-by-one steps either way.
 
     ``chain``, where given, is the field's coordinate form on Python floats
     (see ``_chain_block``), with the bits of ``rhs`` on each coordinate; the
-    one-by-one steps of a block whose runs hold at most ``_CHAIN_CAP``
-    chains then run on floats, with the same staged layout, so everything
-    after the steps is shared."""
-    shape = runs[0][0].shape
-    ys_c, fine = [], []
-    for r, (_, n, _) in enumerate(runs):
-        try:
-            ys_c.append(np.empty((n + 1,) + shape))
-            # the run's fine samples and derivatives, as (coarse step, half step)
-            fine.append(np.empty((2, n + 1, 2) + shape))
-        except (MemoryError, ValueError):  # ValueError: past numpy's largest array
-            raise SampleMemoryError(r, n) from None
-    active, stop, lo = list(range(len(runs))), len(runs), 0
-    Y = np.stack([np.stack([y0 for y0, _, _ in runs])] * 2)
-    settled = np.zeros(len(runs), dtype=bool)
-    while active:
-        hi = min((lo // _BLOCK + 1) * _BLOCK, *(runs[r][1] for r in active))
-        hs = np.array([runs[r][2] for r in active])
-        qs = hs / 2
-        # each factor has the shape it multiplies: faster than a broadcast or a float
-        steps = np.stack([hs, qs]).reshape(Y.shape[:2] + (1,) * len(shape)) + np.zeros_like(Y)
-        factors = (steps / 2, steps / 6, steps, np.full_like(Y, 2.0))
-        # stage times as separate runs form them, by (stage, row, run):
-        # i h + (0, h/2, h) coarse, 2i q + (0, q/2, q) paired fine (2i q is i h
-        # exactly), (2i+1) q + (0, q/2, q) lone
-        block = np.arange(lo, hi)[:, None]
-        offsets = np.stack([np.zeros((3, len(hs))), np.stack([hs / 2, qs / 2, qs / 2]),
-                            np.stack([hs, qs, qs])])
-        times = np.stack([block * hs, block * hs, (2 * block + 1) * qs], axis=1)[:, None] + offsets
-        # (step, stage, curve, coarse/paired/lone, run), then widened to the state
+    one-by-one steps of a run of at most ``_CHAIN_CAP`` chains then run on
+    floats, with the same staged layout, so everything after the steps is
+    shared."""
+    shape = y0.shape
+    try:
+        ys_c = np.empty((n + 1,) + shape)
+        # the fine samples and derivatives, as (coarse step, half step)
+        fine = np.empty((2, n + 1, 2) + shape)
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest array
+        raise SampleMemoryError(n) from None
+    q = h / 2
+    Y = np.stack([y0, y0])
+    # each factor has the shape it multiplies: faster than a broadcast or a float
+    steps = np.array([h, q]).reshape((2,) + (1,) * len(shape)) + np.zeros_like(Y)
+    factors = (steps / 2, steps / 6, steps, np.full_like(Y, 2.0))
+    # stage offsets by (stage, row): (0, h/2, h) coarse, (0, q/2, q) paired and lone fine
+    offsets = np.array([[0.0] * 3, [h / 2, q / 2, q / 2], [h, q, q]])
+    on_floats = chain is not None and width <= _CHAIN_CAP
+    settled = False
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        # stage times as separate runs form them: i h coarse, 2i q paired fine
+        # (2i q is i h exactly), (2i+1) q lone
+        block = np.arange(lo, hi)
+        times = np.stack([block * h, block * h, (2 * block + 1) * q], axis=1)[:, None] + offsets
+        # (step, stage, curve, coarse/paired/lone), then widened to the state
         table = np.stack([c(times) for c in curves], axis=2)
         values = np.multiply.outer(table, np.ones(shape[:-1] + (width,)))
-        kept = np.zeros_like(settled)
-        if not settled.any():
-            Y, staged, dstaged = _one_by_one(rhs, chain, Y, table, values, factors, width)
-        else:
-            # per step: the state at its start and after the paired step, the fine derivatives
-            staged = np.empty((hi - lo, 2) + Y.shape)
-            dstaged = np.empty((hi - lo, 2) + Y.shape[1:])
-            p = np.flatnonzero(settled)
-            kept[p], staged[:, :, :, p], dstaged[:, :, p] = _settled_block(
-                rhs, Y[:, p], values[:, :, :, :, p], [f[:, p] for f in factors])
-            if not kept.all():
-                p = np.flatnonzero(~kept)
-                Y[:, p], staged[:, :, :, p], dstaged[:, :, p] = _one_by_one(
-                    rhs, chain, Y[:, p], table[..., p], values[:, :, :, :, p],
-                    [f[:, p] for f in factors], width)
+        kept = False
+        if settled:
+            kept, staged, dstaged = _settled_block(rhs, Y, values, factors)
+        if not kept:
+            Y, staged, dstaged = (_chain_block(chain, Y, table, h, width) if on_floats
+                                  else _step_block(rhs, Y, values, factors))
         if hi - lo == _BLOCK:
-            settled = kept | _unchanged(staged, Y)
-        for p, r in enumerate(active):
-            ys_c[r][lo:hi], ys_c[r][hi] = staged[:, 0, 0, p], Y[0, p]
-            fine[r][0, lo:hi], fine[r][0, hi, 0] = staged[:, :, 1, p], Y[1, p]
-            fine[r][1, lo:hi] = dstaged[:, :, p]
-        # a non-finite state stays non-finite, so a run's first bad sample is the
-        # step where it left the reals; its coarse run is named first
+            settled = kept or _unchanged(staged, Y)
+        ys_c[lo:hi], ys_c[hi] = staged[:, 0, 0], Y[0]
+        fine[0, lo:hi], fine[0, hi, 0] = staged[:, :, 1], Y[1]
+        fine[1, lo:hi] = dstaged
+        # a non-finite state stays non-finite, so the first bad sample is the
+        # step where the run left the reals; the coarse run is named first
         if not np.isfinite(Y).all():
-            p = int(np.isfinite(Y.reshape(Y.shape[:2] + (-1,))).all(axis=(0, 2)).argmin())
-            stop, (_, _, h) = active[p], runs[active[p]]
-            ys_f = fine[stop][0].reshape((-1,) + shape)
-            for ys, step in ((ys_c[stop][1:hi + 1], h), (ys_f[1:2 * hi + 1], h / 2)):
+            ys_f = fine[0].reshape((-1,) + shape)
+            for ys, step in ((ys_c[1:hi + 1], h), (ys_f[1:2 * hi + 1], q)):
                 bad = np.flatnonzero(~np.isfinite(ys.reshape(len(ys), -1)).all(axis=1))
                 if bad.size:
-                    failure = f"non-finite state at t={int(bad[0]) * step + step}"
-                    break
-        keep = []
-        for p, r in enumerate(active):
-            _, n, h = runs[r]
-            if r < stop and n == hi:
-                fine[r][1, n, 0] = rhs(Y[1, p], *(c(2 * n * (h / 2)) for c in curves))
-            elif r < stop:
-                keep.append(p)
-        if len(keep) < len(active):
-            Y, settled, active = Y[:, keep], settled[keep], [active[p] for p in keep]
-        lo = hi
-    if stop < len(runs):
-        raise IntegrationError(failure)
-    return [(c, *(a.reshape((2 * n + 2,) + shape)[:-1] for a in f))
-            for c, f, (_, n, _) in zip(ys_c, fine, runs)]
+                    raise IntegrationError(f"non-finite state at t={int(bad[0]) * step + step}")
+    fine[1, n, 0] = rhs(Y[1], *(c(2 * n * q) for c in curves))
+    return (ys_c, *(a.reshape((2 * n + 2,) + shape)[:-1] for a in fine))
 
 
 def coarse_steps(horizon: float, step: float) -> int:
@@ -648,42 +594,39 @@ def coarse_steps(horizon: float, step: float) -> int:
     return n
 
 
-def _integrate(rhs, curves: tuple, width: int, runs: list, method: str,
-               chain=None) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, IntegratorMeta]]:
-    """Fine times, samples, derivatives and error estimate of each run
-    (y0, horizon, step), all integrated in one ``_rk4`` batch."""
-    coarse = []
-    for y0, horizon, step in runs:
-        if step <= 0:
-            raise IntegrationError("step must be positive")
-        if horizon <= 0:
-            raise IntegrationError("horizon must be positive")
-        coarse.append((y0, coarse_steps(horizon, step), step))
-    out = []
-    for (_, n, step), (ys_c, ys_f, dys_f) in zip(coarse, _rk4(rhs, curves, width, coarse, chain)):
-        # the times before the estimate's temporaries: allocated after them, they
-        # can pin the freed heap and raise the peak resident memory
-        ts_f = np.arange(2 * n + 1) * (step / 2)
-        shared = ys_f[::2]
-        richardson = float(np.linalg.norm(ys_c - shared, axis=1).max())
-        # Hermite reconstruction of fine midpoints from the coarse subsamples
-        # bounds the dense-output slack on the fine grid from above.
-        mid = ys_f[1::2]
-        interp = 0.5 * shared[:-1] + 0.5 * shared[1:] + step / 8 * (dys_f[:-1:2] - dys_f[2::2])
-        interp_slack = float(np.linalg.norm(interp - mid, axis=1).max())
-        est = richardson + interp_slack
-        meta = IntegratorMeta(method=method, step=step, grid_step=step / 2,
-                              est_err=max(est, 1e-15), richardson_err=richardson,
-                              interp_slack=interp_slack)
-        out.append((ts_f, ys_f, dys_f, meta))
-    return out
+def _integrate(rhs, curves: tuple, width: int, y0: np.ndarray, horizon: float, step: float,
+               method: str, chain=None) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                 IntegratorMeta]:
+    """Fine times, samples, derivatives and error estimate of the run
+    (y0, horizon, step)."""
+    if step <= 0:
+        raise IntegrationError("step must be positive")
+    if horizon <= 0:
+        raise IntegrationError("horizon must be positive")
+    n = coarse_steps(horizon, step)
+    ys_c, ys_f, dys_f = _rk4(rhs, curves, width, y0, n, step, chain)
+    # the times before the estimate's temporaries: allocated after them, they
+    # can pin the freed heap and raise the peak resident memory
+    ts_f = np.arange(2 * n + 1) * (step / 2)
+    shared = ys_f[::2]
+    richardson = float(np.linalg.norm(ys_c - shared, axis=1).max())
+    # Hermite reconstruction of fine midpoints from the coarse subsamples
+    # bounds the dense-output slack on the fine grid from above.
+    mid = ys_f[1::2]
+    interp = 0.5 * shared[:-1] + 0.5 * shared[1:] + step / 8 * (dys_f[:-1:2] - dys_f[2::2])
+    interp_slack = float(np.linalg.norm(interp - mid, axis=1).max())
+    est = richardson + interp_slack
+    meta = IntegratorMeta(method=method, step=step, grid_step=step / 2,
+                          est_err=max(est, 1e-15), richardson_err=richardson,
+                          interp_slack=interp_slack)
+    return ts_f, ys_f, dys_f, meta
 
 
-def integrate_first_order_runs(T: NonexpansiveMap, lam: ParameterCurve, x0, runs,
-                               space: Optional[SpaceDescriptor] = None) -> list[Trajectory]:
-    """Solve x'(t) = lambda(t) (T(x(t)) - x(t)) on [0, horizon] at each
-    (horizon, step) of ``runs``, 0 <= lambda <= T's cap, all in one lockstep
-    batch; each trajectory has the bits of a lone run."""
+def integrate_first_order(T: NonexpansiveMap, lam: ParameterCurve, x0,
+                          horizon: float, step: float,
+                          space: Optional[SpaceDescriptor] = None) -> Trajectory:
+    """Solve x'(t) = lambda(t) (T(x(t)) - x(t)) on [0, horizon],
+    0 <= lambda <= T's cap."""
     x0 = np.asarray(x0, dtype=float)
     if space is None:
         space = SpaceDescriptor(dimension=x0.size)
@@ -700,20 +643,10 @@ def integrate_first_order_runs(T: NonexpansiveMap, lam: ParameterCurve, x0, runs
     def chain(x, lam_t):
         return lam_t * (f(x) - x)
 
-    trajectories = []
-    for ts, ys, dys, meta in _integrate(rhs, (lam,), x0.size,
-                                        [(x0, horizon, step) for horizon, step in runs],
-                                        "rk4/first_order", None if f is None else chain):
-        lam.validate_bounds(ts)
-        trajectories.append(Trajectory(space=space, ts=ts, xs=ys, dxs=dys, meta=meta))
-    return trajectories
-
-
-def integrate_first_order(T: NonexpansiveMap, lam: ParameterCurve, x0,
-                          horizon: float, step: float,
-                          space: Optional[SpaceDescriptor] = None) -> Trajectory:
-    """The one run (horizon, step) of :func:`integrate_first_order_runs`."""
-    return integrate_first_order_runs(T, lam, x0, [(horizon, step)], space=space)[0]
+    ts, ys, dys, meta = _integrate(rhs, (lam,), x0.size, x0, horizon, step, "rk4/first_order",
+                                   None if f is None else chain)
+    lam.validate_bounds(ts)
+    return Trajectory(space=space, ts=ts, xs=ys, dxs=dys, meta=meta)
 
 
 def integrate_second_order(B: CocoerciveMap, lam: ParameterCurve,
@@ -738,8 +671,8 @@ def integrate_second_order(B: CocoerciveMap, lam: ParameterCurve,
         return neg_gam_t * v - lam_t * f(x)
 
     y0 = np.concatenate([u0, v0])
-    (ts, ys, dys, meta), = _integrate(rhs, (lam, lambda t: -gam(t)), d, [(y0, horizon, step)],
-                                      "rk4/second_order", None if f is None else chain)
+    ts, ys, dys, meta = _integrate(rhs, (lam, lambda t: -gam(t)), d, y0, horizon, step,
+                                   "rk4/second_order", None if f is None else chain)
     lam.validate_bounds(ts)
     gam.validate_bounds(ts)
     if theta is not None:

@@ -10,7 +10,7 @@ Stojkovic semigroup also steps with.
 
 Every config-addressable closure takes one point (d,) or a stack (..., d)
 and answers row by row (a convex value is a float for one point), each row
-with the bits of its single-point call, as the lockstep RK4 core in ``flows``
+with the bits of its single-point call, as the RK4 core in ``flows``
 needs: matrix closures take a dot product (``np.vecdot``) or a solve per row,
 since the rows of a stacked matrix product differ from it by rounding.  A
 prox parameter, and the Stojkovic resolvent's parameter and tolerance, may

@@ -28,8 +28,7 @@ from .flows import (
     coarse_steps,
     gradient_flow_samples,
     gradient_flow_semigroup,
-    integrate_first_order,  # unused here; the benchmark's tracer rebinds it by name
-    integrate_first_order_runs,
+    integrate_first_order,
     integrate_forward_backward,
     integrate_second_order,
     stojkovic_samples,
@@ -290,13 +289,22 @@ def _divergence_modulus(lam: ParameterCurve, delta: Fraction = Fraction(1)):
     return float(tau_lo), lambda K: (K / tau).ceil_upper()
 
 
-def _integrated(nodes: Sequence[Config], integrate: Callable, *args, **kwargs):
-    """``integrate(*args, **kwargs)``, whose run i has its horizon at
-    ``nodes[i]``: a run whose samples cannot be allocated refuses that key."""
+def _window(node: Config) -> tuple[float, float]:
+    """The (horizon, step) of the RK4 run at ``node``; its horizon is refused
+    unless the run takes a finite, nonzero count of coarse steps."""
+    horizon, step = node.positive("horizon"), node.positive("step")
+    if math.isinf(horizon / step) or not coarse_steps(horizon, step):
+        node.refuse("horizon", node["horizon"],
+                    f"a horizon of a finite, nonzero count of steps of {step}")
+    return horizon, step
+
+
+def _integrated(node: Config, integrate: Callable, *args, **kwargs):
+    """``integrate(*args, **kwargs)``, whose run has its horizon at ``node``:
+    a run whose samples cannot be allocated refuses that key."""
     try:
         return integrate(*args, **kwargs)
     except SampleMemoryError as exc:
-        node = nodes[exc.run]
         node.refuse("horizon", node["horizon"], f"a horizon whose samples fit in memory ({exc})")
 
 
@@ -310,13 +318,11 @@ def _run_first_order(cfg: Config, out: ScenarioOutcome) -> None:
 
     out.add(_contract_report(space, T))
 
-    # the main run and the long_check run advance as one batch
+    # the main run, then the long_check run; both are read before the first step
     long_cfg = cfg.spec("long_check", None)
-    runs = [(cfg.positive("horizon"), cfg.positive("step"))]
-    if long_cfg:
-        runs.append((long_cfg.positive("horizon"), long_cfg.positive("step")))
-    traj, *long_run = _integrated([cfg, long_cfg], integrate_first_order_runs, T, lam, x0, runs,
-                                  space=space)
+    runs = [(node, _window(node)) for node in (cfg, long_cfg) if node]
+    traj, *long_run = [_integrated(node, integrate_first_order, T, lam, x0, *window, space=space)
+                       for node, window in runs]
     out.trajectories["trajectory"] = traj
 
     out.add(_distance_monotone_report(traj, y))
@@ -405,7 +411,7 @@ def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:
     if prop.status == VIOLATED:
         return
 
-    horizon, step = cfg.positive("horizon"), cfg.positive("step")
+    horizon, step = _window(cfg)
     if oracle := cfg.spec("oracle", None):
         times = _times(oracle, "times", [0.5, 1.0, 2.0, 5.0], coarse_steps(horizon, step) * step)
         terms = [(term.number(0), term.number(1)) for term in oracle.pairs("terms")]
@@ -417,7 +423,7 @@ def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:
         raise ConfigError("config keys 'bounds.b' and 'bounds.c' must keep the constants K "
                           "and L within the float range")
 
-    traj = _integrated([cfg], integrate_second_order, B, lam, gam, u0, v0, horizon, step,
+    traj = _integrated(cfg, integrate_second_order, B, lam, gam, u0, v0, horizon, step,
                        theta=theta, space=space)
     out.trajectories["trajectory"] = traj
 
@@ -475,8 +481,8 @@ def _run_forward_backward_first(cfg: Config, out: ScenarioOutcome) -> None:
 
     T = forward_backward_map(A, B, gamma)
     delta = min(1, _rational(B.beta) / gamma_q) + Fraction(1, 2)  # T's averagedness cap
-    traj = _integrated([cfg], integrate_forward_backward, "first", A, B, gamma, lam, x0,
-                       cfg.positive("horizon"), cfg.positive("step"), space=space)
+    traj = _integrated(cfg, integrate_forward_backward, "first", A, B, gamma, lam, x0,
+                       *_window(cfg), space=space)
     out.trajectories["trajectory"] = traj
 
     # structural reduction: the stored derivatives are lambda(t) (T x - x), T rebuilt from A, B
@@ -531,9 +537,8 @@ def _run_forward_backward_second(cfg: Config, out: ScenarioOutcome) -> None:
     theta = cfg.number("theta")
 
     consts = _second_order_consts(cfg, out, "second_order_constants_fb", lam, gam, B.beta)
-    traj = _integrated([cfg], integrate_forward_backward, "second", A, B, eta_step, lam, u0,
-                       cfg.positive("horizon"), cfg.positive("step"),
-                       gam=gam, v0=v0, theta=theta, space=space)
+    traj = _integrated(cfg, integrate_forward_backward, "second", A, B, eta_step, lam, u0,
+                       *_window(cfg), gam=gam, v0=v0, theta=theta, space=space)
     out.trajectories["trajectory"] = traj
 
     eps_q, eps, (fc,) = _metastability(cfg, Fraction(1, 2), (0,), single=True)

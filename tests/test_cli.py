@@ -593,6 +593,21 @@ _NAMED_KEY_CONFIGS = {
                                         "overrides": {"horizon": 1e15}},
     "forward_backward_horizon_past_memory": {"builtin": "forward_backward_first_order",
                                              "overrides": {"horizon": 1e15}},
+    # horizon / step past the floats: no count of coarse steps
+    "horizon_past_the_floats": {"builtin": "first_order_contraction_1d",
+                                "overrides": {"horizon": 1e300, "step": 1e-10}},
+    "long_check_horizon_past_the_floats": {
+        "builtin": "first_order_contraction_1d",
+        "overrides": {"long_check": {"horizon": 1e300, "step": 1e-10}}},
+    "second_order_horizon_past_the_floats": {"builtin": "second_order_linear",
+                                             "overrides": {"horizon": 1e300, "step": 1e-10}},
+    "forward_backward_horizon_past_the_floats": {
+        "builtin": "forward_backward_second_order",
+        "overrides": {"horizon": 1e300, "step": 1e-10}},
+    "horizon_within_rounding_of_no_steps": {"builtin": "first_order_contraction_1d",
+                                            "overrides": {"horizon": 1e-12, "step": 0.01}},
+    "long_check_step_negative": {"builtin": "first_order_contraction_1d",
+                                 "overrides": {"long_check": {"horizon": 10.0, "step": -0.5}}},
 }
 # the key each of them names in its error message
 _NAMED_KEYS = {
@@ -680,6 +695,12 @@ _NAMED_KEYS = {
     "semigroup_horizon_past_memory": "'horizon'",
     "second_order_horizon_past_numpy": "'horizon'",
     "forward_backward_horizon_past_memory": "'horizon'",
+    "horizon_past_the_floats": "'horizon'",
+    "long_check_horizon_past_the_floats": "'long_check.horizon'",
+    "second_order_horizon_past_the_floats": "'horizon'",
+    "forward_backward_horizon_past_the_floats": "'horizon'",
+    "horizon_within_rounding_of_no_steps": "'horizon'",
+    "long_check_step_negative": "'long_check.step'",
 }
 
 
@@ -764,6 +785,21 @@ class TestRun:
     @pytest.mark.parametrize("name", ["constants_past_the_floats_full_horizon",
                                       "bound_negative"])
     def test_bounds_refused_before_the_flow(self, tmp_path, monkeypatch, name):
+        calls = []
+        monkeypatch.setattr(flows, "_rk4", lambda *args, **kwargs: calls.append(args))
+        cfg = write_config(tmp_path, _NAMED_KEY_CONFIGS[name])
+        assert main(["run", cfg, "--out", str(tmp_path / "a")]) == 2
+        assert calls == []
+
+    # the main run integrates first, so only its own keys may wait for it; a
+    # long_check past memory shows only when its samples are allocated
+    @pytest.mark.parametrize("name", ["horizon_past_the_floats",
+                                      "long_check_horizon_past_the_floats",
+                                      "second_order_horizon_past_the_floats",
+                                      "forward_backward_horizon_past_the_floats",
+                                      "horizon_within_rounding_of_no_steps",
+                                      "long_check_step_negative"])
+    def test_run_keys_refused_before_the_flow(self, tmp_path, monkeypatch, name):
         calls = []
         monkeypatch.setattr(flows, "_rk4", lambda *args, **kwargs: calls.append(args))
         cfg = write_config(tmp_path, _NAMED_KEY_CONFIGS[name])

@@ -18,7 +18,6 @@ from fejerflow.flows import (
     Trajectory,
     gradient_flow_semigroup,
     integrate_first_order,
-    integrate_first_order_runs,
     integrate_forward_backward,
     integrate_second_order,
     stojkovic_semigroup,
@@ -968,7 +967,9 @@ def _reference_rk4_run(field, y0, n_steps, h):
     return ts, ys, dys
 
 
-def _reference_run(rhs, curves, width, y0, horizon, step, method):
+def _reference_integrate(rhs, curves, width, y0, horizon, step, method, chain=None):
+    """The run (y0, horizon, step) integrated by the reference loops, by the
+    numpy field ``rhs`` even where a coordinate form ``chain`` is given."""
     def field(t, y):
         return rhs(y, *(c(t) for c in curves))
 
@@ -997,12 +998,6 @@ def _reference_field_run(field, y0, horizon, step, method):
                           est_err=max(est, 1e-15), richardson_err=richardson,
                           interp_slack=interp_slack)
     return ts_f, ys_f, dys_f, meta
-
-
-def _reference_integrate(rhs, curves, width, runs, method, chain=None):
-    """Each run (y0, horizon, step) integrated alone, by the numpy field
-    ``rhs`` even where a coordinate form ``chain`` is given."""
-    return [_reference_run(rhs, curves, width, *run, method) for run in runs]
 
 
 def _wrapped(op):
@@ -1119,7 +1114,14 @@ def _first_order_flows():
         ParameterCurve.constant(1.1), [1.5, -1.0], 2.0, 0.01)
 
 
-# a second run next to a flow's own (horizon, step)
+def _in_turn(T, lam, x0, runs) -> list[Trajectory]:
+    """Each run (horizon, step) integrated in turn on one operator and one
+    curve, as a first-order scenario integrates its main run and then its
+    ``long_check`` run."""
+    return [integrate_first_order(T, lam, x0, *run) for run in runs]
+
+
+# a second run after a flow's own (horizon, step)
 _PARTNERS = {
     "ragged": lambda horizon, step: (1.1, 0.25),  # 5 coarse steps, ending at t = 1.25
     "n_equal": lambda horizon, step: (2 * horizon, 2 * step),
@@ -1138,9 +1140,11 @@ def _lone_references(flow, runs):
 @pytest.mark.parametrize("partner", list(_PARTNERS))
 @pytest.mark.parametrize("flow", [pytest.param(f, id=name) for name, f in _first_order_flows()])
 def test_batched_runs_bit_identical_to_lone_runs(flow, partner):
+    # a scenario's batch of runs shares its operator and curve: the run
+    # before leaves no trace in the bits of the next
     T, lam, x0, horizon, step = flow(lambda op: op)
     runs = [(horizon, step), _PARTNERS[partner](horizon, step)]
-    batch = integrate_first_order_runs(T, lam, x0, runs)
+    batch = _in_turn(T, lam, x0, runs)
     for new, ref in zip(batch, _lone_references(flow, runs), strict=True):
         _assert_same_bits(new, ref)
 
@@ -1154,7 +1158,7 @@ def test_any_batch_bit_identical_to_lone_runs(d, kind, x0, runs):
     # horizon (n - frac) step: n coarse steps, or n - 1 with a ragged last one
     runs = [((n - frac) * step, step) for n, step, frac in runs]
     flow = lambda w: (w(_MAPS[d]), _LAMBDAS[kind], x0[:d], None, None)
-    batch = integrate_first_order_runs(_MAPS[d], _LAMBDAS[kind], x0[:d], runs)
+    batch = _in_turn(_MAPS[d], _LAMBDAS[kind], x0[:d], runs)
     for new, ref in zip(batch, _lone_references(flow, runs), strict=True):
         assert 1 <= (len(new.ts) - 1) // 2 <= 40
         _assert_same_bits(new, ref)
@@ -1185,20 +1189,19 @@ def test_batch_raises_the_error_of_its_first_divergent_run(runs, diverging):
     with pytest.raises(IntegrationError) as alone:
         integrate_first_order(T, _LATE, [1.0], *runs[diverging])
     run_by_run = len(calls)
+    calls.clear()
     with pytest.raises(IntegrationError) as batch:
-        integrate_first_order_runs(T, _LATE, [1.0], runs)
+        _in_turn(T, _LATE, [1.0], runs)
     assert str(batch.value) == str(alone.value)
-    # no run is integrated past the batch's error; a later run that ends
-    # before it takes one more call, for its last derivative
-    assert len(calls) - run_by_run <= run_by_run + len(runs)
+    # no run after the divergent one starts
+    assert len(calls) == run_by_run
 
 
 @pytest.mark.parametrize("n", [1, 10, 2500])
 @pytest.mark.parametrize("order", ["first", "second", "first_batch", "first_batch_reversed"])
 def test_rhs_calls_per_coarse_step(order, n):
-    # per coarse step of the longest run, 4 calls for the paired coarse and
-    # fine steps and 4 for the lone fine steps; one for each run's last fine
-    # derivative
+    # per coarse step, 4 calls for the paired coarse and fine steps and 4 for
+    # the lone fine steps; one for each run's last fine derivative
     calls = []
 
     def counted(x):
@@ -1214,9 +1217,10 @@ def test_rhs_calls_per_coarse_step(order, n):
                                [1.0, 2.0], [0.0, 0.0], n * 1e-3, 1e-3)
     else:
         runs = [(n * 1e-3, 1e-3), (-(-n // 3) * 0.5, 0.5)]  # n and ceil(n/3) coarse steps
-        integrate_first_order_runs(NonexpansiveMap(fn=counted), ParameterCurve.constant(0.5),
-                                   [1.0, 2.0], runs[::-1] if order.endswith("reversed") else runs)
-        assert len(calls) == 8 * n + 2
+        _in_turn(NonexpansiveMap(fn=counted), ParameterCurve.constant(0.5), [1.0, 2.0],
+                 runs[::-1] if order.endswith("reversed") else runs)
+        # each run takes its own steps, in either order: none share field calls
+        assert len(calls) == 8 * (n + -(-n // 3)) + 2
         return
     assert len(calls) == 8 * n + 1
 
@@ -1237,13 +1241,14 @@ def _counted_half(calls: list) -> NonexpansiveMap:
     # settled after block 1 and kept in block 2, the run wakes in block 3: that
     # block's stacked check fails, and the run steps it and block 4 one by one
     (_WAKING, [(4 * _SPAN, 0.01)], 3 * 8 * flows._BLOCK + 2 * 8 + 1),
-    # the second run, at 5x the step, wakes within its first block and never settles
-    (_WAKING, [(4 * _SPAN, 0.01), (20 * _SPAN, 0.05)], 4 * 8 * flows._BLOCK + 2 * 8 + 2),
+    # then a run at 5x the step, which wakes within its first block and never settles
+    (_WAKING, [(4 * _SPAN, 0.01), (20 * _SPAN, 0.05)],
+     3 * 8 * flows._BLOCK + 2 * 8 + 1 + 4 * 8 * flows._BLOCK + 1),
 ], ids=["lambda_zero", "wakes", "one_of_two_settles"])
 def test_settled_runs_keep_the_bits_of_lone_runs(lam, runs, n_calls):
     calls = []
     T = _counted_half(calls)
-    batch = integrate_first_order_runs(T, lam, [1.0, -2.0], runs)
+    batch = _in_turn(T, lam, [1.0, -2.0], runs)
     assert len(calls) == n_calls
     # lambda = 0 gives signed zeros: 0 (T x - x) is -0 at x = 1
     assert np.signbit(batch[0].dxs[0]).tolist() == [True, False]
@@ -1326,9 +1331,9 @@ _SECOND_ORDER_COORDINATEWISE = st.one_of(
 
 
 def _assert_float_stepper_keeps_the_numpy_bits(flow, op, numpy_calls: int, monkeypatch):
-    """``flow(op)`` on floats, every block's runs within the chain cap, has
-    the bits of ``flow`` over the operator without its coordinate form.  It
-    calls the numpy closure ``numpy_calls`` times: once per run for its last
+    """``flow(op)`` on floats, every run within the chain cap, has the bits
+    of ``flow`` over the operator without its coordinate form.  It calls the
+    numpy closure ``numpy_calls`` times: once per run for its last
     derivative, and 8 times per block a settled run tries at once."""
     calls = []
     monkeypatch.setattr(flows, "_CHAIN_CAP", 10 ** 6)
@@ -1342,18 +1347,16 @@ def _assert_float_stepper_keeps_the_numpy_bits(flow, op, numpy_calls: int, monke
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), d=st.integers(1, 3), kind=st.sampled_from(sorted(_LAMBDAS)),
-       runs=st.lists(st.tuples(st.integers(1, 40), st.floats(0.01, 0.3), st.floats(0.0, 0.9)),
-                     min_size=1, max_size=3))
-def test_first_order_floats_keep_the_numpy_bits(data, d, kind, runs):
+       n=st.integers(1, 40), step=st.floats(0.01, 0.3), frac=st.floats(0.0, 0.9))
+def test_first_order_floats_keep_the_numpy_bits(data, d, kind, n, step, frac):
     T = data.draw(_NONEXPANSIVE_COORDINATEWISE)
     assert T.coordinate is not None
     x0 = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d))
-    # horizon (n - frac) step: n coarse steps, or n - 1 with a ragged last one
-    runs = [((n - frac) * step, step) for n, step, frac in runs]
+    # horizon (n - frac) step: n coarse steps, or n - 1 with a ragged last one;
     # lambda stays within [0, 1], inside every forward-backward map's cap
-    flow = lambda op: integrate_first_order_runs(op, _LAMBDAS[kind], x0, runs)
+    flow = lambda op: [integrate_first_order(op, _LAMBDAS[kind], x0, (n - frac) * step, step)]
     with pytest.MonkeyPatch.context() as m:
-        _assert_float_stepper_keeps_the_numpy_bits(flow, T, len(runs), m)
+        _assert_float_stepper_keeps_the_numpy_bits(flow, T, 1, m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1371,9 +1374,8 @@ def test_second_order_floats_keep_the_numpy_bits(data, d, lam, gam, n, step, fra
 
 
 @pytest.mark.parametrize("flow, op, numpy_calls", [
-    # past two blocks, with curves that vary throughout; a second run beside
-    (lambda op: integrate_first_order_runs(op, _LONG_LAM, [1.0, -2.0, 0.5],
-                                           [_LONG, (20.0, 0.03)]),
+    # past two blocks, with curves that vary throughout; then a second run
+    (lambda op: _in_turn(op, _LONG_LAM, [1.0, -2.0, 0.5], [_LONG, (20.0, 0.03)]),
      NonexpansiveMap.scalar(0.5), 2),
     (lambda op: [integrate_second_order(op, _LONG_LAM, _LONG_GAM, [1.0, -0.5], [0.0, 0.3],
                                         *_LONG)],
@@ -1381,8 +1383,7 @@ def test_second_order_floats_keep_the_numpy_bits(data, d, lam, gam, n, step, fra
                                          CocoerciveMap.scaled_identity(2.0), 0.3), 1),
     # settled after block 1 and kept in block 2, the run wakes in block 3 and
     # steps it and block 4 one by one; the second run never settles
-    (lambda op: integrate_first_order_runs(op, _WAKING, [1.0, -2.0],
-                                           [(4 * _SPAN, 0.01), (20 * _SPAN, 0.05)]),
+    (lambda op: _in_turn(op, _WAKING, [1.0, -2.0], [(4 * _SPAN, 0.01), (20 * _SPAN, 0.05)]),
      NonexpansiveMap.compose([NonexpansiveMap.scalar(0.5), NonexpansiveMap.negation()]),
      2 * 8 + 2),
 ], ids=["first_multi_block", "second_multi_block", "first_wakes"])
@@ -1391,16 +1392,16 @@ def test_long_flows_on_floats_keep_the_numpy_bits(monkeypatch, flow, op, numpy_c
 
 
 @pytest.mark.parametrize("d, runs", [
-    (1, 1), (2, 2),  # the builtins' sizes: up to 4 chains
-    (flows._CHAIN_CAP // 2, 2), (flows._CHAIN_CAP + 1, 1), (flows._CHAIN_CAP // 2 + 1, 2),
+    (1, 1), (2, 2),  # the builtins' sizes: up to 2 chains a run
+    (flows._CHAIN_CAP // 2, 2), (flows._CHAIN_CAP, 1), (flows._CHAIN_CAP + 1, 1),
+    (flows._CHAIN_CAP // 2 + 1, 2),  # the cap holds per run, not per scenario
 ])
 def test_blocks_within_the_chain_cap_step_on_floats(d, runs):
     calls = []
     T = _counted_fn(NonexpansiveMap.scalar(0.5), calls)
-    integrate_first_order_runs(T, ParameterCurve.constant(0.5), [1.0] * d,
-                               [(10 * 1e-3, 1e-3)] * runs)
+    _in_turn(T, ParameterCurve.constant(0.5), [1.0] * d, [(10 * 1e-3, 1e-3)] * runs)
     # one call per run for its last derivative; numpy makes 8 per coarse step
-    assert len(calls) == (runs if d * runs <= flows._CHAIN_CAP else 8 * 10 + runs)
+    assert len(calls) == runs * (1 if d <= flows._CHAIN_CAP else 8 * 10 + 1)
 
 
 # x' = -x at h = 1e7: each RK4 step multiplies by about h^4/24, past the floats in 12 steps
@@ -1409,7 +1410,8 @@ _BLOW_UP = 1e7
 
 @pytest.mark.parametrize("runs, diverging", [
     ([(3000 * _BLOW_UP, _BLOW_UP)], 0),  # three blocks: the first one raises
-    ([(5 * _BLOW_UP, _BLOW_UP), (3000 * _BLOW_UP, _BLOW_UP)], 1),  # 5 steps stay finite
+    # 2 steps stay finite, their error estimate too
+    ([(2 * _BLOW_UP, _BLOW_UP), (3000 * _BLOW_UP, _BLOW_UP)], 1),
     ([(3000 * _BLOW_UP, _BLOW_UP), (40 * _BLOW_UP, _BLOW_UP)], 0),  # both diverge
     ([(40 * _BLOW_UP, _BLOW_UP), (3000 * _BLOW_UP, _BLOW_UP)], 0),
 ])
@@ -1419,9 +1421,9 @@ def test_diverging_chains_raise_the_numpy_error(runs, diverging):
     T = NonexpansiveMap(fn=lambda x: 0.0 * x, coordinate=f)
     lam = ParameterCurve.constant(1.0)
     with pytest.raises(IntegrationError) as on_floats:
-        integrate_first_order_runs(T, lam, [1.0], runs)
+        _in_turn(T, lam, [1.0], runs)
     with pytest.raises(IntegrationError) as on_numpy:
-        integrate_first_order_runs(_numpy_only(T), lam, [1.0], runs)
+        _in_turn(_numpy_only(T), lam, [1.0], runs)
     with pytest.raises(IntegrationError) as alone:
         integrate_first_order(_numpy_only(T), lam, [1.0], *runs[diverging])
     assert str(on_floats.value) == str(on_numpy.value) == str(alone.value)
