@@ -15,16 +15,18 @@ tabled, so it negates nothing per call.  Each block checks the state's
 finiteness, and the error names the first non-finite sample.  Dense output
 is local cubic Hermite interpolation using stored derivatives.
 
-On a 2- to 8-float state every numpy call costs about the same whatever its
-size, so a field whose operators all have a coordinate form
-(``operators``: ``coordinate``) steps on bare Python floats instead.  Each
-coordinate is an independent chain, one float for a first-order flow and the
-pair (x_i, v_i) for a second-order one; a block of up to ``_CHAIN_CAP``
-chains steps each chain alone through ``_stage``'s operations in its order,
-reading the same curve table, and writes the same staged arrays at the end
-of the block.  Python floats round each operation as float64 does, so the
-samples keep their bits, and finiteness checks, errors and settled runs are
-shared with the numpy stepper.
+Each integrator writes its field once, x' = field(x, *curve values) or
+v' = field(x, v, *curve values), which numpy stacks into (v, v').  On a 2-
+to 8-float state every numpy call costs about the same whatever its size,
+so a field whose operators are all ``coordinatewise`` (``operators``) steps
+on bare Python floats instead.  Each coordinate is an independent chain,
+one float for a first-order flow and the pair (x_i, v_i) for a second-order
+one; a block of up to ``_CHAIN_CAP`` chains steps each chain alone through
+``_stage``'s operations in its order, reading the same curve table, and
+writes the same staged arrays at the end of the block.  Python floats round
+each operation as float64 does, so the samples keep their bits, and
+finiteness checks, errors and settled runs are shared with the numpy
+stepper.
 
 A converging run reaches a floating-point fixed point, where every RK4
 increment rounds away: the first-order builtins' ``long_check`` runs spend
@@ -74,7 +76,6 @@ from .operators import (
     MonotoneOperator,
     NonexpansiveMap,
     _resolvent_loop,
-    forward_backward_map,
     forward_backward_residual,
     stojkovic_resolvent,
 )
@@ -105,6 +106,10 @@ class SampleMemoryError(IntegrationError):
 
     def __init__(self, n: int):
         super().__init__(f"the samples of {n} coarse steps cannot be allocated")
+
+
+class EstimateOverflowError(IntegrationError):
+    """The error estimate of a run's finite samples overflows the floats."""
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +365,14 @@ _BLOCK = 1024  # coarse steps per curve table, staging buffer and finiteness che
 _CHAIN_CAP = 8
 
 
-def _stage(rhs, y, a, b, c, half, sixth, full, two):
-    """One RK4 step of y' = rhs(y, *curve values) from y, with the curve
+def _stage(field, y, a, b, c, half, sixth, full, two):
+    """One RK4 step of y' = field(y, *curve values) from y, with the curve
     values a, b, c at its start, middle and end and the factors h/2, h/6, h
     and 2: the derivative at y and the new state."""
-    k1 = rhs(y, *a)
-    k2 = rhs(y + half * k1, *b)
-    k3 = rhs(y + half * k2, *b)
-    k4 = rhs(y + full * k3, *c)
+    k1 = field(y, *a)
+    k2 = field(y + half * k1, *b)
+    k3 = field(y + half * k2, *b)
+    k4 = field(y + full * k3, *c)
     return k1, y + sixth * (k1 + two * k2 + two * k3 + k4)
 
 
@@ -434,16 +439,17 @@ def _pair_chain(field, coarse, fine, rows, h, q):
     return out, (x, v), (zx, zv)
 
 
-def _chain_block(chain, Y, table, h, width):
+def _chain_block(field, Y, table, h, width):
     """``_step_block`` on Python floats: each chain, one coordinate with its
     coarse and fine rows, steps the whole block alone, and its floats go
     into the staged arrays at the end of the block.  ``table`` is the
     block's curve table (step, stage, curve, coarse/paired/lone), h the
     coarse step, and a chain of a state of ``width`` coordinates holds one
-    float (first order, ``chain(x, lam)``) or the pair of columns j and
-    width + j (second order, v' = ``chain(x, v, lam, -gamma)``).  Each chain
-    makes ``_stage``'s operations in its order on the bits ``chain`` shares
-    with ``rhs``, so the result has the bits ``_step_block`` would give."""
+    float (first order, x' = ``field(x, lam)``) or the pair of columns j and
+    width + j (second order, v' = ``field(x, v, lam, -gamma)``).  Each chain
+    makes ``_stage``'s operations in its order, and a coordinatewise field
+    gives a float the bits of its array call, so the result has the bits
+    ``_step_block`` would give."""
     n, k = len(table), Y.shape[-1] // width  # k floats a chain: x, or x and v
     stepper = _float_chain if k == 1 else _pair_chain
     staged = np.empty((n, 2) + Y.shape)
@@ -453,7 +459,7 @@ def _chain_block(chain, Y, table, h, width):
     rows = table.transpose(0, 3, 1, 2).reshape(n, 3, -1).tolist()
     for j in range(width):
         cols = [j + i * width for i in range(k)]
-        out, Y[0, cols], Y[1, cols] = stepper(chain, *Y[:, cols].tolist(), rows, h, h / 2)
+        out, Y[0, cols], Y[1, cols] = stepper(field, *Y[:, cols].tolist(), rows, h, h / 2)
         out = np.array(out).reshape(n, k, 6)
         for i, col in enumerate(cols):
             staged[..., col] = out[:, i, :4].reshape(n, 2, 2)
@@ -467,7 +473,7 @@ def _unchanged(staged: np.ndarray, Y: np.ndarray) -> bool:
     return bool((staged.view(np.int64) == Y.view(np.int64)).all())
 
 
-def _step_block(rhs, Y, values, factors):
+def _step_block(field, Y, values, factors):
     """The block's steps one by one: coarse step i and fine step 2i as one
     batch, then fine step 2i+1 alone.  Returns the end state, and per step
     the states at its start and after the paired step, and the fine
@@ -484,13 +490,13 @@ def _step_block(rhs, Y, values, factors):
     lone = [zip(*s) for s in np.moveaxis(values[:, :, :, 2], 0, 2)]
     for sy, sd, pa, pb, pc, la, lb, lc in zip(staged, dstaged, *paired, *lone):
         sy[0] = Y
-        K1, Y = _stage(rhs, Y, pa, pb, pc, *factors)
+        K1, Y = _stage(field, Y, pa, pb, pc, *factors)
         sd[0], sy[1] = K1[1], Y
-        sd[1], Y[1] = _stage(rhs, Y[1], la, lb, lc, *fine_factors)
+        sd[1], Y[1] = _stage(field, Y[1], la, lb, lc, *fine_factors)
     return Y, staged, dstaged
 
 
-def _settled_block(rhs, Y, values, factors):
+def _settled_block(field, Y, values, factors):
     """The block's steps all at once, each from the start state Y on its own
     row of a (step, coarse/fine row, *state) stack.  Returns whether every
     step returned Y, and the staged states and derivatives as
@@ -500,24 +506,24 @@ def _settled_block(rhs, Y, values, factors):
     staged = np.empty((len(values), 2) + Y.shape)
     dstaged = np.empty((len(values), 2) + Y.shape[1:])
     staged[:, 0] = Y
-    K1, staged[:, 1] = _stage(rhs, staged[:, 0], *np.moveaxis(values[:, :, :, :2], 0, 2),
+    K1, staged[:, 1] = _stage(field, staged[:, 0], *np.moveaxis(values[:, :, :, :2], 0, 2),
                               *factors)
     dstaged[:, 0] = K1[:, 1]
-    dstaged[:, 1], end = _stage(rhs, staged[:, 1, 1], *np.moveaxis(values[:, :, :, 2], 0, 2),
+    dstaged[:, 1], end = _stage(field, staged[:, 1, 1], *np.moveaxis(values[:, :, :, 2], 0, 2),
                                 *(f[1] for f in factors))
     return _unchanged(np.stack([staged[:, 1, 0], end], axis=1), Y), staged, dstaged
 
 
 # a divergent run overflows quietly until its block's finiteness check raises
 @np.errstate(over="ignore", invalid="ignore")
-def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int, y0: np.ndarray, n: int,
-         h: float, chain: Optional[Callable[..., float]] = None
-         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coarse (n steps of h) and fine (2n steps of h/2) RK4 runs of
-    y' = rhs(y, *curve values) from y0, each value shaped like the state
-    with the last axis ``width`` wide, the state stacked as (coarse/fine
-    row, *state).  Returns the coarse samples and the fine samples and
-    derivatives.
+def _rk4(field: Callable, curves: tuple, width: int, y0: np.ndarray, n: int, h: float,
+         coordinatewise: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coarse (n steps of h) and fine (2n steps of h/2) RK4 runs from y0 of
+    y' = field(y, *curve values), or of x' = v, v' = field(x, v, *curve
+    values) for a state (x, v) twice ``width`` wide, each curve value shaped
+    like the state with the last axis ``width`` wide, the state stacked as
+    (coarse/fine row, *state).  Returns the coarse samples and the fine
+    samples and derivatives.
 
     The run is settled once a whole block of ``_BLOCK`` coarse steps leaves
     it unchanged: every staged state of the block, coarse row and fine row,
@@ -529,12 +535,17 @@ def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int, y0: np.ndarr
     block one by one.  Its samples and derivatives have the bits of the
     one-by-one steps either way.
 
-    ``chain``, where given, is the field's coordinate form on Python floats
-    (see ``_chain_block``), with the bits of ``rhs`` on each coordinate; the
-    one-by-one steps of a run of at most ``_CHAIN_CAP`` chains then run on
-    floats, with the same staged layout, so everything after the steps is
-    shared."""
+    A ``coordinatewise`` field also takes Python floats (see
+    ``_chain_block``); the one-by-one steps of a run of at most
+    ``_CHAIN_CAP`` chains then run on floats, with the same staged layout,
+    so everything after the steps is shared."""
     shape = y0.shape
+
+    def stacked(y, *values):  # numpy steps a state (x, v) by its derivative (v, v')
+        v = y[..., width:]
+        return np.concatenate([v, field(y[..., :width], v, *values)], axis=-1)
+
+    array_field = field if shape[-1] == width else stacked
     try:
         ys_c = np.empty((n + 1,) + shape)
         # the fine samples and derivatives, as (coarse step, half step)
@@ -548,7 +559,7 @@ def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int, y0: np.ndarr
     factors = (steps / 2, steps / 6, steps, np.full_like(Y, 2.0))
     # stage offsets by (stage, row): (0, h/2, h) coarse, (0, q/2, q) paired and lone fine
     offsets = np.array([[0.0] * 3, [h / 2, q / 2, q / 2], [h, q, q]])
-    on_floats = chain is not None and width <= _CHAIN_CAP
+    on_floats = coordinatewise and width <= _CHAIN_CAP
     settled = False
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
@@ -561,10 +572,10 @@ def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int, y0: np.ndarr
         values = np.multiply.outer(table, np.ones(shape[:-1] + (width,)))
         kept = False
         if settled:
-            kept, staged, dstaged = _settled_block(rhs, Y, values, factors)
+            kept, staged, dstaged = _settled_block(array_field, Y, values, factors)
         if not kept:
-            Y, staged, dstaged = (_chain_block(chain, Y, table, h, width) if on_floats
-                                  else _step_block(rhs, Y, values, factors))
+            Y, staged, dstaged = (_chain_block(field, Y, table, h, width) if on_floats
+                                  else _step_block(array_field, Y, values, factors))
         if hi - lo == _BLOCK:
             settled = kept or _unchanged(staged, Y)
         ys_c[lo:hi], ys_c[hi] = staged[:, 0, 0], Y[0]
@@ -578,7 +589,7 @@ def _rk4(rhs: Callable[..., np.ndarray], curves: tuple, width: int, y0: np.ndarr
                 bad = np.flatnonzero(~np.isfinite(ys.reshape(len(ys), -1)).all(axis=1))
                 if bad.size:
                     raise IntegrationError(f"non-finite state at t={int(bad[0]) * step + step}")
-    fine[1, n, 0] = rhs(Y[1], *(c(2 * n * q) for c in curves))
+    fine[1, n, 0] = array_field(Y[1], *(c(2 * n * q) for c in curves))
     return (ys_c, *(a.reshape((2 * n + 2,) + shape)[:-1] for a in fine))
 
 
@@ -594,9 +605,11 @@ def coarse_steps(horizon: float, step: float) -> int:
     return n
 
 
-def _integrate(rhs, curves: tuple, width: int, y0: np.ndarray, horizon: float, step: float,
-               method: str, chain=None) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                                 IntegratorMeta]:
+# finite samples may still overflow their error estimate, which is then refused
+@np.errstate(over="ignore", invalid="ignore")
+def _integrate(field, curves: tuple, width: int, y0: np.ndarray, horizon: float, step: float,
+               method: str, coordinatewise: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                          IntegratorMeta]:
     """Fine times, samples, derivatives and error estimate of the run
     (y0, horizon, step)."""
     if step <= 0:
@@ -604,7 +617,7 @@ def _integrate(rhs, curves: tuple, width: int, y0: np.ndarray, horizon: float, s
     if horizon <= 0:
         raise IntegrationError("horizon must be positive")
     n = coarse_steps(horizon, step)
-    ys_c, ys_f, dys_f = _rk4(rhs, curves, width, y0, n, step, chain)
+    ys_c, ys_f, dys_f = _rk4(field, curves, width, y0, n, step, coordinatewise)
     # the times before the estimate's temporaries: allocated after them, they
     # can pin the freed heap and raise the peak resident memory
     ts_f = np.arange(2 * n + 1) * (step / 2)
@@ -616,6 +629,8 @@ def _integrate(rhs, curves: tuple, width: int, y0: np.ndarray, horizon: float, s
     interp = 0.5 * shared[:-1] + 0.5 * shared[1:] + step / 8 * (dys_f[:-1:2] - dys_f[2::2])
     interp_slack = float(np.linalg.norm(interp - mid, axis=1).max())
     est = richardson + interp_slack
+    if not math.isfinite(est):
+        raise EstimateOverflowError(f"the error estimate of steps of {step} overflows")
     meta = IntegratorMeta(method=method, step=step, grid_step=step / 2,
                           est_err=max(est, 1e-15), richardson_err=richardson,
                           interp_slack=interp_slack)
@@ -635,16 +650,13 @@ def integrate_first_order(T: NonexpansiveMap, lam: ParameterCurve, x0,
             (lam.upper is not None and lam.upper > cap + 1e-12):
         raise IntegrationError(f"lambda must map into [0, {cap}]")
 
-    fn, f = T.fn, T.coordinate  # raw closures; the validating wrapper is per-call overhead
+    fn = T.fn  # raw closure; the validating wrapper is per-call overhead
 
-    def rhs(y, lam_t):
-        return lam_t * (fn(y) - y)
+    def field(x, lam_t):
+        return lam_t * (fn(x) - x)
 
-    def chain(x, lam_t):
-        return lam_t * (f(x) - x)
-
-    ts, ys, dys, meta = _integrate(rhs, (lam,), x0.size, x0, horizon, step, "rk4/first_order",
-                                   None if f is None else chain)
+    ts, ys, dys, meta = _integrate(field, (lam,), x0.size, x0, horizon, step, "rk4/first_order",
+                                   T.coordinatewise)
     lam.validate_bounds(ts)
     return Trajectory(space=space, ts=ts, xs=ys, dxs=dys, meta=meta)
 
@@ -660,19 +672,15 @@ def integrate_second_order(B: CocoerciveMap, lam: ParameterCurve,
     if space is None:
         space = SpaceDescriptor(dimension=d)
 
-    fn, f = B.fn, B.coordinate
+    fn = B.fn
 
     # the field takes -gamma tabled: -gam_t * v is (-gam_t) * v, and negation is exact
-    def rhs(y, lam_t, neg_gam_t):
-        x, v = y[..., :d], y[..., d:]
-        return np.concatenate([v, neg_gam_t * v - lam_t * fn(x)], axis=-1)
-
-    def chain(x, v, lam_t, neg_gam_t):
-        return neg_gam_t * v - lam_t * f(x)
+    def acceleration(x, v, lam_t, neg_gam_t):
+        return neg_gam_t * v - lam_t * fn(x)
 
     y0 = np.concatenate([u0, v0])
-    ts, ys, dys, meta = _integrate(rhs, (lam, lambda t: -gam(t)), d, y0, horizon, step,
-                                   "rk4/second_order", None if f is None else chain)
+    ts, ys, dys, meta = _integrate(acceleration, (lam, lambda t: -gam(t)), d, y0, horizon, step,
+                                   "rk4/second_order", B.coordinatewise)
     lam.validate_bounds(ts)
     gam.validate_bounds(ts)
     if theta is not None:
@@ -684,24 +692,16 @@ def integrate_second_order(B: CocoerciveMap, lam: ParameterCurve,
                       vs=ys[:, d:], dvs=dys[:, d:], meta=meta)
 
 
-def integrate_forward_backward(order: str, A: MonotoneOperator, B: CocoerciveMap,
-                               gamma: float, lam: ParameterCurve, x0,
-                               horizon: float, step: float,
-                               gam: Optional[ParameterCurve] = None,
-                               v0=None, theta: Optional[float] = None,
+def integrate_forward_backward(A: MonotoneOperator, B: CocoerciveMap, gamma: float,
+                               lam: ParameterCurve, gam: ParameterCurve, u0, v0,
+                               horizon: float, step: float, theta: Optional[float] = None,
                                space: Optional[SpaceDescriptor] = None) -> Trajectory:
-    """Forward-backward flows: the first-order system over the averaged map
-    T = J_{gamma A} o (Id - gamma B), or the second-order system over Id - T,
-    x'' + gamma(t) x' + lambda(t) (x - T x) = 0."""
-    if order == "first":
-        return integrate_first_order(forward_backward_map(A, B, gamma), lam, x0,
-                                     horizon, step, space=space)
-    if order != "second":
-        raise ValueError("order is first|second")
-    if gam is None or v0 is None:
-        raise IntegrationError("second-order forward-backward needs gam and v0")
+    """The second-order forward-backward flow over the averaged map
+    T = J_{gamma A} o (Id - gamma B), x'' + gamma(t) x' + lambda(t) (x - T x)
+    = 0.  The first-order flow over T is :func:`integrate_first_order` of
+    ``operators.forward_backward_map``."""
     return integrate_second_order(forward_backward_residual(A, B, gamma), lam, gam,
-                                  x0, v0, horizon, step, theta=theta, space=space)
+                                  u0, v0, horizon, step, theta=theta, space=space)
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,16 @@ be a column (k, 1) of per-row values for a stack (k, d), as the lockstep
 semigroup samplers pass them; each row again has the bits of its
 single-point call.
 
-A map that acts on each coordinate alone by plain IEEE arithmetic also
-carries its coordinate form, ``coordinate``: the same function on every
-coordinate, taking and returning Python floats (a resolvent's form also
-takes gamma).  It promises the bits of ``fn`` on that coordinate, sign of
-zero included, since a Python float rounds each operation as numpy's
-float64 does; ``flows`` steps coordinatewise fields on Python floats
+A map that acts on each coordinate alone by plain IEEE arithmetic is
+``coordinatewise``: its one closure is written in arithmetic that takes a
+Python float as well as an array, and on a float it returns a float with
+the bits of that coordinate of its array call, sign of zero included, since
+a Python float rounds each operation as numpy's float64 does (a resolvent
+also takes gamma).  ``flows`` steps coordinatewise fields on Python floats
 through it.  The identity, scalar and negation maps, the zero and scaled
-identities and compositions or forward-backward maps of such parts have
-one; matrix, projection and point-indicator maps have none (``None``).
+identities and compositions or forward-backward maps of such parts are
+coordinatewise; matrix, rotation, projection and point-indicator maps are
+not.
 """
 
 from __future__ import annotations
@@ -80,29 +81,27 @@ class NonexpansiveMap:
     averaged_delta: float = 1.0
     # closed form (t, x) -> S_t x of the semigroup of x' = T x - x, where known
     flow: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    # fn on one coordinate, on Python floats, where fn acts coordinatewise
-    coordinate: Optional[Callable[[float], float]] = None
+    # whether fn acts on each coordinate alone and also takes a Python float
+    coordinatewise: bool = False
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
 
     @classmethod
     def identity(cls) -> "NonexpansiveMap":
-        return cls(fn=lambda x: x, name="identity", flow=lambda t, x: x,
-                   coordinate=lambda x: x)
+        return cls(fn=lambda x: x, name="identity", flow=lambda t, x: x, coordinatewise=True)
 
     @classmethod
     def scalar(cls, c: float) -> "NonexpansiveMap":
         if not 0.0 <= c <= 1.0:
             raise OperatorError("scalar contraction factor must be in [0, 1]")
-        factor = np.array(c)  # numpy multiplies by a 0-d array faster than by a float
-        return cls(fn=lambda x: factor * x, name=f"scalar({c})",
-                   flow=lambda t, x: math.exp(-(1 - c) * t) * x, coordinate=lambda x: c * x)
+        return cls(fn=lambda x: c * x, name=f"scalar({c})",
+                   flow=lambda t, x: math.exp(-(1 - c) * t) * x, coordinatewise=True)
 
     @classmethod
     def negation(cls) -> "NonexpansiveMap":
         return cls(fn=lambda x: -x, name="negation", flow=lambda t, x: math.exp(-2 * t) * x,
-                   coordinate=lambda x: -x)
+                   coordinatewise=True)
 
     @classmethod
     def affine(cls, matrix, offset) -> "NonexpansiveMap":
@@ -141,20 +140,15 @@ class NonexpansiveMap:
 
     @classmethod
     def compose(cls, maps: Sequence["NonexpansiveMap"]) -> "NonexpansiveMap":
+        parts = [m.fn for m in reversed(maps)]
+
         def fn(x):
-            for m in reversed(maps):
-                x = m(x)
-            return x
-
-        parts = [m.coordinate for m in reversed(maps)]
-
-        def coordinate(x):
             for part in parts:
                 x = part(x)
             return x
 
         return cls(fn=fn, name="composition",
-                   coordinate=None if None in parts else coordinate)
+                   coordinatewise=all(m.coordinatewise for m in maps))
 
 
 @dataclass(frozen=True)
@@ -162,8 +156,8 @@ class CocoerciveMap:
     fn: Callable[[np.ndarray], np.ndarray]
     beta: float
     name: str = "custom"
-    # fn on one coordinate, on Python floats, where fn acts coordinatewise
-    coordinate: Optional[Callable[[float], float]] = None
+    # whether fn acts on each coordinate alone and also takes a Python float
+    coordinatewise: bool = False
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
@@ -174,19 +168,19 @@ class CocoerciveMap:
 
     @classmethod
     def identity(cls) -> "CocoerciveMap":
-        return cls(fn=lambda x: x, beta=1.0, name="identity", coordinate=lambda x: x)
+        return cls(fn=lambda x: x, beta=1.0, name="identity", coordinatewise=True)
 
     @classmethod
     def zero(cls, beta: float = 1.0) -> "CocoerciveMap":
-        return cls(fn=lambda x: np.zeros_like(x), beta=beta, name="zero",
-                   coordinate=lambda x: 0.0)
+        # +0.0 at every finite x, float or array, as np.zeros_like gives
+        return cls(fn=lambda x: 0.0 * x + 0.0, beta=beta, name="zero", coordinatewise=True)
 
     @classmethod
     def scaled_identity(cls, c: float) -> "CocoerciveMap":
         if c <= 0:
             raise OperatorError("scaled identity needs c > 0")
         return cls(fn=lambda x: c * x, beta=1.0 / c, name=f"scaled_identity({c})",
-                   coordinate=lambda x: c * x)
+                   coordinatewise=True)
 
     @classmethod
     def linear_spd(cls, matrix) -> "CocoerciveMap":
@@ -209,8 +203,8 @@ class MonotoneOperator:
 
     resolvent: Callable[[float, np.ndarray], np.ndarray]
     name: str = "custom"
-    # the resolvent on one coordinate, on Python floats, where it acts coordinatewise
-    coordinate: Optional[Callable[[float, float], float]] = None
+    # whether the resolvent acts on each coordinate alone and also takes a Python float
+    coordinatewise: bool = False
 
     def resolve(self, gamma: float, x: np.ndarray) -> np.ndarray:
         if gamma <= 0:
@@ -219,14 +213,14 @@ class MonotoneOperator:
 
     @classmethod
     def zero(cls) -> "MonotoneOperator":
-        return cls(resolvent=lambda gamma, x: x, name="zero", coordinate=lambda gamma, x: x)
+        return cls(resolvent=lambda gamma, x: x, name="zero", coordinatewise=True)
 
     @classmethod
     def scaled_identity(cls, c: float) -> "MonotoneOperator":
         if c < 0:
             raise OperatorError("monotone scaled identity needs c >= 0")
         return cls(resolvent=lambda gamma, x: x / (1.0 + gamma * c),
-                   name=f"scaled_identity({c})", coordinate=lambda gamma, x: x / (1.0 + gamma * c))
+                   name=f"scaled_identity({c})", coordinatewise=True)
 
     @classmethod
     def indicator_point(cls, point) -> "MonotoneOperator":
@@ -335,20 +329,13 @@ def forward_backward_map(A: MonotoneOperator, B: CocoerciveMap, gamma: float) ->
         raise OperatorError(f"gamma must lie in (0, {2.0 * B.beta}), got {gamma}")
     delta = min(1.0, B.beta / gamma) + 0.5
 
-    resolvent, b, step = A.resolvent, B.fn, np.array(gamma)
+    resolvent, b = A.resolvent, B.fn
 
     def fn(x):
-        return resolvent(gamma, x - step * b(x))
-
-    coordinate = None
-    if A.coordinate is not None and B.coordinate is not None:
-        a_coordinate, b_coordinate = A.coordinate, B.coordinate
-
-        def coordinate(x):
-            return a_coordinate(gamma, x - gamma * b_coordinate(x))
+        return resolvent(gamma, x - gamma * b(x))
 
     return NonexpansiveMap(fn=fn, name="forward_backward", averaged_delta=delta,
-                           coordinate=coordinate)
+                           coordinatewise=A.coordinatewise and B.coordinatewise)
 
 
 def forward_backward_residual(A: MonotoneOperator, B: CocoerciveMap,
@@ -357,11 +344,10 @@ def forward_backward_residual(A: MonotoneOperator, B: CocoerciveMap,
     delta = (4 beta - gamma) / (2 beta), so the second-order assumption over
     it reads gamma^2/lambda >= 2(1+theta)/delta."""
     T = forward_backward_map(A, B, gamma)
-    fn, t_coordinate = T.fn, T.coordinate
+    fn = T.fn
     delta = (4 * B.beta - gamma) / (2 * B.beta)
     return CocoerciveMap(fn=lambda x: x - fn(x), beta=delta / 2, name="fb_residual",
-                         coordinate=None if t_coordinate is None
-                         else lambda x: x - t_coordinate(x))
+                         coordinatewise=T.coordinatewise)
 
 
 # iterations of the resolvent's fixed-point loop before it gives up

@@ -22,6 +22,7 @@ from .config import Config, ConfigError, _rational
 from .counterfunctions import Counterfunction
 from .exact import BudgetExceeded, ExtendedNatural, R, Real
 from .flows import (
+    EstimateOverflowError,
     ParameterCurve,
     SampleMemoryError,
     Trajectory,
@@ -300,12 +301,15 @@ def _window(node: Config) -> tuple[float, float]:
 
 
 def _integrated(node: Config, integrate: Callable, *args, **kwargs):
-    """``integrate(*args, **kwargs)``, whose run has its horizon at ``node``:
-    a run whose samples cannot be allocated refuses that key."""
+    """``integrate(*args, **kwargs)``, whose run has its horizon and step at
+    ``node``: a run whose samples cannot be allocated refuses its horizon,
+    and one whose error estimate overflows refuses its step."""
     try:
         return integrate(*args, **kwargs)
     except SampleMemoryError as exc:
         node.refuse("horizon", node["horizon"], f"a horizon whose samples fit in memory ({exc})")
+    except EstimateOverflowError as exc:
+        node.refuse("step", node["step"], f"a step whose error estimate stays finite ({exc})")
 
 
 def _run_first_order(cfg: Config, out: ScenarioOutcome) -> None:
@@ -481,8 +485,7 @@ def _run_forward_backward_first(cfg: Config, out: ScenarioOutcome) -> None:
 
     T = forward_backward_map(A, B, gamma)
     delta = min(1, _rational(B.beta) / gamma_q) + Fraction(1, 2)  # T's averagedness cap
-    traj = _integrated(cfg, integrate_forward_backward, "first", A, B, gamma, lam, x0,
-                       *_window(cfg), space=space)
+    traj = _integrated(cfg, integrate_first_order, T, lam, x0, *_window(cfg), space=space)
     out.trajectories["trajectory"] = traj
 
     # structural reduction: the stored derivatives are lambda(t) (T x - x), T rebuilt from A, B
@@ -537,8 +540,8 @@ def _run_forward_backward_second(cfg: Config, out: ScenarioOutcome) -> None:
     theta = cfg.number("theta")
 
     consts = _second_order_consts(cfg, out, "second_order_constants_fb", lam, gam, B.beta)
-    traj = _integrated(cfg, integrate_forward_backward, "second", A, B, eta_step, lam, u0,
-                       *_window(cfg), gam=gam, v0=v0, theta=theta, space=space)
+    traj = _integrated(cfg, integrate_forward_backward, A, B, eta_step, lam, gam, u0, v0,
+                       *_window(cfg), theta=theta, space=space)
     out.trajectories["trajectory"] = traj
 
     eps_q, eps, (fc,) = _metastability(cfg, Fraction(1, 2), (0,), single=True)

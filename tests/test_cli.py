@@ -608,6 +608,13 @@ _NAMED_KEY_CONFIGS = {
                                             "overrides": {"horizon": 1e-12, "step": 0.01}},
     "long_check_step_negative": {"builtin": "first_order_contraction_1d",
                                  "overrides": {"long_check": {"horizon": 10.0, "step": -0.5}}},
+    # 5 steps of 1e7 keep the states finite, but their error estimate overflows
+    "step_past_a_finite_estimate": {"builtin": "first_order_contraction_1d",
+                                    "overrides": {"horizon": 5e7, "step": 1e7,
+                                                  "long_check": None}},
+    "long_check_step_past_a_finite_estimate": {
+        "builtin": "first_order_contraction_1d",
+        "overrides": {"long_check": {"horizon": 5e7, "step": 1e7}}},
 }
 # the key each of them names in its error message
 _NAMED_KEYS = {
@@ -701,6 +708,8 @@ _NAMED_KEYS = {
     "forward_backward_horizon_past_the_floats": "'horizon'",
     "horizon_within_rounding_of_no_steps": "'horizon'",
     "long_check_step_negative": "'long_check.step'",
+    "step_past_a_finite_estimate": "'step'",
+    "long_check_step_past_a_finite_estimate": "'long_check.step'",
 }
 
 
@@ -1033,6 +1042,12 @@ def test_radius_and_start_exit_zero_one_or_two(data, name):
         overrides[section] = values
     if data.draw(st.booleans()):  # start at the solution
         overrides["initial"]["x0"] = overrides["solution"]["point"]
+    _assert_exit_zero_one_or_two(name, overrides)
+
+
+def _assert_exit_zero_one_or_two(name: str, overrides: dict) -> None:
+    """The builtin run with ``overrides`` ends in a result or a config error,
+    never a traceback, and exits 1 only with a violated claim."""
     with tempfile.TemporaryDirectory() as tmp:
         code = main(["run", write_config(Path(tmp), {"builtin": name, "overrides": overrides}),
                      "--out", f"{tmp}/a"])
@@ -1041,6 +1056,37 @@ def test_radius_and_start_exit_zero_one_or_two(data, name):
         if code == 1:
             reports = json.loads((Path(tmp) / "a" / name / "reports.json").read_text())
             assert any(r["status"] == "violated" for r in reports)
+
+
+_RK4_BUILTINS = ("first_order_contraction_1d", "first_order_contraction_2d",
+                 "second_order_linear", "forward_backward_first_order",
+                 "forward_backward_second_order")
+
+
+def _run_window():
+    """A (horizon, step) over decades: at most about 3,000 coarse steps with
+    the horizon and the step at most 1e3, or, refused before any step, a
+    step in [1e-12, 1e300] with 10^19 steps and more (past numpy's largest
+    array) or a horizon past the floats.  The runs let through stop at 1e3:
+    a trajectory reaches n * step, and the metastability scans walk every
+    integer time up to it when no window passes (FOUND in CHANGES.md)."""
+    decade = lambda lo, hi: st.floats(lo, hi).map(lambda k: 10.0 ** k)
+    short = st.floats(-12.0, 3.0).flatmap(lambda k: st.builds(
+        lambda s: {"horizon": 10.0 ** k, "step": s}, decade(k - math.log10(3000.0), 3.0)))
+    refused = st.builds(lambda s, r: {"horizon": s * r, "step": s},
+                        decade(-12.0, 300.0), decade(19.0, 308.0))
+    return st.one_of(short, refused)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(_RK4_BUILTINS))
+def test_run_windows_exit_zero_one_or_two(data, name):
+    # horizons and steps over decades, for the main run and for long_check;
+    # a horizon past the floats is refused as any non-finite number
+    overrides = data.draw(_run_window())
+    if "long_check" in builtin_scenarios()[name].config:
+        overrides["long_check"] = data.draw(st.one_of(st.none(), _run_window()))
+    _assert_exit_zero_one_or_two(name, overrides)
 
 
 class TestReport:

@@ -152,9 +152,9 @@ class TestCurveRanges:
     def test_forward_backward_first_checks_lambda(self):
         # 0.1 t + 0.2 reaches 1.2 at t = 10, past its declared upper 0.5
         lam = ParameterCurve.affine(0.1, 0.2, lower=0.2, upper=0.5)
+        T = forward_backward_map(MonotoneOperator.zero(), CocoerciveMap.identity(), 1.0)
         with pytest.raises(IntegrationError, match="upper bound 0.5"):
-            integrate_forward_backward("first", MonotoneOperator.zero(),
-                                       CocoerciveMap.identity(), 1.0, lam, [0.1], 10.0, 0.1)
+            integrate_first_order(T, lam, [0.1], 10.0, 0.1)
 
     def test_second_order_checks_gamma(self):
         # 3 - 0.2 t falls below its declared lower 2.5 after t = 2.5
@@ -166,10 +166,8 @@ class TestCurveRanges:
     def test_forward_backward_second_checks_gamma(self):
         gam = ParameterCurve.affine(-0.2, 3.0, lower=2.5, upper=3.0)
         with pytest.raises(IntegrationError, match="lower bound 2.5"):
-            integrate_forward_backward("second", MonotoneOperator.zero(),
-                                       CocoerciveMap.identity(), 1.0,
-                                       ParameterCurve.constant(1.0), [0.5], 10.0, 0.1,
-                                       gam=gam, v0=[0.0])
+            integrate_forward_backward(MonotoneOperator.zero(), CocoerciveMap.identity(), 1.0,
+                                       ParameterCurve.constant(1.0), gam, [0.5], [0.0], 10.0, 0.1)
 
 
 class TestFirstOrderIntegration:
@@ -375,43 +373,36 @@ class TestSecondOrderIntegration:
                 integrate_second_order(CocoerciveMap.identity(), lam, gam, [1.0], [0.0],
                                        20.0, 0.05, theta=3.5)
             else:
-                integrate_forward_backward("second", MonotoneOperator.zero(),
-                                           CocoerciveMap.identity(), 1.0, lam, [1.0],
-                                           20.0, 0.05, gam=gam, v0=[0.0], theta=2.0)
+                integrate_forward_backward(MonotoneOperator.zero(), CocoerciveMap.identity(),
+                                           1.0, lam, gam, [1.0], [0.0], 20.0, 0.05, theta=2.0)
 
 
 class TestForwardBackwardIntegration:
     def test_reduces_to_linear_decay(self):
         # A = 0, B = Id, gamma = 1: T = 0, so x' = -lambda x
-        traj = integrate_forward_backward(
-            "first", MonotoneOperator.zero(), CocoerciveMap.identity(), 1.0,
-            ParameterCurve.constant(1.0), [1.0], 4.0, 1e-3)
+        T = forward_backward_map(MonotoneOperator.zero(), CocoerciveMap.identity(), 1.0)
+        traj = integrate_first_order(T, ParameterCurve.constant(1.0), [1.0], 4.0, 1e-3)
         assert abs(traj.eval(1.0)[0] - math.exp(-1)) < 1e-9
 
     def test_projection_case(self):
         # B = 0, resolvent projects onto {0}: x' = -lambda x
-        traj = integrate_forward_backward(
-            "first", MonotoneOperator.indicator_point([0.0]),
-            CocoerciveMap.zero(), 1.0, ParameterCurve.constant(0.5),
-            [3.0], 2.0, 1e-2)
+        T = forward_backward_map(MonotoneOperator.indicator_point([0.0]), CocoerciveMap.zero(),
+                                 1.0)
+        traj = integrate_first_order(T, ParameterCurve.constant(0.5), [3.0], 2.0, 1e-2)
         assert abs(traj.eval(2.0)[0] - 3.0 * math.exp(-1)) < 1e-6
 
     def test_lambda_range_uses_delta(self):
         # delta = min(1, beta/gamma) + 1/2 = 1.5 allows lambda above 1
-        traj = integrate_forward_backward(
-            "first", MonotoneOperator.zero(), CocoerciveMap.identity(), 1.0,
-            ParameterCurve.constant(1.4), [1.0], 1.0, 1e-2)
+        T = forward_backward_map(MonotoneOperator.zero(), CocoerciveMap.identity(), 1.0)
+        traj = integrate_first_order(T, ParameterCurve.constant(1.4), [1.0], 1.0, 1e-2)
         assert traj.horizon == pytest.approx(1.0)
         with pytest.raises(IntegrationError):
-            integrate_forward_backward(
-                "first", MonotoneOperator.zero(), CocoerciveMap.identity(), 1.0,
-                ParameterCurve.constant(1.6), [1.0], 1.0, 1e-2)
+            integrate_first_order(T, ParameterCurve.constant(1.6), [1.0], 1.0, 1e-2)
 
     def test_second_order_variant(self):
         traj = integrate_forward_backward(
-            "second", MonotoneOperator.zero(), CocoerciveMap.identity(), 1.0,
-            ParameterCurve.constant(1.0), [0.5], 4.0, 1e-3,
-            gam=ParameterCurve.constant(3.0), v0=[0.0], theta=0.5)
+            MonotoneOperator.zero(), CocoerciveMap.identity(), 1.0, ParameterCurve.constant(1.0),
+            ParameterCurve.constant(3.0), [0.5], [0.0], 4.0, 1e-3, theta=0.5)
         assert traj.vs is not None
         # x'' + 3x' + x = 0 decays
         assert abs(traj.eval(4.0)[0]) < 0.2
@@ -967,13 +958,18 @@ def _reference_rk4_run(field, y0, n_steps, h):
     return ts, ys, dys
 
 
-def _reference_integrate(rhs, curves, width, y0, horizon, step, method, chain=None):
-    """The run (y0, horizon, step) integrated by the reference loops, by the
-    numpy field ``rhs`` even where a coordinate form ``chain`` is given."""
-    def field(t, y):
-        return rhs(y, *(c(t) for c in curves))
+def _reference_integrate(field, curves, width, y0, horizon, step, method, coordinatewise):
+    """The run (y0, horizon, step) integrated by the reference loops on
+    numpy, coordinatewise or not; a state (x, v) wider than ``width`` has
+    the derivative (v, field(x, v, *curve values))."""
+    def derivative(t, y):
+        values = [c(t) for c in curves]
+        if y.size == width:
+            return field(y, *values)
+        x, v = y[:width], y[width:]
+        return np.concatenate([v, field(x, v, *values)])
 
-    return _reference_field_run(field, y0, horizon, step, method)
+    return _reference_field_run(derivative, y0, horizon, step, method)
 
 
 def _reference_field_run(field, y0, horizon, step, method):
@@ -1053,13 +1049,13 @@ def _cases():
     yield "second_ragged_horizon", lambda w: integrate_second_order(
         w(CocoerciveMap.identity()), ParameterCurve.constant(2.0),
         ParameterCurve.constant(3.0), [1.0], [0.0], 1.0, 0.3)
-    yield "fb_first", lambda w: integrate_forward_backward(
-        "first", w(MonotoneOperator.linear([[1.0, 0.4], [-0.4, 0.5]])), w(_SPD),
-        0.6, ParameterCurve.constant(1.1), [1.5, -1.0], 2.0, 0.01)
+    yield "fb_first", lambda w: integrate_first_order(
+        forward_backward_map(w(MonotoneOperator.linear([[1.0, 0.4], [-0.4, 0.5]])), w(_SPD), 0.6),
+        ParameterCurve.constant(1.1), [1.5, -1.0], 2.0, 0.01)
     yield "fb_second", lambda w: integrate_forward_backward(
-        "second", w(MonotoneOperator.scaled_identity(0.5)), w(CocoerciveMap.identity()),
-        1.0, ParameterCurve.constant(1.0), [0.5], 2.0, 0.01,
-        gam=ParameterCurve.affine(0.1, 3.0, lower=3.0, upper=4.0), v0=[0.2])
+        w(MonotoneOperator.scaled_identity(0.5)), w(CocoerciveMap.identity()), 1.0,
+        ParameterCurve.constant(1.0), ParameterCurve.affine(0.1, 3.0, lower=3.0, upper=4.0),
+        [0.5], [0.2], 2.0, 0.01)
     yield "first_multi_block", lambda w: integrate_first_order(
         w(_MAPS[2]), _LONG_LAM, [1.0, -2.0], *_LONG)
     yield "second_multi_block", _second_long
@@ -1294,14 +1290,15 @@ def test_ragged_horizon_error_estimate():
 
 
 def _numpy_only(op):
-    """The same operator without its coordinate form: it steps on numpy."""
-    return dataclasses.replace(op, coordinate=None)
+    """The same operator, not coordinatewise: it steps on numpy."""
+    return dataclasses.replace(op, coordinatewise=False)
 
 
 def _counted_fn(op, calls: list):
-    """The same operator, counting the calls of its numpy closure."""
+    """The same operator, counting the calls of its closure on an array."""
     fn = op.fn
-    return dataclasses.replace(op, fn=lambda x: calls.append(1) or fn(x))
+    return dataclasses.replace(
+        op, fn=lambda x: isinstance(x, np.ndarray) and calls.append(1) or fn(x))
 
 
 _MONOTONE_COORDINATEWISE = st.one_of(st.just(MonotoneOperator.zero()),
@@ -1332,8 +1329,8 @@ _SECOND_ORDER_COORDINATEWISE = st.one_of(
 
 def _assert_float_stepper_keeps_the_numpy_bits(flow, op, numpy_calls: int, monkeypatch):
     """``flow(op)`` on floats, every run within the chain cap, has the bits
-    of ``flow`` over the operator without its coordinate form.  It calls the
-    numpy closure ``numpy_calls`` times: once per run for its last
+    of ``flow`` over the operator stepped on numpy.  It calls the closure
+    on an array ``numpy_calls`` times: once per run for its last
     derivative, and 8 times per block a settled run tries at once."""
     calls = []
     monkeypatch.setattr(flows, "_CHAIN_CAP", 10 ** 6)
@@ -1350,7 +1347,7 @@ def _assert_float_stepper_keeps_the_numpy_bits(flow, op, numpy_calls: int, monke
        n=st.integers(1, 40), step=st.floats(0.01, 0.3), frac=st.floats(0.0, 0.9))
 def test_first_order_floats_keep_the_numpy_bits(data, d, kind, n, step, frac):
     T = data.draw(_NONEXPANSIVE_COORDINATEWISE)
-    assert T.coordinate is not None
+    assert T.coordinatewise
     x0 = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d))
     # horizon (n - frac) step: n coarse steps, or n - 1 with a ragged last one;
     # lambda stays within [0, 1], inside every forward-backward map's cap
@@ -1365,7 +1362,7 @@ def test_first_order_floats_keep_the_numpy_bits(data, d, kind, n, step, frac):
        frac=st.floats(0.0, 0.9))
 def test_second_order_floats_keep_the_numpy_bits(data, d, lam, gam, n, step, frac):
     B = data.draw(_SECOND_ORDER_COORDINATEWISE)
-    assert B.coordinate is not None
+    assert B.coordinatewise
     u0, v0 = (data.draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)) for _ in "uv")
     flow = lambda op: [integrate_second_order(op, _LAMBDAS[lam], _LAMBDAS[gam], u0, v0,
                                               (n - frac) * step, step)]
@@ -1417,16 +1414,15 @@ _BLOW_UP = 1e7
 ])
 def test_diverging_chains_raise_the_numpy_error(runs, diverging):
     calls = []
-    f = lambda x: calls.append(1) or 0.0 * x
-    T = NonexpansiveMap(fn=lambda x: 0.0 * x, coordinate=f)
+    T = NonexpansiveMap(fn=lambda x: calls.append(1) or 0.0 * x, coordinatewise=True)
     lam = ParameterCurve.constant(1.0)
     with pytest.raises(IntegrationError) as on_floats:
         _in_turn(T, lam, [1.0], runs)
+    # raised at the end of the first block: 12 field calls per coarse step and run
+    assert len(calls) <= 12 * flows._BLOCK * len(runs)
     with pytest.raises(IntegrationError) as on_numpy:
         _in_turn(_numpy_only(T), lam, [1.0], runs)
     with pytest.raises(IntegrationError) as alone:
         integrate_first_order(_numpy_only(T), lam, [1.0], *runs[diverging])
     assert str(on_floats.value) == str(on_numpy.value) == str(alone.value)
     assert "non-finite state" in str(on_floats.value)
-    # raised at the end of the first block: 12 field calls per coarse step and run
-    assert len(calls) <= 12 * flows._BLOCK * len(runs)

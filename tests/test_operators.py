@@ -1,5 +1,7 @@
 """Operator zoo: evaluation, composition, resolvents, property checkers."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from fejerflow.operators import (
     check_cocoercive,
     check_nonexpansive,
     forward_backward_map,
+    forward_backward_residual,
     make_cocoercive,
     make_convex_function,
     make_monotone,
@@ -194,8 +197,9 @@ class TestConvexFunctions:
 # the (..., d) -> (..., d) contract
 # ---------------------------------------------------------------------------
 
-def _zoo(d: int) -> list:
-    """Every config-addressable closure at dimension d, as (name, f)."""
+def _zoo_operators(d: int) -> dict:
+    """Every config-addressable operator at dimension d, as (op, descriptor)
+    pairs by maker."""
     rng = np.random.default_rng(d)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     a = rng.standard_normal((d, d))
@@ -217,15 +221,20 @@ def _zoo(d: int) -> list:
     convex = [{"op": "quadratic", "scale": 2.0, "center": point}, {"op": "l1", "scale": 0.5},
               {"op": "indicator_ball", "center": point, "radius": 1.0},
               {"op": "indicator_box", "lower": [-1.0] * d, "upper": [1.0] * d}]
-    zoo = [(f"T.{spec['op']}", make_nonexpansive(space, spec)) for spec in nonexpansive]
-    Bs = [(spec["op"], make_cocoercive(space, spec)) for spec in cocoercive]
-    As = [(spec["op"], make_monotone(space, spec)) for spec in monotone]
+    specs = {make_nonexpansive: nonexpansive, make_cocoercive: cocoercive,
+             make_monotone: monotone, make_convex_function: convex}
+    return {make: [(spec["op"], make(space, spec)) for spec in specs[make]] for make in specs}
+
+
+def _zoo(d: int) -> list:
+    """Every config-addressable closure at dimension d, as (name, f)."""
+    ops = _zoo_operators(d)
+    zoo = [(f"T.{op}", T) for op, T in ops[make_nonexpansive]]
+    Bs, As = ops[make_cocoercive], ops[make_monotone]
     zoo += [(f"B.{op}", B) for op, B in Bs]
     zoo += [(f"A.{op}", lambda x, A=A: A.resolve(0.7, x)) for op, A in As]
-    for spec in convex:
-        phi = make_convex_function(space, spec)
-        zoo += [(f"phi.{spec['op']}", phi),
-                (f"prox.{spec['op']}", lambda x, phi=phi: phi.prox_point(0.7, x))]
+    for op, phi in ops[make_convex_function]:
+        zoo += [(f"phi.{op}", phi), (f"prox.{op}", lambda x, phi=phi: phi.prox_point(0.7, x))]
     zoo += [(f"fb.{a_op}.{b_op}", forward_backward_map(A, B, 0.5 * B.beta))
             for a_op, A in As for b_op, B in Bs]
     return zoo
@@ -283,6 +292,61 @@ def test_parameter_columns_match_single_point_calls(d, data):
         assert rows.shape == (n, d), name
         for row, single in zip(rows, singles):
             assert _same_bits(row, single), name
+
+
+# the zoo's coordinatewise operators, by maker
+_COORDINATEWISE = {make_nonexpansive: {"identity", "scalar", "negation"},
+                   make_cocoercive: {"identity", "zero", "scaled_identity"},
+                   make_monotone: {"zero", "scaled_identity"}}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_coordinatewise_flags(d):
+    # matrix, rotation, projection and point-indicator maps act across
+    # coordinates; compositions and forward-backward maps are coordinatewise
+    # exactly when their parts are
+    ops = _zoo_operators(d)
+    for make, coordinatewise in _COORDINATEWISE.items():
+        for op, descriptor in ops[make]:
+            assert descriptor.coordinatewise == (op in coordinatewise), op
+    Ts = [T for _, T in ops[make_nonexpansive]]
+    for S, T in itertools.product(Ts, Ts):
+        both = S.coordinatewise and T.coordinatewise
+        assert NonexpansiveMap.compose([S, T]).coordinatewise == both
+    for (_, A), (_, B) in itertools.product(ops[make_monotone], ops[make_cocoercive]):
+        both = A.coordinatewise and B.coordinatewise
+        assert forward_backward_map(A, B, 0.5 * B.beta).coordinatewise == both
+        assert forward_backward_residual(A, B, 0.5 * B.beta).coordinatewise == both
+
+
+# finite floats, with signed zeros, subnormals and the largest floats named
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), _EDGE_FLOATS)
+def test_coordinatewise_closures_keep_floats(data, x):
+    # on a Python float a coordinatewise closure returns a float with the
+    # bits of its 1-element array call; the float RK4 stepper relies on it
+    ops = {make: [o for _, o in ops if o.coordinatewise]
+           for make, ops in _zoo_operators(1).items() if make in _COORDINATEWISE}
+    Ts, Bs, As = ops[make_nonexpansive], ops[make_cocoercive], ops[make_monotone]
+    A, B = data.draw(st.sampled_from(As)), data.draw(st.sampled_from(Bs))
+    gamma = data.draw(st.floats(0.05, 1.95)) * B.beta
+    closures = [T.fn for T in Ts] + [B.fn for B in Bs]
+    closures += [lambda x, A=A: A.resolvent(0.7, x) for A in As]
+    closures += [NonexpansiveMap.compose(data.draw(st.lists(st.sampled_from(Ts), min_size=1,
+                                                            max_size=3))).fn,
+                 forward_backward_map(A, B, gamma).fn, forward_backward_residual(A, B, gamma).fn]
+    for f in closures:
+        value = f(x)
+        assert type(value) is float
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = f(np.array([x]))
+        assert np.array([value]).view(np.int64) == row.view(np.int64)
 
 
 def test_a_nonpositive_row_parameter_is_refused():
