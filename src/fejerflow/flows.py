@@ -11,9 +11,10 @@ coarse steps and closures that answer rows with single-point bits, the
 coarse and fine samples keep the bits of separate runs.  The step loop makes
 only the RK4 arithmetic: each block's curve table is sliced once into
 per-step tuples of curve values, and the second-order field takes -gamma
-tabled, so it negates nothing per call.  Each block checks the state's
-finiteness, and the error names the first non-finite sample.  Dense output
-is local cubic Hermite interpolation using stored derivatives.
+tabled, so it negates nothing per call.  Every block stepper writes straight
+into the run's samples, and each block checks the state's finiteness; the
+error names the first non-finite sample.  Dense output is local cubic
+Hermite interpolation using stored derivatives.
 
 Each integrator writes its field once, x' = field(x, *curve values) or
 v' = field(x, v, *curve values), which numpy stacks into (v, v').  On a 2-
@@ -23,23 +24,23 @@ on bare Python floats instead.  Each coordinate is an independent chain,
 one float for a first-order flow and the pair (x_i, v_i) for a second-order
 one; a block of up to ``_CHAIN_CAP`` chains steps each chain alone through
 ``_stage``'s operations in its order, reading the same curve table, and
-writes the same staged arrays at the end of the block.  Python floats round
-each operation as float64 does, so the samples keep their bits, and
-finiteness checks, errors and settled runs are shared with the numpy
-stepper.
+writes the same samples at the end of the block.  Python floats round each
+operation as float64 does, so the samples keep their bits, and finiteness
+checks, errors and settled runs are shared with the numpy stepper.
 
 A converging run reaches a floating-point fixed point, where every RK4
 increment rounds away: the first-order builtins' ``long_check`` runs spend
 over 90% of their steps there.  A run is settled once a whole block leaves
-each of its staged states, coarse and fine, bitwise equal to the block's
-end state.  A settled run leaves the step-by-step loop: each later block
-runs all its steps at once from the settled state, each step on its own row
-of one stack (8 field calls a block), and is kept only if every step
-returns that state bitwise; otherwise the run steps the same block one by
-one.  A step is a function of its start state and its tabled curve values,
-computed row by row with the bits of a lone call, so a kept block has the
-bits of the one-by-one steps.  Of the builtins' runs, only the first-order
-``long_check`` runs settle; every other run steps one by one throughout.
+each sample it wrote, coarse and fine, bitwise equal to the block's end
+state.  A settled run leaves the step-by-step loop: each later block runs
+all its steps at once from the settled state, each step on its own row of
+one stack (8 field calls a block), and is kept, its samples written, only if
+every coarse and lone fine step returns that state bitwise; otherwise the
+run steps the same block one by one.  A step is a function of its start
+state and its tabled curve values, computed row by row with the bits of a
+lone call, so a kept block has the bits of the one-by-one steps.  Of the
+builtins' runs, only the first-order ``long_check`` runs settle; every
+other run steps one by one throughout.
 
 The semigroups double the step count n of their exponential formulas under
 one driver (``_semigroup``), which returns the Richardson extrapolant
@@ -355,7 +356,7 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-_BLOCK = 1024  # coarse steps per curve table, staging buffer and finiteness check
+_BLOCK = 1024  # coarse steps per curve table and finiteness check
 # most chains a block steps on Python floats (``_chain_block``).  Per coarse
 # step on a shared 2-core Xeon, Python 3.11, numpy 2.4: a first-order chain
 # costs about 2.2 us (scalar map) to 3.7 us (forward-backward map), a
@@ -408,8 +409,8 @@ def _pair_step(field, x, v, values, half, sixth, full):
 def _float_chain(field, coarse, fine, rows, h, q):
     """One block of a one-float chain: per row of curve values (coarse,
     paired fine, lone fine) a coarse step of h and two fine steps of q.
-    Returns, flat, per step the states at its start (coarse, fine) and after
-    the paired step, and the two fine derivatives; and the end states."""
+    Returns, flat, per step its coarse and fine start states, the fine state
+    after its paired step and its two fine derivatives; and the end states."""
     (y,), (z,) = coarse, fine
     h2, h6, q2, q6 = h / 2, h / 6, q / 2, q / 6
     out = []
@@ -418,14 +419,14 @@ def _float_chain(field, coarse, fine, rows, h, q):
         _, y1 = _float_step(field, y, c, h2, h6, h)
         d0, z1 = _float_step(field, z, p, q2, q6, q)
         d1, z2 = _float_step(field, z1, lone, q2, q6, q)
-        push((y, z, y1, z1, d0, d1))
+        push((y, z, z1, d0, d1))
         y, z = y1, z2
     return out, (y,), (z,)
 
 
 def _pair_chain(field, coarse, fine, rows, h, q):
-    """``_float_chain`` for a pair (x, v): the x values of a step, then its v
-    values, each laid out as one float chain's."""
+    """``_float_chain`` for a pair (x, v): each of its five values, x then v
+    (the x derivative of a state is its v)."""
     (x, v), (zx, zv) = coarse, fine
     h2, h6, q2, q6 = h / 2, h / 6, q / 2, q / 6
     out = []
@@ -434,15 +435,15 @@ def _pair_chain(field, coarse, fine, rows, h, q):
         _, x1, v1 = _pair_step(field, x, v, c, h2, h6, h)
         d0, zx1, zv1 = _pair_step(field, zx, zv, p, q2, q6, q)
         d1, zx2, zv2 = _pair_step(field, zx1, zv1, lone, q2, q6, q)
-        push((x, zx, x1, zx1, zv, zv1, v, zv, v1, zv1, d0, d1))
+        push((x, v, zx, zv, zx1, zv1, zv, d0, zv1, d1))
         x, v, zx, zv = x1, v1, zx2, zv2
     return out, (x, v), (zx, zv)
 
 
-def _chain_block(field, Y, table, h, width):
+def _chain_block(field, Y, table, h, width, ys_c, ys_f, dys_f):
     """``_step_block`` on Python floats: each chain, one coordinate with its
     coarse and fine rows, steps the whole block alone, and its floats go
-    into the staged arrays at the end of the block.  ``table`` is the
+    into the block's samples at the end of the block.  ``table`` is the
     block's curve table (step, stage, curve, coarse/paired/lone), h the
     coarse step, and a chain of a state of ``width`` coordinates holds one
     float (first order, x' = ``field(x, lam)``) or the pair of columns j and
@@ -452,66 +453,60 @@ def _chain_block(field, Y, table, h, width):
     ``_step_block`` would give."""
     n, k = len(table), Y.shape[-1] // width  # k floats a chain: x, or x and v
     stepper = _float_chain if k == 1 else _pair_chain
-    staged = np.empty((n, 2) + Y.shape)
-    dstaged = np.empty((n, 2) + Y.shape[1:])
     Y = Y.copy()
     # per step: the curve values of the coarse, paired fine and lone fine step
     rows = table.transpose(0, 3, 1, 2).reshape(n, 3, -1).tolist()
     for j in range(width):
         cols = [j + i * width for i in range(k)]
         out, Y[0, cols], Y[1, cols] = stepper(field, *Y[:, cols].tolist(), rows, h, h / 2)
-        out = np.array(out).reshape(n, k, 6)
-        for i, col in enumerate(cols):
-            staged[..., col] = out[:, i, :4].reshape(n, 2, 2)
-            dstaged[..., col] = out[:, i, 4:]
-    return Y, staged, dstaged
+        out = np.array(out).reshape(n, 5, k)
+        ys_c[:, cols], ys_f[..., cols], dys_f[..., cols] = out[:, 0], out[:, 1:3], out[:, 3:]
+    return Y
 
 
-def _unchanged(staged: np.ndarray, Y: np.ndarray) -> bool:
-    """Whether every staged state (..., *Y's shape) has the bits of Y, sign
-    of zero included."""
-    return bool((staged.view(np.int64) == Y.view(np.int64)).all())
+def _unchanged(samples: np.ndarray, y: np.ndarray) -> bool:
+    """Whether every sample (..., *y's shape) has the bits of y, sign of
+    zero included."""
+    return bool((samples.view(np.int64) == y.view(np.int64)).all())
 
 
-def _step_block(field, Y, values, factors):
+def _step_block(field, Y, values, factors, ys_c, ys_f, dys_f):
     """The block's steps one by one: coarse step i and fine step 2i as one
-    batch, then fine step 2i+1 alone.  Returns the end state, and per step
-    the states at its start and after the paired step, and the fine
-    derivatives.
+    batch, then fine step 2i+1 alone.  Writes per step i the coarse sample
+    ``ys_c[i]``, the fine samples ``ys_f[i]`` (2i and 2i+1) and their
+    derivatives ``dys_f[i]``, and returns the end state.
 
     The curve table is sliced once for the block: per stage time a, b, c of
     the paired and the lone step, an iterator yields each step's tuple of
-    per-curve values, walked in step with the staging rows, so the loop
+    per-curve values, walked in step with the sample rows, so the loop
     makes only the RK4 arithmetic."""
-    staged = np.empty((len(values), 2) + Y.shape)
-    dstaged = np.empty((len(values), 2) + Y.shape[1:])
     fine_factors = [f[1] for f in factors]
     paired = [zip(*s) for s in np.moveaxis(values[:, :, :, :2], 0, 2)]
     lone = [zip(*s) for s in np.moveaxis(values[:, :, :, 2], 0, 2)]
-    for sy, sd, pa, pb, pc, la, lb, lc in zip(staged, dstaged, *paired, *lone):
-        sy[0] = Y
+    for yc, yf, df, pa, pb, pc, la, lb, lc in zip(ys_c, ys_f, dys_f, *paired, *lone):
+        yc[...], yf[0] = Y
         K1, Y = _stage(field, Y, pa, pb, pc, *factors)
-        sd[0], sy[1] = K1[1], Y
-        sd[1], Y[1] = _stage(field, Y[1], la, lb, lc, *fine_factors)
-    return Y, staged, dstaged
+        df[0], yf[1] = K1[1], Y[1]
+        df[1], Y[1] = _stage(field, Y[1], la, lb, lc, *fine_factors)
+    return Y
 
 
-def _settled_block(field, Y, values, factors):
+def _settled_block(field, Y, values, factors, ys_c, ys_f, dys_f):
     """The block's steps all at once, each from the start state Y on its own
-    row of a (step, coarse/fine row, *state) stack.  Returns whether every
-    step returned Y, and the staged states and derivatives as
-    ``_step_block`` lays them out.  A step is a function of its start state
-    and its curve values alone, computed row by row, so a block whose steps
-    all return Y has the bits ``_step_block`` would give."""
-    staged = np.empty((len(values), 2) + Y.shape)
-    dstaged = np.empty((len(values), 2) + Y.shape[1:])
-    staged[:, 0] = Y
-    K1, staged[:, 1] = _stage(field, staged[:, 0], *np.moveaxis(values[:, :, :, :2], 0, 2),
-                              *factors)
-    dstaged[:, 0] = K1[:, 1]
-    dstaged[:, 1], end = _stage(field, staged[:, 1, 1], *np.moveaxis(values[:, :, :, 2], 0, 2),
-                                *(f[1] for f in factors))
-    return _unchanged(np.stack([staged[:, 1, 0], end], axis=1), Y), staged, dstaged
+    row of a (step, coarse/fine row, *state) stack.  Writes the samples as
+    ``_step_block`` does, and returns True, only if every coarse and every
+    lone fine step returned Y.  A step is a function of its start state and
+    its curve values alone, computed row by row, so a kept block has the
+    bits ``_step_block`` would give."""
+    starts = np.broadcast_to(Y, (len(values),) + Y.shape).copy()
+    K1, after = _stage(field, starts, *np.moveaxis(values[:, :, :, :2], 0, 2), *factors)
+    dlone, end = _stage(field, after[:, 1], *np.moveaxis(values[:, :, :, 2], 0, 2),
+                        *(f[1] for f in factors))
+    if not _unchanged(np.stack([after[:, 0], end], axis=1), Y):
+        return False
+    ys_c[...], ys_f[:, 0] = Y
+    ys_f[:, 1], dys_f[:, 0], dys_f[:, 1] = after[:, 1], K1[:, 1], dlone
+    return True
 
 
 # a divergent run overflows quietly until its block's finiteness check raises
@@ -523,22 +518,23 @@ def _rk4(field: Callable, curves: tuple, width: int, y0: np.ndarray, n: int, h: 
     values) for a state (x, v) twice ``width`` wide, each curve value shaped
     like the state with the last axis ``width`` wide, the state stacked as
     (coarse/fine row, *state).  Returns the coarse samples and the fine
-    samples and derivatives.
+    samples and derivatives; each block stepper writes its block's share of
+    them in place.
 
     The run is settled once a whole block of ``_BLOCK`` coarse steps leaves
-    it unchanged: every staged state of the block, coarse row and fine row,
-    has the bits of the block's end state.  A converging flow settles at
-    its floating-point fixed point, where each RK4 increment rounds away.
-    A settled run's next block runs at once from its start state
+    it unchanged: every sample the block wrote, coarse and fine, has the
+    bits of the block's end state.  A converging flow settles at its
+    floating-point fixed point, where each RK4 increment rounds away.  A
+    settled run's next block runs at once from its start state
     (``_settled_block``), 8 field calls over the stacked steps, and is kept
-    if every step returns the start state; else the run steps that same
-    block one by one.  Its samples and derivatives have the bits of the
-    one-by-one steps either way.
+    if every coarse and lone fine step returns the start state; else the
+    run steps that same block one by one.  Its samples and derivatives have
+    the bits of the one-by-one steps either way.
 
     A ``coordinatewise`` field also takes Python floats (see
     ``_chain_block``); the one-by-one steps of a run of at most
-    ``_CHAIN_CAP`` chains then run on floats, with the same staged layout,
-    so everything after the steps is shared."""
+    ``_CHAIN_CAP`` chains then run on floats and write the same samples, so
+    everything after the steps is shared."""
     shape = y0.shape
 
     def stacked(y, *values):  # numpy steps a state (x, v) by its derivative (v, v')
@@ -548,10 +544,10 @@ def _rk4(field: Callable, curves: tuple, width: int, y0: np.ndarray, n: int, h: 
     array_field = field if shape[-1] == width else stacked
     try:
         ys_c = np.empty((n + 1,) + shape)
-        # the fine samples and derivatives, as (coarse step, half step)
-        fine = np.empty((2, n + 1, 2) + shape)
+        fine = np.empty((2, 2 * n + 1) + shape)  # the fine samples and derivatives
     except (MemoryError, ValueError):  # ValueError: past numpy's largest array
         raise SampleMemoryError(n) from None
+    ys_f, dys_f = fine
     q = h / 2
     Y = np.stack([y0, y0])
     # each factor has the shape it multiplies: faster than a broadcast or a float
@@ -570,27 +566,25 @@ def _rk4(field: Callable, curves: tuple, width: int, y0: np.ndarray, n: int, h: 
         # (step, stage, curve, coarse/paired/lone), then widened to the state
         table = np.stack([c(times) for c in curves], axis=2)
         values = np.multiply.outer(table, np.ones(shape[:-1] + (width,)))
-        kept = False
-        if settled:
-            kept, staged, dstaged = _settled_block(array_field, Y, values, factors)
+        # the block's samples, the fine ones as (coarse step, half step)
+        samples = (ys_c[lo:hi], *fine[:, 2 * lo:2 * hi].reshape((2, -1, 2) + shape))
+        kept = settled and _settled_block(array_field, Y, values, factors, *samples)
         if not kept:
-            Y, staged, dstaged = (_chain_block(field, Y, table, h, width) if on_floats
-                                  else _step_block(array_field, Y, values, factors))
+            Y = (_chain_block(field, Y, table, h, width, *samples) if on_floats
+                 else _step_block(array_field, Y, values, factors, *samples))
         if hi - lo == _BLOCK:
-            settled = kept or _unchanged(staged, Y)
-        ys_c[lo:hi], ys_c[hi] = staged[:, 0, 0], Y[0]
-        fine[0, lo:hi], fine[0, hi, 0] = staged[:, :, 1], Y[1]
-        fine[1, lo:hi] = dstaged
+            settled = kept or (_unchanged(ys_c[lo:hi], Y[0]) and
+                               _unchanged(ys_f[2 * lo:2 * hi], Y[1]))
+        ys_c[hi], ys_f[2 * hi] = Y
         # a non-finite state stays non-finite, so the first bad sample is the
         # step where the run left the reals; the coarse run is named first
         if not np.isfinite(Y).all():
-            ys_f = fine[0].reshape((-1,) + shape)
             for ys, step in ((ys_c[1:hi + 1], h), (ys_f[1:2 * hi + 1], q)):
                 bad = np.flatnonzero(~np.isfinite(ys.reshape(len(ys), -1)).all(axis=1))
                 if bad.size:
                     raise IntegrationError(f"non-finite state at t={int(bad[0]) * step + step}")
-    fine[1, n, 0] = array_field(Y[1], *(c(2 * n * q) for c in curves))
-    return (ys_c, *(a.reshape((2 * n + 2,) + shape)[:-1] for a in fine))
+    dys_f[2 * n] = array_field(Y[1], *(c(2 * n * q) for c in curves))
+    return ys_c, ys_f, dys_f
 
 
 def coarse_steps(horizon: float, step: float) -> int:
@@ -758,12 +752,13 @@ def _semigroup(run: Callable[[np.ndarray, np.ndarray, np.ndarray, int], np.ndarr
 
     ``run`` must answer each row with the bits of a lone one-row call, as
     the batch-invariant closures and ``space.row_norm`` do, so each row
-    gets the ``SemigroupPoint`` of its own one-row call.  Failures keep the
-    order of a loop over the rows: a negative time, a non-finite run
-    (``IntegrationError``) or a ``run`` that raises fails its row, whose
-    later rows leave the stack; a stack whose ``run`` raises is replayed row
-    by row to find the failing row.  The earlier rows run on, and once none
-    is left the error of the earliest failing row is raised.
+    gets the ``SemigroupPoint`` of its own one-row call.  The stack is only
+    a fast path: when a stack of several rows fails (``run`` raises, or a
+    row's run is not finite), each of its remaining rows is finished alone,
+    in order, and a row that fails alone raises its own error.  So the
+    error raised is the one the earliest failing row would raise alone.  A
+    negative time cuts off the later times, and its error is raised once
+    the earlier rows are finished.
 
     The extrapolant is the point at parameter 2 on the line from y_{n/2}
     through y_n.  It is formed in coordinates, which is sound only because
@@ -774,84 +769,58 @@ def _semigroup(run: Callable[[np.ndarray, np.ndarray, np.ndarray, int], np.ndarr
     xs = np.broadcast_to(x, (len(ts), x.shape[-1]))
     tols = np.broadcast_to(np.asarray(tol, dtype=float), len(ts)).tolist()
     caps = list(n_max) if np.ndim(n_max) else [n_max] * len(ts)
+    t_col, tol_col = np.array([ts, tols]).reshape(2, -1, 1)  # per-row columns for run
     points: list = [None] * len(ts)
-    rows: list[int] = []  # the stack's rows, as indices into ts, ascending
-    error = None  # the exception of the earliest failing row so far
-    for i, t in enumerate(ts):
-        if t < 0:
-            error = IntegrationError("semigroup time must be nonnegative")
-            break
-        if t == 0:
+    cut = next((i for i, t in enumerate(ts) if t < 0), len(ts))
+
+    def drive(rows: list[int]) -> None:
+        """Finish the rows (indices into ts, ascending) as one stack."""
+        n = 8
+        cur = ext = d = de = None  # per row: its newest run, extrapolant and differences
+        while rows:
+            prev, ext_prev, d_prev, de_prev = cur, ext, d, de
+            try:
+                cur = run(xs[rows], t_col[rows], tol_col[rows], n)
+                if not (finite := np.isfinite(cur).all(axis=1)).all():
+                    raise IntegrationError("non-finite semigroup point at "
+                                           f"t={ts[rows[int(finite.argmin())]]}, n={n}")
+            except Exception:
+                if len(rows) == 1:
+                    raise
+                for i in rows:
+                    drive([i])
+                return
+            if prev is not None:
+                d = row_norm(prev - cur).tolist()
+                ext = 2.0 * cur - prev
+                de = None if ext_prev is None else row_norm(ext_prev - ext).tolist()
+            keep = []
+            for j, i in enumerate(rows):
+                tol = tols[i]
+                if de_prev is not None and de[j] < tol and 2 * de[j] < d[j] \
+                        and 3 * de[j] <= de_prev[j]:
+                    points[i] = SemigroupPoint(point=ext[j], achieved_tol=de[j], n_used=n,
+                                               converged=True, extrapolated=True)
+                elif d_prev is not None and (bound := _tail_bound(d[j], d_prev[j])) < tol:
+                    points[i] = SemigroupPoint(point=cur[j], achieved_tol=bound, n_used=n,
+                                               converged=True)
+                elif n >= caps[i]:  # its n_max reached: unconverged, with its newest run
+                    points[i] = SemigroupPoint(point=cur[j], achieved_tol=math.inf, n_used=n,
+                                               converged=False)
+                else:
+                    keep.append(j)
+            rows, cur = [rows[j] for j in keep], cur[keep]
+            ext = None if ext is None else ext[keep]
+            d, de = (None if a is None else [a[j] for j in keep] for a in (d, de))
+            n *= 2
+
+    for i in range(cut):
+        if ts[i] == 0:
             points[i] = SemigroupPoint(point=xs[i].copy(), achieved_tol=0.0, n_used=0,
                                        converged=True)
-        else:
-            rows.append(i)
-
-    def finite_run(n: int) -> np.ndarray:
-        """The stack's runs of n steps; a failing row drops itself and every
-        later row from ``rows``."""
-        nonlocal rows, error
-        if not rows:
-            return np.empty((0, xs.shape[1]))
-        starts = xs[rows]
-        column = np.array([ts[i] for i in rows])[:, None]
-        tol_column = np.array([tols[i] for i in rows])[:, None]
-        try:
-            ys = run(starts, column, tol_column, n)
-        except Exception as exc:
-            ys = []
-            if len(rows) == 1:  # a one-row stack is its own replay
-                rows, error = [], exc
-            for j in range(len(rows)):  # replay row by row to find the failing row
-                try:
-                    ys.append(run(starts[j:j + 1], column[j:j + 1], tol_column[j:j + 1], n)[0])
-                except Exception as row_exc:
-                    rows, error = rows[:j], row_exc
-                    break
-            ys = np.array(ys).reshape(len(rows), xs.shape[1])
-        finite = np.isfinite(ys).all(axis=1)
-        if not finite.all():
-            j = int(finite.argmin())
-            t = ts[rows[j]]
-            rows, error = rows[:j], IntegrationError(
-                f"non-finite semigroup point at t={t}, n={n}")
-        return ys[:len(rows)]
-
-    n = 8
-    cur = finite_run(n)
-    d = d_prev = ext_prev = de_prev = None
-    while True:
-        keep = []
-        for j, i in enumerate(rows):
-            tol = tols[i]
-            if de_prev is not None and de[j] < tol and 2 * de[j] < d[j] \
-                    and 3 * de[j] <= de_prev[j]:
-                points[i] = SemigroupPoint(point=ext[j], achieved_tol=de[j], n_used=n,
-                                           converged=True, extrapolated=True)
-            elif d_prev is not None and (bound := _tail_bound(d[j], d_prev[j])) < tol:
-                points[i] = SemigroupPoint(point=cur[j], achieved_tol=bound, n_used=n,
-                                           converged=True)
-            elif n >= caps[i]:  # its n_max reached: unconverged, with its newest run
-                points[i] = SemigroupPoint(point=cur[j], achieved_tol=math.inf, n_used=n,
-                                           converged=False)
-            else:
-                keep.append(j)
-        rows = [rows[j] for j in keep]
-        if not rows:
-            break
-        prev = cur[keep]
-        if d is not None:
-            d_prev, ext_prev = [d[j] for j in keep], ext[keep]
-            de_prev = None if de is None else [de[j] for j in keep]
-        n *= 2
-        cur = finite_run(n)
-        k = len(rows)
-        prev = prev[:k]
-        d = row_norm(prev - cur).tolist()
-        ext = 2.0 * cur - prev
-        de = None if ext_prev is None else row_norm(ext_prev[:k] - ext).tolist()
-    if error is not None:
-        raise error
+    drive([i for i in range(cut) if ts[i] != 0])
+    if cut < len(ts):
+        raise IntegrationError("semigroup time must be nonnegative")
     return points
 
 

@@ -534,13 +534,18 @@ def check_semigroup_fixed_point_bound(F: NonexpansiveMap,
                                       ) -> VerificationReport:
     """d(x, T_t(x)) <= d(x, F(x)) (e^{2t} - 1)/2 on the given (x, t) samples,
     with T_t(x) the semigroup run ``runs[i]`` of sample i; ``inconclusive``,
-    naming their ``n_used``, if some runs did not converge."""
+    naming their ``n_used``, if some runs did not converge.  Past the float
+    range of e^{2t} the bound is +inf, and 0 where d(x, F(x)) = 0."""
     worst = -math.inf
     for (x, t), run in zip(samples, runs, strict=True):
         x = np.asarray(x, dtype=float)
         delta = float(np.linalg.norm(x - F(x)))
         lhs = float(np.linalg.norm(x - run.point))
-        bound = delta * (math.exp(2 * t) - 1) / 2
+        try:
+            growth = math.exp(2 * t) - 1
+        except OverflowError:  # t from about 354.9 on
+            growth = math.inf
+        bound = delta * growth / 2 if delta else 0.0
         worst = max(worst, lhs - bound)
     if unconverged := [run.n_used for run in runs if not run.converged]:
         return _unconverged_report(claim, tol, n_used=unconverged)

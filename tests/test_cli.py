@@ -885,6 +885,18 @@ class TestRun:
         status = {r["claim"]: r["status"] for r in reports}
         assert status["resolvent_inequality"] == status["fixed_point_bound"] == "holds"
 
+    @pytest.mark.parametrize("sample", [[[0.5], 356.0], [[0.0], 400.0]],
+                             ids=["bound_past_the_floats", "fixed_point"])
+    def test_fixed_point_sample_past_the_exponential_exit_zero(self, tmp_path, sample):
+        # e^{2t} overflows the floats from t = 354.9 on: the bound is +inf,
+        # and 0 at a fixed point of F
+        cfg = write_config(tmp_path, {"builtin": "stojkovic_negation",
+                                      "overrides": {"fixed_point_samples": [sample]}})
+        out = tmp_path / "a"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        reports = json.loads((out / "stojkovic_negation" / "reports.json").read_text())
+        assert next(r for r in reports if r["claim"] == "fixed_point_bound")["status"] == "holds"
+
     def test_non_finite_resolvent_exit_two(self, tmp_path, capsys):
         # F x = 0 x + inf: the first resolvent iterate leaves the reals
         cfg = write_config(tmp_path, {

@@ -825,6 +825,31 @@ def test_stojkovic_stack_keeps_the_one_row_points(d, data):
         data.draw, d, [1e-2, 1e-3, 1e-4], [8, 16, 64, 512]))
 
 
+@pytest.mark.parametrize("kind, op", [
+    ("gradient", ConvexFunction.quadratic(1.0, dimension=1)),
+    ("stojkovic", NonexpansiveMap.negation()),
+])
+def test_converging_stack_runs_once_per_level(monkeypatch, kind, op):
+    # a stack that converges makes one run call per doubling level, on the
+    # rows still in it; only a failure finishes rows alone
+    calls, driver = [], flows._semigroup
+
+    def counted(run, *args):
+        def counted_run(xs, ts, tols, n):
+            calls.append((n, len(xs)))
+            return run(xs, ts, tols, n)
+        return driver(counted_run, *args)
+
+    monkeypatch.setattr(flows, "_semigroup", counted)
+    points = _SAMPLERS[kind](op, [1.0], [0.5, 0.0, 1.0, 2.5], tol=[1e-3, 1e-6, 1e-6, 1e-7])
+    assert all(p.converged for p in points)
+    levels, rows = zip(*calls)
+    assert levels == tuple(8 * 2 ** i for i in range(len(calls)))
+    assert levels[-1] == max(p.n_used for p in points)
+    # the rows leave the stack as they converge: 3 times past 0, then fewer
+    assert rows[0] == 3 and rows[-1] == 1 and list(rows) == sorted(rows, reverse=True)
+
+
 def _outcome(call):
     """The SemigroupPoint(s) of a call, or its exception."""
     try:

@@ -454,6 +454,19 @@ class TestMarginRule:
         assert rep.status == "holds_within_tolerance"
         assert 0 < rep.margin <= 3e-3
 
+    @pytest.mark.parametrize("t", [354.9, 356.0, 400.0, 1e300])
+    def test_fixed_point_bound_past_the_exponential(self, t):
+        # e^{2t} overflows the floats from t = 354.9 on: the bound is +inf
+        # where d(x, F(x)) > 0, and 0 at a fixed point of F
+        F = NonexpansiveMap.scalar(0.0)
+        rep = check_semigroup_fixed_point_bound(
+            F, [(np.array([1.0]), t)], [_converged(np.array([-1e100]))], tol=1e-3)
+        assert rep.status == "holds" and rep.margin == -math.inf
+        rep = check_semigroup_fixed_point_bound(
+            F, [(np.array([0.0]), t)], [_converged(np.array([2e-3]))], tol=1e-3)
+        assert rep.status == "holds_within_tolerance"
+        assert rep.margin == pytest.approx(1e-3)
+
     def test_unconverged_fixed_point_runs_are_inconclusive(self):
         # a run without an error bound proves nothing, even far past the bound
         F = NonexpansiveMap.scalar(0.0)
