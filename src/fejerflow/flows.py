@@ -33,14 +33,16 @@ increment rounds away: the first-order builtins' ``long_check`` runs spend
 over 90% of their steps there.  A run is settled once a whole block leaves
 each sample it wrote, coarse and fine, bitwise equal to the block's end
 state.  A settled run leaves the step-by-step loop: each later block runs
-all its steps at once from the settled state, each step on its own row of
-one stack (8 field calls a block), and is kept, its samples written, only if
-every coarse and lone fine step returns that state bitwise; otherwise the
-run steps the same block one by one.  A step is a function of its start
-state and its tabled curve values, computed row by row with the bits of a
-lone call, so a kept block has the bits of the one-by-one steps.  Of the
+all its steps at once from the settled state, each run of consecutive steps
+with the same curve values on one row of a stack (8 field calls a block, one
+row for a constant curve), and is kept, its samples written, only if every
+coarse and lone fine step returns that state bitwise; otherwise the run
+steps the same block one by one.  A step is a function of its start state
+and its tabled curve values, computed row by row with the bits of a lone
+call, so a kept block has the bits of the one-by-one steps.  Of the
 builtins' runs, only the first-order ``long_check`` runs settle; every
-other run steps one by one throughout.
+other run steps one by one throughout.  ``Trajectory.to_csv`` formats the
+state of a run's settled tail once, and only the tail's times row by row.
 
 The semigroups double the step count n of their exponential formulas under
 one driver (``_semigroup``), which returns the Richardson extrapolant
@@ -336,18 +338,36 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """One header line, then one ``%.12g`` row per sample.  Rows are
-        formatted a block at a time, so no whole-array Python list is built."""
+        formatted a block at a time, so no whole-array Python list is built.
+
+        A settled run ends in a tail of rows whose state (x, and v if
+        present) has the bits of the last row's, sign of zero included.
+        That state is formatted once, into a row template ``%.12g,<state>``,
+        and only the tail's times are formatted; equal bits format equally,
+        so the text is the same."""
         d = self.xs.shape[1]
         cols = ["t"] + [f"x{i}" for i in range(d)]
-        parts = [self.ts[:, None], self.xs]
+        parts = [self.xs]
         if self.vs is not None:
             cols += [f"v{i}" for i in range(d)]
             parts.append(self.vs)
+        moved = np.zeros(len(self.ts), dtype=bool)
+        for p in parts:
+            bits = p.view(np.int64)
+            moved |= (bits != bits[-1]).any(axis=1)
+        # the settled tail's first row: the one after the last that moved
+        tail = len(moved) - int(moved[::-1].argmax()) if moved.any() else 0
         row = ",".join(["%.12g"] * len(cols)) + "\n"
         chunks = [",".join(cols) + "\n"]
-        for a in range(0, len(self.ts), _CSV_BLOCK):
-            block = np.hstack([p[a:a + _CSV_BLOCK] for p in parts])
+        for a in range(0, tail, _CSV_BLOCK):
+            b = min(a + _CSV_BLOCK, tail)
+            block = np.hstack([self.ts[a:b, None]] + [p[a:b] for p in parts])
             chunks.append((row * len(block)) % tuple(block.ravel().tolist()))
+        # the tail's rows: its time, then the state formatted once
+        settled = "%.12g," + row[6:] % tuple(np.hstack([p[-1] for p in parts]).tolist())
+        for a in range(tail, len(self.ts), _CSV_BLOCK):
+            times = self.ts[a:a + _CSV_BLOCK].tolist()
+            chunks.append((settled * len(times)) % tuple(times))
         return "".join(chunks)
 
 
@@ -492,12 +512,19 @@ def _step_block(field, Y, values, factors, ys_c, ys_f, dys_f):
 
 
 def _settled_block(field, Y, values, factors, ys_c, ys_f, dys_f):
-    """The block's steps all at once, each from the start state Y on its own
-    row of a (step, coarse/fine row, *state) stack.  Writes the samples as
-    ``_step_block`` does, and returns True, only if every coarse and every
-    lone fine step returned Y.  A step is a function of its start state and
-    its curve values alone, computed row by row, so a kept block has the
-    bits ``_step_block`` would give."""
+    """The block's steps all at once from the start state Y, each run of
+    consecutive steps whose curve values have the same bits stepped once,
+    on its own row of a (run, coarse/fine row, *state) stack: one row for a
+    constant curve, one per piece for a piecewise one.  Writes the samples
+    as ``_step_block`` does, each step through its run's row, and returns
+    True, only if every coarse and every lone fine step returned Y.  A step
+    is a function of its start state and its curve values alone, computed
+    row by row, so a kept block has the bits ``_step_block`` would give."""
+    flat = values.reshape(len(values), -1).view(np.int64)
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = (flat[1:] != flat[:-1]).any(axis=1)
+    run = np.cumsum(new) - 1  # each step's row
+    values = values[new]
     starts = np.broadcast_to(Y, (len(values),) + Y.shape).copy()
     K1, after = _stage(field, starts, *np.moveaxis(values[:, :, :, :2], 0, 2), *factors)
     dlone, end = _stage(field, after[:, 1], *np.moveaxis(values[:, :, :, 2], 0, 2),
@@ -505,7 +532,7 @@ def _settled_block(field, Y, values, factors, ys_c, ys_f, dys_f):
     if not _unchanged(np.stack([after[:, 0], end], axis=1), Y):
         return False
     ys_c[...], ys_f[:, 0] = Y
-    ys_f[:, 1], dys_f[:, 0], dys_f[:, 1] = after[:, 1], K1[:, 1], dlone
+    ys_f[:, 1], dys_f[:, 0], dys_f[:, 1] = after[run, 1], K1[run, 1], dlone[run]
     return True
 
 
@@ -526,7 +553,8 @@ def _rk4(field: Callable, curves: tuple, width: int, y0: np.ndarray, n: int, h: 
     bits of the block's end state.  A converging flow settles at its
     floating-point fixed point, where each RK4 increment rounds away.  A
     settled run's next block runs at once from its start state
-    (``_settled_block``), 8 field calls over the stacked steps, and is kept
+    (``_settled_block``), 8 field calls over one row per run of steps with
+    the same curve values (a single row under constant curves), and is kept
     if every coarse and lone fine step returns the start state; else the
     run steps that same block one by one.  Its samples and derivatives have
     the bits of the one-by-one steps either way.

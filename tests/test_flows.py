@@ -328,6 +328,39 @@ class TestDenseOutput:
         assert text == "\n".join(lines) + "\n"
         assert "-0," in text and "4.94065645841e-324" in text
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([1, 2, 9, flows._CSV_BLOCK + 9]), d=st.integers(1, 2),
+           settles=st.sampled_from(["x", "x and v", "only x of x and v", "only v of x and v"]),
+           flip=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_csv_settled_tail_matches_per_row_format(self, data, n, d, settles, flip, seed):
+        # the rows from ``start`` on hold one state drawn from signed zeros, a
+        # subnormal, infinities and a NaN; ``start`` n means no drawn tail
+        start = data.draw(st.one_of(st.sampled_from([0, flows._CSV_BLOCK, n - 1, n]),
+                                    st.integers(0, n)).filter(lambda s: 0 <= s <= n))
+        width = d if settles == "x" else 2 * d
+        cells = data.draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, math.inf, -math.inf,
+                                                    math.nan]), min_size=width, max_size=width))
+        rng = np.random.default_rng(seed)
+        moving = lambda rows: rng.standard_normal((rows, width)) * 10.0 ** rng.integers(
+            -300, 300, (rows, width))
+        ts = np.cumsum(rng.uniform(0.1, 1.0, n))
+        state = moving(n)
+        last = np.array(cells)
+        if flip:  # the other zero before the tail: equal as floats, not as bits
+            state[:start] = np.where(last == 0.0, -last, state[:start])
+        state[start:] = last
+        if settles.startswith("only"):  # the other half keeps moving through the tail
+            half = slice(d, None) if settles.startswith("only x") else slice(None, d)
+            state[start:, half] = moving(n - start)[:, half]
+        xs, vs = state[:, :d], (None if settles == "x" else state[:, d:])
+        meta = IntegratorMeta("test", 0.1, 0.1, 1e-9, 0.0, 0.0)
+        traj = Trajectory(space=euclidean(d), ts=ts, xs=xs, dxs=xs, meta=meta, vs=vs, dvs=vs)
+        cols = [f"x{i}" for i in range(d)] + ([] if vs is None else [f"v{i}" for i in range(d)])
+        lines = [",".join(["t"] + cols)]
+        for t, row in zip(ts, state):
+            lines.append(",".join(f"{v:.12g}" for v in [t, *row]))
+        assert traj.to_csv() == "\n".join(lines) + "\n"
+
 
 class TestSecondOrderIntegration:
     def test_linear_oracle(self):
@@ -1278,6 +1311,32 @@ def test_settled_runs_keep_the_bits_of_lone_runs(lam, runs, n_calls):
         _assert_same_bits(new, ref)
 
 
+@pytest.mark.parametrize("lam, stacks, rejected", [
+    # at its fixed point 0 from t = 2969 on, the run keeps blocks 7 to 78,
+    # each stepped on a one-row stack
+    (ParameterCurve.constant(0.5), [1] * 72, 0),
+    # block 9 holds the break at t = 5000: a row before it, a row after it,
+    # and a row for the steps whose stages straddle it
+    (ParameterCurve.piecewise([5000.0], [0.5, 0.25]), [1, 1, 3] + [1] * 69, 0),
+    # new values every step, a row each (the last block has 130 steps); the
+    # run settles at a subnormal state, which wakes in 3 of its blocks
+    (ParameterCurve.table([0.0, 5000.0, 40001.0], [0.5, 0.3, 0.5]), [1024] * 68 + [130], 3),
+], ids=["constant", "piecewise", "table"])
+def test_settled_blocks_keep_the_bits_of_steps_one_by_one(monkeypatch, lam, stacks, rejected):
+    calls, kept = [], []
+    T = _counted_fn(NonexpansiveMap.scalar(0.5), calls)
+    settled_block = flows._settled_block
+    monkeypatch.setattr(flows, "_settled_block",
+                        lambda *args: kept.append(settled_block(*args)) or kept[-1])
+    run = lambda: integrate_first_order(T, lam, [1.0], 40001.0, 0.5)
+    new = run()
+    # 8 field calls per block tried at once, then the run's last derivative
+    assert len(calls) == 8 * len(kept) + 1 and kept.count(False) == rejected
+    assert [shape[0] for shape in calls[:-1:8]] == stacks
+    monkeypatch.setattr(flows, "_settled_block", lambda *args: False)
+    _assert_same_bits(new, run())
+
+
 def test_second_order_run_settles_at_its_equilibrium(monkeypatch):
     # x'' + 3 x' + (x - p) = 0 from rest at p: block 1 settles, blocks 2 and 3
     # run at once; the velocity's derivative is -3 * 0 - 0 = -0
@@ -1320,10 +1379,11 @@ def _numpy_only(op):
 
 
 def _counted_fn(op, calls: list):
-    """The same operator, counting the calls of its closure on an array."""
+    """The same operator, listing the shape of each call of its closure on
+    an array."""
     fn = op.fn
     return dataclasses.replace(
-        op, fn=lambda x: isinstance(x, np.ndarray) and calls.append(1) or fn(x))
+        op, fn=lambda x: isinstance(x, np.ndarray) and calls.append(x.shape) or fn(x))
 
 
 _MONOTONE_COORDINATEWISE = st.one_of(st.just(MonotoneOperator.zero()),
