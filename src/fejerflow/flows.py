@@ -220,11 +220,11 @@ _CSV_BLOCK = 4096  # rows formatted per string operation in Trajectory.to_csv
 
 
 def _hermite_at(t0, t1, y0, dy0, y1, dy1, t):
-    """The cubic Hermite interpolant on [t0, t1] through the rows y0, y1 with
-    slopes dy0, dy1, at t: for float ends and a float t, or for columns of
-    ends and times with one row each.  The square is u * u: a ``** 2`` of a
-    scalar goes through libm ``pow``, which rounds differently from an
-    array's x * x."""
+    """The cubic Hermite interpolant on [t0, t1] through y0, y1 with slopes
+    dy0, dy1, at t: for one coordinate, all in Python floats, or for columns
+    of ends and times against rows with one row each.  The square is u * u: a
+    ``** 2`` of a float goes through libm ``pow``, which rounds differently
+    from an array's x * x."""
     h = t1 - t0
     s = (t - t0) / h
     u = 1 - s
@@ -291,32 +291,39 @@ class Trajectory:
         the interval of t.  Times up to 1e-12 past the horizon clamp to it.
 
         A float time keeps its own lookup: routed through the array path it
-        costs about ten times as much, and the pointwise residuals of the
-        metastability scans make one call per distinct grid time.  It reads
-        the interval ends as Python floats, so the interpolant's coefficients
-        are Python float arithmetic and only the four row products and their
-        sum are numpy.  Python floats round each operation as numpy's float64
-        does and both paths make the same operations in the same order, so
-        each row has the bits of its float time."""
-        ts, last, horizon = self.ts, len(self.ts) - 2, float(self.ts[-1])
+        costs 10 to 30 times as much, and the pointwise residuals of the
+        metastability scans make one call per distinct grid time.  It pays
+        for one ``searchsorted`` and the row it returns: the horizon and the
+        interval ends are read with ``ts.item``, a sample time copies its
+        stored row, and a time between samples evaluates the interpolant on
+        Python floats, once per coordinate.  Python floats round each
+        operation as numpy's float64 does and both paths make the same
+        operations in the same order, so each row has the bits of its float
+        time."""
+        ts, horizon = self.ts, self.ts.item(-1)
         if not (isinstance(t, np.ndarray) and t.ndim):
             if not 0.0 <= t <= horizon + 1e-12:
                 raise IntegrationError(f"time {t} outside [0, {horizon}]")
-            t = min(t, horizon)
-            idx = min(max(int(ts.searchsorted(t, "right")) - 1, 0), last)
-            t0, t1 = ts[idx:idx + 2].tolist()
-            if t == t0:
+            t = float(t)
+            if t > horizon:
+                t = horizon
+            idx = int(ts.searchsorted(t, "right")) - 1
+            if idx < 0:  # before a first sample past 0: the first interval's cubic
+                idx = 0
+            t0 = ts.item(idx)
+            if t == t0:  # the horizon included
                 return ys[idx].copy()
-            if t == t1:  # the horizon, at the end of the last interval
-                return ys[idx + 1].copy()
-            return _hermite_at(t0, t1, ys[idx], dys[idx], ys[idx + 1], dys[idx + 1], t)
+            t1 = ts.item(idx + 1)
+            return np.array([_hermite_at(t0, t1, y0, dy0, y1, dy1, t) for y0, dy0, y1, dy1
+                             in zip(ys[idx].tolist(), dys[idx].tolist(), ys[idx + 1].tolist(),
+                                    dys[idx + 1].tolist())])
         t = np.asarray(t, dtype=float)
         bad = ~((t >= 0.0) & (t <= horizon + 1e-12))
         if bad.any():
             raise IntegrationError(f"time {float(t[bad.argmax()])} outside [0, {horizon}]")
         t = np.minimum(t, horizon)
         idx = np.searchsorted(ts, t, side="right") - 1
-        at = np.clip(idx, 0, last)
+        at = np.clip(idx, 0, len(ts) - 2)
         out = _hermite_at(ts[at][:, None], ts[at + 1][:, None], ys[at], dys[at], ys[at + 1],
                           dys[at + 1], t[:, None])
         return np.where((ts[idx] == t)[:, None], ys[idx], out)

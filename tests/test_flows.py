@@ -76,8 +76,35 @@ _DENSE_PICKS = st.lists(st.one_of(st.floats(0.0, 1.0), st.integers(0, 10 ** 6),
                         min_size=1, max_size=40)
 
 
+def _dense_reference(traj, ys, dys, t):
+    """The row dense output must give at one time, kept here so that a change
+    to both of its paths still shows: the stored row at a sample time, else
+    the cubic Hermite interpolant with float coefficients on numpy rows."""
+    ts = traj.ts
+    t = min(float(t), traj.horizon)
+    idx = min(max(int(np.searchsorted(ts, t, side="right")) - 1, 0), len(ts) - 2)
+    t0, t1 = float(ts[idx]), float(ts[idx + 1])
+    if t == t0:
+        return ys[idx]
+    if t == t1:
+        return ys[idx + 1]
+    h = t1 - t0
+    s = (t - t0) / h
+    u = 1 - s
+    return ((1 + 2 * s) * (u * u) * ys[idx] + s * (u * u) * h * dys[idx]
+            + s * s * (3 - 2 * s) * ys[idx + 1] + s * s * (s - 1) * h * dys[idx + 1])
+
+
+def _dense_fields(traj):
+    """Each dense method with the samples and slopes it interpolates."""
+    fields = [(traj.eval, traj.xs, traj.dxs)]
+    if traj.vs is not None:
+        fields.append((traj.eval_velocity, traj.vs, traj.dvs))
+    return fields
+
+
 def _dense_methods(traj):
-    return (traj.eval, traj.eval_velocity) if traj.vs is not None else (traj.eval,)
+    return [method for method, _, _ in _dense_fields(traj)]
 
 
 def _dense_times(traj, picks):
@@ -276,6 +303,32 @@ class TestDenseOutput:
         for method in _dense_methods(traj):
             assert method(times).tobytes() == np.vstack(
                 [method(float(t)) for t in times]).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_DENSE_FLOWS))
+    def test_dense_output_matches_the_fixed_reference(self, name):
+        # every sample time, both ends, a time inside the clamp and the 20,000
+        # random times, given as a float, an np.float64, a 0-d array and in
+        # one 1-D array
+        traj = _dense_trajectory(name)
+        times = np.concatenate([traj.ts, [traj.horizon + 1e-13],
+                                np.random.default_rng(7).uniform(0.0, traj.horizon, 20000)])
+        for method, ys, dys in _dense_fields(traj):
+            want = np.vstack([_dense_reference(traj, ys, dys, t) for t in times.tolist()])
+            assert np.array_equal(method(times).view(np.int64), want.view(np.int64))
+            for convert in (float, np.float64, np.array):
+                got = np.vstack([method(convert(t)) for t in times.tolist()])
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), convert
+
+    @pytest.mark.parametrize("name", sorted(_DENSE_FLOWS))
+    def test_a_sample_row_is_a_copy(self, name):
+        traj = _DENSE_FLOWS[name]()
+        stored = [ys.copy() for _, ys, _ in _dense_fields(traj)]
+        at = traj.ts[[0, 7, -1]]
+        for method in _dense_methods(traj):
+            for row in [method(t) for t in at.tolist()] + [method(at)]:
+                row[...] = 99.0
+        for (_, ys, _), before in zip(_dense_fields(traj), stored):
+            assert np.array_equal(ys, before)
 
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(sorted(_DENSE_FLOWS)), picks=_DENSE_PICKS,
