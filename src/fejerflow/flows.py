@@ -17,16 +17,18 @@ error names the first non-finite sample.  Dense output is local cubic
 Hermite interpolation using stored derivatives.
 
 Each integrator writes its field once, x' = field(x, *curve values) or
-v' = field(x, v, *curve values), which numpy stacks into (v, v').  On a 2-
-to 8-float state every numpy call costs about the same whatever its size,
-so a field whose operators are all ``coordinatewise`` (``operators``) steps
-on bare Python floats instead.  Each coordinate is an independent chain,
-one float for a first-order flow and the pair (x_i, v_i) for a second-order
-one; a block of up to ``_CHAIN_CAP`` chains steps each chain alone through
-``_stage``'s operations in its order, reading the same curve table, and
-writes the same samples at the end of the block.  Python floats round each
-operation as float64 does, so the samples keep their bits, and finiteness
-checks, errors and settled runs are shared with the numpy stepper.
+v' = field(x, v, *curve values), which numpy stacks into (v, v').  One
+RK4 step (``_step``) serves a numpy stack and a float alike; ``_pair_step``
+writes it out for a float pair.  On a 2- to 8-float state every numpy call
+costs about the same whatever its size, so a field whose operators are all
+``coordinatewise`` (``operators``) steps on bare Python floats instead.
+Each coordinate is an independent chain, one float for a first-order flow
+and the pair (x_i, v_i) for a second-order one; a block of up to
+``_CHAIN_CAP`` chains steps each chain alone through ``_step``'s operations
+in its order, reading the same curve table, and writes the same samples at
+the end of the block.  Python floats round each operation as float64
+does, so the samples keep their bits, and finiteness checks, errors and
+settled runs are shared with the numpy stepper.
 
 A converging run reaches a floating-point fixed point, where every RK4
 increment rounds away: the first-order builtins' ``long_check`` runs spend
@@ -41,8 +43,8 @@ steps the same block one by one.  A step is a function of its start state
 and its tabled curve values, computed row by row with the bits of a lone
 call, so a kept block has the bits of the one-by-one steps.  Of the
 builtins' runs, only the first-order ``long_check`` runs settle; every
-other run steps one by one throughout.  ``Trajectory.to_csv`` formats the
-state of a run's settled tail once, and only the tail's times row by row.
+other run steps one by one throughout.  ``Trajectory.to_csv`` formats a
+settled block's state once, and only its times row by row.
 
 The semigroups double the step count n of their exponential formulas under
 one driver (``_semigroup``), which returns the Richardson extrapolant
@@ -347,34 +349,26 @@ class Trajectory:
         """One header line, then one ``%.12g`` row per sample.  Rows are
         formatted a block at a time, so no whole-array Python list is built.
 
-        A settled run ends in a tail of rows whose state (x, and v if
-        present) has the bits of the last row's, sign of zero included.
-        That state is formatted once, into a row template ``%.12g,<state>``,
-        and only the tail's times are formatted; equal bits format equally,
-        so the text is the same."""
+        A settled run ends in blocks whose every state (x, and v if present)
+        has the bits of the last row's, sign of zero included.  That state is
+        formatted once, into a row template ``%.12g,<state>``, and such a
+        block formats only its times; equal bits format equally, so the text
+        is the same.  Every other block formats row by row."""
         d = self.xs.shape[1]
         cols = ["t"] + [f"x{i}" for i in range(d)]
         parts = [self.xs]
         if self.vs is not None:
             cols += [f"v{i}" for i in range(d)]
             parts.append(self.vs)
-        moved = np.zeros(len(self.ts), dtype=bool)
-        for p in parts:
-            bits = p.view(np.int64)
-            moved |= (bits != bits[-1]).any(axis=1)
-        # the settled tail's first row: the one after the last that moved
-        tail = len(moved) - int(moved[::-1].argmax()) if moved.any() else 0
         row = ",".join(["%.12g"] * len(cols)) + "\n"
+        last = np.hstack([p[-1] for p in parts])
+        settled = "%.12g," + row[6:] % tuple(last.tolist())
         chunks = [",".join(cols) + "\n"]
-        for a in range(0, tail, _CSV_BLOCK):
-            b = min(a + _CSV_BLOCK, tail)
-            block = np.hstack([self.ts[a:b, None]] + [p[a:b] for p in parts])
-            chunks.append((row * len(block)) % tuple(block.ravel().tolist()))
-        # the tail's rows: its time, then the state formatted once
-        settled = "%.12g," + row[6:] % tuple(np.hstack([p[-1] for p in parts]).tolist())
-        for a in range(tail, len(self.ts), _CSV_BLOCK):
-            times = self.ts[a:a + _CSV_BLOCK].tolist()
-            chunks.append((settled * len(times)) % tuple(times))
+        for a in range(0, len(self.ts), _CSV_BLOCK):
+            block = np.hstack([self.ts[a:a + _CSV_BLOCK, None]]
+                              + [p[a:a + _CSV_BLOCK] for p in parts])
+            fmt, cells = (settled, block[:, 0]) if _unchanged(block[:, 1:], last) else (row, block)
+            chunks.append((fmt * len(block)) % tuple(cells.ravel().tolist()))
         return "".join(chunks)
 
 
@@ -393,21 +387,11 @@ _BLOCK = 1024  # coarse steps per curve table and finiteness check
 _CHAIN_CAP = 8
 
 
-def _stage(field, y, a, b, c, half, sixth, full, two):
-    """One RK4 step of y' = field(y, *curve values) from y, with the curve
-    values a, b, c at its start, middle and end and the factors h/2, h/6, h
-    and 2: the derivative at y and the new state."""
-    k1 = field(y, *a)
-    k2 = field(y + half * k1, *b)
-    k3 = field(y + half * k2, *b)
-    k4 = field(y + full * k3, *c)
-    return k1, y + sixth * (k1 + two * k2 + two * k3 + k4)
-
-
-def _float_step(field, y, values, half, sixth, full):
-    """``_stage`` on one float: one RK4 step of y' = field(y, value) from y,
-    with the curve values (a, b, c) at its start, middle and end; the
-    derivative at y and the new state, with ``_stage``'s operand order."""
+def _step(field, y, values, half, sixth, full):
+    """One RK4 step of y' = field(y, value) from y, a float or a numpy stack,
+    with the curve values (a, b, c) at its start, middle and end and the
+    factors h/2, h/6 and h: the derivative at y and the new state.  A numpy
+    field takes each stage's tuple of per-curve values as its one value."""
     a, b, c = values
     k1 = field(y, a)
     k2 = field(y + half * k1, b)
@@ -417,9 +401,9 @@ def _float_step(field, y, values, half, sixth, full):
 
 
 def _pair_step(field, x, v, values, half, sixth, full):
-    """``_stage`` on one pair: one RK4 step of x' = v, v' = field(x, v, *two
-    curve values) from (x, v), with the curve value pairs at its start,
-    middle and end; v' at (x, v) and the new pair, with ``_stage``'s operand
+    """``_step`` on one float pair: one RK4 step of x' = v, v' = field(x, v,
+    *two curve values) from (x, v), with the curve value pairs at its start,
+    middle and end; v' at (x, v) and the new pair, with ``_step``'s operand
     order (the x part of each stage derivative is that stage's v)."""
     a1, a2, b1, b2, c1, c2 = values
     k1 = field(x, v, a1, a2)
@@ -443,9 +427,9 @@ def _float_chain(field, coarse, fine, rows, h, q):
     out = []
     push = out.extend
     for c, p, lone in rows:
-        _, y1 = _float_step(field, y, c, h2, h6, h)
-        d0, z1 = _float_step(field, z, p, q2, q6, q)
-        d1, z2 = _float_step(field, z1, lone, q2, q6, q)
+        _, y1 = _step(field, y, c, h2, h6, h)
+        d0, z1 = _step(field, z, p, q2, q6, q)
+        d1, z2 = _step(field, z1, lone, q2, q6, q)
         push((y, z, z1, d0, d1))
         y, z = y1, z2
     return out, (y,), (z,)
@@ -475,7 +459,7 @@ def _chain_block(field, Y, table, h, width, ys_c, ys_f, dys_f):
     coarse step, and a chain of a state of ``width`` coordinates holds one
     float (first order, x' = ``field(x, lam)``) or the pair of columns j and
     width + j (second order, v' = ``field(x, v, lam, -gamma)``).  Each chain
-    makes ``_stage``'s operations in its order, and a coordinatewise field
+    makes ``_step``'s operations in its order, and a coordinatewise field
     gives a float the bits of its array call, so the result has the bits
     ``_step_block`` would give."""
     n, k = len(table), Y.shape[-1] // width  # k floats a chain: x, or x and v
@@ -503,18 +487,18 @@ def _step_block(field, Y, values, factors, ys_c, ys_f, dys_f):
     ``ys_c[i]``, the fine samples ``ys_f[i]`` (2i and 2i+1) and their
     derivatives ``dys_f[i]``, and returns the end state.
 
-    The curve table is sliced once for the block: per stage time a, b, c of
-    the paired and the lone step, an iterator yields each step's tuple of
-    per-curve values, walked in step with the sample rows, so the loop
-    makes only the RK4 arithmetic."""
+    The curve table is sliced once for the block: an iterator each for the
+    paired and the lone step yields the step's values (a, b, c) at its stage
+    times, each a tuple of per-curve values, walked in step with the sample
+    rows, so the loop makes only the RK4 arithmetic."""
     fine_factors = [f[1] for f in factors]
-    paired = [zip(*s) for s in np.moveaxis(values[:, :, :, :2], 0, 2)]
-    lone = [zip(*s) for s in np.moveaxis(values[:, :, :, 2], 0, 2)]
-    for yc, yf, df, pa, pb, pc, la, lb, lc in zip(ys_c, ys_f, dys_f, *paired, *lone):
+    paired, lone = (zip(*(zip(*stage) for stage in np.moveaxis(v, 0, 2)))
+                    for v in (values[:, :, :, :2], values[:, :, :, 2]))
+    for yc, yf, df, pv, lv in zip(ys_c, ys_f, dys_f, paired, lone):
         yc[...], yf[0] = Y
-        K1, Y = _stage(field, Y, pa, pb, pc, *factors)
+        K1, Y = _step(field, Y, pv, *factors)
         df[0], yf[1] = K1[1], Y[1]
-        df[1], Y[1] = _stage(field, Y[1], la, lb, lc, *fine_factors)
+        df[1], Y[1] = _step(field, Y[1], lv, *fine_factors)
     return Y
 
 
@@ -533,9 +517,9 @@ def _settled_block(field, Y, values, factors, ys_c, ys_f, dys_f):
     run = np.cumsum(new) - 1  # each step's row
     values = values[new]
     starts = np.broadcast_to(Y, (len(values),) + Y.shape).copy()
-    K1, after = _stage(field, starts, *np.moveaxis(values[:, :, :, :2], 0, 2), *factors)
-    dlone, end = _stage(field, after[:, 1], *np.moveaxis(values[:, :, :, 2], 0, 2),
-                        *(f[1] for f in factors))
+    K1, after = _step(field, starts, np.moveaxis(values[:, :, :, :2], 0, 2), *factors)
+    dlone, end = _step(field, after[:, 1], np.moveaxis(values[:, :, :, 2], 0, 2),
+                       *(f[1] for f in factors))
     if not _unchanged(np.stack([after[:, 0], end], axis=1), Y):
         return False
     ys_c[...], ys_f[:, 0] = Y
@@ -572,11 +556,11 @@ def _rk4(field: Callable, curves: tuple, width: int, y0: np.ndarray, n: int, h: 
     everything after the steps is shared."""
     shape = y0.shape
 
-    def stacked(y, *values):  # numpy steps a state (x, v) by its derivative (v, v')
+    def stacked(y, values):  # numpy steps a state (x, v) by its derivative (v, v')
         v = y[..., width:]
         return np.concatenate([v, field(y[..., :width], v, *values)], axis=-1)
 
-    array_field = field if shape[-1] == width else stacked
+    array_field = (lambda y, values: field(y, *values)) if shape[-1] == width else stacked
     try:
         ys_c = np.empty((n + 1,) + shape)
         fine = np.empty((2, 2 * n + 1) + shape)  # the fine samples and derivatives
@@ -587,7 +571,7 @@ def _rk4(field: Callable, curves: tuple, width: int, y0: np.ndarray, n: int, h: 
     Y = np.stack([y0, y0])
     # each factor has the shape it multiplies: faster than a broadcast or a float
     steps = np.array([h, q]).reshape((2,) + (1,) * len(shape)) + np.zeros_like(Y)
-    factors = (steps / 2, steps / 6, steps, np.full_like(Y, 2.0))
+    factors = (steps / 2, steps / 6, steps)
     # stage offsets by (stage, row): (0, h/2, h) coarse, (0, q/2, q) paired and lone fine
     offsets = np.array([[0.0] * 3, [h / 2, q / 2, q / 2], [h, q, q]])
     on_floats = coordinatewise and width <= _CHAIN_CAP
@@ -618,7 +602,7 @@ def _rk4(field: Callable, curves: tuple, width: int, y0: np.ndarray, n: int, h: 
                 bad = np.flatnonzero(~np.isfinite(ys.reshape(len(ys), -1)).all(axis=1))
                 if bad.size:
                     raise IntegrationError(f"non-finite state at t={int(bad[0]) * step + step}")
-    dys_f[2 * n] = array_field(Y[1], *(c(2 * n * q) for c in curves))
+    dys_f[2 * n] = array_field(Y[1], [c(2 * n * q) for c in curves])
     return ys_c, ys_f, dys_f
 
 

@@ -547,8 +547,7 @@ def ball_modulus(d: int, b: RealLike) -> Callable[[Real], int]:
 # ---------------------------------------------------------------------------
 
 
-# catalogued kind -> the name of its one rational parameter (None: it has none);
-# ``weak_sharp`` is not listed: its parameter is the function ``tau_fn``
+# catalogued kind -> the name of its one rational parameter (None: it has none)
 REGULARITY_PARAMETER = {"quasi_contraction": "c", "orbital_contraction": "c",
                         "retraction": None, "strongly_accretive": "beta",
                         "metric_subregular": "k", "strongly_quasiconvex": "rho"}
@@ -556,17 +555,12 @@ REGULARITY_PARAMETER = {"quasi_contraction": "c", "orbital_contraction": "c",
 
 def regularity_modulus(kind: str, **params) -> TauModulus:
     """The catalogued moduli of regularity for fixed points / operator zeros /
-    minimizers.  All but ``strongly_quasiconvex`` and ``weak_sharp`` are linear."""
-
-    def param(name: str):
-        _require(name in params, f"regularity kind {kind!r} needs parameter {name!r}")
-        return params[name]
-
-    if kind == "weak_sharp":
-        return TauModulus(kind, param("tau_fn"))
+    minimizers.  All but ``strongly_quasiconvex`` are linear."""
     _require(kind in REGULARITY_PARAMETER, f"unknown regularity kind {kind!r}")
     name = REGULARITY_PARAMETER[kind]
-    p = Fraction(param(name)) if name else Fraction(1)
+    _require(name is None or name in params,
+             f"regularity kind {kind!r} needs parameter {name!r}")
+    p = Fraction(params[name]) if name else Fraction(1)
     if name == "c":
         _require(0 <= p < 1, "contraction factor must lie in [0, 1)")
     _require(name == "c" or p > 0, f"regularity parameter {name!r} must be positive")

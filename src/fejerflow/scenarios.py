@@ -393,15 +393,12 @@ def _second_order_error_model(consts, traj: Trajectory):
     beta = float(consts.beta)
     K = consts.K.to_float()
 
-    def s_part(times):
+    def error_model(times):
         v = row_norm(traj.eval_velocity(times))
-        return 2 * beta / gam_lo * (gam_hi / lam_lo) * v * v + 2 / gam_lo * K * v
+        t_err = 2 / gam_lo * K * v
+        return 2 * beta / gam_lo * (gam_hi / lam_lo) * v * v + t_err, t_err
 
-    def t_part(times):
-        v = row_norm(traj.eval_velocity(times))
-        return 2 / gam_lo * K * v
-
-    return s_part, t_part
+    return error_model
 
 
 def _run_second_order(cfg: Config, out: ScenarioOutcome) -> None:

@@ -332,7 +332,7 @@ def check_fejer(traj: Trajectory,
                 bundle: ModulusBundle,
                 eps_list: Sequence[float] = (0.5, 0.1),
                 windows: Sequence[tuple[int, int]] = ((0, 4), (2, 8), (10, 16)),
-                error_model: Optional[tuple[Callable, Callable]] = None,
+                error_model: Optional[Callable] = None,
                 grid: float = 0.01,
                 claim: str = "uniform_fejer") -> VerificationReport:
     """Check H(d(x(t), z)) <= G(d(x(s), z)) + e(s, t) + eps for z in the
@@ -340,9 +340,9 @@ def check_fejer(traj: Trajectory,
     and chi the moduli of the certificate's ``bundle``.
 
     ``level_points`` are (point, certified residual) pairs; points whose
-    residual exceeds the guard are skipped (vacuous).  ``error_model`` is a
-    pair (s_part, t_part) for separable errors e(s, t) = s_part(s) + t_part(t);
-    each takes a window's array of times and answers one value per time.
+    residual exceeds the guard are skipped (vacuous).  ``error_model`` gives
+    separable errors e(s, t) = s_err(s) + t_err(t): it takes a window's array
+    of times and answers the pair (s_err, t_err), one value per time each.
     """
     worst = -math.inf
     checked = 0
@@ -353,11 +353,9 @@ def check_fejer(traj: Trajectory,
         times = _window_times(traj, float(n), float(m), grid)
         pts = traj.eval(times)
         if error_model is None:
-            s_err = np.zeros(len(times))
-            t_err = np.zeros(len(times))
+            s_err = t_err = np.zeros(len(times))
         else:
-            s_part, t_part = error_model
-            s_err, t_err = s_part(times), t_part(times)
+            s_err, t_err = error_model(times)
         for eps in eps_list:
             guard = bundle.chi.at_float(eps, m)
             for z, res in level_points:

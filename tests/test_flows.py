@@ -382,12 +382,16 @@ class TestDenseOutput:
         assert "-0," in text and "4.94065645841e-324" in text
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), n=st.sampled_from([1, 2, 9, flows._CSV_BLOCK + 9]), d=st.integers(1, 2),
+    @given(data=st.data(),
+           n=st.sampled_from([1, 2, 9, flows._CSV_BLOCK + 9, 2 * flows._CSV_BLOCK + 9]),
+           d=st.integers(1, 2),
            settles=st.sampled_from(["x", "x and v", "only x of x and v", "only v of x and v"]),
            flip=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
     def test_csv_settled_tail_matches_per_row_format(self, data, n, d, settles, flip, seed):
         # the rows from ``start`` on hold one state drawn from signed zeros, a
-        # subnormal, infinities and a NaN; ``start`` n means no drawn tail
+        # subnormal, infinities and a NaN; ``start`` n means no drawn tail.  At
+        # n = 2 blocks + 9 the first block holds the last row's state too, so
+        # the state leaves it and comes back
         start = data.draw(st.one_of(st.sampled_from([0, flows._CSV_BLOCK, n - 1, n]),
                                     st.integers(0, n)).filter(lambda s: 0 <= s <= n))
         width = d if settles == "x" else 2 * d
@@ -405,6 +409,8 @@ class TestDenseOutput:
         if settles.startswith("only"):  # the other half keeps moving through the tail
             half = slice(d, None) if settles.startswith("only x") else slice(None, d)
             state[start:, half] = moving(n - start)[:, half]
+        if n == 2 * flows._CSV_BLOCK + 9:
+            state[:flows._CSV_BLOCK] = state[-1]
         xs, vs = state[:, :d], (None if settles == "x" else state[:, d:])
         meta = IntegratorMeta("test", 0.1, 0.1, 1e-9, 0.0, 0.0)
         traj = Trajectory(space=euclidean(d), ts=ts, xs=xs, dxs=xs, meta=meta, vs=vs, dvs=vs)
